@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: run, compare, gen-chainkey, eval-chainkey, self-check.
-`run` reads a JSON config document; any config field can be overridden
-with a dotted flag mirroring the config key, e.g.
+Subcommands (also under `python -m kvrefresh`): run, compare,
+gen-chainkey, eval-chainkey, self-check. `run` reads a JSON config
+document; any config field can be overridden with a dotted flag
+mirroring the config key, e.g.
 
     kvrefresh run --config base.json --policy.kind refreshkv \
         --schedule.mode qc --schedule.qc-stride 5 --schedule.threshold 0.85

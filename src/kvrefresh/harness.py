@@ -17,19 +17,20 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .engine import greedy_generate, teacher_forced_run
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require
 from .metrics import StepRecord, nll_to_perplexity, per_layer_effective_strides, trace_totals
 from .model import ModelConfig, canonical_config, init_model
 from .policies import PolicyConfig
 from .scheduler import ScheduleConfig
 from .tasks import (
+    ChainKeyInstance,
     decode_tokens,
     encode_text,
     evaluate_chain,
@@ -50,6 +51,9 @@ class TaskConfig:
     chain_length: int = 8  # chainkey
     words_per_key: int = 2  # chainkey
 
+    def validate(self) -> None:
+        require(int, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "structure"})
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -66,35 +70,60 @@ class RunConfig:
         self.model.validate()
         self.policy.validate()
         self.schedule.validate()
+        self.task_params.validate()
+        require(int, n_generate=self.n_generate, seed=self.seed)
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
+        # decode_core needs every fed position below max_position: lm feeds
+        # positions 0 .. stream_length - 2 (the last token is only a target),
+        # chainkey feeds 0 .. prompt + n_generate - 1.
         tp = self.task_params
         if self.task == "lm":
             if not 1 <= tp.tail < tp.stream_length:
                 raise ConfigurationError(
                     f"need 1 <= tail < stream_length, got tail={tp.tail} stream_length={tp.stream_length}"
                 )
-            if tp.stream_length - tp.tail > self.model.max_position:
-                raise ConfigurationError("stream prefix exceeds max_position")
+            last = tp.stream_length - 2
         else:
             if self.n_generate < 1:
                 raise ConfigurationError(f"n_generate must be positive, got {self.n_generate}")
+            last = len(encode_text(chain_instance(self).prompt)) + self.n_generate - 1
+        if last >= self.model.max_position:
+            raise ConfigurationError(
+                f"the {self.task} run decodes up to position {last}, max_position {self.model.max_position} "
+                "allows positions below it"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        return cls(
-            model=ModelConfig(**obj.get("model", {})),
-            policy=PolicyConfig(**obj.get("policy", {})),
-            schedule=ScheduleConfig(**obj.get("schedule", {})),
-            task=obj.get("task", "lm"),
-            task_params=TaskConfig(**obj.get("task_params", {})),
-            n_generate=obj.get("n_generate", 64),
-            seed=obj.get("seed", 0),
-            out_dir=obj.get("out_dir", "runs/out"),
-        )
+        """Build a config from a nested mapping; unknown keys are errors at every level."""
+        _reject_unknown(obj, cls, "run config")
+        kwargs = dict(obj)
+        for name, section in (("model", ModelConfig), ("policy", PolicyConfig), ("schedule", ScheduleConfig),
+                              ("task_params", TaskConfig)):
+            if name in kwargs:
+                _reject_unknown(kwargs[name], section, name)
+                kwargs[name] = section(**kwargs[name])
+        return cls(**kwargs)
+
+
+def _reject_unknown(obj, config_class, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in fields(config_class)})
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {', '.join(map(str, unknown))}")
+
+
+def chain_instance(config: RunConfig) -> ChainKeyInstance:
+    """The chainkey instance a run config describes."""
+    tp = config.task_params
+    return generate_chain_instance(tp.n_keys, tp.words_per_key, tp.chain_length, config.seed)
 
 
 def run(config: RunConfig, out_dir: str | None = None) -> dict:
@@ -114,14 +143,9 @@ def run(config: RunConfig, out_dir: str | None = None) -> dict:
         )
         result = {"perplexity": nll_to_perplexity(nlls), "scored_tokens": len(nlls)}
     else:
-        instance = generate_chain_instance(tp.n_keys, tp.words_per_key, tp.chain_length, config.seed)
-        prompt_tokens = encode_text(instance.prompt)
-        if len(prompt_tokens) > config.model.max_position:
-            raise ConfigurationError(
-                f"prompt needs {len(prompt_tokens)} positions, model allows {config.model.max_position}"
-            )
+        instance = chain_instance(config)
         generated, trace, _ = greedy_generate(
-            weights, config.policy, config.schedule, prompt_tokens, config.n_generate
+            weights, config.policy, config.schedule, encode_text(instance.prompt), config.n_generate
         )
         output_text = decode_tokens(generated)
         chain_score = evaluate_chain(instance, output_text)

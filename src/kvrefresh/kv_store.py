@@ -1,10 +1,10 @@
 """Per-layer key/value stores for the decoding engine.
 
-Three stores per layer: the full cache (every token ever seen, never
-evicted), the partial cache (a fixed-budget subset carrying per-entry
-selection scores, selected independently per kv-head), and the pending
-buffer (key/values produced during partial steps, awaiting merge into the
-full cache at the layer's next full-attention step).
+Two stores per layer: the full cache (every token seen so far, never
+evicted) and the partial cache (a fixed-budget subset carrying per-entry
+selection scores, selected independently per kv-head). The session writes
+each fresh key/value into the full cache before the layer attends, so a
+full-attention step or a refresh finds every position in place.
 
 Entries appended to the partial cache since the last full-attention step
 have no selection score yet; they carry the NEW sentinel (+inf), which
@@ -13,8 +13,7 @@ protects them from eviction until the next refresh re-scores everything.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,63 +23,45 @@ from .numerics import top_k_indices
 NEW_SCORE = np.inf  # sentinel for entries appended since the last scored step
 
 
-@dataclass
 class FullCache:
-    """Append-only store of every position's key/value, all kv-heads."""
+    """Append-only store of every position's key/value, all kv-heads.
 
-    positions: np.ndarray  # (n,) int64, strictly increasing
-    keys: np.ndarray  # (n, n_kv_heads, head_dim), rotated
-    values: np.ndarray  # (n, n_kv_heads, head_dim)
+    Entries live in arrays that double in length when full, so an append
+    writes one row and copies the store only when it doubles. `positions`
+    ((n,) int64, strictly increasing), `keys` and `values` ((n, n_kv_heads,
+    head_dim), keys rotated) are views of the filled prefix.
+    """
 
-    @classmethod
-    def from_arrays(cls, positions: np.ndarray, keys: np.ndarray, values: np.ndarray) -> "FullCache":
-        return cls(np.asarray(positions, dtype=np.int64), keys, values)
+    def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray):
+        self._arrays = [np.asarray(positions, dtype=np.int64), keys, values]
+        self._n = int(self._arrays[0].size)
+
+    positions = property(lambda self: self._arrays[0][: self._n])
+    keys = property(lambda self: self._arrays[1][: self._n])
+    values = property(lambda self: self._arrays[2][: self._n])
 
     def __len__(self) -> int:
-        return int(self.positions.size)
-
-    @property
-    def max_position(self) -> int:
-        return int(self.positions[-1]) if len(self) else -1
+        return self._n
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        if len(self) and position <= self.max_position:
-            raise ContractViolation(
-                f"full-cache append out of order: {position} <= {self.max_position}"
-            )
-        self.positions = np.append(self.positions, np.int64(position))
-        self.keys = np.concatenate([self.keys, k[None]], axis=0)
-        self.values = np.concatenate([self.values, v[None]], axis=0)
-
-    def head_view(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.keys[:, h], self.values[:, h], self.positions
+        n = self._n
+        if n and position <= self._arrays[0][n - 1]:
+            raise ContractViolation(f"full-cache append out of order: {position} <= {self._arrays[0][n - 1]}")
+        if n == len(self._arrays[0]):
+            self._arrays = [_grown(a, n) for a in self._arrays]
+        positions, keys, values = self._arrays
+        positions[n], keys[n], values[n] = position, k, v
+        self._n = n + 1
 
     def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.positions[indices], self.keys[indices], self.values[indices]
 
 
-@dataclass
-class PendingBuffer:
-    """Key/values generated during partial steps since the last full step."""
-
-    positions: list[int] = field(default_factory=list)
-    keys: list[np.ndarray] = field(default_factory=list)  # each (n_kv_heads, head_dim)
-    values: list[np.ndarray] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        if self.positions and position <= self.positions[-1]:
-            raise ContractViolation(f"pending append out of order: {position} <= {self.positions[-1]}")
-        self.positions.append(int(position))
-        self.keys.append(k)
-        self.values.append(v)
-
-    def clear(self) -> None:
-        self.positions.clear()
-        self.keys.clear()
-        self.values.clear()
+def _grown(a: np.ndarray, n: int) -> np.ndarray:
+    """A copy of a's first n rows in an array twice as long (at least one row)."""
+    out = np.empty((max(1, 2 * n),) + a.shape[1:], dtype=a.dtype)
+    out[:n] = a[:n]
+    return out
 
 
 @dataclass
@@ -93,22 +74,12 @@ class PartialCache:
     values: list[np.ndarray]  # per head: (m, head_dim)
     scores: list[np.ndarray]  # per head: (m,), NEW_SCORE for unscored entries
 
-    @property
-    def n_heads(self) -> int:
-        return len(self.positions)
-
-    def size(self, h: int) -> int:
-        return int(self.positions[h].size)
-
     def sizes(self) -> list[int]:
-        return [self.size(h) for h in range(self.n_heads)]
-
-    def head_view(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.keys[h], self.values[h], self.positions[h]
+        return [int(p.size) for p in self.positions]
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append one entry (all heads) with the NEW sentinel score."""
-        for h in range(self.n_heads):
+        for h in range(len(self.positions)):
             if self.positions[h].size and position <= int(self.positions[h][-1]):
                 raise ContractViolation(
                     f"partial-cache append out of order: {position} <= {int(self.positions[h][-1])}"
@@ -125,8 +96,8 @@ class PartialCache:
         remains); if a head is entirely NEW, the oldest entry goes. Score
         ties resolve toward the lower position.
         """
-        for h in range(self.n_heads):
-            while self.size(h) > self.capacity:
+        for h in range(len(self.positions)):
+            while self.positions[h].size > self.capacity:
                 s = self.scores[h]
                 finite = np.isfinite(s)
                 if finite.any():
@@ -139,22 +110,14 @@ class PartialCache:
                 self.values[h] = np.delete(self.values[h], idx, axis=0)
                 self.scores[h] = np.delete(self.scores[h], idx)
 
-    def dump_jsonl(self, layer: int) -> list[str]:
-        """Debug dump: one JSON line per entry, NEW scores serialized as null."""
-        lines = []
-        for h in range(self.n_heads):
-            for pos, score in zip(self.positions[h].tolist(), self.scores[h].tolist()):
-                val = None if not np.isfinite(score) else score
-                lines.append(json.dumps({"layer": layer, "head": h, "position": pos, "score": val}))
-        return lines
-
 
 def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int) -> PartialCache:
     """Build a partial cache from the top-k scored positions of each kv-head.
 
     scores_per_head: (n_kv_heads, len(full)) selection scores (already
     group-aggregated and pooled). Entries keep their score and ascending
-    position order.
+    position order. A refresh is a fresh call: previous contents, NEW
+    entries included, survive only if the new scores re-select them.
     """
     scores_per_head = np.asarray(scores_per_head, dtype=np.float64)
     n_heads = scores_per_head.shape[0]
@@ -174,35 +137,3 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int) -> Partia
         values.append(full.values[idx, h].copy())
         scores.append(scores_per_head[h][idx].copy())
     return PartialCache(k, positions, keys, values, scores)
-
-
-def append_and_evict(cp: PartialCache, position: int, k: np.ndarray, v: np.ndarray, evict: bool) -> PartialCache:
-    """Append a fresh entry (NEW score); if evict is set, keep size <= capacity."""
-    cp.append(position, k, v)
-    if evict:
-        cp.evict_overflow()
-    return cp
-
-
-def merge_pending(cf: FullCache, pending: PendingBuffer) -> FullCache:
-    """Move pending entries into the full cache in position order; empty the buffer."""
-    if len(pending) == 0:
-        return cf
-    pos = np.asarray(pending.positions, dtype=np.int64)
-    if np.any(np.diff(pos) <= 0) or (len(cf) and pos[0] <= cf.max_position):
-        raise ContractViolation("pending positions overlap or disorder the full cache")
-    cf.positions = np.concatenate([cf.positions, pos])
-    cf.keys = np.concatenate([cf.keys, np.stack(pending.keys)], axis=0)
-    cf.values = np.concatenate([cf.values, np.stack(pending.values)], axis=0)
-    pending.clear()
-    return cf
-
-
-def refresh(cp: PartialCache, cf: FullCache, scores_per_head: np.ndarray, k: int) -> PartialCache:
-    """Rebuild the partial cache wholesale from the full cache's top-k.
-
-    Previous contents, including NEW entries, are discarded unless the new
-    scores re-select them.
-    """
-    del cp  # replaced wholesale
-    return init_partial(cf, scores_per_head, k)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .model import ModelConfig
 from .scheduler import effective_stride
 
@@ -110,15 +110,10 @@ class StepRecord:
         return cls(**json.loads(line))
 
 
-def recompute_costs(record: StepRecord, config: ModelConfig) -> tuple[int, int]:
-    """Re-derive a record's headline costs from its attended sizes."""
-    flops = 0
-    nbytes = 0
-    for attended in record.attended:
-        f, b = layer_attention_cost(attended, config)
-        flops += f
-        nbytes += b
-    return flops, nbytes
+def step_cost(attended: Sequence[int], config: ModelConfig) -> tuple[int, int]:
+    """A step's headline (flops, kv bytes moved) from its per-layer attended sizes."""
+    costs = [layer_attention_cost(a, config) for a in attended]
+    return sum(f for f, _ in costs), sum(b for _, b in costs)
 
 
 def trace_totals(trace: Sequence[StepRecord]) -> dict:
@@ -152,7 +147,5 @@ def perplexity(weights, policy, schedule, tokens: Sequence[int], tail: int) -> f
     """
     from .engine import teacher_forced_run  # local import to avoid a cycle
 
-    if tail < 1 or tail >= len(tokens):
-        raise ConfigurationError(f"tail must satisfy 1 <= tail < {len(tokens)}, got {tail}")
     nlls, _ = teacher_forced_run(weights, policy, schedule, tokens, tail)
     return nll_to_perplexity(nlls)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, require
 from .kv_store import FullCache
 from .numerics import softmax_rows
 
@@ -52,13 +52,16 @@ class ModelConfig:
         return int(self.ffn_mult * self.model_dim)
 
     def validate(self) -> None:
+        require(int, n_layers=self.n_layers, n_query_heads=self.n_query_heads, n_kv_heads=self.n_kv_heads,
+                head_dim=self.head_dim, vocab_size=self.vocab_size, max_position=self.max_position, seed=self.seed)
+        require(float, ffn_mult=self.ffn_mult)
         if min(self.n_layers, self.n_query_heads, self.n_kv_heads, self.head_dim) < 1:
             raise ConfigurationError("layer/head/dim counts must be positive")
         if self.n_query_heads % self.n_kv_heads != 0:
             raise ConfigurationError(
                 f"n_query_heads={self.n_query_heads} not divisible by n_kv_heads={self.n_kv_heads}"
             )
-        if self.ffn_mult <= 0 or self.vocab_size < 2 or self.max_position < 1:
+        if not 0 < self.ffn_mult < float("inf") or self.vocab_size < 2 or self.max_position < 1:
             raise ConfigurationError("ffn_mult, vocab_size, max_position out of range")
 
 
@@ -301,7 +304,7 @@ def prefill(
         xf = _rms_norm(x, lw.ffn_norm)
         x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
 
-        caches.append(FullCache.from_arrays(positions.copy(), k.copy(), v.copy()))
+        caches.append(FullCache(positions.copy(), k.copy(), v.copy()))
         queries.append(q[-1].copy())
         avg_queries.append(q[-1].mean(axis=0))
         rows_per_layer.append(layer_rows if observe_scores else None)
@@ -371,41 +374,6 @@ def decode_core(
 
     logits = _rms_norm(x, weights.final_norm) @ weights.w_out
     return StepOutput(logits, queries, avg_queries, rows_per_layer)
-
-
-def decode_step(
-    weights: ModelWeights,
-    token: int,
-    views: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    position: int,
-    observe_scores: bool = False,
-) -> StepOutput:
-    """Decode one token over fixed per-layer views of past cache entries.
-
-    Each view is (keys, values, positions) with keys/values shaped
-    (m, n_kv_heads, head_dim); entries may be any subset of past tokens in
-    any order, carrying their original absolute positions (keys already
-    rotated). The current token's key/value is appended before attention.
-    """
-    cfg = weights.config
-    if len(views) != cfg.n_layers:
-        raise ContractViolation(f"expected {cfg.n_layers} views, got {len(views)}")
-    for keys, values, positions in views:
-        if keys.shape[0] == 0:
-            raise ContractViolation("decode_step requires non-empty cache views")
-        if keys.shape != values.shape or keys.shape[0] != positions.shape[0]:
-            raise ContractViolation("view arrays disagree on entry count")
-        if int(np.max(positions)) >= cfg.max_position:
-            raise ContractViolation("view position exceeds max_position")
-
-    def provider(layer_idx: int, q: np.ndarray, avg_q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray) -> LayerView:
-        keys, values, positions = views[layer_idx]
-        per_head_k = [np.ascontiguousarray(keys[:, h]) for h in range(cfg.n_kv_heads)]
-        per_head_v = [np.ascontiguousarray(values[:, h]) for h in range(cfg.n_kv_heads)]
-        per_head_p = [positions for _ in range(cfg.n_kv_heads)]
-        return LayerView(per_head_k, per_head_v, per_head_p, include_self=True, observe=observe_scores)
-
-    return decode_core(weights, token, position, provider)
 
 
 def save_weights(weights: ModelWeights, path: str) -> None:

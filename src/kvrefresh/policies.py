@@ -1,19 +1,27 @@
-"""Cache policies: configuration plus the pure selection operations.
+"""Cache policies: configuration, the selection operations, and the
+per-layer policy objects a DecodeSession drives.
 
-Five policy kinds share one decode-step interface (see engine.DecodeSession):
+make_policy maps each of the seven kinds onto one of four classes:
 
-  vanilla     attend the complete cache every step
-  streaming   sink tokens plus a recency window, fixed budget
-  h2o         cumulative-attention heavy hitters plus a recency half
-  snapkv      top-K selected once from the prompt's last-token scores,
-              then grow-only
-  refreshkv   alternate full/partial attention, rebuilding the partial
-              cache from the scores observed at each full step
+  vanilla               FullAttention  the complete cache every step
+  streaming             Recency        sink tokens plus a recency window
+  h2o                   HeavyHitter    cumulative-attention heavy hitters
+                                       plus a recency half
+  snapkv                TopK           top-K from the prompt's last-token
+                                       scores; never full, grow-only
+  refreshkv             TopK           scheduled full steps that rebuild
+                                       the top-K from their observed scores
+  refreshkv_no_refresh  TopK           scheduled full steps, no rebuild
+  refreshkv_no_full     TopK           scheduled steps that rebuild the
+                                       top-K and attend it, not the full cache
 
-plus two ablation variants of refreshkv: one that runs scheduled full
-steps without refreshing the partial cache, and one that refreshes the
-partial cache from full-cache scores but produces its output from the
-refreshed partial cache instead of the full one.
+After the prefill the session builds one policy object per layer. At each
+step, `view` returns the LayerView the layer attends and, after the
+forward pass, `update` takes the observed probability rows, maintains the
+policy's state and reports the layer's modeled cost as a LayerStep. The
+session owns the full caches and writes each fresh key/value into them
+before asking for a view, unless appends_full is False (snapkv keeps only
+its prompt there).
 
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
@@ -23,13 +31,26 @@ shared_selection collapses the scores across heads first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
-from .kv_store import FullCache, PartialCache, init_partial
-from .numerics import max_pool_1d, top_k_indices
+from .errors import ConfigurationError, ContractViolation, require
+from .kv_store import PartialCache, init_partial
+from .metrics import (
+    h2o_overhead_flops,
+    qc_overhead_flops,
+    retained_mass,
+    score_pass_flops,
+    selection_overhead_flops,
+)
+from .model import LayerView, StepOutput
+from .numerics import cosine_similarity, max_pool_1d, softmax_rows
+from .scheduler import LayerScheduleState, ScheduleConfig, should_full
+
+if TYPE_CHECKING:
+    from .engine import DecodeSession
 
 POLICY_KINDS = (
     "vanilla",
@@ -42,6 +63,8 @@ POLICY_KINDS = (
 )
 REFRESH_FAMILY = ("refreshkv", "refreshkv_no_refresh", "refreshkv_no_full")
 AGGREGATION_MODES = ("max", "mean", "first")
+
+Recorder = Callable[[dict], None]
 
 
 @dataclass(frozen=True)
@@ -60,6 +83,14 @@ class PolicyConfig:
             raise ConfigurationError(f"unknown policy kind {self.kind!r}")
         if self.gqa_aggregation not in AGGREGATION_MODES:
             raise ConfigurationError(f"unknown gqa_aggregation {self.gqa_aggregation!r}")
+        require(int, kernel_size=self.kernel_size, n_sink=self.n_sink)
+        require(bool, shared_selection=self.shared_selection)
+        if self.k is not None:
+            require(int, k=self.k)
+        if self.k_fraction is not None:
+            require(float, k_fraction=self.k_fraction)
+        if self.evict_on_append is not None:
+            require(bool, evict_on_append=self.evict_on_append)
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ConfigurationError(f"kernel_size must be odd and positive, got {self.kernel_size}")
         if self.k is None and self.k_fraction is None:
@@ -210,22 +241,221 @@ class H2OState:
         self.sums = self.sums[keep]
 
 
-def snapkv_prefill_select(
-    rows_per_head: list[np.ndarray], full: FullCache, config: PolicyConfig, k: int
-) -> PartialCache:
-    """Prompt-time top-K selection from the last token's observation rows."""
-    return init_partial(full, selection_scores(rows_per_head, config), k)
+# ------------------------------------------------------------ policy objects
 
 
-__all__ = [
-    "POLICY_KINDS",
-    "REFRESH_FAMILY",
-    "AGGREGATION_MODES",
-    "PolicyConfig",
-    "aggregate_group_scores",
-    "selection_scores",
-    "streaming_keepset",
-    "H2OState",
-    "snapkv_prefill_select",
-    "top_k_indices",
-]
+@dataclass
+class LayerStep:
+    """One layer's share of a step record, as its policy reports it."""
+
+    attended: int  # modeled attended-set size (drives the headline cost)
+    overhead_flops: int = 0
+    similarity: float | None = None  # qc check, when one ran
+    retained: list[float] = field(default_factory=list)  # post-refresh coverage per kv-head
+
+
+class LayerPolicy:
+    """One layer's cache policy, built from its session right after the prefill.
+
+    Subclasses implement view(step, q, avg_q, k_new, v_new) -> LayerView
+    and update(step, rows, avg_q) -> LayerStep.
+    """
+
+    appends_full = True  # the session writes each fresh key/value into the full cache
+    partial: PartialCache | None = None
+
+    def __init__(self, session: DecodeSession, layer: int, out: StepOutput):
+        self.config, self.model, self.recorder = session.policy, session.cfg, session.recorder
+        self.layer = layer
+        self.full = session.full[layer]
+        self.input_length, self.budget, self.k_sel = session.input_length, session.budget, session.k_sel
+
+    def position(self, step: int) -> int:
+        return self.input_length + step - 1
+
+    def _full_view(self, step: int, observe: bool) -> LayerView:
+        """Every past entry; the fresh one at the end is attended as the current token."""
+        n, cf = self.position(step), self.full
+        return self._head_view(cf.positions[:n], cf.keys[:n], cf.values[:n], observe, "full")
+
+    def _gather_view(self, keep: np.ndarray, observe: bool) -> LayerView:
+        # positions are contiguous from 0, so keepset positions index directly
+        return self._head_view(*self.full.gather(keep), observe, "partial")
+
+    def _head_view(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray, observe: bool,
+                   mode: str) -> LayerView:
+        heads = range(self.model.n_kv_heads)
+        return LayerView([keys[:, h] for h in heads], [values[:, h] for h in heads], [positions for _ in heads],
+                         include_self=True, observe=observe, mode=mode)
+
+
+class FullAttention(LayerPolicy):
+    def view(self, step, q, avg_q, k_new, v_new):
+        return self._full_view(step, observe=False)
+
+    def update(self, step, rows, avg_q):
+        return LayerStep(self.input_length)
+
+
+class Recency(LayerPolicy):
+    def __init__(self, session, layer, out):
+        super().__init__(session, layer, out)
+        if self.budget < self.config.n_sink:
+            raise ConfigurationError(f"streaming budget {self.budget} smaller than n_sink {self.config.n_sink}")
+
+    def view(self, step, q, avg_q, k_new, v_new):
+        keep = streaming_keepset(self.input_length, step - 1, self.config, self.budget)
+        return self._gather_view(keep, observe=False)
+
+    def update(self, step, rows, avg_q):
+        return LayerStep(self.k_sel)
+
+
+class HeavyHitter(LayerPolicy):
+    def __init__(self, session, layer, out):
+        super().__init__(session, layer, out)
+        row = aggregate_group_scores(np.vstack(out.attn_rows[layer]), self.config.gqa_aggregation)
+        self.h2o = H2OState.from_prefill(row, self.budget)
+
+    def view(self, step, q, avg_q, k_new, v_new):
+        return self._gather_view(self.h2o.keepset(), observe=True)
+
+    def update(self, step, rows, avg_q):
+        row = aggregate_group_scores(np.vstack(rows), self.config.gqa_aggregation)
+        view_positions = np.append(self.h2o.positions, self.position(step))
+        keepset = self.h2o.step(row, view_positions)
+        if self.recorder is not None:
+            self.recorder(
+                {
+                    "kind": "h2o",
+                    "step": step,
+                    "layer": self.layer,
+                    "raw_rows": [r.copy() for r in rows],
+                    "row": row,
+                    "view_positions": view_positions,
+                    "keepset": keepset,
+                }
+            )
+        return LayerStep(self.k_sel, h2o_overhead_flops(row.size, self.model))
+
+
+class TopK(LayerPolicy):
+    """A top-K partial cache selected from the prompt's last-token scores.
+
+    Partial steps attend the partial cache and append the fresh entry to
+    it, evicting the lowest score when evict_on_append resolves true. At
+    the steps the schedule marks full, `output_full` attends the whole
+    cache and, if `refresh`, rebuilds the partial cache from the observed
+    rows; without output_full the step scores the whole cache, rebuilds
+    the partial cache and attends that.
+    """
+
+    def __init__(self, session, layer, out, schedule: ScheduleConfig, refresh: bool, output_full: bool,
+                 appends_full: bool = True):
+        super().__init__(session, layer, out)
+        self.schedule, self.refresh, self.output_full = schedule, refresh, output_full
+        self.appends_full = appends_full
+        self.evict = self.config.resolved_evict_on_append()
+        self.partial = init_partial(self.full, selection_scores(out.attn_rows[layer], self.config), self.k_sel)
+        self.schedule_state = LayerScheduleState(reference_query=out.avg_queries[layer].copy())
+
+    def view(self, step, q, avg_q, k_new, v_new):
+        self._sim = None
+        if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
+            self._sim = cosine_similarity(avg_q, self.schedule_state.reference_query)
+        self._full_step = should_full(self.schedule_state, step, avg_q, self.schedule)
+        self._fresh = (k_new, v_new)
+        self._refreshed = None
+        if not self._full_step:
+            return self._partial_view(include_self=True, mode="partial")
+        if self.output_full:
+            return self._full_view(step, observe=self.refresh)
+        self._refreshed = self._refresh(self._score_rows(q))
+        return self._partial_view(include_self=False, mode="full")
+
+    def update(self, step, rows, avg_q):
+        state = self.schedule_state
+        state.generated_step_count += 1
+        overhead = qc_overhead_flops(self.model) if self._sim is not None else 0
+        if not self._full_step:
+            self.partial.append(self.position(step), *self._fresh)
+            if self.evict:
+                self.partial.evict_overflow()
+            return LayerStep(self.k_sel, overhead, self._sim)
+
+        state.full_step_count += 1
+        state.reference_query = avg_q.copy()
+        attended = self.input_length if self.output_full else self.k_sel
+        if not self.refresh:
+            return LayerStep(attended, overhead, self._sim)
+        m = len(self.full)
+        if self._refreshed is None:
+            if rows is None or rows[0].shape[1] != m:
+                raise ContractViolation("full-step observation rows missing or misaligned")
+            self._refreshed = self._refresh(rows)
+        else:
+            overhead += score_pass_flops(m, self.model)
+        overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
+        return LayerStep(attended, overhead, self._sim, self._report_refresh(step, *self._refreshed))
+
+    def _partial_view(self, include_self: bool, mode: str) -> LayerView:
+        cp = self.partial
+        return LayerView(list(cp.keys), list(cp.values), list(cp.positions), include_self=include_self, mode=mode)
+
+    def _score_rows(self, q: np.ndarray) -> list[np.ndarray]:
+        """Probability rows of the current queries over the full cache."""
+        scale = 1.0 / np.sqrt(self.model.head_dim)
+        g = self.model.group_size
+        keys = self.full.keys
+        return [softmax_rows(q[h * g : (h + 1) * g] @ keys[:, h].T * scale) for h in range(self.model.n_kv_heads)]
+
+    def _refresh(self, rows: list[np.ndarray]) -> tuple:
+        """Rebuild the partial cache from the full cache's top-K under `rows`."""
+        sel = selection_scores(rows, self.config)
+        pre_positions = [p.copy() for p in self.partial.positions]
+        self.partial = init_partial(self.full, sel, self.k_sel)
+        return rows, sel, pre_positions
+
+    def _report_refresh(self, step: int, rows, sel: np.ndarray, pre_positions) -> list[float]:
+        """Selection-row coverage after the refresh, per kv-head (and the refresh event)."""
+        post_positions = [p.copy() for p in self.partial.positions]
+        pre_retained, post_retained = [], []
+        for h in range(self.model.n_kv_heads):
+            norm = sel[h].sum()
+            row_norm = sel[h] / norm if norm > 0 else sel[h]
+            pre_retained.append(retained_mass(row_norm, pre_positions[h]))
+            post_retained.append(retained_mass(row_norm, post_positions[h]))
+        if self.recorder is not None:
+            self.recorder(
+                {
+                    "kind": "refresh",
+                    "step": step,
+                    "layer": self.layer,
+                    "rows": [r.copy() for r in rows],
+                    "selection": sel.copy(),
+                    "k": self.k_sel,
+                    "pre_positions": pre_positions,
+                    "post_positions": post_positions,
+                    "pre_retained": pre_retained,
+                    "post_retained": post_retained,
+                }
+            )
+        return post_retained
+
+
+def make_policy(session: DecodeSession, layer: int, out: StepOutput) -> LayerPolicy:
+    """The one place a policy kind turns into behaviour: one layer's policy object."""
+    kind = session.policy.kind
+    if kind == "vanilla":
+        return FullAttention(session, layer, out)
+    if kind == "streaming":
+        return Recency(session, layer, out)
+    if kind == "h2o":
+        return HeavyHitter(session, layer, out)
+    if kind == "snapkv":
+        never = ScheduleConfig(mode="never_full")
+        return TopK(session, layer, out, never, refresh=False, output_full=True, appends_full=False)
+    if kind in REFRESH_FAMILY:
+        return TopK(session, layer, out, session.schedule, refresh=kind != "refreshkv_no_refresh",
+                    output_full=kind != "refreshkv_no_full")
+    raise ConfigurationError(f"unknown policy kind {kind!r}")

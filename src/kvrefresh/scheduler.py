@@ -21,12 +21,11 @@ equal to the threshold decodes with the partial cache.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require
 from .numerics import cosine_similarity
 
 SCHEDULE_MODES = ("fixed", "qc", "always_full", "never_full")
@@ -42,6 +41,7 @@ class ScheduleConfig:
     def validate(self) -> None:
         if self.mode not in SCHEDULE_MODES:
             raise ConfigurationError(f"unknown schedule mode {self.mode!r}")
+        require(int, stride=self.stride, qc_stride=self.qc_stride)
         if self.mode == "fixed" and self.stride < 1:
             raise ConfigurationError(f"stride must be positive, got {self.stride}")
         if self.mode == "qc" and self.qc_stride < 1:
@@ -49,8 +49,7 @@ class ScheduleConfig:
         # cosine similarity lies in [-1, 1], so a threshold outside it adds no
         # behaviour (above 1 fires at every boundary, below -1 never fires);
         # always_full / never_full cover those uses. NaN fails the range test.
-        if isinstance(self.threshold, bool) or not isinstance(self.threshold, numbers.Real):
-            raise ConfigurationError(f"threshold must be a number, got {self.threshold!r}")
+        require(float, threshold=self.threshold)
         if not -1.0 <= self.threshold <= 1.0:
             raise ConfigurationError(f"threshold must lie in [-1, 1], got {self.threshold!r}")
 
@@ -110,13 +109,3 @@ def effective_stride(full_events: int, generated_steps: int) -> float | None:
     if full_events == 0:
         return None
     return generated_steps / full_events
-
-
-def effective_stride_from_trace(trace, layer: int) -> float | None:
-    """Effective stride of one layer over a sequence of step records.
-
-    Accepts any sequence of records exposing per-layer `modes`; the prefill
-    is not part of the trace and therefore not counted.
-    """
-    full_events = sum(1 for rec in trace if rec.modes[layer] == "full")
-    return effective_stride(full_events, len(trace))

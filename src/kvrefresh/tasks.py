@@ -11,9 +11,8 @@ the previous one.
 
 Also here: a seeded token-stream generator for language-model runs (the
 repeated-motif variant embeds exact long-range repeats so cache quality
-measurably affects loss), a byte-level tokenizer pairing prompts with the
-256-entry vocabulary, and a scripted oracle that emits gold chains so the
-evaluator and harness can be exercised without a trained model.
+measurably affects loss) and a byte-level tokenizer pairing prompts with
+the 256-entry vocabulary.
 """
 
 from __future__ import annotations
@@ -193,20 +192,6 @@ def evaluate_chain(instance: ChainKeyInstance, output_text: str) -> ChainScore:
         valid += 1
         prev = cand
     return ChainScore(valid, valid / t)
-
-
-def scripted_oracle_chain(
-    instance: ChainKeyInstance, start_key: str | None = None, n_keys: int | None = None
-) -> str:
-    """Deterministic gold-chain emitter (test double for a trained model)."""
-    key = start_key if start_key is not None else instance.keys[0]
-    if key not in instance.successor_map:
-        raise ConfigurationError(f"start key {key!r} not in instance")
-    n = instance.chain_length if n_keys is None else n_keys
-    chain = [key]
-    for _ in range(n - 1):
-        chain.append(instance.successor_map[chain[-1]])
-    return ", ".join(chain)
 
 
 def synthetic_lm_stream(

@@ -1,0 +1,64 @@
+"""Cache invariants, property-tested across every policy kind and schedule.
+
+After every decode step:
+  - the full cache holds positions 0 .. L+i-1 (snapkv: the prompt, 0 .. L-1);
+  - top-K policies that evict on append hold at most k_sel entries per head;
+  - every position a view attends is a position already seen.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kvrefresh.engine import DecodeSession
+from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig
+from kvrefresh.scheduler import ScheduleConfig
+
+schedules = st.one_of(
+    st.builds(ScheduleConfig, mode=st.just("fixed"), stride=st.integers(1, 6)),
+    st.builds(
+        ScheduleConfig,
+        mode=st.just("qc"),
+        qc_stride=st.integers(1, 4),
+        threshold=st.sampled_from([-1.0, 0.0, 0.5, 0.9, 1.0]),
+    ),
+    st.builds(ScheduleConfig, mode=st.sampled_from(["always_full", "never_full"])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(POLICY_KINDS),
+    schedule=schedules,
+    prompt_length=st.integers(4, 40),
+    budget=st.integers(4, 48),
+    n_steps=st.integers(1, 14),
+    evict_on_append=st.sampled_from([None, True, False]),
+    seed=st.integers(0, 2**16),
+)
+def test_invariants_hold_after_every_step(
+    desk_weights, kind, schedule, prompt_length, budget, n_steps, evict_on_append, seed
+):
+    policy = PolicyConfig(kind=kind, k=budget, evict_on_append=evict_on_append)
+    views = []
+    session = DecodeSession(desk_weights, policy, schedule, recorder=views.append)
+    tokens = np.random.default_rng(seed).integers(0, desk_weights.config.vocab_size, prompt_length + n_steps)
+    session.prefill(tokens[:prompt_length].tolist())
+    L = prompt_length
+    evicting = kind in ("snapkv", *REFRESH_FAMILY) and policy.resolved_evict_on_append()
+
+    for i in range(1, n_steps + 1):
+        views.clear()
+        session.step(int(tokens[L + i - 1]))
+        held = L if kind == "snapkv" else L + i
+        for cf in session.full:
+            np.testing.assert_array_equal(cf.positions, np.arange(held))
+        if evicting:
+            assert all(size <= session.k_sel for cp in session.partial for size in cp.sizes())
+        current = L + i - 1
+        view_events = [e for e in views if e["kind"] == "view"]
+        assert len(view_events) == desk_weights.config.n_layers
+        for event in view_events:
+            for positions in event["positions"]:
+                assert positions.size == np.unique(positions).size
+                assert positions.max() <= current

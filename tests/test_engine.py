@@ -151,18 +151,19 @@ class TestRefreshDynamics:
             out, rec = session.step(tok)
             tok = int(np.argmax(out.logits))
             assert rec.modes == ["partial", "partial"]
-            assert all(len(p) == i for p in session.pending)
+            # every partial step's key/value goes straight into the full cache
+            assert all(len(cf) == 40 + i for cf in session.full)
             assert all(s == 10 for layer in session.partial for s in layer.sizes())
             assert rec.attended == [10, 10]  # cost is proportional to the budget
             assert rec.view_lens == [11, 11]
         out, rec = session.step(tok)
         assert rec.modes == ["full", "full"]
-        assert all(len(p) == 0 for p in session.pending)
+        assert all(len(cf) == 40 + 8 for cf in session.full)
         assert all(s == 10 for layer in session.partial for s in layer.sizes())
 
     def test_full_cache_holds_everything_after_finish(self, desk_weights, rng):
         prompt = toks(rng, desk_weights.config, 36)
-        n = 17  # ends mid-stride so the flush matters
+        n = 17  # ends mid-stride, after partial steps since the last full one
         session = DecodeSession(
             desk_weights, PolicyConfig(kind="refreshkv", k=9), ScheduleConfig(mode="fixed", stride=5)
         )
@@ -278,7 +279,7 @@ class TestH2OOracle:
         out = session.prefill(prompt)
         oracles = [H2OOracle(out.attn_rows[layer], 12) for layer in range(2)]
         for layer in range(2):
-            np.testing.assert_array_equal(session.h2o[layer].keepset(), oracles[layer].keep)
+            np.testing.assert_array_equal(session.layer_policies[layer].h2o.keepset(), oracles[layer].keep)
 
         tok = int(np.argmax(out.logits))
         for step in range(1, 33):  # a 32-token run, checked at every step
@@ -293,7 +294,7 @@ class TestH2OOracle:
                 )
                 np.testing.assert_array_equal(event["keepset"], expected)
                 np.testing.assert_array_equal(
-                    session.h2o[event["layer"]].keepset(), expected
+                    session.layer_policies[event["layer"]].h2o.keepset(), expected
                 )
 
 
@@ -476,12 +477,12 @@ class TestQCScheduling:
             ScheduleConfig(mode="fixed", stride=4),
         )
         out = session.prefill(prompt)
-        refs = [s.reference_query.copy() for s in session.layer_states]
+        refs = [p.schedule_state.reference_query.copy() for p in session.layer_policies]
         tok = int(np.argmax(out.logits))
         for _ in range(12):
             out, rec = session.step(tok)
             tok = int(np.argmax(out.logits))
-            for layer, state in enumerate(session.layer_states):
+            for layer, state in enumerate(p.schedule_state for p in session.layer_policies):
                 changed = not np.array_equal(refs[layer], state.reference_query)
                 assert changed == (rec.modes[layer] == "full")
                 refs[layer] = state.reference_query.copy()

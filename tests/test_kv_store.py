@@ -1,19 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.kv_store import (
-    NEW_SCORE,
-    FullCache,
-    PartialCache,
-    PendingBuffer,
-    append_and_evict,
-    init_partial,
-    merge_pending,
-    refresh,
-)
+from kvrefresh.kv_store import NEW_SCORE, FullCache, init_partial
 
 N_KV = 2
 DIM = 4
@@ -25,9 +14,14 @@ def brute_force_top_k(scores, k):
 
 
 def make_full(n, rng):
-    return FullCache.from_arrays(
-        np.arange(n), rng.normal(size=(n, N_KV, DIM)), rng.normal(size=(n, N_KV, DIM))
-    )
+    return FullCache(np.arange(n), rng.normal(size=(n, N_KV, DIM)), rng.normal(size=(n, N_KV, DIM)))
+
+
+def append_and_evict(cp, position, k, v, evict):
+    """The partial-step update: append with the NEW score, then evict if asked."""
+    cp.append(position, k, v)
+    if evict:
+        cp.evict_overflow()
 
 
 def entry(rng):
@@ -136,38 +130,40 @@ class TestAppendAndEvict:
                 assert (np.diff(cp.positions[h]) > 0).all()
 
 
-class TestPendingAndMerge:
-    def test_empty_pending_no_change(self, rng):
+class TestFullCacheAppend:
+    def test_append_grows_past_capacity(self, rng):
         full = make_full(4, rng)
-        before = full.positions.copy()
-        merge_pending(full, PendingBuffer())
-        np.testing.assert_array_equal(full.positions, before)
+        prompt_keys = full.keys.copy()
+        entries = {pos: entry(rng) for pos in range(4, 13)}
+        for pos, (k, v) in entries.items():
+            full.append(pos, k, v)
+        assert len(full) == 13
+        np.testing.assert_array_equal(full.positions, np.arange(13))
+        for pos, (k, v) in entries.items():
+            np.testing.assert_array_equal(full.keys[pos], k)
+            np.testing.assert_array_equal(full.values[pos], v)
+        assert full.keys.shape == (13, N_KV, DIM)
+        np.testing.assert_array_equal(full.keys[:4], prompt_keys)
 
-    def test_merge_grows_by_pending_size(self, rng):
-        full = make_full(4, rng)
-        pending = PendingBuffer()
-        for pos in (4, 5, 6):
-            k, v = entry(rng)
-            pending.append(pos, k, v)
-        merge_pending(full, pending)
-        assert len(full) == 7
-        assert len(pending) == 0
-        assert (np.diff(full.positions) > 0).all()
+
+class TestPendingAndMerge:
+    """Decoded keys go straight into the full cache; these are the ordering
+    checks that merging a pending buffer into it used to make."""
 
     def test_overlap_rejected(self, rng):
         full = make_full(4, rng)
-        pending = PendingBuffer()
         k, v = entry(rng)
-        pending.append(3, k, v)
         with pytest.raises(ContractViolation):
-            merge_pending(full, pending)
+            full.append(3, k, v)
+        assert len(full) == 4
 
     def test_pending_disorder_rejected(self, rng):
-        pending = PendingBuffer()
+        full = make_full(4, rng)
         k, v = entry(rng)
-        pending.append(5, k, v)
+        full.append(4, k, v)
         with pytest.raises(ContractViolation):
-            pending.append(5, k, v)
+            full.append(4, k, v)
+        assert len(full) == 5
 
 
 class TestRefresh:
@@ -175,15 +171,15 @@ class TestRefresh:
         full = make_full(10, rng)
         scores = np.zeros((N_KV, 10))
         scores[:, -3:] = 1.0
-        cp = refresh(None, full, scores, 3)
+        cp = init_partial(full, scores, 3)
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], [7, 8, 9])
 
     def test_idempotent_for_fixed_scores(self, rng):
         full = make_full(12, rng)
         scores = np.tile(rng.uniform(size=12), (N_KV, 1))
-        a = refresh(None, full, scores, 5)
-        b = refresh(a, full, scores, 5)
+        a = init_partial(full, scores, 5)
+        b = init_partial(full, scores, 5)
         for h in range(N_KV):
             np.testing.assert_array_equal(a.positions[h], b.positions[h])
             np.testing.assert_array_equal(a.keys[h], b.keys[h])
@@ -194,7 +190,7 @@ class TestRefresh:
             k = int(rng.integers(1, n + 1))
             full = make_full(n, rng)
             scores = rng.uniform(size=(N_KV, n))
-            cp = refresh(None, full, scores, k)
+            cp = init_partial(full, scores, k)
             for h in range(N_KV):
                 np.testing.assert_array_equal(cp.positions[h], brute_force_top_k(scores[h], k))
 
@@ -207,22 +203,8 @@ class TestRefresh:
         assert cp.sizes() == [4, 4]
         full.append(6, k, v)
         new_scores = np.tile(np.linspace(7, 1, 7), (N_KV, 1))
-        cp2 = refresh(cp, full, new_scores, 3)
+        cp2 = init_partial(full, new_scores, 3)
         assert cp2.sizes() == [3, 3]
         for h in range(N_KV):
             assert 6 not in cp2.positions[h]
 
-
-class TestDump:
-    def test_jsonl_dump_shape(self, rng):
-        full = make_full(5, rng)
-        scores = np.tile(rng.uniform(size=5), (N_KV, 1))
-        cp = init_partial(full, scores, 3)
-        k, v = entry(rng)
-        append_and_evict(cp, 5, k, v, evict=False)
-        lines = cp.dump_jsonl(layer=1)
-        parsed = [json.loads(line) for line in lines]
-        assert len(parsed) == 8  # (3 + 1 NEW) entries x 2 heads
-        assert all(p["layer"] == 1 for p in parsed)
-        new_entries = [p for p in parsed if p["score"] is None]
-        assert {p["position"] for p in new_entries} == {5}

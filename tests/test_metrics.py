@@ -12,8 +12,8 @@ from kvrefresh.metrics import (
     nll_to_perplexity,
     per_layer_effective_strides,
     perplexity,
-    recompute_costs,
     retained_mass,
+    step_cost,
     trace_totals,
 )
 from kvrefresh.model import ModelConfig, full_forward, init_model
@@ -69,7 +69,7 @@ class TestAttentionCost:
             ScheduleConfig(mode="fixed", stride=4), prompt, 20,
         )
         for rec in trace:
-            f, b = recompute_costs(rec, desk_weights.config)
+            f, b = step_cost(rec.attended, desk_weights.config)
             assert (f, b) == (rec.attention_flops, rec.kv_bytes_moved)
 
     def test_full_step_count_is_floor_n_over_s(self, desk_weights, rng):

@@ -3,9 +3,10 @@ import pytest
 
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.model import (
+    LayerView,
     ModelConfig,
     canonical_config,
-    decode_step,
+    decode_core,
     full_forward,
     init_model,
     load_weights,
@@ -24,6 +25,26 @@ def random_tokens(rng, cfg, n):
 
 def cache_views(caches):
     return [(c.keys, c.values, c.positions) for c in caches]
+
+
+def decode_step(weights, token, views, position, observe_scores=False):
+    """Decode one token over fixed per-layer views of past cache entries.
+
+    Each view is (keys, values, positions) with keys/values shaped
+    (m, n_kv_heads, head_dim); entries may be any subset of past tokens in
+    any order, carrying their original absolute positions (keys already
+    rotated). The current token's key/value is appended before attention.
+    """
+    cfg = weights.config
+
+    def provider(layer_idx, q, avg_q, k_new, v_new):
+        keys, values, positions = views[layer_idx]
+        per_head_k = [np.ascontiguousarray(keys[:, h]) for h in range(cfg.n_kv_heads)]
+        per_head_v = [np.ascontiguousarray(values[:, h]) for h in range(cfg.n_kv_heads)]
+        per_head_p = [positions for _ in range(cfg.n_kv_heads)]
+        return LayerView(per_head_k, per_head_v, per_head_p, include_self=True, observe=observe_scores)
+
+    return decode_core(weights, token, position, provider)
 
 
 class TestInit:
@@ -132,10 +153,18 @@ class TestDecodeStep:
             )
 
     def test_empty_view_rejected(self, desk_weights):
+        # a view that leaves out the current token and holds no past entry
+        # leaves attention nothing to attend
         caches, _ = prefill(desk_weights, [1, 2])
-        empty = [(c.keys[:0], c.values[:0], c.positions[:0]) for c in caches]
+
+        def empty(layer_idx, q, avg_q, k_new, v_new):
+            c = caches[layer_idx]
+            heads = range(desk_weights.config.n_kv_heads)
+            return LayerView([c.keys[:0, h] for h in heads], [c.values[:0, h] for h in heads],
+                             [c.positions[:0] for _ in heads], include_self=False)
+
         with pytest.raises(ContractViolation):
-            decode_step(desk_weights, 1, empty, position=2)
+            decode_core(desk_weights, 1, 2, empty)
 
 
 class TestIncrementalConsistency:

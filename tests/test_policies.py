@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.kv_store import FullCache, init_partial
+from kvrefresh.engine import DecodeSession
+from kvrefresh.kv_store import init_partial
+from kvrefresh.model import prefill
 from kvrefresh.policies import (
     H2OState,
     PolicyConfig,
     aggregate_group_scores,
     selection_scores,
-    snapkv_prefill_select,
     streaming_keepset,
 )
 
@@ -63,19 +64,17 @@ class TestSelectionScores:
         out = selection_scores(rows, PolicyConfig(shared_selection=True))
         np.testing.assert_allclose(out[0], out[1])
 
-    def test_defaults_match_prompt_time_selection(self, rng):
+    def test_defaults_match_prompt_time_selection(self, desk_weights, rng):
         # selection with the default (max, kernel 7) config is exactly the
-        # prompt-time top-K path
-        n = 40
-        rows = [rng.uniform(size=(2, n)) for _ in range(2)]
-        full = FullCache.from_arrays(
-            np.arange(n), rng.normal(size=(n, 2, 4)), rng.normal(size=(n, 2, 4))
-        )
-        cfg = PolicyConfig()
-        cp = snapkv_prefill_select(rows, full, cfg, 8)
-        direct = init_partial(full, selection_scores(rows, cfg), 8)
-        for h in range(2):
-            np.testing.assert_array_equal(cp.positions[h], direct.positions[h])
+        # prompt-time top-K path a snapkv session takes
+        prompt = rng.integers(0, desk_weights.config.vocab_size, size=40).tolist()
+        session = DecodeSession(desk_weights, PolicyConfig(kind="snapkv", k=8))
+        session.prefill(prompt)
+        caches, out = prefill(desk_weights, prompt)
+        for layer, (full, rows) in enumerate(zip(caches, out.attn_rows)):
+            direct = init_partial(full, selection_scores(rows, PolicyConfig()), 8)
+            for h in range(2):
+                np.testing.assert_array_equal(session.partial[layer].positions[h], direct.positions[h])
 
 
 class TestStreamingKeepset:

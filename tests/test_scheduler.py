@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from kvrefresh.errors import ConfigurationError
+from kvrefresh.metrics import per_layer_effective_strides
 from kvrefresh.scheduler import (
     LayerScheduleState,
     ScheduleConfig,
     effective_stride,
-    effective_stride_from_trace,
     replay_decisions,
     should_full,
 )
@@ -97,8 +97,7 @@ class TestEffectiveStride:
                 self.modes = modes
 
         trace = [Rec(["full", "partial"]) if i % 10 == 9 else Rec(["partial", "partial"]) for i in range(100)]
-        assert effective_stride_from_trace(trace, 0) == 10.0
-        assert effective_stride_from_trace(trace, 1) is None
+        assert per_layer_effective_strides(trace, 2) == [10.0, None]
 
 
 class TestConfigValidation:
