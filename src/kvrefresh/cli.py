@@ -65,7 +65,12 @@ def _cmd_run(args: argparse.Namespace, overrides: list[str]) -> int:
     config_dict: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            config_dict = json.load(f)
+            try:
+                config_dict = json.load(f)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigurationError(f"{args.config} is not a JSON document: {exc}") from exc
+        if not isinstance(config_dict, dict):
+            raise ConfigurationError(f"{args.config} must hold a JSON object, got {type(config_dict).__name__}")
     _apply_overrides(config_dict, overrides)
     config = RunConfig.from_dict(config_dict)
     summary = run(config, out_dir=args.out)

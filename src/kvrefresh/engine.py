@@ -66,7 +66,7 @@ class DecodeSession:
     def prefill(self, tokens: Sequence[int]) -> StepOutput:
         if self.input_length is not None:
             raise ContractViolation("session already prefilled")
-        self.full, out = model_prefill(self.weights, tokens, observe_scores=True)
+        self.full, out = model_prefill(self.weights, tokens)
         L = len(tokens)
         self.input_length = L
         self.budget = self.policy.resolve_budget(L)

@@ -4,7 +4,8 @@ A run is fully described by its RunConfig and reproducible from it alone:
 the same config and build produce byte-identical trace files. Artifacts
 per run: trace.jsonl (one StepRecord per generated step) and summary.json
 (config echo, result metric, exact cost totals, per-layer effective
-strides; wall-clock is reported for orientation but never asserted on).
+strides, the BLAS thread settings; wall-clock is reported for orientation
+but never asserted on).
 
 compare() lines several run summaries up against the vanilla baseline and,
 for language-model runs, emits a per-step negative-log-likelihood ratio
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -27,7 +29,7 @@ from .engine import greedy_generate, teacher_forced_run
 from .errors import ConfigurationError, require
 from .metrics import StepRecord, nll_to_perplexity, per_layer_effective_strides, trace_totals
 from .model import ModelConfig, canonical_config, init_model
-from .policies import PolicyConfig
+from .policies import REFRESH_FAMILY, PolicyConfig
 from .scheduler import ScheduleConfig
 from .tasks import (
     ChainKeyInstance,
@@ -39,6 +41,7 @@ from .tasks import (
 )
 
 TASKS = ("lm", "chainkey")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,10 @@ class RunConfig:
         require(int, n_generate=self.n_generate, seed=self.seed)
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
+        if self.policy.kind not in REFRESH_FAMILY and self.schedule != ScheduleConfig():
+            raise ConfigurationError(
+                f"policy kind {self.policy.kind!r} follows no schedule; leave schedule at its defaults"
+            )
         if not isinstance(self.out_dir, str):
             raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
         # decode_core needs every fed position below max_position: lm feeds
@@ -167,6 +174,8 @@ def run(config: RunConfig, out_dir: str | None = None) -> dict:
         "effective_stride_mean": (float(np.mean(present)) if present else None),
         "n_steps": len(trace),
         "wall_clock_seconds": elapsed,
+        # a multi-threaded BLAS may split matrix products differently and move float trace bits
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
 
     target.mkdir(parents=True, exist_ok=True)

@@ -9,13 +9,19 @@ seed; two initializations with an equal config are bitwise identical.
 Keys are cached post-rotation at their original absolute positions, so a
 non-contiguous partial cache keeps the geometry its selection scores were
 computed under.
+
+`prefill` and `full_forward` share one layer pass whose attention is
+`causal_attention`: queries go in blocks of ATTN_BLOCK rows, each block's
+logits cover only the keys up to its own last position, and only the
+diagonal tile is masked. Peak memory is O(ATTN_BLOCK * L); no L x L array
+is built.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +32,8 @@ from .numerics import softmax_rows
 
 RMS_EPS = 1e-6
 ROPE_BASE = 10000.0
+ATTN_BLOCK = 32  # query rows per causal_attention block
+_DIAGONAL_MASK = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf), k=1)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,7 @@ class ModelWeights:
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         out = [("embed", self.embed)]
         for i, lw in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo", "attn_norm", "ffn_norm", "w_gate", "w_up", "w_down"):
-                out.append((f"layers.{i}.{name}", getattr(lw, name)))
+            out += [(f"layers.{i}.{f.name}", getattr(lw, f.name)) for f in fields(LayerWeights)]
         out.append(("final_norm", self.final_norm))
         out.append(("w_out", self.w_out))
         return out
@@ -215,102 +222,97 @@ def _check_token(config: ModelConfig, token: int) -> None:
         raise ContractViolation(f"token id {token} outside vocab of size {config.vocab_size}")
 
 
-def full_forward(weights: ModelWeights, tokens: Sequence[int]) -> np.ndarray:
-    """Teacher-forced causal forward over a whole sequence; logits per position."""
-    cfg = weights.config
+def _check_sequence(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
     toks = np.asarray(tokens, dtype=np.int64)
     if toks.ndim != 1 or toks.size == 0:
         raise ContractViolation("token sequence must be non-empty and 1-D")
-    if toks.size > cfg.max_position:
-        raise ContractViolation(f"sequence length {toks.size} exceeds max_position {cfg.max_position}")
-    if toks.min() < 0 or toks.max() >= cfg.vocab_size:
+    if toks.size > config.max_position:
+        raise ContractViolation(f"sequence length {toks.size} exceeds max_position {config.max_position}")
+    if toks.min() < 0 or toks.max() >= config.vocab_size:
         raise ContractViolation("token id outside vocabulary")
+    return toks
 
+
+def causal_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, group: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Causal self-attention of every position over its prefix, ATTN_BLOCK queries at a time.
+
+    q: (L, n_kv_heads * group, head_dim); k, v: (L, n_kv_heads, head_dim);
+    query head j reads kv head j // group. A block of queries ending at
+    block_end attends keys [0, block_end) with one matmul per kv head
+    (all `group` query heads at once); only the diagonal tile needs the
+    causal mask. Each row's softmax is exact, so no running rescale is
+    needed, and memory peaks at one block's (ATTN_BLOCK * group, L)
+    probabilities. Returns the context (L, n_query_heads, head_dim) and, per
+    kv head, the last position's (group, L) probability rows.
+    """
+    L, n_q, d = q.shape
+    n_kv = k.shape[1]
+    # kv-head-major, so a block's rows for one kv head are contiguous (rows * group, d)
+    qs = (q * (1.0 / np.sqrt(d))).reshape(L, n_kv, group, d).transpose(1, 0, 2, 3).copy()
+    ctx = np.empty((n_kv, L, group, d))
+    last_rows = []
+    for start in range(0, L, ATTN_BLOCK):
+        end = min(start + ATTN_BLOCK, L)
+        rows = end - start
+        for h in range(n_kv):
+            logits = (qs[h, start:end].reshape(-1, d) @ k[:end, h].T).reshape(rows, group, end)
+            logits[:, :, start:] += _DIAGONAL_MASK[:rows, :, :rows]
+            probs = softmax_rows(logits)
+            ctx[h, start:end] = (probs.reshape(-1, end) @ v[:end, h]).reshape(rows, group, d)
+            if end == L:
+                last_rows.append(probs[-1].copy())
+    return ctx.transpose(1, 0, 2, 3).reshape(L, n_q, d), last_rows
+
+
+def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, list[tuple]]:
+    """The layer pass `full_forward` and `prefill` share.
+
+    Returns the final hidden states (L, model_dim) and per layer the rotated
+    keys, the values, the last position's queries and causal_attention's
+    last-position rows.
+    """
+    cfg = weights.config
+    toks = _check_sequence(cfg, tokens)
     L = toks.size
     positions = np.arange(L)
-    scale = 1.0 / np.sqrt(cfg.head_dim)
     x = weights.embed[toks]  # (L, D)
-
+    layers = []
     for lw in weights.layers:
         xa = _rms_norm(x, lw.attn_norm)
         q = apply_rope((xa @ lw.wq).reshape(L, cfg.n_query_heads, cfg.head_dim), positions)
         k = apply_rope((xa @ lw.wk).reshape(L, cfg.n_kv_heads, cfg.head_dim), positions)
         v = (xa @ lw.wv).reshape(L, cfg.n_kv_heads, cfg.head_dim)
 
-        ctx = np.empty((L, cfg.n_query_heads, cfg.head_dim))
-        mask = np.triu(np.full((L, L), -np.inf), k=1)
-        for h in range(cfg.n_kv_heads):
-            for g in range(cfg.group_size):
-                qh = q[:, h * cfg.group_size + g]  # (L, dh)
-                logits = qh @ k[:, h].T * scale + mask
-                probs = softmax_rows(logits)
-                ctx[:, h * cfg.group_size + g] = probs @ v[:, h]
+        ctx, last_rows = causal_attention(q, k, v, cfg.group_size)
         x = x + ctx.reshape(L, -1) @ lw.wo
 
         xf = _rms_norm(x, lw.ffn_norm)
         x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
+        layers.append((k, v, q[-1].copy(), last_rows))
+    return x, layers
 
+
+def full_forward(weights: ModelWeights, tokens: Sequence[int]) -> np.ndarray:
+    """Teacher-forced causal forward over a whole sequence; logits per position."""
+    x, _ = _forward(weights, tokens)
     return _rms_norm(x, weights.final_norm) @ weights.w_out
 
 
-def prefill(
-    weights: ModelWeights, tokens: Sequence[int], observe_scores: bool = True
-) -> tuple[list[FullCache], StepOutput]:
+def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCache], StepOutput]:
     """Ingest the prompt with full attention and populate per-layer caches.
 
     Returns the caches and the last position's StepOutput; the observation
     window is the single last token, so attn_rows carry exactly one row per
     query head.
     """
-    cfg = weights.config
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.ndim != 1 or toks.size == 0:
-        raise ContractViolation("prefill needs a non-empty token sequence")
-    if toks.size > cfg.max_position:
-        raise ContractViolation(f"prompt length {toks.size} exceeds max_position {cfg.max_position}")
-    if toks.min() < 0 or toks.max() >= cfg.vocab_size:
-        raise ContractViolation("token id outside vocabulary")
-
-    L = toks.size
-    positions = np.arange(L)
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    x = weights.embed[toks]
-
-    caches: list[FullCache] = []
-    queries: list[np.ndarray] = []
-    avg_queries: list[np.ndarray] = []
-    rows_per_layer: list[list[np.ndarray] | None] = []
-
-    for lw in weights.layers:
-        xa = _rms_norm(x, lw.attn_norm)
-        q = apply_rope((xa @ lw.wq).reshape(L, cfg.n_query_heads, cfg.head_dim), positions)
-        k = apply_rope((xa @ lw.wk).reshape(L, cfg.n_kv_heads, cfg.head_dim), positions)
-        v = (xa @ lw.wv).reshape(L, cfg.n_kv_heads, cfg.head_dim)
-
-        ctx = np.empty((L, cfg.n_query_heads, cfg.head_dim))
-        mask = np.triu(np.full((L, L), -np.inf), k=1)
-        layer_rows: list[np.ndarray] = []
-        for h in range(cfg.n_kv_heads):
-            group_rows = np.empty((cfg.group_size, L))
-            for g in range(cfg.group_size):
-                qh = q[:, h * cfg.group_size + g]
-                logits = qh @ k[:, h].T * scale + mask
-                probs = softmax_rows(logits)
-                ctx[:, h * cfg.group_size + g] = probs @ v[:, h]
-                group_rows[g] = probs[-1]
-            layer_rows.append(group_rows)
-        x = x + ctx.reshape(L, -1) @ lw.wo
-
-        xf = _rms_norm(x, lw.ffn_norm)
-        x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
-
-        caches.append(FullCache(positions.copy(), k.copy(), v.copy()))
-        queries.append(q[-1].copy())
-        avg_queries.append(q[-1].mean(axis=0))
-        rows_per_layer.append(layer_rows if observe_scores else None)
-
+    x, layers = _forward(weights, tokens)
+    caches = [FullCache(np.arange(len(x)), k, v) for k, v, _, _ in layers]
+    queries = [q for _, _, q, _ in layers]
+    rows = [last_rows for *_, last_rows in layers]
     logits = _rms_norm(x[-1], weights.final_norm) @ weights.w_out
-    return caches, StepOutput(logits, queries, avg_queries, rows_per_layer)
+    return caches, StepOutput(logits, queries, [q.mean(axis=0) for q in queries], rows)
 
 
 def decode_core(
@@ -385,7 +387,7 @@ def save_weights(weights: ModelWeights, path: str) -> None:
     path is seeded init.
     """
     named = weights.named_tensors()
-    header: dict = {"config": _config_to_dict(weights.config), "tensors": {}}
+    header: dict = {"config": asdict(weights.config), "tensors": {}}
     offset = 0
     blobs = []
     for name, arr in named:
@@ -402,37 +404,30 @@ def save_weights(weights: ModelWeights, path: str) -> None:
 
 
 def load_weights(path: str) -> ModelWeights:
-    """Read a weight file written by save_weights."""
+    """Read a weight file written by save_weights; a short file raises OSError."""
     with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        data = f.read()
+        blob = f.read()
+
+    def short(what: str) -> OSError:
+        return OSError(f"{path}: truncated weight file, {what} is short ({len(blob)} bytes in all)")
+
+    if len(blob) < 8:
+        raise short("the 8-byte header length")
+    (hlen,) = struct.unpack_from("<Q", blob)
+    if len(blob) < 8 + hlen:
+        raise short(f"the {hlen}-byte header")
+    header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
+    data = memoryview(blob)[8 + hlen :]
     cfg = ModelConfig(**header["config"])
     out: dict[str, np.ndarray] = {}
     for name, meta in header["tensors"].items():
         shape = tuple(meta["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = meta["offset"]
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape)
+        if meta["offset"] + 8 * count > len(data):
+            raise short(f"tensor {name!r}")
+        arr = np.frombuffer(data, dtype="<f8", count=count, offset=meta["offset"]).reshape(shape)
         out[name] = arr.astype(np.float64)
 
-    layers = []
-    for i in range(cfg.n_layers):
-        layers.append(
-            LayerWeights(**{k: out[f"layers.{i}.{k}"] for k in (
-                "wq", "wk", "wv", "wo", "attn_norm", "ffn_norm", "w_gate", "w_up", "w_down")})
-        )
+    layers = [LayerWeights(**{f.name: out[f"layers.{i}.{f.name}"] for f in fields(LayerWeights)})
+              for i in range(cfg.n_layers)]
     return ModelWeights(cfg, out["embed"], layers, out["final_norm"], out["w_out"])
-
-
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "n_layers": cfg.n_layers,
-        "n_query_heads": cfg.n_query_heads,
-        "n_kv_heads": cfg.n_kv_heads,
-        "head_dim": cfg.head_dim,
-        "ffn_mult": cfg.ffn_mult,
-        "vocab_size": cfg.vocab_size,
-        "max_position": cfg.max_position,
-        "seed": cfg.seed,
-    }

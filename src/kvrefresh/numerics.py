@@ -24,10 +24,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax over a 2-D array."""
+    """Stable softmax along the last axis; the input is left unchanged."""
     x = np.asarray(logits, dtype=np.float64)
-    z = np.exp(x - x.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    z = x - x.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

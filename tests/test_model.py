@@ -1,11 +1,17 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kvrefresh import model
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.model import (
+    ATTN_BLOCK,
     LayerView,
     ModelConfig,
     canonical_config,
+    causal_attention,
     decode_core,
     full_forward,
     init_model,
@@ -13,6 +19,9 @@ from kvrefresh.model import (
     prefill,
     save_weights,
 )
+from kvrefresh.numerics import softmax_rows
+
+BLOCK_EDGE_LENGTHS = [1, ATTN_BLOCK - 1, ATTN_BLOCK, ATTN_BLOCK + 1, 3 * ATTN_BLOCK + 5]
 
 
 def rel_close(a, b, rtol=1e-9):
@@ -25,6 +34,33 @@ def random_tokens(rng, cfg, n):
 
 def cache_views(caches):
     return [(c.keys, c.values, c.positions) for c in caches]
+
+
+def assert_normwise_close(a, b, rtol=1e-12):
+    """max |a - b| <= rtol * max |b|; entries near zero do not void the bound."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+def dense_attention(q, k, v, group):
+    """The dense kernel causal_attention replaced, kept as its oracle.
+
+    One query head at a time against every key under an L x L -inf mask;
+    same signature and results as causal_attention.
+    """
+    L, _, d = q.shape
+    mask = np.triu(np.full((L, L), -np.inf), k=1)
+    ctx = np.empty_like(q)
+    last_rows = []
+    for h in range(k.shape[1]):
+        rows = np.empty((group, L))
+        for g in range(group):
+            probs = softmax_rows(q[:, h * group + g] @ k[:, h].T * (1.0 / np.sqrt(d)) + mask)
+            ctx[:, h * group + g] = probs @ v[:, h]
+            rows[g] = probs[-1]
+        last_rows.append(rows)
+    return ctx, last_rows
 
 
 def decode_step(weights, token, views, position, observe_scores=False):
@@ -114,6 +150,50 @@ class TestPrefill:
     def test_empty_rejected(self, desk_weights):
         with pytest.raises(ContractViolation):
             prefill(desk_weights, [])
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("n_kv", [1, 2, 4])
+    @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
+    def test_matches_dense_oracle(self, length, n_kv, rng):
+        q = rng.standard_normal((length, 4, 16))
+        k, v = rng.standard_normal((2, length, n_kv, 16))
+        ctx, rows = causal_attention(q, k, v, 4 // n_kv)
+        ctx_ref, rows_ref = dense_attention(q, k, v, 4 // n_kv)
+        assert_normwise_close(ctx, ctx_ref)
+        assert len(rows) == len(rows_ref) == n_kv
+        for r, r_ref in zip(rows, rows_ref):
+            assert_normwise_close(r, r_ref)
+
+    @pytest.mark.parametrize("n_kv", [1, 2, 4])
+    @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
+    def test_forward_passes_match_dense_oracle(self, length, n_kv, rng, monkeypatch):
+        weights = init_model(ModelConfig(n_kv_heads=n_kv, seed=5))
+        toks = random_tokens(rng, weights.config, length)
+        logits = full_forward(weights, toks)
+        caches, out = prefill(weights, toks)
+        monkeypatch.setattr(model, "causal_attention", dense_attention)
+        assert_normwise_close(logits, full_forward(weights, toks))
+        ref_caches, ref_out = prefill(weights, toks)
+        assert_normwise_close(out.logits, ref_out.logits)
+        for layer_rows, ref_rows in zip(out.attn_rows, ref_out.attn_rows):
+            for r, r_ref in zip(layer_rows, ref_rows):
+                assert_normwise_close(r, r_ref)
+        for c, c_ref in zip(caches, ref_caches):
+            assert_normwise_close(c.keys, c_ref.keys)
+            assert_normwise_close(c.values, c_ref.values)
+
+    def test_prefill_peak_memory_is_not_quadratic(self, desk_weights, rng):
+        # the dense kernel's tracemalloc peak was 45 MiB at L=1024 and 172 MiB
+        # at L=2048; one extra L x L float64 array at L=2048 is 32 MiB
+        toks = random_tokens(rng, desk_weights.config, 2048)
+        tracemalloc.start()
+        try:
+            prefill(desk_weights, toks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestDecodeStep:
@@ -230,3 +310,16 @@ class TestWeightFile:
         loaded = load_weights(str(path))
         toks = random_tokens(rng, desk_weights.config, 6)
         assert np.array_equal(full_forward(loaded, toks), full_forward(desk_weights, toks))
+
+    @pytest.mark.parametrize("cut", ["empty", "length prefix", "header", "data"])
+    def test_truncated_file_raises_oserror_naming_the_path(self, desk_weights, tmp_path, cut):
+        path = tmp_path / "weights.bin"
+        save_weights(desk_weights, str(path))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        keep, short = {"empty": (0, "header length"), "length prefix": (5, "header length"),
+                       "header": (8 + hlen // 2, "header"), "data": (len(blob) - 100, "tensor 'w_out'")}[cut]
+        path.write_bytes(blob[:keep])
+        with pytest.raises(OSError, match="truncated weight file") as info:
+            load_weights(str(path))
+        assert str(path) in str(info.value) and f"{short} is short" in str(info.value)
