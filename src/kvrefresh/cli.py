@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import ConfigurationError, ContractViolation
 from .harness import RunConfig, compare, format_comparison, run, self_check
@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
+
+T = TypeVar("T")
 
 
 def _parse_override_value(raw: str):
@@ -121,26 +123,36 @@ def _cmd_gen_chainkey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _json_lines(path: str, parse: Callable[[bytes], T]) -> list[T]:
+    """parse(line) for each non-blank line of a JSON-lines file; a bad line is a configuration error naming it."""
+    out = []
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    out.append(parse(line))
+                except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                    raise ConfigurationError(f"{path} line {n}: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
 def _cmd_eval_chainkey(args: argparse.Namespace) -> int:
-    instances: dict[int, ChainKeyInstance] = {}
-    with open(args.instances, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            instances[int(obj.get("instance_id", obj["seed"]))] = ChainKeyInstance.from_json(line)
+    def instance(line: bytes) -> tuple[int, ChainKeyInstance]:
+        obj = json.loads(line)
+        return int(obj.get("instance_id", obj["seed"])), ChainKeyInstance.from_json(line)
+
+    def score(line: bytes) -> dict:
+        obj = json.loads(line)
+        iid = int(obj["instance_id"])
+        if iid not in instances:
+            raise ConfigurationError(f"output references unknown instance_id {iid}")
+        return {"instance_id": iid, "score": evaluate_chain(instances[iid], obj["output_text"]).score}
+
+    instances = dict(_json_lines(args.instances, instance))
+    scores = _json_lines(args.outputs, score)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        with open(args.outputs, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                iid = int(obj["instance_id"])
-                if iid not in instances:
-                    raise ConfigurationError(f"output references unknown instance_id {iid}")
-                score = evaluate_chain(instances[iid], obj["output_text"])
-                sink.write(json.dumps({"instance_id": iid, "score": score.score}) + "\n")
+        sink.writelines(json.dumps(s) + "\n" for s in scores)
     finally:
         if sink is not sys.stdout:
             sink.close()

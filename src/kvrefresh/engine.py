@@ -5,11 +5,14 @@ object per layer (see policies.make_policy). Step flow, per layer:
 
   1. the model computes the current token's queries and fresh key/value
      and asks the session for the layer's attention view;
-  2. the session writes the fresh key/value into the layer's full cache
-     (every kind but snapkv) and asks the layer's policy for the view; a
-     scheduled full step, and for refreshkv_no_full its refresh, happens
-     there;
-  3. attention runs over the view plus the current token;
+  2. the session writes the fresh key/value into the layer's full-cache
+     arena (every kind but snapkv) and asks the layer's policy for the
+     view. A top-K partial step writes it into the partial-cache arena
+     as well; a scheduled full step, and for refreshkv_no_full its
+     refresh, happens there;
+  3. attention runs over the view exactly as given: every view already
+     holds the current token, and full and partial views are each head's
+     contiguous arena prefix, so nothing is copied;
   4. after the forward pass the policy updates its state from the
      observed probability rows and reports the layer's modeled cost, from
      which the session builds an exact-cost StepRecord.
@@ -101,7 +104,7 @@ class DecodeSession:
         view = policy.view(self.step_index, q, avg_q, k_new, v_new)
         self._views.append(view)
         if self.recorder is not None:
-            positions = [np.append(p, position) if view.include_self else p.copy() for p in view.positions]
+            positions = [p.copy() for p in view.positions]
             self.recorder({"kind": "view", "step": self.step_index, "layer": layer, "positions": positions})
         return view
 
@@ -118,7 +121,7 @@ class DecodeSession:
             token_id=int(token),
             modes=[v.mode for v in self._views],
             attended=attended,
-            view_lens=[v.positions[0].size + int(v.include_self) for v in self._views],
+            view_lens=[v.positions[0].size for v in self._views],
             attention_flops=flops,
             kv_bytes_moved=nbytes,
             overhead_flops=sum(s.overhead_flops for s in layers),

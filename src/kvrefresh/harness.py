@@ -103,9 +103,6 @@ class RunConfig:
                 "allows positions below it"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         """Build a config from a nested mapping; unknown keys are errors at every level."""
@@ -166,7 +163,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> dict:
     strides = per_layer_effective_strides(trace, config.model.n_layers)
     present = [s for s in strides if s is not None]
     summary = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "task": config.task,
         "result": result,
         "totals": trace_totals(trace),
@@ -311,51 +308,21 @@ def self_check(seed: int = 0) -> list[tuple[str, bool, str]]:
     L, N = len(prompt), 24
     results: list[tuple[str, bool, str]] = []
 
-    def logits_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
-        return all(
-            np.allclose(x, y, rtol=1e-9, atol=0.0) for x, y in zip(a, b)
-        )
+    def rung(name: str, policy: PolicyConfig, schedule: ScheduleConfig | None, ref: tuple) -> None:
+        """One ladder row: greedy decoding under `policy` reproduces the reference run's tokens and logits."""
+        ids, _, logits = greedy_generate(weights, policy, schedule, prompt, N)
+        same = ids == ref[0]
+        close = all(np.allclose(x, y, rtol=1e-9, atol=0.0) for x, y in zip(logits, ref[2]))
+        results.append((name, same and close, f"tokens {'match' if same else 'differ'}"))
 
-    ids_v, _, logits_v = greedy_generate(weights, PolicyConfig(kind="vanilla"), None, prompt, N)
-
-    ids_a, _, logits_a = greedy_generate(
-        weights, PolicyConfig(kind="refreshkv", k=L), ScheduleConfig(mode="always_full"), prompt, N
-    )
-    results.append(
-        (
-            "refreshkv(k=L, always_full) == vanilla",
-            ids_a == ids_v and logits_equal(logits_a, logits_v),
-            f"tokens {'match' if ids_a == ids_v else 'differ'}",
-        )
-    )
-
-    ids_s, _, logits_s = greedy_generate(weights, PolicyConfig(kind="snapkv", k=12), None, prompt, N)
-    ids_b, _, logits_b = greedy_generate(
-        weights,
-        PolicyConfig(kind="refreshkv", k=12, evict_on_append=False),
-        ScheduleConfig(mode="never_full"),
-        prompt,
-        N,
-    )
-    results.append(
-        (
-            "refreshkv(never_full, no evict) == snapkv",
-            ids_b == ids_s and logits_equal(logits_b, logits_s),
-            f"tokens {'match' if ids_b == ids_s else 'differ'}",
-        )
-    )
-
+    vanilla = greedy_generate(weights, PolicyConfig(kind="vanilla"), None, prompt, N)
+    rung("refreshkv(k=L, always_full) == vanilla", PolicyConfig(kind="refreshkv", k=L),
+         ScheduleConfig(mode="always_full"), vanilla)
+    snapkv = greedy_generate(weights, PolicyConfig(kind="snapkv", k=12), None, prompt, N)
+    rung("refreshkv(never_full, no evict) == snapkv", PolicyConfig(kind="refreshkv", k=12, evict_on_append=False),
+         ScheduleConfig(mode="never_full"), snapkv)
     for kind in ("streaming", "h2o"):
-        ids_c, _, logits_c = greedy_generate(
-            weights, PolicyConfig(kind=kind, k=L + N), None, prompt, N
-        )
-        results.append(
-            (
-                f"{kind}(k >= L+N) == vanilla",
-                ids_c == ids_v and logits_equal(logits_c, logits_v),
-                f"tokens {'match' if ids_c == ids_v else 'differ'}",
-            )
-        )
+        rung(f"{kind}(k >= L+N) == vanilla", PolicyConfig(kind=kind, k=L + N), None, vanilla)
 
     session = DecodeSession(
         weights, PolicyConfig(kind="refreshkv", k=12), ScheduleConfig(mode="fixed", stride=5)

@@ -2,9 +2,13 @@
 
 Two stores per layer: the full cache (every token seen so far, never
 evicted) and the partial cache (a fixed-budget subset carrying per-entry
-selection scores, selected independently per kv-head). The session writes
-each fresh key/value into the full cache before the layer attends, so a
-full-attention step or a refresh finds every position in place.
+selection scores, selected independently per kv-head). Both are
+head-major arenas: keys and values live in (n_kv_heads, slots, head_dim)
+arrays whose slot axis doubles when full, so one head's entries are a
+contiguous (m, head_dim) prefix that attention reads without a copy. The
+session writes each fresh key/value into its store before the layer
+attends, so a view is always a prefix (or a gather) that already holds the
+current token.
 
 Entries appended to the partial cache since the last full-attention step
 have no selection score yet; they carry the NEW sentinel (+inf), which
@@ -13,102 +17,115 @@ protects them from eviction until the next refresh re-scores everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .numerics import top_k_indices
 
 NEW_SCORE = np.inf  # sentinel for entries appended since the last scored step
+PARTIAL_SLACK = 1  # spare partial-cache slots: one append past the budget before eviction
+
+
+def _resized(a: np.ndarray, n: int, slots: int, axis: int = 1) -> np.ndarray:
+    """A copy of a's first n slots along `axis` in an array with `slots` of them."""
+    out = np.empty(a.shape[:axis] + (slots,) + a.shape[axis + 1 :], dtype=a.dtype)
+    filled = (slice(None),) * axis + (slice(0, n),)
+    out[filled] = a[filled]
+    return out
 
 
 class FullCache:
     """Append-only store of every position's key/value, all kv-heads.
 
-    Entries live in arrays that double in length when full, so an append
-    writes one row and copies the store only when it doubles. `positions`
-    ((n,) int64, strictly increasing), `keys` and `values` ((n, n_kv_heads,
-    head_dim), keys rotated) are views of the filled prefix.
+    `positions` ((n,) int64, strictly increasing), `keys` and `values`
+    ((n_kv_heads, n, head_dim), keys rotated) are views of the filled
+    prefix of arrays that double when full, so an append writes one slot
+    per head and copies the store only when it doubles. keys[h] is one
+    head's contiguous (n, head_dim) block.
     """
 
     def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray):
-        self._arrays = [np.asarray(positions, dtype=np.int64), keys, values]
-        self._n = int(self._arrays[0].size)
+        self._positions = np.asarray(positions, dtype=np.int64)
+        self._keys, self._values = keys, values
+        self._n = int(self._positions.size)
 
-    positions = property(lambda self: self._arrays[0][: self._n])
-    keys = property(lambda self: self._arrays[1][: self._n])
-    values = property(lambda self: self._arrays[2][: self._n])
+    positions = property(lambda self: self._positions[: self._n])
+    keys = property(lambda self: self._keys[:, : self._n])
+    values = property(lambda self: self._values[:, : self._n])
 
     def __len__(self) -> int:
         return self._n
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Write one position's (n_kv_heads, head_dim) key and value in place."""
         n = self._n
-        if n and position <= self._arrays[0][n - 1]:
-            raise ContractViolation(f"full-cache append out of order: {position} <= {self._arrays[0][n - 1]}")
-        if n == len(self._arrays[0]):
-            self._arrays = [_grown(a, n) for a in self._arrays]
-        positions, keys, values = self._arrays
-        positions[n], keys[n], values[n] = position, k, v
+        if n and position <= self._positions[n - 1]:
+            raise ContractViolation(f"full-cache append out of order: {position} <= {self._positions[n - 1]}")
+        if n == self._positions.size:
+            slots = max(1, 2 * n)
+            self._positions = _resized(self._positions, n, slots, axis=0)
+            self._keys, self._values = _resized(self._keys, n, slots), _resized(self._values, n, slots)
+        self._positions[n], self._keys[:, n], self._values[:, n] = position, k, v
         self._n = n + 1
 
     def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.positions[indices], self.keys[indices], self.values[indices]
+        """Positions (m,), keys and values (n_kv_heads, m, head_dim) at the given slots."""
+        return self.positions[indices], self.keys[:, indices], self.values[:, indices]
 
 
-def _grown(a: np.ndarray, n: int) -> np.ndarray:
-    """A copy of a's first n rows in an array twice as long (at least one row)."""
-    out = np.empty((max(1, 2 * n),) + a.shape[1:], dtype=a.dtype)
-    out[:n] = a[:n]
-    return out
-
-
-@dataclass
 class PartialCache:
-    """Fixed-budget per-kv-head subset of the cache with selection scores."""
+    """Fixed-budget per-kv-head subset of the cache with selection scores.
 
-    capacity: int
-    positions: list[np.ndarray]  # per head: (m,) int64, strictly increasing
-    keys: list[np.ndarray]  # per head: (m, head_dim)
-    values: list[np.ndarray]  # per head: (m, head_dim)
-    scores: list[np.ndarray]  # per head: (m,), NEW_SCORE for unscored entries
+    Every head holds the same number m of entries, in ascending position
+    order. `positions` and `scores` ((n_kv_heads, m)), `keys` and `values`
+    ((n_kv_heads, m, head_dim)) are views of the filled prefix of arrays
+    with `capacity + PARTIAL_SLACK` slots that double if a grow-only cache
+    outgrows them.
+    """
+
+    def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                 scores: np.ndarray):
+        self.capacity = capacity
+        self._n = m = positions.shape[1]
+        slots = max(m, capacity + PARTIAL_SLACK)
+        self._arrays = [_resized(a, m, slots) for a in (positions, keys, values, scores)]
+
+    positions = property(lambda self: self._arrays[0][:, : self._n])
+    keys = property(lambda self: self._arrays[1][:, : self._n])
+    values = property(lambda self: self._arrays[2][:, : self._n])
+    scores = property(lambda self: self._arrays[3][:, : self._n])
 
     def sizes(self) -> list[int]:
-        return [int(p.size) for p in self.positions]
+        return [self._n] * self._arrays[0].shape[0]
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append one entry (all heads) with the NEW sentinel score."""
-        for h in range(len(self.positions)):
-            if self.positions[h].size and position <= int(self.positions[h][-1]):
-                raise ContractViolation(
-                    f"partial-cache append out of order: {position} <= {int(self.positions[h][-1])}"
-                )
-            self.positions[h] = np.append(self.positions[h], np.int64(position))
-            self.keys[h] = np.concatenate([self.keys[h], k[h][None]], axis=0)
-            self.values[h] = np.concatenate([self.values[h], v[h][None]], axis=0)
-            self.scores[h] = np.append(self.scores[h], NEW_SCORE)
+        """Write one entry (all heads) in place with the NEW sentinel score."""
+        n = self._n
+        if n and position <= (last := int(self._arrays[0][:, n - 1].max())):
+            raise ContractViolation(f"partial-cache append out of order: {position} <= {last}")
+        if n == self._arrays[0].shape[1]:
+            self._arrays = [_resized(a, n, max(1, 2 * n)) for a in self._arrays]
+        positions, keys, values, scores = self._arrays
+        positions[:, n], keys[:, n], values[:, n], scores[:, n] = position, k, v, NEW_SCORE
+        self._n = n + 1
 
     def evict_overflow(self) -> None:
         """Drop lowest-scored entries until each head is back at capacity.
 
         NEW entries count as +inf (never evicted while any scored entry
         remains); if a head is entirely NEW, the oldest entry goes. Score
-        ties resolve toward the lower position.
+        ties resolve toward the lower position. Each head's later entries
+        shift down one slot in place, so positions stay ascending.
         """
-        for h in range(len(self.positions)):
-            while self.positions[h].size > self.capacity:
-                s = self.scores[h]
-                finite = np.isfinite(s)
-                if finite.any():
-                    cand = np.flatnonzero(finite)
-                    idx = int(cand[np.argmin(s[cand])])  # argmin keeps first (lowest pos) on ties
-                else:
-                    idx = 0  # all NEW: evict the oldest
-                self.positions[h] = np.delete(self.positions[h], idx)
-                self.keys[h] = np.delete(self.keys[h], idx, axis=0)
-                self.values[h] = np.delete(self.values[h], idx, axis=0)
-                self.scores[h] = np.delete(self.scores[h], idx)
+        while self._n > self.capacity:
+            n = self._n
+            s = self._arrays[3][:, :n]
+            # argmin keeps the first (lowest position) on ties, and slot 0 when all are NEW
+            victims = np.where(np.isfinite(s), s, np.inf).argmin(axis=1)
+            for h, i in enumerate(victims):
+                for a in self._arrays:
+                    a[h, i : n - 1] = a[h, i + 1 : n]
+            self._n = n - 1
 
 
 def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int) -> PartialCache:
@@ -120,7 +137,6 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int) -> Partia
     entries included, survive only if the new scores re-select them.
     """
     scores_per_head = np.asarray(scores_per_head, dtype=np.float64)
-    n_heads = scores_per_head.shape[0]
     n = len(full)
     if scores_per_head.shape[1] != n:
         raise ContractViolation(
@@ -129,11 +145,7 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int) -> Partia
     if k < 1 or k > n:
         raise ConfigurationError(f"partial-cache budget must satisfy 1 <= k <= {n}, got {k}")
 
-    positions, keys, values, scores = [], [], [], []
-    for h in range(n_heads):
-        idx = top_k_indices(scores_per_head[h], k)
-        positions.append(full.positions[idx].copy())
-        keys.append(full.keys[idx, h].copy())
-        values.append(full.values[idx, h].copy())
-        scores.append(scores_per_head[h][idx].copy())
-    return PartialCache(k, positions, keys, values, scores)
+    idx = np.stack([top_k_indices(row, k) for row in scores_per_head])  # (n_kv_heads, k)
+    heads = np.arange(idx.shape[0])[:, None]
+    return PartialCache(k, full.positions[idx], full.keys[heads, idx], full.values[heads, idx],
+                        np.take_along_axis(scores_per_head, idx, axis=1))

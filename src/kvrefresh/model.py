@@ -186,18 +186,19 @@ def apply_rope(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerView:
-    """What one layer's attention runs over at a decode step.
+    """What one layer's attention runs over at a decode step, current token included.
 
-    keys/values/positions are per kv-head lists of the PAST entries; the
-    current token's fresh key/value pair is appended by the model before
-    attention unless include_self is False (in which case the view is
-    attended exactly as given).
+    keys/values/positions hold one entry per kv head (a list, or a
+    head-major array whose rows are the heads). The session writes the
+    current token's fresh key/value into its store before it builds the
+    view, so attention runs over the view exactly as given; a view of the
+    full cache is each head's contiguous prefix of the layer's arena. Arena
+    views are not copies: they hold until the store's next write.
     """
 
-    keys: list[np.ndarray]  # per kv head: (m_h, head_dim), rotated
-    values: list[np.ndarray]  # per kv head: (m_h, head_dim)
-    positions: list[np.ndarray]  # per kv head: (m_h,) original absolute positions
-    include_self: bool = True
+    keys: Sequence[np.ndarray]  # per kv head: (m_h, head_dim), rotated
+    values: Sequence[np.ndarray]  # per kv head: (m_h, head_dim)
+    positions: Sequence[np.ndarray]  # per kv head: (m_h,) original absolute positions
     observe: bool = False
     mode: str = "full"  # trace tag: "full" | "partial"
 
@@ -213,8 +214,7 @@ class StepOutput:
     avg_queries: list[np.ndarray]  # per layer: (head_dim,), mean over all query heads
     attn_rows: list[list[np.ndarray] | None] = field(default_factory=list)
     # per layer: per kv head (group_size, m) probability rows over the attended
-    # view (row order matches the view; last column is the current token when
-    # include_self was set). None when not observed.
+    # view (row order matches the view). None when not observed.
 
 
 def _check_token(config: ModelConfig, token: int) -> None:
@@ -308,7 +308,8 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
     query head.
     """
     x, layers = _forward(weights, tokens)
-    caches = [FullCache(np.arange(len(x)), k, v) for k, v, _, _ in layers]
+    caches = [FullCache(np.arange(len(x)), k.transpose(1, 0, 2).copy(), v.transpose(1, 0, 2).copy())
+              for k, v, _, _ in layers]
     queries = [q for _, _, q, _ in layers]
     rows = [last_rows for *_, last_rows in layers]
     logits = _rms_norm(x[-1], weights.final_norm) @ weights.w_out
@@ -323,10 +324,10 @@ def decode_core(
 ) -> StepOutput:
     """One decode step; each layer's attended view is supplied by a callback.
 
-    The callback runs mid-forward, after the layer's rotated queries exist,
-    so per-layer scheduling can depend on the current query vector. Unless
-    the view opts out, the current token's fresh key/value is appended at
-    the end of each head's view (standard incremental self-attention).
+    The callback gets the layer's rotated queries and the current token's
+    fresh key/value mid-forward, so per-layer scheduling can depend on the
+    current query vector. It stores the fresh entry wherever the view
+    should see it, and each head attends its view exactly as returned.
     """
     cfg = weights.config
     _check_token(cfg, token)
@@ -354,15 +355,11 @@ def decode_core(
         layer_rows: list[np.ndarray] = []
         for h in range(cfg.n_kv_heads):
             keys_h = view.keys[h]
-            vals_h = view.values[h]
-            if view.include_self:
-                keys_h = np.concatenate([keys_h, k_new[h][None, :]], axis=0)
-                vals_h = np.concatenate([vals_h, v_new[h][None, :]], axis=0)
             if keys_h.shape[0] == 0:
                 raise ContractViolation(f"layer {layer_idx} head {h}: empty attention view")
             q_group = q[h * cfg.group_size : (h + 1) * cfg.group_size]
             probs = softmax_rows(q_group @ keys_h.T * scale)
-            ctx[h * cfg.group_size : (h + 1) * cfg.group_size] = probs @ vals_h
+            ctx[h * cfg.group_size : (h + 1) * cfg.group_size] = probs @ view.values[h]
             if view.observe:
                 layer_rows.append(probs)
         x = x + ctx.reshape(-1) @ lw.wo
@@ -404,7 +401,12 @@ def save_weights(weights: ModelWeights, path: str) -> None:
 
 
 def load_weights(path: str) -> ModelWeights:
-    """Read a weight file written by save_weights; a short file raises OSError."""
+    """Read a weight file written by save_weights.
+
+    A short file, or a header that is not the JSON save_weights writes
+    (undecodable, missing `config`/`tensors`, bad config fields or tensor
+    entries), raises OSError naming the path.
+    """
     with open(path, "rb") as f:
         blob = f.read()
 
@@ -416,18 +418,21 @@ def load_weights(path: str) -> ModelWeights:
     (hlen,) = struct.unpack_from("<Q", blob)
     if len(blob) < 8 + hlen:
         raise short(f"the {hlen}-byte header")
-    header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
     data = memoryview(blob)[8 + hlen :]
-    cfg = ModelConfig(**header["config"])
     out: dict[str, np.ndarray] = {}
-    for name, meta in header["tensors"].items():
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        if meta["offset"] + 8 * count > len(data):
-            raise short(f"tensor {name!r}")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=meta["offset"]).reshape(shape)
-        out[name] = arr.astype(np.float64)
-
-    layers = [LayerWeights(**{f.name: out[f"layers.{i}.{f.name}"] for f in fields(LayerWeights)})
-              for i in range(cfg.n_layers)]
-    return ModelWeights(cfg, out["embed"], layers, out["final_norm"], out["w_out"])
+    try:
+        header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
+        cfg = ModelConfig(**header["config"])
+        cfg.validate()
+        for name, meta in header["tensors"].items():
+            shape = tuple(meta["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            if meta["offset"] + 8 * count > len(data):
+                raise short(f"tensor {name!r}")
+            arr = np.frombuffer(data, dtype="<f8", count=count, offset=meta["offset"]).reshape(shape)
+            out[name] = arr.astype(np.float64)
+        layers = [LayerWeights(**{f.name: out[f"layers.{i}.{f.name}"] for f in fields(LayerWeights)})
+                  for i in range(cfg.n_layers)]
+        return ModelWeights(cfg, out["embed"], layers, out["final_norm"], out["w_out"])
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise OSError(f"{path}: damaged weight file header: {type(exc).__name__}: {exc}") from exc

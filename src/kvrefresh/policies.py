@@ -21,7 +21,9 @@ forward pass, `update` takes the observed probability rows, maintains the
 policy's state and reports the layer's modeled cost as a LayerStep. The
 session owns the full caches and writes each fresh key/value into them
 before asking for a view, unless appends_full is False (snapkv keeps only
-its prompt there).
+its prompt there). Every view holds the current token: full views are the
+full-cache arena, streaming and h2o gather their keepset plus the current
+position, and a top-K partial step writes into the partial cache first.
 
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
@@ -273,25 +275,21 @@ class LayerPolicy:
     def position(self, step: int) -> int:
         return self.input_length + step - 1
 
-    def _full_view(self, step: int, observe: bool) -> LayerView:
-        """Every past entry; the fresh one at the end is attended as the current token."""
-        n, cf = self.position(step), self.full
-        return self._head_view(cf.positions[:n], cf.keys[:n], cf.values[:n], observe, "full")
+    def _full_view(self, observe: bool) -> LayerView:
+        """The whole full cache, current entry included: each head's arena prefix."""
+        cf = self.full
+        return LayerView(cf.keys, cf.values, [cf.positions] * self.model.n_kv_heads, observe=observe, mode="full")
 
-    def _gather_view(self, keep: np.ndarray, observe: bool) -> LayerView:
+    def _gather_view(self, keep: np.ndarray, step: int, observe: bool) -> LayerView:
+        """The keepset plus the current position, gathered from the full cache."""
         # positions are contiguous from 0, so keepset positions index directly
-        return self._head_view(*self.full.gather(keep), observe, "partial")
-
-    def _head_view(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray, observe: bool,
-                   mode: str) -> LayerView:
-        heads = range(self.model.n_kv_heads)
-        return LayerView([keys[:, h] for h in heads], [values[:, h] for h in heads], [positions for _ in heads],
-                         include_self=True, observe=observe, mode=mode)
+        positions, keys, values = self.full.gather(np.append(keep, self.position(step)))
+        return LayerView(keys, values, [positions] * self.model.n_kv_heads, observe=observe, mode="partial")
 
 
 class FullAttention(LayerPolicy):
     def view(self, step, q, avg_q, k_new, v_new):
-        return self._full_view(step, observe=False)
+        return self._full_view(observe=False)
 
     def update(self, step, rows, avg_q):
         return LayerStep(self.input_length)
@@ -305,7 +303,7 @@ class Recency(LayerPolicy):
 
     def view(self, step, q, avg_q, k_new, v_new):
         keep = streaming_keepset(self.input_length, step - 1, self.config, self.budget)
-        return self._gather_view(keep, observe=False)
+        return self._gather_view(keep, step, observe=False)
 
     def update(self, step, rows, avg_q):
         return LayerStep(self.k_sel)
@@ -318,7 +316,7 @@ class HeavyHitter(LayerPolicy):
         self.h2o = H2OState.from_prefill(row, self.budget)
 
     def view(self, step, q, avg_q, k_new, v_new):
-        return self._gather_view(self.h2o.keepset(), observe=True)
+        return self._gather_view(self.h2o.keepset(), step, observe=True)
 
     def update(self, step, rows, avg_q):
         row = aggregate_group_scores(np.vstack(rows), self.config.gqa_aggregation)
@@ -342,8 +340,8 @@ class HeavyHitter(LayerPolicy):
 class TopK(LayerPolicy):
     """A top-K partial cache selected from the prompt's last-token scores.
 
-    Partial steps attend the partial cache and append the fresh entry to
-    it, evicting the lowest score when evict_on_append resolves true. At
+    Partial steps write the fresh entry into the partial cache, attend it,
+    then evict the lowest score when evict_on_append resolves true. At
     the steps the schedule marks full, `output_full` attends the whole
     cache and, if `refresh`, rebuilds the partial cache from the observed
     rows; without output_full the step scores the whole cache, rebuilds
@@ -364,21 +362,20 @@ class TopK(LayerPolicy):
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
             self._sim = cosine_similarity(avg_q, self.schedule_state.reference_query)
         self._full_step = should_full(self.schedule_state, step, avg_q, self.schedule)
-        self._fresh = (k_new, v_new)
         self._refreshed = None
         if not self._full_step:
-            return self._partial_view(include_self=True, mode="partial")
+            self.partial.append(self.position(step), k_new, v_new)
+            return self._partial_view(mode="partial")
         if self.output_full:
-            return self._full_view(step, observe=self.refresh)
+            return self._full_view(observe=self.refresh)
         self._refreshed = self._refresh(self._score_rows(q))
-        return self._partial_view(include_self=False, mode="full")
+        return self._partial_view(mode="full")
 
     def update(self, step, rows, avg_q):
         state = self.schedule_state
         state.generated_step_count += 1
         overhead = qc_overhead_flops(self.model) if self._sim is not None else 0
         if not self._full_step:
-            self.partial.append(self.position(step), *self._fresh)
             if self.evict:
                 self.partial.evict_overflow()
             return LayerStep(self.k_sel, overhead, self._sim)
@@ -398,16 +395,16 @@ class TopK(LayerPolicy):
         overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
         return LayerStep(attended, overhead, self._sim, self._report_refresh(step, *self._refreshed))
 
-    def _partial_view(self, include_self: bool, mode: str) -> LayerView:
+    def _partial_view(self, mode: str) -> LayerView:
         cp = self.partial
-        return LayerView(list(cp.keys), list(cp.values), list(cp.positions), include_self=include_self, mode=mode)
+        return LayerView(cp.keys, cp.values, cp.positions, mode=mode)
 
     def _score_rows(self, q: np.ndarray) -> list[np.ndarray]:
         """Probability rows of the current queries over the full cache."""
         scale = 1.0 / np.sqrt(self.model.head_dim)
         g = self.model.group_size
         keys = self.full.keys
-        return [softmax_rows(q[h * g : (h + 1) * g] @ keys[:, h].T * scale) for h in range(self.model.n_kv_heads)]
+        return [softmax_rows(q[h * g : (h + 1) * g] @ keys[h].T * scale) for h in range(self.model.n_kv_heads)]
 
     def _refresh(self, rows: list[np.ndarray]) -> tuple:
         """Rebuild the partial cache from the full cache's top-K under `rows`."""

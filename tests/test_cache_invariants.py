@@ -3,7 +3,10 @@
 After every decode step:
   - the full cache holds positions 0 .. L+i-1 (snapkv: the prompt, 0 .. L-1);
   - top-K policies that evict on append hold at most k_sel entries per head;
-  - every position a view attends is a position already seen.
+  - every position a view attends is a position already seen;
+  - each row a view attends carries the key/value the full cache holds
+    at that position, wherever the full cache holds it (snapkv's
+    generated positions live only in its partial cache).
 """
 
 import numpy as np
@@ -42,6 +45,15 @@ def test_invariants_hold_after_every_step(
     policy = PolicyConfig(kind=kind, k=budget, evict_on_append=evict_on_append)
     views = []
     session = DecodeSession(desk_weights, policy, schedule, recorder=views.append)
+    attended = []  # (layer, per-head (positions, keys, values)) copied at the moment of attention
+    provide = session._provide_view
+
+    def snapshot(layer, *args):
+        view = provide(layer, *args)
+        attended.append((layer, [(p.copy(), k.copy(), v.copy()) for p, k, v in zip(view.positions, view.keys, view.values)]))
+        return view
+
+    session._provide_view = snapshot
     tokens = np.random.default_rng(seed).integers(0, desk_weights.config.vocab_size, prompt_length + n_steps)
     session.prefill(tokens[:prompt_length].tolist())
     L = prompt_length
@@ -49,6 +61,7 @@ def test_invariants_hold_after_every_step(
 
     for i in range(1, n_steps + 1):
         views.clear()
+        attended.clear()
         session.step(int(tokens[L + i - 1]))
         held = L if kind == "snapkv" else L + i
         for cf in session.full:
@@ -62,3 +75,9 @@ def test_invariants_hold_after_every_step(
             for positions in event["positions"]:
                 assert positions.size == np.unique(positions).size
                 assert positions.max() <= current
+        for layer, heads in attended:
+            cf = session.full[layer]
+            for h, (positions, keys, values) in enumerate(heads):
+                held = positions < len(cf)  # the full cache holds positions 0 .. len-1 in slot order
+                np.testing.assert_array_equal(keys[held], cf.keys[h, positions[held]])
+                np.testing.assert_array_equal(values[held], cf.values[h, positions[held]])

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from kvrefresh.cli import EXIT_CONFIG, EXIT_OK, main
+from kvrefresh import cli
+from kvrefresh.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from kvrefresh.model import load_weights, save_weights
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHORT_LM = ["--task", "lm", "--task-params.stream-length", "16", "--task-params.tail", "4"]
@@ -89,3 +91,99 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "[FAIL]" not in done.stdout and "[PASS]" in done.stdout
+
+
+def chain_from(instance: dict, start: int = 0) -> str:
+    """A valid chain of instance["T"] keys, starting at context key `start`."""
+    key, chain = instance["keys"][start], []
+    for _ in range(instance["T"]):
+        chain.append(key)
+        key = instance["successor_map"][key]
+    return ", ".join(chain)
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+class TestChainKeyCommands:
+    def gen(self, tmp_path, count=2):
+        path = tmp_path / "instances.jsonl"
+        assert main(["gen-chainkey", "--count", str(count), "--n-keys", "6", "--chain-length", "3",
+                     "--seed", "4", "--out", str(path)]) == EXIT_OK
+        return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_gen_then_eval_round_trip(self, tmp_path, capsys):
+        path, instances = self.gen(tmp_path)
+        assert [obj["instance_id"] for obj in instances] == [0, 1]
+        outputs = write_lines(tmp_path / "outputs.jsonl", [
+            json.dumps({"instance_id": 0, "output_text": chain_from(instances[0])}),
+            json.dumps({"instance_id": 1, "output_text": "not, a, chain"}),
+        ])
+        scores = tmp_path / "scores.jsonl"
+        assert main(["eval-chainkey", "--instances", str(path), "--outputs", outputs, "--out", str(scores)]) == EXIT_OK
+        assert [json.loads(line) for line in scores.read_text().splitlines()] == [
+            {"instance_id": 0, "score": 1.0},
+            {"instance_id": 1, "score": 0.0},
+        ]
+
+    def test_gen_one_key_exits_config(self, tmp_path, capsys):
+        assert_config_error(main(["gen-chainkey", "--n-keys", "1", "--chain-length", "1",
+                                  "--out", str(tmp_path / "x.jsonl")]), capsys)
+
+    @pytest.mark.parametrize(
+        "bad_file, line",
+        [
+            ("outputs", '{"instance_id": 0, "output_text": '),
+            ("outputs", '{"output_text": "a-b"}'),
+            ("outputs", '{"instance_id": 0}'),
+            ("outputs", '{"instance_id": 0, "output_text": 7}'),
+            ("outputs", '{"instance_id": 9, "output_text": "a-b"}'),
+            ("instances", '{"keys": ['),
+            ("instances", '{"instance_id": 5}'),
+        ],
+        ids=["outputs-malformed", "outputs-no-id", "outputs-no-text", "outputs-text-not-string",
+             "outputs-unknown-id", "instances-malformed", "instances-no-fields"],
+    )
+    def test_bad_line_exits_config_naming_file_and_line(self, bad_file, line, tmp_path, capsys):
+        instances, objs = self.gen(tmp_path)
+        files = {"instances": instances, "outputs": tmp_path / "outputs.jsonl"}
+        write_lines(files["outputs"], [json.dumps({"instance_id": 0, "output_text": chain_from(objs[0])})])
+        with open(files[bad_file], "a") as f:
+            f.write("\n" + line + "\n")  # a blank line, then the bad one after the good lines
+        n_good = 1 if bad_file == "outputs" else 2
+        code = main(["eval-chainkey", "--instances", str(files["instances"]), "--outputs", str(files["outputs"])])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and "Traceback" not in err
+        assert err.startswith(f"configuration error: {files[bad_file]} line {n_good + 2}: ")
+
+
+class TestCompare:
+    def test_two_finished_runs(self, tmp_path, capsys):
+        runs = []
+        for kind in ("vanilla", "snapkv"):
+            runs.append(str(tmp_path / kind))
+            assert main(["run", "--out", runs[-1], *SHORT_LM, "--policy.kind", kind]) == EXIT_OK
+        report = tmp_path / "report.json"
+        assert main(["compare", *runs, "--out", str(report)]) == EXIT_OK
+        rows = json.loads(report.read_text())["rows"]
+        assert [row["policy"] for row in rows] == ["vanilla", "snapkv"]
+
+    def test_missing_run_dir_exits_io(self, tmp_path, capsys):
+        assert main(["compare", str(tmp_path / "absent")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "absent" in err and "Traceback" not in err
+
+
+def test_damaged_weight_file_exits_io(tmp_path, monkeypatch, capsys, desk_weights):
+    # no command reads a weight file yet, so route one through `run`
+    path = tmp_path / "weights.bin"
+    save_weights(desk_weights, str(path))
+    blob = bytearray(path.read_bytes())
+    blob[10] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    monkeypatch.setattr(cli, "run", lambda config, out_dir: load_weights(str(path)))
+    assert main(["run", "--out", str(tmp_path), *SHORT_LM]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {path}: damaged weight file header") and "Traceback" not in err

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from kvrefresh import kv_store
 from kvrefresh.engine import DecodeSession, greedy_generate, teacher_forced_run
 from kvrefresh.errors import ContractViolation
-from kvrefresh.model import init_model, prefill
+from kvrefresh.model import full_forward, init_model, prefill
 from kvrefresh.policies import PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 
@@ -512,3 +513,73 @@ class TestSessionContracts:
         assert len(trace) == 15
         assert all(rec.nll is not None for rec in trace)
         assert all(n > 0 for n in nlls)
+
+
+# -------------------------------------------------------------------- arenas
+
+
+def capture_views(session):
+    """Record (layer, view) for each view as the session hands it to attention."""
+    seen = []
+    provide = session._provide_view
+
+    def wrapped(layer, *args):
+        view = provide(layer, *args)
+        seen.append((layer, view))
+        return view
+
+    session._provide_view = wrapped
+    return seen
+
+
+class TestArena:
+    @pytest.mark.parametrize("kind", ["vanilla", "refreshkv", "snapkv"])
+    def test_views_read_the_arenas_without_a_copy(self, desk_weights, rng, kind):
+        schedule = ScheduleConfig(mode="fixed", stride=3) if kind == "refreshkv" else None
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule)
+        seen = capture_views(session)
+        stream = toks(rng, desk_weights.config, 30)
+        session.prefill(stream[:20])
+        modes = set()
+        for tok in stream[20:]:
+            seen.clear()
+            _, rec = session.step(tok)
+            for layer, view in seen:
+                modes.add(view.mode)
+                # at the moment of attention: full views read the full-cache arena, partial views the partial one
+                store = session.full[layer] if view.mode == "full" else session.partial[layer]
+                for h in range(desk_weights.config.n_kv_heads):
+                    assert np.shares_memory(view.keys[h], store.keys)
+                    assert np.shares_memory(view.values[h], store.values)
+                    assert len(view.keys[h]) == len(view.values[h]) == len(view.positions[h]) == rec.view_lens[layer]
+        assert modes == ({"full"} if kind == "vanilla" else {"partial"} if kind == "snapkv" else {"full", "partial"})
+
+    def test_full_cache_growth_past_two_doublings_matches_full_forward(self, desk_weights, rng):
+        stream = toks(rng, desk_weights.config, 33 + 40)
+        session = DecodeSession(desk_weights, PolicyConfig(kind="vanilla"))
+        logits = [session.prefill(stream[:33]).logits]
+        logits += [session.step(tok)[0].logits for tok in stream[33:-1]]
+        assert session.full[0]._keys.shape[1] == 4 * 33  # 33 -> 66 -> 132 slots
+        ref = full_forward(desk_weights, stream[:-1])[32:]
+        assert np.max(np.abs(np.array(logits) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_grow_only_partial_cache_outgrowing_its_slack_changes_nothing(self, desk_weights, rng, monkeypatch):
+        stream = toks(rng, desk_weights.config, 20 + 12)
+
+        def run():
+            session = DecodeSession(desk_weights, PolicyConfig(kind="snapkv", k=8))
+            logits = [session.prefill(stream[:20]).logits]
+            logits += [session.step(tok)[0].logits for tok in stream[20:]]
+            return session, logits
+
+        grown, logits = run()
+        for cp in grown.partial:
+            assert cp.sizes() == [8 + 12] * desk_weights.config.n_kv_heads
+            assert cp._arrays[0].shape[1] > 8 + kv_store.PARTIAL_SLACK  # the arena doubled
+            assert (cp.positions[:, 8:] == np.arange(20, 32)).all()
+        monkeypatch.setattr(kv_store, "PARTIAL_SLACK", 12)  # room for every step from the start
+        roomy, roomy_logits = run()
+        assert all(cp._arrays[0].shape[1] == 8 + 12 for cp in roomy.partial)
+        assert np.array_equal(logits, roomy_logits)
+        for a, b in zip(grown.partial, roomy.partial):
+            assert np.array_equal(a.keys, b.keys) and np.array_equal(a.positions, b.positions)

@@ -14,7 +14,7 @@ def brute_force_top_k(scores, k):
 
 
 def make_full(n, rng):
-    return FullCache(np.arange(n), rng.normal(size=(n, N_KV, DIM)), rng.normal(size=(n, N_KV, DIM)))
+    return FullCache(np.arange(n), rng.normal(size=(N_KV, n, DIM)), rng.normal(size=(N_KV, n, DIM)))
 
 
 def append_and_evict(cp, position, k, v, evict):
@@ -35,7 +35,7 @@ class TestInitPartial:
         cp = init_partial(full, scores, 6)
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], np.arange(6))
-            np.testing.assert_array_equal(cp.keys[h], full.keys[:, h])
+            np.testing.assert_array_equal(cp.keys[h], full.keys[h])
             np.testing.assert_array_equal(cp.scores[h], scores[h])
 
     def test_tie_pattern_selects_lowest_positions(self, rng):
@@ -140,10 +140,10 @@ class TestFullCacheAppend:
         assert len(full) == 13
         np.testing.assert_array_equal(full.positions, np.arange(13))
         for pos, (k, v) in entries.items():
-            np.testing.assert_array_equal(full.keys[pos], k)
-            np.testing.assert_array_equal(full.values[pos], v)
-        assert full.keys.shape == (13, N_KV, DIM)
-        np.testing.assert_array_equal(full.keys[:4], prompt_keys)
+            np.testing.assert_array_equal(full.keys[:, pos], k)
+            np.testing.assert_array_equal(full.values[:, pos], v)
+        assert full.keys.shape == (N_KV, 13, DIM)
+        np.testing.assert_array_equal(full.keys[:, :4], prompt_keys)
 
 
 class TestPendingAndMerge:

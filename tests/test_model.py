@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -67,18 +68,19 @@ def decode_step(weights, token, views, position, observe_scores=False):
     """Decode one token over fixed per-layer views of past cache entries.
 
     Each view is (keys, values, positions) with keys/values shaped
-    (m, n_kv_heads, head_dim); entries may be any subset of past tokens in
+    (n_kv_heads, m, head_dim); entries may be any subset of past tokens in
     any order, carrying their original absolute positions (keys already
-    rotated). The current token's key/value is appended before attention.
+    rotated). The provider appends the current token's key/value to every
+    head before handing the view over, as a session's store would.
     """
     cfg = weights.config
 
     def provider(layer_idx, q, avg_q, k_new, v_new):
         keys, values, positions = views[layer_idx]
-        per_head_k = [np.ascontiguousarray(keys[:, h]) for h in range(cfg.n_kv_heads)]
-        per_head_v = [np.ascontiguousarray(values[:, h]) for h in range(cfg.n_kv_heads)]
-        per_head_p = [positions for _ in range(cfg.n_kv_heads)]
-        return LayerView(per_head_k, per_head_v, per_head_p, include_self=True, observe=observe_scores)
+        keys = np.concatenate([keys, k_new[:, None]], axis=1)
+        values = np.concatenate([values, v_new[:, None]], axis=1)
+        positions = np.append(positions, position)
+        return LayerView(keys, values, [positions] * cfg.n_kv_heads, observe=observe_scores)
 
     return decode_core(weights, token, position, provider)
 
@@ -209,7 +211,7 @@ class TestDecodeStep:
         caches, _ = prefill(desk_weights, toks)
         base = decode_step(desk_weights, 5, cache_views(caches), position=len(toks))
         perm = rng.permutation(len(toks))
-        shuffled = [(c.keys[perm], c.values[perm], c.positions[perm]) for c in caches]
+        shuffled = [(c.keys[:, perm], c.values[:, perm], c.positions[perm]) for c in caches]
         out = decode_step(desk_weights, 5, shuffled, position=len(toks))
         rel_close(out.logits, base.logits)
 
@@ -220,7 +222,7 @@ class TestDecodeStep:
         caches, _ = prefill(desk_weights, toks)
         a = decode_step(desk_weights, 3, cache_views(caches), position=len(toks))
         idx = np.arange(len(toks))
-        views = [(c.keys[idx], c.values[idx], c.positions[idx]) for c in caches]
+        views = [(c.keys[:, idx], c.values[:, idx], c.positions[idx]) for c in caches]
         b = decode_step(desk_weights, 3, views, position=len(toks))
         assert np.array_equal(a.logits, b.logits)
 
@@ -240,8 +242,7 @@ class TestDecodeStep:
         def empty(layer_idx, q, avg_q, k_new, v_new):
             c = caches[layer_idx]
             heads = range(desk_weights.config.n_kv_heads)
-            return LayerView([c.keys[:0, h] for h in heads], [c.values[:0, h] for h in heads],
-                             [c.positions[:0] for _ in heads], include_self=False)
+            return LayerView(c.keys[:, :0], c.values[:, :0], [c.positions[:0] for _ in heads])
 
         with pytest.raises(ContractViolation):
             decode_core(desk_weights, 1, 2, empty)
@@ -287,11 +288,36 @@ class TestGroupedQueries:
         caches, out = prefill(w, toks)
         assert out.logits.shape == (cfg.vocab_size,)
         for c in caches:
-            assert c.keys.shape == (12, n_kv, cfg.head_dim)
+            assert c.keys.shape == (n_kv, 12, cfg.head_dim)
         for layer_rows in out.attn_rows:
             assert len(layer_rows) == n_kv
             for rows in layer_rows:
                 assert rows.shape == (cfg.n_query_heads // n_kv, 12)
+
+
+def _json_edit(change):
+    """A header edit that loads the JSON header, applies change(header) and re-encodes it."""
+
+    def edit(raw):
+        header = json.loads(raw)
+        change(header)
+        return json.dumps(header).encode()
+
+    return edit
+
+
+# name -> edit of the raw header bytes; byte 10 of the file is the header's byte 2
+DAMAGED_HEADERS = {
+    "flipped byte 10": lambda raw: raw[:2] + bytes([raw[2] ^ 0xFF]) + raw[3:],
+    "not json": lambda raw: raw[:-1],
+    "a list": lambda raw: b"[1, 2]",
+    "no config": _json_edit(lambda h: h.pop("config")),
+    "no tensors": _json_edit(lambda h: h.pop("tensors")),
+    "unknown config field": _json_edit(lambda h: h["config"].update(bogus=1)),
+    "string layer count": _json_edit(lambda h: h["config"].update(n_layers="2")),
+    "tensor without shape": _json_edit(lambda h: h["tensors"]["embed"].pop("shape")),
+    "missing tensor": _json_edit(lambda h: h["tensors"].pop("w_out")),
+}
 
 
 class TestWeightFile:
@@ -323,3 +349,15 @@ class TestWeightFile:
         with pytest.raises(OSError, match="truncated weight file") as info:
             load_weights(str(path))
         assert str(path) in str(info.value) and f"{short} is short" in str(info.value)
+
+    @pytest.mark.parametrize("damage", DAMAGED_HEADERS)
+    def test_damaged_header_raises_oserror_naming_the_path(self, desk_weights, tmp_path, damage):
+        path = tmp_path / "weights.bin"
+        save_weights(desk_weights, str(path))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = DAMAGED_HEADERS[damage](blob[8 : 8 + hlen])
+        path.write_bytes(struct.pack("<Q", len(header)) + header + blob[8 + hlen :])
+        with pytest.raises(OSError, match="damaged weight file header") as info:
+            load_weights(str(path))
+        assert str(path) in str(info.value)
