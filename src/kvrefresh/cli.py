@@ -137,9 +137,14 @@ def _json_lines(path: str, parse: Callable[[bytes], T]) -> list[T]:
 
 
 def _cmd_eval_chainkey(args: argparse.Namespace) -> int:
-    def instance(line: bytes) -> tuple[int, ChainKeyInstance]:
+    instances: dict[int, ChainKeyInstance] = {}
+
+    def instance(line: bytes) -> None:
         obj = json.loads(line)
-        return int(obj.get("instance_id", obj["seed"])), ChainKeyInstance.from_json(line)
+        iid = int(obj.get("instance_id", obj["seed"]))
+        if iid in instances:
+            raise ConfigurationError(f"duplicate instance_id {iid}")
+        instances[iid] = ChainKeyInstance.from_json(line)
 
     def score(line: bytes) -> dict:
         obj = json.loads(line)
@@ -148,7 +153,7 @@ def _cmd_eval_chainkey(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"output references unknown instance_id {iid}")
         return {"instance_id": iid, "score": evaluate_chain(instances[iid], obj["output_text"]).score}
 
-    instances = dict(_json_lines(args.instances, instance))
+    _json_lines(args.instances, instance)
     scores = _json_lines(args.outputs, score)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

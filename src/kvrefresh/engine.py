@@ -10,9 +10,11 @@ object per layer (see policies.make_policy). Step flow, per layer:
      view. A top-K partial step writes it into the partial-cache arena
      as well; a scheduled full step, and for refreshkv_no_full its
      refresh, happens there;
-  3. attention runs over the view exactly as given: every view already
-     holds the current token, and full and partial views are each head's
-     contiguous arena prefix, so nothing is copied;
+  3. attention runs over the view exactly as given, as one batched
+     computation over the layer's kv heads: the view is three head-major
+     arrays (keys, values, positions) that already hold the current token,
+     and full and partial views are the filled prefix of their arena, so
+     nothing is copied;
   4. after the forward pass the policy updates its state from the
      observed probability rows and reports the layer's modeled cost, from
      which the session builds an exact-cost StepRecord.
@@ -104,8 +106,8 @@ class DecodeSession:
         view = policy.view(self.step_index, q, avg_q, k_new, v_new)
         self._views.append(view)
         if self.recorder is not None:
-            positions = [p.copy() for p in view.positions]
-            self.recorder({"kind": "view", "step": self.step_index, "layer": layer, "positions": positions})
+            self.recorder({"kind": "view", "step": self.step_index, "layer": layer,
+                           "positions": view.positions.copy()})
         return view
 
     def _record(self, out: StepOutput, token: int) -> StepRecord:
@@ -121,7 +123,7 @@ class DecodeSession:
             token_id=int(token),
             modes=[v.mode for v in self._views],
             attended=attended,
-            view_lens=[v.positions[0].size for v in self._views],
+            view_lens=[v.positions.shape[1] for v in self._views],
             attention_flops=flops,
             kv_bytes_moved=nbytes,
             overhead_flops=sum(s.overhead_flops for s in layers),

@@ -41,15 +41,18 @@ class FullCache:
     ((n_kv_heads, n, head_dim), keys rotated) are views of the filled
     prefix of arrays that double when full, so an append writes one slot
     per head and copies the store only when it doubles. keys[h] is one
-    head's contiguous (n, head_dim) block.
+    head's contiguous (n, head_dim) block. `head_positions` is `positions`
+    broadcast over the heads, (n_kv_heads, n), as an attention view holds it.
     """
 
     def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray):
         self._positions = np.asarray(positions, dtype=np.int64)
         self._keys, self._values = keys, values
         self._n = int(self._positions.size)
+        self._broadcast_positions()
 
     positions = property(lambda self: self._positions[: self._n])
+    head_positions = property(lambda self: self._head_positions[:, : self._n])
     keys = property(lambda self: self._keys[:, : self._n])
     values = property(lambda self: self._values[:, : self._n])
 
@@ -65,8 +68,13 @@ class FullCache:
             slots = max(1, 2 * n)
             self._positions = _resized(self._positions, n, slots, axis=0)
             self._keys, self._values = _resized(self._keys, n, slots), _resized(self._values, n, slots)
+            self._broadcast_positions()
         self._positions[n], self._keys[:, n], self._values[:, n] = position, k, v
         self._n = n + 1
+
+    def _broadcast_positions(self) -> None:
+        # once per arena size: np.broadcast_to costs several us a call, a slice of its result well under one
+        self._head_positions = np.broadcast_to(self._positions, self._keys.shape[:2])
 
     def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions (m,), keys and values (n_kv_heads, m, head_dim) at the given slots."""
@@ -145,7 +153,7 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int) -> Partia
     if k < 1 or k > n:
         raise ConfigurationError(f"partial-cache budget must satisfy 1 <= k <= {n}, got {k}")
 
-    idx = np.stack([top_k_indices(row, k) for row in scores_per_head])  # (n_kv_heads, k)
+    idx = top_k_indices(scores_per_head, k)  # (n_kv_heads, k)
     heads = np.arange(idx.shape[0])[:, None]
     return PartialCache(k, full.positions[idx], full.keys[heads, idx], full.values[heads, idx],
                         np.take_along_axis(scores_per_head, idx, axis=1))

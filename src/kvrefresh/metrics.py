@@ -42,12 +42,6 @@ def layer_attention_cost(attended: int, config: ModelConfig) -> tuple[int, int]:
     return flops, nbytes
 
 
-def attention_cost(attended: int, config: ModelConfig) -> tuple[int, int]:
-    """Whole-model (flops, bytes) when every layer attends the same size."""
-    flops, nbytes = layer_attention_cost(attended, config)
-    return config.n_layers * flops, config.n_layers * nbytes
-
-
 def selection_overhead_flops(m: int, config: ModelConfig, kernel: int) -> int:
     """Aggregate + pool + top-K work over m scored positions (one layer)."""
     agg = (config.n_query_heads - config.n_kv_heads) * m
@@ -137,15 +131,3 @@ def nll_to_perplexity(nlls: Sequence[float]) -> float:
     if len(nlls) == 0:
         raise ContractViolation("perplexity needs at least one scored token")
     return float(np.exp(np.mean(np.asarray(nlls, dtype=np.float64))))
-
-
-def perplexity(weights, policy, schedule, tokens: Sequence[int], tail: int) -> float:
-    """Perplexity of the last `tail` tokens under a policy's evolving cache.
-
-    The stream's head is prefilled; each tail token is then predicted
-    teacher-forced, with the policy's caches advancing over the stream.
-    """
-    from .engine import teacher_forced_run  # local import to avoid a cycle
-
-    nlls, _ = teacher_forced_run(weights, policy, schedule, tokens, tail)
-    return nll_to_perplexity(nlls)

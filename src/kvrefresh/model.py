@@ -5,6 +5,8 @@ throughout, greedy decoding. The decode path exposes per-layer query
 vectors and per-head attention probability rows so cache policies and the
 scheduler can observe them. Weights are fully determined by the config
 seed; two initializations with an equal config are bitwise identical.
+Each layer projects q, k and v with one fused matrix, and the rotary
+cos/sin come from a per-model table built once at init.
 
 Keys are cached post-rotation at their original absolute positions, so a
 non-contiguous partial cache keeps the geometry its selection scores were
@@ -15,6 +17,11 @@ computed under.
 logits cover only the keys up to its own last position, and only the
 diagonal tile is masked. Peak memory is O(ATTN_BLOCK * L); no L x L array
 is built.
+
+`decode_core` runs each layer as one batched computation over all kv
+heads: the view is three head-major arrays, every kv head's query group
+attends its own (m, head_dim) keys through one matmul, and one
+`softmax_rows` call normalises every head's rows.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .numerics import softmax_rows
 RMS_EPS = 1e-6
 ROPE_BASE = 10000.0
 ATTN_BLOCK = 32  # query rows per causal_attention block
+MAX_POSITIONS = 1 << 16  # max_position ceiling; init_model builds one rotary table row per position
 _DIAGONAL_MASK = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf), k=1)[:, None, :]
 
 
@@ -71,6 +79,8 @@ class ModelConfig:
             )
         if not 0 < self.ffn_mult < float("inf") or self.vocab_size < 2 or self.max_position < 1:
             raise ConfigurationError("ffn_mult, vocab_size, max_position out of range")
+        if self.max_position > MAX_POSITIONS:
+            raise ConfigurationError(f"max_position {self.max_position} exceeds {MAX_POSITIONS}")
 
 
 def canonical_config(seed: int = 0, max_position: int = 8192) -> ModelConfig:
@@ -89,9 +99,7 @@ def canonical_config(seed: int = 0, max_position: int = 8192) -> ModelConfig:
 
 @dataclass
 class LayerWeights:
-    wq: np.ndarray  # (model_dim, n_query_heads * head_dim)
-    wk: np.ndarray  # (model_dim, n_kv_heads * head_dim)
-    wv: np.ndarray  # (model_dim, n_kv_heads * head_dim)
+    wqkv: np.ndarray  # (model_dim, (n_query_heads + 2 * n_kv_heads) * head_dim): q, k, v columns in order
     wo: np.ndarray  # (n_query_heads * head_dim, model_dim)
     attn_norm: np.ndarray  # (model_dim,)
     ffn_norm: np.ndarray  # (model_dim,)
@@ -107,6 +115,10 @@ class ModelWeights:
     layers: list[LayerWeights]
     final_norm: np.ndarray  # (model_dim,)
     w_out: np.ndarray  # (model_dim, vocab_size)
+    rope: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)  # cos, sin: (max_position, head_dim/2)
+
+    def __post_init__(self) -> None:
+        self.rope = _rope_angles(np.arange(self.config.max_position), self.config.head_dim)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         out = [("embed", self.embed)]
@@ -123,6 +135,7 @@ def init_model(config: ModelConfig) -> ModelWeights:
     rng = np.random.default_rng(config.seed)
     scale = 1.0 / np.sqrt(config.model_dim)
     d = config.model_dim
+    n_q, n_kv = config.n_query_heads, config.n_kv_heads
 
     def gauss(*shape: int) -> np.ndarray:
         return rng.standard_normal(shape) * scale
@@ -131,10 +144,9 @@ def init_model(config: ModelConfig) -> ModelWeights:
     for _ in range(config.n_layers):
         layers.append(
             LayerWeights(
-                wq=gauss(d, config.n_query_heads * config.head_dim),
-                wk=gauss(d, config.n_kv_heads * config.head_dim),
-                wv=gauss(d, config.n_kv_heads * config.head_dim),
-                wo=gauss(config.n_query_heads * config.head_dim, d),
+                # drawn as separate q, k, v blocks, in that order, so the values match unfused weights
+                wqkv=np.concatenate([gauss(d, n * config.head_dim) for n in (n_q, n_kv, n_kv)], axis=1),
+                wo=gauss(n_q * config.head_dim, d),
                 attn_norm=np.ones(d),
                 ffn_norm=np.ones(d),
                 w_gate=gauss(d, config.ffn_dim),
@@ -152,7 +164,8 @@ def init_model(config: ModelConfig) -> ModelWeights:
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    # np.mean's own sum-then-divide, without its dispatch overhead
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
     return x / np.sqrt(ms + RMS_EPS) * gain
 
 
@@ -166,16 +179,15 @@ def _rope_angles(positions: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.n
     return np.cos(ang), np.sin(ang)
 
 
-def apply_rope(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+def apply_rope(x: np.ndarray, positions: int | np.ndarray, rope: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Rotate head vectors by their absolute positions.
 
-    x: (..., n_heads, head_dim); positions broadcastable over the leading axes.
-    Pairs (2i, 2i+1) are rotated by angle pos / base^(2i/head_dim).
+    x: (..., n_heads, head_dim); positions: an index or index array into
+    the model's (cos, sin) table `rope`, broadcastable over the leading
+    axes. Pairs (2i, 2i+1) are rotated by angle pos / base^(2i/head_dim).
     """
-    head_dim = x.shape[-1]
-    cos, sin = _rope_angles(positions, head_dim)
-    cos = cos[..., None, :]
-    sin = sin[..., None, :]
+    cos = rope[0][positions][..., None, :]
+    sin = rope[1][positions][..., None, :]
     x1 = x[..., 0::2]
     x2 = x[..., 1::2]
     out = np.empty_like(x)
@@ -188,17 +200,18 @@ def apply_rope(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
 class LayerView:
     """What one layer's attention runs over at a decode step, current token included.
 
-    keys/values/positions hold one entry per kv head (a list, or a
-    head-major array whose rows are the heads). The session writes the
-    current token's fresh key/value into its store before it builds the
-    view, so attention runs over the view exactly as given; a view of the
-    full cache is each head's contiguous prefix of the layer's arena. Arena
-    views are not copies: they hold until the store's next write.
+    Three head-major arrays with the same m entries on every kv head. The
+    session writes the current token's fresh key/value into its store
+    before it builds the view, so attention runs over the view exactly as
+    given. A view of the full cache is the filled prefix of the layer's
+    arena, and its one position row is broadcast over the heads, so neither
+    is a copy: they hold until the store's next write. A gather view is a
+    fresh array with its position row broadcast the same way.
     """
 
-    keys: Sequence[np.ndarray]  # per kv head: (m_h, head_dim), rotated
-    values: Sequence[np.ndarray]  # per kv head: (m_h, head_dim)
-    positions: Sequence[np.ndarray]  # per kv head: (m_h,) original absolute positions
+    keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated
+    values: np.ndarray  # (n_kv_heads, m, head_dim)
+    positions: np.ndarray  # (n_kv_heads, m) original absolute positions
     observe: bool = False
     mode: str = "full"  # trace tag: "full" | "partial"
 
@@ -212,9 +225,10 @@ class StepOutput:
     logits: np.ndarray  # (vocab_size,)
     queries: list[np.ndarray]  # per layer: (n_query_heads, head_dim), post-rotation
     avg_queries: list[np.ndarray]  # per layer: (head_dim,), mean over all query heads
-    attn_rows: list[list[np.ndarray] | None] = field(default_factory=list)
-    # per layer: per kv head (group_size, m) probability rows over the attended
-    # view (row order matches the view). None when not observed.
+    attn_rows: list[np.ndarray | None] = field(default_factory=list)
+    # per layer: (n_kv_heads, group_size, m) probability rows over the attended
+    # view (row order matches the view); iterating yields each kv head's
+    # (group_size, m) rows. None when not observed.
 
 
 def _check_token(config: ModelConfig, token: int) -> None:
@@ -235,34 +249,35 @@ def _check_sequence(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
 
 def causal_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, group: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Causal self-attention of every position over its prefix, ATTN_BLOCK queries at a time.
 
-    q: (L, n_kv_heads * group, head_dim); k, v: (L, n_kv_heads, head_dim);
+    q: (L, n_kv_heads * group, head_dim); k, v: head-major (n_kv_heads, L,
+    head_dim), the cache's layout, so one head's keys are contiguous;
     query head j reads kv head j // group. A block of queries ending at
     block_end attends keys [0, block_end) with one matmul per kv head
     (all `group` query heads at once); only the diagonal tile needs the
     causal mask. Each row's softmax is exact, so no running rescale is
     needed, and memory peaks at one block's (ATTN_BLOCK * group, L)
-    probabilities. Returns the context (L, n_query_heads, head_dim) and, per
-    kv head, the last position's (group, L) probability rows.
+    probabilities. Returns the context (L, n_query_heads, head_dim) and the
+    last position's (n_kv_heads, group, L) probability rows.
     """
     L, n_q, d = q.shape
-    n_kv = k.shape[1]
+    n_kv = k.shape[0]
     # kv-head-major, so a block's rows for one kv head are contiguous (rows * group, d)
     qs = (q * (1.0 / np.sqrt(d))).reshape(L, n_kv, group, d).transpose(1, 0, 2, 3).copy()
     ctx = np.empty((n_kv, L, group, d))
-    last_rows = []
+    last_rows = np.empty((n_kv, group, L))
     for start in range(0, L, ATTN_BLOCK):
         end = min(start + ATTN_BLOCK, L)
         rows = end - start
         for h in range(n_kv):
-            logits = (qs[h, start:end].reshape(-1, d) @ k[:end, h].T).reshape(rows, group, end)
+            logits = (qs[h, start:end].reshape(-1, d) @ k[h, :end].T).reshape(rows, group, end)
             logits[:, :, start:] += _DIAGONAL_MASK[:rows, :, :rows]
             probs = softmax_rows(logits)
-            ctx[h, start:end] = (probs.reshape(-1, end) @ v[:end, h]).reshape(rows, group, d)
+            ctx[h, start:end] = (probs.reshape(-1, end) @ v[h, :end]).reshape(rows, group, d)
             if end == L:
-                last_rows.append(probs[-1].copy())
+                last_rows[h] = probs[-1]
     return ctx.transpose(1, 0, 2, 3).reshape(L, n_q, d), last_rows
 
 
@@ -270,27 +285,28 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
     """The layer pass `full_forward` and `prefill` share.
 
     Returns the final hidden states (L, model_dim) and per layer the rotated
-    keys, the values, the last position's queries and causal_attention's
-    last-position rows.
+    keys and the values, head-major (n_kv_heads, L, head_dim), the last
+    position's queries and causal_attention's last-position rows.
     """
     cfg = weights.config
     toks = _check_sequence(cfg, tokens)
     L = toks.size
     positions = np.arange(L)
+    n_q, n_kv = cfg.n_query_heads, cfg.n_kv_heads
     x = weights.embed[toks]  # (L, D)
     layers = []
     for lw in weights.layers:
         xa = _rms_norm(x, lw.attn_norm)
-        q = apply_rope((xa @ lw.wq).reshape(L, cfg.n_query_heads, cfg.head_dim), positions)
-        k = apply_rope((xa @ lw.wk).reshape(L, cfg.n_kv_heads, cfg.head_dim), positions)
-        v = (xa @ lw.wv).reshape(L, cfg.n_kv_heads, cfg.head_dim)
-
-        ctx, last_rows = causal_attention(q, k, v, cfg.group_size)
+        qkv = (xa @ lw.wqkv).reshape(L, n_q + 2 * n_kv, cfg.head_dim)
+        qk = apply_rope(qkv[:, : n_q + n_kv], positions, weights.rope)
+        k, v = qk[:, n_q:].transpose(1, 0, 2).copy(), qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
+        ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
+        layers.append((k, v, qk[-1, :n_q].copy(), last_rows))
         x = x + ctx.reshape(L, -1) @ lw.wo
+        del xa, qkv, qk, ctx  # free the attention's arrays before the feed-forward's (L, ffn_dim) temporaries
 
         xf = _rms_norm(x, lw.ffn_norm)
         x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
-        layers.append((k, v, q[-1].copy(), last_rows))
     return x, layers
 
 
@@ -305,11 +321,10 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
 
     Returns the caches and the last position's StepOutput; the observation
     window is the single last token, so attn_rows carry exactly one row per
-    query head.
+    query head: (n_kv_heads, group_size, L) per layer.
     """
     x, layers = _forward(weights, tokens)
-    caches = [FullCache(np.arange(len(x)), k.transpose(1, 0, 2).copy(), v.transpose(1, 0, 2).copy())
-              for k, v, _, _ in layers]
+    caches = [FullCache(np.arange(len(x)), k, v) for k, v, _, _ in layers]
     queries = [q for _, _, q, _ in layers]
     rows = [last_rows for *_, last_rows in layers]
     logits = _rms_norm(x[-1], weights.final_norm) @ weights.w_out
@@ -327,49 +342,43 @@ def decode_core(
     The callback gets the layer's rotated queries and the current token's
     fresh key/value mid-forward, so per-layer scheduling can depend on the
     current query vector. It stores the fresh entry wherever the view
-    should see it, and each head attends its view exactly as returned.
+    should see it, and the layer attends the view exactly as returned: one
+    batched matmul over the kv heads, with each head's query group against
+    its own keys, and one softmax over every head's rows.
     """
     cfg = weights.config
     _check_token(cfg, token)
     if not 0 <= position < cfg.max_position:
         raise ContractViolation(f"position {position} outside [0, {cfg.max_position})")
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    pos = np.asarray([position])
+    n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
+    scale = 1.0 / np.sqrt(d)
     x = weights.embed[int(token)].copy()
 
     queries: list[np.ndarray] = []
     avg_queries: list[np.ndarray] = []
-    rows_per_layer: list[list[np.ndarray] | None] = []
+    rows_per_layer: list[np.ndarray | None] = []
 
     for layer_idx, lw in enumerate(weights.layers):
         xa = _rms_norm(x, lw.attn_norm)
-        q = apply_rope((xa @ lw.wq).reshape(1, cfg.n_query_heads, cfg.head_dim), pos)[0]
-        k_new = apply_rope((xa @ lw.wk).reshape(1, cfg.n_kv_heads, cfg.head_dim), pos)[0]
-        v_new = (xa @ lw.wv).reshape(cfg.n_kv_heads, cfg.head_dim)
+        qkv = (xa @ lw.wqkv).reshape(n_q + 2 * n_kv, d)
+        qk = apply_rope(qkv[: n_q + n_kv], position, weights.rope)
+        q, k_new, v_new = qk[:n_q], qk[n_q:], qkv[n_q + n_kv :]
         avg_q = q.mean(axis=0)
 
         view = provide_view(layer_idx, q, avg_q, k_new, v_new)
 
-        ctx = np.empty((cfg.n_query_heads, cfg.head_dim))
-        layer_rows: list[np.ndarray] = []
-        for h in range(cfg.n_kv_heads):
-            keys_h = view.keys[h]
-            if keys_h.shape[0] == 0:
-                raise ContractViolation(f"layer {layer_idx} head {h}: empty attention view")
-            q_group = q[h * cfg.group_size : (h + 1) * cfg.group_size]
-            probs = softmax_rows(q_group @ keys_h.T * scale)
-            ctx[h * cfg.group_size : (h + 1) * cfg.group_size] = probs @ view.values[h]
-            if view.observe:
-                layer_rows.append(probs)
-        x = x + ctx.reshape(-1) @ lw.wo
+        if view.keys.shape[1] == 0:
+            raise ContractViolation(f"layer {layer_idx}: empty attention view")
+        probs = softmax_rows(q.reshape(n_kv, cfg.group_size, d) @ view.keys.transpose(0, 2, 1) * scale)
+        x = x + (probs @ view.values).reshape(-1) @ lw.wo
 
         xf = _rms_norm(x, lw.ffn_norm)
         x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
 
         queries.append(q)
         avg_queries.append(avg_q)
-        rows_per_layer.append(layer_rows if view.observe else None)
+        rows_per_layer.append(probs if view.observe else None)
 
     logits = _rms_norm(x, weights.final_norm) @ weights.w_out
     return StepOutput(logits, queries, avg_queries, rows_per_layer)

@@ -1,8 +1,8 @@
 """Scalar/vector primitives used by every other module.
 
 All functions are pure, operate on float64 numpy arrays, and are safe to
-call concurrently. Score vectors are plain 1-D arrays of non-negative
-reals whose length equals the number of scored cache positions.
+call concurrently. Score arrays hold non-negative reals whose last axis
+runs over the scored cache positions.
 """
 
 from __future__ import annotations
@@ -10,17 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax over a 1-D vector (max-subtracted)."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ContractViolation(f"softmax needs a non-empty 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ContractViolation("softmax input contains NaN or infinity")
-    z = np.exp(x - np.max(x))
-    return z / z.sum()
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -72,13 +61,22 @@ def max_pool_1d(scores: np.ndarray, kernel: int) -> np.ndarray:
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties broken toward the lower index.
+    """Indices of the k largest scores along the last axis, ties broken toward the lower index.
 
-    Result is sorted ascending by position.
+    scores: (..., n); returns (..., k), each row sorted ascending by
+    position. One partition finds each row's k-th largest score; every
+    index strictly above it is kept, and the remaining slots go to the
+    lowest-index entries equal to it.
     """
     x = np.asarray(scores, dtype=np.float64)
-    if k < 1 or k > x.size:
-        raise ContractViolation(f"top-k needs 1 <= k <= {x.size}, got {k}")
-    # lexsort: primary key descending score, secondary key ascending index.
-    order = np.lexsort((np.arange(x.size), -x))
-    return np.sort(order[:k])
+    n = x.shape[-1]
+    if k < 1 or k > n:
+        raise ContractViolation(f"top-k needs 1 <= k <= {n}, got {k}")
+    neg = -x  # ascending order of -x is descending order of x
+    threshold = np.partition(neg, k - 1, axis=-1)[..., k - 1 : k]
+    above = neg < threshold
+    ties = neg == threshold
+    # ufunc reductions direct: the array methods' dispatch dominates at h2o's per-step sizes
+    need = k - np.add.reduce(above, axis=-1, keepdims=True, dtype=np.intp)
+    keep = above | (ties & (np.add.accumulate(ties, axis=-1, dtype=np.intp) <= need))
+    return np.nonzero(keep)[-1].reshape(x.shape[:-1] + (k,))

@@ -24,6 +24,12 @@ before asking for a view, unless appends_full is False (snapkv keeps only
 its prompt there). Every view holds the current token: full views are the
 full-cache arena, streaming and h2o gather their keepset plus the current
 position, and a top-K partial step writes into the partial cache first.
+A view is three head-major arrays, keys and values (n_kv_heads, m,
+head_dim) and positions (n_kv_heads, m); full and gather views broadcast
+their one position row over the heads. The model attends every head of a
+layer in one batched computation, so the rows `update` observes, and the
+rows a TopK policy scores itself, are one (n_kv_heads, group_size, m)
+array.
 
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
@@ -48,7 +54,7 @@ from .metrics import (
     selection_overhead_flops,
 )
 from .model import LayerView, StepOutput
-from .numerics import cosine_similarity, max_pool_1d, softmax_rows
+from .numerics import cosine_similarity, max_pool_1d, softmax_rows, top_k_indices
 from .scheduler import LayerScheduleState, ScheduleConfig, should_full
 
 if TYPE_CHECKING:
@@ -140,15 +146,16 @@ def aggregate_group_scores(per_query_head_rows: np.ndarray, mode: str) -> np.nda
     raise ConfigurationError(f"unknown aggregation mode {mode!r}")
 
 
-def selection_scores(rows_per_head: list[np.ndarray], config: PolicyConfig) -> np.ndarray:
+def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndarray:
     """Selection scores per kv-head: group-aggregate, then max-pool.
 
-    rows_per_head: per kv-head arrays of shape (group_size, m), the
-    probability rows observed at a full-attention (or prefill) step.
+    rows_per_head: (n_kv_heads, group_size, m), or per kv-head arrays of
+    shape (group_size, m): the probability rows observed at a
+    full-attention (or prefill) step.
     Returns (n_kv_heads, m). With shared_selection the per-head rows are
     collapsed by elementwise max so every head selects the same positions.
     """
-    if not rows_per_head:
+    if len(rows_per_head) == 0:
         raise ContractViolation("no attention rows to score")
     m = rows_per_head[0].shape[1]
     if any(r.shape[1] != m for r in rows_per_head):
@@ -234,11 +241,9 @@ class H2OState:
         if n <= self.budget:
             return
         recent_start = n - self.recent_n
-        cand_sums = self.sums[:recent_start]
-        # top heavy_n by (sum desc, position asc); positions ascending == index asc
-        order = np.lexsort((np.arange(cand_sums.size), -cand_sums))
-        keep_idx = np.sort(order[: self.heavy_n])
-        keep = np.concatenate([keep_idx, np.arange(recent_start, n)])
+        keep = np.arange(recent_start, n)
+        if self.heavy_n:  # top heavy_n by (sum desc, position asc); positions ascending == index asc
+            keep = np.concatenate([top_k_indices(self.sums[:recent_start], self.heavy_n), keep])
         self.positions = self.positions[keep]
         self.sums = self.sums[keep]
 
@@ -276,15 +281,15 @@ class LayerPolicy:
         return self.input_length + step - 1
 
     def _full_view(self, observe: bool) -> LayerView:
-        """The whole full cache, current entry included: each head's arena prefix."""
+        """The whole full cache, current entry included: the arena's filled prefix."""
         cf = self.full
-        return LayerView(cf.keys, cf.values, [cf.positions] * self.model.n_kv_heads, observe=observe, mode="full")
+        return LayerView(cf.keys, cf.values, cf.head_positions, observe, "full")
 
     def _gather_view(self, keep: np.ndarray, step: int, observe: bool) -> LayerView:
         """The keepset plus the current position, gathered from the full cache."""
         # positions are contiguous from 0, so keepset positions index directly
         positions, keys, values = self.full.gather(np.append(keep, self.position(step)))
-        return LayerView(keys, values, [positions] * self.model.n_kv_heads, observe=observe, mode="partial")
+        return LayerView(keys, values, np.broadcast_to(positions, keys.shape[:2]), observe, "partial")
 
 
 class FullAttention(LayerPolicy):
@@ -399,14 +404,13 @@ class TopK(LayerPolicy):
         cp = self.partial
         return LayerView(cp.keys, cp.values, cp.positions, mode=mode)
 
-    def _score_rows(self, q: np.ndarray) -> list[np.ndarray]:
-        """Probability rows of the current queries over the full cache."""
-        scale = 1.0 / np.sqrt(self.model.head_dim)
-        g = self.model.group_size
-        keys = self.full.keys
-        return [softmax_rows(q[h * g : (h + 1) * g] @ keys[h].T * scale) for h in range(self.model.n_kv_heads)]
+    def _score_rows(self, q: np.ndarray) -> np.ndarray:
+        """(n_kv_heads, group_size, m) probability rows of the current queries over the full cache."""
+        cfg = self.model
+        q_groups = q.reshape(cfg.n_kv_heads, cfg.group_size, cfg.head_dim)
+        return softmax_rows(q_groups @ self.full.keys.transpose(0, 2, 1) * (1.0 / np.sqrt(cfg.head_dim)))
 
-    def _refresh(self, rows: list[np.ndarray]) -> tuple:
+    def _refresh(self, rows: np.ndarray) -> tuple:
         """Rebuild the partial cache from the full cache's top-K under `rows`."""
         sel = selection_scores(rows, self.config)
         pre_positions = [p.copy() for p in self.partial.positions]

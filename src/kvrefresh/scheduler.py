@@ -85,22 +85,6 @@ def should_full(
     return cosine_similarity(current_query, state.reference_query) < config.threshold
 
 
-def replay_decisions(similarities: list[float | None], qc_stride: int, threshold: float) -> list[bool]:
-    """Re-run qc decisions over a recorded per-step similarity sequence.
-
-    Entry i corresponds to generated step i+1; None marks steps where no
-    similarity was evaluated (off the qc boundary).
-    """
-    out = []
-    for i, sim in enumerate(similarities):
-        step = i + 1
-        if step % qc_stride != 0 or sim is None:
-            out.append(False)
-        else:
-            out.append(sim < threshold)
-    return out
-
-
 def effective_stride(full_events: int, generated_steps: int) -> float | None:
     """Generated steps divided by generation-phase full-attention events.
 

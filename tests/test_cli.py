@@ -158,6 +158,18 @@ class TestChainKeyCommands:
         assert code == EXIT_CONFIG and "Traceback" not in err
         assert err.startswith(f"configuration error: {files[bad_file]} line {n_good + 2}: ")
 
+    def test_duplicate_instance_id_exits_config_naming_file_and_line(self, tmp_path, capsys):
+        # a second instance file appended to the first numbers its instances from 0 again
+        instances, objs = self.gen(tmp_path)
+        with open(instances, "a") as f:
+            f.write(json.dumps(dict(objs[1], instance_id=0)) + "\n")
+        outputs = write_lines(tmp_path / "outputs.jsonl",
+                              [json.dumps({"instance_id": 0, "output_text": chain_from(objs[0])})])
+        code = main(["eval-chainkey", "--instances", str(instances), "--outputs", outputs])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and "Traceback" not in err
+        assert err.startswith(f"configuration error: {instances} line 3: ") and "duplicate instance_id 0" in err
+
 
 class TestCompare:
     def test_two_finished_runs(self, tmp_path, capsys):

@@ -7,11 +7,9 @@ from kvrefresh.engine import greedy_generate, teacher_forced_run
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.metrics import (
     StepRecord,
-    attention_cost,
     layer_attention_cost,
     nll_to_perplexity,
     per_layer_effective_strides,
-    perplexity,
     retained_mass,
     step_cost,
     trace_totals,
@@ -26,23 +24,23 @@ class TestAttentionCost:
     def test_reference_byte_count(self):
         # one layer, one kv head, head_dim 16, attended 10: 10 * 2 * 16 * 1 * 8
         cfg = ModelConfig(n_layers=1, n_query_heads=1, n_kv_heads=1, head_dim=16)
-        _, nbytes = attention_cost(10, cfg)
+        _, nbytes = step_cost([10] * cfg.n_layers, cfg)
         assert nbytes == 2560
 
     def test_partial_to_full_ratio_is_exact(self, desk_config):
         k, L = 16, 128
-        _, partial = attention_cost(k, desk_config)
-        _, full = attention_cost(L, desk_config)
+        _, partial = step_cost([k] * desk_config.n_layers, desk_config)
+        _, full = step_cost([L] * desk_config.n_layers, desk_config)
         assert partial * L == full * k  # ratio K/L as exact integers
 
     def test_whole_model_is_layers_times_layer(self, desk_config):
         lf, lb = layer_attention_cost(7, desk_config)
-        f, b = attention_cost(7, desk_config)
+        f, b = step_cost([7] * desk_config.n_layers, desk_config)
         assert (f, b) == (desk_config.n_layers * lf, desk_config.n_layers * lb)
 
     def test_attended_must_be_positive(self, desk_config):
         with pytest.raises(ContractViolation):
-            attention_cost(0, desk_config)
+            layer_attention_cost(0, desk_config)
 
     def test_trace_summation_matches_closed_form(self, desk_weights, rng):
         # 100-step fixed-stride run: total == n_full * full_cost + n_partial * partial_cost
@@ -54,10 +52,8 @@ class TestAttentionCost:
             ScheduleConfig(mode="fixed", stride=S), prompt, N,
         )
         totals = trace_totals(trace)
-        full_b = attention_cost(L, cfg)[1]
-        part_b = attention_cost(8, cfg)[1]
-        full_f = attention_cost(L, cfg)[0]
-        part_f = attention_cost(8, cfg)[0]
+        full_f, full_b = step_cost([L] * cfg.n_layers, cfg)
+        part_f, part_b = step_cost([8] * cfg.n_layers, cfg)
         n_full = N // S
         assert totals["kv_bytes_moved"] == n_full * full_b + (N - n_full) * part_b
         assert totals["attention_flops"] == n_full * full_f + (N - n_full) * part_f
@@ -88,7 +84,7 @@ class TestPerplexity:
         weights = init_model(desk_config)
         weights.w_out = np.zeros_like(weights.w_out)  # all-zero logits: uniform
         stream = rng.integers(0, desk_config.vocab_size, size=48).tolist()
-        ppl = perplexity(weights, PolicyConfig(kind="vanilla"), None, stream, tail=16)
+        ppl = nll_to_perplexity(teacher_forced_run(weights, PolicyConfig(kind="vanilla"), None, stream, 16)[0])
         assert ppl == pytest.approx(desk_config.vocab_size, rel=1e-12)
 
     def test_vanilla_matches_from_scratch_tail(self, desk_weights, rng):
@@ -107,19 +103,19 @@ class TestPerplexity:
 
     def test_equivalence_ladder_preserves_perplexity(self, desk_weights, rng):
         stream = rng.integers(0, 256, size=48).tolist()
-        base = perplexity(desk_weights, PolicyConfig(kind="vanilla"), None, stream, tail=12)
-        same = perplexity(
+        base, _ = teacher_forced_run(desk_weights, PolicyConfig(kind="vanilla"), None, stream, 12)
+        same, _ = teacher_forced_run(
             desk_weights,
             PolicyConfig(kind="refreshkv", k=36),
             ScheduleConfig(mode="always_full"),
             stream,
-            tail=12,
+            12,
         )
-        assert same == pytest.approx(base, rel=1e-9)
+        assert nll_to_perplexity(same) == pytest.approx(nll_to_perplexity(base), rel=1e-9)
 
     def test_tail_bounds_checked(self, desk_weights):
         with pytest.raises(ConfigurationError):
-            perplexity(desk_weights, PolicyConfig(kind="vanilla"), None, [1, 2, 3], tail=3)
+            teacher_forced_run(desk_weights, PolicyConfig(kind="vanilla"), None, [1, 2, 3], 3)
 
     def test_nll_to_perplexity(self):
         assert nll_to_perplexity([0.0, 0.0]) == 1.0

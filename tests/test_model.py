@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kvrefresh import model
+from kvrefresh.engine import DecodeSession
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.model import (
     ATTN_BLOCK,
@@ -21,6 +25,8 @@ from kvrefresh.model import (
     save_weights,
 )
 from kvrefresh.numerics import softmax_rows
+from kvrefresh.policies import PolicyConfig
+from kvrefresh.scheduler import ScheduleConfig
 
 BLOCK_EDGE_LENGTHS = [1, ATTN_BLOCK - 1, ATTN_BLOCK, ATTN_BLOCK + 1, 3 * ATTN_BLOCK + 5]
 
@@ -54,11 +60,11 @@ def dense_attention(q, k, v, group):
     mask = np.triu(np.full((L, L), -np.inf), k=1)
     ctx = np.empty_like(q)
     last_rows = []
-    for h in range(k.shape[1]):
+    for h in range(k.shape[0]):
         rows = np.empty((group, L))
         for g in range(group):
-            probs = softmax_rows(q[:, h * group + g] @ k[:, h].T * (1.0 / np.sqrt(d)) + mask)
-            ctx[:, h * group + g] = probs @ v[:, h]
+            probs = softmax_rows(q[:, h * group + g] @ k[h].T * (1.0 / np.sqrt(d)) + mask)
+            ctx[:, h * group + g] = probs @ v[h]
             rows[g] = probs[-1]
         last_rows.append(rows)
     return ctx, last_rows
@@ -73,14 +79,13 @@ def decode_step(weights, token, views, position, observe_scores=False):
     rotated). The provider appends the current token's key/value to every
     head before handing the view over, as a session's store would.
     """
-    cfg = weights.config
 
     def provider(layer_idx, q, avg_q, k_new, v_new):
         keys, values, positions = views[layer_idx]
         keys = np.concatenate([keys, k_new[:, None]], axis=1)
         values = np.concatenate([values, v_new[:, None]], axis=1)
-        positions = np.append(positions, position)
-        return LayerView(keys, values, [positions] * cfg.n_kv_heads, observe=observe_scores)
+        positions = np.broadcast_to(np.append(positions, position), keys.shape[:2])
+        return LayerView(keys, values, positions, observe=observe_scores)
 
     return decode_core(weights, token, position, provider)
 
@@ -113,6 +118,8 @@ class TestInit:
             dict(head_dim=0),
             dict(ffn_mult=0.0),
             dict(vocab_size=1),
+            dict(max_position=0),
+            dict(max_position=model.MAX_POSITIONS + 1),  # rejected before its rotary table is built
         ],
     )
     def test_invalid_configs(self, bad):
@@ -159,7 +166,7 @@ class TestCausalAttention:
     @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
     def test_matches_dense_oracle(self, length, n_kv, rng):
         q = rng.standard_normal((length, 4, 16))
-        k, v = rng.standard_normal((2, length, n_kv, 16))
+        k, v = rng.standard_normal((2, n_kv, length, 16))
         ctx, rows = causal_attention(q, k, v, 4 // n_kv)
         ctx_ref, rows_ref = dense_attention(q, k, v, 4 // n_kv)
         assert_normwise_close(ctx, ctx_ref)
@@ -241,11 +248,73 @@ class TestDecodeStep:
 
         def empty(layer_idx, q, avg_q, k_new, v_new):
             c = caches[layer_idx]
-            heads = range(desk_weights.config.n_kv_heads)
-            return LayerView(c.keys[:, :0], c.values[:, :0], [c.positions[:0] for _ in heads])
+            return LayerView(c.keys[:, :0], c.values[:, :0], np.broadcast_to(c.positions[:0], c.keys.shape[:1] + (0,)))
 
         with pytest.raises(ContractViolation):
             decode_core(desk_weights, 1, 2, empty)
+
+
+class TestRopeTable:
+    def test_table_is_the_angle_expression_bitwise(self, desk_weights):
+        cfg = desk_weights.config
+        cos, sin = desk_weights.rope
+        assert cos.shape == sin.shape == (cfg.max_position, cfg.head_dim // 2)
+        ref_cos, ref_sin = model._rope_angles(np.arange(cfg.max_position), cfg.head_dim)
+        assert np.array_equal(cos, ref_cos) and np.array_equal(sin, ref_sin)
+        # and each row equals the angles of its position computed alone, bit for bit
+        for p in (0, 1, 17, 4095, cfg.max_position - 1):
+            one_cos, one_sin = model._rope_angles(np.asarray([p]), cfg.head_dim)
+            assert np.array_equal(cos[p], one_cos[0]) and np.array_equal(sin[p], one_sin[0])
+
+    def test_last_table_row_decodes_and_max_position_is_rejected(self, rng):
+        weights = init_model(ModelConfig(max_position=32, seed=3))
+        toks = random_tokens(rng, weights.config, 4)
+        caches, _ = prefill(weights, toks)
+        out = decode_step(weights, 1, cache_views(caches), position=31)
+        assert np.isfinite(out.logits).all()
+        with pytest.raises(ContractViolation):
+            decode_step(weights, 1, cache_views(caches), position=32)
+
+
+def perfbench_lookups(span):
+    """The `module:name` lookups the benchmark's tracer wraps to time `span`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses resolve annotations through sys.modules
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[spec.name]
+    return next(target.lookups for target in tracer.TARGETS if target.span == span)
+
+
+class TestTraceSpans:
+    """The benchmark times decode_core's rotation and softmax by wrapping these
+    module globals; each must run once per layer per decode step, or the
+    traced `model.apply_rope` and `numerics.softmax_rows` spans read 0."""
+
+    @pytest.mark.parametrize("kind", ["vanilla", "refreshkv"])
+    def test_rope_and_softmax_run_once_per_layer_per_step(self, desk_weights, rng, monkeypatch, kind):
+        calls = {}
+        for span, name in [("model.apply_rope", "apply_rope"), ("numerics.softmax_rows", "softmax_rows")]:
+            assert f"kvrefresh.model:{name}" in perfbench_lookups(span)
+            calls[name] = 0
+
+            def counted(*args, _name=name, _original=getattr(model, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), ScheduleConfig(mode="fixed", stride=3))
+        session.prefill(random_tokens(rng, desk_weights.config, 20))
+        modes = set()
+        for token in random_tokens(rng, desk_weights.config, 7):
+            before = dict(calls)
+            _, rec = session.step(token)
+            modes.update(rec.modes)
+            assert {n: calls[n] - before[n] for n in calls} == dict.fromkeys(calls, desk_weights.config.n_layers)
+        assert modes == ({"full"} if kind == "vanilla" else {"full", "partial"})
 
 
 class TestIncrementalConsistency:

@@ -7,13 +7,19 @@ from kvrefresh.scheduler import (
     LayerScheduleState,
     ScheduleConfig,
     effective_stride,
-    replay_decisions,
     should_full,
 )
 
 
 def state_with(ref):
     return LayerScheduleState(reference_query=np.asarray(ref, dtype=float))
+
+
+def qc_decisions(queries, reference, qc_stride, threshold):
+    """should_full at generated steps 1, 2, ... for a fixed reference query."""
+    cfg = ScheduleConfig(mode="qc", qc_stride=qc_stride, threshold=threshold)
+    st = state_with(reference)
+    return [should_full(st, i + 1, q, cfg) for i, q in enumerate(queries)]
 
 
 class TestShouldFull:
@@ -69,18 +75,17 @@ class TestShouldFull:
 
 class TestReplayMonotonicity:
     def test_raising_threshold_only_adds_full_steps(self, rng):
-        sims = []
-        for i in range(1, 121):
-            sims.append(float(rng.uniform(-1, 1)) if i % 5 == 0 else None)
+        reference = rng.normal(size=8)
+        queries = [rng.normal(size=8) for _ in range(120)]
         for lo, hi in [(-0.5, 0.0), (0.0, 0.7), (0.7, 0.99), (-1.0, 1.0)]:
-            fired_lo = replay_decisions(sims, 5, lo)
-            fired_hi = replay_decisions(sims, 5, hi)
+            fired_lo = qc_decisions(queries, reference, 5, lo)
+            fired_hi = qc_decisions(queries, reference, 5, hi)
             for a, b in zip(fired_lo, fired_hi):
                 assert (not a) or b  # fired at low threshold => fired at high
 
     def test_replay_respects_boundaries(self):
-        sims = [0.0] * 10
-        fired = replay_decisions(sims, 4, 0.9)
+        queries = [np.array([0.0, 1.0])] * 10  # similarity 0.0 to the reference at every step
+        fired = qc_decisions(queries, [1.0, 0.0], 4, 0.9)
         assert [i + 1 for i, f in enumerate(fired) if f] == [4, 8]
 
 
