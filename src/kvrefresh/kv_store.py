@@ -88,15 +88,13 @@ class PartialCache:
     order. `positions` and `scores` ((n_kv_heads, m)), `keys` and `values`
     ((n_kv_heads, m, head_dim)) are views of the filled prefix of arrays
     with `capacity + PARTIAL_SLACK` slots that double if a grow-only cache
-    outgrows them.
+    outgrows them. A refresh refills the same arrays in place.
     """
 
     def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
                  scores: np.ndarray):
-        self.capacity = capacity
-        self._n = m = positions.shape[1]
-        slots = max(m, capacity + PARTIAL_SLACK)
-        self._arrays = [_resized(a, m, slots) for a in (positions, keys, values, scores)]
+        self._arrays = [_resized(a, 0, 0) for a in (positions, keys, values, scores)]
+        self.refill(capacity, positions, keys, values, scores)
 
     positions = property(lambda self: self._arrays[0][:, : self._n])
     keys = property(lambda self: self._arrays[1][:, : self._n])
@@ -105,6 +103,15 @@ class PartialCache:
 
     def sizes(self) -> list[int]:
         return [self._n] * self._arrays[0].shape[0]
+
+    def refill(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
+               scores: np.ndarray) -> None:
+        """Replace every entry with the given (n_kv_heads, m, ...) arrays, in the existing arena when it fits."""
+        self.capacity, self._n = capacity, positions.shape[1]
+        if (slots := max(self._n, capacity + PARTIAL_SLACK)) > self._arrays[0].shape[1]:
+            self._arrays = [_resized(a, 0, slots) for a in self._arrays]
+        for a, new in zip(self._arrays, (positions, keys, values, scores)):
+            a[:, : self._n] = new
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write one entry (all heads) in place with the NEW sentinel score."""
@@ -123,37 +130,40 @@ class PartialCache:
         NEW entries count as +inf (never evicted while any scored entry
         remains); if a head is entirely NEW, the oldest entry goes. Score
         ties resolve toward the lower position. Each head's later entries
-        shift down one slot in place, so positions stay ascending.
+        shift down one slot in place, so positions stay ascending: a slice
+        copy per head and array, at a few heads cheaper than gathers.
         """
         while self._n > self.capacity:
             n = self._n
-            s = self._arrays[3][:, :n]
-            # argmin keeps the first (lowest position) on ties, and slot 0 when all are NEW
-            victims = np.where(np.isfinite(s), s, np.inf).argmin(axis=1)
-            for h, i in enumerate(victims):
+            # argmin keeps the first (lowest position) on ties, and slot 0 when all are NEW (+inf)
+            for h, i in enumerate(self._arrays[3][:, :n].argmin(axis=1).tolist()):
                 for a in self._arrays:
                     a[h, i : n - 1] = a[h, i + 1 : n]
             self._n = n - 1
 
 
-def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int) -> PartialCache:
-    """Build a partial cache from the top-k scored positions of each kv-head.
+def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: PartialCache | None = None
+                 ) -> PartialCache:
+    """Fill a partial cache with the top-k scored positions of each kv-head.
 
     scores_per_head: (n_kv_heads, len(full)) selection scores (already
     group-aggregated and pooled). Entries keep their score and ascending
-    position order. A refresh is a fresh call: previous contents, NEW
-    entries included, survive only if the new scores re-select them.
+    position order. A refresh passes the layer's cache as `into` and it is
+    refilled in place (its arena grows only if k exceeds it): previous
+    contents, NEW entries included, survive only if the new scores
+    re-select them. Without `into` a new cache is built.
     """
     scores_per_head = np.asarray(scores_per_head, dtype=np.float64)
     n = len(full)
     if scores_per_head.shape[1] != n:
-        raise ContractViolation(
-            f"score length {scores_per_head.shape[1]} != full-cache length {n}"
-        )
+        raise ContractViolation(f"score length {scores_per_head.shape[1]} != full-cache length {n}")
     if k < 1 or k > n:
         raise ConfigurationError(f"partial-cache budget must satisfy 1 <= k <= {n}, got {k}")
 
     idx = top_k_indices(scores_per_head, k)  # (n_kv_heads, k)
     heads = np.arange(idx.shape[0])[:, None]
-    return PartialCache(k, full.positions[idx], full.keys[heads, idx], full.values[heads, idx],
-                        np.take_along_axis(scores_per_head, idx, axis=1))
+    entries = (full.positions[idx], full.keys[heads, idx], full.values[heads, idx], scores_per_head[heads, idx])
+    if into is None:
+        return PartialCache(k, *entries)
+    into.refill(k, *entries)
+    return into

@@ -40,23 +40,23 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def max_pool_1d(scores: np.ndarray, kernel: int) -> np.ndarray:
-    """Sliding-window maximum with odd kernel, windows truncated at the edges.
+    """Sliding-window maximum along the last axis with odd kernel, windows truncated at the edges.
 
-    out[i] = max(scores[i - kernel//2 : i + kernel//2 + 1]) intersected with
-    valid indices; output length equals input length.
+    scores: (..., m). out[..., i] = max(scores[..., i - kernel//2 : i + kernel//2 + 1])
+    intersected with valid indices. Every row is pooled at once: the rows are
+    padded with -inf, and each shifted np.maximum doubles the window covered
+    (widths 1, 2, 4, ..., kernel), so kernel 7 takes three calls.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ConfigurationError(f"pooling kernel must be odd and positive, got {kernel}")
     x = np.asarray(scores, dtype=np.float64)
-    if kernel == 1 or x.size <= 1:
-        return x.copy()
-    half = kernel // 2
-    n = x.size
-    out = x.copy()
-    for off in range(1, half + 1):
-        out[off:] = np.maximum(out[off:], x[:-off])
-        out[:-off] = np.maximum(out[:-off], x[off:])
-    assert out.shape == x.shape
+    pad = np.full(x.shape[:-1] + (kernel // 2,), -np.inf)
+    out = np.concatenate([pad, x, pad], axis=-1)
+    width = 1  # out[..., i] is the maximum of `width` padded entries starting at i
+    while width < kernel:
+        shift = min(width, kernel - width)
+        out = np.maximum(out[..., :-shift], out[..., shift:])
+        width += shift
     return out
 
 
@@ -64,19 +64,24 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores along the last axis, ties broken toward the lower index.
 
     scores: (..., n); returns (..., k), each row sorted ascending by
-    position. One partition finds each row's k-th largest score; every
-    index strictly above it is kept, and the remaining slots go to the
-    lowest-index entries equal to it.
+    position. One partition finds each row's k-th largest score t, and one
+    pass flags the entries >= t. A row with more than k of them has surplus
+    entries equal to t; its highest-index ties are dropped, working on the
+    flagged entries only.
     """
     x = np.asarray(scores, dtype=np.float64)
     n = x.shape[-1]
     if k < 1 or k > n:
         raise ContractViolation(f"top-k needs 1 <= k <= {n}, got {k}")
-    neg = -x  # ascending order of -x is descending order of x
-    threshold = np.partition(neg, k - 1, axis=-1)[..., k - 1 : k]
-    above = neg < threshold
-    ties = neg == threshold
-    # ufunc reductions direct: the array methods' dispatch dominates at h2o's per-step sizes
-    need = k - np.add.reduce(above, axis=-1, keepdims=True, dtype=np.intp)
-    keep = above | (ties & (np.add.accumulate(ties, axis=-1, dtype=np.intp) <= need))
-    return np.nonzero(keep)[-1].reshape(x.shape[:-1] + (k,))
+    threshold = np.partition(x, n - k, axis=-1)[..., n - k : n - k + 1]
+    flat = np.flatnonzero(x >= threshold)  # row by row, ascending within each row
+    if flat.size > x.size // n * k:
+        rows = flat // n
+        tie = np.flatnonzero(np.take(x, flat) == np.take(threshold, rows))
+        tie_rows = rows[tie]
+        # count each tie back from its row's last tie; the row's surplus is dropped from the end
+        from_end = np.searchsorted(tie_rows, tie_rows, side="right") - np.arange(1, tie.size + 1)
+        keep = np.ones(flat.size, dtype=bool)
+        keep[tie[from_end < (np.bincount(rows) - k)[tie_rows]]] = False
+        flat = flat[keep]
+    return (flat % n).reshape(x.shape[:-1] + (k,))

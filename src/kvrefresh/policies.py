@@ -34,7 +34,10 @@ array.
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
 over neighboring positions. Top-K runs independently per kv-head unless
-shared_selection collapses the scores across heads first.
+shared_selection collapses the scores across heads first. A refresh works
+on whole (n_kv_heads, ...) arrays: one aggregation, pooling and top-K over
+every head, then an in-place refill of the layer's partial-cache arena,
+whose gathered scores give the retained mass in O(K).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .kv_store import PartialCache, init_partial
 from .metrics import (
     h2o_overhead_flops,
     qc_overhead_flops,
-    retained_mass,
     score_pass_flops,
     selection_overhead_flops,
 )
@@ -129,45 +131,39 @@ class PolicyConfig:
 
 
 def aggregate_group_scores(per_query_head_rows: np.ndarray, mode: str) -> np.ndarray:
-    """Collapse a group of query-head score rows into one row.
+    """Collapse each group of query-head score rows into one row.
 
-    rows: (group_size, m). max/mean are elementwise; first passes the
-    first head's row through.
+    rows: (..., group_size, m) -> (..., m). max/mean are elementwise over
+    the group axis; first passes each group's first row through.
     """
     rows = np.asarray(per_query_head_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ContractViolation(f"expected a non-empty (group, positions) array, got shape {rows.shape}")
+    if rows.ndim < 2 or rows.shape[-2] < 1:
+        raise ContractViolation(f"expected a non-empty (..., group, positions) array, got shape {rows.shape}")
     if mode == "max":
-        return rows.max(axis=0)
+        return rows.max(axis=-2)
     if mode == "mean":
-        return rows.mean(axis=0)
+        return rows.mean(axis=-2)
     if mode == "first":
-        return rows[0].copy()
+        return rows[..., 0, :].copy()
     raise ConfigurationError(f"unknown aggregation mode {mode!r}")
 
 
 def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndarray:
     """Selection scores per kv-head: group-aggregate, then max-pool.
 
-    rows_per_head: (n_kv_heads, group_size, m), or per kv-head arrays of
-    shape (group_size, m): the probability rows observed at a
-    full-attention (or prefill) step.
-    Returns (n_kv_heads, m). With shared_selection the per-head rows are
-    collapsed by elementwise max so every head selects the same positions.
+    rows_per_head: (n_kv_heads, group_size, m), or a sequence of per
+    kv-head (group_size, m) arrays: the probability rows observed at a
+    full-attention (or prefill) step. Every head is aggregated and pooled
+    by the same whole-array calls. Returns (n_kv_heads, m). With
+    shared_selection the per-head rows are collapsed by elementwise max so
+    every head selects the same positions.
     """
-    if len(rows_per_head) == 0:
-        raise ContractViolation("no attention rows to score")
-    m = rows_per_head[0].shape[1]
-    if any(r.shape[1] != m for r in rows_per_head):
-        raise ContractViolation("ragged attention rows across kv-heads")
-    out = np.stack(
-        [
-            max_pool_1d(aggregate_group_scores(rows, config.gqa_aggregation), config.kernel_size)
-            for rows in rows_per_head
-        ]
-    )
+    rows = np.asarray(rows_per_head, dtype=np.float64)
+    if rows.ndim != 3 or rows.shape[0] == 0:
+        raise ContractViolation(f"expected (n_kv_heads, group, positions) attention rows, got shape {rows.shape}")
+    out = max_pool_1d(aggregate_group_scores(rows, config.gqa_aggregation), config.kernel_size)
     if config.shared_selection:
-        out = np.broadcast_to(out.max(axis=0), out.shape).copy()
+        out[:] = out.max(axis=0)
     return out
 
 
@@ -373,7 +369,7 @@ class TopK(LayerPolicy):
             return self._partial_view(mode="partial")
         if self.output_full:
             return self._full_view(observe=self.refresh)
-        self._refreshed = self._refresh(self._score_rows(q))
+        self._refreshed = self._refresh(step, self._score_rows(q))
         return self._partial_view(mode="full")
 
     def update(self, step, rows, avg_q):
@@ -394,11 +390,11 @@ class TopK(LayerPolicy):
         if self._refreshed is None:
             if rows is None or rows[0].shape[1] != m:
                 raise ContractViolation("full-step observation rows missing or misaligned")
-            self._refreshed = self._refresh(rows)
+            self._refreshed = self._refresh(step, rows)
         else:
             overhead += score_pass_flops(m, self.model)
         overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
-        return LayerStep(attended, overhead, self._sim, self._report_refresh(step, *self._refreshed))
+        return LayerStep(attended, overhead, self._sim, self._refreshed)
 
     def _partial_view(self, mode: str) -> LayerView:
         cp = self.partial
@@ -410,37 +406,26 @@ class TopK(LayerPolicy):
         q_groups = q.reshape(cfg.n_kv_heads, cfg.group_size, cfg.head_dim)
         return softmax_rows(q_groups @ self.full.keys.transpose(0, 2, 1) * (1.0 / np.sqrt(cfg.head_dim)))
 
-    def _refresh(self, rows: np.ndarray) -> tuple:
-        """Rebuild the partial cache from the full cache's top-K under `rows`."""
-        sel = selection_scores(rows, self.config)
-        pre_positions = [p.copy() for p in self.partial.positions]
-        self.partial = init_partial(self.full, sel, self.k_sel)
-        return rows, sel, pre_positions
+    def _refresh(self, step: int, rows: np.ndarray) -> list[float]:
+        """Refill the partial cache in place with the full cache's top-K under `rows`.
 
-    def _report_refresh(self, step: int, rows, sel: np.ndarray, pre_positions) -> list[float]:
-        """Selection-row coverage after the refresh, per kv-head (and the refresh event)."""
-        post_positions = [p.copy() for p in self.partial.positions]
-        pre_retained, post_retained = [], []
-        for h in range(self.model.n_kv_heads):
-            norm = sel[h].sum()
-            row_norm = sel[h] / norm if norm > 0 else sel[h]
-            pre_retained.append(retained_mass(row_norm, pre_positions[h]))
-            post_retained.append(retained_mass(row_norm, post_positions[h]))
-        if self.recorder is not None:
-            self.recorder(
-                {
-                    "kind": "refresh",
-                    "step": step,
-                    "layer": self.layer,
-                    "rows": [r.copy() for r in rows],
-                    "selection": sel.copy(),
-                    "k": self.k_sel,
-                    "pre_positions": pre_positions,
-                    "post_positions": post_positions,
-                    "pre_retained": pre_retained,
-                    "post_retained": post_retained,
-                }
-            )
+        Returns the retained mass per kv-head: the selection row, normalised
+        by its total, summed over the K positions held after the refill (the
+        gathered scores). The refresh event also reports it for the
+        positions held before.
+        """
+        sel = selection_scores(rows, self.config)
+        norm = sel.sum(axis=1, keepdims=True)
+        norm[norm == 0] = 1.0
+        pre = self.partial.positions.copy() if self.recorder is not None else None  # the refill overwrites them
+        self.partial = init_partial(self.full, sel, self.k_sel, self.partial)
+        post_retained = (self.partial.scores / norm).sum(axis=1).tolist()
+        if self.recorder is not None:  # full-cache positions run from 0, so a position indexes its selection column
+            pre_retained = (np.take_along_axis(sel, pre, axis=1) / norm).sum(axis=1).tolist()
+            self.recorder({"kind": "refresh", "step": step, "layer": self.layer, "rows": [r.copy() for r in rows],
+                           "selection": sel.copy(), "k": self.k_sel, "pre_positions": pre,
+                           "post_positions": self.partial.positions.copy(), "pre_retained": pre_retained,
+                           "post_retained": post_retained})
         return post_retained
 
 

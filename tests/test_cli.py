@@ -188,6 +188,20 @@ class TestCompare:
         assert err.startswith("i/o error: ") and "absent" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("failure", ["missing config file", "output path is a file"])
+def test_io_failure_exits_io_naming_the_path(failure, tmp_path, capsys):
+    if failure == "missing config file":
+        path = tmp_path / "absent.json"
+        argv = ["--config", str(path), "--out", str(tmp_path / "run")]
+    else:
+        path = tmp_path / "taken"
+        path.write_text("a file, not a directory\n")
+        argv = ["--out", str(path)]
+    assert main(["run", *argv, *SHORT_LM]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(path) in err and "Traceback" not in err
+
+
 def test_damaged_weight_file_exits_io(tmp_path, monkeypatch, capsys, desk_weights):
     # no command reads a weight file yet, so route one through `run`
     path = tmp_path / "weights.bin"

@@ -10,7 +10,8 @@ The runs happen in one child process with BLAS pinned to one thread, so a
 multi-threaded BLAS cannot split a matrix product differently and move the
 last bits of a float column (under the dense L x L prefill kernel, the
 chainkey trace differed between one and two threads). Running this file
-directly prints the current digests as JSON.
+directly (`python tests/test_golden_traces.py`, no PYTHONPATH needed)
+prints the current digests as JSON; the test runs it that way.
 
 A change that alters arithmetic on purpose (for example a new attention
 kernel that sums in a different order) changes these digests. Such a
@@ -75,8 +76,8 @@ def digests() -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def computed() -> dict[str, str]:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    # the child runs this file as a script: its own __main__ path finds src/ and pins BLAS
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300, check=True
     )
@@ -89,4 +90,6 @@ def test_trace_digest_is_pinned(case, computed):
 
 
 if __name__ == "__main__":
+    os.environ.update({var: "1" for var in BLAS_THREAD_VARS})  # before kvrefresh imports numpy
+    sys.path.insert(0, str(SRC))
     print(json.dumps(digests(), indent=2, sort_keys=True))

@@ -28,6 +28,20 @@ def entry(rng):
     return rng.normal(size=(N_KV, DIM)), rng.normal(size=(N_KV, DIM))
 
 
+def loop_evict_overflow(cp):
+    """The per-head loop evict_overflow replaced, on copies: (positions, keys, values, scores)."""
+    arrays = [a.copy() for a in (cp.positions, cp.keys, cp.values, cp.scores)]
+    n = arrays[0].shape[1]
+    while n > cp.capacity:
+        s = arrays[3][:, :n]
+        victims = np.where(np.isfinite(s), s, np.inf).argmin(axis=1)
+        for h, i in enumerate(victims):
+            for a in arrays:
+                a[h, i : n - 1] = a[h, i + 1 : n]
+        n -= 1
+    return [a[:, :n] for a in arrays]
+
+
 class TestInitPartial:
     def test_full_selection_is_whole_cache(self, rng):
         full = make_full(6, rng)
@@ -130,6 +144,24 @@ class TestAppendAndEvict:
                 assert (np.diff(cp.positions[h]) > 0).all()
 
 
+    @pytest.mark.parametrize("n_drop", [1, 3])
+    def test_matches_per_head_loop_oracle(self, rng, n_drop):
+        # small-integer scores force ties; NEW entries and all-NEW heads take the oldest-first rule
+        for _ in range(40):
+            n = int(rng.integers(n_drop + 1, 12))
+            cp = self.make_cp(rng, np.zeros(n), n)
+            cp.scores[:] = rng.integers(0, 3, size=(N_KV, n)).astype(float)
+            cp.scores[rng.uniform(size=(N_KV, n)) < 0.3] = NEW_SCORE
+            if rng.uniform() < 0.2:
+                cp.scores[int(rng.integers(N_KV))] = NEW_SCORE
+            cp.capacity = n - n_drop
+            expected = loop_evict_overflow(cp)
+            cp.evict_overflow()
+            assert cp.sizes() == [n - n_drop] * N_KV
+            for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestFullCacheAppend:
     def test_append_grows_past_capacity(self, rng):
         full = make_full(4, rng)
@@ -207,4 +239,30 @@ class TestRefresh:
         assert cp2.sizes() == [3, 3]
         for h in range(N_KV):
             assert 6 not in cp2.positions[h]
+
+    def test_refill_into_reuses_the_arena(self, rng):
+        full = make_full(20, rng)
+        cp = init_partial(full, rng.uniform(size=(N_KV, 20)), 5)
+        keys, positions = cp.keys, cp.positions
+        k, v = entry(rng)
+        append_and_evict(cp, 20, k, v, evict=False)
+        full.append(20, k, v)
+        scores = rng.uniform(size=(N_KV, 21))
+        assert init_partial(full, scores, 5, into=cp) is cp
+        assert np.shares_memory(cp.keys, keys) and np.shares_memory(cp.positions, positions)
+        assert cp.sizes() == [5] * N_KV and cp.capacity == 5
+        fresh = init_partial(full, scores, 5)
+        for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores),
+                             (fresh.positions, fresh.keys, fresh.values, fresh.scores)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_refill_grows_an_arena_too_small_for_k(self, rng):
+        full = make_full(20, rng)
+        cp = init_partial(full, rng.uniform(size=(N_KV, 20)), 3)
+        scores = rng.uniform(size=(N_KV, 20))
+        init_partial(full, scores, 12, into=cp)
+        assert cp.sizes() == [12] * N_KV
+        for h in range(N_KV):
+            np.testing.assert_array_equal(cp.positions[h], brute_force_top_k(scores[h], 12))
+            np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
 

@@ -14,6 +14,20 @@ def brute_force_top_k(scores, k):
     return sorted(ranked[:k])
 
 
+def shifted_loop_max_pool(x, kernel):
+    """The one-row pooling max_pool_1d replaced: one shifted maximum per offset and side."""
+    out = x.copy()
+    for off in range(1, kernel // 2 + 1):
+        out[off:] = np.maximum(out[off:], x[:-off])
+        out[:-off] = np.maximum(out[:-off], x[off:])
+    return out
+
+
+def plateau_rows(rng, n_rows, n):
+    """Pooled rows full of plateaus: few distinct values, each spread over a kernel-7 window."""
+    return max_pool_1d(rng.integers(0, 40, size=(n_rows, n)).astype(float), 7)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5])
@@ -122,6 +136,17 @@ class TestMaxPool:
             np.testing.assert_allclose(max_pool_1d(x, kernel), expected)
 
 
+    @pytest.mark.parametrize("kernel", [1, 3, 7, 9])
+    def test_rows_match_the_shifted_loop_bitwise(self, rng, kernel):
+        for m in range(1, kernel + 4):
+            x = rng.uniform(size=(3, m))
+            pooled = max_pool_1d(x, kernel)
+            assert pooled.shape == x.shape
+            for row, got in zip(x, pooled):
+                np.testing.assert_array_equal(got, shifted_loop_max_pool(row, kernel))
+                np.testing.assert_array_equal(max_pool_1d(row, kernel), got)  # 1-D input is one row
+
+
 class TestTopK:
     def test_full_selection(self, rng):
         x = rng.uniform(size=9)
@@ -162,6 +187,14 @@ class TestTopK:
         for row_scores, row_got in zip(scores, got):
             np.testing.assert_array_equal(row_got, brute_force_top_k(row_scores, k))
         np.testing.assert_array_equal(top_k_indices(scores[0], k), got[0])  # 1-D input is one row
+
+    def test_matches_brute_force_on_long_plateau_rows(self, rng):
+        # pooled selection rows: the k-th largest score sits on a plateau of equal entries
+        scores = plateau_rows(rng, 2, 4096)
+        got = top_k_indices(scores, 128)
+        for row, row_got in zip(scores, got):
+            assert np.count_nonzero(row >= np.sort(row)[-128]) > 128  # the boundary has surplus ties
+            np.testing.assert_array_equal(row_got, brute_force_top_k(row.tolist(), 128))
 
     def test_matches_brute_force_on_random_floats(self, rng):
         for _ in range(200):

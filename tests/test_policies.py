@@ -2,16 +2,34 @@ import numpy as np
 import pytest
 
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.engine import DecodeSession
+from kvrefresh.engine import DecodeSession, greedy_generate
 from kvrefresh.kv_store import init_partial
+from kvrefresh.metrics import retained_mass
 from kvrefresh.model import prefill
+from kvrefresh.numerics import max_pool_1d
 from kvrefresh.policies import (
+    AGGREGATION_MODES,
     H2OState,
     PolicyConfig,
     aggregate_group_scores,
     selection_scores,
     streaming_keepset,
 )
+from kvrefresh.scheduler import ScheduleConfig
+
+
+def brute_force_top_k(scores, k):
+    ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return sorted(ranked[:k])
+
+
+def per_head_retained(sel, positions):
+    """The per-head formula the refresh report replaced: normalise the whole row, then sum at the positions."""
+    out = []
+    for h in range(sel.shape[0]):
+        norm = sel[h].sum()
+        out.append(retained_mass(sel[h] / norm if norm > 0 else sel[h], positions[h]))
+    return out
 
 
 class TestAggregation:
@@ -75,6 +93,80 @@ class TestSelectionScores:
             direct = init_partial(full, selection_scores(rows, PolicyConfig()), 8)
             for h in range(2):
                 np.testing.assert_array_equal(session.partial[layer].positions[h], direct.positions[h])
+
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("kernel", [1, 3, 7, 9])
+    @pytest.mark.parametrize("mode", AGGREGATION_MODES)
+    def test_batched_equals_per_head_bitwise(self, rng, mode, kernel, shared):
+        cfg = PolicyConfig(gqa_aggregation=mode, kernel_size=kernel, shared_selection=shared)
+        for m in range(1, kernel + 4):
+            rows = rng.uniform(size=(3, 2, m))
+            per_head = np.stack([max_pool_1d(aggregate_group_scores(r, mode), kernel) for r in rows])
+            if shared:
+                per_head = np.tile(per_head.max(axis=0), (3, 1))
+            np.testing.assert_array_equal(selection_scores(rows, cfg), per_head)
+            np.testing.assert_array_equal(selection_scores(list(rows), cfg), per_head)  # a per-head sequence too
+
+
+class TestRefresh:
+    """A refresh refills the layer's partial-cache arena in place; its report is O(K)."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("kind", ["refreshkv", "refreshkv_no_full"])
+    def test_retained_mass_matches_per_head_formula_bitwise(self, desk_weights, rng, kind, shared):
+        events = []
+        prompt = rng.integers(0, desk_weights.config.vocab_size, size=48).tolist()
+        policy = PolicyConfig(kind=kind, k=8, shared_selection=shared)
+        _, trace, _ = greedy_generate(desk_weights, policy, ScheduleConfig(mode="fixed", stride=4), prompt, 16,
+                                      recorder=events.append)
+        refreshes = [e for e in events if e["kind"] == "refresh"]
+        assert len(refreshes) == 4 * desk_weights.config.n_layers
+        for event in refreshes:
+            assert event["pre_retained"] == per_head_retained(event["selection"], event["pre_positions"])
+            assert event["post_retained"] == per_head_retained(event["selection"], event["post_positions"])
+        for rec in trace:
+            post = [r for e in refreshes if e["step"] == rec.step_index for r in e["post_retained"]]
+            assert rec.retained_mass == (float(np.mean(post)) if post else None)
+
+    def test_refill_shares_memory_with_the_previous_arena(self, desk_weights, rng):
+        prompt = rng.integers(0, desk_weights.config.vocab_size, size=40).tolist()
+        schedule = ScheduleConfig(mode="fixed", stride=4)
+        session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8), schedule)
+        session.prefill(prompt)
+        before = [(cp.positions, cp.keys, cp.values, cp.scores) for cp in session.partial]
+        refreshed = 0
+        for token in prompt[:8]:
+            _, rec = session.step(token)
+            refreshed += rec.retained_mass is not None
+            for cp, arrays in zip(session.partial, before):
+                assert cp.sizes() == [8] * desk_weights.config.n_kv_heads
+                assert all(np.shares_memory(now, then) for now, then in zip(
+                    (cp.positions, cp.keys, cp.values, cp.scores), arrays))
+        assert refreshed == 2
+
+    def test_grow_only_cache_refreshes_to_k(self, desk_weights, rng):
+        events = []
+        prompt = rng.integers(0, desk_weights.config.vocab_size, size=40).tolist()
+        policy = PolicyConfig(kind="refreshkv", k=8, evict_on_append=False)
+        session = DecodeSession(desk_weights, policy, ScheduleConfig(mode="fixed", stride=4), recorder=events.append)
+        session.prefill(prompt)
+        n_kv = desk_weights.config.n_kv_heads
+        for token in prompt[:12]:
+            _, rec = session.step(token)
+            refreshed = [e for e in events if e["kind"] == "refresh" and e["step"] == rec.step_index]
+            for layer, cp in enumerate(session.partial):
+                if not refreshed:
+                    assert cp.sizes()[0] > 8  # partial steps since the last refresh only grew the cache
+                    continue
+                assert cp.sizes() == [8] * n_kv
+                event = refreshed[layer]
+                assert event["pre_positions"].shape[1] > 8
+                sel = selection_scores(event["rows"], policy)
+                for h in range(n_kv):
+                    np.testing.assert_array_equal(cp.positions[h], brute_force_top_k(sel[h].tolist(), 8))
+                    np.testing.assert_array_equal(cp.keys[h], session.full[layer].keys[h][cp.positions[h]])
+        assert any(e["kind"] == "refresh" for e in events)
 
 
 class TestStreamingKeepset:
