@@ -7,17 +7,19 @@ object per layer (see policies.make_policy). Step flow, per layer:
      and asks the session for the layer's attention view;
   2. the session writes the fresh key/value into the layer's full-cache
      arena (every kind but snapkv) and asks the layer's policy for the
-     view. A top-K partial step writes it into the partial-cache arena
-     as well; a scheduled full step, and for refreshkv_no_full its
-     refresh, happens there;
+     view. A partial step of any budgeted policy (streaming, h2o and the
+     top-K kinds) writes it into the layer's partial-cache arena as well;
+     a scheduled full step, and for refreshkv_no_full its refresh, happens
+     there;
   3. attention runs over the view exactly as given, as one batched
      computation over the layer's kv heads: the view is three head-major
      arrays (keys, values, positions) that already hold the current token,
-     and full and partial views are the filled prefix of their arena, so
-     nothing is copied;
+     and every view is the filled prefix of an arena, so nothing is copied;
   4. after the forward pass the policy updates its state from the
-     observed probability rows and reports the layer's modeled cost, from
-     which the session builds an exact-cost StepRecord.
+     observed probability rows (streaming and h2o drop one slot of the
+     partial cache, evicting top-K kinds drop their overflow) and reports
+     the layer's modeled cost, from which the session builds an
+     exact-cost StepRecord.
 
 Sessions are single-threaded; distinct sessions never share state and may
 run on distinct threads.
@@ -65,7 +67,7 @@ class DecodeSession:
 
     @property
     def partial(self) -> list[PartialCache]:
-        """The top-K policies' partial caches, by layer (empty for other kinds)."""
+        """The budgeted policies' partial-cache arenas, by layer (empty for vanilla)."""
         return [p.partial for p in self.layer_policies if p.partial is not None]
 
     def prefill(self, tokens: Sequence[int]) -> StepOutput:

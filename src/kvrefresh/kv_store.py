@@ -1,18 +1,20 @@
 """Per-layer key/value stores for the decoding engine.
 
 Two stores per layer: the full cache (every token seen so far, never
-evicted) and the partial cache (a fixed-budget subset carrying per-entry
-selection scores, selected independently per kv-head). Both are
+evicted) and, for every budgeted policy, the partial cache (a
+fixed-budget subset with one score per entry, held per kv-head). Both are
 head-major arenas: keys and values live in (n_kv_heads, slots, head_dim)
 arrays whose slot axis doubles when full, so one head's entries are a
 contiguous (m, head_dim) prefix that attention reads without a copy. The
 session writes each fresh key/value into its store before the layer
-attends, so a view is always a prefix (or a gather) that already holds the
-current token.
+attends, so a view is always the filled prefix of an arena that already
+holds the current token.
 
-Entries appended to the partial cache since the last full-attention step
-have no selection score yet; they carry the NEW sentinel (+inf), which
-protects them from eviction until the next refresh re-scores everything.
+`scores` holds, for top-K, each entry's selection score, with the NEW
+sentinel (+inf) on entries appended since the last refresh, which protects
+them from eviction until the next refresh re-scores everything; for h2o,
+each entry's cumulative attention (equal on every head); for streaming,
+nothing it reads (zero or NEW), since it drops by slot.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class FullCache:
         self._positions = np.asarray(positions, dtype=np.int64)
         self._keys, self._values = keys, values
         self._n = int(self._positions.size)
+        self._heads = np.arange(keys.shape[0])[:, None]
         self._broadcast_positions()
 
     positions = property(lambda self: self._positions[: self._n])
@@ -77,18 +80,20 @@ class FullCache:
         self._head_positions = np.broadcast_to(self._positions, self._keys.shape[:2])
 
     def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions (m,), keys and values (n_kv_heads, m, head_dim) at the given slots."""
-        return self.positions[indices], self.keys[:, indices], self.values[:, indices]
+        """Positions (n_kv_heads, m), keys and values (n_kv_heads, m, head_dim) at the
+        given slots: (n_kv_heads, m) per head, or (m,) that every head shares."""
+        heads = self._heads
+        return self.head_positions[heads, indices], self.keys[heads, indices], self.values[heads, indices]
 
 
 class PartialCache:
-    """Fixed-budget per-kv-head subset of the cache with selection scores.
+    """Fixed-budget per-kv-head subset of the cache with one score per entry.
 
     Every head holds the same number m of entries, in ascending position
     order. `positions` and `scores` ((n_kv_heads, m)), `keys` and `values`
     ((n_kv_heads, m, head_dim)) are views of the filled prefix of arrays
-    with `capacity + PARTIAL_SLACK` slots that double if a grow-only cache
-    outgrows them. A refresh refills the same arrays in place.
+    with m + PARTIAL_SLACK slots at the last refill, which double if the
+    cache outgrows them. A refresh refills the same arrays in place.
     """
 
     def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
@@ -108,7 +113,7 @@ class PartialCache:
                scores: np.ndarray) -> None:
         """Replace every entry with the given (n_kv_heads, m, ...) arrays, in the existing arena when it fits."""
         self.capacity, self._n = capacity, positions.shape[1]
-        if (slots := max(self._n, capacity + PARTIAL_SLACK)) > self._arrays[0].shape[1]:
+        if (slots := self._n + PARTIAL_SLACK) > self._arrays[0].shape[1]:
             self._arrays = [_resized(a, 0, slots) for a in self._arrays]
         for a, new in zip(self._arrays, (positions, keys, values, scores)):
             a[:, : self._n] = new
@@ -124,22 +129,25 @@ class PartialCache:
         positions[:, n], keys[:, n], values[:, n], scores[:, n] = position, k, v, NEW_SCORE
         self._n = n + 1
 
+    def drop(self, slots: list[int]) -> None:
+        """Remove head h's entry at slots[h]. Later entries shift down one slot in place, so
+        positions stay ascending: a slice copy per head and array, at a few heads cheaper than gathers."""
+        n = self._n
+        for h, i in enumerate(slots):
+            for a in self._arrays:
+                a[h, i : n - 1] = a[h, i + 1 : n]
+        self._n = n - 1
+
     def evict_overflow(self) -> None:
         """Drop lowest-scored entries until each head is back at capacity.
 
         NEW entries count as +inf (never evicted while any scored entry
         remains); if a head is entirely NEW, the oldest entry goes. Score
-        ties resolve toward the lower position. Each head's later entries
-        shift down one slot in place, so positions stay ascending: a slice
-        copy per head and array, at a few heads cheaper than gathers.
+        ties resolve toward the lower position.
         """
         while self._n > self.capacity:
-            n = self._n
             # argmin keeps the first (lowest position) on ties, and slot 0 when all are NEW (+inf)
-            for h, i in enumerate(self._arrays[3][:, :n].argmin(axis=1).tolist()):
-                for a in self._arrays:
-                    a[h, i : n - 1] = a[h, i + 1 : n]
-            self._n = n - 1
+            self.drop(self.scores.argmin(axis=1).tolist())
 
 
 def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: PartialCache | None = None
@@ -161,8 +169,7 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: Par
         raise ConfigurationError(f"partial-cache budget must satisfy 1 <= k <= {n}, got {k}")
 
     idx = top_k_indices(scores_per_head, k)  # (n_kv_heads, k)
-    heads = np.arange(idx.shape[0])[:, None]
-    entries = (full.positions[idx], full.keys[heads, idx], full.values[heads, idx], scores_per_head[heads, idx])
+    entries = (*full.gather(idx), scores_per_head[np.arange(idx.shape[0])[:, None], idx])
     if into is None:
         return PartialCache(k, *entries)
     into.refill(k, *entries)

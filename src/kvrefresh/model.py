@@ -1,7 +1,7 @@
 """Deterministic toy decoder-only transformer with grouped-query attention.
 
 Pre-norm blocks, rotary position encoding, gated feed-forward, float64
-throughout, greedy decoding. The decode path exposes per-layer query
+throughout, greedy decoding. The decode path exposes per-layer mean query
 vectors and per-head attention probability rows so cache policies and the
 scheduler can observe them. Weights are fully determined by the config
 seed; two initializations with an equal config are bitwise identical.
@@ -26,9 +26,7 @@ attends its own (m, head_dim) keys through one matmul, and one
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -203,10 +201,10 @@ class LayerView:
     Three head-major arrays with the same m entries on every kv head. The
     session writes the current token's fresh key/value into its store
     before it builds the view, so attention runs over the view exactly as
-    given. A view of the full cache is the filled prefix of the layer's
-    arena, and its one position row is broadcast over the heads, so neither
-    is a copy: they hold until the store's next write. A gather view is a
-    fresh array with its position row broadcast the same way.
+    given. Every view is the filled prefix of one of the layer's arenas,
+    the full cache or the partial cache, so none is a copy: it holds until
+    the store's next write. A full view broadcasts the full cache's one
+    position row over the heads.
     """
 
     keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated
@@ -223,7 +221,6 @@ ViewProvider = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], L
 @dataclass
 class StepOutput:
     logits: np.ndarray  # (vocab_size,)
-    queries: list[np.ndarray]  # per layer: (n_query_heads, head_dim), post-rotation
     avg_queries: list[np.ndarray]  # per layer: (head_dim,), mean over all query heads
     attn_rows: list[np.ndarray | None] = field(default_factory=list)
     # per layer: (n_kv_heads, group_size, m) probability rows over the attended
@@ -286,7 +283,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
 
     Returns the final hidden states (L, model_dim) and per layer the rotated
     keys and the values, head-major (n_kv_heads, L, head_dim), the last
-    position's queries and causal_attention's last-position rows.
+    position's mean query and causal_attention's last-position rows.
     """
     cfg = weights.config
     toks = _check_sequence(cfg, tokens)
@@ -301,7 +298,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
         qk = apply_rope(qkv[:, : n_q + n_kv], positions, weights.rope)
         k, v = qk[:, n_q:].transpose(1, 0, 2).copy(), qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
         ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
-        layers.append((k, v, qk[-1, :n_q].copy(), last_rows))
+        layers.append((k, v, qk[-1, :n_q].mean(axis=0), last_rows))
         x = x + ctx.reshape(L, -1) @ lw.wo
         del xa, qkv, qk, ctx  # free the attention's arrays before the feed-forward's (L, ffn_dim) temporaries
 
@@ -325,10 +322,9 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
     """
     x, layers = _forward(weights, tokens)
     caches = [FullCache(np.arange(len(x)), k, v) for k, v, _, _ in layers]
-    queries = [q for _, _, q, _ in layers]
     rows = [last_rows for *_, last_rows in layers]
     logits = _rms_norm(x[-1], weights.final_norm) @ weights.w_out
-    return caches, StepOutput(logits, queries, [q.mean(axis=0) for q in queries], rows)
+    return caches, StepOutput(logits, [avg_q for _, _, avg_q, _ in layers], rows)
 
 
 def decode_core(
@@ -355,7 +351,6 @@ def decode_core(
     scale = 1.0 / np.sqrt(d)
     x = weights.embed[int(token)].copy()
 
-    queries: list[np.ndarray] = []
     avg_queries: list[np.ndarray] = []
     rows_per_layer: list[np.ndarray | None] = []
 
@@ -376,72 +371,8 @@ def decode_core(
         xf = _rms_norm(x, lw.ffn_norm)
         x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
 
-        queries.append(q)
         avg_queries.append(avg_q)
         rows_per_layer.append(probs if view.observe else None)
 
     logits = _rms_norm(x, weights.final_norm) @ weights.w_out
-    return StepOutput(logits, queries, avg_queries, rows_per_layer)
-
-
-def save_weights(weights: ModelWeights, path: str) -> None:
-    """Write weights as a JSON header plus flat little-endian float64 data.
-
-    Layout: u64-LE header length, UTF-8 JSON header, raw tensor bytes. The
-    header maps tensor names to {shape, offset} with offsets relative to
-    the start of the data section. Exists for test fixtures; the primary
-    path is seeded init.
-    """
-    named = weights.named_tensors()
-    header: dict = {"config": asdict(weights.config), "tensors": {}}
-    offset = 0
-    blobs = []
-    for name, arr in named:
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        header["tensors"][name] = {"shape": list(arr.shape), "offset": offset}
-        offset += len(data)
-        blobs.append(data)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for b in blobs:
-            f.write(b)
-
-
-def load_weights(path: str) -> ModelWeights:
-    """Read a weight file written by save_weights.
-
-    A short file, or a header that is not the JSON save_weights writes
-    (undecodable, missing `config`/`tensors`, bad config fields or tensor
-    entries), raises OSError naming the path.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    def short(what: str) -> OSError:
-        return OSError(f"{path}: truncated weight file, {what} is short ({len(blob)} bytes in all)")
-
-    if len(blob) < 8:
-        raise short("the 8-byte header length")
-    (hlen,) = struct.unpack_from("<Q", blob)
-    if len(blob) < 8 + hlen:
-        raise short(f"the {hlen}-byte header")
-    data = memoryview(blob)[8 + hlen :]
-    out: dict[str, np.ndarray] = {}
-    try:
-        header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
-        cfg = ModelConfig(**header["config"])
-        cfg.validate()
-        for name, meta in header["tensors"].items():
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            if meta["offset"] + 8 * count > len(data):
-                raise short(f"tensor {name!r}")
-            arr = np.frombuffer(data, dtype="<f8", count=count, offset=meta["offset"]).reshape(shape)
-            out[name] = arr.astype(np.float64)
-        layers = [LayerWeights(**{f.name: out[f"layers.{i}.{f.name}"] for f in fields(LayerWeights)})
-                  for i in range(cfg.n_layers)]
-        return ModelWeights(cfg, out["embed"], layers, out["final_norm"], out["w_out"])
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise OSError(f"{path}: damaged weight file header: {type(exc).__name__}: {exc}") from exc
+    return StepOutput(logits, avg_queries, rows_per_layer)

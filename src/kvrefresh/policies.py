@@ -21,15 +21,18 @@ forward pass, `update` takes the observed probability rows, maintains the
 policy's state and reports the layer's modeled cost as a LayerStep. The
 session owns the full caches and writes each fresh key/value into them
 before asking for a view, unless appends_full is False (snapkv keeps only
-its prompt there). Every view holds the current token: full views are the
-full-cache arena, streaming and h2o gather their keepset plus the current
-position, and a top-K partial step writes into the partial cache first.
-A view is three head-major arrays, keys and values (n_kv_heads, m,
-head_dim) and positions (n_kv_heads, m); full and gather views broadcast
-their one position row over the heads. The model attends every head of a
-layer in one batched computation, so the rows `update` observes, and the
-rows a TopK policy scores itself, are one (n_kv_heads, group_size, m)
-array.
+its prompt there). Every view holds the current token and is the filled
+prefix of an arena: full views read the full cache, and every budgeted
+policy's partial step reads the layer's partial cache, into which it
+appended the current entry first. Streaming and h2o build that arena at
+the prefill by gathering their starting set from the full cache, then
+append one entry and drop one slot per step: streaming the oldest entry
+after the sinks, h2o the lightest heavy-hitter candidate. A view is three
+head-major arrays, keys and values (n_kv_heads, m, head_dim) and
+positions (n_kv_heads, m); a full view broadcasts its one position row
+over the heads. The model attends every head of a layer in one batched
+computation, so the rows `update` observes, and the rows a TopK policy
+scores itself, are one (n_kv_heads, group_size, m) array.
 
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
@@ -48,7 +51,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, require
-from .kv_store import PartialCache, init_partial
+from .kv_store import FullCache, PartialCache, init_partial
 from .metrics import (
     h2o_overhead_flops,
     qc_overhead_flops,
@@ -57,7 +60,7 @@ from .metrics import (
 )
 from .model import LayerView, StepOutput
 from .numerics import cosine_similarity, max_pool_1d, softmax_rows, top_k_indices
-from .scheduler import LayerScheduleState, ScheduleConfig, should_full
+from .scheduler import ScheduleConfig, should_full
 
 if TYPE_CHECKING:
     from .engine import DecodeSession
@@ -167,81 +170,49 @@ def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndar
     return out
 
 
-def streaming_keepset(input_length: int, generated: int, config: PolicyConfig, budget: int) -> np.ndarray:
-    """Positions kept by the sink+recency policy after `generated` appended tokens.
-
-    The first n_sink positions plus the (budget - n_sink) most recent; when
-    the total fits in the budget, everything is kept.
-    """
-    if budget < config.n_sink:
-        raise ConfigurationError(f"budget {budget} smaller than n_sink {config.n_sink}")
-    total = input_length + generated
-    if total <= budget:
-        return np.arange(total, dtype=np.int64)
-    recent = budget - config.n_sink
-    sinks = np.arange(config.n_sink, dtype=np.int64)
-    window = np.arange(total - recent, total, dtype=np.int64)
-    return np.concatenate([sinks, window])
-
-
 class H2OState:
     """Per-layer running state of the heavy-hitter policy.
 
-    Tracks cumulative attention received by every position still in the
-    cache. The budget splits into a recency half (the newest positions,
-    kept unconditionally) and a heavy half (highest cumulative score among
-    the rest, ties toward the lower position). Evicted positions are gone
-    for good. Requires a score observation every step.
+    Tracks, in its partial-cache arena's scores, cumulative attention
+    received by every position still in the cache. The budget splits into
+    a recency half (the newest positions, kept unconditionally) and a heavy
+    half (highest cumulative score among the rest, ties toward the lower
+    position). Evicted positions are gone for good. Requires a score
+    observation every step.
     """
 
-    def __init__(self, budget: int, positions: np.ndarray, sums: np.ndarray):
+    def __init__(self, full: FullCache, last_token_row: np.ndarray, budget: int):
+        """Keep the prompt's heavy hitters under its last-token aggregated attention row."""
         self.budget = int(budget)
         self.heavy_n = self.budget // 2
         self.recent_n = self.budget - self.heavy_n
-        self.positions = np.asarray(positions, dtype=np.int64)
-        self.sums = np.asarray(sums, dtype=np.float64)
-        self._evict_to_budget()
-
-    @classmethod
-    def from_prefill(cls, last_token_row: np.ndarray, budget: int) -> "H2OState":
-        """Initialize from the prompt's last-token aggregated attention row."""
         row = np.asarray(last_token_row, dtype=np.float64)
-        return cls(budget, np.arange(row.size, dtype=np.int64), row.copy())
+        keep = np.arange(row.size)
+        if row.size > self.budget:
+            recent_start = row.size - self.recent_n
+            keep = keep[recent_start:]
+            if self.heavy_n:  # top heavy_n by (sum desc, position asc), returned in ascending order
+                keep = np.concatenate([top_k_indices(row[:recent_start], self.heavy_n), keep])
+        positions, keys, values = full.gather(keep)
+        self.partial = PartialCache(self.budget, positions, keys, values, np.broadcast_to(row[keep], positions.shape))
 
     def keepset(self) -> np.ndarray:
-        return self.positions.copy()
+        """The positions held, ascending: a view of the arena, valid until its next write."""
+        return self.partial.positions[0]
 
-    def step(self, attention_row: np.ndarray, view_positions: np.ndarray) -> np.ndarray:
-        """Accumulate one step's row over the attended view and re-evict.
-
-        view_positions must be the current keepset plus the just-decoded
-        position at the end; the new position enters with the attention it
-        received this step.
-        """
+    def step(self, attention_row: np.ndarray) -> None:
+        """Accumulate one step's row over the arena, whose last entry is the just-decoded
+        position, then, once over budget, drop the lowest sum outside the recency half."""
         row = np.asarray(attention_row, dtype=np.float64)
-        view_positions = np.asarray(view_positions, dtype=np.int64)
-        if row.size != view_positions.size:
-            raise ContractViolation("attention row and view positions disagree")
-        if view_positions.size != self.positions.size + 1 or not np.array_equal(
-            view_positions[:-1], self.positions
-        ):
-            raise ContractViolation("view does not match the current keepset plus one new position")
-        self.sums = self.sums + row[:-1]
-        self.positions = np.append(self.positions, view_positions[-1])
-        self.sums = np.append(self.sums, row[-1])
-        self._evict_to_budget()
-        return self.keepset()
-
-    def _evict_to_budget(self) -> None:
-        n = self.positions.size
-        if n <= self.budget:
-            return
-        recent_start = n - self.recent_n
-        keep = np.arange(recent_start, n)
-        if self.heavy_n:  # top heavy_n by (sum desc, position asc); positions ascending == index asc
-            keep = np.concatenate([top_k_indices(self.sums[:recent_start], self.heavy_n), keep])
-        self.positions = self.positions[keep]
-        self.sums = self.sums[keep]
+        scores = self.partial.scores
+        if row.shape != scores.shape[1:]:
+            raise ContractViolation(f"attention row of {row.size} entries over an arena of {scores.shape[1]}")
+        scores[:, :-1] += row[:-1]
+        scores[:, -1] = row[-1]
+        if (n := scores.shape[1]) > self.budget:
+            heavy = scores[0, : n - self.recent_n]
+            # argmin over the reversed candidates: ties leave from the higher position
+            self.partial.drop([heavy.size - 1 - int(heavy[::-1].argmin())] * scores.shape[0])
 
 
 # ------------------------------------------------------------ policy objects
@@ -281,11 +252,10 @@ class LayerPolicy:
         cf = self.full
         return LayerView(cf.keys, cf.values, cf.head_positions, observe, "full")
 
-    def _gather_view(self, keep: np.ndarray, step: int, observe: bool) -> LayerView:
-        """The keepset plus the current position, gathered from the full cache."""
-        # positions are contiguous from 0, so keepset positions index directly
-        positions, keys, values = self.full.gather(np.append(keep, self.position(step)))
-        return LayerView(keys, values, np.broadcast_to(positions, keys.shape[:2]), observe, "partial")
+    def _partial_view(self, observe: bool = False, mode: str = "partial") -> LayerView:
+        """The partial cache's filled prefix."""
+        cp = self.partial
+        return LayerView(cp.keys, cp.values, cp.positions, observe, mode)
 
 
 class FullAttention(LayerPolicy):
@@ -297,16 +267,27 @@ class FullAttention(LayerPolicy):
 
 
 class Recency(LayerPolicy):
+    """The first n_sink positions plus the newest, budget in all (everything while it fits):
+    each step appends to the arena and, once over budget, drops slot n_sink."""
+
     def __init__(self, session, layer, out):
         super().__init__(session, layer, out)
-        if self.budget < self.config.n_sink:
-            raise ConfigurationError(f"streaming budget {self.budget} smaller than n_sink {self.config.n_sink}")
+        n_sink, L = self.config.n_sink, self.input_length
+        if self.budget < n_sink:
+            raise ConfigurationError(f"streaming budget {self.budget} smaller than n_sink {n_sink}")
+        keep = np.arange(L)
+        if L > self.budget:
+            keep = np.concatenate([keep[:n_sink], keep[L - (self.budget - n_sink) :]])
+        positions, keys, values = self.full.gather(keep)
+        self.partial = PartialCache(self.budget, positions, keys, values, np.zeros(positions.shape))
 
     def view(self, step, q, avg_q, k_new, v_new):
-        keep = streaming_keepset(self.input_length, step - 1, self.config, self.budget)
-        return self._gather_view(keep, step, observe=False)
+        self.partial.append(self.position(step), k_new, v_new)
+        return self._partial_view()
 
     def update(self, step, rows, avg_q):
+        if self.partial.sizes()[0] > self.budget:
+            self.partial.drop([self.config.n_sink] * self.model.n_kv_heads)
         return LayerStep(self.k_sel)
 
 
@@ -314,15 +295,17 @@ class HeavyHitter(LayerPolicy):
     def __init__(self, session, layer, out):
         super().__init__(session, layer, out)
         row = aggregate_group_scores(np.vstack(out.attn_rows[layer]), self.config.gqa_aggregation)
-        self.h2o = H2OState.from_prefill(row, self.budget)
+        self.h2o = H2OState(self.full, row, self.budget)
+        self.partial = self.h2o.partial
 
     def view(self, step, q, avg_q, k_new, v_new):
-        return self._gather_view(self.h2o.keepset(), step, observe=True)
+        self.partial.append(self.position(step), k_new, v_new)
+        return self._partial_view(observe=True)
 
     def update(self, step, rows, avg_q):
         row = aggregate_group_scores(np.vstack(rows), self.config.gqa_aggregation)
-        view_positions = np.append(self.h2o.positions, self.position(step))
-        keepset = self.h2o.step(row, view_positions)
+        view_positions = self.h2o.keepset().copy() if self.recorder is not None else None
+        self.h2o.step(row)
         if self.recorder is not None:
             self.recorder(
                 {
@@ -332,7 +315,7 @@ class HeavyHitter(LayerPolicy):
                     "raw_rows": [r.copy() for r in rows],
                     "row": row,
                     "view_positions": view_positions,
-                    "keepset": keepset,
+                    "keepset": self.h2o.keepset().copy(),
                 }
             )
         return LayerStep(self.k_sel, h2o_overhead_flops(row.size, self.model))
@@ -356,33 +339,30 @@ class TopK(LayerPolicy):
         self.appends_full = appends_full
         self.evict = self.config.resolved_evict_on_append()
         self.partial = init_partial(self.full, selection_scores(out.attn_rows[layer], self.config), self.k_sel)
-        self.schedule_state = LayerScheduleState(reference_query=out.avg_queries[layer].copy())
+        self.reference_query = out.avg_queries[layer].copy()  # from the layer's most recent full step
 
     def view(self, step, q, avg_q, k_new, v_new):
         self._sim = None
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
-            self._sim = cosine_similarity(avg_q, self.schedule_state.reference_query)
-        self._full_step = should_full(self.schedule_state, step, avg_q, self.schedule)
+            self._sim = cosine_similarity(avg_q, self.reference_query)
+        self._full_step = should_full(step, self._sim, self.schedule)
         self._refreshed = None
         if not self._full_step:
             self.partial.append(self.position(step), k_new, v_new)
-            return self._partial_view(mode="partial")
+            return self._partial_view()
         if self.output_full:
             return self._full_view(observe=self.refresh)
         self._refreshed = self._refresh(step, self._score_rows(q))
         return self._partial_view(mode="full")
 
     def update(self, step, rows, avg_q):
-        state = self.schedule_state
-        state.generated_step_count += 1
         overhead = qc_overhead_flops(self.model) if self._sim is not None else 0
         if not self._full_step:
             if self.evict:
                 self.partial.evict_overflow()
             return LayerStep(self.k_sel, overhead, self._sim)
 
-        state.full_step_count += 1
-        state.reference_query = avg_q.copy()
+        self.reference_query = avg_q.copy()
         attended = self.input_length if self.output_full else self.k_sel
         if not self.refresh:
             return LayerStep(attended, overhead, self._sim)
@@ -395,10 +375,6 @@ class TopK(LayerPolicy):
             overhead += score_pass_flops(m, self.model)
         overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
         return LayerStep(attended, overhead, self._sim, self._refreshed)
-
-    def _partial_view(self, mode: str) -> LayerView:
-        cp = self.partial
-        return LayerView(cp.keys, cp.values, cp.positions, mode=mode)
 
     def _score_rows(self, q: np.ndarray) -> np.ndarray:
         """(n_kv_heads, group_size, m) probability rows of the current queries over the full cache."""

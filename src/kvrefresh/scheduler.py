@@ -21,12 +21,9 @@ equal to the threshold decodes with the partial cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, require
-from .numerics import cosine_similarity
 
 SCHEDULE_MODES = ("fixed", "qc", "always_full", "never_full")
 
@@ -54,23 +51,14 @@ class ScheduleConfig:
             raise ConfigurationError(f"threshold must lie in [-1, 1], got {self.threshold!r}")
 
 
-@dataclass
-class LayerScheduleState:
-    """Per-layer scheduler memory; the reference query comes from the
-    layer's most recent full-attention step (initially the prefill)."""
-
-    reference_query: np.ndarray
-    full_step_count: int = 0  # generation-phase full-attention events
-    generated_step_count: int = 0
-
-
-def should_full(
-    state: LayerScheduleState, step_index: int, current_query: np.ndarray, config: ScheduleConfig
-) -> bool:
+def should_full(step_index: int, similarity: float | None, config: ScheduleConfig) -> bool:
     """Decide whether this layer runs full attention at this generated step.
 
-    Pure function of its arguments; replaying a trace reproduces the same
-    decisions bit for bit.
+    similarity is the cosine of the layer's group-averaged query against
+    the one from its most recent full step (initially the prefill). The
+    qc mode reads it at its stride boundaries only, where the caller
+    computes it; elsewhere it may be None. Pure function of its arguments;
+    replaying a trace reproduces the same decisions bit for bit.
     """
     if config.mode == "always_full":
         return True
@@ -82,7 +70,7 @@ def should_full(
     # the partial cache.
     if step_index % config.qc_stride != 0:
         return False
-    return cosine_similarity(current_query, state.reference_query) < config.threshold
+    return similarity < config.threshold
 
 
 def effective_stride(full_events: int, generated_steps: int) -> float | None:

@@ -2,7 +2,8 @@
 
 After every decode step:
   - the full cache holds positions 0 .. L+i-1 (snapkv: the prompt, 0 .. L-1);
-  - top-K policies that evict on append hold at most k_sel entries per head;
+  - top-K policies that evict on append hold at most k_sel entries per head,
+    and streaming and h2o hold at most the budget in their partial-cache arena;
   - every position a view attends is a position already seen;
   - each row a view attends carries the key/value the full cache holds
     at that position, wherever the full cache holds it (snapkv's
@@ -68,6 +69,9 @@ def test_invariants_hold_after_every_step(
             np.testing.assert_array_equal(cf.positions, np.arange(held))
         if evicting:
             assert all(size <= session.k_sel for cp in session.partial for size in cp.sizes())
+        if kind in ("streaming", "h2o"):
+            assert len(session.partial) == desk_weights.config.n_layers
+            assert all(size <= session.budget for cp in session.partial for size in cp.sizes())
         current = L + i - 1
         view_events = [e for e in views if e["kind"] == "view"]
         assert len(view_events) == desk_weights.config.n_layers

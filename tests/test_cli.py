@@ -6,9 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kvrefresh import cli
 from kvrefresh.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from kvrefresh.model import load_weights, save_weights
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHORT_LM = ["--task", "lm", "--task-params.stream-length", "16", "--task-params.tail", "4"]
@@ -200,16 +198,3 @@ def test_io_failure_exits_io_naming_the_path(failure, tmp_path, capsys):
     assert main(["run", *argv, *SHORT_LM]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and str(path) in err and "Traceback" not in err
-
-
-def test_damaged_weight_file_exits_io(tmp_path, monkeypatch, capsys, desk_weights):
-    # no command reads a weight file yet, so route one through `run`
-    path = tmp_path / "weights.bin"
-    save_weights(desk_weights, str(path))
-    blob = bytearray(path.read_bytes())
-    blob[10] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    monkeypatch.setattr(cli, "run", lambda config, out_dir: load_weights(str(path)))
-    assert main(["run", "--out", str(tmp_path), *SHORT_LM]) == EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith(f"i/o error: {path}: damaged weight file header") and "Traceback" not in err

@@ -478,15 +478,15 @@ class TestQCScheduling:
             ScheduleConfig(mode="fixed", stride=4),
         )
         out = session.prefill(prompt)
-        refs = [p.schedule_state.reference_query.copy() for p in session.layer_policies]
+        refs = [p.reference_query.copy() for p in session.layer_policies]
         tok = int(np.argmax(out.logits))
         for _ in range(12):
             out, rec = session.step(tok)
             tok = int(np.argmax(out.logits))
-            for layer, state in enumerate(p.schedule_state for p in session.layer_policies):
-                changed = not np.array_equal(refs[layer], state.reference_query)
+            for layer, policy in enumerate(session.layer_policies):
+                changed = not np.array_equal(refs[layer], policy.reference_query)
                 assert changed == (rec.modes[layer] == "full")
-                refs[layer] = state.reference_query.copy()
+                refs[layer] = policy.reference_query.copy()
 
 
 # ------------------------------------------------------------------- misc
@@ -533,7 +533,7 @@ def capture_views(session):
 
 
 class TestArena:
-    @pytest.mark.parametrize("kind", ["vanilla", "refreshkv", "snapkv"])
+    @pytest.mark.parametrize("kind", ["vanilla", "refreshkv", "snapkv", "streaming", "h2o"])
     def test_views_read_the_arenas_without_a_copy(self, desk_weights, rng, kind):
         schedule = ScheduleConfig(mode="fixed", stride=3) if kind == "refreshkv" else None
         session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule)
@@ -552,7 +552,7 @@ class TestArena:
                     assert np.shares_memory(view.keys[h], store.keys)
                     assert np.shares_memory(view.values[h], store.values)
                     assert len(view.keys[h]) == len(view.values[h]) == len(view.positions[h]) == rec.view_lens[layer]
-        assert modes == ({"full"} if kind == "vanilla" else {"partial"} if kind == "snapkv" else {"full", "partial"})
+        assert modes == ({"full"} if kind == "vanilla" else {"full", "partial"} if kind == "refreshkv" else {"partial"})
 
     def test_full_cache_growth_past_two_doublings_matches_full_forward(self, desk_weights, rng):
         stream = toks(rng, desk_weights.config, 33 + 40)

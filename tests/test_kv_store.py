@@ -42,6 +42,12 @@ def loop_evict_overflow(cp):
     return [a[:, :n] for a in arrays]
 
 
+def delete_per_head(cp, slots):
+    """PartialCache.drop(slots) by np.delete, head by head: (positions, keys, values, scores)."""
+    return [np.stack([np.delete(a[h], i, axis=0) for h, i in enumerate(slots)])
+            for a in (cp.positions, cp.keys, cp.values, cp.scores)]
+
+
 class TestInitPartial:
     def test_full_selection_is_whole_cache(self, rng):
         full = make_full(6, rng)
@@ -144,9 +150,12 @@ class TestAppendAndEvict:
                 assert (np.diff(cp.positions[h]) > 0).all()
 
 
-    @pytest.mark.parametrize("n_drop", [1, 3])
+    @pytest.mark.parametrize("n_drop", [1, 3, "drop"])
     def test_matches_per_head_loop_oracle(self, rng, n_drop):
-        # small-integer scores force ties; NEW entries and all-NEW heads take the oldest-first rule
+        # small-integer scores force ties; NEW entries and all-NEW heads take the oldest-first rule.
+        # "drop" removes one given slot per head (first, last or inside) through PartialCache.drop.
+        given = n_drop == "drop"
+        n_drop = 1 if given else n_drop
         for _ in range(40):
             n = int(rng.integers(n_drop + 1, 12))
             cp = self.make_cp(rng, np.zeros(n), n)
@@ -154,9 +163,14 @@ class TestAppendAndEvict:
             cp.scores[rng.uniform(size=(N_KV, n)) < 0.3] = NEW_SCORE
             if rng.uniform() < 0.2:
                 cp.scores[int(rng.integers(N_KV))] = NEW_SCORE
-            cp.capacity = n - n_drop
-            expected = loop_evict_overflow(cp)
-            cp.evict_overflow()
+            if given:
+                slots = rng.integers(0, n, size=N_KV).tolist()
+                expected = delete_per_head(cp, slots)
+                cp.drop(slots)
+            else:
+                cp.capacity = n - n_drop
+                expected = loop_evict_overflow(cp)
+                cp.evict_overflow()
             assert cp.sizes() == [n - n_drop] * N_KV
             for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
                 np.testing.assert_array_equal(got, want)

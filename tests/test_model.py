@@ -1,6 +1,4 @@
 import importlib.util
-import json
-import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,9 +18,7 @@ from kvrefresh.model import (
     decode_core,
     full_forward,
     init_model,
-    load_weights,
     prefill,
-    save_weights,
 )
 from kvrefresh.numerics import softmax_rows
 from kvrefresh.policies import PolicyConfig
@@ -334,10 +330,9 @@ class TestIncrementalConsistency:
         cfg = desk_weights.config
         toks = random_tokens(rng, cfg, 8)
         _, out = prefill(desk_weights, toks)
-        assert len(out.queries) == cfg.n_layers
-        for q, avg in zip(out.queries, out.avg_queries):
-            assert q.shape == (cfg.n_query_heads, cfg.head_dim)
-            np.testing.assert_allclose(avg, q.mean(axis=0))
+        assert len(out.avg_queries) == cfg.n_layers
+        for avg in out.avg_queries:
+            assert avg.shape == (cfg.head_dim,)
 
 
 class TestGroupedQueries:
@@ -362,71 +357,3 @@ class TestGroupedQueries:
             assert len(layer_rows) == n_kv
             for rows in layer_rows:
                 assert rows.shape == (cfg.n_query_heads // n_kv, 12)
-
-
-def _json_edit(change):
-    """A header edit that loads the JSON header, applies change(header) and re-encodes it."""
-
-    def edit(raw):
-        header = json.loads(raw)
-        change(header)
-        return json.dumps(header).encode()
-
-    return edit
-
-
-# name -> edit of the raw header bytes; byte 10 of the file is the header's byte 2
-DAMAGED_HEADERS = {
-    "flipped byte 10": lambda raw: raw[:2] + bytes([raw[2] ^ 0xFF]) + raw[3:],
-    "not json": lambda raw: raw[:-1],
-    "a list": lambda raw: b"[1, 2]",
-    "no config": _json_edit(lambda h: h.pop("config")),
-    "no tensors": _json_edit(lambda h: h.pop("tensors")),
-    "unknown config field": _json_edit(lambda h: h["config"].update(bogus=1)),
-    "string layer count": _json_edit(lambda h: h["config"].update(n_layers="2")),
-    "tensor without shape": _json_edit(lambda h: h["tensors"]["embed"].pop("shape")),
-    "missing tensor": _json_edit(lambda h: h["tensors"].pop("w_out")),
-}
-
-
-class TestWeightFile:
-    def test_round_trip_bitwise(self, desk_weights, tmp_path):
-        path = tmp_path / "weights.bin"
-        save_weights(desk_weights, str(path))
-        loaded = load_weights(str(path))
-        assert loaded.config == desk_weights.config
-        for (n1, t1), (n2, t2) in zip(desk_weights.named_tensors(), loaded.named_tensors()):
-            assert n1 == n2
-            assert np.array_equal(t1, t2)
-
-    def test_loaded_weights_run(self, desk_weights, tmp_path, rng):
-        path = tmp_path / "weights.bin"
-        save_weights(desk_weights, str(path))
-        loaded = load_weights(str(path))
-        toks = random_tokens(rng, desk_weights.config, 6)
-        assert np.array_equal(full_forward(loaded, toks), full_forward(desk_weights, toks))
-
-    @pytest.mark.parametrize("cut", ["empty", "length prefix", "header", "data"])
-    def test_truncated_file_raises_oserror_naming_the_path(self, desk_weights, tmp_path, cut):
-        path = tmp_path / "weights.bin"
-        save_weights(desk_weights, str(path))
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[:8])
-        keep, short = {"empty": (0, "header length"), "length prefix": (5, "header length"),
-                       "header": (8 + hlen // 2, "header"), "data": (len(blob) - 100, "tensor 'w_out'")}[cut]
-        path.write_bytes(blob[:keep])
-        with pytest.raises(OSError, match="truncated weight file") as info:
-            load_weights(str(path))
-        assert str(path) in str(info.value) and f"{short} is short" in str(info.value)
-
-    @pytest.mark.parametrize("damage", DAMAGED_HEADERS)
-    def test_damaged_header_raises_oserror_naming_the_path(self, desk_weights, tmp_path, damage):
-        path = tmp_path / "weights.bin"
-        save_weights(desk_weights, str(path))
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[:8])
-        header = DAMAGED_HEADERS[damage](blob[8 : 8 + hlen])
-        path.write_bytes(struct.pack("<Q", len(header)) + header + blob[8 + hlen :])
-        with pytest.raises(OSError, match="damaged weight file header") as info:
-            load_weights(str(path))
-        assert str(path) in str(info.value)

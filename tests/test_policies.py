@@ -3,7 +3,7 @@ import pytest
 
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.engine import DecodeSession, greedy_generate
-from kvrefresh.kv_store import init_partial
+from kvrefresh.kv_store import FullCache, init_partial
 from kvrefresh.metrics import retained_mass
 from kvrefresh.model import prefill
 from kvrefresh.numerics import max_pool_1d
@@ -13,7 +13,6 @@ from kvrefresh.policies import (
     PolicyConfig,
     aggregate_group_scores,
     selection_scores,
-    streaming_keepset,
 )
 from kvrefresh.scheduler import ScheduleConfig
 
@@ -169,68 +168,101 @@ class TestRefresh:
         assert any(e["kind"] == "refresh" for e in events)
 
 
+def streaming_arena(weights, rng, prompt_length, budget, n_steps=0):
+    """A streaming session (4 sinks) after the prefill and n_steps decode steps, with each step's view lengths."""
+    session = DecodeSession(weights, PolicyConfig(kind="streaming", n_sink=4, k=budget))
+    tokens = rng.integers(0, weights.config.vocab_size, prompt_length + n_steps).tolist()
+    session.prefill(tokens[:prompt_length])
+    view_lens = [session.step(tok)[1].view_lens for tok in tokens[prompt_length:]]
+    return session, view_lens
+
+
+def assert_every_head_holds(session, expected):
+    for cp in session.partial:
+        for positions in cp.positions:
+            np.testing.assert_array_equal(positions, expected)
+
+
 class TestStreamingKeepset:
-    def test_prompt_only(self):
-        cfg = PolicyConfig(kind="streaming", n_sink=4)
-        np.testing.assert_array_equal(
-            streaming_keepset(10, 0, cfg, budget=6), [0, 1, 2, 3, 8, 9]
-        )
+    def test_prompt_only(self, desk_weights, rng):
+        session, _ = streaming_arena(desk_weights, rng, 10, budget=6)
+        assert_every_head_holds(session, [0, 1, 2, 3, 8, 9])
 
-    def test_under_capacity_keeps_everything(self):
-        cfg = PolicyConfig(kind="streaming", n_sink=4)
-        np.testing.assert_array_equal(streaming_keepset(5, 0, cfg, budget=8), np.arange(5))
+    def test_under_capacity_keeps_everything(self, desk_weights, rng):
+        session, view_lens = streaming_arena(desk_weights, rng, 5, budget=8, n_steps=3)
+        assert_every_head_holds(session, np.arange(8))
+        assert view_lens == [[6] * 2, [7] * 2, [8] * 2]
 
-    def test_window_slides_with_generation(self):
-        cfg = PolicyConfig(kind="streaming", n_sink=4)
-        np.testing.assert_array_equal(
-            streaming_keepset(10, 3, cfg, budget=6), [0, 1, 2, 3, 11, 12]
-        )
+    def test_window_slides_with_generation(self, desk_weights, rng):
+        session, _ = streaming_arena(desk_weights, rng, 10, budget=6)
+        tokens = rng.integers(0, desk_weights.config.vocab_size, 3).tolist()
+        for i, tok in enumerate(tokens, start=1):
+            _, rec = session.step(tok)
+            assert rec.view_lens == [7, 7]  # the budget plus the current position
+            assert_every_head_holds(session, [0, 1, 2, 3, 8 + i, 9 + i])
 
-    def test_budget_below_sinks_rejected(self):
-        cfg = PolicyConfig(kind="streaming", n_sink=4)
+    def test_budget_below_sinks_rejected(self, desk_weights, rng):
         with pytest.raises(ConfigurationError):
-            streaming_keepset(10, 0, cfg, budget=3)
+            streaming_arena(desk_weights, rng, 10, budget=3)
+
+
+def h2o_state(last_token_row, budget):
+    """An H2OState over a two-head full cache holding the prompt's positions."""
+    n = len(last_token_row)
+    full = FullCache(np.arange(n), np.zeros((2, n, 4)), np.zeros((2, n, 4)))
+    return H2OState(full, np.asarray(last_token_row, dtype=float), budget)
+
+
+def h2o_step(state, row_for):
+    """One decode step: append the next position to the arena, then observe row_for(view positions)."""
+    state.partial.append(int(state.keepset()[-1]) + 1, np.zeros((2, 4)), np.zeros((2, 4)))
+    view = state.keepset().copy()
+    state.step(row_for(view))
+    assert (state.partial.positions == state.keepset()).all()  # every head holds the same set
+    return view
 
 
 class TestH2O:
     def test_uniform_attention_keeps_earliest_heavy_half(self):
         # equal cumulative scores tie-break toward lower positions
-        state = H2OState.from_prefill(np.full(12, 1 / 12), budget=6)
-        heavy = state.keepset()[:3]
-        np.testing.assert_array_equal(heavy, [0, 1, 2])
-        for step in range(5):
-            view = np.append(state.keepset(), 12 + step)
-            state.step(np.full(view.size, 1.0 / view.size), view)
+        state = h2o_state(np.full(12, 1 / 12), budget=6)
+        np.testing.assert_array_equal(state.keepset()[:3], [0, 1, 2])
+        for _ in range(5):
+            h2o_step(state, lambda view: np.full(view.size, 1.0 / view.size))
             np.testing.assert_array_equal(state.keepset()[:3], [0, 1, 2])
 
     def test_under_budget_evicts_nothing(self):
-        state = H2OState.from_prefill(np.full(4, 0.25), budget=16)
-        view = np.append(state.keepset(), 4)
-        keep = state.step(np.full(5, 0.2), view)
-        np.testing.assert_array_equal(keep, np.arange(5))
+        state = h2o_state(np.full(4, 0.25), budget=16)
+        h2o_step(state, lambda view: np.full(5, 0.2))
+        np.testing.assert_array_equal(state.keepset(), np.arange(5))
+        np.testing.assert_array_equal(state.partial.scores[0], [0.45] * 4 + [0.2])
 
-    def test_dominant_position_never_evicted(self, rng):
-        state = H2OState.from_prefill(np.full(10, 0.1), budget=6)
+    def test_dominant_position_never_evicted(self):
+        state = h2o_state(np.full(10, 0.1), budget=6)
         winner = 1  # inside the surviving heavy half
         assert winner in state.keepset()
-        for step in range(20):
-            view = np.append(state.keepset(), 10 + step)
+
+        def row_for(view):
             row = np.full(view.size, 0.1 / (view.size - 1))
             row[np.where(view == winner)[0][0]] = 0.9
-            state.step(row, view)
+            return row
+
+        for _ in range(20):
+            h2o_step(state, row_for)
             assert winner in state.keepset()
 
     def test_budget_split_sizes(self):
-        state = H2OState.from_prefill(np.linspace(1, 0, 20), budget=8)
+        state = h2o_state(np.linspace(1, 0, 20), budget=8)
         keep = state.keepset()
         assert keep.size == 8
         # recent half: the 4 newest positions
         np.testing.assert_array_equal(keep[-4:], [16, 17, 18, 19])
 
     def test_mismatched_view_rejected(self):
-        state = H2OState.from_prefill(np.full(6, 1 / 6), budget=4)
+        state = h2o_state(np.full(6, 1 / 6), budget=4)
+        state.partial.append(6, np.zeros((2, 4)), np.zeros((2, 4)))
         with pytest.raises(ContractViolation):
-            state.step(np.full(3, 0.3), np.array([0, 1, 2]))
+            state.step(np.full(3, 0.3))
 
 
 class TestPolicyConfig:

@@ -3,73 +3,60 @@ import pytest
 
 from kvrefresh.errors import ConfigurationError
 from kvrefresh.metrics import per_layer_effective_strides
-from kvrefresh.scheduler import (
-    LayerScheduleState,
-    ScheduleConfig,
-    effective_stride,
-    should_full,
-)
+from kvrefresh.numerics import cosine_similarity
+from kvrefresh.scheduler import ScheduleConfig, effective_stride, should_full
 
 
-def state_with(ref):
-    return LayerScheduleState(reference_query=np.asarray(ref, dtype=float))
+def decide(reference, step, query, cfg):
+    """should_full given the cosine of the query against the reference, as a policy computes it."""
+    return should_full(step, cosine_similarity(query, np.asarray(reference, dtype=float)), cfg)
 
 
 def qc_decisions(queries, reference, qc_stride, threshold):
     """should_full at generated steps 1, 2, ... for a fixed reference query."""
     cfg = ScheduleConfig(mode="qc", qc_stride=qc_stride, threshold=threshold)
-    st = state_with(reference)
-    return [should_full(st, i + 1, q, cfg) for i, q in enumerate(queries)]
+    return [decide(reference, i + 1, q, cfg) for i, q in enumerate(queries)]
 
 
 class TestShouldFull:
     def test_fixed_fires_on_multiples(self):
         cfg = ScheduleConfig(mode="fixed", stride=10)
-        st = state_with([1.0, 0.0])
-        fired = [i for i in range(1, 101) if should_full(st, i, np.array([1.0, 0.0]), cfg)]
+        fired = [i for i in range(1, 101) if should_full(i, None, cfg)]
         assert fired == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 
     def test_always_and_never(self):
-        st = state_with([1.0])
-        assert all(
-            should_full(st, i, np.array([1.0]), ScheduleConfig(mode="always_full"))
-            for i in range(1, 20)
-        )
-        assert not any(
-            should_full(st, i, np.array([1.0]), ScheduleConfig(mode="never_full"))
-            for i in range(1, 20)
-        )
+        assert all(should_full(i, None, ScheduleConfig(mode="always_full")) for i in range(1, 20))
+        assert not any(should_full(i, None, ScheduleConfig(mode="never_full")) for i in range(1, 20))
 
     def test_qc_threshold_above_one_fires_every_boundary(self, rng):
         cfg = ScheduleConfig(mode="qc", qc_stride=5, threshold=1.0 + 1e-9)
-        st = state_with(rng.normal(size=8))
-        fired = [i for i in range(1, 51) if should_full(st, i, st.reference_query, cfg)]
+        ref = rng.normal(size=8)
+        fired = [i for i in range(1, 51) if decide(ref, i, ref, cfg)]
         assert fired == [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
 
     def test_qc_threshold_minus_one_never_fires(self, rng):
         cfg = ScheduleConfig(mode="qc", qc_stride=5, threshold=-1.0)
-        st = state_with(rng.normal(size=8))
-        q = -st.reference_query  # similarity exactly -1, and the rule is strict "<"
-        assert not any(should_full(st, i, q, cfg) for i in range(1, 51))
+        ref = rng.normal(size=8)
+        q = -ref  # similarity exactly -1, and the rule is strict "<"
+        assert not any(decide(ref, i, q, cfg) for i in range(1, 51))
 
     def test_qc_only_fires_on_boundaries(self, rng):
         cfg = ScheduleConfig(mode="qc", qc_stride=7, threshold=0.99)
-        st = state_with(rng.normal(size=8))
+        ref = rng.normal(size=8)
         for i in range(1, 70):
             if i % 7 != 0:
-                assert not should_full(st, i, rng.normal(size=8), cfg)
+                assert not decide(ref, i, rng.normal(size=8), cfg)
 
     def test_tie_at_threshold_stays_partial(self):
         cfg = ScheduleConfig(mode="qc", qc_stride=1, threshold=1.0)
-        st = state_with([1.0, 0.0])
-        assert not should_full(st, 1, np.array([2.0, 0.0]), cfg)  # similarity exactly 1.0
+        assert not decide([1.0, 0.0], 1, np.array([2.0, 0.0]), cfg)  # similarity exactly 1.0
 
     def test_pure_function_replays_identically(self, rng):
         cfg = ScheduleConfig(mode="qc", qc_stride=3, threshold=0.5)
-        st = state_with(rng.normal(size=8))
+        ref = rng.normal(size=8)
         queries = [rng.normal(size=8) for _ in range(30)]
-        first = [should_full(st, i + 1, q, cfg) for i, q in enumerate(queries)]
-        second = [should_full(st, i + 1, q, cfg) for i, q in enumerate(queries)]
+        first = [decide(ref, i + 1, q, cfg) for i, q in enumerate(queries)]
+        second = [decide(ref, i + 1, q, cfg) for i, q in enumerate(queries)]
         assert first == second
 
 
