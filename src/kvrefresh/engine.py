@@ -7,19 +7,19 @@ object per layer (see policies.make_policy). Step flow, per layer:
      and asks the session for the layer's attention view;
   2. the session writes the fresh key/value into the layer's full-cache
      arena (every kind but snapkv) and asks the layer's policy for the
-     view. A partial step of any budgeted policy (streaming, h2o and the
-     top-K kinds) writes it into the layer's partial-cache arena as well;
-     a scheduled full step, and for refreshkv_no_full its refresh, happens
-     there;
+     view at the step's position. The partial step every budgeted policy
+     (streaming, h2o and the top-K kinds) shares writes it into the
+     layer's partial-cache arena as well; a scheduled full step, and for
+     refreshkv_no_full its refresh, happens there;
   3. attention runs over the view exactly as given, as one batched
      computation over the layer's kv heads: the view is three head-major
      arrays (keys, values, positions) that already hold the current token,
      and every view is the filled prefix of an arena, so nothing is copied;
   4. after the forward pass the policy updates its state from the
-     observed probability rows (streaming and h2o drop one slot of the
-     partial cache, evicting top-K kinds drop their overflow) and reports
-     the layer's modeled cost, from which the session builds an
-     exact-cost StepRecord.
+     probability rows the model returns for every layer (streaming and
+     h2o drop one slot of the partial cache, evicting top-K kinds drop
+     their overflow) and reports the layer's modeled cost, from which the
+     session builds an exact-cost StepRecord.
 
 Sessions are single-threaded; distinct sessions never share state and may
 run on distinct threads.
@@ -105,7 +105,7 @@ class DecodeSession:
         policy, position = self.layer_policies[layer], self._position()
         if policy.appends_full:
             self.full[layer].append(position, k_new, v_new)
-        view = policy.view(self.step_index, q, avg_q, k_new, v_new)
+        view = policy.view(self.step_index, position, q, avg_q, k_new, v_new)
         self._views.append(view)
         if self.recorder is not None:
             self.recorder({"kind": "view", "step": self.step_index, "layer": layer,

@@ -33,6 +33,7 @@ from .policies import REFRESH_FAMILY, PolicyConfig
 from .scheduler import ScheduleConfig
 from .tasks import (
     ChainKeyInstance,
+    check_stream_structure,
     decode_tokens,
     encode_text,
     evaluate_chain,
@@ -92,11 +93,15 @@ class RunConfig:
                 raise ConfigurationError(
                     f"need 1 <= tail < stream_length, got tail={tp.tail} stream_length={tp.stream_length}"
                 )
-            last = tp.stream_length - 2
+            check_stream_structure(tp.structure, tp.motif_period)
+            prompt_length, last = tp.stream_length - tp.tail, tp.stream_length - 2
         else:
             if self.n_generate < 1:
                 raise ConfigurationError(f"n_generate must be positive, got {self.n_generate}")
-            last = len(encode_text(chain_instance(self).prompt)) + self.n_generate - 1
+            prompt_length = len(encode_text(chain_instance(self).prompt))
+            last = prompt_length + self.n_generate - 1
+        if self.policy.kind == "streaming" and (budget := self.policy.resolve_budget(prompt_length)) < self.policy.n_sink:
+            raise ConfigurationError(f"streaming budget {budget} smaller than n_sink {self.policy.n_sink}")
         if last >= self.model.max_position:
             raise ConfigurationError(
                 f"the {self.task} run decodes up to position {last}, max_position {self.model.max_position} "

@@ -19,9 +19,9 @@ diagonal tile is masked. Peak memory is O(ATTN_BLOCK * L); no L x L array
 is built.
 
 `decode_core` runs each layer as one batched computation over all kv
-heads: the view is three head-major arrays, every kv head's query group
-attends its own (m, head_dim) keys through one matmul, and one
-`softmax_rows` call normalises every head's rows.
+heads: the view is three head-major arrays, and `attention_rows` (one
+matmul, one `softmax_rows` call) gives every kv head's query group its
+rows over its own (m, head_dim) keys; every layer's rows are returned.
 """
 
 from __future__ import annotations
@@ -82,17 +82,8 @@ class ModelConfig:
 
 
 def canonical_config(seed: int = 0, max_position: int = 8192) -> ModelConfig:
-    """The fixed desk-scale test configuration."""
-    return ModelConfig(
-        n_layers=2,
-        n_query_heads=4,
-        n_kv_heads=2,
-        head_dim=16,
-        ffn_mult=4.0,
-        vocab_size=256,
-        max_position=max_position,
-        seed=seed,
-    )
+    """The fixed desk-scale test configuration: ModelConfig's defaults."""
+    return ModelConfig(max_position=max_position, seed=seed)
 
 
 @dataclass
@@ -210,7 +201,6 @@ class LayerView:
     keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated
     values: np.ndarray  # (n_kv_heads, m, head_dim)
     positions: np.ndarray  # (n_kv_heads, m) original absolute positions
-    observe: bool = False
     mode: str = "full"  # trace tag: "full" | "partial"
 
 
@@ -222,10 +212,10 @@ ViewProvider = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], L
 class StepOutput:
     logits: np.ndarray  # (vocab_size,)
     avg_queries: list[np.ndarray]  # per layer: (head_dim,), mean over all query heads
-    attn_rows: list[np.ndarray | None] = field(default_factory=list)
+    attn_rows: list[np.ndarray] = field(default_factory=list)
     # per layer: (n_kv_heads, group_size, m) probability rows over the attended
     # view (row order matches the view); iterating yields each kv head's
-    # (group_size, m) rows. None when not observed.
+    # (group_size, m) rows.
 
 
 def _check_token(config: ModelConfig, token: int) -> None:
@@ -242,6 +232,13 @@ def _check_sequence(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
     if toks.min() < 0 or toks.max() >= config.vocab_size:
         raise ContractViolation("token id outside vocabulary")
     return toks
+
+
+def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> np.ndarray:
+    """One token's (n_kv_heads, group, m) attention probabilities: query head j of q
+    (n_kv_heads * group, head_dim) against kv head j // group's keys, times 1/sqrt(head_dim)."""
+    n_kv, _, d = keys.shape
+    return softmax_rows(q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1) * (1.0 / np.sqrt(d)))
 
 
 def causal_attention(
@@ -348,11 +345,10 @@ def decode_core(
         raise ContractViolation(f"position {position} outside [0, {cfg.max_position})")
 
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(d)
     x = weights.embed[int(token)].copy()
 
     avg_queries: list[np.ndarray] = []
-    rows_per_layer: list[np.ndarray | None] = []
+    rows_per_layer: list[np.ndarray] = []
 
     for layer_idx, lw in enumerate(weights.layers):
         xa = _rms_norm(x, lw.attn_norm)
@@ -365,14 +361,14 @@ def decode_core(
 
         if view.keys.shape[1] == 0:
             raise ContractViolation(f"layer {layer_idx}: empty attention view")
-        probs = softmax_rows(q.reshape(n_kv, cfg.group_size, d) @ view.keys.transpose(0, 2, 1) * scale)
+        probs = attention_rows(q, view.keys, cfg.group_size)
         x = x + (probs @ view.values).reshape(-1) @ lw.wo
 
         xf = _rms_norm(x, lw.ffn_norm)
         x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
 
         avg_queries.append(avg_q)
-        rows_per_layer.append(probs if view.observe else None)
+        rows_per_layer.append(probs)
 
     logits = _rms_norm(x, weights.final_norm) @ weights.w_out
     return StepOutput(logits, avg_queries, rows_per_layer)

@@ -16,23 +16,23 @@ make_policy maps each of the seven kinds onto one of four classes:
                                        top-K and attend it, not the full cache
 
 After the prefill the session builds one policy object per layer. At each
-step, `view` returns the LayerView the layer attends and, after the
-forward pass, `update` takes the observed probability rows, maintains the
-policy's state and reports the layer's modeled cost as a LayerStep. The
-session owns the full caches and writes each fresh key/value into them
-before asking for a view, unless appends_full is False (snapkv keeps only
-its prompt there). Every view holds the current token and is the filled
-prefix of an arena: full views read the full cache, and every budgeted
-policy's partial step reads the layer's partial cache, into which it
-appended the current entry first. Streaming and h2o build that arena at
-the prefill by gathering their starting set from the full cache, then
-append one entry and drop one slot per step: streaming the oldest entry
-after the sinks, h2o the lightest heavy-hitter candidate. A view is three
-head-major arrays, keys and values (n_kv_heads, m, head_dim) and
-positions (n_kv_heads, m); a full view broadcasts its one position row
-over the heads. The model attends every head of a layer in one batched
-computation, so the rows `update` observes, and the rows a TopK policy
-scores itself, are one (n_kv_heads, group_size, m) array.
+step the session writes the fresh key/value into the layer's full cache
+(unless appends_full is False: snapkv keeps only its prompt there) and
+asks `view(step, position, ...)`, with the position it computed, for the
+LayerView the layer attends. After the forward pass `update` gets the
+rows the model returns for every layer, maintains the policy's state and
+reports the layer's modeled cost as a LayerStep. Every view holds the
+current token and is the filled prefix of an arena: full views read the
+full cache, and the partial step every budgeted policy shares
+(LayerPolicy.view) appends the current entry to the layer's partial cache
+and attends that. Streaming and h2o build that arena at the prefill by
+gathering their starting set from the full cache, then drop one slot per
+step: streaming the oldest entry after the sinks, h2o the lightest
+heavy-hitter candidate. A view is three head-major arrays, keys and
+values (n_kv_heads, m, head_dim) and positions (n_kv_heads, m); a full
+view broadcasts its one position row over the heads. The rows `update`
+gets, and the rows refreshkv_no_full scores over the full cache, come
+from model.attention_rows as one (n_kv_heads, group_size, m) array.
 
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
@@ -58,8 +58,8 @@ from .metrics import (
     score_pass_flops,
     selection_overhead_flops,
 )
-from .model import LayerView, StepOutput
-from .numerics import cosine_similarity, max_pool_1d, softmax_rows, top_k_indices
+from .model import LayerView, StepOutput, attention_rows
+from .numerics import cosine_similarity, max_pool_1d, top_k_indices
 from .scheduler import ScheduleConfig, should_full
 
 if TYPE_CHECKING:
@@ -231,8 +231,9 @@ class LayerStep:
 class LayerPolicy:
     """One layer's cache policy, built from its session right after the prefill.
 
-    Subclasses implement view(step, q, avg_q, k_new, v_new) -> LayerView
-    and update(step, rows, avg_q) -> LayerStep.
+    view(step, position, q, avg_q, k_new, v_new) -> LayerView runs mid-forward
+    (the base view is the budgeted policies' partial step), and update(step,
+    rows, avg_q) -> LayerStep gets the (n_kv, group, m) rows over that view.
     """
 
     appends_full = True  # the session writes each fresh key/value into the full cache
@@ -244,23 +245,25 @@ class LayerPolicy:
         self.full = session.full[layer]
         self.input_length, self.budget, self.k_sel = session.input_length, session.budget, session.k_sel
 
-    def position(self, step: int) -> int:
-        return self.input_length + step - 1
+    def view(self, step, position, q, avg_q, k_new, v_new) -> LayerView:
+        """The partial step: append the current entry to the partial-cache arena, attend its prefix."""
+        self.partial.append(position, k_new, v_new)
+        return self._partial_view()
 
-    def _full_view(self, observe: bool) -> LayerView:
+    def _full_view(self) -> LayerView:
         """The whole full cache, current entry included: the arena's filled prefix."""
         cf = self.full
-        return LayerView(cf.keys, cf.values, cf.head_positions, observe, "full")
+        return LayerView(cf.keys, cf.values, cf.head_positions, "full")
 
-    def _partial_view(self, observe: bool = False, mode: str = "partial") -> LayerView:
+    def _partial_view(self, mode: str = "partial") -> LayerView:
         """The partial cache's filled prefix."""
         cp = self.partial
-        return LayerView(cp.keys, cp.values, cp.positions, observe, mode)
+        return LayerView(cp.keys, cp.values, cp.positions, mode)
 
 
 class FullAttention(LayerPolicy):
-    def view(self, step, q, avg_q, k_new, v_new):
-        return self._full_view(observe=False)
+    def view(self, step, position, q, avg_q, k_new, v_new):
+        return self._full_view()
 
     def update(self, step, rows, avg_q):
         return LayerStep(self.input_length)
@@ -281,10 +284,6 @@ class Recency(LayerPolicy):
         positions, keys, values = self.full.gather(keep)
         self.partial = PartialCache(self.budget, positions, keys, values, np.zeros(positions.shape))
 
-    def view(self, step, q, avg_q, k_new, v_new):
-        self.partial.append(self.position(step), k_new, v_new)
-        return self._partial_view()
-
     def update(self, step, rows, avg_q):
         if self.partial.sizes()[0] > self.budget:
             self.partial.drop([self.config.n_sink] * self.model.n_kv_heads)
@@ -294,16 +293,12 @@ class Recency(LayerPolicy):
 class HeavyHitter(LayerPolicy):
     def __init__(self, session, layer, out):
         super().__init__(session, layer, out)
-        row = aggregate_group_scores(np.vstack(out.attn_rows[layer]), self.config.gqa_aggregation)
+        row = aggregate_group_scores(out.attn_rows[layer].reshape(-1, self.input_length), self.config.gqa_aggregation)
         self.h2o = H2OState(self.full, row, self.budget)
         self.partial = self.h2o.partial
 
-    def view(self, step, q, avg_q, k_new, v_new):
-        self.partial.append(self.position(step), k_new, v_new)
-        return self._partial_view(observe=True)
-
     def update(self, step, rows, avg_q):
-        row = aggregate_group_scores(np.vstack(rows), self.config.gqa_aggregation)
+        row = aggregate_group_scores(rows.reshape(-1, rows.shape[-1]), self.config.gqa_aggregation)
         view_positions = self.h2o.keepset().copy() if self.recorder is not None else None
         self.h2o.step(row)
         if self.recorder is not None:
@@ -341,18 +336,17 @@ class TopK(LayerPolicy):
         self.partial = init_partial(self.full, selection_scores(out.attn_rows[layer], self.config), self.k_sel)
         self.reference_query = out.avg_queries[layer].copy()  # from the layer's most recent full step
 
-    def view(self, step, q, avg_q, k_new, v_new):
+    def view(self, step, position, q, avg_q, k_new, v_new):
         self._sim = None
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
             self._sim = cosine_similarity(avg_q, self.reference_query)
         self._full_step = should_full(step, self._sim, self.schedule)
         self._refreshed = None
         if not self._full_step:
-            self.partial.append(self.position(step), k_new, v_new)
-            return self._partial_view()
+            return super().view(step, position, q, avg_q, k_new, v_new)
         if self.output_full:
-            return self._full_view(observe=self.refresh)
-        self._refreshed = self._refresh(step, self._score_rows(q))
+            return self._full_view()
+        self._refreshed = self._refresh(step, attention_rows(q, self.full.keys, self.model.group_size))
         return self._partial_view(mode="full")
 
     def update(self, step, rows, avg_q):
@@ -368,19 +362,13 @@ class TopK(LayerPolicy):
             return LayerStep(attended, overhead, self._sim)
         m = len(self.full)
         if self._refreshed is None:
-            if rows is None or rows[0].shape[1] != m:
-                raise ContractViolation("full-step observation rows missing or misaligned")
+            if rows.shape[-1] != m:
+                raise ContractViolation(f"full-step rows over {rows.shape[-1]} positions, the full cache holds {m}")
             self._refreshed = self._refresh(step, rows)
         else:
             overhead += score_pass_flops(m, self.model)
         overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
         return LayerStep(attended, overhead, self._sim, self._refreshed)
-
-    def _score_rows(self, q: np.ndarray) -> np.ndarray:
-        """(n_kv_heads, group_size, m) probability rows of the current queries over the full cache."""
-        cfg = self.model
-        q_groups = q.reshape(cfg.n_kv_heads, cfg.group_size, cfg.head_dim)
-        return softmax_rows(q_groups @ self.full.keys.transpose(0, 2, 1) * (1.0 / np.sqrt(cfg.head_dim)))
 
     def _refresh(self, step: int, rows: np.ndarray) -> list[float]:
         """Refill the partial cache in place with the full cache's top-K under `rows`.

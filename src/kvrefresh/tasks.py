@@ -194,6 +194,14 @@ def evaluate_chain(instance: ChainKeyInstance, output_text: str) -> ChainScore:
     return ChainScore(valid, valid / t)
 
 
+def check_stream_structure(structure: str, motif_period: int) -> None:
+    """Reject a stream structure synthetic_lm_stream cannot build."""
+    if structure not in ("uniform", "repeated_motif"):
+        raise ConfigurationError(f"unknown stream structure {structure!r}")
+    if structure == "repeated_motif" and motif_period < 1:
+        raise ConfigurationError(f"motif_period must be positive, got {motif_period}")
+
+
 def synthetic_lm_stream(
     length: int,
     vocab_size: int,
@@ -211,16 +219,13 @@ def synthetic_lm_stream(
         raise ConfigurationError(f"stream length must be >= 2, got {length}")
     if vocab_size < 2:
         raise ConfigurationError(f"vocab_size must be >= 2, got {vocab_size}")
+    check_stream_structure(structure, motif_period)
     rng = np.random.default_rng(seed)
     if structure == "uniform":
         return rng.integers(0, vocab_size, size=length, dtype=np.int64)
-    if structure == "repeated_motif":
-        if motif_period < 1:
-            raise ConfigurationError(f"motif_period must be positive, got {motif_period}")
-        motif = rng.integers(0, vocab_size, size=motif_period, dtype=np.int64)
-        reps = length // motif_period + 1
-        return np.tile(motif, reps)[:length]
-    raise ConfigurationError(f"unknown stream structure {structure!r}")
+    motif = rng.integers(0, vocab_size, size=motif_period, dtype=np.int64)
+    reps = length // motif_period + 1
+    return np.tile(motif, reps)[:length]
 
 
 def encode_text(text: str) -> list[int]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from kvrefresh import harness
 from kvrefresh.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,10 +52,19 @@ class TestRunExitCodes:
             ["--policy.kind", "vanilla", "--schedule.stride", "5"],
             ["--policy.kind", "streaming", "--policy.k", "8", "--schedule.mode", "always_full"],
             ["--policy.kind", "snapkv", "--schedule.threshold", "0.5"],
+            ["--task-params.structure", "zigzag"],
+            ["--task-params.motif-period", "0"],
+            # streaming keeps n_sink=4 sinks; SHORT_LM prefills L=12, so the default k_fraction gives budget 1
+            ["--policy.kind", "streaming", "--policy.k", "2"],
+            ["--policy.kind", "streaming"],
         ],
         ids=lambda flags: " ".join(flags),
     )
-    def test_bad_config_exits_config_before_compute(self, flags, tmp_path, capsys):
+    def test_bad_config_exits_config_before_compute(self, flags, tmp_path, capsys, monkeypatch):
+        def no_compute(config):
+            raise AssertionError("the model was built before the config was rejected")
+
+        monkeypatch.setattr(harness, "init_model", no_compute)
         assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, *flags]), capsys)
 
     @pytest.mark.parametrize(

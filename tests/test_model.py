@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import sys
 import tracemalloc
 from pathlib import Path
@@ -21,7 +22,7 @@ from kvrefresh.model import (
     prefill,
 )
 from kvrefresh.numerics import softmax_rows
-from kvrefresh.policies import PolicyConfig
+from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 
 BLOCK_EDGE_LENGTHS = [1, ATTN_BLOCK - 1, ATTN_BLOCK, ATTN_BLOCK + 1, 3 * ATTN_BLOCK + 5]
@@ -66,7 +67,7 @@ def dense_attention(q, k, v, group):
     return ctx, last_rows
 
 
-def decode_step(weights, token, views, position, observe_scores=False):
+def decode_step(weights, token, views, position):
     """Decode one token over fixed per-layer views of past cache entries.
 
     Each view is (keys, values, positions) with keys/values shaped
@@ -81,7 +82,7 @@ def decode_step(weights, token, views, position, observe_scores=False):
         keys = np.concatenate([keys, k_new[:, None]], axis=1)
         values = np.concatenate([values, v_new[:, None]], axis=1)
         positions = np.broadcast_to(np.append(positions, position), keys.shape[:2])
-        return LayerView(keys, values, positions, observe=observe_scores)
+        return LayerView(keys, values, positions)
 
     return decode_core(weights, token, position, provider)
 
@@ -249,6 +250,26 @@ class TestDecodeStep:
         with pytest.raises(ContractViolation):
             decode_core(desk_weights, 1, 2, empty)
 
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_every_layer_returns_its_rows_over_its_view(self, desk_weights, rng, kind):
+        cfg = desk_weights.config
+        schedule = ScheduleConfig(mode="fixed", stride=3) if kind in REFRESH_FAMILY else None
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule)
+        session.prefill(random_tokens(rng, cfg, 20))
+        for token in random_tokens(rng, cfg, 7):
+            out, rec = session.step(token)
+            assert len(out.attn_rows) == cfg.n_layers
+            for rows, m in zip(out.attn_rows, rec.view_lens):
+                assert rows.shape == (cfg.n_kv_heads, cfg.group_size, m)
+                np.testing.assert_allclose(rows.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_kv, group, m, d", [(2, 2, 1, 16), (2, 2, 37, 16), (1, 4, 129, 8), (4, 1, 5, 32)])
+    def test_attention_rows_is_the_inline_expression_bitwise(self, rng, n_kv, group, m, d):
+        q = rng.standard_normal((n_kv * group, d))
+        keys = rng.standard_normal((n_kv, 2 * m, d))[:, :m]  # an arena's filled prefix
+        expected = softmax_rows(q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1) * (1.0 / np.sqrt(d)))
+        assert np.array_equal(model.attention_rows(q, keys, group), expected)
+
 
 class TestRopeTable:
     def test_table_is_the_angle_expression_bitwise(self, desk_weights):
@@ -272,8 +293,8 @@ class TestRopeTable:
             decode_step(weights, 1, cache_views(caches), position=32)
 
 
-def perfbench_lookups(span):
-    """The `module:name` lookups the benchmark's tracer wraps to time `span`."""
+def perfbench_tracer():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -282,7 +303,39 @@ def perfbench_lookups(span):
         spec.loader.exec_module(tracer)
     finally:
         del sys.modules[spec.name]
-    return next(target.lookups for target in tracer.TARGETS if target.span == span)
+    return tracer
+
+
+def perfbench_lookups(span):
+    """The `module:name` lookups the benchmark's tracer wraps to time `span`."""
+    return next(target.lookups for target in perfbench_tracer().TARGETS if target.span == span)
+
+
+# The tracer's lookups that resolve; each one that stops resolving turns its span's readouts to 0.
+RESOLVED_LOOKUPS = {
+    "kvrefresh.engine:model_prefill",
+    "kvrefresh.engine:decode_core",
+    "kvrefresh.model:apply_rope",
+    "kvrefresh.model:softmax_rows",
+    "kvrefresh.kv_store:FullCache.append",
+    "kvrefresh.kv_store:FullCache.gather",
+    "kvrefresh.kv_store:PartialCache.append",
+    "kvrefresh.kv_store:PartialCache.evict_overflow",
+    "kvrefresh.kv_store:init_partial",
+    "kvrefresh.policies:init_partial",
+    "kvrefresh.policies:selection_scores",
+    "kvrefresh.policies:H2OState.step",
+}
+
+
+def test_tracer_lookups_resolve():
+    tracer = perfbench_tracer()
+    lookups = {lookup for target in tracer.TARGETS for lookup in target.lookups}
+    resolved = {lookup for lookup in lookups if tracer._resolve(lookup)[0] is not None}
+    assert RESOLVED_LOOKUPS - resolved == set()
+    # the tracer times the view callback through this parameter's name
+    owner, attr = tracer._resolve("kvrefresh.engine:decode_core")
+    assert tracer.VIEW_PARAM in inspect.signature(getattr(owner, attr)).parameters
 
 
 class TestTraceSpans:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kvrefresh import engine, model
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.engine import DecodeSession, greedy_generate
 from kvrefresh.kv_store import FullCache, init_partial
@@ -166,6 +167,18 @@ class TestRefresh:
                     np.testing.assert_array_equal(cp.positions[h], brute_force_top_k(sel[h].tolist(), 8))
                     np.testing.assert_array_equal(cp.keys[h], session.full[layer].keys[h][cp.positions[h]])
         assert any(e["kind"] == "refresh" for e in events)
+
+    def test_misaligned_full_step_rows_rejected(self, desk_weights, rng, monkeypatch):
+        def rows_one_short(*args):
+            out = model.decode_core(*args)
+            out.attn_rows[1] = out.attn_rows[1][..., 1:]
+            return out
+
+        monkeypatch.setattr(engine, "decode_core", rows_one_short)
+        session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8), ScheduleConfig(mode="always_full"))
+        session.prefill(rng.integers(0, desk_weights.config.vocab_size, size=20).tolist())
+        with pytest.raises(ContractViolation, match="full-step rows over 20 positions, the full cache holds 21"):
+            session.step(3)
 
 
 def streaming_arena(weights, rng, prompt_length, budget, n_steps=0):
