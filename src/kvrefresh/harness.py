@@ -76,6 +76,8 @@ class RunConfig:
         self.schedule.validate()
         self.task_params.validate()
         require(int, n_generate=self.n_generate, seed=self.seed)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
         if self.policy.kind not in REFRESH_FAMILY and self.schedule != ScheduleConfig():
@@ -98,7 +100,10 @@ class RunConfig:
         else:
             if self.n_generate < 1:
                 raise ConfigurationError(f"n_generate must be positive, got {self.n_generate}")
-            prompt_length = len(encode_text(chain_instance(self).prompt))
+            prompt = encode_text(chain_instance(self).prompt)
+            if max(prompt) >= self.model.vocab_size:
+                raise ConfigurationError(f"chainkey prompt byte {max(prompt)} outside vocab_size {self.model.vocab_size}")
+            prompt_length = len(prompt)
             last = prompt_length + self.n_generate - 1
         if self.policy.kind == "streaming" and (budget := self.policy.resolve_budget(prompt_length)) < self.policy.n_sink:
             raise ConfigurationError(f"streaming budget {budget} smaller than n_sink {self.policy.n_sink}")

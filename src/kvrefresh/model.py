@@ -15,8 +15,9 @@ computed under.
 `prefill` and `full_forward` share one layer pass whose attention is
 `causal_attention`: queries go in blocks of ATTN_BLOCK rows, each block's
 logits cover only the keys up to its own last position, and only the
-diagonal tile is masked. Peak memory is O(ATTN_BLOCK * L); no L x L array
-is built.
+diagonal tile is masked. Each block's logits are shifted and exponentiated
+in place and normalised after the value product, so memory peaks at one
+block's (ATTN_BLOCK * group, L) exponentials; no L x L array is built.
 
 `decode_core` runs each layer as one batched computation over all kv
 heads: the view is three head-major arrays, and `attention_rows` (one
@@ -75,8 +76,8 @@ class ModelConfig:
             raise ConfigurationError(
                 f"n_query_heads={self.n_query_heads} not divisible by n_kv_heads={self.n_kv_heads}"
             )
-        if not 0 < self.ffn_mult < float("inf") or self.vocab_size < 2 or self.max_position < 1:
-            raise ConfigurationError("ffn_mult, vocab_size, max_position out of range")
+        if not 0 < self.ffn_mult < float("inf") or self.vocab_size < 2 or self.max_position < 1 or self.seed < 0:
+            raise ConfigurationError("ffn_mult, vocab_size, max_position or seed out of range")
         if self.max_position > MAX_POSITIONS:
             raise ConfigurationError(f"max_position {self.max_position} exceeds {MAX_POSITIONS}")
 
@@ -251,10 +252,13 @@ def causal_attention(
     query head j reads kv head j // group. A block of queries ending at
     block_end attends keys [0, block_end) with one matmul per kv head
     (all `group` query heads at once); only the diagonal tile needs the
-    causal mask. Each row's softmax is exact, so no running rescale is
-    needed, and memory peaks at one block's (ATTN_BLOCK * group, L)
-    probabilities. Returns the context (L, n_query_heads, head_dim) and the
-    last position's (n_kv_heads, group, L) probability rows.
+    causal mask. Each row sees its whole prefix, so its softmax is exact
+    with no running rescale: the logits are shifted by their row max and
+    exponentiated in place, and the row sums divide the (rows, head_dim)
+    context after the value product instead of the (rows, L) block. Memory
+    peaks at one block's (ATTN_BLOCK * group, L) exponentials. Returns the
+    context (L, n_query_heads, head_dim) and the last position's
+    (n_kv_heads, group, L) probability rows.
     """
     L, n_q, d = q.shape
     n_kv = k.shape[0]
@@ -268,10 +272,12 @@ def causal_attention(
         for h in range(n_kv):
             logits = (qs[h, start:end].reshape(-1, d) @ k[h, :end].T).reshape(rows, group, end)
             logits[:, :, start:] += _DIAGONAL_MASK[:rows, :, :rows]
-            probs = softmax_rows(logits)
-            ctx[h, start:end] = (probs.reshape(-1, end) @ v[h, :end]).reshape(rows, group, d)
+            logits -= logits.max(axis=-1, keepdims=True)
+            np.exp(logits, out=logits)  # unnormalised probabilities, in place
+            total = logits.sum(axis=-1, keepdims=True)
+            ctx[h, start:end] = (logits.reshape(-1, end) @ v[h, :end]).reshape(rows, group, d) / total
             if end == L:
-                last_rows[h] = probs[-1]
+                last_rows[h] = logits[-1] / total[-1]
     return ctx.transpose(1, 0, 2, 3).reshape(L, n_q, d), last_rows
 
 

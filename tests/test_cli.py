@@ -57,6 +57,10 @@ class TestRunExitCodes:
             # streaming keeps n_sink=4 sinks; SHORT_LM prefills L=12, so the default k_fraction gives budget 1
             ["--policy.kind", "streaming", "--policy.k", "2"],
             ["--policy.kind", "streaming"],
+            ["--seed", "-1"],
+            ["--model.seed", "-1"],
+            # the chainkey prompt is byte-level text whose letters reach byte 122
+            ["--task", "chainkey", "--model.vocab-size", "100"],
         ],
         ids=lambda flags: " ".join(flags),
     )

@@ -34,18 +34,18 @@ FIXED = {"mode": "fixed", "stride": 10}
 QC = {"mode": "qc", "qc_stride": 10, "threshold": 0.0}
 
 GOLDEN = {
-    ("lm", "vanilla", "default"): "b85b914b1bc157acc9b0c4bc2a2d2bd2cc1d8359f9821389ad70a0fcd7d6c7e3",
-    ("lm", "streaming", "default"): "423be1aec2161765979a9183ec0c3a08968e6d6ab46cc2fc8440a754292612d0",
-    ("lm", "h2o", "default"): "d9a7e8d54882e24e463092b23a60e3cb1a373685daff309f600f942fee876a10",
-    ("lm", "snapkv", "default"): "131db178a8c9b0dbeea8321594a5fef782993763c5d1eab05c915483ec6bde88",
-    ("lm", "refreshkv", "fixed"): "5215f9c4873ad04fb580b8879fcae0654cbeb3b7f4104b9045ab72476dfed52b",
-    ("lm", "refreshkv", "qc"): "10c905a2457a26a9034ccc744d5b908af4a1b4956c4f38f69eda5bf9b2f68f47",
-    ("lm", "refreshkv_no_refresh", "fixed"): "f4ab9bd7fc418f087879c335554a840bf25e3d42345a129e1c2791314ec04ed2",
-    ("lm", "refreshkv_no_refresh", "qc"): "02790595bb06679edad59a7bac33e1f8f3eef283d315d0fd542a91f91b75bb4b",
-    ("lm", "refreshkv_no_full", "fixed"): "e94c142449a8993e6fc651ea9a6ba2400132d46e9d6118de08ec3ba94b5a440b",
-    ("lm", "refreshkv_no_full", "qc"): "cb2a76ce5c6918dba8c15d8a3d40b1226307f8eb8d9ea27427b67754d5b67b92",
-    ("lm", "refreshkv", "fixed-no-evict-shared"): "6e3287906a1a7a9c3f4836d81aa188101ae390c8ca147d77160faeeab11c5b47",
-    ("chainkey", "refreshkv", "default"): "31339d682ca9431e778b76feb56c26e221266c42e8e0dfe14cc9e35c03ed5930",
+    ("lm", "vanilla", "default"): "7096f893ee18037747dffabc9e377f2d6cf813ddae30800f84881fb2101ced19",
+    ("lm", "streaming", "default"): "80150285fd1c5ff0ddb62555d713ef1c184573e1929a1286b14b1bac5b0047ee",
+    ("lm", "h2o", "default"): "da53751ad7c7f208017aa3c1b42bb4bf1d4fb685a7d464bf2bc9bc514633d98c",
+    ("lm", "snapkv", "default"): "ac9fdde5edc784db439460d3d9490495f47023068d8bbb845333f83216742b92",
+    ("lm", "refreshkv", "fixed"): "49265a74e2210d8feacefa291f92d6ab67318b1b675f299cf050f3d16176f8aa",
+    ("lm", "refreshkv", "qc"): "21b543881824e7e0006fa26c5d3f86c5855cac0b7c7d03491105f977fa8638da",
+    ("lm", "refreshkv_no_refresh", "fixed"): "77a12dd4df641a325a1cc48f4e524f14bd606a0ab1e5f2d44050452cdcf77431",
+    ("lm", "refreshkv_no_refresh", "qc"): "22625f4f195648ca5bc973faa528987e84be73e452935fc74892d26580c2052e",
+    ("lm", "refreshkv_no_full", "fixed"): "8289217abc8768e4b666c653a99484d1c75b282f8ed031e8b8b6d1d60f6814fb",
+    ("lm", "refreshkv_no_full", "qc"): "e63856693e5a215bd8a25efb8fe88979d0e25af9f7d4c4b818139040476a54f3",
+    ("lm", "refreshkv", "fixed-no-evict-shared"): "e7447e3a314db11088c7cd7300f6d7e83238d0b2b30ecaecccab0df109690200",
+    ("chainkey", "refreshkv", "default"): "5faf5d0e42f651e773b6363ad8c7e5debb8d9a0812f2ca3d53c0b88ad9644ff6",
 }
 
 

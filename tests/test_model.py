@@ -117,6 +117,7 @@ class TestInit:
             dict(vocab_size=1),
             dict(max_position=0),
             dict(max_position=model.MAX_POSITIONS + 1),  # rejected before its rotary table is built
+            dict(seed=-1),
         ],
     )
     def test_invalid_configs(self, bad):
@@ -170,6 +171,21 @@ class TestCausalAttention:
         assert len(rows) == len(rows_ref) == n_kv
         for r, r_ref in zip(rows, rows_ref):
             assert_normwise_close(r, r_ref)
+
+    @pytest.mark.parametrize("n_kv", [1, 2, 4])
+    @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
+    def test_large_logits_keep_the_max_shift(self, length, n_kv, rng):
+        # x40 on q and k puts logits in the thousands, where an unshifted exp overflows
+        q = 40.0 * rng.standard_normal((length, 4, 16))
+        k, v = rng.standard_normal((2, n_kv, length, 16))
+        k *= 40.0
+        ctx, rows = causal_attention(q, k, v, 4 // n_kv)
+        ctx_ref, rows_ref = dense_attention(q, k, v, 4 // n_kv)
+        assert np.isfinite(ctx).all() and np.isfinite(rows).all()
+        assert_normwise_close(ctx, ctx_ref)
+        for r, r_ref in zip(rows, rows_ref):
+            assert_normwise_close(r, r_ref)
+        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n_kv", [1, 2, 4])
     @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
