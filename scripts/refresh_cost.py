@@ -1,19 +1,23 @@
-"""Refresh-step cost against a vanilla step, measured in process.
+"""Decode step cost per policy against prompt length, measured in process.
 
-For each prompt length L, one vanilla session and one refreshkv session
-(fixed stride 10, K=128) are prefilled with the same stream and run over
-the same teacher-forced tokens, one session after the other, so neither
-evicts the other's caches from the CPU caches. Each `DecodeSession.step`
-is timed with `time.perf_counter_ns`; the refreshkv steps split into
-refresh steps (the scheduled full steps that refill the partial cache)
-and partial steps. Each L runs `--rounds` fresh pairs, alternating which
-session goes first. The script prints, per L, the median over rounds of
-each session's median step time, and the median, lowest and highest
-per-round refresh/vanilla ratio.
+For each prompt length L, a vanilla session, a refreshkv session (fixed
+stride 10, K=128) and a snapkv session (K=128) are prefilled with the same
+stream and run over the same teacher-forced tokens, one session after the
+other, so none evicts another's caches from the CPU caches. Each
+`DecodeSession.step` is timed with `time.perf_counter_ns`; the refreshkv
+steps split into refresh steps (the scheduled full steps that refill the
+partial cache) and partial steps. Each L runs `--rounds` fresh sets of
+sessions, rotating which session goes first. The script prints, per L,
+the median over rounds of each session's median step time, and the
+median, lowest and highest per-round refresh/vanilla ratio.
+
+With `--json PATH` the numbers are written to PATH as well; with
+`--label NAME` too, they go under the key NAME of the JSON object already
+in PATH (created if missing), so runs of two checkouts can share one file.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/refresh_cost.py [--lengths 1024 4096] [--steps 400] [--rounds 3]
+    PYTHONPATH=src python scripts/refresh_cost.py [--lengths 1024 4096] [--steps 400] [--rounds 3] [--json PATH [--label NAME]]
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # one BLAS thread, as perfbench/run.py runs; must precede the numpy import
 
 import argparse
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +39,10 @@ from kvrefresh.model import canonical_config, init_model
 from kvrefresh.policies import PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 from kvrefresh.tasks import synthetic_lm_stream
+
+K = 128  # partial-cache budget of the refreshkv and snapkv sessions
+STRIDE = 10  # refreshkv's fixed refresh stride
+COLUMNS = ("vanilla", "refresh", "partial", "snapkv")  # median step µs, by kind of step
 
 
 def _step_times(session: DecodeSession, tokens: list[int]) -> tuple[list[int], list[bool]]:
@@ -46,15 +56,18 @@ def _step_times(session: DecodeSession, tokens: list[int]) -> tuple[list[int], l
     return ns, full
 
 
-def measure(length: int, steps: int, seed: int, vanilla_first: bool) -> dict:
-    """Median µs of a vanilla step, a refresh step and a partial step, from one fresh pair of sessions."""
+def measure(length: int, steps: int, seed: int, first: int) -> dict:
+    """Median µs of a vanilla, refresh, refreshkv partial and snapkv step, from one fresh set of
+    sessions run in turn starting with session `first`."""
     weights = init_model(canonical_config(seed=0, max_position=length + steps + 1))
     stream = synthetic_lm_stream(length + steps, 256, seed, "repeated_motif", 64).tolist()
-    vanilla = DecodeSession(weights, PolicyConfig(kind="vanilla"))
-    refresh = DecodeSession(weights, PolicyConfig(kind="refreshkv", k=128), ScheduleConfig(mode="fixed", stride=10))
+    sessions = [
+        ("vanilla", DecodeSession(weights, PolicyConfig(kind="vanilla"))),
+        ("refresh", DecodeSession(weights, PolicyConfig(kind="refreshkv", k=K), ScheduleConfig(mode="fixed", stride=STRIDE))),
+        ("snapkv", DecodeSession(weights, PolicyConfig(kind="snapkv", k=K))),
+    ]
     times = {}
-    order = [("vanilla", vanilla), ("refresh", refresh)]
-    for name, session in order if vanilla_first else order[::-1]:
+    for name, session in sessions[first:] + sessions[:first]:
         session.prefill(stream[:length])
         times[name] = _step_times(session, stream[length:])
     ns, full = times["refresh"]
@@ -62,6 +75,7 @@ def measure(length: int, steps: int, seed: int, vanilla_first: bool) -> dict:
         "vanilla": float(np.median(times["vanilla"][0])) / 1e3,
         "refresh": float(np.median([t for t, f in zip(ns, full) if f])) / 1e3,
         "partial": float(np.median([t for t, f in zip(ns, full) if not f])) / 1e3,
+        "snapkv": float(np.median(times["snapkv"][0])) / 1e3,
         "n_refresh": sum(full),
     }
 
@@ -70,17 +84,30 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--lengths", type=int, nargs="+", default=[1024, 2048, 4096, 8000])
     parser.add_argument("--steps", type=int, default=400, help="decode steps per session (a refresh every 10th)")
-    parser.add_argument("--rounds", type=int, default=3, help="fresh session pairs per length, alternating order")
+    parser.add_argument("--rounds", type=int, default=3, help="fresh session sets per length, rotating the order")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", type=Path, help="also write the numbers to this file")
+    parser.add_argument("--label", help="with --json: store the numbers under this key of the file's object")
     args = parser.parse_args()
-    print(f"{'L':>6} {'refreshes':>9} {'vanilla_us':>10} {'refresh_us':>10} {'partial_us':>10} "
+    records = []
+    print(f"{'L':>6} {'refreshes':>9} {'vanilla_us':>10} {'refresh_us':>10} {'partial_us':>10} {'snapkv_us':>9} "
           f"{'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")
     for length in args.lengths:
-        rounds = [measure(length, args.steps, args.seed, r % 2 == 0) for r in range(args.rounds)]
-        med = {key: float(np.median([r[key] for r in rounds])) for key in ("vanilla", "refresh", "partial")}
+        rounds = [measure(length, args.steps, args.seed, r % 3) for r in range(args.rounds)]
+        med = {key: float(np.median([r[key] for r in rounds])) for key in COLUMNS}
         ratios = [r["refresh"] / r["vanilla"] for r in rounds]
-        print(f"{length:>6} {rounds[0]['n_refresh']:>9} {med['vanilla']:>10.0f} {med['refresh']:>10.0f} "
-              f"{med['partial']:>10.0f} {float(np.median(ratios)):>15.2f} {min(ratios):>9.2f} {max(ratios):>9.2f}")
+        rec = {"L": length, "n_refresh": rounds[0]["n_refresh"], **{f"{key}_us": med[key] for key in COLUMNS},
+               "refresh_over_vanilla": float(np.median(ratios)), "ratio_min": min(ratios), "ratio_max": max(ratios)}
+        records.append(rec)
+        print(f"{length:>6} {rec['n_refresh']:>9} {med['vanilla']:>10.0f} {med['refresh']:>10.0f} "
+              f"{med['partial']:>10.0f} {med['snapkv']:>9.0f} {rec['refresh_over_vanilla']:>15.2f} "
+              f"{rec['ratio_min']:>9.2f} {rec['ratio_max']:>9.2f}")
+    if args.json:
+        result = {"rounds": args.rounds, "steps": args.steps, "seed": args.seed, "k": K, "stride": STRIDE,
+                  "blas_threads": 1, "lengths": records}
+        if args.label:
+            result = {**(json.loads(args.json.read_text()) if args.json.exists() else {}), args.label: result}
+        args.json.write_text(json.dumps(result, indent=2) + "\n")
 
 
 if __name__ == "__main__":

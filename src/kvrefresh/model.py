@@ -6,7 +6,8 @@ vectors and per-head attention probability rows so cache policies and the
 scheduler can observe them. Weights are fully determined by the config
 seed; two initializations with an equal config are bitwise identical.
 Each layer projects q, k and v with one fused matrix, and the rotary
-cos/sin come from a per-model table built once at init.
+cos/sin come from a per-model table built once at init, interleaved to
+the head vector's pair layout so `apply_rope` is two products and a sum.
 
 Keys are cached post-rotation at their original absolute positions, so a
 non-contiguous partial cache keeps the geometry its selection scores were
@@ -23,6 +24,14 @@ block's (ATTN_BLOCK * group, L) exponentials; no L x L array is built.
 heads: the view is three head-major arrays, and `attention_rows` (one
 matmul, one `softmax_rows` call) gives every kv head's query group its
 rows over its own (m, head_dim) keys; every layer's rows are returned.
+
+Keys are stored key-major (each head's keys one C-contiguous (head_dim,
+slots) block; see `kv_store`), so `keys.transpose(0, 2, 1)` in
+`attention_rows` and `causal_attention` is a row-major operand and the
+logit product runs as a plain NN GEMM. With row-major keys it ran
+through BLAS's transposed-B path, about 3x slower per call at m=2,500
+(59-67 us against 17-23 us for the (2, 2, 16) x (16, m) product, one
+OpenBLAS thread); the arrays and view shapes are the same either way.
 """
 
 from __future__ import annotations
@@ -105,10 +114,11 @@ class ModelWeights:
     layers: list[LayerWeights]
     final_norm: np.ndarray  # (model_dim,)
     w_out: np.ndarray  # (model_dim, vocab_size)
-    rope: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)  # cos, sin: (max_position, head_dim/2)
+    # cos, signed sin: (max_position, head_dim), interleaved per rotary pair (see _rope_table)
+    rope: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.rope = _rope_angles(np.arange(self.config.max_position), self.config.head_dim)
+        self.rope = _rope_table(np.arange(self.config.max_position), self.config.head_dim)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         out = [("embed", self.embed)]
@@ -163,27 +173,30 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def _rope_angles(positions: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _rope_table(positions: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rotary table rows (..., head_dim) per position, interleaved to the pair layout:
+    cos(a_i) at 2i and 2i+1, and -sin(a_i) at 2i, +sin(a_i) at 2i+1, with a_i = pos / base^(2i/head_dim)."""
     inv_freq = ROPE_BASE ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
     ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
-    return np.cos(ang), np.sin(ang)
+    sin = np.sin(ang)
+    return np.repeat(np.cos(ang), 2, axis=-1), np.stack([-sin, sin], axis=-1).reshape(ang.shape[:-1] + (head_dim,))
 
 
-def apply_rope(x: np.ndarray, positions: int | np.ndarray, rope: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _swap_pairs(x: np.ndarray) -> np.ndarray:
+    """x with entries 2i and 2i+1 of its last axis exchanged."""
+    return x.reshape(x.shape[:-1] + (-1, 2))[..., ::-1].reshape(x.shape)
+
+
+def apply_rope(x: np.ndarray, positions: int | slice | np.ndarray, rope: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Rotate head vectors by their absolute positions.
 
-    x: (..., n_heads, head_dim); positions: an index or index array into
-    the model's (cos, sin) table `rope`, broadcastable over the leading
-    axes. Pairs (2i, 2i+1) are rotated by angle pos / base^(2i/head_dim).
+    x: (..., n_heads, head_dim); positions: an index, slice or index array
+    into the model's interleaved table `rope`, broadcastable over the
+    leading axes. Pair (2i, 2i+1) becomes (x1 cos - x2 sin, x2 cos + x1 sin)
+    at angle pos / base^(2i/head_dim): x * cos + swap_pairs(x) * signed sin,
+    the same floats as the pairwise formula.
     """
-    cos = rope[0][positions][..., None, :]
-    sin = rope[1][positions][..., None, :]
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x1 * cos - x2 * sin
-    out[..., 1::2] = x1 * sin + x2 * cos
-    return out
+    return x * rope[0][positions][..., None, :] + _swap_pairs(x) * rope[1][positions][..., None, :]
 
 
 @dataclass
@@ -196,10 +209,13 @@ class LayerView:
     given. Every view is the filled prefix of one of the layer's arenas,
     the full cache or the partial cache, so none is a copy: it holds until
     the store's next write. A full view broadcasts the full cache's one
-    position row over the heads.
+    position row over the heads. Keys are key-major in both arenas (each
+    head's keys one C-contiguous (head_dim, slots) block), so attention's
+    q @ keys.transpose(0, 2, 1) is an NN GEMM; any layout gives the same
+    result up to the last bits.
     """
 
-    keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated
+    keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated, key-major
     values: np.ndarray  # (n_kv_heads, m, head_dim)
     positions: np.ndarray  # (n_kv_heads, m) original absolute positions
     mode: str = "full"  # trace tag: "full" | "partial"
@@ -239,7 +255,9 @@ def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> np.ndarray:
     """One token's (n_kv_heads, group, m) attention probabilities: query head j of q
     (n_kv_heads * group, head_dim) against kv head j // group's keys, times 1/sqrt(head_dim)."""
     n_kv, _, d = keys.shape
-    return softmax_rows(q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1) * (1.0 / np.sqrt(d)))
+    logits = q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1)  # NN GEMM per head on key-major keys
+    logits *= 1.0 / np.sqrt(d)
+    return softmax_rows(logits)
 
 
 def causal_attention(
@@ -248,11 +266,11 @@ def causal_attention(
     """Causal self-attention of every position over its prefix, ATTN_BLOCK queries at a time.
 
     q: (L, n_kv_heads * group, head_dim); k, v: head-major (n_kv_heads, L,
-    head_dim), the cache's layout, so one head's keys are contiguous;
-    query head j reads kv head j // group. A block of queries ending at
-    block_end attends keys [0, block_end) with one matmul per kv head
-    (all `group` query heads at once); only the diagonal tile needs the
-    causal mask. Each row sees its whole prefix, so its softmax is exact
+    head_dim), the cache's layout: k key-major, so k[h, :end].T is a
+    row-major operand, and v row-major; query head j reads kv head j //
+    group. A block of queries ending at block_end attends keys [0,
+    block_end) with one matmul per kv head (all `group` query heads at
+    once); only the diagonal tile needs the causal mask. Each row sees its whole prefix, so its softmax is exact
     with no running rescale: the logits are shifted by their row max and
     exponentiated in place, and the row sums divide the (rows, head_dim)
     context after the value product instead of the (rows, L) block. Memory
@@ -285,23 +303,24 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
     """The layer pass `full_forward` and `prefill` share.
 
     Returns the final hidden states (L, model_dim) and per layer the rotated
-    keys and the values, head-major (n_kv_heads, L, head_dim), the last
+    keys and the values, head-major (n_kv_heads, L, head_dim) with the keys
+    key-major (the cache's layout, made by the one copy out of qk), the last
     position's mean query and causal_attention's last-position rows.
     """
     cfg = weights.config
     toks = _check_sequence(cfg, tokens)
     L = toks.size
-    positions = np.arange(L)
     n_q, n_kv = cfg.n_query_heads, cfg.n_kv_heads
     x = weights.embed[toks]  # (L, D)
     layers = []
     for lw in weights.layers:
         xa = _rms_norm(x, lw.attn_norm)
         qkv = (xa @ lw.wqkv).reshape(L, n_q + 2 * n_kv, cfg.head_dim)
-        qk = apply_rope(qkv[:, : n_q + n_kv], positions, weights.rope)
-        k, v = qk[:, n_q:].transpose(1, 0, 2).copy(), qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
+        qk = apply_rope(qkv[:, : n_q + n_kv], slice(L), weights.rope)
+        k = qk[:, n_q:].transpose(1, 2, 0).copy().transpose(0, 2, 1)  # key-major
+        v = qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
         ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
-        layers.append((k, v, qk[-1, :n_q].mean(axis=0), last_rows))
+        layers.append((k, v, np.add.reduce(qk[-1, :n_q], axis=0) / n_q, last_rows))
         x = x + ctx.reshape(L, -1) @ lw.wo
         del xa, qkv, qk, ctx  # free the attention's arrays before the feed-forward's (L, ffn_dim) temporaries
 
@@ -361,7 +380,7 @@ def decode_core(
         qkv = (xa @ lw.wqkv).reshape(n_q + 2 * n_kv, d)
         qk = apply_rope(qkv[: n_q + n_kv], position, weights.rope)
         q, k_new, v_new = qk[:n_q], qk[n_q:], qkv[n_q + n_kv :]
-        avg_q = q.mean(axis=0)
+        avg_q = np.add.reduce(q, axis=0) / n_q  # q.mean(axis=0)'s arithmetic, without its dispatch
 
         view = provide_view(layer_idx, q, avg_q, k_new, v_new)
 

@@ -554,6 +554,32 @@ class TestArena:
                     assert len(view.keys[h]) == len(view.values[h]) == len(view.positions[h]) == rec.view_lens[layer]
         assert modes == ({"full"} if kind == "vanilla" else {"full", "partial"} if kind == "refreshkv" else {"partial"})
 
+    @pytest.mark.parametrize("kind", ["vanilla", "refreshkv", "snapkv", "streaming", "h2o"])
+    def test_key_arenas_are_key_major(self, desk_weights, rng, kind):
+        # each head's keys are one C-contiguous (head_dim, slots) block, so attention's q @ keys[h].T is an NN GEMM
+        def assert_key_major(keys):
+            for h in range(desk_weights.config.n_kv_heads):
+                assert keys[h].T.flags.c_contiguous
+
+        schedule = ScheduleConfig(mode="fixed", stride=3) if kind == "refreshkv" else None
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule)
+        seen = capture_views(session)
+        stream = toks(rng, desk_weights.config, 20 + 16)  # 20 -> 40 slots at the first decode step
+        session.prefill(stream[:20])
+        for cache in session.full:
+            assert_key_major(cache.keys)  # the prefill's keys, handed over without a copy: the whole arena
+        for tok in stream[20:]:
+            seen.clear()
+            session.step(tok)
+            for layer, view in seen:
+                assert_key_major(session.full[layer]._keys)
+                if session.partial:
+                    assert_key_major(session.partial[layer]._arrays[1])
+                for h in range(desk_weights.config.n_kv_heads):
+                    assert view.keys[h].T.strides[1] == view.keys.itemsize  # a row-major prefix of the arena
+        if kind != "snapkv":  # snapkv keeps only its prompt in the full cache
+            assert all(cache._keys.shape[1] == 40 for cache in session.full)  # the arena doubled
+
     def test_full_cache_growth_past_two_doublings_matches_full_forward(self, desk_weights, rng):
         stream = toks(rng, desk_weights.config, 33 + 40)
         session = DecodeSession(desk_weights, PolicyConfig(kind="vanilla"))

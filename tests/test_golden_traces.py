@@ -34,17 +34,17 @@ FIXED = {"mode": "fixed", "stride": 10}
 QC = {"mode": "qc", "qc_stride": 10, "threshold": 0.0}
 
 GOLDEN = {
-    ("lm", "vanilla", "default"): "7096f893ee18037747dffabc9e377f2d6cf813ddae30800f84881fb2101ced19",
-    ("lm", "streaming", "default"): "80150285fd1c5ff0ddb62555d713ef1c184573e1929a1286b14b1bac5b0047ee",
-    ("lm", "h2o", "default"): "da53751ad7c7f208017aa3c1b42bb4bf1d4fb685a7d464bf2bc9bc514633d98c",
-    ("lm", "snapkv", "default"): "ac9fdde5edc784db439460d3d9490495f47023068d8bbb845333f83216742b92",
-    ("lm", "refreshkv", "fixed"): "49265a74e2210d8feacefa291f92d6ab67318b1b675f299cf050f3d16176f8aa",
-    ("lm", "refreshkv", "qc"): "21b543881824e7e0006fa26c5d3f86c5855cac0b7c7d03491105f977fa8638da",
-    ("lm", "refreshkv_no_refresh", "fixed"): "77a12dd4df641a325a1cc48f4e524f14bd606a0ab1e5f2d44050452cdcf77431",
-    ("lm", "refreshkv_no_refresh", "qc"): "22625f4f195648ca5bc973faa528987e84be73e452935fc74892d26580c2052e",
-    ("lm", "refreshkv_no_full", "fixed"): "8289217abc8768e4b666c653a99484d1c75b282f8ed031e8b8b6d1d60f6814fb",
-    ("lm", "refreshkv_no_full", "qc"): "e63856693e5a215bd8a25efb8fe88979d0e25af9f7d4c4b818139040476a54f3",
-    ("lm", "refreshkv", "fixed-no-evict-shared"): "e7447e3a314db11088c7cd7300f6d7e83238d0b2b30ecaecccab0df109690200",
+    ("lm", "vanilla", "default"): "e95846ffe2c903bc53f8ef0a32f5541b63b18814392f267b0b8aa795e0dbefce",
+    ("lm", "streaming", "default"): "8c1bfced68279ba17985ea7dcabf360b14bc71ba2be94e81d2a1e2e2aa3c4984",
+    ("lm", "h2o", "default"): "c64afeea7261d63aaefe4e8414f73a63f2997dbbfd81bc6efba068a208b8d72b",
+    ("lm", "snapkv", "default"): "1be9bfbcb26477a16eed73cec284e2abed171237ab8e870224af328ac84ddc31",
+    ("lm", "refreshkv", "fixed"): "3262a0c38d1a15b7cdcd19ccd4e592e7679d14daf627e12eeb353553829f3db3",
+    ("lm", "refreshkv", "qc"): "51a08aae35e56d379b6aa6b256fb692b9799d88e1281b726adadf1b06a77e947",
+    ("lm", "refreshkv_no_refresh", "fixed"): "f6e4a79bd32b0096326c47bee7e61d6c62e1adc34be2e3e18fe1773f246aa112",
+    ("lm", "refreshkv_no_refresh", "qc"): "c815152b6dda95d56820ad9a7be9ede59deb88d24d8993a14827f363fd504039",
+    ("lm", "refreshkv_no_full", "fixed"): "173ab7101b20dac3b15c9ccc21499129079f58b8f8702c376e893deaab5ad7dd",
+    ("lm", "refreshkv_no_full", "qc"): "0843a598c0d7abbf3ae67aca4e75160798a2a4782e6c8aeee66019c0dbc823e4",
+    ("lm", "refreshkv", "fixed-no-evict-shared"): "f1cf6b83bc586f22ecd78d764aa52ce9050c4fe4df5352cc7f39144023cc802d",
     ("chainkey", "refreshkv", "default"): "5faf5d0e42f651e773b6363ad8c7e5debb8d9a0812f2ca3d53c0b88ad9644ff6",
 }
 

@@ -28,6 +28,12 @@ def entry(rng):
     return rng.normal(size=(N_KV, DIM)), rng.normal(size=(N_KV, DIM))
 
 
+def assert_key_major(keys):
+    """Each head's keys are one C-contiguous (head_dim, slots) block, so keys[h].T is a row-major operand."""
+    for h in range(keys.shape[0]):
+        assert keys[h].T.flags.c_contiguous
+
+
 def loop_evict_overflow(cp):
     """The per-head loop evict_overflow replaced, on copies: (positions, keys, values, scores)."""
     arrays = [a.copy() for a in (cp.positions, cp.keys, cp.values, cp.scores)]
@@ -191,6 +197,28 @@ class TestFullCacheAppend:
         assert full.keys.shape == (N_KV, 13, DIM)
         np.testing.assert_array_equal(full.keys[:, :4], prompt_keys)
 
+    def test_doubling_makes_the_key_arena_key_major(self, rng):
+        full = make_full(4, rng)  # row-major prompt keys
+        prompt_keys = full.keys.copy()
+        k, v = entry(rng)
+        full.append(4, k, v)
+        assert full._keys.shape[1] == 8
+        assert_key_major(full._keys)
+        np.testing.assert_array_equal(full.keys, np.concatenate([prompt_keys, k[:, None]], axis=1))
+        arena = full._keys
+        full.append(5, *entry(rng))  # a write inside the arena keeps it, and its order
+        assert np.shares_memory(full.keys, arena)
+        assert_key_major(full._keys)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_doubling_a_tiny_arena_is_key_major(self, rng, n):
+        # 0 or 1 slots fit either memory order, so the order must not be read back from the old arena
+        full = make_full(n, rng)
+        for pos in range(n, 4 * n + 1):
+            full.append(pos, *entry(rng))
+            if len(full) > 1:
+                assert_key_major(full._keys)
+
 
 class TestPendingAndMerge:
     """Decoded keys go straight into the full cache; these are the ordering
@@ -269,6 +297,24 @@ class TestRefresh:
         for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores),
                              (fresh.positions, fresh.keys, fresh.values, fresh.scores)):
             np.testing.assert_array_equal(got, want)
+
+    def test_key_arena_is_key_major_after_init_refill_and_doubling(self, rng):
+        full = make_full(20, rng)
+        cp = init_partial(full, rng.uniform(size=(N_KV, 20)), 5)
+        assert_key_major(cp._arrays[1])
+        arena = cp._arrays[1]
+        init_partial(full, rng.uniform(size=(N_KV, 20)), 5, into=cp)  # refill in place
+        assert cp._arrays[1] is arena
+        assert_key_major(cp._arrays[1])
+        init_partial(full, rng.uniform(size=(N_KV, 20)), 12, into=cp)  # refill into a larger arena
+        assert_key_major(cp._arrays[1])
+        slots = cp._arrays[1].shape[1]
+        for pos in range(20, 20 + slots - 12 + 1):  # one past the slack: the arena doubles
+            append_and_evict(cp, pos, *entry(rng), evict=False)
+        assert cp._arrays[1].shape[1] == 2 * slots
+        assert_key_major(cp._arrays[1])
+        for h in range(N_KV):
+            np.testing.assert_array_equal(cp.keys[h, :12], full.keys[h][cp.positions[h, :12]])
 
     def test_refill_grows_an_arena_too_small_for_k(self, rng):
         full = make_full(20, rng)

@@ -47,6 +47,11 @@ def assert_normwise_close(a, b, rtol=1e-12):
     assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
 
 
+def key_major(keys):
+    """A copy of (n_kv_heads, m, head_dim) keys in the caches' memory order: each head one C-contiguous (head_dim, m) block."""
+    return keys.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+
+
 def dense_attention(q, k, v, group):
     """The dense kernel causal_attention replaced, kept as its oracle.
 
@@ -236,15 +241,27 @@ class TestDecodeStep:
         rel_close(out.logits, base.logits)
 
     def test_full_selection_is_bitwise_stable(self, desk_weights, rng):
-        # a "partial" view listing every entry in cache order is the same
-        # arrays in the same order, so logits agree bit for bit
+        # a "partial" view listing every entry in cache order, in the cache's
+        # own (key-major) memory order, is the same arrays in the same
+        # order, so logits agree bit for bit
         toks = random_tokens(rng, desk_weights.config, 16)
         caches, _ = prefill(desk_weights, toks)
         a = decode_step(desk_weights, 3, cache_views(caches), position=len(toks))
         idx = np.arange(len(toks))
-        views = [(c.keys[:, idx], c.values[:, idx], c.positions[idx]) for c in caches]
+        views = [(key_major(c.keys[:, idx]), c.values[:, idx], c.positions[idx]) for c in caches]
         b = decode_step(desk_weights, 3, views, position=len(toks))
         assert np.array_equal(a.logits, b.logits)
+
+    @pytest.mark.parametrize("n", [16, 37])
+    def test_row_major_keys_agree_to_rounding(self, desk_weights, rng, n):
+        # the same keys in row-major memory take BLAS's transposed-B path: equal up to summation order
+        toks = random_tokens(rng, desk_weights.config, n)
+        caches, _ = prefill(desk_weights, toks)
+        a = decode_step(desk_weights, 3, cache_views(caches), position=n)
+        views = [(np.ascontiguousarray(c.keys), c.values, c.positions) for c in caches]
+        assert not views[0][0][0].T.flags.c_contiguous
+        b = decode_step(desk_weights, 3, views, position=n)
+        assert_normwise_close(b.logits, a.logits, rtol=1e-12)
 
     def test_position_bound_checked(self, desk_weights, rng):
         toks = random_tokens(rng, desk_weights.config, 4)
@@ -287,17 +304,46 @@ class TestDecodeStep:
         assert np.array_equal(model.attention_rows(q, keys, group), expected)
 
 
+def rope_angles(positions, head_dim):
+    """Each rotary pair's angle pos / base^(2i/head_dim): (..., head_dim/2)."""
+    inv_freq = model.ROPE_BASE ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
+    return np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
+
+
+def pairwise_rope(x, positions, head_dim):
+    """The pairwise rotation apply_rope replaced: (x1 cos - x2 sin, x1 sin + x2 cos) per pair (2i, 2i+1)."""
+    ang = rope_angles(positions, head_dim)
+    cos, sin = np.cos(ang)[..., None, :], np.sin(ang)[..., None, :]
+    x1, x2 = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = x1 * cos - x2 * sin
+    out[..., 1::2] = x1 * sin + x2 * cos
+    return out
+
+
 class TestRopeTable:
     def test_table_is_the_angle_expression_bitwise(self, desk_weights):
+        # interleaved to the pair layout: cos(a_i) at 2i and 2i+1, -sin(a_i) at 2i and +sin(a_i) at 2i+1
         cfg = desk_weights.config
         cos, sin = desk_weights.rope
-        assert cos.shape == sin.shape == (cfg.max_position, cfg.head_dim // 2)
-        ref_cos, ref_sin = model._rope_angles(np.arange(cfg.max_position), cfg.head_dim)
-        assert np.array_equal(cos, ref_cos) and np.array_equal(sin, ref_sin)
-        # and each row equals the angles of its position computed alone, bit for bit
+        assert cos.shape == sin.shape == (cfg.max_position, cfg.head_dim)
+        ang = rope_angles(np.arange(cfg.max_position), cfg.head_dim)
+        assert np.array_equal(cos[:, 0::2], np.cos(ang)) and np.array_equal(cos[:, 1::2], np.cos(ang))
+        assert np.array_equal(sin[:, 0::2], -np.sin(ang)) and np.array_equal(sin[:, 1::2], np.sin(ang))
+        # and each row equals the table of its position computed alone, bit for bit
         for p in (0, 1, 17, 4095, cfg.max_position - 1):
-            one_cos, one_sin = model._rope_angles(np.asarray([p]), cfg.head_dim)
+            one_cos, one_sin = model._rope_table(np.asarray([p]), cfg.head_dim)
             assert np.array_equal(cos[p], one_cos[0]) and np.array_equal(sin[p], one_sin[0])
+
+    @pytest.mark.parametrize("shape, positions", [
+        ((6, 16), 0), ((6, 16), 4095), ((6, 16), 8191),  # a decode step: one position for every head
+        ((40, 6, 16), slice(40)),  # the prefill: the table's first L rows
+        ((5, 3, 16), np.array([0, 1, 17, 4095, 8191])),
+    ])
+    def test_apply_rope_is_the_pairwise_formula_bitwise(self, desk_weights, rng, shape, positions):
+        x = rng.standard_normal(shape)
+        expected = pairwise_rope(x, np.arange(shape[0]) if isinstance(positions, slice) else positions, shape[-1])
+        assert np.array_equal(model.apply_rope(x, positions, desk_weights.rope), expected)
 
     def test_last_table_row_decodes_and_max_position_is_rejected(self, rng):
         weights = init_model(ModelConfig(max_position=32, seed=3))
