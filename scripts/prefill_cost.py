@@ -44,6 +44,8 @@ def main() -> None:
     parser.add_argument("--json", type=Path, help="also write the numbers to this file")
     parser.add_argument("--label", help="with --json: store the numbers under this key of the file's object")
     args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     weights = init_model(canonical_config(seed=0, max_position=max(args.lengths)))
     prompts = {L: synthetic_lm_stream(L, 256, args.seed, "repeated_motif", 64).tolist() for L in args.lengths}
     ms: dict[int, list[float]] = {L: [] for L in args.lengths}

@@ -89,6 +89,10 @@ def main() -> None:
     parser.add_argument("--json", type=Path, help="also write the numbers to this file")
     parser.add_argument("--label", help="with --json: store the numbers under this key of the file's object")
     args = parser.parse_args()
+    if args.steps < STRIDE:
+        parser.error(f"--steps must be at least the refresh stride {STRIDE}, or no step refreshes")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     records = []
     print(f"{'L':>6} {'refreshes':>9} {'vanilla_us':>10} {'refresh_us':>10} {'partial_us':>10} {'snapkv_us':>9} "
           f"{'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")

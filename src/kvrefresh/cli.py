@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Subcommands (also under `python -m kvrefresh`): run, compare,
-gen-chainkey, eval-chainkey, self-check. `run` reads a JSON config
-document; any config field can be overridden with a dotted flag
-mirroring the config key, e.g.
+Subcommands (also under `python -m kvrefresh`): run, compare and
+self-check. `run` reads a JSON config document; any config field can be
+overridden with a dotted flag mirroring the config key, e.g.
 
     kvrefresh run --config base.json --policy.kind refreshkv \
         --schedule.mode qc --schedule.qc-stride 5 --schedule.threshold 0.85
@@ -17,18 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, TypeVar
 
 from .errors import ConfigurationError, ContractViolation
 from .harness import RunConfig, compare, format_comparison, run, self_check
-from .tasks import ChainKeyInstance, evaluate_chain, generate_chain_instance
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
-
-T = TypeVar("T")
 
 
 def _parse_override_value(raw: str):
@@ -81,8 +76,6 @@ def _cmd_run(args: argparse.Namespace, overrides: list[str]) -> int:
     print(f"task={summary['task']} policy={config.policy.kind} metric={metric:.6g} "
           f"steps={summary['n_steps']} bytes={summary['totals']['kv_bytes_moved']}")
     print(f"artifacts in {args.out or config.out_dir}")
-    if args.self_check:
-        return _run_self_check(config.model.seed)
     return EXIT_OK
 
 
@@ -107,63 +100,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_chainkey(args: argparse.Namespace) -> int:
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for i in range(args.count):
-            instance = generate_chain_instance(
-                args.n_keys, args.words_per_key, args.chain_length, args.seed + i
-            )
-            obj = json.loads(instance.to_json())
-            obj["instance_id"] = i
-            sink.write(json.dumps(obj, sort_keys=True) + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    return EXIT_OK
-
-
-def _json_lines(path: str, parse: Callable[[bytes], T]) -> list[T]:
-    """parse(line) for each non-blank line of a JSON-lines file; a bad line is a configuration error naming it."""
-    out = []
-    with open(path, "rb") as f:
-        for n, line in enumerate(f, 1):
-            if line.strip():
-                try:
-                    out.append(parse(line))
-                except (ValueError, LookupError, TypeError, AttributeError) as exc:
-                    raise ConfigurationError(f"{path} line {n}: {type(exc).__name__}: {exc}") from exc
-    return out
-
-
-def _cmd_eval_chainkey(args: argparse.Namespace) -> int:
-    instances: dict[int, ChainKeyInstance] = {}
-
-    def instance(line: bytes) -> None:
-        obj = json.loads(line)
-        iid = int(obj.get("instance_id", obj["seed"]))
-        if iid in instances:
-            raise ConfigurationError(f"duplicate instance_id {iid}")
-        instances[iid] = ChainKeyInstance.from_json(line)
-
-    def score(line: bytes) -> dict:
-        obj = json.loads(line)
-        iid = int(obj["instance_id"])
-        if iid not in instances:
-            raise ConfigurationError(f"output references unknown instance_id {iid}")
-        return {"instance_id": iid, "score": evaluate_chain(instances[iid], obj["output_text"]).score}
-
-    _json_lines(args.instances, instance)
-    scores = _json_lines(args.outputs, score)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        sink.writelines(json.dumps(s) + "\n" for s in scores)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kvrefresh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -171,25 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one experiment run")
     p_run.add_argument("--config", help="JSON run-config document")
     p_run.add_argument("--out", help="output directory (overrides config out_dir)")
-    p_run.add_argument("--self-check", action="store_true", help="validate the equivalence ladder after the run")
 
     p_cmp = sub.add_parser("compare", help="compare finished runs")
     p_cmp.add_argument("run_dirs", nargs="+", help="run output directories")
     p_cmp.add_argument("--out", help="write comparison JSON here")
     p_cmp.add_argument("--nll-csv", help="write per-step NLL ratio CSV here (lm runs)")
-
-    p_gen = sub.add_parser("gen-chainkey", help="emit chain-of-key instances as JSON lines")
-    p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--n-keys", type=int, default=32)
-    p_gen.add_argument("--words-per-key", type=int, default=2)
-    p_gen.add_argument("--chain-length", type=int, default=10)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", help="output path (default stdout)")
-
-    p_eval = sub.add_parser("eval-chainkey", help="score model outputs against instances")
-    p_eval.add_argument("--instances", required=True, help="JSON-lines instance file")
-    p_eval.add_argument("--outputs", required=True, help="JSON-lines {instance_id, output_text}")
-    p_eval.add_argument("--out", help="output path (default stdout)")
 
     p_check = sub.add_parser("self-check", help="run the equivalence ladder")
     p_check.add_argument("--seed", type=int, default=0)
@@ -207,10 +129,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigurationError(f"unrecognized arguments: {overrides}")
         if args.command == "compare":
             return _cmd_compare(args)
-        if args.command == "gen-chainkey":
-            return _cmd_gen_chainkey(args)
-        if args.command == "eval-chainkey":
-            return _cmd_eval_chainkey(args)
         if args.command == "self-check":
             return _run_self_check(args.seed)
         raise ConfigurationError(f"unknown command {args.command!r}")

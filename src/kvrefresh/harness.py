@@ -195,14 +195,40 @@ def run(config: RunConfig, out_dir: str | None = None) -> dict:
     return summary
 
 
-def load_summary(run_dir: str | Path) -> dict:
-    with open(Path(run_dir) / "summary.json", encoding="utf-8") as f:
-        return json.load(f)
-
-
 def load_trace(run_dir: str | Path) -> list[StepRecord]:
-    with open(Path(run_dir) / "trace.jsonl", encoding="utf-8") as f:
-        return [StepRecord.from_json(line) for line in f if line.strip()]
+    """A run's trace.jsonl records; a bad line is a configuration error naming the file and line."""
+    path = Path(run_dir) / "trace.jsonl"
+    records = []
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    records.append(StepRecord.from_json(line))
+                except (ValueError, TypeError) as exc:
+                    raise ConfigurationError(f"{path} line {n}: {type(exc).__name__}: {exc}") from exc
+    return records
+
+
+def _compare_row(run_dir: str | Path) -> tuple[str, int, dict]:
+    """A run's task, task seed and comparison row, read from its summary.json; a
+    summary that lacks what compare reads is a configuration error naming the file."""
+    path = Path(run_dir) / "summary.json"
+    with open(path, encoding="utf-8") as f:
+        try:
+            s = json.load(f)
+            kind, totals = s["config"]["policy"]["kind"], s["totals"]
+            row = {
+                "run_dir": str(run_dir),
+                "policy": kind,
+                # the other kinds follow no schedule: RunConfig.validate keeps theirs at the defaults
+                "schedule": s["config"]["schedule"]["mode"] if kind in REFRESH_FAMILY else None,
+                "metric": s["result"]["perplexity" if s["task"] == "lm" else "chain_score"],
+                **{key: totals[key] for key in ("attention_flops", "kv_bytes_moved", "overhead_flops")},
+                "effective_stride_mean": s["effective_stride_mean"],
+            }
+            return s["task"], s["config"]["seed"], row
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ConfigurationError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def compare(run_dirs: Sequence[str | Path], nll_csv: str | Path | None = None) -> dict:
@@ -214,55 +240,31 @@ def compare(run_dirs: Sequence[str | Path], nll_csv: str | Path | None = None) -
     """
     if len(run_dirs) < 1:
         raise ConfigurationError("compare needs at least one run directory")
-    summaries = [load_summary(d) for d in run_dirs]
+    loaded = [_compare_row(d) for d in run_dirs]
 
-    tasks = {s["task"] for s in summaries}
-    seeds = {s["config"]["seed"] for s in summaries}
+    tasks = {task for task, _, _ in loaded}
+    seeds = {seed for _, seed, _ in loaded}
     if len(tasks) > 1 or len(seeds) > 1:
         raise ConfigurationError(
             f"runs are not comparable: tasks={sorted(tasks)} seeds={sorted(seeds)}; "
             "compare runs over the same task and task seed"
         )
 
-    baseline_idx = 0
-    for i, s in enumerate(summaries):
-        if s["config"]["policy"]["kind"] == "vanilla":
-            baseline_idx = i
-            break
-    base = summaries[baseline_idx]
-
-    def metric_of(summary: dict) -> float:
-        r = summary["result"]
-        return r["perplexity"] if summary["task"] == "lm" else r["chain_score"]
-
     def ratio(x: float, y: float) -> float | None:
         return None if y == 0 else x / y
 
-    rows = []
-    for d, s in zip(run_dirs, summaries):
-        rows.append(
-            {
-                "run_dir": str(d),
-                "policy": s["config"]["policy"]["kind"],
-                "schedule": s["config"]["schedule"]["mode"],
-                "metric": metric_of(s),
-                "attention_flops": s["totals"]["attention_flops"],
-                "kv_bytes_moved": s["totals"]["kv_bytes_moved"],
-                "overhead_flops": s["totals"]["overhead_flops"],
-                "effective_stride_mean": s["effective_stride_mean"],
-                "metric_ratio_to_baseline": ratio(metric_of(s), metric_of(base)),
-                "flops_ratio_to_baseline": ratio(
-                    s["totals"]["attention_flops"], base["totals"]["attention_flops"]
-                ),
-                "bytes_ratio_to_baseline": ratio(
-                    s["totals"]["kv_bytes_moved"], base["totals"]["kv_bytes_moved"]
-                ),
-            }
-        )
-    report = {"baseline": str(run_dirs[baseline_idx]), "task": summaries[0]["task"], "rows": rows}
+    rows = [row for *_, row in loaded]
+    baseline_idx = next((i for i, row in enumerate(rows) if row["policy"] == "vanilla"), 0)
+    base = rows[baseline_idx]
+    for row in rows:
+        row["metric_ratio_to_baseline"] = ratio(row["metric"], base["metric"])
+        row["flops_ratio_to_baseline"] = ratio(row["attention_flops"], base["attention_flops"])
+        row["bytes_ratio_to_baseline"] = ratio(row["kv_bytes_moved"], base["kv_bytes_moved"])
+    task = loaded[0][0]
+    report = {"baseline": str(run_dirs[baseline_idx]), "task": task, "rows": rows}
 
     if nll_csv is not None:
-        if summaries[0]["task"] != "lm":
+        if task != "lm":
             raise ConfigurationError("per-step NLL curves exist only for lm runs")
         traces = [load_trace(d) for d in run_dirs]
         n = min(len(t) for t in traces)
@@ -292,7 +294,7 @@ def format_comparison(report: dict) -> str:
     for r in report["rows"]:
         cells = [
             r["policy"],
-            r["schedule"],
+            r["schedule"] or "-",
             f"{r['metric']:.6g}",
             str(r["attention_flops"]),
             str(r["kv_bytes_moved"]),

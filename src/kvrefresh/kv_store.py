@@ -16,8 +16,11 @@ attention's q @ keys.transpose(0, 2, 1) is a plain (NN) GEMM with
 leading dimension `slots`. Row-major keys send it through BLAS's
 transposed-B (NT) path instead: the (2, 2, 16) x (16, m) logit product
 took 59-67 us at m=2,500 and 83 us at m=4,096 that way, against 17-23 us
-and 30 us key-major (OpenBLAS, one thread). Value arenas stay row-major,
-which is what the probability @ values product reads as NN.
+and 30 us key-major (OpenBLAS, one thread). The partial cache's arena is
+key-major too, so both caches hand attention one layout (at K=128 neither
+layout measured faster); the two layouts agree up to the last bits. Value
+arenas stay row-major, which is what the probability @ values product
+reads as NN.
 
 `scores` holds, for top-K, each entry's selection score, with the NEW
 sentinel (+inf) on entries appended since the last refresh, which protects
@@ -63,9 +66,9 @@ class FullCache:
     prefix of arrays that double when full, so an append writes one slot
     per head and copies the store only when it doubles. The key arena is
     key-major (see the module docstring): `_forward` hands the prefill's
-    keys over in that order and every doubling keeps it, so `keys[h].T` is
-    a row-major (head_dim, n) view. `head_positions` is `positions`
-    broadcast over the heads, (n_kv_heads, n), as an attention view holds it.
+    keys over in that order and every doubling keeps it. `head_positions`
+    is `positions` broadcast over the heads, (n_kv_heads, n), as an
+    attention view holds it.
     """
 
     def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray):
@@ -116,9 +119,7 @@ class PartialCache:
     ((n_kv_heads, m, head_dim)) are views of the filled prefix of arrays
     with m + PARTIAL_SLACK slots at the last refill, which double if the
     cache outgrows them. A refresh refills the same arrays in place. The
-    key arena is key-major like the full cache's (see the module
-    docstring), so both caches hand attention one layout; at K=128 that
-    measured neither faster nor slower than row-major.
+    key arena is key-major (see the module docstring).
     """
 
     def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,

@@ -25,18 +25,13 @@ heads: the view is three head-major arrays, and `attention_rows` (one
 matmul, one `softmax_rows` call) gives every kv head's query group its
 rows over its own (m, head_dim) keys; every layer's rows are returned.
 
-Keys are stored key-major (each head's keys one C-contiguous (head_dim,
-slots) block; see `kv_store`), so `keys.transpose(0, 2, 1)` in
-`attention_rows` and `causal_attention` is a row-major operand and the
-logit product runs as a plain NN GEMM. With row-major keys it ran
-through BLAS's transposed-B path, about 3x slower per call at m=2,500
-(59-67 us against 17-23 us for the (2, 2, 16) x (16, m) product, one
-OpenBLAS thread); the arrays and view shapes are the same either way.
+Keys are stored key-major (see `kv_store`), so the logit products of
+`attention_rows` and `causal_attention` run as NN GEMMs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,14 +115,6 @@ class ModelWeights:
     def __post_init__(self) -> None:
         self.rope = _rope_table(np.arange(self.config.max_position), self.config.head_dim)
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = [("embed", self.embed)]
-        for i, lw in enumerate(self.layers):
-            out += [(f"layers.{i}.{f.name}", getattr(lw, f.name)) for f in fields(LayerWeights)]
-        out.append(("final_norm", self.final_norm))
-        out.append(("w_out", self.w_out))
-        return out
-
 
 def init_model(config: ModelConfig) -> ModelWeights:
     """Seeded Gaussian init scaled by 1/sqrt(model_dim); norm gains start at 1."""
@@ -209,10 +196,8 @@ class LayerView:
     given. Every view is the filled prefix of one of the layer's arenas,
     the full cache or the partial cache, so none is a copy: it holds until
     the store's next write. A full view broadcasts the full cache's one
-    position row over the heads. Keys are key-major in both arenas (each
-    head's keys one C-contiguous (head_dim, slots) block), so attention's
-    q @ keys.transpose(0, 2, 1) is an NN GEMM; any layout gives the same
-    result up to the last bits.
+    position row over the heads. Keys are key-major in both arenas (see
+    `kv_store`).
     """
 
     keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated, key-major
@@ -266,9 +251,8 @@ def causal_attention(
     """Causal self-attention of every position over its prefix, ATTN_BLOCK queries at a time.
 
     q: (L, n_kv_heads * group, head_dim); k, v: head-major (n_kv_heads, L,
-    head_dim), the cache's layout: k key-major, so k[h, :end].T is a
-    row-major operand, and v row-major; query head j reads kv head j //
-    group. A block of queries ending at block_end attends keys [0,
+    head_dim) in the cache's layout (see `kv_store`); query head j reads kv
+    head j // group. A block of queries ending at block_end attends keys [0,
     block_end) with one matmul per kv head (all `group` query heads at
     once); only the diagonal tile needs the causal mask. Each row sees its whole prefix, so its softmax is exact
     with no running rescale: the logits are shifted by their row max and
@@ -303,8 +287,8 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
     """The layer pass `full_forward` and `prefill` share.
 
     Returns the final hidden states (L, model_dim) and per layer the rotated
-    keys and the values, head-major (n_kv_heads, L, head_dim) with the keys
-    key-major (the cache's layout, made by the one copy out of qk), the last
+    keys and the values, head-major (n_kv_heads, L, head_dim) in the cache's
+    layout (see `kv_store`; made by the one copy out of qk), the last
     position's mean query and causal_attention's last-position rows.
     """
     cfg = weights.config

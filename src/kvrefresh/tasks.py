@@ -17,7 +17,6 @@ the 256-entry vocabulary.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,33 +72,6 @@ class ChainKeyInstance:
     successor_map: dict[str, str]
     prompt: str
     chain_length: int
-    words_per_key: int
-    seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "prompt": self.prompt,
-                "keys": self.keys,
-                "successor_map": self.successor_map,
-                "T": self.chain_length,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "ChainKeyInstance":
-        obj = json.loads(line)
-        words_per_key = len(obj["keys"][0].split("-")) if obj["keys"] else 2
-        return cls(
-            keys=list(obj["keys"]),
-            successor_map=dict(obj["successor_map"]),
-            prompt=obj["prompt"],
-            chain_length=int(obj["T"]),
-            words_per_key=words_per_key,
-            seed=int(obj["seed"]),
-        )
 
 
 @dataclass
@@ -168,7 +140,7 @@ def generate_chain_instance(
     shuffled = list(keys)
     rng.shuffle(shuffled)
     prompt = build_prompt(shuffled, chain_length)
-    return ChainKeyInstance(shuffled, successor_map, prompt, chain_length, words_per_key, seed)
+    return ChainKeyInstance(shuffled, successor_map, prompt, chain_length)
 
 
 def evaluate_chain(instance: ChainKeyInstance, output_text: str) -> ChainScore:

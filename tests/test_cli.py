@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ def assert_config_error(code, capsys):
     assert code == EXIT_CONFIG
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+    return err
 
 
 class TestRunExitCodes:
@@ -61,6 +63,8 @@ class TestRunExitCodes:
             ["--model.seed", "-1"],
             # the chainkey prompt is byte-level text whose letters reach byte 122
             ["--task", "chainkey", "--model.vocab-size", "100"],
+            # a chain-of-key cycle needs two keys
+            ["--task", "chainkey", "--task-params.n-keys", "1", "--task-params.chain-length", "1"],
         ],
         ids=lambda flags: " ".join(flags),
     )
@@ -96,6 +100,17 @@ class TestRunExitCodes:
         assert main(["run", "--out", str(tmp_path), *flags]) == EXIT_OK
 
 
+def test_subcommands_are_run_compare_and_self_check(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert "{run,compare,self-check}" in capsys.readouterr().out
+
+
+def test_run_has_no_self_check_flag(tmp_path, capsys):
+    assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, "--self-check"]), capsys)
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -105,94 +120,53 @@ def test_python_dash_m_runs_the_cli():
     assert "[FAIL]" not in done.stdout and "[PASS]" in done.stdout
 
 
-def chain_from(instance: dict, start: int = 0) -> str:
-    """A valid chain of instance["T"] keys, starting at context key `start`."""
-    key, chain = instance["keys"][start], []
-    for _ in range(instance["T"]):
-        chain.append(key)
-        key = instance["successor_map"][key]
-    return ", ".join(chain)
-
-
-def write_lines(path, lines):
-    path.write_text("".join(line + "\n" for line in lines))
-    return str(path)
-
-
-class TestChainKeyCommands:
-    def gen(self, tmp_path, count=2):
-        path = tmp_path / "instances.jsonl"
-        assert main(["gen-chainkey", "--count", str(count), "--n-keys", "6", "--chain-length", "3",
-                     "--seed", "4", "--out", str(path)]) == EXIT_OK
-        return path, [json.loads(line) for line in path.read_text().splitlines()]
-
-    def test_gen_then_eval_round_trip(self, tmp_path, capsys):
-        path, instances = self.gen(tmp_path)
-        assert [obj["instance_id"] for obj in instances] == [0, 1]
-        outputs = write_lines(tmp_path / "outputs.jsonl", [
-            json.dumps({"instance_id": 0, "output_text": chain_from(instances[0])}),
-            json.dumps({"instance_id": 1, "output_text": "not, a, chain"}),
-        ])
-        scores = tmp_path / "scores.jsonl"
-        assert main(["eval-chainkey", "--instances", str(path), "--outputs", outputs, "--out", str(scores)]) == EXIT_OK
-        assert [json.loads(line) for line in scores.read_text().splitlines()] == [
-            {"instance_id": 0, "score": 1.0},
-            {"instance_id": 1, "score": 0.0},
-        ]
-
-    def test_gen_one_key_exits_config(self, tmp_path, capsys):
-        assert_config_error(main(["gen-chainkey", "--n-keys", "1", "--chain-length", "1",
-                                  "--out", str(tmp_path / "x.jsonl")]), capsys)
-
-    @pytest.mark.parametrize(
-        "bad_file, line",
-        [
-            ("outputs", '{"instance_id": 0, "output_text": '),
-            ("outputs", '{"output_text": "a-b"}'),
-            ("outputs", '{"instance_id": 0}'),
-            ("outputs", '{"instance_id": 0, "output_text": 7}'),
-            ("outputs", '{"instance_id": 9, "output_text": "a-b"}'),
-            ("instances", '{"keys": ['),
-            ("instances", '{"instance_id": 5}'),
-        ],
-        ids=["outputs-malformed", "outputs-no-id", "outputs-no-text", "outputs-text-not-string",
-             "outputs-unknown-id", "instances-malformed", "instances-no-fields"],
-    )
-    def test_bad_line_exits_config_naming_file_and_line(self, bad_file, line, tmp_path, capsys):
-        instances, objs = self.gen(tmp_path)
-        files = {"instances": instances, "outputs": tmp_path / "outputs.jsonl"}
-        write_lines(files["outputs"], [json.dumps({"instance_id": 0, "output_text": chain_from(objs[0])})])
-        with open(files[bad_file], "a") as f:
-            f.write("\n" + line + "\n")  # a blank line, then the bad one after the good lines
-        n_good = 1 if bad_file == "outputs" else 2
-        code = main(["eval-chainkey", "--instances", str(files["instances"]), "--outputs", str(files["outputs"])])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG and "Traceback" not in err
-        assert err.startswith(f"configuration error: {files[bad_file]} line {n_good + 2}: ")
-
-    def test_duplicate_instance_id_exits_config_naming_file_and_line(self, tmp_path, capsys):
-        # a second instance file appended to the first numbers its instances from 0 again
-        instances, objs = self.gen(tmp_path)
-        with open(instances, "a") as f:
-            f.write(json.dumps(dict(objs[1], instance_id=0)) + "\n")
-        outputs = write_lines(tmp_path / "outputs.jsonl",
-                              [json.dumps({"instance_id": 0, "output_text": chain_from(objs[0])})])
-        code = main(["eval-chainkey", "--instances", str(instances), "--outputs", outputs])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG and "Traceback" not in err
-        assert err.startswith(f"configuration error: {instances} line 3: ") and "duplicate instance_id 0" in err
+def finished_runs(tmp_path, *runs: tuple[str, list[str]]) -> list[str]:
+    """Output directories of short lm runs, one per (kind, extra flags)."""
+    dirs = []
+    for kind, flags in runs:
+        dirs.append(str(tmp_path / f"{kind}-{len(dirs)}"))
+        assert main(["run", "--out", dirs[-1], *SHORT_LM, "--policy.kind", kind, *flags]) == EXIT_OK
+    return dirs
 
 
 class TestCompare:
     def test_two_finished_runs(self, tmp_path, capsys):
-        runs = []
-        for kind in ("vanilla", "snapkv"):
-            runs.append(str(tmp_path / kind))
-            assert main(["run", "--out", runs[-1], *SHORT_LM, "--policy.kind", kind]) == EXIT_OK
+        runs = finished_runs(tmp_path, ("vanilla", []), ("snapkv", []), ("refreshkv", ["--schedule.mode", "qc"]))
+        capsys.readouterr()
         report = tmp_path / "report.json"
         assert main(["compare", *runs, "--out", str(report)]) == EXIT_OK
         rows = json.loads(report.read_text())["rows"]
-        assert [row["policy"] for row in rows] == ["vanilla", "snapkv"]
+        assert [row["policy"] for row in rows] == ["vanilla", "snapkv", "refreshkv"]
+        # vanilla and snapkv follow no schedule
+        assert [row["schedule"] for row in rows] == [None, None, "qc"]
+        table = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in table[1:4]] == [["vanilla", "-"], ["snapkv", "-"], ["refreshkv", "qc"]]
+
+    def test_nll_csv(self, tmp_path, capsys):
+        runs = finished_runs(tmp_path, ("snapkv", []), ("vanilla", []))
+        table = tmp_path / "nll.csv"
+        assert main(["compare", *runs, "--nll-csv", str(table)]) == EXIT_OK
+        header, *rows = list(csv.reader(table.open()))
+        assert header == ["step", "nll_snapkv", "nll_vanilla", "nll_ratio_snapkv", "nll_ratio_vanilla"]
+        tail = SHORT_LM[SHORT_LM.index("--task-params.tail") + 1]
+        assert len(rows) == int(tail) - 1
+        assert [float(row[4]) for row in rows] == [1.0] * len(rows)  # vanilla is the baseline
+
+    @pytest.mark.parametrize(
+        "bad_file, content, where",
+        [("summary.json", "{\"task\": ", ""), ("summary.json", "{}", ""), ("trace.jsonl", "{\"step_index\": ", " line 2")],
+        ids=["summary-not-json", "summary-empty-object", "trace-line-not-json"],
+    )
+    def test_corrupt_run_dir_exits_config_naming_the_file(self, bad_file, content, where, tmp_path, capsys):
+        vanilla, snapkv = finished_runs(tmp_path, ("vanilla", []), ("snapkv", []))
+        path = Path(snapkv) / bad_file
+        if bad_file == "trace.jsonl":
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([lines[0], content, *lines[2:]]) + "\n")
+        else:
+            path.write_text(content)
+        err = assert_config_error(main(["compare", vanilla, snapkv, "--nll-csv", str(tmp_path / "nll.csv")]), capsys)
+        assert err.startswith(f"configuration error: {path}{where}: ")
 
     def test_missing_run_dir_exits_io(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "absent")]) == EXIT_IO

@@ -1,0 +1,60 @@
+"""scripts/refresh_cost.py and scripts/prefill_cost.py at tiny sizes: the JSON they write, no speed."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=ENV, capture_output=True,
+                          text=True, timeout=120)
+
+
+def assert_finite(record: dict) -> None:
+    for key, value in record.items():
+        assert isinstance(value, (int, float)) and math.isfinite(value), key
+
+
+def test_refresh_cost_json(tmp_path):
+    out = tmp_path / "refresh.json"
+    done = run_script("refresh_cost.py", "--lengths", "256", "--steps", "20", "--rounds", "1", "--json", str(out))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(out.read_text())
+    assert set(result) == {"rounds", "steps", "seed", "k", "stride", "blas_threads", "lengths"}
+    (record,) = result["lengths"]
+    assert set(record) == {"L", "n_refresh", "vanilla_us", "refresh_us", "partial_us", "snapkv_us",
+                           "refresh_over_vanilla", "ratio_min", "ratio_max"}
+    assert (record["L"], record["n_refresh"]) == (256, 2)
+    assert_finite(record)
+
+
+def test_prefill_cost_json(tmp_path):
+    out = tmp_path / "prefill.json"
+    done = run_script("prefill_cost.py", "--lengths", "64", "128", "--rounds", "1", "--json", str(out))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(out.read_text())
+    assert set(result) == {"rounds", "seed", "blas_threads", "lengths"}
+    assert [record["L"] for record in result["lengths"]] == [64, 128]
+    for record in result["lengths"]:
+        assert set(record) == {"L", "prefill_ms", "min_ms", "max_ms", "peak_alloc_mib"}
+        assert_finite(record)
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("refresh_cost.py", ["--steps", "9"]), ("refresh_cost.py", ["--rounds", "0"]), ("prefill_cost.py", ["--rounds", "0"])],
+    ids=["refresh-steps-below-stride", "refresh-no-rounds", "prefill-no-rounds"],
+)
+def test_argument_that_leaves_nothing_to_measure_is_rejected(script, args, tmp_path):
+    out = tmp_path / "out.json"
+    done = run_script(script, "--lengths", "64", *args, "--json", str(out))
+    assert done.returncode == 2 and "error: --" in done.stderr
+    assert not out.exists()

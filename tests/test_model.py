@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +97,11 @@ class TestInit:
     def test_same_config_bitwise_identical(self, desk_config):
         w1 = init_model(desk_config)
         w2 = init_model(desk_config)
-        for (n1, t1), (n2, t2) in zip(w1.named_tensors(), w2.named_tensors()):
-            assert n1 == n2
-            assert np.array_equal(t1, t2)
+        assert len(w1.layers) == len(w2.layers) == desk_config.n_layers
+        for a, b in [(w1, w2), *zip(w1.layers, w2.layers)]:
+            for f in fields(a):
+                if f.name not in ("config", "layers"):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
     def test_seed_sensitivity(self):
         w1 = init_model(canonical_config(seed=1))
