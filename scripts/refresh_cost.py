@@ -1,15 +1,16 @@
 """Decode step cost per policy against prompt length, measured in process.
 
 For each prompt length L, a vanilla session, a refreshkv session (fixed
-stride 10, K=128) and a snapkv session (K=128) are prefilled with the same
-stream and run over the same teacher-forced tokens, one session after the
-other, so none evicts another's caches from the CPU caches. Each
-`DecodeSession.step` is timed with `time.perf_counter_ns`; the refreshkv
-steps split into refresh steps (the scheduled full steps that refill the
-partial cache) and partial steps. Each L runs `--rounds` fresh sets of
-sessions, rotating which session goes first. The script prints, per L,
-the median over rounds of each session's median step time, and the
-median, lowest and highest per-round refresh/vanilla ratio.
+stride 10, K=128) and snapkv, streaming and h2o sessions (K=128) are
+prefilled with the same stream and run over the same teacher-forced
+tokens, one session after the other, so none evicts another's caches from
+the CPU caches. Each `DecodeSession.step` is timed with
+`time.perf_counter_ns`; the refreshkv steps split into refresh steps (the
+scheduled full steps that refill the partial cache) and partial steps.
+Each L runs `--rounds` fresh sets of sessions, rotating which session
+goes first. The script prints, per L, the median over rounds of each
+session's median step time, and the median, lowest and highest per-round
+refresh/vanilla ratio.
 
 With `--json PATH` the numbers are written to PATH as well; with
 `--label NAME` too, they go under the key NAME of the JSON object already
@@ -40,9 +41,10 @@ from kvrefresh.policies import PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 from kvrefresh.tasks import synthetic_lm_stream
 
-K = 128  # partial-cache budget of the refreshkv and snapkv sessions
+K = 128  # partial-cache budget of every session but vanilla
 STRIDE = 10  # refreshkv's fixed refresh stride
-COLUMNS = ("vanilla", "refresh", "partial", "snapkv")  # median step µs, by kind of step
+COLUMNS = ("vanilla", "refresh", "partial", "snapkv", "streaming", "h2o")  # median step µs, by kind of step
+N_SESSIONS = 5  # vanilla, refreshkv, snapkv, streaming, h2o
 
 
 def _step_times(session: DecodeSession, tokens: list[int]) -> tuple[list[int], list[bool]]:
@@ -57,14 +59,16 @@ def _step_times(session: DecodeSession, tokens: list[int]) -> tuple[list[int], l
 
 
 def measure(length: int, steps: int, seed: int, first: int) -> dict:
-    """Median µs of a vanilla, refresh, refreshkv partial and snapkv step, from one fresh set of
-    sessions run in turn starting with session `first`."""
+    """Median µs of a vanilla, refresh, refreshkv partial, snapkv, streaming and h2o step, from one
+    fresh set of sessions run in turn starting with session `first`."""
     weights = init_model(canonical_config(seed=0, max_position=length + steps + 1))
     stream = synthetic_lm_stream(length + steps, 256, seed, "repeated_motif", 64).tolist()
     sessions = [
         ("vanilla", DecodeSession(weights, PolicyConfig(kind="vanilla"))),
         ("refresh", DecodeSession(weights, PolicyConfig(kind="refreshkv", k=K), ScheduleConfig(mode="fixed", stride=STRIDE))),
         ("snapkv", DecodeSession(weights, PolicyConfig(kind="snapkv", k=K))),
+        ("streaming", DecodeSession(weights, PolicyConfig(kind="streaming", k=K))),
+        ("h2o", DecodeSession(weights, PolicyConfig(kind="h2o", k=K))),
     ]
     times = {}
     for name, session in sessions[first:] + sessions[:first]:
@@ -75,7 +79,7 @@ def measure(length: int, steps: int, seed: int, first: int) -> dict:
         "vanilla": float(np.median(times["vanilla"][0])) / 1e3,
         "refresh": float(np.median([t for t, f in zip(ns, full) if f])) / 1e3,
         "partial": float(np.median([t for t, f in zip(ns, full) if not f])) / 1e3,
-        "snapkv": float(np.median(times["snapkv"][0])) / 1e3,
+        **{name: float(np.median(times[name][0])) / 1e3 for name in ("snapkv", "streaming", "h2o")},
         "n_refresh": sum(full),
     }
 
@@ -94,18 +98,17 @@ def main() -> None:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     records = []
-    print(f"{'L':>6} {'refreshes':>9} {'vanilla_us':>10} {'refresh_us':>10} {'partial_us':>10} {'snapkv_us':>9} "
-          f"{'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")
+    print(f"{'L':>6} {'refreshes':>9} " + " ".join(f"{key + '_us':>12}" for key in COLUMNS)
+          + f" {'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")
     for length in args.lengths:
-        rounds = [measure(length, args.steps, args.seed, r % 3) for r in range(args.rounds)]
+        rounds = [measure(length, args.steps, args.seed, r % N_SESSIONS) for r in range(args.rounds)]
         med = {key: float(np.median([r[key] for r in rounds])) for key in COLUMNS}
         ratios = [r["refresh"] / r["vanilla"] for r in rounds]
         rec = {"L": length, "n_refresh": rounds[0]["n_refresh"], **{f"{key}_us": med[key] for key in COLUMNS},
                "refresh_over_vanilla": float(np.median(ratios)), "ratio_min": min(ratios), "ratio_max": max(ratios)}
         records.append(rec)
-        print(f"{length:>6} {rec['n_refresh']:>9} {med['vanilla']:>10.0f} {med['refresh']:>10.0f} "
-              f"{med['partial']:>10.0f} {med['snapkv']:>9.0f} {rec['refresh_over_vanilla']:>15.2f} "
-              f"{rec['ratio_min']:>9.2f} {rec['ratio_max']:>9.2f}")
+        print(f"{length:>6} {rec['n_refresh']:>9} " + " ".join(f"{med[key]:>12.0f}" for key in COLUMNS)
+              + f" {rec['refresh_over_vanilla']:>15.2f} {rec['ratio_min']:>9.2f} {rec['ratio_max']:>9.2f}")
     if args.json:
         result = {"rounds": args.rounds, "steps": args.steps, "seed": args.seed, "k": K, "stride": STRIDE,
                   "blas_threads": 1, "lengths": records}

@@ -139,21 +139,23 @@ class PartialCache:
                scores: np.ndarray) -> None:
         """Replace every entry with the given (n_kv_heads, m, ...) arrays, in the existing arena when it fits."""
         self.capacity, self._n = capacity, positions.shape[1]
+        self._newest = int(positions[:, -1].max()) if self._n else -1
         if (slots := self._n + PARTIAL_SLACK) > self._arrays[0].shape[1]:
             self._resize(0, slots)
         for a, new in zip(self._arrays, (positions, keys, values, scores)):
             a[:, : self._n] = new
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Write one entry (all heads) in place with the NEW sentinel score."""
+        """Write one entry (all heads) in place with the NEW sentinel score. The position must
+        exceed the newest one the last `refill` or `append` wrote, a Python int kept for the check."""
         n = self._n
-        if n and position <= (last := int(self._arrays[0][:, n - 1].max())):
-            raise ContractViolation(f"partial-cache append out of order: {position} <= {last}")
+        if position <= self._newest:
+            raise ContractViolation(f"partial-cache append out of order: {position} <= {self._newest}")
         if n == self._arrays[0].shape[1]:
             self._resize(n, max(1, 2 * n))
         positions, keys, values, scores = self._arrays
         positions[:, n], keys[:, n], values[:, n], scores[:, n] = position, k, v, NEW_SCORE
-        self._n = n + 1
+        self._n, self._newest = n + 1, position
 
     def _resize(self, n: int, slots: int) -> None:
         """Move the first n entries into arrays of `slots` slots; keys (array 1) go key-major."""
@@ -161,11 +163,17 @@ class PartialCache:
 
     def drop(self, slots: list[int]) -> None:
         """Remove head h's entry at slots[h]. Later entries shift down one slot in place, so
-        positions stay ascending: a slice copy per head and array, at a few heads cheaper than gathers."""
-        n = self._n
-        for h, i in enumerate(slots):
+        positions stay ascending. When every head drops the same slot (streaming, h2o, top-K
+        with shared selection) that is one slice copy per array over all heads; otherwise one
+        per head and array, at a few heads still cheaper than gathers."""
+        n, first = self._n, slots[0]
+        if slots.count(first) == len(slots):
             for a in self._arrays:
-                a[h, i : n - 1] = a[h, i + 1 : n]
+                a[:, first : n - 1] = a[:, first + 1 : n]
+        else:
+            for h, i in enumerate(slots):
+                for a in self._arrays:
+                    a[h, i : n - 1] = a[h, i + 1 : n]
         self._n = n - 1
 
     def evict_overflow(self) -> None:

@@ -8,6 +8,9 @@ seed; two initializations with an equal config are bitwise identical.
 Each layer projects q, k and v with one fused matrix, and the rotary
 cos/sin come from a per-model table built once at init, interleaved to
 the head vector's pair layout so `apply_rope` is two products and a sum.
+The RMS norms carry no gain (a gain of all ones would multiply by 1.0,
+exactly); a decode row divides by one Python float. Prefill and decode
+share one feed-forward helper, `_ffn`, and add both residuals in place.
 
 Keys are cached post-rotation at their original absolute positions, so a
 non-contiguous partial cache keeps the geometry its selection scores were
@@ -24,6 +27,7 @@ block's (ATTN_BLOCK * group, L) exponentials; no L x L array is built.
 heads: the view is three head-major arrays, and `attention_rows` (one
 matmul, one `softmax_rows` call) gives every kv head's query group its
 rows over its own (m, head_dim) keys; every layer's rows are returned.
+Its softmax runs in place on the fresh logits.
 
 Keys are stored key-major (see `kv_store`), so the logit products of
 `attention_rows` and `causal_attention` run as NN GEMMs.
@@ -31,6 +35,7 @@ Keys are stored key-major (see `kv_store`), so the logit products of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -76,12 +81,16 @@ class ModelConfig:
         require(float, ffn_mult=self.ffn_mult)
         if min(self.n_layers, self.n_query_heads, self.n_kv_heads, self.head_dim) < 1:
             raise ConfigurationError("layer/head/dim counts must be positive")
+        if self.head_dim % 2:
+            raise ConfigurationError(f"head_dim={self.head_dim} must be even: RoPE rotates pairs of dimensions")
         if self.n_query_heads % self.n_kv_heads != 0:
             raise ConfigurationError(
                 f"n_query_heads={self.n_query_heads} not divisible by n_kv_heads={self.n_kv_heads}"
             )
         if not 0 < self.ffn_mult < float("inf") or self.vocab_size < 2 or self.max_position < 1 or self.seed < 0:
             raise ConfigurationError("ffn_mult, vocab_size, max_position or seed out of range")
+        if self.ffn_dim < 1:
+            raise ConfigurationError(f"ffn_mult={self.ffn_mult} gives ffn_dim {self.ffn_dim}: no feed-forward unit")
         if self.max_position > MAX_POSITIONS:
             raise ConfigurationError(f"max_position {self.max_position} exceeds {MAX_POSITIONS}")
 
@@ -95,8 +104,6 @@ def canonical_config(seed: int = 0, max_position: int = 8192) -> ModelConfig:
 class LayerWeights:
     wqkv: np.ndarray  # (model_dim, (n_query_heads + 2 * n_kv_heads) * head_dim): q, k, v columns in order
     wo: np.ndarray  # (n_query_heads * head_dim, model_dim)
-    attn_norm: np.ndarray  # (model_dim,)
-    ffn_norm: np.ndarray  # (model_dim,)
     w_gate: np.ndarray  # (model_dim, ffn_dim)
     w_up: np.ndarray  # (model_dim, ffn_dim)
     w_down: np.ndarray  # (ffn_dim, model_dim)
@@ -107,7 +114,6 @@ class ModelWeights:
     config: ModelConfig
     embed: np.ndarray  # (vocab_size, model_dim)
     layers: list[LayerWeights]
-    final_norm: np.ndarray  # (model_dim,)
     w_out: np.ndarray  # (model_dim, vocab_size)
     # cos, signed sin: (max_position, head_dim), interleaved per rotary pair (see _rope_table)
     rope: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
@@ -117,7 +123,7 @@ class ModelWeights:
 
 
 def init_model(config: ModelConfig) -> ModelWeights:
-    """Seeded Gaussian init scaled by 1/sqrt(model_dim); norm gains start at 1."""
+    """Seeded Gaussian init scaled by 1/sqrt(model_dim)."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     scale = 1.0 / np.sqrt(config.model_dim)
@@ -134,8 +140,6 @@ def init_model(config: ModelConfig) -> ModelWeights:
                 # drawn as separate q, k, v blocks, in that order, so the values match unfused weights
                 wqkv=np.concatenate([gauss(d, n * config.head_dim) for n in (n_q, n_kv, n_kv)], axis=1),
                 wo=gauss(n_q * config.head_dim, d),
-                attn_norm=np.ones(d),
-                ffn_norm=np.ones(d),
                 w_gate=gauss(d, config.ffn_dim),
                 w_up=gauss(d, config.ffn_dim),
                 w_down=gauss(config.ffn_dim, d),
@@ -145,19 +149,33 @@ def init_model(config: ModelConfig) -> ModelWeights:
         config=config,
         embed=gauss(config.vocab_size, d),
         layers=layers,
-        final_norm=np.ones(d),
         w_out=gauss(d, config.vocab_size),
     )
 
 
-def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    # np.mean's own sum-then-divide, without its dispatch overhead
+def _rms_norm(x: np.ndarray) -> np.ndarray:
+    """x over the root mean square of its last axis (no gain). np.mean's own sum-then-divide, without
+    its dispatch; a 1-D row divides by one Python float (math.sqrt and np.sqrt both round correctly)."""
+    if x.ndim == 1:
+        return x / math.sqrt(np.add.reduce(np.square(x)) / x.size + RMS_EPS)
     ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
-    return x / np.sqrt(ms + RMS_EPS) * gain
+    return x / np.sqrt(ms + RMS_EPS)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    """x / (1 + exp(-x)), the same floats, in one temporary."""
+    t = np.negative(x)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=t)
+
+
+def _ffn(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
+    """The gated feed-forward of the (..., model_dim) states x, pre-norm included; residual not added."""
+    xf = _rms_norm(x)
+    h = _silu(xf.dot(lw.w_gate))
+    h *= xf.dot(lw.w_up)
+    return h.dot(lw.w_down)
 
 
 def _rope_table(positions: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +259,8 @@ def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> np.ndarray:
     (n_kv_heads * group, head_dim) against kv head j // group's keys, times 1/sqrt(head_dim)."""
     n_kv, _, d = keys.shape
     logits = q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1)  # NN GEMM per head on key-major keys
-    logits *= 1.0 / np.sqrt(d)
-    return softmax_rows(logits)
+    logits *= 1.0 / math.sqrt(d)  # the same float as 1.0 / np.sqrt(d), without a numpy scalar
+    return softmax_rows(logits, logits)  # in place; `out` positional, as TestTraceSpans' wrapper forwards only *args
 
 
 def causal_attention(
@@ -298,25 +316,23 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
     x = weights.embed[toks]  # (L, D)
     layers = []
     for lw in weights.layers:
-        xa = _rms_norm(x, lw.attn_norm)
+        xa = _rms_norm(x)
         qkv = (xa @ lw.wqkv).reshape(L, n_q + 2 * n_kv, cfg.head_dim)
         qk = apply_rope(qkv[:, : n_q + n_kv], slice(L), weights.rope)
         k = qk[:, n_q:].transpose(1, 2, 0).copy().transpose(0, 2, 1)  # key-major
         v = qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
         ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
         layers.append((k, v, np.add.reduce(qk[-1, :n_q], axis=0) / n_q, last_rows))
-        x = x + ctx.reshape(L, -1) @ lw.wo
+        x += ctx.reshape(L, -1) @ lw.wo
         del xa, qkv, qk, ctx  # free the attention's arrays before the feed-forward's (L, ffn_dim) temporaries
-
-        xf = _rms_norm(x, lw.ffn_norm)
-        x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
+        x += _ffn(x, lw)
     return x, layers
 
 
 def full_forward(weights: ModelWeights, tokens: Sequence[int]) -> np.ndarray:
     """Teacher-forced causal forward over a whole sequence; logits per position."""
     x, _ = _forward(weights, tokens)
-    return _rms_norm(x, weights.final_norm) @ weights.w_out
+    return _rms_norm(x) @ weights.w_out
 
 
 def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCache], StepOutput]:
@@ -329,7 +345,7 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
     x, layers = _forward(weights, tokens)
     caches = [FullCache(np.arange(len(x)), k, v) for k, v, _, _ in layers]
     rows = [last_rows for *_, last_rows in layers]
-    logits = _rms_norm(x[-1], weights.final_norm) @ weights.w_out
+    logits = _rms_norm(x[-1]) @ weights.w_out
     return caches, StepOutput(logits, [avg_q for _, _, avg_q, _ in layers], rows)
 
 
@@ -360,8 +376,8 @@ def decode_core(
     rows_per_layer: list[np.ndarray] = []
 
     for layer_idx, lw in enumerate(weights.layers):
-        xa = _rms_norm(x, lw.attn_norm)
-        qkv = (xa @ lw.wqkv).reshape(n_q + 2 * n_kv, d)
+        # ndarray.dot on a vector is the same BLAS gemv as @, without matmul's dispatch
+        qkv = _rms_norm(x).dot(lw.wqkv).reshape(n_q + 2 * n_kv, d)
         qk = apply_rope(qkv[: n_q + n_kv], position, weights.rope)
         q, k_new, v_new = qk[:n_q], qk[n_q:], qkv[n_q + n_kv :]
         avg_q = np.add.reduce(q, axis=0) / n_q  # q.mean(axis=0)'s arithmetic, without its dispatch
@@ -371,13 +387,11 @@ def decode_core(
         if view.keys.shape[1] == 0:
             raise ContractViolation(f"layer {layer_idx}: empty attention view")
         probs = attention_rows(q, view.keys, cfg.group_size)
-        x = x + (probs @ view.values).reshape(-1) @ lw.wo
-
-        xf = _rms_norm(x, lw.ffn_norm)
-        x = x + (_silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
+        x += (probs @ view.values).reshape(-1).dot(lw.wo)
+        x += _ffn(x, lw)
 
         avg_queries.append(avg_q)
         rows_per_layer.append(probs)
 
-    logits = _rms_norm(x, weights.final_norm) @ weights.w_out
+    logits = _rms_norm(x).dot(weights.w_out)
     return StepOutput(logits, avg_queries, rows_per_layer)

@@ -12,12 +12,13 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis; the input is left unchanged."""
+def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax along the last axis, written into `out` when given (which may be
+    `logits` itself); without it the input is left unchanged."""
     x = np.asarray(logits, dtype=np.float64)
-    z = x - x.max(axis=-1, keepdims=True)
+    z = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 

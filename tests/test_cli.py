@@ -43,6 +43,11 @@ class TestRunExitCodes:
             ["--policy.k-fraction", '"0.5"'],
             ["--policy.shared-selection", "1"],
             ["--model.head-dim", "16.0"],
+            # RoPE rotates pairs of dimensions
+            ["--model.head-dim", "3"],
+            ["--model.head-dim", "1"],
+            # int(0.001 * 64) is 0: no feed-forward unit
+            ["--model.ffn-mult", "0.001"],
             ["--task-params.tail", "4.0"],
             ["--n-generate", '"8"'],
             # lm feeds positions 0..98; the first past 63 would be step 25

@@ -30,8 +30,8 @@ def test_refresh_cost_json(tmp_path):
     result = json.loads(out.read_text())
     assert set(result) == {"rounds", "steps", "seed", "k", "stride", "blas_threads", "lengths"}
     (record,) = result["lengths"]
-    assert set(record) == {"L", "n_refresh", "vanilla_us", "refresh_us", "partial_us", "snapkv_us",
-                           "refresh_over_vanilla", "ratio_min", "ratio_max"}
+    assert set(record) == {"L", "n_refresh", "vanilla_us", "refresh_us", "partial_us", "snapkv_us", "streaming_us",
+                           "h2o_us", "refresh_over_vanilla", "ratio_min", "ratio_max"}
     assert (record["L"], record["n_refresh"]) == (256, 2)
     assert_finite(record)
 

@@ -182,6 +182,37 @@ class TestAppendAndEvict:
                 np.testing.assert_array_equal(got, want)
 
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_equal_slot_drop_matches_np_delete_per_head(self, rng, where):
+        # every head dropping the same slot takes the whole-array shift (streaming, h2o, shared selection)
+        n = 9
+        cp = self.make_cp(rng, rng.uniform(size=n), n)
+        cp.scores[:, -2:] = NEW_SCORE
+        slot = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        expected = delete_per_head(cp, [slot] * N_KV)
+        cp.drop([slot] * N_KV)
+        assert cp.sizes() == [n - 1] * N_KV
+        for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
+            np.testing.assert_array_equal(got, want)
+        assert_key_major(cp._arrays[1])
+
+    def test_append_after_refill_rejects_up_to_the_newest_head_position(self, rng):
+        full = make_full(10, rng)
+        scores = np.zeros((N_KV, 10))
+        scores[0, [1, 2, 3]] = 1.0
+        scores[1, [2, 5, 8]] = 1.0  # head 1 holds the newest position, 8
+        cp = init_partial(full, scores, 3)
+        cp.append(9, *entry(rng))  # fills the arena's one spare slot
+        init_partial(full, scores, 3, into=cp)
+        np.testing.assert_array_equal(cp.positions, [[1, 2, 3], [2, 5, 8]])
+        for position in (3, 7, 8):
+            with pytest.raises(ContractViolation, match=f"{position} <= 8"):
+                cp.append(position, *entry(rng))
+        assert cp.sizes() == [3, 3]
+        cp.append(9, *entry(rng))
+        assert cp.positions[:, -1].tolist() == [9, 9]
+
+
 class TestFullCacheAppend:
     def test_append_grows_past_capacity(self, rng):
         full = make_full(4, rng)

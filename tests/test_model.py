@@ -126,6 +126,9 @@ class TestInit:
             dict(max_position=0),
             dict(max_position=model.MAX_POSITIONS + 1),  # rejected before its rotary table is built
             dict(seed=-1),
+            dict(ffn_mult=0.001),  # ffn_dim int(0.001 * 64) = 0
+            dict(head_dim=3),  # RoPE rotates pairs
+            dict(head_dim=1),
         ],
     )
     def test_invalid_configs(self, bad):
@@ -305,6 +308,59 @@ class TestDecodeStep:
         keys = rng.standard_normal((n_kv, 2 * m, d))[:, :m]  # an arena's filled prefix
         expected = softmax_rows(q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1) * (1.0 / np.sqrt(d)))
         assert np.array_equal(model.attention_rows(q, keys, group), expected)
+
+
+class TestFastPathsBitwise:
+    """The decode fast paths give the bits of the expressions they replaced."""
+
+    @staticmethod
+    def gain_rms_norm(x):
+        """The RMS norm with a gain of ones that _rms_norm replaced."""
+        ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+        return x / np.sqrt(ms + model.RMS_EPS) * np.ones(x.shape[-1])
+
+    def test_rms_norm_rows_match_the_row_call(self, rng):
+        x = rng.standard_normal((7, 64))
+        x[1] *= 1e-300  # squares underflow to 0
+        x[2] *= 1e-160
+        x[3] *= 1e150
+        x[4] *= 1e200  # squares overflow to inf
+        x[5] = 0.0
+        x[6, ::2] = 0.0
+        with np.errstate(over="ignore"):
+            rows = model._rms_norm(x)
+            assert np.array_equal(rows, self.gain_rms_norm(x))
+            for i in range(len(x)):
+                assert np.array_equal(model._rms_norm(x[i]), rows[i]), i
+                assert np.array_equal(model._rms_norm(x[i]), self.gain_rms_norm(x[i])), i
+        assert not rows[4].any() and not rows[5].any()  # x / inf and 0 / sqrt(eps)
+
+    def test_softmax_into_its_input_matches_the_copying_call(self, rng):
+        x = 30.0 * rng.standard_normal((2, 2, 129))
+        before = x.copy()
+        expected = softmax_rows(x)
+        assert np.array_equal(x, before)  # without out, the input is unchanged
+        got = softmax_rows(x, x)
+        assert got is x
+        assert np.array_equal(got, expected)
+
+    def test_silu_is_the_division_expression(self, rng):
+        x = np.concatenate([rng.standard_normal(200) * 10, [-1000.0, -745.0, -710.5, -709.0, 0.0, 710.0, 1e300]])
+        before = x.copy()
+        with np.errstate(over="ignore"):  # exp(-x) overflows to inf below -709.78; both give -0.0 there
+            expected = x / (1.0 + np.exp(-x))
+            got = model._silu(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(got, expected)
+        assert np.signbit(got[200])  # -0.0, as the expression gives
+
+    @pytest.mark.parametrize("shape", [(64,), (5, 64)])
+    def test_ffn_is_the_inline_expression(self, desk_weights, rng, shape):
+        lw = desk_weights.layers[0]
+        x = rng.standard_normal(shape)
+        xf = self.gain_rms_norm(x)
+        expected = (model._silu(xf @ lw.w_gate) * (xf @ lw.w_up)) @ lw.w_down
+        assert np.array_equal(model._ffn(x, lw), expected)
 
 
 def rope_angles(positions, head_dim):

@@ -214,6 +214,12 @@ class TestStreamingKeepset:
             assert rec.view_lens == [7, 7]  # the budget plus the current position
             assert_every_head_holds(session, [0, 1, 2, 3, 8 + i, 9 + i])
 
+    def test_budget_equal_to_sinks_drops_the_current_entry_every_step(self, desk_weights, rng):
+        session, view_lens = streaming_arena(desk_weights, rng, 10, budget=4, n_steps=20)
+        assert view_lens == [[5, 5]] * 20  # the sinks plus the current position, dropped after the step
+        assert_every_head_holds(session, [0, 1, 2, 3])
+        assert session.step_index == 20
+
     def test_budget_below_sinks_rejected(self, desk_weights, rng):
         with pytest.raises(ConfigurationError):
             streaming_arena(desk_weights, rng, 10, budget=3)
