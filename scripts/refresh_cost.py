@@ -1,10 +1,10 @@
 """Decode step cost per policy against prompt length, measured in process.
 
 For each prompt length L, a vanilla session, a refreshkv session (fixed
-stride 10, K=128) and snapkv, streaming and h2o sessions (K=128) are
-prefilled with the same stream and run over the same teacher-forced
-tokens, one session after the other, so none evicts another's caches from
-the CPU caches. Each `DecodeSession.step` is timed with
+stride 10, K=`--k`, 128 by default) and snapkv, streaming and h2o sessions
+(the same K) are prefilled with the same stream and run over the same
+teacher-forced tokens, one session after the other, so none evicts
+another's caches from the CPU caches. Each `DecodeSession.step` is timed with
 `time.perf_counter_ns`; the refreshkv steps split into refresh steps (the
 scheduled full steps that refill the partial cache) and partial steps.
 Each L runs `--rounds` fresh sets of sessions, rotating which session
@@ -18,7 +18,7 @@ in PATH (created if missing), so runs of two checkouts can share one file.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/refresh_cost.py [--lengths 1024 4096] [--steps 400] [--rounds 3] [--json PATH [--label NAME]]
+    PYTHONPATH=src python scripts/refresh_cost.py [--lengths 1024 4096] [--k 128] [--steps 400] [--rounds 3] [--json PATH [--label NAME]]
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from kvrefresh.policies import PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 from kvrefresh.tasks import synthetic_lm_stream
 
-K = 128  # partial-cache budget of every session but vanilla
 STRIDE = 10  # refreshkv's fixed refresh stride
 COLUMNS = ("vanilla", "refresh", "partial", "snapkv", "streaming", "h2o")  # median step µs, by kind of step
 N_SESSIONS = 5  # vanilla, refreshkv, snapkv, streaming, h2o
@@ -58,17 +57,17 @@ def _step_times(session: DecodeSession, tokens: list[int]) -> tuple[list[int], l
     return ns, full
 
 
-def measure(length: int, steps: int, seed: int, first: int) -> dict:
+def measure(length: int, k: int, steps: int, seed: int, first: int) -> dict:
     """Median µs of a vanilla, refresh, refreshkv partial, snapkv, streaming and h2o step, from one
-    fresh set of sessions run in turn starting with session `first`."""
+    fresh set of sessions with partial-cache budget k, run in turn starting with session `first`."""
     weights = init_model(canonical_config(seed=0, max_position=length + steps + 1))
     stream = synthetic_lm_stream(length + steps, 256, seed, "repeated_motif", 64).tolist()
     sessions = [
         ("vanilla", DecodeSession(weights, PolicyConfig(kind="vanilla"))),
-        ("refresh", DecodeSession(weights, PolicyConfig(kind="refreshkv", k=K), ScheduleConfig(mode="fixed", stride=STRIDE))),
-        ("snapkv", DecodeSession(weights, PolicyConfig(kind="snapkv", k=K))),
-        ("streaming", DecodeSession(weights, PolicyConfig(kind="streaming", k=K))),
-        ("h2o", DecodeSession(weights, PolicyConfig(kind="h2o", k=K))),
+        ("refresh", DecodeSession(weights, PolicyConfig(kind="refreshkv", k=k), ScheduleConfig(mode="fixed", stride=STRIDE))),
+        ("snapkv", DecodeSession(weights, PolicyConfig(kind="snapkv", k=k))),
+        ("streaming", DecodeSession(weights, PolicyConfig(kind="streaming", k=k))),
+        ("h2o", DecodeSession(weights, PolicyConfig(kind="h2o", k=k))),
     ]
     times = {}
     for name, session in sessions[first:] + sessions[:first]:
@@ -87,6 +86,7 @@ def measure(length: int, steps: int, seed: int, first: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--lengths", type=int, nargs="+", default=[1024, 2048, 4096, 8000])
+    parser.add_argument("--k", type=int, default=128, help="partial-cache budget of every session but vanilla")
     parser.add_argument("--steps", type=int, default=400, help="decode steps per session (a refresh every 10th)")
     parser.add_argument("--rounds", type=int, default=3, help="fresh session sets per length, rotating the order")
     parser.add_argument("--seed", type=int, default=1)
@@ -97,11 +97,13 @@ def main() -> None:
         parser.error(f"--steps must be at least the refresh stride {STRIDE}, or no step refreshes")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.k < 1:
+        parser.error("--k must be at least 1")
     records = []
     print(f"{'L':>6} {'refreshes':>9} " + " ".join(f"{key + '_us':>12}" for key in COLUMNS)
           + f" {'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")
     for length in args.lengths:
-        rounds = [measure(length, args.steps, args.seed, r % N_SESSIONS) for r in range(args.rounds)]
+        rounds = [measure(length, args.k, args.steps, args.seed, r % N_SESSIONS) for r in range(args.rounds)]
         med = {key: float(np.median([r[key] for r in rounds])) for key in COLUMNS}
         ratios = [r["refresh"] / r["vanilla"] for r in rounds]
         rec = {"L": length, "n_refresh": rounds[0]["n_refresh"], **{f"{key}_us": med[key] for key in COLUMNS},
@@ -110,7 +112,7 @@ def main() -> None:
         print(f"{length:>6} {rec['n_refresh']:>9} " + " ".join(f"{med[key]:>12.0f}" for key in COLUMNS)
               + f" {rec['refresh_over_vanilla']:>15.2f} {rec['ratio_min']:>9.2f} {rec['ratio_max']:>9.2f}")
     if args.json:
-        result = {"rounds": args.rounds, "steps": args.steps, "seed": args.seed, "k": K, "stride": STRIDE,
+        result = {"rounds": args.rounds, "steps": args.steps, "seed": args.seed, "k": args.k, "stride": STRIDE,
                   "blas_threads": 1, "lengths": records}
         if args.label:
             result = {**(json.loads(args.json.read_text()) if args.json.exists() else {}), args.label: result}

@@ -14,12 +14,15 @@ object per layer (see policies.make_policy). Step flow, per layer:
   3. attention runs over the view exactly as given, as one batched
      computation over the layer's kv heads: the view is three head-major
      arrays (keys, values, positions) that already hold the current token,
-     and every view is the filled prefix of an arena, so nothing is copied;
+     and every view is a slice of an arena (the full cache's filled
+     prefix, or the partial cache's window), so nothing is copied;
   4. after the forward pass the policy updates its state from the
      probability rows the model returns for every layer (streaming and
-     h2o drop one slot of the partial cache, evicting top-K kinds drop
-     their overflow) and reports the layer's modeled cost, from which the
-     session builds an exact-cost StepRecord.
+     h2o drop one slot of the partial cache, moving the shorter side of
+     its window; evicting top-K kinds drop their overflow from the start
+     of their eviction-ordered window, which copies nothing) and reports
+     the layer's modeled cost, from which the session builds an
+     exact-cost StepRecord.
 
 Sessions are single-threaded; distinct sessions never share state and may
 run on distinct threads.

@@ -4,10 +4,12 @@ Two stores per layer: the full cache (every token seen so far, never
 evicted) and, for every budgeted policy, the partial cache (a
 fixed-budget subset with one score per entry, held per kv-head). Both are
 head-major arenas: keys and values live in (n_kv_heads, slots, head_dim)
-arrays whose slot axis doubles when full, so attention reads one head's
-first m entries as a prefix view, without a copy. The session writes each
-fresh key/value into its store before the layer attends, so a view is
-always the filled prefix of an arena that already holds the current token.
+arrays, so attention reads one head's m entries as a slice of the slot
+axis, without a copy. The full cache's view is the filled prefix of its
+arena, whose slot axis doubles when full; the partial cache's is a window
+of its arena (see below). The session writes each fresh key/value into
+its store before the layer attends, so a view always holds the current
+token.
 
 Key arenas are key-major: the array keeps its (n_kv_heads, slots,
 head_dim) shape, but each head's keys are stored as one C-contiguous
@@ -22,11 +24,29 @@ layout measured faster); the two layouts agree up to the last bits. Value
 arenas stay row-major, which is what the probability @ values product
 reads as NN.
 
-`scores` holds, for top-K, each entry's selection score, with the NEW
-sentinel (+inf) on entries appended since the last refresh, which protects
-them from eviction until the next refresh re-scores everything; for h2o,
-each entry's cumulative attention (equal on every head); for streaming,
-nothing it reads (zero or NEW), since it drops by slot.
+Entry order inside a partial cache is part of its contract, and a view
+is a window of its arena:
+
+- top-K arenas (snapkv and the refresh family) are in eviction order.
+  `init_partial` ranks the selected entries by (score ascending, position
+  ascending); appends go to the end. Slot 0 is therefore always the entry
+  an eviction takes: the lowest score, ties toward the lower position, or,
+  once no refilled entry is left, the oldest appended one. Evicting is
+  dropping slot 0.
+- streaming and h2o arenas are in ascending position order.
+- A partial cache's view is the window [start, start + n) of its arena:
+  dropping slot 0 moves `start` on and copies nothing, and any other drop
+  moves the shorter side of the window by one slot.
+
+Attention sums over a view in the order it holds, so top-K results differ
+from those over an ascending view only by rounding.
+
+`scores` holds, for top-K, each entry's selection score, and the NEW
+sentinel (+inf) on entries appended since the last refresh. No eviction
+reads it any more; it keeps a top-K window's scores ascending and marks
+the entries the next refresh will re-score. For h2o it holds each entry's
+cumulative attention (equal on every head); for streaming, nothing it
+reads (zero or NEW), since it drops by slot.
 """
 
 from __future__ import annotations
@@ -37,7 +57,10 @@ from .errors import ConfigurationError, ContractViolation
 from .numerics import top_k_indices
 
 NEW_SCORE = np.inf  # sentinel for entries appended since the last scored step
-PARTIAL_SLACK = 1  # spare partial-cache slots: one append past the budget before eviction
+# spare partial-cache slots at a refill: one append past the budget, then 32 evictions that move the
+# window on before an append finds it at the arena's end; a fixed allowance, so a refill's arena stays
+# close to its budget
+PARTIAL_SPARE = 33
 
 
 def _resized(a: np.ndarray, n: int, slots: int, axis: int = 1, key_major: bool = False) -> np.ndarray:
@@ -114,78 +137,101 @@ class FullCache:
 class PartialCache:
     """Fixed-budget per-kv-head subset of the cache with one score per entry.
 
-    Every head holds the same number m of entries, in ascending position
-    order. `positions` and `scores` ((n_kv_heads, m)), `keys` and `values`
-    ((n_kv_heads, m, head_dim)) are views of the filled prefix of arrays
-    with m + PARTIAL_SLACK slots at the last refill, which double if the
-    cache outgrows them. A refresh refills the same arrays in place. The
-    key arena is key-major (see the module docstring).
+    Every head holds the same number n of entries, in the order the module
+    docstring gives for the cache's policy. `positions` and `scores`
+    ((n_kv_heads, n)), `keys` and `values` ((n_kv_heads, n, head_dim)) are
+    views of the window [start, start + n) of four arenas. A refill writes
+    from slot 0, into the same arenas when n + PARTIAL_SPARE slots fit, so
+    a cache at its budget can append and evict PARTIAL_SPARE times before
+    an append finds the window at the arena's end. That append first
+    moves the window back to slot 0: in place when it fills at most half
+    of the arena, else into arenas twice its size. The key arena is
+    key-major (see the module docstring).
     """
 
     def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
                  scores: np.ndarray):
-        self._arrays = [_resized(a, 0, 0) for a in (positions, keys, values, scores)]
+        self._arrays, self._start = [_resized(a, 0, 0) for a in (positions, keys, values, scores)], 0
         self.refill(capacity, positions, keys, values, scores)
 
-    positions = property(lambda self: self._arrays[0][:, : self._n])
-    keys = property(lambda self: self._arrays[1][:, : self._n])
-    values = property(lambda self: self._arrays[2][:, : self._n])
-    scores = property(lambda self: self._arrays[3][:, : self._n])
+    positions = property(lambda self: self._arrays[0][:, self._start : self._start + self._n])
+    keys = property(lambda self: self._arrays[1][:, self._start : self._start + self._n])
+    values = property(lambda self: self._arrays[2][:, self._start : self._start + self._n])
+    scores = property(lambda self: self._arrays[3][:, self._start : self._start + self._n])
 
     def sizes(self) -> list[int]:
         return [self._n] * self._arrays[0].shape[0]
 
     def refill(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
                scores: np.ndarray) -> None:
-        """Replace every entry with the given (n_kv_heads, m, ...) arrays, in the existing arena when it fits."""
-        self.capacity, self._n = capacity, positions.shape[1]
-        self._newest = int(positions[:, -1].max()) if self._n else -1
-        if (slots := self._n + PARTIAL_SLACK) > self._arrays[0].shape[1]:
-            self._resize(0, slots)
+        """Replace every entry with the given (n_kv_heads, n, ...) arrays, from slot 0 of the arena."""
+        n = positions.shape[1]
+        if (slots := n + PARTIAL_SPARE) > self._arrays[0].shape[1]:
+            self._resize(slots, 0)
+        self.capacity, self._start, self._n = capacity, 0, n
+        self._newest = int(positions.max()) if n else -1  # top-K order puts the newest anywhere
         for a, new in zip(self._arrays, (positions, keys, values, scores)):
-            a[:, : self._n] = new
+            a[:, :n] = new
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Write one entry (all heads) in place with the NEW sentinel score. The position must
-        exceed the newest one the last `refill` or `append` wrote, a Python int kept for the check."""
+        """Write one entry (all heads) at the window's end with the NEW sentinel score. The position
+        must exceed the newest one the last `refill` or `append` wrote, a Python int kept for the check."""
         n = self._n
         if position <= self._newest:
             raise ContractViolation(f"partial-cache append out of order: {position} <= {self._newest}")
-        if n == self._arrays[0].shape[1]:
-            self._resize(n, max(1, 2 * n))
+        if self._start + n == self._arrays[0].shape[1]:
+            self._rebase()
+        end = self._start + n
         positions, keys, values, scores = self._arrays
-        positions[:, n], keys[:, n], values[:, n], scores[:, n] = position, k, v, NEW_SCORE
+        positions[:, end], keys[:, end], values[:, end], scores[:, end] = position, k, v, NEW_SCORE
         self._n, self._newest = n + 1, position
 
-    def _resize(self, n: int, slots: int) -> None:
-        """Move the first n entries into arrays of `slots` slots; keys (array 1) go key-major."""
-        self._arrays = [_resized(a, n, slots, key_major=i == 1) for i, a in enumerate(self._arrays)]
-
-    def drop(self, slots: list[int]) -> None:
-        """Remove head h's entry at slots[h]. Later entries shift down one slot in place, so
-        positions stay ascending. When every head drops the same slot (streaming, h2o, top-K
-        with shared selection) that is one slice copy per array over all heads; otherwise one
-        per head and array, at a few heads still cheaper than gathers."""
-        n, first = self._n, slots[0]
-        if slots.count(first) == len(slots):
+    def _rebase(self) -> None:
+        """Move the window to slot 0: in place when it fills at most half of the arena, so each move
+        frees at least as many slots as it copies, else into new arenas of twice its size."""
+        n, start = self._n, self._start
+        if 2 * n <= self._arrays[0].shape[1]:
             for a in self._arrays:
-                a[:, first : n - 1] = a[:, first + 1 : n]
+                a[:, :n] = a[:, start : start + n]
+            self._start = 0
         else:
-            for h, i in enumerate(slots):
+            self._resize(2 * n, n)
+
+    def _resize(self, slots: int, n: int) -> None:
+        """Move the window's first n entries to slot 0 of new arenas with `slots` slots; keys
+        (array 1) go key-major."""
+        start = self._start
+        self._arrays = [_resized(a[:, start:], n, slots, key_major=i == 1) for i, a in enumerate(self._arrays)]
+        self._start = 0
+
+    def drop(self, slot: int) -> None:
+        """Remove the entry at `slot` of the window on every head, keeping the others' order.
+
+        The shorter side moves one slot: the entries before it move right and
+        the window starts one slot later, or the entries after it move left.
+        Dropping slot 0 moves nothing.
+        """
+        n, start = self._n, self._start
+        if not 0 <= slot < n:
+            raise ContractViolation(f"partial-cache drop of slot {slot} outside [0, {n})")
+        i = start + slot
+        if slot <= n - 1 - slot:
+            if slot:
                 for a in self._arrays:
-                    a[h, i : n - 1] = a[h, i + 1 : n]
+                    a[:, start + 1 : i + 1] = a[:, start:i]
+            self._start = start + 1
+        else:
+            for a in self._arrays:
+                a[:, i : start + n - 1] = a[:, i + 1 : start + n]
         self._n = n - 1
 
     def evict_overflow(self) -> None:
-        """Drop lowest-scored entries until each head is back at capacity.
-
-        NEW entries count as +inf (never evicted while any scored entry
-        remains); if a head is entirely NEW, the oldest entry goes. Score
-        ties resolve toward the lower position.
-        """
-        while self._n > self.capacity:
-            # argmin keeps the first (lowest position) on ties, and slot 0 when all are NEW (+inf)
-            self.drop(self.scores.argmin(axis=1).tolist())
+        """Evict until the cache is back at capacity, in a top-K arena's eviction order: each
+        eviction drops slot 0 (the lowest score, ties toward the lower position, or the oldest
+        NEW entry once no scored one is left), so the window's start moves on and nothing is copied."""
+        if (excess := self._n - self.capacity) > 0:
+            self._start += excess
+            self._n = self.capacity
 
 
 def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: PartialCache | None = None
@@ -193,11 +239,13 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: Par
     """Fill a partial cache with the top-k scored positions of each kv-head.
 
     scores_per_head: (n_kv_heads, len(full)) selection scores (already
-    group-aggregated and pooled). Entries keep their score and ascending
-    position order. A refresh passes the layer's cache as `into` and it is
-    refilled in place (its arena grows only if k exceeds it): previous
-    contents, NEW entries included, survive only if the new scores
-    re-select them. Without `into` a new cache is built.
+    group-aggregated and pooled). Entries keep their score and are written
+    in eviction order: score ascending, ties toward the lower position
+    (one stable sort of the k gathered scores, whose positions ascend). A
+    refresh passes the layer's cache as `into` and it is refilled in place
+    (its arena grows only if k no longer fits it): previous contents, NEW
+    entries included, survive only if the new scores re-select them.
+    Without `into` a new cache is built.
     """
     scores_per_head = np.asarray(scores_per_head, dtype=np.float64)
     n = len(full)
@@ -206,8 +254,11 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: Par
     if k < 1 or k > n:
         raise ConfigurationError(f"partial-cache budget must satisfy 1 <= k <= {n}, got {k}")
 
-    idx = top_k_indices(scores_per_head, k)  # (n_kv_heads, k)
-    entries = (*full.gather(idx), scores_per_head[np.arange(idx.shape[0])[:, None], idx])
+    heads = np.arange(scores_per_head.shape[0])[:, None]
+    idx = top_k_indices(scores_per_head, k)  # (n_kv_heads, k), positions ascending
+    picked = scores_per_head[heads, idx]
+    order = np.argsort(picked, axis=1, kind="stable")
+    entries = (*full.gather(idx[heads, order]), picked[heads, order])
     if into is None:
         return PartialCache(k, *entries)
     into.refill(k, *entries)

@@ -211,9 +211,10 @@ class LayerView:
     Three head-major arrays with the same m entries on every kv head. The
     session writes the current token's fresh key/value into its store
     before it builds the view, so attention runs over the view exactly as
-    given. Every view is the filled prefix of one of the layer's arenas,
-    the full cache or the partial cache, so none is a copy: it holds until
-    the store's next write. A full view broadcasts the full cache's one
+    given. Every view is a slice of one of the layer's arenas, the full
+    cache's filled prefix or the partial cache's window, so none is a
+    copy: it holds until the store's next write. Entries need not be in
+    position order (a top-K window is in eviction order). A full view broadcasts the full cache's one
     position row over the heads. Keys are key-major in both arenas (see
     `kv_store`).
     """

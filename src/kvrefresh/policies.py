@@ -22,17 +22,20 @@ asks `view(step, position, ...)`, with the position it computed, for the
 LayerView the layer attends. After the forward pass `update` gets the
 rows the model returns for every layer, maintains the policy's state and
 reports the layer's modeled cost as a LayerStep. Every view holds the
-current token and is the filled prefix of an arena: full views read the
-full cache, and the partial step every budgeted policy shares
+current token and is a slice of an arena: full views read the full
+cache's filled prefix, and the partial step every budgeted policy shares
 (LayerPolicy.view) appends the current entry to the layer's partial cache
-and attends that. Streaming and h2o build that arena at the prefill by
-gathering their starting set from the full cache, then drop one slot per
-step: streaming the oldest entry after the sinks, h2o the lightest
-heavy-hitter candidate. A view is three head-major arrays, keys and
-values (n_kv_heads, m, head_dim) and positions (n_kv_heads, m); a full
-view broadcasts its one position row over the heads. The rows `update`
-gets, and the rows refreshkv_no_full scores over the full cache, come
-from model.attention_rows as one (n_kv_heads, group_size, m) array.
+and attends its window (see kv_store for the entry order of each kind).
+Streaming and h2o build that arena at the prefill by gathering their
+starting set from the full cache, in ascending position order, then drop
+one slot per step: streaming the oldest entry after the sinks, h2o the
+lightest heavy-hitter candidate. Top-K kinds keep theirs in eviction
+order, so their evictions drop slot 0. A view is three head-major
+arrays, keys and values (n_kv_heads, m, head_dim) and positions
+(n_kv_heads, m); a full view broadcasts its one position row over the
+heads. The rows `update` gets, and the rows refreshkv_no_full scores over
+the full cache, come from model.attention_rows as one (n_kv_heads,
+group_size, m) array.
 
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
@@ -174,7 +177,9 @@ class H2OState:
     """Per-layer running state of the heavy-hitter policy.
 
     Tracks, in its partial-cache arena's scores, cumulative attention
-    received by every position still in the cache. The budget splits into
+    received by every position still in the cache; the arena stays in
+    ascending position order, so the recency half is its last entries and
+    a drop moves the shorter side of the window. The budget splits into
     a recency half (the newest positions, kept unconditionally) and a heavy
     half (highest cumulative score among the rest, ties toward the lower
     position). Evicted positions are gone for good. Requires a score
@@ -212,7 +217,7 @@ class H2OState:
         if (n := scores.shape[1]) > self.budget:
             heavy = scores[0, : n - self.recent_n]
             # argmin over the reversed candidates: ties leave from the higher position
-            self.partial.drop([heavy.size - 1 - int(heavy[::-1].argmin())] * scores.shape[0])
+            self.partial.drop(heavy.size - 1 - int(heavy[::-1].argmin()))
 
 
 # ------------------------------------------------------------ policy objects
@@ -256,7 +261,7 @@ class LayerPolicy:
         return LayerView(cf.keys, cf.values, cf.head_positions, "full")
 
     def _partial_view(self, mode: str = "partial") -> LayerView:
-        """The partial cache's filled prefix."""
+        """The partial cache's window."""
         cp = self.partial
         return LayerView(cp.keys, cp.values, cp.positions, mode)
 
@@ -271,7 +276,8 @@ class FullAttention(LayerPolicy):
 
 class Recency(LayerPolicy):
     """The first n_sink positions plus the newest, budget in all (everything while it fits):
-    each step appends to the arena and, once over budget, drops slot n_sink."""
+    each step appends to the ascending arena and, once over budget, drops slot n_sink, which
+    moves the sinks one slot when they are the shorter side of the window."""
 
     def __init__(self, session, layer, out):
         super().__init__(session, layer, out)
@@ -286,7 +292,7 @@ class Recency(LayerPolicy):
 
     def update(self, step, rows, avg_q):
         if self.partial.sizes()[0] > self.budget:
-            self.partial.drop([self.config.n_sink] * self.model.n_kv_heads)
+            self.partial.drop(self.config.n_sink)
         return LayerStep(self.k_sel)
 
 
@@ -319,8 +325,10 @@ class HeavyHitter(LayerPolicy):
 class TopK(LayerPolicy):
     """A top-K partial cache selected from the prompt's last-token scores.
 
-    Partial steps write the fresh entry into the partial cache, attend it,
-    then evict the lowest score when evict_on_append resolves true. At
+    The partial cache is in eviction order (see kv_store). Partial steps
+    write the fresh entry at its end, attend it, then, when
+    evict_on_append resolves true, evict from its start: the lowest
+    score, or the oldest entry appended since the last refresh. At
     the steps the schedule marks full, `output_full` attends the whole
     cache and, if `refresh`, rebuilds the partial cache from the observed
     rows; without output_full the step scores the whole cache, rebuilds

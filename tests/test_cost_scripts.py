@@ -33,6 +33,19 @@ def test_refresh_cost_json(tmp_path):
     assert set(record) == {"L", "n_refresh", "vanilla_us", "refresh_us", "partial_us", "snapkv_us", "streaming_us",
                            "h2o_us", "refresh_over_vanilla", "ratio_min", "ratio_max"}
     assert (record["L"], record["n_refresh"]) == (256, 2)
+    assert result["k"] == 128
+    assert_finite(record)
+
+
+def test_refresh_cost_budget_option(tmp_path):
+    out = tmp_path / "refresh.json"
+    done = run_script("refresh_cost.py", "--lengths", "64", "--k", "16", "--steps", "10", "--rounds", "1",
+                      "--json", str(out))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(out.read_text())
+    assert result["k"] == 16
+    (record,) = result["lengths"]
+    assert (record["L"], record["n_refresh"]) == (64, 1)
     assert_finite(record)
 
 
@@ -50,8 +63,9 @@ def test_prefill_cost_json(tmp_path):
 
 @pytest.mark.parametrize(
     "script, args",
-    [("refresh_cost.py", ["--steps", "9"]), ("refresh_cost.py", ["--rounds", "0"]), ("prefill_cost.py", ["--rounds", "0"])],
-    ids=["refresh-steps-below-stride", "refresh-no-rounds", "prefill-no-rounds"],
+    [("refresh_cost.py", ["--steps", "9"]), ("refresh_cost.py", ["--rounds", "0"]), ("refresh_cost.py", ["--k", "0"]),
+     ("prefill_cost.py", ["--rounds", "0"])],
+    ids=["refresh-steps-below-stride", "refresh-no-rounds", "refresh-no-budget", "prefill-no-rounds"],
 )
 def test_argument_that_leaves_nothing_to_measure_is_rejected(script, args, tmp_path):
     out = tmp_path / "out.json"

@@ -37,15 +37,15 @@ GOLDEN = {
     ("lm", "vanilla", "default"): "e95846ffe2c903bc53f8ef0a32f5541b63b18814392f267b0b8aa795e0dbefce",
     ("lm", "streaming", "default"): "8c1bfced68279ba17985ea7dcabf360b14bc71ba2be94e81d2a1e2e2aa3c4984",
     ("lm", "h2o", "default"): "c64afeea7261d63aaefe4e8414f73a63f2997dbbfd81bc6efba068a208b8d72b",
-    ("lm", "snapkv", "default"): "1be9bfbcb26477a16eed73cec284e2abed171237ab8e870224af328ac84ddc31",
-    ("lm", "refreshkv", "fixed"): "3262a0c38d1a15b7cdcd19ccd4e592e7679d14daf627e12eeb353553829f3db3",
-    ("lm", "refreshkv", "qc"): "51a08aae35e56d379b6aa6b256fb692b9799d88e1281b726adadf1b06a77e947",
-    ("lm", "refreshkv_no_refresh", "fixed"): "f6e4a79bd32b0096326c47bee7e61d6c62e1adc34be2e3e18fe1773f246aa112",
-    ("lm", "refreshkv_no_refresh", "qc"): "c815152b6dda95d56820ad9a7be9ede59deb88d24d8993a14827f363fd504039",
-    ("lm", "refreshkv_no_full", "fixed"): "173ab7101b20dac3b15c9ccc21499129079f58b8f8702c376e893deaab5ad7dd",
-    ("lm", "refreshkv_no_full", "qc"): "0843a598c0d7abbf3ae67aca4e75160798a2a4782e6c8aeee66019c0dbc823e4",
-    ("lm", "refreshkv", "fixed-no-evict-shared"): "f1cf6b83bc586f22ecd78d764aa52ce9050c4fe4df5352cc7f39144023cc802d",
-    ("chainkey", "refreshkv", "default"): "5faf5d0e42f651e773b6363ad8c7e5debb8d9a0812f2ca3d53c0b88ad9644ff6",
+    ("lm", "snapkv", "default"): "920e99085ef46a7e882f4cbe79be29b17817f4d401767b9e5175c47ef810a86a",
+    ("lm", "refreshkv", "fixed"): "6c3f98ae5495c7857d8bb107a34dae0f107c7c9ff499140b142da218152708d8",
+    ("lm", "refreshkv", "qc"): "b54daf3b8781001d2ffdc454ce9673be047c35caa00040f1524a72ad5ffd56b9",
+    ("lm", "refreshkv_no_refresh", "fixed"): "3584c8c6163ef13dbdfb3b43e76369837c2cd07a9731bb78e5b7dce20f6e4d4e",
+    ("lm", "refreshkv_no_refresh", "qc"): "c08828432ccf48bf8d3ef472b00237f326d8dba0c782cac3bd1de82a0ffe0aa2",
+    ("lm", "refreshkv_no_full", "fixed"): "cbd45fa354825ad35da68e72c2de7e9b17c27be14d685bfa0212c8fc2b36808e",
+    ("lm", "refreshkv_no_full", "qc"): "69661cfb59bb8cf67d8a9a38d6a7aaa0b8b58e8b56082640ec28d8a6c208d3a6",
+    ("lm", "refreshkv", "fixed-no-evict-shared"): "75cfca6a707b699c8bd5a884a1370a13333360c4c4c56cc85c71ab6563a5054a",
+    ("chainkey", "refreshkv", "default"): "cd531f983adb0d3b4e6d5e13da79705a79e28fee9b2f2e384ba467d0491394da",
 }
 
 

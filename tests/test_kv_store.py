@@ -1,8 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from kvrefresh import kv_store
+from kvrefresh.engine import DecodeSession
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.kv_store import NEW_SCORE, FullCache, init_partial
+from kvrefresh.kv_store import NEW_SCORE, FullCache, PartialCache, init_partial
+from kvrefresh.policies import REFRESH_FAMILY, PolicyConfig, selection_scores
+from kvrefresh.scheduler import ScheduleConfig
 
 N_KV = 2
 DIM = 4
@@ -34,24 +40,47 @@ def assert_key_major(keys):
         assert keys[h].T.flags.c_contiguous
 
 
-def loop_evict_overflow(cp):
-    """The per-head loop evict_overflow replaced, on copies: (positions, keys, values, scores)."""
-    arrays = [a.copy() for a in (cp.positions, cp.keys, cp.values, cp.scores)]
-    n = arrays[0].shape[1]
-    while n > cp.capacity:
-        s = arrays[3][:, :n]
-        victims = np.where(np.isfinite(s), s, np.inf).argmin(axis=1)
-        for h, i in enumerate(victims):
-            for a in arrays:
-                a[h, i : n - 1] = a[h, i + 1 : n]
-        n -= 1
-    return [a[:, :n] for a in arrays]
+class ReferencePartial:
+    """Reference model of a top-K partial cache: one (position, score) list per head in ascending
+    position order; append at the end, and evict the argmin score (ties toward the lower position, so
+    the oldest NEW entry once no scored one is left) by deleting it from the list."""
+
+    def __init__(self, scores, k):
+        self.refill(scores, k)
+
+    def refill(self, scores, k):
+        self.capacity = k
+        self.heads = [[(p, float(row[p])) for p in brute_force_top_k(row, k)] for row in scores]
+
+    def append(self, position):
+        for entries in self.heads:
+            entries.append((position, NEW_SCORE))
+
+    def evict_overflow(self):
+        for entries in self.heads:
+            while len(entries) > self.capacity:
+                scores = [score for _, score in entries]
+                del entries[scores.index(min(scores))]
 
 
-def delete_per_head(cp, slots):
-    """PartialCache.drop(slots) by np.delete, head by head: (positions, keys, values, scores)."""
-    return [np.stack([np.delete(a[h], i, axis=0) for h, i in enumerate(slots)])
-            for a in (cp.positions, cp.keys, cp.values, cp.scores)]
+def assert_holds(cp, ref):
+    """Same positions per head as the reference, each with the reference's score."""
+    assert cp.sizes() == [len(entries) for entries in ref.heads]
+    for h, entries in enumerate(ref.heads):
+        np.testing.assert_array_equal(np.sort(cp.positions[h]), sorted(p for p, _ in entries))
+        want = dict(entries)
+        assert [want[p] for p in cp.positions[h].tolist()] == cp.scores[h].tolist()
+
+
+def assert_eviction_order(cp):
+    """Each head's window ranks (score ascending, position ascending); NEW entries come last, oldest first."""
+    for positions, scores in zip(cp.positions.tolist(), cp.scores.tolist()):
+        assert list(zip(scores, positions)) == sorted(zip(scores, positions))
+
+
+def np_delete(cp, slot):
+    """PartialCache.drop(slot) by np.delete on copies of the views: (positions, keys, values, scores)."""
+    return [np.delete(a, slot, axis=1) for a in (cp.positions, cp.keys, cp.values, cp.scores)]
 
 
 class TestInitPartial:
@@ -91,8 +120,21 @@ class TestInitPartial:
         full = make_full(5, rng)
         scores = np.array([[5.0, 4, 3, 2, 1], [1.0, 2, 3, 4, 5]])
         cp = init_partial(full, scores, 2)
-        np.testing.assert_array_equal(cp.positions[0], [0, 1])
+        np.testing.assert_array_equal(cp.positions[0], [1, 0])  # eviction order: the lower score first
         np.testing.assert_array_equal(cp.positions[1], [3, 4])
+
+    def test_entries_are_in_eviction_order(self, rng):
+        # small-integer scores force ties, which rank toward the lower position
+        for _ in range(30):
+            n = int(rng.integers(1, 30))
+            full = make_full(n, rng)
+            scores = rng.integers(0, 4, size=(N_KV, n)).astype(float)
+            cp = init_partial(full, scores, int(rng.integers(1, n + 1)))
+            assert_eviction_order(cp)
+            for h in range(N_KV):
+                np.testing.assert_array_equal(cp.scores[h], scores[h][cp.positions[h]])
+                np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
+                np.testing.assert_array_equal(cp.values[h], full.values[h][cp.positions[h]])
 
 
 class TestAppendAndEvict:
@@ -111,15 +153,14 @@ class TestAppendAndEvict:
             assert cp.scores[h][-1] == NEW_SCORE
 
     def test_evicts_minimum_finite_score(self, rng):
-        # scores [0.5, 0.2, NEW] at capacity 3: appending evicts the 0.2 entry
+        # scores [0.5, 0.2] rank as [0.2, 0.5]; at capacity 3 the second append evicts the 0.2 entry
         cp = self.make_cp(rng, np.array([0.5, 0.2]), 2)
         cp.capacity = 3
-        k, v = entry(rng)
-        append_and_evict(cp, 2, k, v, evict=True)  # fills to capacity, no eviction
+        append_and_evict(cp, 2, *entry(rng), evict=True)  # fills to capacity, no eviction
         for h in range(N_KV):
-            np.testing.assert_array_equal(cp.scores[h], [0.5, 0.2, NEW_SCORE])
-        k2, v2 = entry(rng)
-        append_and_evict(cp, 3, k2, v2, evict=True)
+            np.testing.assert_array_equal(cp.positions[h], [1, 0, 2])
+            np.testing.assert_array_equal(cp.scores[h], [0.2, 0.5, NEW_SCORE])
+        append_and_evict(cp, 3, *entry(rng), evict=True)
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], [0, 2, 3])
             assert 0.2 not in cp.scores[h]
@@ -132,13 +173,14 @@ class TestAppendAndEvict:
             assert cp.sizes() == [4 + i] * N_KV
 
     def test_all_new_evicts_oldest(self, rng):
+        # once every refilled entry is gone, the oldest NEW entry goes next
         cp = self.make_cp(rng, np.array([0.5, 0.2]), 2)
-        for h in range(N_KV):
-            cp.scores[h] = np.array([NEW_SCORE, NEW_SCORE])
-        k, v = entry(rng)
-        append_and_evict(cp, 9, k, v, evict=True)
-        for h in range(N_KV):
-            np.testing.assert_array_equal(cp.positions[h], [1, 9])
+        for pos in (9, 10):
+            append_and_evict(cp, pos, *entry(rng), evict=True)
+        np.testing.assert_array_equal(cp.positions, [[9, 10]] * N_KV)
+        append_and_evict(cp, 11, *entry(rng), evict=True)
+        np.testing.assert_array_equal(cp.positions, [[10, 11]] * N_KV)
+        assert (cp.scores == NEW_SCORE).all()
 
     def test_non_monotone_position_rejected(self, rng):
         cp = self.make_cp(rng, np.array([0.5, 0.2, 0.9]), 3)
@@ -148,63 +190,103 @@ class TestAppendAndEvict:
 
     def test_size_never_exceeds_capacity_with_evict(self, rng):
         cp = self.make_cp(rng, rng.uniform(size=8), 8)
-        for pos in range(8, 40):
-            k, v = entry(rng)
-            append_and_evict(cp, pos, k, v, evict=True)
+        for pos in range(8, 60):  # past the drift allowance: the window moves back to slot 0 on the way
+            append_and_evict(cp, pos, *entry(rng), evict=True)
             assert all(s <= 8 for s in cp.sizes())
+            assert_eviction_order(cp)
             for h in range(N_KV):
-                assert (np.diff(cp.positions[h]) > 0).all()
-
+                assert np.unique(cp.positions[h]).size == 8
 
     @pytest.mark.parametrize("n_drop", [1, 3, "drop"])
     def test_matches_per_head_loop_oracle(self, rng, n_drop):
-        # small-integer scores force ties; NEW entries and all-NEW heads take the oldest-first rule.
-        # "drop" removes one given slot per head (first, last or inside) through PartialCache.drop.
-        given = n_drop == "drop"
-        n_drop = 1 if given else n_drop
-        for _ in range(40):
-            n = int(rng.integers(n_drop + 1, 12))
-            cp = self.make_cp(rng, np.zeros(n), n)
-            cp.scores[:] = rng.integers(0, 3, size=(N_KV, n)).astype(float)
-            cp.scores[rng.uniform(size=(N_KV, n)) < 0.3] = NEW_SCORE
-            if rng.uniform() < 0.2:
-                cp.scores[int(rng.integers(N_KV))] = NEW_SCORE
-            if given:
-                slots = rng.integers(0, n, size=N_KV).tolist()
-                expected = delete_per_head(cp, slots)
-                cp.drop(slots)
-            else:
-                cp.capacity = n - n_drop
-                expected = loop_evict_overflow(cp)
-                cp.evict_overflow()
-            assert cp.sizes() == [n - n_drop] * N_KV
-            for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
-                np.testing.assert_array_equal(got, want)
+        # n_drop 1 or 3: the held sets follow ReferencePartial, the per-head argmin-and-shift loop, over appends
+        # of n_drop entries then one eviction, with refills between; small-integer scores force ties, and
+        # shared scores make every head select alike. "drop": one given slot of a moved window, against np.delete.
+        if n_drop == "drop":
+            for _ in range(40):
+                n = int(rng.integers(1, 12))
+                cp = self.make_cp(rng, rng.integers(0, 3, size=n).astype(float), n)
+                for pos in range(n, n + int(rng.integers(0, 40))):
+                    append_and_evict(cp, pos, *entry(rng), evict=True)
+                slot = int(rng.integers(0, n))
+                expected = np_delete(cp, slot)
+                cp.drop(slot)
+                assert cp.sizes() == [n - 1] * N_KV
+                for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
+                    np.testing.assert_array_equal(got, want)
+            return
+        for _ in range(20):
+            n = int(rng.integers(1, 16))
+            k = int(rng.integers(1, n + 1))
+            full = make_full(n, rng)
 
+            def scores(m):
+                out = rng.integers(0, 3, size=(N_KV, m)).astype(float)
+                return np.tile(out[0], (N_KV, 1)) if shared else out
+
+            shared = rng.uniform() < 0.3
+            first = scores(n)
+            cp, ref = init_partial(full, first, k), ReferencePartial(first, k)
+            for _ in range(60):
+                if rng.uniform() < 0.1:
+                    new = scores(len(full))
+                    init_partial(full, new, k, into=cp)
+                    ref.refill(new, k)
+                for _ in range(n_drop):
+                    k_new, v_new = entry(rng)
+                    full.append(len(full), k_new, v_new)
+                    cp.append(len(full) - 1, k_new, v_new)
+                    ref.append(len(full) - 1)
+                cp.evict_overflow()
+                ref.evict_overflow()
+                assert_holds(cp, ref)
+                assert_eviction_order(cp)
+                for h in range(N_KV):
+                    np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_equal_slot_drop_matches_np_delete_per_head(self, rng, where):
-        # every head dropping the same slot takes the whole-array shift (streaming, h2o, shared selection)
+        # a drop takes the same slot on every head and moves the shorter side (streaming, h2o)
         n = 9
         cp = self.make_cp(rng, rng.uniform(size=n), n)
-        cp.scores[:, -2:] = NEW_SCORE
+        for pos in range(n, n + 3):  # the window no longer starts at slot 0
+            append_and_evict(cp, pos, *entry(rng), evict=True)
         slot = {"first": 0, "middle": n // 2, "last": n - 1}[where]
-        expected = delete_per_head(cp, [slot] * N_KV)
-        cp.drop([slot] * N_KV)
+        expected = np_delete(cp, slot)
+        cp.drop(slot)
         assert cp.sizes() == [n - 1] * N_KV
         for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
             np.testing.assert_array_equal(got, want)
         assert_key_major(cp._arrays[1])
 
+    def test_drop_of_every_slot_matches_np_delete(self, rng):
+        # both sides of the window, for odd and even lengths
+        for n in (1, 2, 5, 6):
+            for slot in range(n):
+                cp = self.make_cp(rng, rng.uniform(size=n), n)
+                expected = np_delete(cp, slot)
+                cp.drop(slot)
+                for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("slot", [5, 7, -1])
+    def test_drop_outside_the_window_is_rejected(self, rng, slot):
+        cp = self.make_cp(rng, rng.uniform(size=5), 5)
+        before = [a.copy() for a in (cp.positions, cp.keys, cp.values, cp.scores)]
+        with pytest.raises(ContractViolation, match=f"drop of slot {slot} outside \\[0, 5\\)"):
+            cp.drop(slot)
+        for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), before):
+            np.testing.assert_array_equal(got, want)
+
     def test_append_after_refill_rejects_up_to_the_newest_head_position(self, rng):
         full = make_full(10, rng)
         scores = np.zeros((N_KV, 10))
         scores[0, [1, 2, 3]] = 1.0
-        scores[1, [2, 5, 8]] = 1.0  # head 1 holds the newest position, 8
+        scores[1, [2, 5, 8]] = [3.0, 2.0, 1.0]  # head 1 holds the newest position, 8, at the front of its window
         cp = init_partial(full, scores, 3)
-        cp.append(9, *entry(rng))  # fills the arena's one spare slot
+        cp.append(9, *entry(rng))
         init_partial(full, scores, 3, into=cp)
-        np.testing.assert_array_equal(cp.positions, [[1, 2, 3], [2, 5, 8]])
+        np.testing.assert_array_equal(cp.positions, [[1, 2, 3], [8, 5, 2]])
         for position in (3, 7, 8):
             with pytest.raises(ContractViolation, match=f"{position} <= 8"):
                 cp.append(position, *entry(rng))
@@ -296,8 +378,9 @@ class TestRefresh:
             full = make_full(n, rng)
             scores = rng.uniform(size=(N_KV, n))
             cp = init_partial(full, scores, k)
+            assert_eviction_order(cp)
             for h in range(N_KV):
-                np.testing.assert_array_equal(cp.positions[h], brute_force_top_k(scores[h], k))
+                np.testing.assert_array_equal(np.sort(cp.positions[h]), brute_force_top_k(scores[h], k))
 
     def test_discards_new_entries_unless_reselected(self, rng):
         full = make_full(6, rng)
@@ -340,7 +423,7 @@ class TestRefresh:
         init_partial(full, rng.uniform(size=(N_KV, 20)), 12, into=cp)  # refill into a larger arena
         assert_key_major(cp._arrays[1])
         slots = cp._arrays[1].shape[1]
-        for pos in range(20, 20 + slots - 12 + 1):  # one past the slack: the arena doubles
+        for pos in range(20, 20 + slots - 12 + 1):  # one past the arena's end: the window moves to twice its size
             append_and_evict(cp, pos, *entry(rng), evict=False)
         assert cp._arrays[1].shape[1] == 2 * slots
         assert_key_major(cp._arrays[1])
@@ -353,7 +436,117 @@ class TestRefresh:
         scores = rng.uniform(size=(N_KV, 20))
         init_partial(full, scores, 12, into=cp)
         assert cp.sizes() == [12] * N_KV
+        assert cp._arrays[0].shape[1] == 12 + kv_store.PARTIAL_SPARE
+        assert_eviction_order(cp)
         for h in range(N_KV):
-            np.testing.assert_array_equal(cp.positions[h], brute_force_top_k(scores[h], 12))
+            np.testing.assert_array_equal(np.sort(cp.positions[h]), brute_force_top_k(scores[h], 12))
             np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
 
+
+class TestWindow:
+    """The window [start, start + n) an append finds at the arena's end moves back to slot 0."""
+
+    def evicting(self, rng, k, n_steps):
+        """A K=k cache refilled from a k-position prompt, then n_steps appends each followed by an
+        eviction; returns it, the arena at the refill, and the reference model it must match."""
+        full = make_full(k, rng)
+        scores = rng.uniform(size=(N_KV, k))
+        cp, ref = init_partial(full, scores, k), ReferencePartial(scores, k)
+        arena = cp._arrays[1]
+        for pos in range(k, k + n_steps):
+            k_new, v_new = entry(rng)
+            full.append(pos, k_new, v_new)
+            append_and_evict(cp, pos, k_new, v_new, evict=True)
+            ref.append(pos)
+            ref.evict_overflow()
+        for h in range(N_KV):
+            np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
+            np.testing.assert_array_equal(cp.values[h], full.values[h][cp.positions[h]])
+        assert_holds(cp, ref)
+        return cp, arena
+
+    @pytest.mark.parametrize("n_steps", [kv_store.PARTIAL_SPARE, kv_store.PARTIAL_SPARE + 1, 200])
+    def test_a_window_at_most_half_the_arena_moves_in_place(self, rng, n_steps):
+        # K=8 in 8 + 33 slots: the 34th append finds the window at the end and moves it to slot 0
+        cp, arena = self.evicting(rng, 8, n_steps)
+        assert cp._arrays[1] is arena
+        assert_key_major(cp._arrays[1])
+
+    @pytest.mark.parametrize("n_steps", [kv_store.PARTIAL_SPARE, kv_store.PARTIAL_SPARE + 1, 200])
+    def test_a_window_over_half_the_arena_moves_into_arenas_twice_its_size(self, rng, n_steps):
+        # K=40 in 40 + 33 slots: the 34th append moves the 40 entries into 80 slots; later moves are in place
+        cp, arena = self.evicting(rng, 40, n_steps)
+        grown = n_steps > kv_store.PARTIAL_SPARE
+        assert (cp._arrays[1] is arena) is not grown
+        assert cp._arrays[0].shape[1] == (80 if grown else 73)
+        assert_key_major(cp._arrays[1])
+
+    def test_the_drift_allowance_holds_no_move(self, rng):
+        # 33 appends and evictions fit the arena a refill leaves: the window ends at its last slot
+        cp, arena = self.evicting(rng, 8, kv_store.PARTIAL_SPARE)
+        assert cp._arrays[1] is arena and cp._start + 8 == arena.shape[1]
+        append_and_evict(cp, 8 + kv_store.PARTIAL_SPARE, *entry(rng), evict=True)
+        assert cp._arrays[1] is arena and cp._start == 1  # moved to slot 0, then evicted from it
+
+
+
+# ------------------------------------------- sessions against the reference model
+
+TOPK_SCHEDULES = {
+    "fixed10": ScheduleConfig(mode="fixed", stride=10),
+    "fixed97": ScheduleConfig(mode="fixed", stride=97),
+    "qc": ScheduleConfig(mode="qc", qc_stride=10, threshold=0.0),
+}
+SESSION_CASES = [(kind, name) for kind in REFRESH_FAMILY for name in TOPK_SCHEDULES] + [("snapkv", "never")]
+
+
+@pytest.mark.parametrize("kind, schedule", SESSION_CASES, ids=[f"{k}-{s}" for k, s in SESSION_CASES])
+def test_session_held_sets_follow_the_reference_every_step(desk_weights, rng, kind, schedule):
+    # every K x shared selection x eviction: each layer's partial cache holds, per head, the positions (and
+    # scores) of ReferencePartial driven by the session's own refreshes, in eviction order, after every step
+    prompt_length, n_steps = 48, 100 if schedule == "fixed97" else 60
+    stream = rng.integers(0, desk_weights.config.vocab_size, prompt_length + n_steps).tolist()
+    for k, shared, evict in itertools.product((1, 6, 40), (False, True), (True, False)):
+        policy = PolicyConfig(kind=kind, k=k, shared_selection=shared, evict_on_append=evict)
+        events = []
+        session = DecodeSession(desk_weights, policy, TOPK_SCHEDULES.get(schedule), recorder=events.append)
+        out = session.prefill(stream[:prompt_length])
+        refs = [ReferencePartial(selection_scores(rows, policy), k) for rows in out.attn_rows]
+        for i, token in enumerate(stream[prompt_length:]):
+            events.clear()
+            _, rec = session.step(token)
+            refreshed = {e["layer"]: e for e in events if e["kind"] == "refresh"}
+            for layer, ref in enumerate(refs):
+                if rec.modes[layer] == "partial":
+                    ref.append(prompt_length + i)
+                    if evict:
+                        ref.evict_overflow()
+                if layer in refreshed:
+                    ref.refill(refreshed[layer]["selection"], k)
+                assert_holds(session.partial[layer], ref)
+                assert_eviction_order(session.partial[layer])
+
+
+@pytest.mark.parametrize("kind", ["streaming", "h2o"])
+def test_streaming_and_h2o_drops_match_np_delete_bitwise(desk_weights, rng, monkeypatch, kind):
+    # their arenas stay ascending: every drop leaves exactly np.delete's arrays, whichever side it moves
+    drop, sides = PartialCache.drop, set()
+
+    def checked(self, slot):
+        expected = np_delete(self, slot)
+        sides.add(slot <= self.sizes()[0] - 1 - slot)
+        drop(self, slot)
+        for got, want in zip((self.positions, self.keys, self.values, self.scores), expected):
+            np.testing.assert_array_equal(got, want)
+        assert (np.diff(self.positions, axis=1) > 0).all()
+
+    monkeypatch.setattr(PartialCache, "drop", checked)
+    stream = rng.integers(0, desk_weights.config.vocab_size, 48 + 80).tolist()
+    for budget in (4, 6, 40):  # 40: the window outgrows its drift allowance and moves into a larger arena
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=budget, n_sink=4))
+        session.prefill(stream[:48])
+        for token in stream[48:]:
+            session.step(token)
+    # streaming drops slot n_sink: behind the sinks at budget 40, past the middle at budgets 4 and 6;
+    # h2o's candidates are the heavy half, left of the middle
+    assert sides == ({True, False} if kind == "streaming" else {True})
