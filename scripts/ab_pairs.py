@@ -1,0 +1,116 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs of runs.
+
+Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
+once in PARENT and once in CHANGE, each in its own process from its own
+checkout; the side that runs first alternates from pair to pair, so a
+drift in the host's speed lands on both sides alike. For every end-to-end
+metric that CHANGE's BENCHMARK.json declares, the script prints each
+side's median [first quartile, third quartile] over the pairs, the move
+of the median, and the pairs the change won. A win follows the metric's
+`better`; a tie counts for neither side. A median worse than the
+parent's by more than the metric's `bound` is marked OVER BOUND.
+
+Exit status: 0 when every run printed a result with "correct": true and
+0 failed operations; 1 otherwise.
+
+Run from anywhere:
+
+    python scripts/ab_pairs.py --parent DIR --change DIR --workload W --pairs N --seconds S [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def result_of(stdout: str) -> dict:
+    """The result object a benchmark run prints last: {"correct", "attempted", "failed", "metrics"}, each
+    metric {"value", "unit"}."""
+    for line in reversed(stdout.strip().splitlines()):
+        try:
+            result = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(result, dict) and "metrics" in result:
+            return result
+    raise ValueError("no result line in the benchmark's output")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    try:
+        return result_of(done.stdout)
+    except ValueError:
+        sys.stderr.write(done.stderr)
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+
+
+def summarise(end_to_end: list[dict], results: dict[str, list[dict]]) -> list[str]:
+    """One line per end-to-end metric: each side's median [quartiles], the median's move and the change's wins.
+
+    results maps "parent" and "change" to their runs' result objects, pair by pair.
+    """
+    lines = []
+    for spec in end_to_end:
+        name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(results["parent"], results["change"]) if name in p["metrics"] and name in c["metrics"]]
+        if not pairs:
+            lines.append(f"{name}: no pair reports it")
+            continue
+        cells = []
+        for values in zip(*pairs):
+            q1, median, q3 = np.percentile(values, [25, 50, 75])
+            cells.append((median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"))
+        (parent, parent_cell), (change, change_cell) = cells
+        move = (change - parent) / parent if parent else 0.0
+        wins = sum(sign * (c - p) > 0 for p, c in pairs)
+        over = "  OVER BOUND" if -sign * move > spec["bound"] else ""
+        lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): parent {parent_cell}  change "
+                     f"{change_cell}  {move:+.1%}  change better in {wins}/{len(pairs)}{over}")
+    return lines
+
+
+def failures(results: dict[str, list[dict]]) -> list[str]:
+    """One line per run that was not correct or failed an operation."""
+    return [f"{side} run {i + 1}: correct={r['correct']} failed={r['failed']}"
+            for side in SIDES for i, r in enumerate(results[side]) if not r["correct"] or r["failed"]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent, "change": args.change}
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(args.pairs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            results[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    print(f"# {args.workload} seed={args.seed} seconds={args.seconds} pairs={args.pairs}")
+    print(json.dumps(results), flush=True)
+    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    for line in summarise(end_to_end, results) + failures(results):
+        print(line)
+    return 1 if failures(results) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

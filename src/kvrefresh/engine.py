@@ -13,9 +13,10 @@ object per layer (see policies.make_policy). Step flow, per layer:
      refreshkv_no_full its refresh, happens there;
   3. attention runs over the view exactly as given, as one batched
      computation over the layer's kv heads: the view is three head-major
-     arrays (keys, values, positions) that already hold the current token,
-     and every view is a slice of an arena (the full cache's filled
-     prefix, or the partial cache's window), so nothing is copied;
+     arrays (keys, values, positions), the window of one cache, so nothing
+     is copied. It already holds the current token, except at a
+     refreshkv_no_full refresh step, whose refreshed top-K holds it only
+     if the refresh selects it;
   4. after the forward pass the policy updates its state from the
      probability rows the model returns for every layer (streaming and
      h2o drop one slot of the partial cache, moving the shorter side of

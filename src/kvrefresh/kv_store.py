@@ -2,14 +2,14 @@
 
 Two stores per layer: the full cache (every token seen so far, never
 evicted) and, for every budgeted policy, the partial cache (a
-fixed-budget subset with one score per entry, held per kv-head). Both are
-head-major arenas: keys and values live in (n_kv_heads, slots, head_dim)
-arrays, so attention reads one head's m entries as a slice of the slot
-axis, without a copy. The full cache's view is the filled prefix of its
-arena, whose slot axis doubles when full; the partial cache's is a window
-of its arena (see below). The session writes each fresh key/value into
-its store before the layer attends, so a view always holds the current
-token.
+fixed-budget subset, held per kv-head). Both are a window of one layout
+of head-major arenas (`_Arena`): positions (n_kv_heads, slots), keys and
+values (n_kv_heads, slots, head_dim). Attention reads one head's m
+entries as a slice of the slot axis, without a copy. The full cache's
+window is its arenas' filled prefix, which doubles when full; the partial
+cache's moves (see below). The session writes each fresh key/value into
+its store before the layer attends, so a view holds the current token,
+except at a refreshkv_no_full refresh step (see policies).
 
 Key arenas are key-major: the array keeps its (n_kv_heads, slots,
 head_dim) shape, but each head's keys are stored as one C-contiguous
@@ -41,14 +41,11 @@ is a window of its arena:
 Attention sums over a view in the order it holds, so top-K results differ
 from those over an ascending view only by rounding.
 
-`scores` holds, for top-K, each entry's selection score, and the NEW
-sentinel (+inf) on entries appended since the last refresh. No eviction
-reads it any more; it keeps a top-K window's scores ascending and marks
-the entries the next refresh will re-score. For h2o it holds each entry's
-cumulative attention (equal on every head); for streaming, nothing it
-reads (zero or NEW), since it drops by slot.
+Only h2o's partial cache holds a score per entry: the cumulative
+attention each position received, one (1, slots) arena that every head
+shares. A top-K cache keeps no score: its order already says which entry
+goes next, and every refresh ranks the whole cache afresh.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -56,153 +53,135 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 from .numerics import top_k_indices
 
-NEW_SCORE = np.inf  # sentinel for entries appended since the last scored step
 # spare partial-cache slots at a refill: one append past the budget, then 32 evictions that move the
 # window on before an append finds it at the arena's end; a fixed allowance, so a refill's arena stays
 # close to its budget
 PARTIAL_SPARE = 33
 
 
-def _resized(a: np.ndarray, n: int, slots: int, axis: int = 1, key_major: bool = False) -> np.ndarray:
-    """A copy of a's first n slots along `axis` in an array with `slots` of them.
-
-    With key_major, a is an (n_kv_heads, slots, head_dim) key arena and the
-    copy stores each head as one C-contiguous (head_dim, slots) block. The
-    flag is explicit because memory order cannot be read back from an
-    arena with 0 or 1 slots, whose strides fit either layout.
-    """
-    shape = a.shape[:axis] + (slots,) + a.shape[axis + 1 :]
+def _resized(a: np.ndarray, n: int, slots: int, key_major: bool = False) -> np.ndarray:
+    """A copy of a's first n slots (axis 1) in an array with `slots` of them. With key_major, a is an
+    (n_kv_heads, slots, head_dim) key arena and the copy stores each head as one C-contiguous (head_dim,
+    slots) block; the flag is explicit because an arena with 0 or 1 slots has strides that fit either layout."""
+    shape = (a.shape[0], slots) + a.shape[2:]
     if key_major:  # memory (n_kv_heads, head_dim, slots), seen as (n_kv_heads, slots, head_dim)
         out = np.empty((shape[0], shape[2], shape[1]), a.dtype).transpose(0, 2, 1)
     else:
         out = np.empty(shape, a.dtype)
-    filled = (slice(None),) * axis + (slice(0, n),)
-    out[filled] = a[filled]
+    out[:, :n] = a[:, :n]
     return out
 
 
-class FullCache:
-    """Append-only store of every position's key/value, all kv-heads.
+class _Arena:
+    """The window both caches keep: n entries of every kv head in the slots [start, start + n) of
+    head-major arenas, `_arrays`: positions (n_kv_heads, slots), key-major keys and values
+    (n_kv_heads, slots, head_dim), and any further arena that moves with the window.
 
-    `positions` ((n,) int64, strictly increasing), `keys` and `values`
-    ((n_kv_heads, n, head_dim), keys rotated) are views of the filled
-    prefix of arrays that double when full, so an append writes one slot
-    per head and copies the store only when it doubles. The key arena is
-    key-major (see the module docstring): `_forward` hands the prefill's
-    keys over in that order and every doubling keeps it. `head_positions`
-    is `positions` broadcast over the heads, (n_kv_heads, n), as an
-    attention view holds it.
+    An append must exceed `_newest`, the newest position written, a Python int kept for the check.
+    An append that finds the window at the arena's end first moves it to slot 0: in place when it
+    fills at most half of the arena, so each move frees at least as many slots as it copies, else
+    into arenas twice its size. Each cache defines its own `append` on `_append`, so a profiler that
+    wraps one class's method times that cache's appends alone.
     """
 
-    def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray):
-        self._positions = np.asarray(positions, dtype=np.int64)
-        self._keys, self._values = keys, values
-        self._n = int(self._positions.size)
-        self._heads = np.arange(keys.shape[0])[:, None]
-        self._broadcast_positions()
-
-    positions = property(lambda self: self._positions[: self._n])
-    head_positions = property(lambda self: self._head_positions[:, : self._n])
-    keys = property(lambda self: self._keys[:, : self._n])
-    values = property(lambda self: self._values[:, : self._n])
+    _start = 0
+    positions = property(lambda self: self._arrays[0][:, self._start : self._start + self._n])
+    keys = property(lambda self: self._arrays[1][:, self._start : self._start + self._n])
+    values = property(lambda self: self._arrays[2][:, self._start : self._start + self._n])
 
     def __len__(self) -> int:
         return self._n
 
+    def _append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
+        n, start = self._n, self._start
+        if position <= self._newest:
+            raise ContractViolation(f"{self._name} append out of order: {position} <= {self._newest}")
+        if start + n == (slots := self._arrays[0].shape[1]):
+            if slots and 2 * n <= slots:
+                for a in self._arrays:
+                    a[:, :n] = a[:, start : start + n]
+                self._start = 0
+            else:
+                self._resize(max(1, 2 * n), n)
+        end = self._start + n
+        positions, keys, values = self._arrays[:3]
+        positions[:, end], keys[:, end], values[:, end] = position, k, v
+        self._n, self._newest = n + 1, position
+
+    def _resize(self, slots: int, n: int) -> None:
+        """Move the window's first n entries to slot 0 of new arenas with `slots` slots, keys key-major."""
+        start = self._start
+        self._arrays = [_resized(a[:, start:], n, slots, key_major=i == 1) for i, a in enumerate(self._arrays)]
+        self._start = 0
+
+
+class FullCache(_Arena):
+    """Append-only store of every position's key/value, all kv-heads.
+
+    `positions` ((n_kv_heads, n), strictly increasing and equal on every
+    head), `keys` and `values` ((n_kv_heads, n, head_dim), keys rotated)
+    are the window at slot 0 of its arenas, so an append writes one slot
+    per head and copies the store only when it doubles. `_forward` hands
+    the prefill's keys over key-major and every doubling keeps it.
+    """
+
+    _name = "full-cache"
+
+    def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray):
+        positions = np.asarray(positions, dtype=np.int64)
+        # a read-only broadcast of the positions: the arenas are full, so the first append copies them
+        self._arrays = [np.broadcast_to(positions, keys.shape[:2]), keys, values]
+        self._n, self._newest = positions.size, int(positions[-1]) if positions.size else -1
+        self._heads = np.arange(keys.shape[0])[:, None]
+
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write one position's (n_kv_heads, head_dim) key and value in place."""
-        n = self._n
-        if n and position <= self._positions[n - 1]:
-            raise ContractViolation(f"full-cache append out of order: {position} <= {self._positions[n - 1]}")
-        if n == self._positions.size:
-            slots = max(1, 2 * n)
-            self._positions = _resized(self._positions, n, slots, axis=0)
-            self._keys = _resized(self._keys, n, slots, key_major=True)
-            self._values = _resized(self._values, n, slots)
-            self._broadcast_positions()
-        self._positions[n], self._keys[:, n], self._values[:, n] = position, k, v
-        self._n = n + 1
-
-    def _broadcast_positions(self) -> None:
-        # once per arena size: np.broadcast_to costs several us a call, a slice of its result well under one
-        self._head_positions = np.broadcast_to(self._positions, self._keys.shape[:2])
+        self._append(position, k, v)
 
     def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions (n_kv_heads, m), keys and values (n_kv_heads, m, head_dim) at the
         given slots: (n_kv_heads, m) per head, or (m,) that every head shares."""
         heads = self._heads
-        return self.head_positions[heads, indices], self.keys[heads, indices], self.values[heads, indices]
+        return self.positions[heads, indices], self.keys[heads, indices], self.values[heads, indices]
 
 
-class PartialCache:
-    """Fixed-budget per-kv-head subset of the cache with one score per entry.
+class PartialCache(_Arena):
+    """Fixed-budget per-kv-head subset of the cache.
 
     Every head holds the same number n of entries, in the order the module
-    docstring gives for the cache's policy. `positions` and `scores`
-    ((n_kv_heads, n)), `keys` and `values` ((n_kv_heads, n, head_dim)) are
-    views of the window [start, start + n) of four arenas. A refill writes
-    from slot 0, into the same arenas when n + PARTIAL_SPARE slots fit, so
-    a cache at its budget can append and evict PARTIAL_SPARE times before
-    an append finds the window at the arena's end. That append first
-    moves the window back to slot 0: in place when it fills at most half
-    of the arena, else into arenas twice its size. The key arena is
-    key-major (see the module docstring).
+    docstring gives for the cache's policy, in the window of its arenas. A
+    refill writes from slot 0, into the same arenas when n + PARTIAL_SPARE
+    slots fit, so a cache at its budget can append and evict PARTIAL_SPARE
+    times before an append finds the window at the arena's end. Built from
+    positions, keys, values and a (1, n) score row, the cache keeps the row
+    as a fourth arena that moves with the window, `scores` (h2o's
+    cumulative attention, which every head shares); an append leaves the
+    new entry's score for its owner to write.
     """
 
-    def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                 scores: np.ndarray):
-        self._arrays, self._start = [_resized(a, 0, 0) for a in (positions, keys, values, scores)], 0
-        self.refill(capacity, positions, keys, values, scores)
-
-    positions = property(lambda self: self._arrays[0][:, self._start : self._start + self._n])
-    keys = property(lambda self: self._arrays[1][:, self._start : self._start + self._n])
-    values = property(lambda self: self._arrays[2][:, self._start : self._start + self._n])
+    _name = "partial-cache"
     scores = property(lambda self: self._arrays[3][:, self._start : self._start + self._n])
+
+    def __init__(self, capacity: int, *arrays: np.ndarray):
+        self._arrays = [_resized(a, 0, 0) for a in arrays]
+        self.refill(capacity, *arrays)
 
     def sizes(self) -> list[int]:
         return [self._n] * self._arrays[0].shape[0]
 
-    def refill(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray,
-               scores: np.ndarray) -> None:
+    def refill(self, capacity: int, *arrays: np.ndarray) -> None:
         """Replace every entry with the given (n_kv_heads, n, ...) arrays, from slot 0 of the arena."""
-        n = positions.shape[1]
+        n = arrays[0].shape[1]
         if (slots := n + PARTIAL_SPARE) > self._arrays[0].shape[1]:
             self._resize(slots, 0)
         self.capacity, self._start, self._n = capacity, 0, n
-        self._newest = int(positions.max()) if n else -1  # top-K order puts the newest anywhere
-        for a, new in zip(self._arrays, (positions, keys, values, scores)):
+        self._newest = int(arrays[0].max()) if n else -1  # top-K order puts the newest anywhere
+        for a, new in zip(self._arrays, arrays):
             a[:, :n] = new
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Write one entry (all heads) at the window's end with the NEW sentinel score. The position
-        must exceed the newest one the last `refill` or `append` wrote, a Python int kept for the check."""
-        n = self._n
-        if position <= self._newest:
-            raise ContractViolation(f"partial-cache append out of order: {position} <= {self._newest}")
-        if self._start + n == self._arrays[0].shape[1]:
-            self._rebase()
-        end = self._start + n
-        positions, keys, values, scores = self._arrays
-        positions[:, end], keys[:, end], values[:, end], scores[:, end] = position, k, v, NEW_SCORE
-        self._n, self._newest = n + 1, position
-
-    def _rebase(self) -> None:
-        """Move the window to slot 0: in place when it fills at most half of the arena, so each move
-        frees at least as many slots as it copies, else into new arenas of twice its size."""
-        n, start = self._n, self._start
-        if 2 * n <= self._arrays[0].shape[1]:
-            for a in self._arrays:
-                a[:, :n] = a[:, start : start + n]
-            self._start = 0
-        else:
-            self._resize(2 * n, n)
-
-    def _resize(self, slots: int, n: int) -> None:
-        """Move the window's first n entries to slot 0 of new arenas with `slots` slots; keys
-        (array 1) go key-major."""
-        start = self._start
-        self._arrays = [_resized(a[:, start:], n, slots, key_major=i == 1) for i, a in enumerate(self._arrays)]
-        self._start = 0
+        """Write one entry (all heads) at the window's end."""
+        self._append(position, k, v)
 
     def drop(self, slot: int) -> None:
         """Remove the entry at `slot` of the window on every head, keeping the others' order.
@@ -228,7 +207,7 @@ class PartialCache:
     def evict_overflow(self) -> None:
         """Evict until the cache is back at capacity, in a top-K arena's eviction order: each
         eviction drops slot 0 (the lowest score, ties toward the lower position, or the oldest
-        NEW entry once no scored one is left), so the window's start moves on and nothing is copied."""
+        appended entry once no refilled one is left), so the window's start moves on and nothing is copied."""
         if (excess := self._n - self.capacity) > 0:
             self._start += excess
             self._n = self.capacity
@@ -239,13 +218,13 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: Par
     """Fill a partial cache with the top-k scored positions of each kv-head.
 
     scores_per_head: (n_kv_heads, len(full)) selection scores (already
-    group-aggregated and pooled). Entries keep their score and are written
-    in eviction order: score ascending, ties toward the lower position
-    (one stable sort of the k gathered scores, whose positions ascend). A
-    refresh passes the layer's cache as `into` and it is refilled in place
-    (its arena grows only if k no longer fits it): previous contents, NEW
-    entries included, survive only if the new scores re-select them.
-    Without `into` a new cache is built.
+    group-aggregated and pooled). Entries are written in eviction order:
+    score ascending, ties toward the lower position (one stable sort of
+    the k gathered scores, whose positions ascend); the scores themselves
+    are not kept. A refresh passes the layer's cache as `into` and it is
+    refilled in place (its arena grows only if k no longer fits it):
+    previous contents, appended entries included, survive only if the new
+    scores re-select them. Without `into` a new cache is built.
     """
     scores_per_head = np.asarray(scores_per_head, dtype=np.float64)
     n = len(full)
@@ -256,9 +235,8 @@ def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: Par
 
     heads = np.arange(scores_per_head.shape[0])[:, None]
     idx = top_k_indices(scores_per_head, k)  # (n_kv_heads, k), positions ascending
-    picked = scores_per_head[heads, idx]
-    order = np.argsort(picked, axis=1, kind="stable")
-    entries = (*full.gather(idx[heads, order]), picked[heads, order])
+    order = np.argsort(scores_per_head[heads, idx], axis=1, kind="stable")
+    entries = full.gather(idx[heads, order])
     if into is None:
         return PartialCache(k, *entries)
     into.refill(k, *entries)

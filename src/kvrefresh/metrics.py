@@ -1,4 +1,4 @@
-"""Cost accounting, perplexity, retained attention mass, and step traces.
+"""Cost accounting, perplexity, and step traces.
 
 Cost convention. Per-step attention cost is an exact function of the
 recorded per-layer attended-set size:
@@ -65,21 +65,6 @@ def score_pass_flops(m: int, config: ModelConfig) -> int:
     return config.n_query_heads * m * (2 * config.head_dim + 3)
 
 
-def retained_mass(full_row: np.ndarray, partial_positions: Sequence[int] | np.ndarray) -> float:
-    """Fraction of a score row covered by the partial cache's positions.
-
-    The row is expected to be normalized (a probability row, or pooled
-    scores divided by their total); positions index into the row.
-    """
-    row = np.asarray(full_row, dtype=np.float64)
-    idx = np.asarray(partial_positions, dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= row.size:
-        raise ContractViolation("partial positions outside the score row")
-    return float(row[idx].sum())
-
-
 @dataclass
 class StepRecord:
     """One generated step: per-layer modes, sizes, and exact modeled costs."""
@@ -88,7 +73,7 @@ class StepRecord:
     token_id: int
     modes: list[str]  # per layer: "full" | "partial"
     attended: list[int]  # per layer, modeled attended-set size (drives cost)
-    view_lens: list[int]  # per layer, actual attention view length (incl. current token)
+    view_lens: list[int]  # per layer, actual attention view length (see model.LayerView)
     attention_flops: int
     kv_bytes_moved: int
     overhead_flops: int

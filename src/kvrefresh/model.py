@@ -87,8 +87,11 @@ class ModelConfig:
             raise ConfigurationError(
                 f"n_query_heads={self.n_query_heads} not divisible by n_kv_heads={self.n_kv_heads}"
             )
-        if not 0 < self.ffn_mult < float("inf") or self.vocab_size < 2 or self.max_position < 1 or self.seed < 0:
-            raise ConfigurationError("ffn_mult, vocab_size, max_position or seed out of range")
+        if not 0 < self.ffn_mult < float("inf"):
+            raise ConfigurationError(f"ffn_mult must be positive and finite, got {self.ffn_mult}")
+        for name, low in (("vocab_size", 2), ("max_position", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.ffn_dim < 1:
             raise ConfigurationError(f"ffn_mult={self.ffn_mult} gives ffn_dim {self.ffn_dim}: no feed-forward unit")
         if self.max_position > MAX_POSITIONS:
@@ -206,17 +209,17 @@ def apply_rope(x: np.ndarray, positions: int | slice | np.ndarray, rope: tuple[n
 
 @dataclass
 class LayerView:
-    """What one layer's attention runs over at a decode step, current token included.
+    """What one layer's attention runs over at a decode step.
 
     Three head-major arrays with the same m entries on every kv head. The
     session writes the current token's fresh key/value into its store
     before it builds the view, so attention runs over the view exactly as
-    given. Every view is a slice of one of the layer's arenas, the full
-    cache's filled prefix or the partial cache's window, so none is a
+    given, and the view holds the current token; a refreshkv_no_full
+    refresh step holds it only if the refresh selects it (see `policies`).
+    Every view is the window of one of the layer's caches, so none is a
     copy: it holds until the store's next write. Entries need not be in
-    position order (a top-K window is in eviction order). A full view broadcasts the full cache's one
-    position row over the heads. Keys are key-major in both arenas (see
-    `kv_store`).
+    position order (a top-K window is in eviction order). Keys are
+    key-major in both caches (see `kv_store`).
     """
 
     keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated, key-major

@@ -21,21 +21,21 @@ step the session writes the fresh key/value into the layer's full cache
 asks `view(step, position, ...)`, with the position it computed, for the
 LayerView the layer attends. After the forward pass `update` gets the
 rows the model returns for every layer, maintains the policy's state and
-reports the layer's modeled cost as a LayerStep. Every view holds the
-current token and is a slice of an arena: full views read the full
-cache's filled prefix, and the partial step every budgeted policy shares
-(LayerPolicy.view) appends the current entry to the layer's partial cache
-and attends its window (see kv_store for the entry order of each kind).
+reports the layer's modeled cost as a LayerStep. A view is the window of
+one cache (`LayerPolicy._view`): full views read the full cache's, and
+the partial step every budgeted policy shares (LayerPolicy.view) appends
+the current entry to the layer's partial cache and attends its window
+(see kv_store for the entry order of each kind). So every view holds the
+current token, except at a refreshkv_no_full refresh step: it attends
+the refreshed top-K of the full cache, which holds the current position
+only if the refresh selects it.
 Streaming and h2o build that arena at the prefill by gathering their
 starting set from the full cache, in ascending position order, then drop
 one slot per step: streaming the oldest entry after the sinks, h2o the
 lightest heavy-hitter candidate. Top-K kinds keep theirs in eviction
-order, so their evictions drop slot 0. A view is three head-major
-arrays, keys and values (n_kv_heads, m, head_dim) and positions
-(n_kv_heads, m); a full view broadcasts its one position row over the
-heads. The rows `update` gets, and the rows refreshkv_no_full scores over
-the full cache, come from model.attention_rows as one (n_kv_heads,
-group_size, m) array.
+order, so their evictions drop slot 0. The rows `update` gets, and the
+rows refreshkv_no_full scores over the full cache, come from
+model.attention_rows as one (n_kv_heads, group_size, m) array.
 
 Selection scores are per kv-head: every query head's probability row over
 the cache is aggregated within its group (max by default), then max-pooled
@@ -43,7 +43,7 @@ over neighboring positions. Top-K runs independently per kv-head unless
 shared_selection collapses the scores across heads first. A refresh works
 on whole (n_kv_heads, ...) arrays: one aggregation, pooling and top-K over
 every head, then an in-place refill of the layer's partial-cache arena,
-whose gathered scores give the retained mass in O(K).
+whose positions index the selection row for the retained mass in O(K).
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class PolicyConfig:
             raise ConfigurationError(f"k must be positive, got {self.k}")
         if self.k is None and not 0.0 < self.k_fraction <= 1.0:
             raise ConfigurationError(f"k_fraction must lie in (0, 1], got {self.k_fraction}")
-        if self.kind == "streaming" and self.n_sink < 0:
+        if self.n_sink < 0:
             raise ConfigurationError(f"n_sink must be non-negative, got {self.n_sink}")
 
     def resolve_budget(self, input_length: int) -> int:
@@ -176,14 +176,14 @@ def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndar
 class H2OState:
     """Per-layer running state of the heavy-hitter policy.
 
-    Tracks, in its partial-cache arena's scores, cumulative attention
-    received by every position still in the cache; the arena stays in
-    ascending position order, so the recency half is its last entries and
-    a drop moves the shorter side of the window. The budget splits into
-    a recency half (the newest positions, kept unconditionally) and a heavy
-    half (highest cumulative score among the rest, ties toward the lower
-    position). Evicted positions are gone for good. Requires a score
-    observation every step.
+    Tracks the cumulative attention each held position received as the
+    partial cache's `scores`: one (1, n) row, moving with the window, that
+    every head shares. The arena stays in ascending position order, so
+    the recency half is its last entries and a drop moves the shorter side
+    of the window. The budget splits into a recency half (the newest
+    positions, kept unconditionally) and a heavy half (highest cumulative
+    score among the rest, ties toward the lower position). Evicted
+    positions are gone for good. Requires a score observation every step.
     """
 
     def __init__(self, full: FullCache, last_token_row: np.ndarray, budget: int):
@@ -199,7 +199,7 @@ class H2OState:
             if self.heavy_n:  # top heavy_n by (sum desc, position asc), returned in ascending order
                 keep = np.concatenate([top_k_indices(row[:recent_start], self.heavy_n), keep])
         positions, keys, values = full.gather(keep)
-        self.partial = PartialCache(self.budget, positions, keys, values, np.broadcast_to(row[keep], positions.shape))
+        self.partial = PartialCache(self.budget, positions, keys, values, row[None, keep])
 
     def keepset(self) -> np.ndarray:
         """The positions held, ascending: a view of the arena, valid until its next write."""
@@ -253,22 +253,16 @@ class LayerPolicy:
     def view(self, step, position, q, avg_q, k_new, v_new) -> LayerView:
         """The partial step: append the current entry to the partial-cache arena, attend its prefix."""
         self.partial.append(position, k_new, v_new)
-        return self._partial_view()
+        return self._view(self.partial, "partial")
 
-    def _full_view(self) -> LayerView:
-        """The whole full cache, current entry included: the arena's filled prefix."""
-        cf = self.full
-        return LayerView(cf.keys, cf.values, cf.head_positions, "full")
-
-    def _partial_view(self, mode: str = "partial") -> LayerView:
-        """The partial cache's window."""
-        cp = self.partial
-        return LayerView(cp.keys, cp.values, cp.positions, mode)
+    @staticmethod
+    def _view(cache: FullCache | PartialCache, mode: str) -> LayerView:
+        return LayerView(cache.keys, cache.values, cache.positions, mode)
 
 
 class FullAttention(LayerPolicy):
     def view(self, step, position, q, avg_q, k_new, v_new):
-        return self._full_view()
+        return self._view(self.full, "full")
 
     def update(self, step, rows, avg_q):
         return LayerStep(self.input_length)
@@ -288,7 +282,7 @@ class Recency(LayerPolicy):
         if L > self.budget:
             keep = np.concatenate([keep[:n_sink], keep[L - (self.budget - n_sink) :]])
         positions, keys, values = self.full.gather(keep)
-        self.partial = PartialCache(self.budget, positions, keys, values, np.zeros(positions.shape))
+        self.partial = PartialCache(self.budget, positions, keys, values)
 
     def update(self, step, rows, avg_q):
         if self.partial.sizes()[0] > self.budget:
@@ -353,9 +347,9 @@ class TopK(LayerPolicy):
         if not self._full_step:
             return super().view(step, position, q, avg_q, k_new, v_new)
         if self.output_full:
-            return self._full_view()
+            return self._view(self.full, "full")
         self._refreshed = self._refresh(step, attention_rows(q, self.full.keys, self.model.group_size))
-        return self._partial_view(mode="full")
+        return self._view(self.partial, "full")
 
     def update(self, step, rows, avg_q):
         overhead = qc_overhead_flops(self.model) if self._sim is not None else 0
@@ -382,17 +376,18 @@ class TopK(LayerPolicy):
         """Refill the partial cache in place with the full cache's top-K under `rows`.
 
         Returns the retained mass per kv-head: the selection row, normalised
-        by its total, summed over the K positions held after the refill (the
-        gathered scores). The refresh event also reports it for the
-        positions held before.
+        by its total, summed over the K positions held after the refill, in
+        the order the cache holds them. The refresh event also reports it
+        for the positions held before.
         """
         sel = selection_scores(rows, self.config)
         norm = sel.sum(axis=1, keepdims=True)
         norm[norm == 0] = 1.0
         pre = self.partial.positions.copy() if self.recorder is not None else None  # the refill overwrites them
         self.partial = init_partial(self.full, sel, self.k_sel, self.partial)
-        post_retained = (self.partial.scores / norm).sum(axis=1).tolist()
-        if self.recorder is not None:  # full-cache positions run from 0, so a position indexes its selection column
+        # full-cache positions run from 0, so a position indexes its selection column
+        post_retained = (np.take_along_axis(sel, self.partial.positions, axis=1) / norm).sum(axis=1).tolist()
+        if self.recorder is not None:
             pre_retained = (np.take_along_axis(sel, pre, axis=1) / norm).sum(axis=1).tolist()
             self.recorder({"kind": "refresh", "step": step, "layer": self.layer, "rows": [r.copy() for r in rows],
                            "selection": sel.copy(), "k": self.k_sel, "pre_positions": pre,

@@ -1,0 +1,95 @@
+"""scripts/ab_pairs.py on canned benchmark output; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = [
+    {"name": "decode_us_p50", "unit": "us", "better": "lower", "bound": 0.2},
+    {"name": "decode_tok_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+]
+
+
+@pytest.fixture(scope="module")
+def ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stdout(metrics, correct=True, failed=0):
+    """A benchmark run's output: a header, a text line, the meta line, then the result line."""
+    units = {spec["name"]: spec["unit"] for spec in SPEC}
+    return "\n".join([
+        "# decode-full seed=1 trace=0: why",
+        "decode_us_p50: 600.0 us",
+        json.dumps({"meta": {"metrics": {"decode_us_p50": 1.0}}}),
+        json.dumps({"correct": correct, "attempted": 3, "failed": failed,
+                    "metrics": {name: {"value": value, "unit": units[name]} for name, value in metrics.items()}}),
+    ])
+
+
+def runs(ab_pairs, p50s, tok_per_s):
+    return [ab_pairs.result_of(stdout({"decode_us_p50": p, "decode_tok_per_s": t})) for p, t in zip(p50s, tok_per_s)]
+
+
+def test_result_line_is_the_last_json_object_with_metrics(ab_pairs):
+    result = ab_pairs.result_of(stdout({"decode_us_p50": 5.0}) + "\n")
+    assert result["metrics"] == {"decode_us_p50": {"value": 5.0, "unit": "us"}}
+    with pytest.raises(ValueError):
+        ab_pairs.result_of("decode_us_p50: 600.0 us\n" + json.dumps({"meta": {}}))
+
+
+def test_wins_follow_better_and_ties_count_for_neither_side(ab_pairs):
+    results = {
+        "parent": runs(ab_pairs, [100, 100, 100, 100, 100], [10, 10, 10, 10, 10]),
+        "change": runs(ab_pairs, [90, 100, 110, 80, 100], [12, 10, 9, 11, 10]),
+    }
+    p50, tok = ab_pairs.summarise(SPEC, results)
+    # lower is better: 90 and 80 win, the two 100s tie, 110 loses
+    assert p50 == ("decode_us_p50 (us, lower is better): parent 100 [100, 100]  change 100 [90, 100]  +0.0%  "
+                   "change better in 2/5")
+    # higher is better: 12 and 11 win, the two 10s tie, 9 loses
+    assert tok == ("decode_tok_per_s (1/s, higher is better): parent 10 [10, 10]  change 10 [10, 11]  +0.0%  "
+                   "change better in 2/5")
+
+
+def test_a_median_worse_than_its_bound_is_marked(ab_pairs):
+    results = {"parent": runs(ab_pairs, [100, 100], [10, 10]), "change": runs(ab_pairs, [125, 121], [7, 8])}
+    p50, tok = ab_pairs.summarise(SPEC, results)
+    assert p50.endswith("+23.0%  change better in 0/2  OVER BOUND")
+    assert tok.endswith("-25.0%  change better in 0/2  OVER BOUND")
+    results["change"] = runs(ab_pairs, [119, 119], [8.5, 8.5])  # within the 20% bound either way
+    assert not any("OVER BOUND" in line for line in ab_pairs.summarise(SPEC, results))
+
+
+def test_a_metric_no_pair_reports_is_named(ab_pairs):
+    results = {"parent": [ab_pairs.result_of(stdout({}))], "change": [ab_pairs.result_of(stdout({}))]}
+    assert ab_pairs.summarise(SPEC[:1], results) == ["decode_us_p50: no pair reports it"]
+
+
+def test_incorrect_or_failed_runs_are_listed_and_fail_the_exit_status(ab_pairs, monkeypatch, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    canned = {"parent": [stdout({"decode_us_p50": 1.0}), stdout({"decode_us_p50": 1.0}, failed=2)],
+              "change": [stdout({"decode_us_p50": 1.0}), stdout({"decode_us_p50": 1.0}, correct=False)]}
+    order = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == tmp_path / "p" else "change"
+        order.append(side)
+        return ab_pairs.result_of(canned[side][order.count(side) - 1])
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path), "--workload", "decode-full",
+            "--pairs", "2", "--seconds", "1"]
+    assert ab_pairs.main(argv) == 1
+    assert order == ["parent", "change", "change", "parent"]  # the side that runs first alternates
+    out = capsys.readouterr().out
+    assert "parent run 2: correct=True failed=2" in out and "change run 2: correct=False failed=0" in out
+    canned["parent"][1] = canned["change"][1] = stdout({"decode_us_p50": 1.0})
+    order.clear()
+    assert ab_pairs.main(argv) == 0

@@ -64,6 +64,9 @@ class TestRunExitCodes:
             # streaming keeps n_sink=4 sinks; SHORT_LM prefills L=12, so the default k_fraction gives budget 1
             ["--policy.kind", "streaming", "--policy.k", "2"],
             ["--policy.kind", "streaming"],
+            # n_sink is range-checked whatever the kind
+            ["--policy.kind", "h2o", "--policy.n-sink", "-1"],
+            ["--policy.kind", "refreshkv", "--policy.n-sink", "-1"],
             ["--seed", "-1"],
             ["--model.seed", "-1"],
             # the chainkey prompt is byte-level text whose letters reach byte 122
@@ -114,6 +117,20 @@ def test_subcommands_are_run_compare_and_self_check(capsys):
 
 def test_run_has_no_self_check_flag(tmp_path, capsys):
     assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, "--self-check"]), capsys)
+
+
+@pytest.mark.parametrize("field, value", [("seed", "-1"), ("vocab-size", "1"), ("max-position", "0"),
+                                          ("ffn-mult", "-1.0")])
+def test_out_of_range_model_field_is_named(field, value, tmp_path, capsys):
+    err = assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, f"--model.{field}", value]), capsys)
+    name = field.replace("-", "_")
+    assert f"{name} must be" in err and all(other not in err for other in {"seed", "vocab_size", "max_position",
+                                                                              "ffn_mult"} - {name})
+
+
+def test_self_check_names_the_out_of_range_seed(capsys):
+    err = assert_config_error(main(["self-check", "--seed", "-1"]), capsys)
+    assert "seed must be at least 0, got -1" in err and "vocab_size" not in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -177,7 +177,7 @@ class TestRefreshDynamics:
         for layer in range(desk_weights.config.n_layers):
             assert len(session.full[layer]) == 36 + n
             np.testing.assert_array_equal(
-                session.full[layer].positions, np.arange(36 + n)
+                session.full[layer].positions, [np.arange(36 + n)] * desk_weights.config.n_kv_heads
             )
 
     def test_refreshed_cache_matches_brute_force_oracle(self, desk_weights, rng):
@@ -392,6 +392,27 @@ class TestAblations:
             np.testing.assert_allclose(en["rows"][h], ef["rows"][h], rtol=1e-12)
             np.testing.assert_array_equal(en["post_positions"][h], ef["post_positions"][h])
 
+    def test_no_full_refresh_view_is_the_refreshed_top_k(self, desk_weights, rng):
+        # the one view that need not hold the current token: at a refresh step refreshkv_no_full attends the
+        # refreshed top-K of the full cache, current entry included only if the refresh selects it
+        events = []
+        session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv_no_full", k=4),
+                                ScheduleConfig(mode="fixed", stride=2), recorder=events.append)
+        session.prefill(toks(rng, desk_weights.config, 48))
+        missing = 0
+        for token in toks(rng, desk_weights.config, 20):
+            events.clear()
+            _, rec = session.step(token)
+            refreshes = {e["layer"]: e for e in events if e["kind"] == "refresh"}
+            views = {e["layer"]: e["positions"] for e in events if e["kind"] == "view"}
+            assert set(refreshes) == {layer for layer, mode in enumerate(rec.modes) if mode == "full"}
+            for layer, event in refreshes.items():
+                np.testing.assert_array_equal(views[layer], event["post_positions"])
+                missing += int((views[layer] != session._position()).all(axis=1).sum())
+            for layer in set(views) - set(refreshes):  # partial steps append the current entry
+                assert (views[layer][:, -1] == session._position()).all()
+        assert missing > 0
+
     def test_no_full_approaches_full_step_as_retained_mass_grows(self, desk_weights, rng):
         # limiting case, qualitative: the more of the full row the refreshed
         # partial cache covers, the closer the ablation's output is to the
@@ -574,20 +595,20 @@ class TestArena:
             seen.clear()
             session.step(tok)
             for layer, view in seen:
-                assert_key_major(session.full[layer]._keys)
+                assert_key_major(session.full[layer]._arrays[1])
                 if session.partial:
                     assert_key_major(session.partial[layer]._arrays[1])
                 for h in range(desk_weights.config.n_kv_heads):
                     assert view.keys[h].T.strides[1] == view.keys.itemsize  # a row-major prefix of the arena
         if kind != "snapkv":  # snapkv keeps only its prompt in the full cache
-            assert all(cache._keys.shape[1] == 40 for cache in session.full)  # the arena doubled
+            assert all(cache._arrays[1].shape[1] == 40 for cache in session.full)  # the arena doubled
 
     def test_full_cache_growth_past_two_doublings_matches_full_forward(self, desk_weights, rng):
         stream = toks(rng, desk_weights.config, 33 + 40)
         session = DecodeSession(desk_weights, PolicyConfig(kind="vanilla"))
         logits = [session.prefill(stream[:33]).logits]
         logits += [session.step(tok)[0].logits for tok in stream[33:-1]]
-        assert session.full[0]._keys.shape[1] == 4 * 33  # 33 -> 66 -> 132 slots
+        assert session.full[0]._arrays[1].shape[1] == 4 * 33  # 33 -> 66 -> 132 slots
         ref = full_forward(desk_weights, stream[:-1])[32:]
         assert np.max(np.abs(np.array(logits) - ref)) <= 1e-12 * np.max(np.abs(ref))
 

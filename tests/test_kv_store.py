@@ -6,7 +6,7 @@ import pytest
 from kvrefresh import kv_store
 from kvrefresh.engine import DecodeSession
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.kv_store import NEW_SCORE, FullCache, PartialCache, init_partial
+from kvrefresh.kv_store import FullCache, PartialCache, init_partial
 from kvrefresh.policies import REFRESH_FAMILY, PolicyConfig, selection_scores
 from kvrefresh.scheduler import ScheduleConfig
 
@@ -24,7 +24,7 @@ def make_full(n, rng):
 
 
 def append_and_evict(cp, position, k, v, evict):
-    """The partial-step update: append with the NEW score, then evict if asked."""
+    """The partial-step update: append, then evict if asked."""
     cp.append(position, k, v)
     if evict:
         cp.evict_overflow()
@@ -42,8 +42,8 @@ def assert_key_major(keys):
 
 class ReferencePartial:
     """Reference model of a top-K partial cache: one (position, score) list per head in ascending
-    position order; append at the end, and evict the argmin score (ties toward the lower position, so
-    the oldest NEW entry once no scored one is left) by deleting it from the list."""
+    position order; append at the end with score +inf, and evict the argmin score (ties toward the
+    lower position, so the oldest appended entry once no refilled one is left) by deleting it."""
 
     def __init__(self, scores, k):
         self.refill(scores, k)
@@ -54,7 +54,7 @@ class ReferencePartial:
 
     def append(self, position):
         for entries in self.heads:
-            entries.append((position, NEW_SCORE))
+            entries.append((position, np.inf))
 
     def evict_overflow(self):
         for entries in self.heads:
@@ -64,23 +64,28 @@ class ReferencePartial:
 
 
 def assert_holds(cp, ref):
-    """Same positions per head as the reference, each with the reference's score."""
+    """The reference's positions per head, in its eviction order: (score ascending, position ascending)."""
     assert cp.sizes() == [len(entries) for entries in ref.heads]
     for h, entries in enumerate(ref.heads):
-        np.testing.assert_array_equal(np.sort(cp.positions[h]), sorted(p for p, _ in entries))
-        want = dict(entries)
-        assert [want[p] for p in cp.positions[h].tolist()] == cp.scores[h].tolist()
+        assert cp.positions[h].tolist() == [p for _, p in sorted((score, p) for p, score in entries)]
 
 
-def assert_eviction_order(cp):
-    """Each head's window ranks (score ascending, position ascending); NEW entries come last, oldest first."""
-    for positions, scores in zip(cp.positions.tolist(), cp.scores.tolist()):
-        assert list(zip(scores, positions)) == sorted(zip(scores, positions))
+def assert_eviction_order(cp, scores):
+    """Each head's window ranks (score ascending, position ascending) under the scores of its refill;
+    entries appended since, past the scores' last position, come last, oldest first."""
+    for h, positions in enumerate(cp.positions.tolist()):
+        ranks = [(scores[h][p] if p < scores.shape[1] else np.inf, p) for p in positions]
+        assert ranks == sorted(ranks)
+
+
+def windows(cp):
+    """The window of every arena: positions, keys, values, and h2o's scores."""
+    return [a[:, cp._start : cp._start + len(cp)] for a in cp._arrays]
 
 
 def np_delete(cp, slot):
-    """PartialCache.drop(slot) by np.delete on copies of the views: (positions, keys, values, scores)."""
-    return [np.delete(a, slot, axis=1) for a in (cp.positions, cp.keys, cp.values, cp.scores)]
+    """PartialCache.drop(slot) by np.delete on copies of every window."""
+    return [np.delete(a, slot, axis=1) for a in windows(cp)]
 
 
 class TestInitPartial:
@@ -91,7 +96,7 @@ class TestInitPartial:
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], np.arange(6))
             np.testing.assert_array_equal(cp.keys[h], full.keys[h])
-            np.testing.assert_array_equal(cp.scores[h], scores[h])
+            np.testing.assert_array_equal(cp.values[h], full.values[h])
 
     def test_tie_pattern_selects_lowest_positions(self, rng):
         full = make_full(6, rng)
@@ -130,9 +135,8 @@ class TestInitPartial:
             full = make_full(n, rng)
             scores = rng.integers(0, 4, size=(N_KV, n)).astype(float)
             cp = init_partial(full, scores, int(rng.integers(1, n + 1)))
-            assert_eviction_order(cp)
+            assert_eviction_order(cp, scores)
             for h in range(N_KV):
-                np.testing.assert_array_equal(cp.scores[h], scores[h][cp.positions[h]])
                 np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
                 np.testing.assert_array_equal(cp.values[h], full.values[h][cp.positions[h]])
 
@@ -150,20 +154,23 @@ class TestAppendAndEvict:
         assert cp.sizes() == [3, 3]
         for h in range(N_KV):
             assert cp.positions[h][-1] == 10
-            assert cp.scores[h][-1] == NEW_SCORE
+            np.testing.assert_array_equal(cp.keys[h][-1], k[h])
+            np.testing.assert_array_equal(cp.values[h][-1], v[h])
 
     def test_evicts_minimum_finite_score(self, rng):
         # scores [0.5, 0.2] rank as [0.2, 0.5]; at capacity 3 the second append evicts the 0.2 entry
         cp = self.make_cp(rng, np.array([0.5, 0.2]), 2)
         cp.capacity = 3
-        append_and_evict(cp, 2, *entry(rng), evict=True)  # fills to capacity, no eviction
+        k2, v2 = entry(rng)
+        append_and_evict(cp, 2, k2, v2, evict=True)  # fills to capacity, no eviction
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], [1, 0, 2])
-            np.testing.assert_array_equal(cp.scores[h], [0.2, 0.5, NEW_SCORE])
+        keys, values = cp.keys[:, 1:].copy(), cp.values[:, 1:].copy()
         append_and_evict(cp, 3, *entry(rng), evict=True)
         for h in range(N_KV):
-            np.testing.assert_array_equal(cp.positions[h], [0, 2, 3])
-            assert 0.2 not in cp.scores[h]
+            np.testing.assert_array_equal(cp.positions[h], [0, 2, 3])  # position 1, scored 0.2, is gone
+            np.testing.assert_array_equal(cp.keys[h, :2], keys[h])
+            np.testing.assert_array_equal(cp.values[h, :2], values[h])
 
     def test_no_evict_grows_monotonically(self, rng):
         cp = self.make_cp(rng, np.array([0.5, 0.2, 0.9]), 3)
@@ -175,12 +182,15 @@ class TestAppendAndEvict:
     def test_all_new_evicts_oldest(self, rng):
         # once every refilled entry is gone, the oldest NEW entry goes next
         cp = self.make_cp(rng, np.array([0.5, 0.2]), 2)
+        appended = {pos: entry(rng) for pos in (9, 10, 11)}
         for pos in (9, 10):
-            append_and_evict(cp, pos, *entry(rng), evict=True)
+            append_and_evict(cp, pos, *appended[pos], evict=True)
         np.testing.assert_array_equal(cp.positions, [[9, 10]] * N_KV)
-        append_and_evict(cp, 11, *entry(rng), evict=True)
+        append_and_evict(cp, 11, *appended[11], evict=True)
         np.testing.assert_array_equal(cp.positions, [[10, 11]] * N_KV)
-        assert (cp.scores == NEW_SCORE).all()
+        for slot, pos in enumerate((10, 11)):
+            np.testing.assert_array_equal(cp.keys[:, slot], appended[pos][0])
+            np.testing.assert_array_equal(cp.values[:, slot], appended[pos][1])
 
     def test_non_monotone_position_rejected(self, rng):
         cp = self.make_cp(rng, np.array([0.5, 0.2, 0.9]), 3)
@@ -189,11 +199,12 @@ class TestAppendAndEvict:
             append_and_evict(cp, 1, k, v, evict=True)
 
     def test_size_never_exceeds_capacity_with_evict(self, rng):
-        cp = self.make_cp(rng, rng.uniform(size=8), 8)
+        scores = rng.uniform(size=8)
+        cp = self.make_cp(rng, scores, 8)
         for pos in range(8, 60):  # past the drift allowance: the window moves back to slot 0 on the way
             append_and_evict(cp, pos, *entry(rng), evict=True)
             assert all(s <= 8 for s in cp.sizes())
-            assert_eviction_order(cp)
+            assert_eviction_order(cp, np.tile(scores, (N_KV, 1)))
             for h in range(N_KV):
                 assert np.unique(cp.positions[h]).size == 8
 
@@ -212,7 +223,7 @@ class TestAppendAndEvict:
                 expected = np_delete(cp, slot)
                 cp.drop(slot)
                 assert cp.sizes() == [n - 1] * N_KV
-                for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
+                for got, want in zip(windows(cp), expected, strict=True):
                     np.testing.assert_array_equal(got, want)
             return
         for _ in range(20):
@@ -240,7 +251,6 @@ class TestAppendAndEvict:
                 cp.evict_overflow()
                 ref.evict_overflow()
                 assert_holds(cp, ref)
-                assert_eviction_order(cp)
                 for h in range(N_KV):
                     np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
 
@@ -255,27 +265,29 @@ class TestAppendAndEvict:
         expected = np_delete(cp, slot)
         cp.drop(slot)
         assert cp.sizes() == [n - 1] * N_KV
-        for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
+        for got, want in zip(windows(cp), expected, strict=True):
             np.testing.assert_array_equal(got, want)
         assert_key_major(cp._arrays[1])
 
     def test_drop_of_every_slot_matches_np_delete(self, rng):
-        # both sides of the window, for odd and even lengths
+        # both sides of the window, for odd and even lengths, without and with an h2o score row
         for n in (1, 2, 5, 6):
-            for slot in range(n):
+            for slot, scored in itertools.product(range(n), (False, True)):
                 cp = self.make_cp(rng, rng.uniform(size=n), n)
+                if scored:
+                    cp = PartialCache(n, cp.positions, cp.keys, cp.values, rng.uniform(size=(1, n)))
                 expected = np_delete(cp, slot)
                 cp.drop(slot)
-                for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), expected):
+                for got, want in zip(windows(cp), expected, strict=True):
                     np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("slot", [5, 7, -1])
     def test_drop_outside_the_window_is_rejected(self, rng, slot):
         cp = self.make_cp(rng, rng.uniform(size=5), 5)
-        before = [a.copy() for a in (cp.positions, cp.keys, cp.values, cp.scores)]
+        before = [a.copy() for a in windows(cp)]
         with pytest.raises(ContractViolation, match=f"drop of slot {slot} outside \\[0, 5\\)"):
             cp.drop(slot)
-        for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores), before):
+        for got, want in zip(windows(cp), before, strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_append_after_refill_rejects_up_to_the_newest_head_position(self, rng):
@@ -303,7 +315,7 @@ class TestFullCacheAppend:
         for pos, (k, v) in entries.items():
             full.append(pos, k, v)
         assert len(full) == 13
-        np.testing.assert_array_equal(full.positions, np.arange(13))
+        np.testing.assert_array_equal(full.positions, [np.arange(13)] * N_KV)
         for pos, (k, v) in entries.items():
             np.testing.assert_array_equal(full.keys[:, pos], k)
             np.testing.assert_array_equal(full.values[:, pos], v)
@@ -315,13 +327,13 @@ class TestFullCacheAppend:
         prompt_keys = full.keys.copy()
         k, v = entry(rng)
         full.append(4, k, v)
-        assert full._keys.shape[1] == 8
-        assert_key_major(full._keys)
+        assert full._arrays[1].shape[1] == 8
+        assert_key_major(full._arrays[1])
         np.testing.assert_array_equal(full.keys, np.concatenate([prompt_keys, k[:, None]], axis=1))
-        arena = full._keys
+        arena = full._arrays[1]
         full.append(5, *entry(rng))  # a write inside the arena keeps it, and its order
         assert np.shares_memory(full.keys, arena)
-        assert_key_major(full._keys)
+        assert_key_major(full._arrays[1])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_doubling_a_tiny_arena_is_key_major(self, rng, n):
@@ -330,7 +342,7 @@ class TestFullCacheAppend:
         for pos in range(n, 4 * n + 1):
             full.append(pos, *entry(rng))
             if len(full) > 1:
-                assert_key_major(full._keys)
+                assert_key_major(full._arrays[1])
 
 
 class TestPendingAndMerge:
@@ -378,7 +390,7 @@ class TestRefresh:
             full = make_full(n, rng)
             scores = rng.uniform(size=(N_KV, n))
             cp = init_partial(full, scores, k)
-            assert_eviction_order(cp)
+            assert_eviction_order(cp, scores)
             for h in range(N_KV):
                 np.testing.assert_array_equal(np.sort(cp.positions[h]), brute_force_top_k(scores[h], k))
 
@@ -408,8 +420,7 @@ class TestRefresh:
         assert np.shares_memory(cp.keys, keys) and np.shares_memory(cp.positions, positions)
         assert cp.sizes() == [5] * N_KV and cp.capacity == 5
         fresh = init_partial(full, scores, 5)
-        for got, want in zip((cp.positions, cp.keys, cp.values, cp.scores),
-                             (fresh.positions, fresh.keys, fresh.values, fresh.scores)):
+        for got, want in zip(windows(cp), windows(fresh), strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_key_arena_is_key_major_after_init_refill_and_doubling(self, rng):
@@ -437,7 +448,7 @@ class TestRefresh:
         init_partial(full, scores, 12, into=cp)
         assert cp.sizes() == [12] * N_KV
         assert cp._arrays[0].shape[1] == 12 + kv_store.PARTIAL_SPARE
-        assert_eviction_order(cp)
+        assert_eviction_order(cp, scores)
         for h in range(N_KV):
             np.testing.assert_array_equal(np.sort(cp.positions[h]), brute_force_top_k(scores[h], 12))
             np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
@@ -502,8 +513,8 @@ SESSION_CASES = [(kind, name) for kind in REFRESH_FAMILY for name in TOPK_SCHEDU
 
 @pytest.mark.parametrize("kind, schedule", SESSION_CASES, ids=[f"{k}-{s}" for k, s in SESSION_CASES])
 def test_session_held_sets_follow_the_reference_every_step(desk_weights, rng, kind, schedule):
-    # every K x shared selection x eviction: each layer's partial cache holds, per head, the positions (and
-    # scores) of ReferencePartial driven by the session's own refreshes, in eviction order, after every step
+    # every K x shared selection x eviction: each layer's partial cache holds, per head, the positions of
+    # ReferencePartial driven by the session's own refreshes, in its eviction order, after every step
     prompt_length, n_steps = 48, 100 if schedule == "fixed97" else 60
     stream = rng.integers(0, desk_weights.config.vocab_size, prompt_length + n_steps).tolist()
     for k, shared, evict in itertools.product((1, 6, 40), (False, True), (True, False)):
@@ -524,7 +535,7 @@ def test_session_held_sets_follow_the_reference_every_step(desk_weights, rng, ki
                 if layer in refreshed:
                     ref.refill(refreshed[layer]["selection"], k)
                 assert_holds(session.partial[layer], ref)
-                assert_eviction_order(session.partial[layer])
+                assert len(session.partial[layer]._arrays) == 3  # positions, keys, values: no score arena
 
 
 @pytest.mark.parametrize("kind", ["streaming", "h2o"])
@@ -536,7 +547,8 @@ def test_streaming_and_h2o_drops_match_np_delete_bitwise(desk_weights, rng, monk
         expected = np_delete(self, slot)
         sides.add(slot <= self.sizes()[0] - 1 - slot)
         drop(self, slot)
-        for got, want in zip((self.positions, self.keys, self.values, self.scores), expected):
+        assert len(self._arrays) == (4 if kind == "h2o" else 3)  # only h2o keeps a score arena
+        for got, want in zip(windows(self), expected, strict=True):
             np.testing.assert_array_equal(got, want)
         assert (np.diff(self.positions, axis=1) > 0).all()
 

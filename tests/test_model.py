@@ -77,7 +77,7 @@ def decode_step(weights, token, views, position):
     """Decode one token over fixed per-layer views of past cache entries.
 
     Each view is (keys, values, positions) with keys/values shaped
-    (n_kv_heads, m, head_dim); entries may be any subset of past tokens in
+    (n_kv_heads, m, head_dim) and positions (n_kv_heads, m); entries may be any subset of past tokens in
     any order, carrying their original absolute positions (keys already
     rotated). The provider appends the current token's key/value to every
     head before handing the view over, as a session's store would.
@@ -87,7 +87,7 @@ def decode_step(weights, token, views, position):
         keys, values, positions = views[layer_idx]
         keys = np.concatenate([keys, k_new[:, None]], axis=1)
         values = np.concatenate([values, v_new[:, None]], axis=1)
-        positions = np.broadcast_to(np.append(positions, position), keys.shape[:2])
+        positions = np.concatenate([positions, np.full((len(positions), 1), position)], axis=1)
         return LayerView(keys, values, positions)
 
     return decode_core(weights, token, position, provider)
@@ -242,7 +242,7 @@ class TestDecodeStep:
         caches, _ = prefill(desk_weights, toks)
         base = decode_step(desk_weights, 5, cache_views(caches), position=len(toks))
         perm = rng.permutation(len(toks))
-        shuffled = [(c.keys[:, perm], c.values[:, perm], c.positions[perm]) for c in caches]
+        shuffled = [(c.keys[:, perm], c.values[:, perm], c.positions[:, perm]) for c in caches]
         out = decode_step(desk_weights, 5, shuffled, position=len(toks))
         rel_close(out.logits, base.logits)
 
@@ -254,7 +254,7 @@ class TestDecodeStep:
         caches, _ = prefill(desk_weights, toks)
         a = decode_step(desk_weights, 3, cache_views(caches), position=len(toks))
         idx = np.arange(len(toks))
-        views = [(key_major(c.keys[:, idx]), c.values[:, idx], c.positions[idx]) for c in caches]
+        views = [(key_major(c.keys[:, idx]), c.values[:, idx], c.positions[:, idx]) for c in caches]
         b = decode_step(desk_weights, 3, views, position=len(toks))
         assert np.array_equal(a.logits, b.logits)
 
@@ -284,7 +284,7 @@ class TestDecodeStep:
 
         def empty(layer_idx, q, avg_q, k_new, v_new):
             c = caches[layer_idx]
-            return LayerView(c.keys[:, :0], c.values[:, :0], np.broadcast_to(c.positions[:0], c.keys.shape[:1] + (0,)))
+            return LayerView(c.keys[:, :0], c.values[:, :0], c.positions[:, :0])
 
         with pytest.raises(ContractViolation):
             decode_core(desk_weights, 1, 2, empty)
@@ -485,6 +485,27 @@ class TestTraceSpans:
             modes.update(rec.modes)
             assert {n: calls[n] - before[n] for n in calls} == dict.fromkeys(calls, desk_weights.config.n_layers)
         assert modes == ({"full"} if kind == "vanilla" else {"full", "partial"})
+
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_each_cache_append_is_one_span(self, desk_weights, rng, kind):
+        # the benchmark times each cache's own append; a step appends once per layer to the full cache (snapkv
+        # keeps only its prompt there) and once per partial-mode layer to the partial cache
+        tracer = perfbench_tracer().Tracer()
+        schedule = ScheduleConfig(mode="fixed", stride=3) if kind in REFRESH_FAMILY else None
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule)
+        session.prefill(random_tokens(rng, desk_weights.config, 20))
+        spans = ("kv_store.full_append", "kv_store.partial_append")
+        tracer.install()
+        try:
+            for token in random_tokens(rng, desk_weights.config, 7):
+                before = [tracer.calls(span) for span in spans]
+                _, rec = session.step(token)
+                full_appends = 0 if kind == "snapkv" else desk_weights.config.n_layers
+                partial_appends = 0 if kind == "vanilla" else rec.modes.count("partial")
+                assert [tracer.calls(span) - n for span, n in zip(spans, before)] == [full_appends, partial_appends]
+        finally:
+            tracer.uninstall()
 
 
 class TestIncrementalConsistency:

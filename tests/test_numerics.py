@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.kv_store import NEW_SCORE
 from kvrefresh.numerics import cosine_similarity, max_pool_1d, softmax_rows, top_k_indices
 
 
@@ -173,9 +172,9 @@ class TestTopK:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=24), st.data())
     def test_matches_brute_force_oracle_with_ties(self, n_rows, n, data):
-        # rows of small integer scores force plenty of ties; NEW entries score +inf,
-        # and whole rows can be all-equal or all-NEW
-        value = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, NEW_SCORE])
+        # rows of small integer scores force plenty of ties, +inf among them,
+        # and whole rows can be all-equal or all-inf
+        value = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, np.inf])
         row = st.one_of(
             st.lists(value, min_size=n, max_size=n),
             value.map(lambda v: [v] * n),

@@ -5,7 +5,6 @@ from kvrefresh import engine, model
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.engine import DecodeSession, greedy_generate
 from kvrefresh.kv_store import FullCache, init_partial
-from kvrefresh.metrics import retained_mass
 from kvrefresh.model import prefill
 from kvrefresh.numerics import max_pool_1d
 from kvrefresh.policies import (
@@ -21,6 +20,33 @@ from kvrefresh.scheduler import ScheduleConfig
 def brute_force_top_k(scores, k):
     ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return sorted(ranked[:k])
+
+
+def retained_mass(full_row, partial_positions):
+    """Fraction of a normalised score row covered by the partial cache's positions, which index the row."""
+    row = np.asarray(full_row, dtype=np.float64)
+    idx = np.asarray(partial_positions, dtype=np.int64)
+    if idx.size == 0:
+        return 0.0
+    if idx.min() < 0 or idx.max() >= row.size:
+        raise ContractViolation("partial positions outside the score row")
+    return float(row[idx].sum())
+
+
+class TestRetainedMass:
+    """The oracle the refresh report is checked against."""
+
+    def test_everything_retained(self, rng):
+        row = rng.uniform(size=10)
+        row /= row.sum()
+        assert retained_mass(row, np.arange(10)) == pytest.approx(1.0)
+
+    def test_nothing_retained(self, rng):
+        assert retained_mass(rng.uniform(size=5), []) == 0.0
+
+    def test_positions_validated(self):
+        with pytest.raises(ContractViolation):
+            retained_mass(np.ones(3), [3])
 
 
 def per_head_retained(sel, positions):
@@ -134,7 +160,7 @@ class TestRefresh:
         schedule = ScheduleConfig(mode="fixed", stride=4)
         session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8), schedule)
         session.prefill(prompt)
-        before = [(cp.positions, cp.keys, cp.values, cp.scores) for cp in session.partial]
+        before = [(cp.positions, cp.keys, cp.values) for cp in session.partial]
         refreshed = 0
         for token in prompt[:8]:
             _, rec = session.step(token)
@@ -142,7 +168,7 @@ class TestRefresh:
             for cp, arrays in zip(session.partial, before):
                 assert cp.sizes() == [8] * desk_weights.config.n_kv_heads
                 assert all(np.shares_memory(now, then) for now, then in zip(
-                    (cp.positions, cp.keys, cp.values, cp.scores), arrays))
+                    (cp.positions, cp.keys, cp.values), arrays))
         assert refreshed == 2
 
     def test_grow_only_cache_refreshes_to_k(self, desk_weights, rng):
@@ -254,7 +280,7 @@ class TestH2O:
         state = h2o_state(np.full(4, 0.25), budget=16)
         h2o_step(state, lambda view: np.full(5, 0.2))
         np.testing.assert_array_equal(state.keepset(), np.arange(5))
-        np.testing.assert_array_equal(state.partial.scores[0], [0.45] * 4 + [0.2])
+        np.testing.assert_array_equal(state.partial.scores, [[0.45] * 4 + [0.2]])  # one row for every head
 
     def test_dominant_position_never_evicted(self):
         state = h2o_state(np.full(10, 0.1), budget=6)
