@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kvrefresh.model import canonical_config, init_model, prefill
+from kvrefresh.model import MAX_POSITIONS, canonical_config, init_model, prefill
 from kvrefresh.tasks import synthetic_lm_stream
 
 
@@ -46,6 +46,11 @@ def main() -> None:
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
+    bad = [L for L in args.lengths if not 2 <= L <= MAX_POSITIONS]  # a stream has at least 2 tokens
+    if bad:
+        parser.error(f"--lengths must each be in [2, {MAX_POSITIONS}], got {bad}")
     weights = init_model(canonical_config(seed=0, max_position=max(args.lengths)))
     prompts = {L: synthetic_lm_stream(L, 256, args.seed, "repeated_motif", 64).tolist() for L in args.lengths}
     ms: dict[int, list[float]] = {L: [] for L in args.lengths}

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from kvrefresh.engine import DecodeSession
-from kvrefresh.model import canonical_config, init_model
+from kvrefresh.model import MAX_POSITIONS, canonical_config, init_model
 from kvrefresh.policies import PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 from kvrefresh.tasks import synthetic_lm_stream
@@ -99,6 +99,12 @@ def main() -> None:
         parser.error("--rounds must be at least 1")
     if args.k < 1:
         parser.error("--k must be at least 1")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
+    longest = MAX_POSITIONS - args.steps - 1  # measure() builds the model with max_position L + steps + 1
+    bad = [length for length in args.lengths if not 1 <= length <= longest]
+    if bad:
+        parser.error(f"--lengths must each be in [1, {longest}] with --steps {args.steps}, got {bad}")
     records = []
     print(f"{'L':>6} {'refreshes':>9} " + " ".join(f"{key + '_us':>12}" for key in COLUMNS)
           + f" {'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")

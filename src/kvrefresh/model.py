@@ -22,6 +22,11 @@ logits cover only the keys up to its own last position, and only the
 diagonal tile is masked. Each block's logits are shifted and exponentiated
 in place and normalised after the value product, so memory peaks at one
 block's (ATTN_BLOCK * group, L) exponentials; no L x L array is built.
+Decoding reads only the last row of the last layer, so `prefill` runs that
+layer's attention, `wo` and feed-forward only for its final 2 to
+ATTN_BLOCK + 1 rows. They start at a block boundary, so each kept block
+runs the products of the all-rows pass, and number at least two, because
+numpy sends a one-row product to gemv, which sums in another order.
 
 `decode_core` runs each layer as one batched computation over all kv
 heads: the view is three head-major arrays, and `attention_rows` (one
@@ -270,45 +275,51 @@ def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> np.ndarray:
 def causal_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, group: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Causal self-attention of every position over its prefix, ATTN_BLOCK queries at a time.
+    """Causal self-attention of the last n positions over their prefixes, ATTN_BLOCK queries at a time.
 
-    q: (L, n_kv_heads * group, head_dim); k, v: head-major (n_kv_heads, L,
-    head_dim) in the cache's layout (see `kv_store`); query head j reads kv
-    head j // group. A block of queries ending at block_end attends keys [0,
-    block_end) with one matmul per kv head (all `group` query heads at
-    once); only the diagonal tile needs the causal mask. Each row sees its whole prefix, so its softmax is exact
+    q: (n, n_kv_heads * group, head_dim), the queries of positions L - n ..
+    L - 1, with L - n a multiple of ATTN_BLOCK so that each block is the one
+    an all-rows call runs; k, v: head-major (n_kv_heads, L, head_dim) in the
+    cache's layout (see `kv_store`); query head j reads kv head j // group.
+    A block of queries ending at block_end attends keys [0, block_end) with
+    one matmul per kv head (all `group` query heads at once); only the
+    diagonal tile needs the causal mask. Each row sees its whole prefix, so its softmax is exact
     with no running rescale: the logits are shifted by their row max and
     exponentiated in place, and the row sums divide the (rows, head_dim)
     context after the value product instead of the (rows, L) block. Memory
     peaks at one block's (ATTN_BLOCK * group, L) exponentials. Returns the
-    context (L, n_query_heads, head_dim) and the last position's
+    context (n, n_query_heads, head_dim) and the last position's
     (n_kv_heads, group, L) probability rows.
     """
-    L, n_q, d = q.shape
-    n_kv = k.shape[0]
+    (n, n_q, d), (n_kv, L) = q.shape, k.shape[:2]
+    if (first := L - n) % ATTN_BLOCK or not 0 <= first < L:
+        raise ContractViolation(f"{n} queries of {L} positions do not start a block of {ATTN_BLOCK}")
     # kv-head-major, so a block's rows for one kv head are contiguous (rows * group, d)
-    qs = (q * (1.0 / np.sqrt(d))).reshape(L, n_kv, group, d).transpose(1, 0, 2, 3).copy()
-    ctx = np.empty((n_kv, L, group, d))
+    qs = (q * (1.0 / np.sqrt(d))).reshape(n, n_kv, group, d).transpose(1, 0, 2, 3).copy()
+    ctx = np.empty((n_kv, n, group, d))
     last_rows = np.empty((n_kv, group, L))
-    for start in range(0, L, ATTN_BLOCK):
+    for start in range(first, L, ATTN_BLOCK):
         end = min(start + ATTN_BLOCK, L)
         rows = end - start
         for h in range(n_kv):
-            logits = (qs[h, start:end].reshape(-1, d) @ k[h, :end].T).reshape(rows, group, end)
+            logits = (qs[h, start - first : end - first].reshape(-1, d) @ k[h, :end].T).reshape(rows, group, end)
             logits[:, :, start:] += _DIAGONAL_MASK[:rows, :, :rows]
             logits -= logits.max(axis=-1, keepdims=True)
             np.exp(logits, out=logits)  # unnormalised probabilities, in place
             total = logits.sum(axis=-1, keepdims=True)
-            ctx[h, start:end] = (logits.reshape(-1, end) @ v[h, :end]).reshape(rows, group, d) / total
+            ctx[h, start - first : end - first] = (logits.reshape(-1, end) @ v[h, :end]).reshape(rows, group, d) / total
             if end == L:
                 last_rows[h] = logits[-1] / total[-1]
-    return ctx.transpose(1, 0, 2, 3).reshape(L, n_q, d), last_rows
+    return ctx.transpose(1, 0, 2, 3).reshape(n, n_q, d), last_rows
 
 
-def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, list[tuple]]:
+def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool) -> tuple[np.ndarray, list[tuple]]:
     """The layer pass `full_forward` and `prefill` share.
 
-    Returns the final hidden states (L, model_dim) and per layer the rotated
+    With `last_rows_only` the last layer runs attention, `wo` and `_ffn` only
+    for rows `first` = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK on: a block
+    boundary, and at least two rows, since a one-row product goes to gemv.
+    Returns the final hidden states of the rows kept and per layer the rotated
     keys and the values, head-major (n_kv_heads, L, head_dim) in the cache's
     layout (see `kv_store`; made by the one copy out of qk), the last
     position's mean query and causal_attention's last-position rows.
@@ -319,15 +330,17 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
     n_q, n_kv = cfg.n_query_heads, cfg.n_kv_heads
     x = weights.embed[toks]  # (L, D)
     layers = []
-    for lw in weights.layers:
+    for i, lw in enumerate(weights.layers):
         xa = _rms_norm(x)
         qkv = (xa @ lw.wqkv).reshape(L, n_q + 2 * n_kv, cfg.head_dim)
         qk = apply_rope(qkv[:, : n_q + n_kv], slice(L), weights.rope)
         k = qk[:, n_q:].transpose(1, 2, 0).copy().transpose(0, 2, 1)  # key-major
         v = qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
-        ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
+        first = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK if last_rows_only and i == cfg.n_layers - 1 else 0
+        ctx, last_rows = causal_attention(qk[first:, :n_q], k, v, cfg.group_size)
         layers.append((k, v, np.add.reduce(qk[-1, :n_q], axis=0) / n_q, last_rows))
-        x += ctx.reshape(L, -1) @ lw.wo
+        x = x[first:]
+        x += ctx.reshape(len(x), -1) @ lw.wo
         del xa, qkv, qk, ctx  # free the attention's arrays before the feed-forward's (L, ffn_dim) temporaries
         x += _ffn(x, lw)
     return x, layers
@@ -335,7 +348,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int]) -> tuple[np.ndarray, 
 
 def full_forward(weights: ModelWeights, tokens: Sequence[int]) -> np.ndarray:
     """Teacher-forced causal forward over a whole sequence; logits per position."""
-    x, _ = _forward(weights, tokens)
+    x, _ = _forward(weights, tokens, last_rows_only=False)
     return _rms_norm(x) @ weights.w_out
 
 
@@ -344,10 +357,12 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
 
     Returns the caches and the last position's StepOutput; the observation
     window is the single last token, so attn_rows carry exactly one row per
-    query head: (n_kv_heads, group_size, L) per layer.
+    query head: (n_kv_heads, group_size, L) per layer. The last layer computes
+    only its final 2 to ATTN_BLOCK + 1 rows (1 at L = 1), with every bit of
+    the all-rows pass (see `_forward`).
     """
-    x, layers = _forward(weights, tokens)
-    caches = [FullCache(np.arange(len(x)), k, v) for k, v, _, _ in layers]
+    x, layers = _forward(weights, tokens, last_rows_only=True)
+    caches = [FullCache(np.arange(k.shape[1]), k, v) for k, v, _, _ in layers]
     rows = [last_rows for *_, last_rows in layers]
     logits = _rms_norm(x[-1]) @ weights.w_out
     return caches, StepOutput(logits, [avg_q for _, _, avg_q, _ in layers], rows)

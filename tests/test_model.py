@@ -56,11 +56,13 @@ def key_major(keys):
 def dense_attention(q, k, v, group):
     """The dense kernel causal_attention replaced, kept as its oracle.
 
-    One query head at a time against every key under an L x L -inf mask;
-    same signature and results as causal_attention.
+    One query head at a time against every key under an n x L -inf mask,
+    for the queries q of the last n of the L key positions; same signature
+    and results as causal_attention.
     """
-    L, _, d = q.shape
-    mask = np.triu(np.full((L, L), -np.inf), k=1)
+    n, _, d = q.shape
+    L = k.shape[1]
+    mask = np.triu(np.full((n, L), -np.inf), k=L - n + 1)
     ctx = np.empty_like(q)
     last_rows = []
     for h in range(k.shape[0]):
@@ -160,6 +162,43 @@ class TestPrefill:
         _, re_out = prefill(desk_weights, toks + [nxt])
         rel_close(step_out.logits, re_out.logits)
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 31, 32, 33, 34, 63, 64, 65, 101])
+    @pytest.mark.parametrize("n_kv", [1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_is_bitwise_the_all_rows_pass(self, n_layers, n_kv, length, rng):
+        # 33 and 65 leave one row in the last block: the all-rows pass multiplies it by wo and the feed-forward in
+        # a gemm, and a one-row product would go to gemv, which sums in another order
+        weights = init_model(ModelConfig(n_layers=n_layers, n_kv_heads=n_kv, seed=5))
+        toks = random_tokens(rng, weights.config, length)
+        caches, out = prefill(weights, toks)
+        x, layers = model._forward(weights, toks, last_rows_only=False)
+        assert x.shape[0] == length  # the pass full_forward runs keeps every row
+        assert np.array_equal(out.logits, model._rms_norm(x[-1]) @ weights.w_out)
+        assert len(out.attn_rows) == len(out.avg_queries) == len(caches) == len(layers) == n_layers
+        for rows, avg_q, cache, (k, v, ref_avg_q, ref_rows) in zip(out.attn_rows, out.avg_queries, caches, layers):
+            assert np.array_equal(rows, ref_rows) and np.array_equal(avg_q, ref_avg_q)
+            assert np.array_equal(cache.keys, k) and np.array_equal(cache.values, v)
+            assert np.array_equal(cache.positions, np.broadcast_to(np.arange(length), (n_kv, length)))
+
+    @pytest.mark.parametrize("length", [1, 2, 33, 64, 65, 100])
+    def test_only_the_last_layer_attends_fewer_rows(self, desk_weights, rng, length, monkeypatch):
+        query_rows = []
+
+        def counted(q, k, v, group):
+            query_rows.append(len(q))
+            return causal_attention(q, k, v, group)
+
+        monkeypatch.setattr(model, "causal_attention", counted)
+        toks = random_tokens(rng, desk_weights.config, length)
+        n_layers = desk_weights.config.n_layers
+        prefill(desk_weights, toks)
+        *earlier, last = query_rows
+        assert earlier == [length] * (n_layers - 1)
+        assert min(2, length) <= last <= 2 * ATTN_BLOCK and (length - last) % ATTN_BLOCK == 0
+        query_rows.clear()
+        full_forward(desk_weights, toks)
+        assert query_rows == [length] * n_layers
+
     def test_overlength_rejected(self, desk_weights):
         max_pos = desk_weights.config.max_position
         with pytest.raises(ContractViolation):
@@ -182,6 +221,27 @@ class TestCausalAttention:
         assert len(rows) == len(rows_ref) == n_kv
         for r, r_ref in zip(rows, rows_ref):
             assert_normwise_close(r, r_ref)
+
+    @pytest.mark.parametrize("n_kv", [1, 2, 4])
+    @pytest.mark.parametrize("length", [2, ATTN_BLOCK + 1, 2 * ATTN_BLOCK, 3 * ATTN_BLOCK + 5])
+    def test_trailing_blocks_are_the_all_rows_tail_bitwise(self, length, n_kv, rng):
+        q = rng.standard_normal((length, 4, 16))
+        k, v = rng.standard_normal((2, n_kv, length, 16))
+        ctx, rows = causal_attention(q, k, v, 4 // n_kv)
+        for first in range(0, length, ATTN_BLOCK):
+            tail_ctx, tail_rows = causal_attention(q[first:], k, v, 4 // n_kv)
+            assert np.array_equal(tail_ctx, ctx[first:]) and np.array_equal(tail_rows, rows)
+            ref_ctx, ref_rows = dense_attention(q[first:], k, v, 4 // n_kv)
+            assert_normwise_close(tail_ctx, ref_ctx)
+            for r, r_ref in zip(tail_rows, ref_rows):
+                assert_normwise_close(r, r_ref)
+
+    @pytest.mark.parametrize("n_queries", [0, 1, ATTN_BLOCK + 1, 2 * ATTN_BLOCK + 1])
+    def test_queries_off_a_block_boundary_are_rejected(self, n_queries, rng):
+        q = rng.standard_normal((n_queries, 4, 16))
+        k, v = rng.standard_normal((2, 2, 2 * ATTN_BLOCK, 16))
+        with pytest.raises(ContractViolation):
+            causal_attention(q, k, v, 2)
 
     @pytest.mark.parametrize("n_kv", [1, 2, 4])
     @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
