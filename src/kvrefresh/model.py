@@ -16,17 +16,25 @@ Keys are cached post-rotation at their original absolute positions, so a
 non-contiguous partial cache keeps the geometry its selection scores were
 computed under.
 
-`prefill` and `full_forward` share one layer pass whose attention is
-`causal_attention`: queries go in blocks of ATTN_BLOCK rows, each block's
-logits cover only the keys up to its own last position, and only the
-diagonal tile is masked. Each block's logits are shifted and exponentiated
-in place and normalised after the value product, so memory peaks at one
-block's (ATTN_BLOCK * group, L) exponentials; no L x L array is built.
-Decoding reads only the last row of the last layer, so `prefill` runs that
-layer's attention, `wo` and feed-forward only for its final 2 to
-ATTN_BLOCK + 1 rows. They start at a block boundary, so each kept block
-runs the products of the all-rows pass, and number at least two, because
-numpy sends a one-row product to gemv, which sums in another order.
+`prefill` and `full_forward` share one layer pass, `_forward`, which runs
+each layer over chunks of PREFILL_CHUNK prompt rows: a chunk's norm,
+`wqkv` projection and rotation, its attention over the keys up to its last
+row, `wo` and feed-forward. Each of these is exact per row, and every
+chunk starts at a block boundary and holds at least two rows (a one-row
+tail joins the chunk before it), because numpy sends a one-row product to
+gemv, which sums in another order; so the chunks give every bit of one
+whole-prompt pass. Attention is `causal_attention`: queries go in blocks
+of ATTN_BLOCK rows, each block's logits cover only the keys up to its own
+last position, and only the diagonal tile is masked. Each block's logits
+are shifted and exponentiated in place and normalised after the value
+product; no L x L array is built. Prefill memory holds the (L, model_dim)
+hidden states, every layer's keys and values, one block's
+(ATTN_BLOCK * group, L) exponentials and one chunk's scratch, and no
+(L, ffn_dim) array: the traced peak is about 2.7 KiB per prompt position
+on the canonical model. Decoding reads only the last row of the last
+layer, so `prefill` runs that layer's attention, `wo` and feed-forward
+only for its final 2 to ATTN_BLOCK + 1 rows, from a block boundary
+`first`, and below `first` projects and rotates only keys and values.
 
 `decode_core` runs each layer as one batched computation over all kv
 heads: the view is three head-major arrays, and `attention_rows` (one
@@ -53,6 +61,7 @@ from .numerics import softmax_rows
 RMS_EPS = 1e-6
 ROPE_BASE = 10000.0
 ATTN_BLOCK = 32  # query rows per causal_attention block
+PREFILL_CHUNK = 256  # prompt rows per _forward chunk, a multiple of ATTN_BLOCK
 MAX_POSITIONS = 1 << 16  # max_position ceiling; init_model builds one rotary table row per position
 _DIAGONAL_MASK = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf), k=1)[:, None, :]
 
@@ -313,37 +322,56 @@ def causal_attention(
     return ctx.transpose(1, 0, 2, 3).reshape(n, n_q, d), last_rows
 
 
-def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool) -> tuple[np.ndarray, list[tuple]]:
-    """The layer pass `full_forward` and `prefill` share.
+def _row_chunks(L: int, first: int) -> list[tuple[int, int]]:
+    """_forward's [start, end) row chunks: PREFILL_CHUNK rows each, split at `first`; a one-row tail joins
+    the chunk before it (a one-row product goes to gemv, which sums in another order)."""
+    starts = sorted({*range(0, L, PREFILL_CHUNK), first})
+    if len(starts) > 1 and L - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [L]))
 
-    With `last_rows_only` the last layer runs attention, `wo` and `_ffn` only
-    for rows `first` = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK on: a block
-    boundary, and at least two rows, since a one-row product goes to gemv.
+
+def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool) -> tuple[np.ndarray, list[tuple]]:
+    """The layer pass `full_forward` and `prefill` share, PREFILL_CHUNK rows at a time.
+
+    Each chunk of a layer runs the norm, the `wqkv` projection and RoPE on its
+    rows, writes its keys and values into the layer's whole-prompt arrays,
+    attends its queries over the keys up to its last row, and adds `wo` and
+    `_ffn` to its rows in place. Every stage is exact per row, and every
+    chunk starts at a block boundary and has at least two rows (see
+    `_row_chunks`), so the bits are those of one whole-prompt pass. With
+    `last_rows_only` the last layer runs attention, `wo` and `_ffn` only for
+    rows `first` = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK on, and its
+    chunks below `first` project and rotate only keys and values.
     Returns the final hidden states of the rows kept and per layer the rotated
     keys and the values, head-major (n_kv_heads, L, head_dim) in the cache's
-    layout (see `kv_store`; made by the one copy out of qk), the last
-    position's mean query and causal_attention's last-position rows.
+    layout (see `kv_store`), the last position's mean query and
+    causal_attention's last-position rows.
     """
     cfg = weights.config
     toks = _check_sequence(cfg, tokens)
     L = toks.size
-    n_q, n_kv = cfg.n_query_heads, cfg.n_kv_heads
+    n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[toks]  # (L, D)
+    first = 0
     layers = []
     for i, lw in enumerate(weights.layers):
-        xa = _rms_norm(x)
-        qkv = (xa @ lw.wqkv).reshape(L, n_q + 2 * n_kv, cfg.head_dim)
-        qk = apply_rope(qkv[:, : n_q + n_kv], slice(L), weights.rope)
-        k = qk[:, n_q:].transpose(1, 2, 0).copy().transpose(0, 2, 1)  # key-major
-        v = qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
-        first = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK if last_rows_only and i == cfg.n_layers - 1 else 0
-        ctx, last_rows = causal_attention(qk[first:, :n_q], k, v, cfg.group_size)
+        if last_rows_only and i == cfg.n_layers - 1:
+            first = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK
+        k = np.empty((n_kv, d, L)).transpose(0, 2, 1)  # key-major
+        v = np.empty((n_kv, L, d))
+        for s, e in _row_chunks(L, first):
+            xs, queried = x[s:e], e > first  # nothing reads the queries of rows below `first`
+            qkv = (_rms_norm(xs) @ lw.wqkv[:, 0 if queried else n_q * d :]).reshape(e - s, -1, d)
+            qk = apply_rope(qkv[:, :-n_kv], slice(s, e), weights.rope)
+            k[:, s:e] = qk[:, -n_kv:].transpose(1, 0, 2)
+            v[:, s:e] = qkv[:, -n_kv:].transpose(1, 0, 2)
+            if queried:
+                ctx, last_rows = causal_attention(qk[:, :n_q], k[:, :e], v[:, :e], cfg.group_size)
+                xs += ctx.reshape(e - s, -1) @ lw.wo
+                xs += _ffn(xs, lw)
         layers.append((k, v, np.add.reduce(qk[-1, :n_q], axis=0) / n_q, last_rows))
-        x = x[first:]
-        x += ctx.reshape(len(x), -1) @ lw.wo
-        del xa, qkv, qk, ctx  # free the attention's arrays before the feed-forward's (L, ffn_dim) temporaries
-        x += _ffn(x, lw)
-    return x, layers
+    return x[first:], layers
 
 
 def full_forward(weights: ModelWeights, tokens: Sequence[int]) -> np.ndarray:

@@ -13,6 +13,7 @@ from kvrefresh.engine import DecodeSession
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.model import (
     ATTN_BLOCK,
+    PREFILL_CHUNK,
     LayerView,
     ModelConfig,
     canonical_config,
@@ -73,6 +74,31 @@ def dense_attention(q, k, v, group):
             rows[g] = probs[-1]
         last_rows.append(rows)
     return ctx, last_rows
+
+
+def whole_prompt_forward(weights, tokens):
+    """The unchunked layer pass `model._forward` replaced, kept as its bitwise reference.
+
+    Every stage runs on all L rows at once: one norm, one `wqkv` product and
+    one rotation per layer, one causal_attention call over every query, and
+    `wo` and the feed-forward on the (L, model_dim) states. Returns the final
+    hidden states of every row and per layer the key-major keys, the values,
+    the last position's mean query and causal_attention's last-position rows.
+    """
+    cfg = weights.config
+    L, n_q, n_kv = len(tokens), cfg.n_query_heads, cfg.n_kv_heads
+    x = weights.embed[np.asarray(tokens)]
+    layers = []
+    for lw in weights.layers:
+        qkv = (model._rms_norm(x) @ lw.wqkv).reshape(L, n_q + 2 * n_kv, cfg.head_dim)
+        qk = model.apply_rope(qkv[:, : n_q + n_kv], slice(L), weights.rope)
+        k = key_major(qk[:, n_q:].transpose(1, 0, 2))
+        v = qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
+        ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
+        layers.append((k, v, np.add.reduce(qk[-1, :n_q], axis=0) / n_q, last_rows))
+        x = x + ctx.reshape(L, -1) @ lw.wo
+        x = x + model._ffn(x, lw)
+    return x, layers
 
 
 def decode_step(weights, token, views, position):
@@ -180,6 +206,35 @@ class TestPrefill:
             assert np.array_equal(cache.keys, k) and np.array_equal(cache.values, v)
             assert np.array_equal(cache.positions, np.broadcast_to(np.arange(length), (n_kv, length)))
 
+    @pytest.mark.parametrize("length", [1, 2, 255, 256, 257, 258, 296, 513, 1000])
+    def test_row_chunks_tile_the_prompt_from_block_boundaries(self, length):
+        first = max(length - 2, 0) // ATTN_BLOCK * ATTN_BLOCK
+        for split in (0, first):
+            chunks = model._row_chunks(length, split)
+            assert [s for s, _ in chunks[1:]] == [e for _, e in chunks[:-1]]
+            assert chunks[0][0] == 0 and chunks[-1][1] == length and split in {s for s, _ in chunks}
+            assert all(s % ATTN_BLOCK == 0 and e - s <= PREFILL_CHUNK + 1 for s, e in chunks)
+            assert all(e - s >= 2 for s, e in chunks) or chunks == [(0, 1)]
+
+    @pytest.mark.parametrize(
+        "length", [PREFILL_CHUNK - 1, PREFILL_CHUNK, PREFILL_CHUNK + 1, PREFILL_CHUNK + 2, 2 * PREFILL_CHUNK + 1,
+                   PREFILL_CHUNK + ATTN_BLOCK + 8]
+    )
+    @pytest.mark.parametrize("n_kv", [1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_chunked_pass_is_bitwise_the_whole_prompt_pass(self, n_layers, n_kv, length, rng):
+        # PREFILL_CHUNK + 1 and 2 * PREFILL_CHUNK + 1 would leave a one-row tail chunk, which gemv would sum in
+        # another order; at PREFILL_CHUNK + ATTN_BLOCK + 8 the last layer's `first` falls inside a chunk
+        weights = init_model(ModelConfig(n_layers=n_layers, n_kv_heads=n_kv, seed=5))
+        toks = random_tokens(rng, weights.config, length)
+        x, layers = whole_prompt_forward(weights, toks)
+        assert np.array_equal(full_forward(weights, toks), model._rms_norm(x) @ weights.w_out)
+        caches, out = prefill(weights, toks)
+        assert np.array_equal(out.logits, model._rms_norm(x[-1]) @ weights.w_out)
+        for rows, avg_q, cache, (k, v, ref_avg_q, ref_rows) in zip(out.attn_rows, out.avg_queries, caches, layers):
+            assert np.array_equal(rows, ref_rows) and np.array_equal(avg_q, ref_avg_q)
+            assert np.array_equal(cache.keys, k) and np.array_equal(cache.values, v)
+
     @pytest.mark.parametrize("length", [1, 2, 33, 64, 65, 100])
     def test_only_the_last_layer_attends_fewer_rows(self, desk_weights, rng, length, monkeypatch):
         query_rows = []
@@ -279,7 +334,8 @@ class TestCausalAttention:
     def test_prefill_peak_memory_is_not_quadratic(self, desk_weights, rng):
         # the dense kernel's tracemalloc peak was 45 MiB at L=1024 and 172 MiB
         # at L=2048; one extra L x L float64 array at L=2048 is 32 MiB
-        toks = random_tokens(rng, desk_weights.config, 2048)
+        length = 2048
+        toks = random_tokens(rng, desk_weights.config, length)
         tracemalloc.start()
         try:
             prefill(desk_weights, toks)
@@ -287,6 +343,9 @@ class TestCausalAttention:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+        # per prompt position: 2.7 KiB with row chunks, 5.5 KiB for the whole-prompt pass; whole-prompt
+        # (L, ffn_dim) feed-forward temporaries alone take the peak back over this bound
+        assert peak / length <= 4 * 2**10
 
 
 class TestDecodeStep:
