@@ -7,23 +7,24 @@ object per layer (see policies.make_policy). Step flow, per layer:
      and asks the session for the layer's attention view;
   2. the session writes the fresh key/value into the layer's full-cache
      arena (every kind but snapkv) and asks the layer's policy for the
-     view at the step's position. The partial step every budgeted policy
-     (streaming, h2o and the top-K kinds) shares writes it into the
-     layer's partial-cache arena as well; a scheduled full step, and for
-     refreshkv_no_full its refresh, happens there;
-  3. attention runs over the view exactly as given, as one batched
-     computation over the layer's kv heads: the view is three head-major
-     arrays (keys, values, positions), the window of one cache, so nothing
-     is copied. It already holds the current token, except at a
-     refreshkv_no_full refresh step, whose refreshed top-K holds it only
-     if the refresh selects it;
+     view at the step's position: the layer's full or partial cache
+     itself. The partial step every budgeted policy (streaming, h2o and
+     the top-K kinds) shares writes it into the layer's partial-cache
+     arena as well; a scheduled full step, and for refreshkv_no_full its
+     refresh, happens there. The session notes the view's length and,
+     from which cache it is, the layer's modeled attended size (metrics);
+  3. attention runs over the cache's window exactly as given, as one
+     batched computation over the layer's kv heads, so nothing is copied.
+     It already holds the current token, except at a refreshkv_no_full
+     refresh step, whose refreshed top-K holds it only if the refresh
+     selects it;
   4. after the forward pass the policy updates its state from the
      probability rows the model returns for every layer (streaming and
      h2o drop one slot of the partial cache, moving the shorter side of
      its window; evicting top-K kinds drop their overflow from the start
      of their eviction-ordered window, which copies nothing) and reports
-     the layer's modeled cost, from which the session builds an
-     exact-cost StepRecord.
+     whether the layer's step was full; the session builds an exact-cost
+     StepRecord.
 
 Sessions are single-threaded; distinct sessions never share state and may
 run on distinct threads.
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 from .kv_store import FullCache, PartialCache
 from .metrics import StepRecord, step_cost
-from .model import LayerView, ModelWeights, StepOutput, decode_core, prefill as model_prefill
+from .model import ModelWeights, StepOutput, decode_core, prefill as model_prefill
 from .policies import LayerPolicy, PolicyConfig, Recorder, make_policy
 from .scheduler import ScheduleConfig
 
@@ -67,7 +68,8 @@ class DecodeSession:
 
         self.full: list[FullCache] = []
         self.layer_policies: list[LayerPolicy] = []
-        self._views: list[LayerView] = []  # the current step's views, by layer
+        self._view_lens: list[int] = []  # the current step's, by layer, noted as each view is provided
+        self._attended: list[int] = []  # the current step's modeled attended sizes, by layer
 
     @property
     def partial(self) -> list[PartialCache]:
@@ -89,7 +91,7 @@ class DecodeSession:
         if self.input_length is None:
             raise ContractViolation("prefill the session before stepping")
         self.step_index += 1
-        self._views = []
+        self._view_lens, self._attended = [], []
         try:
             out = decode_core(self.weights, token, self._position(), self._provide_view)
             return out, self._record(out, token)
@@ -105,12 +107,13 @@ class DecodeSession:
 
     def _provide_view(
         self, layer: int, q: np.ndarray, avg_q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray
-    ) -> LayerView:
-        policy, position = self.layer_policies[layer], self._position()
+    ) -> FullCache | PartialCache:
+        policy, position, full = self.layer_policies[layer], self._position(), self.full[layer]
         if policy.appends_full:
-            self.full[layer].append(position, k_new, v_new)
+            full.append(position, k_new, v_new)
         view = policy.view(self.step_index, position, q, avg_q, k_new, v_new)
-        self._views.append(view)
+        self._view_lens.append(len(view))  # now: update's evictions shrink the partial cache
+        self._attended.append(self.input_length if view is full else self.k_sel)
         if self.recorder is not None:
             self.recorder({"kind": "view", "step": self.step_index, "layer": layer,
                            "positions": view.positions.copy()})
@@ -121,15 +124,14 @@ class DecodeSession:
             policy.update(self.step_index, rows, avg_q)
             for policy, rows, avg_q in zip(self.layer_policies, out.attn_rows, out.avg_queries)
         ]
-        attended = [s.attended for s in layers]
-        flops, nbytes = step_cost(attended, self.cfg)
+        flops, nbytes = step_cost(self._attended, self.cfg)
         retained = [r for s in layers for r in s.retained]
         return StepRecord(
             step_index=self.step_index,
             token_id=int(token),
-            modes=[v.mode for v in self._views],
-            attended=attended,
-            view_lens=[v.positions.shape[1] for v in self._views],
+            modes=["full" if s.full else "partial" for s in layers],
+            attended=self._attended,
+            view_lens=self._view_lens,
             attention_flops=flops,
             kv_bytes_moved=nbytes,
             overhead_flops=sum(s.overhead_flops for s in layers),

@@ -100,6 +100,8 @@ class RunConfig:
         else:
             if self.n_generate < 1:
                 raise ConfigurationError(f"n_generate must be positive, got {self.n_generate}")
+            if self.model.vocab_size > 256:  # decode_tokens scores each generated id as one byte
+                raise ConfigurationError(f"chainkey needs vocab_size <= 256, got {self.model.vocab_size}")
             prompt = encode_text(chain_instance(self).prompt)
             if max(prompt) >= self.model.vocab_size:
                 raise ConfigurationError(f"chainkey prompt byte {max(prompt)} outside vocab_size {self.model.vocab_size}")

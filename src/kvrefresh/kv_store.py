@@ -7,9 +7,11 @@ of head-major arenas (`_Arena`): positions (n_kv_heads, slots), keys and
 values (n_kv_heads, slots, head_dim). Attention reads one head's m
 entries as a slice of the slot axis, without a copy. The full cache's
 window is its arenas' filled prefix, which doubles when full; the partial
-cache's moves (see below). The session writes each fresh key/value into
-its store before the layer attends, so a view holds the current token,
-except at a refreshkv_no_full refresh step (see policies).
+cache's moves (see below). A layer's view at a decode step is one of its
+two caches itself, as its policy returns it to the session's provider;
+attention reads the window. The session writes each fresh key/value
+into its store before the layer attends, so a view holds the current
+token, except at a refreshkv_no_full refresh step (see policies).
 
 Key arenas are key-major: the array keeps its (n_kv_heads, slots,
 head_dim) shape, but each head's keys are stored as one C-contiguous

@@ -73,7 +73,7 @@ class StepRecord:
     token_id: int
     modes: list[str]  # per layer: "full" | "partial"
     attended: list[int]  # per layer, modeled attended-set size (drives cost)
-    view_lens: list[int]  # per layer, actual attention view length (see model.LayerView)
+    view_lens: list[int]  # per layer, the length of the cache the layer attended, read when it was provided
     attention_flops: int
     kv_bytes_moved: int
     overhead_flops: int

@@ -37,9 +37,10 @@ only for its final 2 to ATTN_BLOCK + 1 rows, from a block boundary
 `first`, and below `first` projects and rotates only keys and values.
 
 `decode_core` runs each layer as one batched computation over all kv
-heads: the view is three head-major arrays, and `attention_rows` (one
-matmul, one `softmax_rows` call) gives every kv head's query group its
-rows over its own (m, head_dim) keys; every layer's rows are returned.
+heads: the view is the layer's full or partial cache itself, and
+`attention_rows` (one matmul, one `softmax_rows` call) gives every kv
+head's query group its rows over its own (m, head_dim) keys in the
+cache's head-major window; every layer's rows are returned.
 Its softmax runs in place on the fresh logits.
 
 Keys are stored key-major (see `kv_store`), so the logit products of
@@ -55,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, require
-from .kv_store import FullCache
+from .kv_store import FullCache, PartialCache
 from .numerics import softmax_rows
 
 RMS_EPS = 1e-6
@@ -221,29 +222,8 @@ def apply_rope(x: np.ndarray, positions: int | slice | np.ndarray, rope: tuple[n
     return x * rope[0][positions][..., None, :] + _swap_pairs(x) * rope[1][positions][..., None, :]
 
 
-@dataclass
-class LayerView:
-    """What one layer's attention runs over at a decode step.
-
-    Three head-major arrays with the same m entries on every kv head. The
-    session writes the current token's fresh key/value into its store
-    before it builds the view, so attention runs over the view exactly as
-    given, and the view holds the current token; a refreshkv_no_full
-    refresh step holds it only if the refresh selects it (see `policies`).
-    Every view is the window of one of the layer's caches, so none is a
-    copy: it holds until the store's next write. Entries need not be in
-    position order (a top-K window is in eviction order). Keys are
-    key-major in both caches (see `kv_store`).
-    """
-
-    keys: np.ndarray  # (n_kv_heads, m, head_dim), rotated, key-major
-    values: np.ndarray  # (n_kv_heads, m, head_dim)
-    positions: np.ndarray  # (n_kv_heads, m) original absolute positions
-    mode: str = "full"  # trace tag: "full" | "partial"
-
-
-# provide_view(layer_idx, q_heads, avg_query, k_new, v_new) -> LayerView
-ViewProvider = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], LayerView]
+# provide_view(layer_idx, q_heads, avg_query, k_new, v_new) -> the layer's cache to attend (see `decode_core`)
+ViewProvider = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], FullCache | PartialCache]
 
 
 @dataclass
@@ -407,9 +387,12 @@ def decode_core(
     The callback gets the layer's rotated queries and the current token's
     fresh key/value mid-forward, so per-layer scheduling can depend on the
     current query vector. It stores the fresh entry wherever the view
-    should see it, and the layer attends the view exactly as returned: one
-    batched matmul over the kv heads, with each head's query group against
-    its own keys, and one softmax over every head's rows.
+    should see it and returns the layer's cache to attend, a FullCache or a
+    PartialCache: the view is that cache's window (`keys`, `values`), read
+    without a copy, with entries in the order the cache holds them. The
+    layer attends it exactly as returned: one batched matmul over the kv
+    heads, with each head's query group against its own keys, and one
+    softmax over every head's rows.
     """
     cfg = weights.config
     _check_token(cfg, token)
@@ -431,7 +414,7 @@ def decode_core(
 
         view = provide_view(layer_idx, q, avg_q, k_new, v_new)
 
-        if view.keys.shape[1] == 0:
+        if len(view) == 0:
             raise ContractViolation(f"layer {layer_idx}: empty attention view")
         probs = attention_rows(q, view.keys, cfg.group_size)
         x += (probs @ view.values).reshape(-1).dot(lw.wo)

@@ -51,6 +51,7 @@ def max_pool_1d(scores: np.ndarray, kernel: int) -> np.ndarray:
     if kernel < 1 or kernel % 2 == 0:
         raise ConfigurationError(f"pooling kernel must be odd and positive, got {kernel}")
     x = np.asarray(scores, dtype=np.float64)
+    kernel = min(kernel, max(2 * x.shape[-1] - 1, 1))  # from every i, a wider window spans the whole row
     pad = np.full(x.shape[:-1] + (kernel // 2,), -np.inf)
     out = np.concatenate([pad, x, pad], axis=-1)
     width = 1  # out[..., i] is the maximum of `width` padded entries starting at i

@@ -5,7 +5,7 @@ make_policy maps each of the seven kinds onto one of four classes:
 
   vanilla               FullAttention  the complete cache every step
   streaming             Recency        sink tokens plus a recency window
-  h2o                   HeavyHitter    cumulative-attention heavy hitters
+  h2o                   H2OState       cumulative-attention heavy hitters
                                        plus a recency half
   snapkv                TopK           top-K from the prompt's last-token
                                        scores; never full, grow-only
@@ -19,16 +19,16 @@ After the prefill the session builds one policy object per layer. At each
 step the session writes the fresh key/value into the layer's full cache
 (unless appends_full is False: snapkv keeps only its prompt there) and
 asks `view(step, position, ...)`, with the position it computed, for the
-LayerView the layer attends. After the forward pass `update` gets the
-rows the model returns for every layer, maintains the policy's state and
-reports the layer's modeled cost as a LayerStep. A view is the window of
-one cache (`LayerPolicy._view`): full views read the full cache's, and
-the partial step every budgeted policy shares (LayerPolicy.view) appends
-the current entry to the layer's partial cache and attends its window
-(see kv_store for the entry order of each kind). So every view holds the
-current token, except at a refreshkv_no_full refresh step: it attends
-the refreshed top-K of the full cache, which holds the current position
-only if the refresh selects it.
+cache the layer attends: the policy returns `self.full` or `self.partial`
+itself, and attention reads its window. After the forward pass `update`
+gets the rows the model returns for every layer, maintains the policy's
+state and reports the layer's step as a LayerStep: whether it was full,
+and its overhead. The partial step every budgeted policy shares
+(LayerPolicy.view) appends the current entry to the layer's partial cache
+and returns that cache (see kv_store for the entry order of each kind).
+So every view holds the current token, except at a refreshkv_no_full
+refresh step: it attends the refreshed top-K of the full cache, which
+holds the current position only if the refresh selects it.
 Streaming and h2o build that arena at the prefill by gathering their
 starting set from the full cache, in ascending position order, then drop
 one slot per step: streaming the oldest entry after the sinks, h2o the
@@ -61,7 +61,7 @@ from .metrics import (
     score_pass_flops,
     selection_overhead_flops,
 )
-from .model import LayerView, StepOutput, attention_rows
+from .model import StepOutput, attention_rows
 from .numerics import cosine_similarity, max_pool_1d, top_k_indices
 from .scheduler import ScheduleConfig, should_full
 
@@ -86,7 +86,7 @@ Recorder = Callable[[dict], None]
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str = "refreshkv"
-    k: int | None = None  # absolute budget; exclusive with k_fraction
+    k: int | None = None  # absolute budget; when set it wins over k_fraction
     k_fraction: float | None = 0.125  # budget as a fraction of the prompt length
     kernel_size: int = 7
     gqa_aggregation: str = "max"
@@ -113,7 +113,7 @@ class PolicyConfig:
             raise ConfigurationError("one of k or k_fraction is required")
         if self.k is not None and self.k < 1:
             raise ConfigurationError(f"k must be positive, got {self.k}")
-        if self.k is None and not 0.0 < self.k_fraction <= 1.0:
+        if self.k_fraction is not None and not 0.0 < self.k_fraction <= 1.0:  # NaN fails the range test too
             raise ConfigurationError(f"k_fraction must lie in (0, 1], got {self.k_fraction}")
         if self.n_sink < 0:
             raise ConfigurationError(f"n_sink must be non-negative, got {self.n_sink}")
@@ -173,53 +173,6 @@ def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndar
     return out
 
 
-class H2OState:
-    """Per-layer running state of the heavy-hitter policy.
-
-    Tracks the cumulative attention each held position received as the
-    partial cache's `scores`: one (1, n) row, moving with the window, that
-    every head shares. The arena stays in ascending position order, so
-    the recency half is its last entries and a drop moves the shorter side
-    of the window. The budget splits into a recency half (the newest
-    positions, kept unconditionally) and a heavy half (highest cumulative
-    score among the rest, ties toward the lower position). Evicted
-    positions are gone for good. Requires a score observation every step.
-    """
-
-    def __init__(self, full: FullCache, last_token_row: np.ndarray, budget: int):
-        """Keep the prompt's heavy hitters under its last-token aggregated attention row."""
-        self.budget = int(budget)
-        self.heavy_n = self.budget // 2
-        self.recent_n = self.budget - self.heavy_n
-        row = np.asarray(last_token_row, dtype=np.float64)
-        keep = np.arange(row.size)
-        if row.size > self.budget:
-            recent_start = row.size - self.recent_n
-            keep = keep[recent_start:]
-            if self.heavy_n:  # top heavy_n by (sum desc, position asc), returned in ascending order
-                keep = np.concatenate([top_k_indices(row[:recent_start], self.heavy_n), keep])
-        positions, keys, values = full.gather(keep)
-        self.partial = PartialCache(self.budget, positions, keys, values, row[None, keep])
-
-    def keepset(self) -> np.ndarray:
-        """The positions held, ascending: a view of the arena, valid until its next write."""
-        return self.partial.positions[0]
-
-    def step(self, attention_row: np.ndarray) -> None:
-        """Accumulate one step's row over the arena, whose last entry is the just-decoded
-        position, then, once over budget, drop the lowest sum outside the recency half."""
-        row = np.asarray(attention_row, dtype=np.float64)
-        scores = self.partial.scores
-        if row.shape != scores.shape[1:]:
-            raise ContractViolation(f"attention row of {row.size} entries over an arena of {scores.shape[1]}")
-        scores[:, :-1] += row[:-1]
-        scores[:, -1] = row[-1]
-        if (n := scores.shape[1]) > self.budget:
-            heavy = scores[0, : n - self.recent_n]
-            # argmin over the reversed candidates: ties leave from the higher position
-            self.partial.drop(heavy.size - 1 - int(heavy[::-1].argmin()))
-
-
 # ------------------------------------------------------------ policy objects
 
 
@@ -227,7 +180,7 @@ class H2OState:
 class LayerStep:
     """One layer's share of a step record, as its policy reports it."""
 
-    attended: int  # modeled attended-set size (drives the headline cost)
+    full: bool = False  # a full step as the policy decided it; refreshkv_no_full's attends the partial cache
     overhead_flops: int = 0
     similarity: float | None = None  # qc check, when one ran
     retained: list[float] = field(default_factory=list)  # post-refresh coverage per kv-head
@@ -236,9 +189,10 @@ class LayerStep:
 class LayerPolicy:
     """One layer's cache policy, built from its session right after the prefill.
 
-    view(step, position, q, avg_q, k_new, v_new) -> LayerView runs mid-forward
-    (the base view is the budgeted policies' partial step), and update(step,
-    rows, avg_q) -> LayerStep gets the (n_kv, group, m) rows over that view.
+    view(step, position, q, avg_q, k_new, v_new) runs mid-forward and returns
+    the cache to attend, `self.full` or `self.partial` (the base view is the
+    budgeted policies' partial step), and update(step, rows, avg_q) ->
+    LayerStep gets the (n_kv, group, m) rows over that view.
     """
 
     appends_full = True  # the session writes each fresh key/value into the full cache
@@ -250,22 +204,18 @@ class LayerPolicy:
         self.full = session.full[layer]
         self.input_length, self.budget, self.k_sel = session.input_length, session.budget, session.k_sel
 
-    def view(self, step, position, q, avg_q, k_new, v_new) -> LayerView:
-        """The partial step: append the current entry to the partial-cache arena, attend its prefix."""
+    def view(self, step, position, q, avg_q, k_new, v_new) -> FullCache | PartialCache:
+        """The partial step: append the current entry to the partial-cache arena and attend it."""
         self.partial.append(position, k_new, v_new)
-        return self._view(self.partial, "partial")
-
-    @staticmethod
-    def _view(cache: FullCache | PartialCache, mode: str) -> LayerView:
-        return LayerView(cache.keys, cache.values, cache.positions, mode)
+        return self.partial
 
 
 class FullAttention(LayerPolicy):
     def view(self, step, position, q, avg_q, k_new, v_new):
-        return self._view(self.full, "full")
+        return self.full
 
     def update(self, step, rows, avg_q):
-        return LayerStep(self.input_length)
+        return LayerStep(full=True)
 
 
 class Recency(LayerPolicy):
@@ -287,20 +237,59 @@ class Recency(LayerPolicy):
     def update(self, step, rows, avg_q):
         if self.partial.sizes()[0] > self.budget:
             self.partial.drop(self.config.n_sink)
-        return LayerStep(self.k_sel)
+        return LayerStep()
 
 
-class HeavyHitter(LayerPolicy):
+class H2OState(LayerPolicy):
+    """The heavy-hitter (h2o) policy.
+
+    Tracks the cumulative attention each held position received as the
+    partial cache's `scores`: one (1, n) row, moving with the window, that
+    every head shares. The arena stays in ascending position order, so
+    the recency half is its last entries and a drop moves the shorter side
+    of the window. The budget splits into a recency half (the newest
+    positions, kept unconditionally) and a heavy half (highest cumulative
+    score among the rest, ties toward the lower position). Evicted
+    positions are gone for good. Requires a score observation every step.
+    """
+
     def __init__(self, session, layer, out):
+        """Keep the prompt's heavy hitters under its last-token aggregated attention row."""
         super().__init__(session, layer, out)
         row = aggregate_group_scores(out.attn_rows[layer].reshape(-1, self.input_length), self.config.gqa_aggregation)
-        self.h2o = H2OState(self.full, row, self.budget)
-        self.partial = self.h2o.partial
+        self.heavy_n = self.budget // 2
+        self.recent_n = self.budget - self.heavy_n
+        keep = np.arange(row.size)
+        if row.size > self.budget:
+            recent_start = row.size - self.recent_n
+            keep = keep[recent_start:]
+            if self.heavy_n:  # top heavy_n by (sum desc, position asc), returned in ascending order
+                keep = np.concatenate([top_k_indices(row[:recent_start], self.heavy_n), keep])
+        positions, keys, values = self.full.gather(keep)
+        self.partial = PartialCache(self.budget, positions, keys, values, row[None, keep])
+
+    def keepset(self) -> np.ndarray:
+        """The positions held, ascending: a view of the arena, valid until its next write."""
+        return self.partial.positions[0]
+
+    def step(self, attention_row: np.ndarray) -> None:
+        """Accumulate one step's row over the arena, whose last entry is the just-decoded
+        position, then, once over budget, drop the lowest sum outside the recency half."""
+        row = np.asarray(attention_row, dtype=np.float64)
+        scores = self.partial.scores
+        if row.shape != scores.shape[1:]:
+            raise ContractViolation(f"attention row of {row.size} entries over an arena of {scores.shape[1]}")
+        scores[:, :-1] += row[:-1]
+        scores[:, -1] = row[-1]
+        if (n := scores.shape[1]) > self.budget:
+            heavy = scores[0, : n - self.recent_n]
+            # argmin over the reversed candidates: ties leave from the higher position
+            self.partial.drop(heavy.size - 1 - int(heavy[::-1].argmin()))
 
     def update(self, step, rows, avg_q):
         row = aggregate_group_scores(rows.reshape(-1, rows.shape[-1]), self.config.gqa_aggregation)
-        view_positions = self.h2o.keepset().copy() if self.recorder is not None else None
-        self.h2o.step(row)
+        view_positions = self.keepset().copy() if self.recorder is not None else None
+        self.step(row)
         if self.recorder is not None:
             self.recorder(
                 {
@@ -310,10 +299,10 @@ class HeavyHitter(LayerPolicy):
                     "raw_rows": [r.copy() for r in rows],
                     "row": row,
                     "view_positions": view_positions,
-                    "keepset": self.h2o.keepset().copy(),
+                    "keepset": self.keepset().copy(),
                 }
             )
-        return LayerStep(self.k_sel, h2o_overhead_flops(row.size, self.model))
+        return LayerStep(overhead_flops=h2o_overhead_flops(row.size, self.model))
 
 
 class TopK(LayerPolicy):
@@ -347,21 +336,20 @@ class TopK(LayerPolicy):
         if not self._full_step:
             return super().view(step, position, q, avg_q, k_new, v_new)
         if self.output_full:
-            return self._view(self.full, "full")
+            return self.full
         self._refreshed = self._refresh(step, attention_rows(q, self.full.keys, self.model.group_size))
-        return self._view(self.partial, "full")
+        return self.partial
 
     def update(self, step, rows, avg_q):
         overhead = qc_overhead_flops(self.model) if self._sim is not None else 0
         if not self._full_step:
             if self.evict:
                 self.partial.evict_overflow()
-            return LayerStep(self.k_sel, overhead, self._sim)
+            return LayerStep(False, overhead, self._sim)
 
         self.reference_query = avg_q.copy()
-        attended = self.input_length if self.output_full else self.k_sel
         if not self.refresh:
-            return LayerStep(attended, overhead, self._sim)
+            return LayerStep(True, overhead, self._sim)
         m = len(self.full)
         if self._refreshed is None:
             if rows.shape[-1] != m:
@@ -370,7 +358,7 @@ class TopK(LayerPolicy):
         else:
             overhead += score_pass_flops(m, self.model)
         overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
-        return LayerStep(attended, overhead, self._sim, self._refreshed)
+        return LayerStep(True, overhead, self._sim, self._refreshed)
 
     def _refresh(self, step: int, rows: np.ndarray) -> list[float]:
         """Refill the partial cache in place with the full cache's top-K under `rows`.
@@ -404,7 +392,7 @@ def make_policy(session: DecodeSession, layer: int, out: StepOutput) -> LayerPol
     if kind == "streaming":
         return Recency(session, layer, out)
     if kind == "h2o":
-        return HeavyHitter(session, layer, out)
+        return H2OState(session, layer, out)
     if kind == "snapkv":
         never = ScheduleConfig(mode="never_full")
         return TopK(session, layer, out, never, refresh=False, output_full=True, appends_full=False)

@@ -39,9 +39,9 @@ class ScheduleConfig:
         if self.mode not in SCHEDULE_MODES:
             raise ConfigurationError(f"unknown schedule mode {self.mode!r}")
         require(int, stride=self.stride, qc_stride=self.qc_stride)
-        if self.mode == "fixed" and self.stride < 1:
+        if self.stride < 1:
             raise ConfigurationError(f"stride must be positive, got {self.stride}")
-        if self.mode == "qc" and self.qc_stride < 1:
+        if self.qc_stride < 1:
             raise ConfigurationError(f"qc_stride must be positive, got {self.qc_stride}")
         # cosine similarity lies in [-1, 1], so a threshold outside it adds no
         # behaviour (above 1 fires at every boundary, below -1 never fires);

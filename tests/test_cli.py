@@ -71,6 +71,8 @@ class TestRunExitCodes:
             ["--model.seed", "-1"],
             # the chainkey prompt is byte-level text whose letters reach byte 122
             ["--task", "chainkey", "--model.vocab-size", "100"],
+            # chainkey scores generated ids as bytes: id 300 would read as a comma
+            ["--task", "chainkey", "--model.vocab-size", "512"],
             # a chain-of-key cycle needs two keys
             ["--task", "chainkey", "--task-params.n-keys", "1", "--task-params.chain-length", "1"],
         ],

@@ -282,7 +282,7 @@ class TestH2OOracle:
         out = session.prefill(prompt)
         oracles = [H2OOracle(out.attn_rows[layer], 12) for layer in range(2)]
         for layer in range(2):
-            np.testing.assert_array_equal(session.layer_policies[layer].h2o.keepset(), oracles[layer].keep)
+            np.testing.assert_array_equal(session.layer_policies[layer].keepset(), oracles[layer].keep)
 
         tok = int(np.argmax(out.logits))
         for step in range(1, 33):  # a 32-token run, checked at every step
@@ -297,7 +297,7 @@ class TestH2OOracle:
                 )
                 np.testing.assert_array_equal(event["keepset"], expected)
                 np.testing.assert_array_equal(
-                    session.layer_policies[event["layer"]].h2o.keepset(), expected
+                    session.layer_policies[event["layer"]].keepset(), expected
                 )
 
 
@@ -542,13 +542,14 @@ class TestSessionContracts:
 
 
 def capture_views(session):
-    """Record (layer, view) for each view as the session hands it to attention."""
+    """Record (layer, view, window) for each view as the session hands it to attention: the view is a
+    cache, and its window (keys, values, positions) is taken then, before the step's evictions move it."""
     seen = []
     provide = session._provide_view
 
     def wrapped(layer, *args):
         view = provide(layer, *args)
-        seen.append((layer, view))
+        seen.append((layer, view, (view.keys, view.values, view.positions)))
         return view
 
     session._provide_view = wrapped
@@ -567,14 +568,15 @@ class TestArena:
         for tok in stream[20:]:
             seen.clear()
             _, rec = session.step(tok)
-            for layer, view in seen:
-                modes.add(view.mode)
+            for layer, view, (keys, values, positions) in seen:
+                modes.add(rec.modes[layer])
                 # at the moment of attention: full views read the full-cache arena, partial views the partial one
-                store = session.full[layer] if view.mode == "full" else session.partial[layer]
+                store = session.full[layer] if rec.modes[layer] == "full" else session.partial[layer]
+                assert view is store  # the view is the layer's cache itself
                 for h in range(desk_weights.config.n_kv_heads):
-                    assert np.shares_memory(view.keys[h], store.keys)
-                    assert np.shares_memory(view.values[h], store.values)
-                    assert len(view.keys[h]) == len(view.values[h]) == len(view.positions[h]) == rec.view_lens[layer]
+                    assert np.shares_memory(keys[h], store.keys)
+                    assert np.shares_memory(values[h], store.values)
+                    assert len(keys[h]) == len(values[h]) == len(positions[h]) == rec.view_lens[layer]
         assert modes == ({"full"} if kind == "vanilla" else {"full", "partial"} if kind == "refreshkv" else {"partial"})
 
     @pytest.mark.parametrize("kind", ["vanilla", "refreshkv", "snapkv", "streaming", "h2o"])
@@ -594,12 +596,12 @@ class TestArena:
         for tok in stream[20:]:
             seen.clear()
             session.step(tok)
-            for layer, view in seen:
+            for layer, _, (keys, _, _) in seen:
                 assert_key_major(session.full[layer]._arrays[1])
                 if session.partial:
                     assert_key_major(session.partial[layer]._arrays[1])
                 for h in range(desk_weights.config.n_kv_heads):
-                    assert view.keys[h].T.strides[1] == view.keys.itemsize  # a row-major prefix of the arena
+                    assert keys[h].T.strides[1] == keys.itemsize  # a row-major prefix of the arena
         if kind != "snapkv":  # snapkv keeps only its prompt in the full cache
             assert all(cache._arrays[1].shape[1] == 40 for cache in session.full)  # the arena doubled
 

@@ -11,10 +11,10 @@ import pytest
 from kvrefresh import model
 from kvrefresh.engine import DecodeSession
 from kvrefresh.errors import ConfigurationError, ContractViolation
+from kvrefresh.kv_store import FullCache, PartialCache
 from kvrefresh.model import (
     ATTN_BLOCK,
     PREFILL_CHUNK,
-    LayerView,
     ModelConfig,
     canonical_config,
     causal_attention,
@@ -108,15 +108,17 @@ def decode_step(weights, token, views, position):
     (n_kv_heads, m, head_dim) and positions (n_kv_heads, m); entries may be any subset of past tokens in
     any order, carrying their original absolute positions (keys already
     rotated). The provider appends the current token's key/value to every
-    head before handing the view over, as a session's store would.
+    head before handing the view over, as a session's store would. The
+    view is a FullCache adopting the extended arrays, which keep the keys'
+    memory order (np.concatenate follows its inputs'); decode reads only
+    its keys and values, so a subset in any order stands in.
     """
 
     def provider(layer_idx, q, avg_q, k_new, v_new):
         keys, values, positions = views[layer_idx]
         keys = np.concatenate([keys, k_new[:, None]], axis=1)
         values = np.concatenate([values, v_new[:, None]], axis=1)
-        positions = np.concatenate([positions, np.full((len(positions), 1), position)], axis=1)
-        return LayerView(keys, values, positions)
+        return FullCache(np.append(positions[0], position), keys, values)
 
     return decode_core(weights, token, position, provider)
 
@@ -403,7 +405,7 @@ class TestDecodeStep:
 
         def empty(layer_idx, q, avg_q, k_new, v_new):
             c = caches[layer_idx]
-            return LayerView(c.keys[:, :0], c.values[:, :0], c.positions[:, :0])
+            return PartialCache(1, c.positions[:, :0], c.keys[:, :0], c.values[:, :0])
 
         with pytest.raises(ContractViolation):
             decode_core(desk_weights, 1, 2, empty)
@@ -604,6 +606,22 @@ class TestTraceSpans:
             modes.update(rec.modes)
             assert {n: calls[n] - before[n] for n in calls} == dict.fromkeys(calls, desk_weights.config.n_layers)
         assert modes == ({"full"} if kind == "vanilla" else {"full", "partial"})
+
+    def test_h2o_step_runs_once_per_layer_per_step(self, desk_weights, rng):
+        # the benchmark times h2o's bookkeeping by wrapping H2OState.step; a policy that stopped calling it
+        # would leave the traced `policies.h2o_step` span at 0
+        assert "kvrefresh.policies:H2OState.step" in perfbench_lookups("policies.h2o_step")
+        tracer = perfbench_tracer().Tracer()
+        session = DecodeSession(desk_weights, PolicyConfig(kind="h2o", k=8))
+        session.prefill(random_tokens(rng, desk_weights.config, 20))
+        tracer.install()
+        try:
+            for token in random_tokens(rng, desk_weights.config, 7):
+                before = tracer.calls("policies.h2o_step")
+                session.step(token)
+                assert tracer.calls("policies.h2o_step") - before == desk_weights.config.n_layers
+        finally:
+            tracer.uninstall()
 
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,21 @@ class TestMaxPool:
             ]
             np.testing.assert_allclose(max_pool_1d(x, kernel), expected)
 
+
+    def test_kernel_wider_than_the_row_is_clamped(self, rng):
+        # from every position, a window of 2m - 1 = 79 already spans the whole row of m = 40
+        x = rng.uniform(size=(2, 40))
+        expected = max_pool_1d(x, 79)
+        np.testing.assert_array_equal(expected, np.repeat(x.max(axis=1, keepdims=True), 40, axis=1))
+        for kernel in (81, 2_000_001):
+            np.testing.assert_array_equal(max_pool_1d(x, kernel), expected)
+        tracemalloc.start()
+        try:
+            max_pool_1d(x, 2_000_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10  # padding to the kernel's width peaked at 76 MiB
 
     @pytest.mark.parametrize("kernel", [1, 3, 7, 9])
     def test_rows_match_the_shifted_loop_bitwise(self, rng, kernel):

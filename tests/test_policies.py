@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from kvrefresh import engine, model
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.engine import DecodeSession, greedy_generate
 from kvrefresh.kv_store import FullCache, init_partial
-from kvrefresh.model import prefill
+from kvrefresh.model import StepOutput, prefill
 from kvrefresh.numerics import max_pool_1d
 from kvrefresh.policies import (
     AGGREGATION_MODES,
@@ -252,10 +254,17 @@ class TestStreamingKeepset:
 
 
 def h2o_state(last_token_row, budget):
-    """An H2OState over a two-head full cache holding the prompt's positions."""
+    """The h2o policy of a one-layer session whose two-head full cache holds the prompt's positions.
+
+    The prefill's rows for the layer are the one query row last_token_row,
+    which the group aggregation passes through as the prompt's scores.
+    """
     n = len(last_token_row)
     full = FullCache(np.arange(n), np.zeros((2, n, 4)), np.zeros((2, n, 4)))
-    return H2OState(full, np.asarray(last_token_row, dtype=float), budget)
+    session = SimpleNamespace(policy=PolicyConfig(kind="h2o", k=budget), cfg=None, recorder=None, full=[full],
+                              input_length=n, budget=budget, k_sel=min(budget, n))
+    out = StepOutput(np.zeros(1), [], [np.asarray(last_token_row, dtype=float).reshape(1, 1, n)])
+    return H2OState(session, 0, out)
 
 
 def h2o_step(state, row_for):
@@ -333,6 +342,9 @@ class TestPolicyConfig:
             dict(kind="refreshkv", k=0),
             dict(kind="refreshkv", k=None, k_fraction=0.0),
             dict(kind="refreshkv", k=None, k_fraction=None),
+            # k wins over k_fraction, which is range-checked all the same
+            dict(kind="refreshkv", k=8, k_fraction=-3.0),
+            dict(kind="refreshkv", k=8, k_fraction=float("nan")),
         ],
     )
     def test_invalid_configs(self, kwargs):

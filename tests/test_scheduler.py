@@ -99,6 +99,9 @@ class TestConfigValidation:
             dict(mode="nope"),
             dict(mode="fixed", stride=0),
             dict(mode="qc", qc_stride=0),
+            # every field is range-checked whatever the mode
+            dict(mode="qc", stride=0),
+            dict(mode="fixed", qc_stride=-5),
             dict(mode="qc", threshold=1.5),
             dict(mode="qc", threshold=-1.5),
             dict(mode="qc", threshold=float("nan")),
