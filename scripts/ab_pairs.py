@@ -8,7 +8,10 @@ metric that CHANGE's BENCHMARK.json declares, the script prints each
 side's median [first quartile, third quartile] over the pairs, the move
 of the median, and the pairs the change won. A win follows the metric's
 `better`; a tie counts for neither side. A median worse than the
-parent's by more than the metric's `bound` is marked OVER BOUND.
+parent's by more than the metric's `bound` is marked OVER BOUND. A metric
+whose parent runs spread wider than its bound, (q3 - q1) / median, is
+marked UNRESOLVED: its move cannot be told from the noise, unless every
+change run reads better than every parent run, which leaves it unmarked.
 
 Exit status: 0 when every run printed a result with "correct": true and
 0 failed operations; 1 otherwise.
@@ -68,16 +71,17 @@ def summarise(end_to_end: list[dict], results: dict[str, list[dict]]) -> list[st
         if not pairs:
             lines.append(f"{name}: no pair reports it")
             continue
-        cells = []
-        for values in zip(*pairs):
-            q1, median, q3 = np.percentile(values, [25, 50, 75])
-            cells.append((median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"))
-        (parent, parent_cell), (change, change_cell) = cells
+        parent_values, change_values = zip(*pairs)
+        (p1, parent, p3), (c1, change, c3) = (np.percentile(v, [25, 50, 75]) for v in (parent_values, change_values))
         move = (change - parent) / parent if parent else 0.0
         wins = sum(sign * (c - p) > 0 for p, c in pairs)
-        over = "  OVER BOUND" if -sign * move > spec["bound"] else ""
-        lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): parent {parent_cell}  change "
-                     f"{change_cell}  {move:+.1%}  change better in {wins}/{len(pairs)}{over}")
+        marks = "  OVER BOUND" if -sign * move > spec["bound"] else ""
+        spread = (p3 - p1) / parent if parent else 0.0
+        if spread > spec["bound"] and min(sign * c for c in change_values) <= max(sign * p for p in parent_values):
+            marks += f"  UNRESOLVED (parent spread {spread:.1%})"
+        lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
+                     f"parent {parent:.4g} [{p1:.4g}, {p3:.4g}]  change {change:.4g} [{c1:.4g}, {c3:.4g}]  "
+                     f"{move:+.1%}  change better in {wins}/{len(pairs)}{marks}")
     return lines
 
 

@@ -4,7 +4,7 @@ A session owns the per-layer full caches and, once prefilled, one policy
 object per layer (see policies.make_policy). Step flow, per layer:
 
   1. the model computes the current token's queries and fresh key/value
-     and asks the session for the layer's attention view;
+     and asks `_provide_view(layer, q, k_new, v_new)` for the layer's view;
   2. the session writes the fresh key/value into the layer's full-cache
      arena (every kind but snapkv) and asks the layer's policy for the
      view at the step's position: the layer's full or partial cache
@@ -106,12 +106,12 @@ class DecodeSession:
         return self.input_length + self.step_index - 1
 
     def _provide_view(
-        self, layer: int, q: np.ndarray, avg_q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray
+        self, layer: int, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray
     ) -> FullCache | PartialCache:
         policy, position, full = self.layer_policies[layer], self._position(), self.full[layer]
         if policy.appends_full:
             full.append(position, k_new, v_new)
-        view = policy.view(self.step_index, position, q, avg_q, k_new, v_new)
+        view = policy.view(self.step_index, position, q, k_new, v_new)
         self._view_lens.append(len(view))  # now: update's evictions shrink the partial cache
         self._attended.append(self.input_length if view is full else self.k_sel)
         if self.recorder is not None:
@@ -120,10 +120,7 @@ class DecodeSession:
         return view
 
     def _record(self, out: StepOutput, token: int) -> StepRecord:
-        layers = [
-            policy.update(self.step_index, rows, avg_q)
-            for policy, rows, avg_q in zip(self.layer_policies, out.attn_rows, out.avg_queries)
-        ]
+        layers = [policy.update(self.step_index, rows) for policy, rows in zip(self.layer_policies, out.attn_rows)]
         flops, nbytes = step_cost(self._attended, self.cfg)
         retained = [r for s in layers for r in s.retained]
         return StepRecord(

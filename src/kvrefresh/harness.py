@@ -211,30 +211,34 @@ def load_trace(run_dir: str | Path) -> list[StepRecord]:
     return records
 
 
-def _compare_row(run_dir: str | Path) -> tuple[str, int, dict]:
-    """A run's task, task seed and comparison row, read from its summary.json; a
-    summary that lacks what compare reads is a configuration error naming the file."""
+def _compare_row(run_dir: str | Path) -> tuple[dict, dict]:
+    """What compared runs must share (task, task seed, model, task_params, chainkey's n_generate) and the
+    run's comparison row, from its summary.json; a summary lacking them is a configuration error naming the file."""
     path = Path(run_dir) / "summary.json"
     with open(path, encoding="utf-8") as f:
         try:
             s = json.load(f)
-            kind, totals = s["config"]["policy"]["kind"], s["totals"]
+            c = s["config"]
+            kind, totals = c["policy"]["kind"], s["totals"]
             row = {
                 "run_dir": str(run_dir),
                 "policy": kind,
                 # the other kinds follow no schedule: RunConfig.validate keeps theirs at the defaults
-                "schedule": s["config"]["schedule"]["mode"] if kind in REFRESH_FAMILY else None,
+                "schedule": c["schedule"]["mode"] if kind in REFRESH_FAMILY else None,
                 "metric": s["result"]["perplexity" if s["task"] == "lm" else "chain_score"],
                 **{key: totals[key] for key in ("attention_flops", "kv_bytes_moved", "overhead_flops")},
                 "effective_stride_mean": s["effective_stride_mean"],
             }
-            return s["task"], s["config"]["seed"], row
+            shared = {"task": s["task"], "seed": c["seed"], "model": c["model"], "task_params": c["task_params"]}
+            if s["task"] == "chainkey":
+                shared["n_generate"] = c["n_generate"]
+            return shared, row
         except (ValueError, LookupError, TypeError) as exc:
             raise ConfigurationError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def compare(run_dirs: Sequence[str | Path], nll_csv: str | Path | None = None) -> dict:
-    """Side-by-side comparison of runs over the same task and seed.
+    """Side-by-side comparison of runs over the same task, task seed, model and inputs.
 
     Ratios are against the vanilla run when one is present, otherwise
     against the first run. For language-model runs a per-step NLL table
@@ -243,26 +247,24 @@ def compare(run_dirs: Sequence[str | Path], nll_csv: str | Path | None = None) -
     if len(run_dirs) < 1:
         raise ConfigurationError("compare needs at least one run directory")
     loaded = [_compare_row(d) for d in run_dirs]
-
-    tasks = {task for task, _, _ in loaded}
-    seeds = {seed for _, seed, _ in loaded}
-    if len(tasks) > 1 or len(seeds) > 1:
+    first = loaded[0][0]
+    if differ := [key for key in first if any(shared.get(key) != first[key] for shared, _ in loaded)]:
         raise ConfigurationError(
-            f"runs are not comparable: tasks={sorted(tasks)} seeds={sorted(seeds)}; "
-            "compare runs over the same task and task seed"
+            f"runs are not comparable: they differ in {', '.join(differ)}; "
+            "compare runs over the same task, task seed, model and inputs"
         )
 
     def ratio(x: float, y: float) -> float | None:
         return None if y == 0 else x / y
 
-    rows = [row for *_, row in loaded]
+    rows = [row for _, row in loaded]
     baseline_idx = next((i for i, row in enumerate(rows) if row["policy"] == "vanilla"), 0)
     base = rows[baseline_idx]
     for row in rows:
         row["metric_ratio_to_baseline"] = ratio(row["metric"], base["metric"])
         row["flops_ratio_to_baseline"] = ratio(row["attention_flops"], base["attention_flops"])
         row["bytes_ratio_to_baseline"] = ratio(row["kv_bytes_moved"], base["kv_bytes_moved"])
-    task = loaded[0][0]
+    task = first["task"]
     report = {"baseline": str(run_dirs[baseline_idx]), "task": task, "rows": rows}
 
     if nll_csv is not None:

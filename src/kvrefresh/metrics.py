@@ -43,9 +43,9 @@ def layer_attention_cost(attended: int, config: ModelConfig) -> tuple[int, int]:
 
 
 def selection_overhead_flops(m: int, config: ModelConfig, kernel: int) -> int:
-    """Aggregate + pool + top-K work over m scored positions (one layer)."""
+    """Aggregate + pool + top-K work over m scored positions (one layer), pooling at max_pool_1d's width."""
     agg = (config.n_query_heads - config.n_kv_heads) * m
-    pool = config.n_kv_heads * m * (kernel - 1)
+    pool = config.n_kv_heads * m * (min(kernel, 2 * m - 1) - 1)
     topk = config.n_kv_heads * m * max(1, math.ceil(math.log2(max(m, 2))))
     return agg + pool + topk
 

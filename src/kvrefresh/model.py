@@ -1,8 +1,8 @@
 """Deterministic toy decoder-only transformer with grouped-query attention.
 
 Pre-norm blocks, rotary position encoding, gated feed-forward, float64
-throughout, greedy decoding. The decode path exposes per-layer mean query
-vectors and per-head attention probability rows so cache policies and the
+throughout, greedy decoding. The decode path exposes per-layer rotated
+queries and per-head attention probability rows so cache policies and the
 scheduler can observe them. Weights are fully determined by the config
 seed; two initializations with an equal config are bitwise identical.
 Each layer projects q, k and v with one fused matrix, and the rotary
@@ -222,14 +222,14 @@ def apply_rope(x: np.ndarray, positions: int | slice | np.ndarray, rope: tuple[n
     return x * rope[0][positions][..., None, :] + _swap_pairs(x) * rope[1][positions][..., None, :]
 
 
-# provide_view(layer_idx, q_heads, avg_query, k_new, v_new) -> the layer's cache to attend (see `decode_core`)
-ViewProvider = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], FullCache | PartialCache]
+# provide_view(layer_idx, q_heads, k_new, v_new) -> the layer's cache to attend (see `decode_core`)
+ViewProvider = Callable[[int, np.ndarray, np.ndarray, np.ndarray], FullCache | PartialCache]
 
 
 @dataclass
 class StepOutput:
     logits: np.ndarray  # (vocab_size,)
-    avg_queries: list[np.ndarray]  # per layer: (head_dim,), mean over all query heads
+    queries: list[np.ndarray]  # per layer: (n_query_heads, head_dim), rotated, at the last position
     attn_rows: list[np.ndarray] = field(default_factory=list)
     # per layer: (n_kv_heads, group_size, m) probability rows over the attended
     # view (row order matches the view); iterating yields each kv head's
@@ -325,7 +325,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
     chunks below `first` project and rotate only keys and values.
     Returns the final hidden states of the rows kept and per layer the rotated
     keys and the values, head-major (n_kv_heads, L, head_dim) in the cache's
-    layout (see `kv_store`), the last position's mean query and
+    layout (see `kv_store`), the last position's rotated queries and
     causal_attention's last-position rows.
     """
     cfg = weights.config
@@ -350,7 +350,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
                 ctx, last_rows = causal_attention(qk[:, :n_q], k[:, :e], v[:, :e], cfg.group_size)
                 xs += ctx.reshape(e - s, -1) @ lw.wo
                 xs += _ffn(xs, lw)
-        layers.append((k, v, np.add.reduce(qk[-1, :n_q], axis=0) / n_q, last_rows))
+        layers.append((k, v, qk[-1, :n_q].copy(), last_rows))  # a copy: a view would keep the chunk alive
     return x[first:], layers
 
 
@@ -373,7 +373,7 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
     caches = [FullCache(np.arange(k.shape[1]), k, v) for k, v, _, _ in layers]
     rows = [last_rows for *_, last_rows in layers]
     logits = _rms_norm(x[-1]) @ weights.w_out
-    return caches, StepOutput(logits, [avg_q for _, _, avg_q, _ in layers], rows)
+    return caches, StepOutput(logits, [q for _, _, q, _ in layers], rows)
 
 
 def decode_core(
@@ -384,15 +384,15 @@ def decode_core(
 ) -> StepOutput:
     """One decode step; each layer's attended view is supplied by a callback.
 
-    The callback gets the layer's rotated queries and the current token's
-    fresh key/value mid-forward, so per-layer scheduling can depend on the
-    current query vector. It stores the fresh entry wherever the view
-    should see it and returns the layer's cache to attend, a FullCache or a
-    PartialCache: the view is that cache's window (`keys`, `values`), read
-    without a copy, with entries in the order the cache holds them. The
-    layer attends it exactly as returned: one batched matmul over the kv
-    heads, with each head's query group against its own keys, and one
-    softmax over every head's rows.
+    The callback, provide_view(layer, q, k_new, v_new), gets the layer's
+    rotated (n_query_heads, head_dim) queries and the current token's fresh
+    key/value mid-forward, so per-layer scheduling can depend on them. It
+    stores the fresh entry wherever the view should see it and returns the
+    layer's cache to attend, a FullCache or a PartialCache: the view is
+    that cache's window (`keys`, `values`), read without a copy, with
+    entries in the order the cache holds them. The layer attends it exactly
+    as returned: one batched matmul over the kv heads, with each head's
+    query group against its own keys, and one softmax over every head's rows.
     """
     cfg = weights.config
     _check_token(cfg, token)
@@ -402,7 +402,7 @@ def decode_core(
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[int(token)].copy()
 
-    avg_queries: list[np.ndarray] = []
+    queries: list[np.ndarray] = []
     rows_per_layer: list[np.ndarray] = []
 
     for layer_idx, lw in enumerate(weights.layers):
@@ -410,9 +410,8 @@ def decode_core(
         qkv = _rms_norm(x).dot(lw.wqkv).reshape(n_q + 2 * n_kv, d)
         qk = apply_rope(qkv[: n_q + n_kv], position, weights.rope)
         q, k_new, v_new = qk[:n_q], qk[n_q:], qkv[n_q + n_kv :]
-        avg_q = np.add.reduce(q, axis=0) / n_q  # q.mean(axis=0)'s arithmetic, without its dispatch
 
-        view = provide_view(layer_idx, q, avg_q, k_new, v_new)
+        view = provide_view(layer_idx, q, k_new, v_new)
 
         if len(view) == 0:
             raise ContractViolation(f"layer {layer_idx}: empty attention view")
@@ -420,8 +419,8 @@ def decode_core(
         x += (probs @ view.values).reshape(-1).dot(lw.wo)
         x += _ffn(x, lw)
 
-        avg_queries.append(avg_q)
+        queries.append(q)
         rows_per_layer.append(probs)
 
     logits = _rms_norm(x).dot(weights.w_out)
-    return StepOutput(logits, avg_queries, rows_per_layer)
+    return StepOutput(logits, queries, rows_per_layer)

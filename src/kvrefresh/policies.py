@@ -37,11 +37,10 @@ order, so their evictions drop slot 0. The rows `update` gets, and the
 rows refreshkv_no_full scores over the full cache, come from
 model.attention_rows as one (n_kv_heads, group_size, m) array.
 
-Selection scores are per kv-head: every query head's probability row over
-the cache is aggregated within its group (max by default), then max-pooled
-over neighboring positions. Top-K runs independently per kv-head unless
-shared_selection collapses the scores across heads first. A refresh works
-on whole (n_kv_heads, ...) arrays: one aggregation, pooling and top-K over
+Selection scores are per kv-head: the elementwise max of its query
+group's probability rows over the cache, max-pooled over neighboring
+positions, and top-K runs independently per kv-head. A refresh works on
+whole (n_kv_heads, ...) arrays: one aggregation, pooling and top-K over
 every head, then an in-place refill of the layer's partial-cache arena,
 whose positions index the selection row for the retained mass in O(K).
 """
@@ -63,7 +62,7 @@ from .metrics import (
 )
 from .model import StepOutput, attention_rows
 from .numerics import cosine_similarity, max_pool_1d, top_k_indices
-from .scheduler import ScheduleConfig, should_full
+from .scheduler import ScheduleConfig, mean_query, should_full
 
 if TYPE_CHECKING:
     from .engine import DecodeSession
@@ -78,7 +77,6 @@ POLICY_KINDS = (
     "refreshkv_no_full",
 )
 REFRESH_FAMILY = ("refreshkv", "refreshkv_no_refresh", "refreshkv_no_full")
-AGGREGATION_MODES = ("max", "mean", "first")
 
 Recorder = Callable[[dict], None]
 
@@ -89,18 +87,13 @@ class PolicyConfig:
     k: int | None = None  # absolute budget; when set it wins over k_fraction
     k_fraction: float | None = 0.125  # budget as a fraction of the prompt length
     kernel_size: int = 7
-    gqa_aggregation: str = "max"
     n_sink: int = 4  # streaming only
     evict_on_append: bool | None = None  # default: True for refresh family, False for snapkv
-    shared_selection: bool = False  # one top-K per layer instead of per kv-head
 
     def validate(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ConfigurationError(f"unknown policy kind {self.kind!r}")
-        if self.gqa_aggregation not in AGGREGATION_MODES:
-            raise ConfigurationError(f"unknown gqa_aggregation {self.gqa_aggregation!r}")
         require(int, kernel_size=self.kernel_size, n_sink=self.n_sink)
-        require(bool, shared_selection=self.shared_selection)
         if self.k is not None:
             require(int, k=self.k)
         if self.k_fraction is not None:
@@ -136,22 +129,13 @@ class PolicyConfig:
         return self.kind != "snapkv"
 
 
-def aggregate_group_scores(per_query_head_rows: np.ndarray, mode: str) -> np.ndarray:
-    """Collapse each group of query-head score rows into one row.
-
-    rows: (..., group_size, m) -> (..., m). max/mean are elementwise over
-    the group axis; first passes each group's first row through.
-    """
+def aggregate_group_scores(per_query_head_rows: np.ndarray) -> np.ndarray:
+    """Collapse each group of query-head score rows into one row, elementwise
+    max over the group axis: (..., group_size, m) -> (..., m)."""
     rows = np.asarray(per_query_head_rows, dtype=np.float64)
     if rows.ndim < 2 or rows.shape[-2] < 1:
         raise ContractViolation(f"expected a non-empty (..., group, positions) array, got shape {rows.shape}")
-    if mode == "max":
-        return rows.max(axis=-2)
-    if mode == "mean":
-        return rows.mean(axis=-2)
-    if mode == "first":
-        return rows[..., 0, :].copy()
-    raise ConfigurationError(f"unknown aggregation mode {mode!r}")
+    return rows.max(axis=-2)
 
 
 def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndarray:
@@ -160,17 +144,12 @@ def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndar
     rows_per_head: (n_kv_heads, group_size, m), or a sequence of per
     kv-head (group_size, m) arrays: the probability rows observed at a
     full-attention (or prefill) step. Every head is aggregated and pooled
-    by the same whole-array calls. Returns (n_kv_heads, m). With
-    shared_selection the per-head rows are collapsed by elementwise max so
-    every head selects the same positions.
+    by the same whole-array calls. Returns (n_kv_heads, m).
     """
     rows = np.asarray(rows_per_head, dtype=np.float64)
     if rows.ndim != 3 or rows.shape[0] == 0:
         raise ContractViolation(f"expected (n_kv_heads, group, positions) attention rows, got shape {rows.shape}")
-    out = max_pool_1d(aggregate_group_scores(rows, config.gqa_aggregation), config.kernel_size)
-    if config.shared_selection:
-        out[:] = out.max(axis=0)
-    return out
+    return max_pool_1d(aggregate_group_scores(rows), config.kernel_size)
 
 
 # ------------------------------------------------------------ policy objects
@@ -189,10 +168,11 @@ class LayerStep:
 class LayerPolicy:
     """One layer's cache policy, built from its session right after the prefill.
 
-    view(step, position, q, avg_q, k_new, v_new) runs mid-forward and returns
-    the cache to attend, `self.full` or `self.partial` (the base view is the
-    budgeted policies' partial step), and update(step, rows, avg_q) ->
-    LayerStep gets the (n_kv, group, m) rows over that view.
+    view(step, position, q, k_new, v_new) runs mid-forward with the layer's
+    rotated (n_query_heads, head_dim) queries and returns the cache to
+    attend, `self.full` or `self.partial` (the base view is the budgeted
+    policies' partial step), and update(step, rows) -> LayerStep gets the
+    (n_kv, group, m) rows over that view.
     """
 
     appends_full = True  # the session writes each fresh key/value into the full cache
@@ -204,17 +184,17 @@ class LayerPolicy:
         self.full = session.full[layer]
         self.input_length, self.budget, self.k_sel = session.input_length, session.budget, session.k_sel
 
-    def view(self, step, position, q, avg_q, k_new, v_new) -> FullCache | PartialCache:
+    def view(self, step, position, q, k_new, v_new) -> FullCache | PartialCache:
         """The partial step: append the current entry to the partial-cache arena and attend it."""
         self.partial.append(position, k_new, v_new)
         return self.partial
 
 
 class FullAttention(LayerPolicy):
-    def view(self, step, position, q, avg_q, k_new, v_new):
+    def view(self, step, position, q, k_new, v_new):
         return self.full
 
-    def update(self, step, rows, avg_q):
+    def update(self, step, rows):
         return LayerStep(full=True)
 
 
@@ -234,7 +214,7 @@ class Recency(LayerPolicy):
         positions, keys, values = self.full.gather(keep)
         self.partial = PartialCache(self.budget, positions, keys, values)
 
-    def update(self, step, rows, avg_q):
+    def update(self, step, rows):
         if self.partial.sizes()[0] > self.budget:
             self.partial.drop(self.config.n_sink)
         return LayerStep()
@@ -256,7 +236,7 @@ class H2OState(LayerPolicy):
     def __init__(self, session, layer, out):
         """Keep the prompt's heavy hitters under its last-token aggregated attention row."""
         super().__init__(session, layer, out)
-        row = aggregate_group_scores(out.attn_rows[layer].reshape(-1, self.input_length), self.config.gqa_aggregation)
+        row = aggregate_group_scores(out.attn_rows[layer].reshape(-1, self.input_length))
         self.heavy_n = self.budget // 2
         self.recent_n = self.budget - self.heavy_n
         keep = np.arange(row.size)
@@ -286,8 +266,8 @@ class H2OState(LayerPolicy):
             # argmin over the reversed candidates: ties leave from the higher position
             self.partial.drop(heavy.size - 1 - int(heavy[::-1].argmin()))
 
-    def update(self, step, rows, avg_q):
-        row = aggregate_group_scores(rows.reshape(-1, rows.shape[-1]), self.config.gqa_aggregation)
+    def update(self, step, rows):
+        row = aggregate_group_scores(rows.reshape(-1, rows.shape[-1]))
         view_positions = self.keepset().copy() if self.recorder is not None else None
         self.step(row)
         if self.recorder is not None:
@@ -325,29 +305,29 @@ class TopK(LayerPolicy):
         self.appends_full = appends_full
         self.evict = self.config.resolved_evict_on_append()
         self.partial = init_partial(self.full, selection_scores(out.attn_rows[layer], self.config), self.k_sel)
-        self.reference_query = out.avg_queries[layer].copy()  # from the layer's most recent full step
+        self.reference_query = mean_query(out.queries[layer])  # from the layer's most recent full step
 
-    def view(self, step, position, q, avg_q, k_new, v_new):
+    def view(self, step, position, q, k_new, v_new):
         self._sim = None
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
-            self._sim = cosine_similarity(avg_q, self.reference_query)
+            self._sim = cosine_similarity(mean_query(q), self.reference_query)
         self._full_step = should_full(step, self._sim, self.schedule)
         self._refreshed = None
         if not self._full_step:
-            return super().view(step, position, q, avg_q, k_new, v_new)
+            return super().view(step, position, q, k_new, v_new)
+        self.reference_query = mean_query(q)
         if self.output_full:
             return self.full
         self._refreshed = self._refresh(step, attention_rows(q, self.full.keys, self.model.group_size))
         return self.partial
 
-    def update(self, step, rows, avg_q):
+    def update(self, step, rows):
         overhead = qc_overhead_flops(self.model) if self._sim is not None else 0
         if not self._full_step:
             if self.evict:
                 self.partial.evict_overflow()
             return LayerStep(False, overhead, self._sim)
 
-        self.reference_query = avg_q.copy()
         if not self.refresh:
             return LayerStep(True, overhead, self._sim)
         m = len(self.full)

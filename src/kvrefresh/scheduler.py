@@ -3,10 +3,10 @@
 Two real modes plus two diagnostic constants:
 
   fixed       full attention every stride-th generated step, all layers
-  qc          at every qc_stride-th step, compare the layer's group-averaged
-              query against the one from its most recent full step; run full
-              attention only when the cosine similarity falls below the
-              threshold
+  qc          at every qc_stride-th step, compare the layer's mean query
+              (`mean_query`) against the one from its most recent full step;
+              run full attention only when the cosine similarity falls below
+              the threshold
   always_full / never_full   constants, used by equivalence checks
 
 The qc threshold lies in [-1, 1], the range of cosine similarity; the
@@ -22,6 +22,8 @@ equal to the threshold decodes with the partial cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError, require
 
@@ -54,8 +56,8 @@ class ScheduleConfig:
 def should_full(step_index: int, similarity: float | None, config: ScheduleConfig) -> bool:
     """Decide whether this layer runs full attention at this generated step.
 
-    similarity is the cosine of the layer's group-averaged query against
-    the one from its most recent full step (initially the prefill). The
+    similarity is the cosine of the layer's mean query against the one
+    from its most recent full step (initially the prefill). The
     qc mode reads it at its stride boundaries only, where the caller
     computes it; elsewhere it may be None. Pure function of its arguments;
     replaying a trace reproduces the same decisions bit for bit.
@@ -71,6 +73,11 @@ def should_full(step_index: int, similarity: float | None, config: ScheduleConfi
     if step_index % config.qc_stride != 0:
         return False
     return similarity < config.threshold
+
+
+def mean_query(q: np.ndarray) -> np.ndarray:
+    """A layer's (n_query_heads, head_dim) queries averaged over the heads: q.mean(axis=0)'s arithmetic."""
+    return np.add.reduce(q, axis=0) / q.shape[0]
 
 
 def effective_stride(full_events: int, generated_steps: int) -> float | None:

@@ -67,6 +67,20 @@ def test_a_median_worse_than_its_bound_is_marked(ab_pairs):
     assert not any("OVER BOUND" in line for line in ab_pairs.summarise(SPEC, results))
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(ab_pairs):
+    # parent p50 quartiles 85 and 115 around 100: a 30% spread against the 20% bound
+    parent = [70, 85, 100, 115, 130]
+    results = {"parent": runs(ab_pairs, parent, [10] * 5), "change": runs(ab_pairs, [90, 100, 110, 95, 105], [10] * 5)}
+    p50, tok = ab_pairs.summarise(SPEC, results)
+    assert p50.endswith("+0.0%  change better in 2/5  UNRESOLVED (parent spread 30.0%)")
+    assert "UNRESOLVED" not in tok  # the parent's tok/s runs do not spread
+    # every change run better than every parent run: no mark, however wide the parent's spread
+    results["change"] = runs(ab_pairs, [60, 65, 62, 61, 69], [10] * 5)
+    assert not any("UNRESOLVED" in line for line in ab_pairs.summarise(SPEC, results))
+    results["change"] = runs(ab_pairs, [60, 65, 62, 61, 70], [10] * 5)  # a tie with the parent's best run
+    assert ab_pairs.summarise(SPEC, results)[0].endswith("UNRESOLVED (parent spread 30.0%)")
+
+
 def test_a_metric_no_pair_reports_is_named(ab_pairs):
     results = {"parent": [ab_pairs.result_of(stdout({}))], "change": [ab_pairs.result_of(stdout({}))]}
     assert ab_pairs.summarise(SPEC[:1], results) == ["decode_us_p50: no pair reports it"]

@@ -42,6 +42,7 @@ class TestRunExitCodes:
             ["--policy.kernel-size", '"3"'],
             ["--policy.k-fraction", '"0.5"'],
             ["--policy.shared-selection", "1"],
+            ["--policy.gqa-aggregation", "max"],
             ["--model.head-dim", "16.0"],
             # RoPE rotates pairs of dimensions
             ["--model.head-dim", "3"],
@@ -191,6 +192,29 @@ class TestCompare:
             path.write_text(content)
         err = assert_config_error(main(["compare", vanilla, snapkv, "--nll-csv", str(tmp_path / "nll.csv")]), capsys)
         assert err.startswith(f"configuration error: {path}{where}: ")
+
+    CHAIN = ["--task", "chainkey", "--task-params.n-keys", "4", "--task-params.chain-length", "2"]
+
+    @pytest.mark.parametrize(
+        "first, second, differ",
+        [
+            ([], ["--model.seed", "3"], "model"),
+            ([], ["--task-params.stream-length", "20"], "task_params"),
+            ([], ["--seed", "1"], "seed"),
+            ([], [*CHAIN, "--n-generate", "2"], "task, task_params"),
+            ([*CHAIN, "--n-generate", "2"], [*CHAIN, "--n-generate", "3"], "n_generate"),
+            ([], ["--n-generate", "3"], None),  # lm runs decode their tail, whatever n_generate says
+        ],
+        ids=["model", "task_params", "seed", "task", "n_generate", "lm-n_generate"],
+    )
+    def test_runs_over_other_models_or_inputs_exit_config(self, first, second, differ, tmp_path, capsys):
+        runs = finished_runs(tmp_path, ("vanilla", first), ("snapkv", second))
+        capsys.readouterr()
+        if differ is None:
+            assert main(["compare", *runs]) == EXIT_OK
+            return
+        err = assert_config_error(main(["compare", *runs]), capsys)
+        assert f"runs are not comparable: they differ in {differ};" in err
 
     def test_missing_run_dir_exits_io(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "absent")]) == EXIT_IO

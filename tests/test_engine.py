@@ -24,15 +24,8 @@ def assert_logits_match(a, b, rtol=1e-9):
 # ------------------------------------------------------------------- oracles
 
 
-def oracle_group_aggregate(rows, mode):
-    g, m = len(rows), len(rows[0])
-    if mode == "first":
-        return list(rows[0])
-    out = []
-    for j in range(m):
-        col = [rows[i][j] for i in range(g)]
-        out.append(max(col) if mode == "max" else sum(col) / g)
-    return out
+def oracle_group_aggregate(rows):
+    return [max(col) for col in zip(*rows)]
 
 
 def oracle_pool(scores, kernel):
@@ -46,11 +39,11 @@ def oracle_top_k(scores, k):
     return sorted(ranked[:k])
 
 
-def oracle_selection(rows_per_head, kernel, mode, k):
+def oracle_selection(rows_per_head, kernel, k):
     """Brute-force per-head selection: aggregate, pool, top-k."""
     out = []
     for rows in rows_per_head:
-        agg = oracle_group_aggregate(rows.tolist(), mode)
+        agg = oracle_group_aggregate(rows.tolist())
         out.append(oracle_top_k(oracle_pool(agg, kernel), k))
     return out
 
@@ -191,9 +184,7 @@ class TestRefreshDynamics:
         refreshes = [e for e in events if e["kind"] == "refresh"]
         assert len(refreshes) == 10 * desk_weights.config.n_layers
         for event in refreshes:
-            expected = oracle_selection(
-                event["rows"], policy.kernel_size, policy.gqa_aggregation, event["k"]
-            )
+            expected = oracle_selection(event["rows"], policy.kernel_size, event["k"])
             for h, exp in enumerate(expected):
                 # the oracle's set, held in eviction order: selection score ascending, ties toward the lower position
                 sel = event["selection"][h]
@@ -244,15 +235,15 @@ class TestRefreshDynamics:
 class H2OOracle:
     """Independent accumulator: dict-based, pure python."""
 
-    def __init__(self, prefill_rows, budget, mode="max"):
-        row = oracle_group_aggregate(np.vstack(prefill_rows).tolist(), mode)
+    def __init__(self, prefill_rows, budget):
+        row = oracle_group_aggregate(np.vstack(prefill_rows).tolist())
         self.budget = budget
         self.sums = {pos: row[pos] for pos in range(len(row))}
         self.keep = sorted(self.sums)
         self._evict()
 
     def step(self, raw_rows, new_position):
-        row = oracle_group_aggregate(np.vstack(raw_rows).tolist(), "max")
+        row = oracle_group_aggregate(np.vstack(raw_rows).tolist())
         view = self.keep + [new_position]
         assert len(row) == len(view)
         for pos, mass in zip(view, row):

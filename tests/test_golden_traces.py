@@ -44,7 +44,7 @@ GOLDEN = {
     ("lm", "refreshkv_no_refresh", "qc"): "c08828432ccf48bf8d3ef472b00237f326d8dba0c782cac3bd1de82a0ffe0aa2",
     ("lm", "refreshkv_no_full", "fixed"): "cbd45fa354825ad35da68e72c2de7e9b17c27be14d685bfa0212c8fc2b36808e",
     ("lm", "refreshkv_no_full", "qc"): "69661cfb59bb8cf67d8a9a38d6a7aaa0b8b58e8b56082640ec28d8a6c208d3a6",
-    ("lm", "refreshkv", "fixed-no-evict-shared"): "75cfca6a707b699c8bd5a884a1370a13333360c4c4c56cc85c71ab6563a5054a",
+    ("lm", "refreshkv", "fixed-no-evict"): "749b28433e4a8d027b21826cf955bb0400db212f23c81546a0d50420270dced2",
     ("chainkey", "refreshkv", "default"): "cd531f983adb0d3b4e6d5e13da79705a79e28fee9b2f2e384ba467d0491394da",
 }
 
@@ -56,9 +56,9 @@ def config_for(task: str, kind: str, variant: str) -> dict:
         schedule = FIXED
     elif variant == "qc":
         schedule = QC
-    elif variant == "fixed-no-evict-shared":
+    elif variant == "fixed-no-evict":
         schedule = FIXED
-        policy.update(evict_on_append=False, shared_selection=True)
+        policy.update(evict_on_append=False)
     return {"task": task, "policy": policy, "schedule": schedule}
 
 

@@ -513,12 +513,12 @@ SESSION_CASES = [(kind, name) for kind in REFRESH_FAMILY for name in TOPK_SCHEDU
 
 @pytest.mark.parametrize("kind, schedule", SESSION_CASES, ids=[f"{k}-{s}" for k, s in SESSION_CASES])
 def test_session_held_sets_follow_the_reference_every_step(desk_weights, rng, kind, schedule):
-    # every K x shared selection x eviction: each layer's partial cache holds, per head, the positions of
+    # every K x eviction: each layer's partial cache holds, per head, the positions of
     # ReferencePartial driven by the session's own refreshes, in its eviction order, after every step
     prompt_length, n_steps = 48, 100 if schedule == "fixed97" else 60
     stream = rng.integers(0, desk_weights.config.vocab_size, prompt_length + n_steps).tolist()
-    for k, shared, evict in itertools.product((1, 6, 40), (False, True), (True, False)):
-        policy = PolicyConfig(kind=kind, k=k, shared_selection=shared, evict_on_append=evict)
+    for k, evict in itertools.product((1, 6, 40), (True, False)):
+        policy = PolicyConfig(kind=kind, k=k, evict_on_append=evict)
         events = []
         session = DecodeSession(desk_weights, policy, TOPK_SCHEDULES.get(schedule), recorder=events.append)
         out = session.prefill(stream[:prompt_length])

@@ -10,11 +10,12 @@ from kvrefresh.metrics import (
     layer_attention_cost,
     nll_to_perplexity,
     per_layer_effective_strides,
+    selection_overhead_flops,
     step_cost,
     trace_totals,
 )
 from kvrefresh.model import ModelConfig, full_forward, init_model
-from kvrefresh.numerics import top_k_indices
+from kvrefresh.numerics import max_pool_1d, top_k_indices
 from kvrefresh.policies import PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 
@@ -66,6 +67,20 @@ class TestAttentionCost:
         for rec in trace:
             f, b = step_cost(rec.attended, desk_weights.config)
             assert (f, b) == (rec.attention_flops, rec.kv_bytes_moved)
+
+    def test_pooling_is_charged_at_the_width_that_runs(self, desk_weights, rng):
+        # max_pool_1d pools with at most 2*m - 1 over m positions, so a wider kernel does the same work
+        cfg, m = desk_weights.config, 41
+        scores = rng.uniform(size=(2, m))
+        assert np.array_equal(max_pool_1d(scores, 2 * m - 1), max_pool_1d(scores, 10**9 + 1))
+        at_width = selection_overhead_flops(m, cfg, 2 * m - 1)
+        assert selection_overhead_flops(m, cfg, 2 * m + 1) == selection_overhead_flops(m, cfg, 10**9 + 1) == at_width
+        assert selection_overhead_flops(m, cfg, 2 * m - 3) == at_width - 2 * cfg.n_kv_heads * m
+        # full steps at m = 42 and 44: a kernel of 2 * 44 - 1 spans both rows, like 10**9 + 1
+        prompt = rng.integers(0, cfg.vocab_size, size=40).tolist()
+        traces = [greedy_generate(desk_weights, PolicyConfig(kind="refreshkv", k=8, kernel_size=kernel),
+                                  ScheduleConfig(mode="fixed", stride=2), prompt, 4)[:2] for kernel in (87, 10**9 + 1)]
+        assert traces[0] == traces[1]
 
     def test_full_step_count_is_floor_n_over_s(self, desk_weights, rng):
         prompt = rng.integers(0, 256, size=32).tolist()

@@ -95,7 +95,7 @@ def whole_prompt_forward(weights, tokens):
         k = key_major(qk[:, n_q:].transpose(1, 0, 2))
         v = qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
         ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
-        layers.append((k, v, np.add.reduce(qk[-1, :n_q], axis=0) / n_q, last_rows))
+        layers.append((k, v, qk[-1, :n_q], last_rows))
         x = x + ctx.reshape(L, -1) @ lw.wo
         x = x + model._ffn(x, lw)
     return x, layers
@@ -114,7 +114,7 @@ def decode_step(weights, token, views, position):
     its keys and values, so a subset in any order stands in.
     """
 
-    def provider(layer_idx, q, avg_q, k_new, v_new):
+    def provider(layer_idx, q, k_new, v_new):
         keys, values, positions = views[layer_idx]
         keys = np.concatenate([keys, k_new[:, None]], axis=1)
         values = np.concatenate([values, v_new[:, None]], axis=1)
@@ -202,9 +202,9 @@ class TestPrefill:
         x, layers = model._forward(weights, toks, last_rows_only=False)
         assert x.shape[0] == length  # the pass full_forward runs keeps every row
         assert np.array_equal(out.logits, model._rms_norm(x[-1]) @ weights.w_out)
-        assert len(out.attn_rows) == len(out.avg_queries) == len(caches) == len(layers) == n_layers
-        for rows, avg_q, cache, (k, v, ref_avg_q, ref_rows) in zip(out.attn_rows, out.avg_queries, caches, layers):
-            assert np.array_equal(rows, ref_rows) and np.array_equal(avg_q, ref_avg_q)
+        assert len(out.attn_rows) == len(out.queries) == len(caches) == len(layers) == n_layers
+        for rows, q, cache, (k, v, ref_q, ref_rows) in zip(out.attn_rows, out.queries, caches, layers):
+            assert np.array_equal(rows, ref_rows) and np.array_equal(q, ref_q)
             assert np.array_equal(cache.keys, k) and np.array_equal(cache.values, v)
             assert np.array_equal(cache.positions, np.broadcast_to(np.arange(length), (n_kv, length)))
 
@@ -233,8 +233,8 @@ class TestPrefill:
         assert np.array_equal(full_forward(weights, toks), model._rms_norm(x) @ weights.w_out)
         caches, out = prefill(weights, toks)
         assert np.array_equal(out.logits, model._rms_norm(x[-1]) @ weights.w_out)
-        for rows, avg_q, cache, (k, v, ref_avg_q, ref_rows) in zip(out.attn_rows, out.avg_queries, caches, layers):
-            assert np.array_equal(rows, ref_rows) and np.array_equal(avg_q, ref_avg_q)
+        for rows, q, cache, (k, v, ref_q, ref_rows) in zip(out.attn_rows, out.queries, caches, layers):
+            assert np.array_equal(rows, ref_rows) and np.array_equal(q, ref_q)
             assert np.array_equal(cache.keys, k) and np.array_equal(cache.values, v)
 
     @pytest.mark.parametrize("length", [1, 2, 33, 64, 65, 100])
@@ -403,7 +403,7 @@ class TestDecodeStep:
         # leaves attention nothing to attend
         caches, _ = prefill(desk_weights, [1, 2])
 
-        def empty(layer_idx, q, avg_q, k_new, v_new):
+        def empty(layer_idx, q, k_new, v_new):
             c = caches[layer_idx]
             return PartialCache(1, c.positions[:, :0], c.keys[:, :0], c.values[:, :0])
 
@@ -661,10 +661,20 @@ class TestIncrementalConsistency:
     def test_queries_exposed_per_layer(self, desk_weights, rng):
         cfg = desk_weights.config
         toks = random_tokens(rng, cfg, 8)
-        _, out = prefill(desk_weights, toks)
-        assert len(out.avg_queries) == cfg.n_layers
-        for avg in out.avg_queries:
-            assert avg.shape == (cfg.head_dim,)
+        caches, out = prefill(desk_weights, toks)
+        assert len(out.queries) == cfg.n_layers
+        for q in out.queries:
+            # a copy, not a view that would keep the prefill chunk's projections alive
+            assert q.shape == (cfg.n_query_heads, cfg.head_dim) and q.base is None
+        handed = []
+
+        def provider(layer_idx, q, k_new, v_new):
+            handed.append(q.copy())
+            return caches[layer_idx]
+
+        step = decode_core(desk_weights, 1, len(toks), provider)
+        assert len(step.queries) == len(handed) == cfg.n_layers
+        assert all(np.array_equal(q, ref) for q, ref in zip(step.queries, handed))
 
 
 class TestGroupedQueries:

@@ -9,13 +9,7 @@ from kvrefresh.engine import DecodeSession, greedy_generate
 from kvrefresh.kv_store import FullCache, init_partial
 from kvrefresh.model import StepOutput, prefill
 from kvrefresh.numerics import max_pool_1d
-from kvrefresh.policies import (
-    AGGREGATION_MODES,
-    H2OState,
-    PolicyConfig,
-    aggregate_group_scores,
-    selection_scores,
-)
+from kvrefresh.policies import H2OState, PolicyConfig, aggregate_group_scores, selection_scores
 from kvrefresh.scheduler import ScheduleConfig
 
 
@@ -61,42 +55,23 @@ def per_head_retained(sel, positions):
 
 
 class TestAggregation:
-    def test_single_head_identity_all_modes(self, rng):
+    def test_single_head_identity(self, rng):
         row = rng.uniform(size=(1, 9))
-        for mode in ("max", "mean", "first"):
-            np.testing.assert_allclose(aggregate_group_scores(row, mode), row[0])
+        np.testing.assert_array_equal(aggregate_group_scores(row), row[0])
 
     def test_elementwise_max(self):
         rows = np.array([[0.2, 0.8], [0.6, 0.4]])
-        np.testing.assert_allclose(aggregate_group_scores(rows, "max"), [0.6, 0.8])
-
-    def test_mean_and_first(self):
-        rows = np.array([[0.2, 0.8], [0.6, 0.4]])
-        np.testing.assert_allclose(aggregate_group_scores(rows, "mean"), [0.4, 0.6])
-        np.testing.assert_allclose(aggregate_group_scores(rows, "first"), [0.2, 0.8])
-
-    def test_default_mode_is_max(self):
-        assert PolicyConfig().gqa_aggregation == "max"
+        np.testing.assert_allclose(aggregate_group_scores(rows), [0.6, 0.8])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ContractViolation):
-            aggregate_group_scores(np.empty((0, 3)), "max")
-
-    def test_modes_provably_disagree_on_constructed_pattern(self):
-        # argmax differs pairwise across first/mean/max
-        rows = [np.array([[5.0, 4.0, 0.0], [0.0, 4.0, 6.0]])]
-        picks = {}
-        for mode in ("first", "mean", "max"):
-            cfg = PolicyConfig(gqa_aggregation=mode, kernel_size=1)
-            picks[mode] = int(np.argmax(selection_scores(rows, cfg)[0]))
-        assert picks == {"first": 0, "mean": 1, "max": 2}
+            aggregate_group_scores(np.empty((0, 3)))
 
 
 class TestSelectionScores:
     def test_degenerate_transforms_return_raw_row(self, rng):
         row = rng.uniform(size=(1, 12))
-        cfg = PolicyConfig(gqa_aggregation="first", kernel_size=1)
-        np.testing.assert_allclose(selection_scores([row], cfg)[0], row[0])
+        np.testing.assert_array_equal(selection_scores([row], PolicyConfig(kernel_size=1))[0], row[0])
 
     def test_per_head_independence(self, rng):
         rows = [rng.uniform(size=(2, 10)) for _ in range(2)]
@@ -104,11 +79,6 @@ class TestSelectionScores:
         out = selection_scores(rows, cfg)
         solo0 = selection_scores([rows[0]], cfg)
         np.testing.assert_allclose(out[0], solo0[0])
-
-    def test_shared_selection_collapses_heads(self, rng):
-        rows = [rng.uniform(size=(2, 10)) for _ in range(2)]
-        out = selection_scores(rows, PolicyConfig(shared_selection=True))
-        np.testing.assert_allclose(out[0], out[1])
 
     def test_defaults_match_prompt_time_selection(self, desk_weights, rng):
         # selection with the default (max, kernel 7) config is exactly the
@@ -123,16 +93,12 @@ class TestSelectionScores:
                 np.testing.assert_array_equal(session.partial[layer].positions[h], direct.positions[h])
 
 
-    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("kernel", [1, 3, 7, 9])
-    @pytest.mark.parametrize("mode", AGGREGATION_MODES)
-    def test_batched_equals_per_head_bitwise(self, rng, mode, kernel, shared):
-        cfg = PolicyConfig(gqa_aggregation=mode, kernel_size=kernel, shared_selection=shared)
+    def test_batched_equals_per_head_bitwise(self, rng, kernel):
+        cfg = PolicyConfig(kernel_size=kernel)
         for m in range(1, kernel + 4):
             rows = rng.uniform(size=(3, 2, m))
-            per_head = np.stack([max_pool_1d(aggregate_group_scores(r, mode), kernel) for r in rows])
-            if shared:
-                per_head = np.tile(per_head.max(axis=0), (3, 1))
+            per_head = np.stack([max_pool_1d(aggregate_group_scores(r), kernel) for r in rows])
             np.testing.assert_array_equal(selection_scores(rows, cfg), per_head)
             np.testing.assert_array_equal(selection_scores(list(rows), cfg), per_head)  # a per-head sequence too
 
@@ -140,12 +106,11 @@ class TestSelectionScores:
 class TestRefresh:
     """A refresh refills the layer's partial-cache arena in place; its report is O(K)."""
 
-    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("kind", ["refreshkv", "refreshkv_no_full"])
-    def test_retained_mass_matches_per_head_formula_bitwise(self, desk_weights, rng, kind, shared):
+    def test_retained_mass_matches_per_head_formula_bitwise(self, desk_weights, rng, kind):
         events = []
         prompt = rng.integers(0, desk_weights.config.vocab_size, size=48).tolist()
-        policy = PolicyConfig(kind=kind, k=8, shared_selection=shared)
+        policy = PolicyConfig(kind=kind, k=8)
         _, trace, _ = greedy_generate(desk_weights, policy, ScheduleConfig(mode="fixed", stride=4), prompt, 16,
                                       recorder=events.append)
         refreshes = [e for e in events if e["kind"] == "refresh"]
@@ -337,7 +302,7 @@ class TestPolicyConfig:
         "kwargs",
         [
             dict(kind="nope"),
-            dict(kind="refreshkv", gqa_aggregation="median"),
+            dict(kind="refreshkv", kernel_size=-1),
             dict(kind="refreshkv", kernel_size=4),
             dict(kind="refreshkv", k=0),
             dict(kind="refreshkv", k=None, k_fraction=0.0),
