@@ -18,13 +18,14 @@ object per layer (see policies.make_policy). Step flow, per layer:
      It already holds the current token, except at a refreshkv_no_full
      refresh step, whose refreshed top-K holds it only if the refresh
      selects it;
-  4. after the forward pass the policy updates its state from the
-     probability rows the model returns for every layer (streaming and
-     h2o drop one slot of the partial cache, moving the shorter side of
-     its window; evicting top-K kinds drop their overflow from the start
-     of their eviction-ordered window, which copies nothing) and reports
-     whether the layer's step was full; the session builds an exact-cost
-     StepRecord.
+  4. after the forward pass one `refresh_layers` call refreshes the
+     top-K layers whose views noted a refreshing full step in `due`; then
+     each policy updates its state from its layer's probability rows
+     (streaming and h2o drop one slot of the partial cache, moving the
+     shorter side of its window; evicting top-K kinds drop their overflow
+     from the start of their eviction-ordered window, which copies
+     nothing) and reports whether the layer's step was full; the session
+     builds an exact-cost StepRecord.
 
 Sessions are single-threaded; distinct sessions never share state and may
 run on distinct threads.
@@ -40,7 +41,7 @@ from .errors import ConfigurationError, ContractViolation
 from .kv_store import FullCache, PartialCache
 from .metrics import StepRecord, step_cost
 from .model import ModelWeights, StepOutput, decode_core, prefill as model_prefill
-from .policies import LayerPolicy, PolicyConfig, Recorder, make_policy
+from .policies import LayerPolicy, PolicyConfig, Recorder, TopK, make_policy, refresh_layers
 from .scheduler import ScheduleConfig
 
 
@@ -70,6 +71,7 @@ class DecodeSession:
         self.layer_policies: list[LayerPolicy] = []
         self._view_lens: list[int] = []  # the current step's, by layer, noted as each view is provided
         self._attended: list[int] = []  # the current step's modeled attended sizes, by layer
+        self.due: list[TopK] = []  # the current step's layers whose full step refreshes after the forward
 
     @property
     def partial(self) -> list[PartialCache]:
@@ -120,6 +122,9 @@ class DecodeSession:
         return view
 
     def _record(self, out: StepOutput, token: int) -> StepRecord:
+        if self.due:
+            refresh_layers(self.due, self.step_index, [out.attn_rows[p.layer] for p in self.due])
+            self.due.clear()  # its policies hold it: left filled, it keeps them in a reference cycle
         layers = [policy.update(self.step_index, rows) for policy, rows in zip(self.layer_policies, out.attn_rows)]
         flops, nbytes = step_cost(self._attended, self.cfg)
         retained = [r for s in layers for r in s.retained]

@@ -42,6 +42,8 @@ from .tasks import (
 )
 
 TASKS = ("lm", "chainkey")
+TASK_FIELDS = {"lm": ("stream_length", "tail", "structure", "motif_period"),  # the task_params each task reads
+               "chainkey": ("n_keys", "chain_length", "words_per_key")}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -212,8 +214,8 @@ def load_trace(run_dir: str | Path) -> list[StepRecord]:
 
 
 def _compare_row(run_dir: str | Path) -> tuple[dict, dict]:
-    """What compared runs must share (task, task seed, model, task_params, chainkey's n_generate) and the
-    run's comparison row, from its summary.json; a summary lacking them is a configuration error naming the file."""
+    """What compared runs must share (task, task seed, model, the task_params its task reads, chainkey's n_generate)
+    and the run's comparison row, from its summary.json; a summary lacking them is a configuration error naming it."""
     path = Path(run_dir) / "summary.json"
     with open(path, encoding="utf-8") as f:
         try:
@@ -229,7 +231,8 @@ def _compare_row(run_dir: str | Path) -> tuple[dict, dict]:
                 **{key: totals[key] for key in ("attention_flops", "kv_bytes_moved", "overhead_flops")},
                 "effective_stride_mean": s["effective_stride_mean"],
             }
-            shared = {"task": s["task"], "seed": c["seed"], "model": c["model"], "task_params": c["task_params"]}
+            params = {key: c["task_params"][key] for key in TASK_FIELDS[s["task"]]}
+            shared = {"task": s["task"], "seed": c["seed"], "model": c["model"], "task_params": params}
             if s["task"] == "chainkey":
                 shared["n_generate"] = c["n_generate"]
             return shared, row

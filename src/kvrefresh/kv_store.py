@@ -30,11 +30,11 @@ Entry order inside a partial cache is part of its contract, and a view
 is a window of its arena:
 
 - top-K arenas (snapkv and the refresh family) are in eviction order.
-  `init_partial` ranks the selected entries by (score ascending, position
-  ascending); appends go to the end. Slot 0 is therefore always the entry
-  an eviction takes: the lowest score, ties toward the lower position, or,
-  once no refilled entry is left, the oldest appended one. Evicting is
-  dropping slot 0.
+  `init_partial` ranks the selected entries of every layer it is given
+  by (score ascending, position ascending); appends go to the end. Slot 0
+  is therefore always the entry an eviction takes: the lowest score, ties
+  toward the lower position, or, once no refilled entry is left, the
+  oldest appended one. Evicting is dropping slot 0.
 - streaming and h2o arenas are in ascending position order.
 - A partial cache's view is the window [start, start + n) of its arena:
   dropping slot 0 moves `start` on and copies nothing, and any other drop
@@ -165,21 +165,27 @@ class PartialCache(_Arena):
     scores = property(lambda self: self._arrays[3][:, self._start : self._start + self._n])
 
     def __init__(self, capacity: int, *arrays: np.ndarray):
-        self._arrays = [_resized(a, 0, 0) for a in arrays]
-        self.refill(capacity, *arrays)
+        n = arrays[0].shape[1]
+        self._arrays = [_resized(a, n, n + PARTIAL_SPARE, key_major=i == 1) for i, a in enumerate(arrays)]
+        self.capacity, self._n, self._newest = capacity, n, int(arrays[0].max()) if n else -1
 
     def sizes(self) -> list[int]:
         return [self._n] * self._arrays[0].shape[0]
 
-    def refill(self, capacity: int, *arrays: np.ndarray) -> None:
-        """Replace every entry with the given (n_kv_heads, n, ...) arrays, from slot 0 of the arena."""
-        n = arrays[0].shape[1]
-        if (slots := n + PARTIAL_SPARE) > self._arrays[0].shape[1]:
-            self._resize(slots, 0)
+    def refill(self, full: FullCache, capacity: int, slots: np.ndarray) -> None:
+        """Replace every entry with the full cache's entries at `slots` ((n_kv_heads, n), in the order
+        to hold them), from slot 0 of the arena: per head, np.take reads the full cache's key-major
+        (head_dim, slots) block and row-major values straight into this cache's, with no copy between."""
+        n = slots.shape[1]
+        if n + PARTIAL_SPARE > self._arrays[0].shape[1]:
+            self._resize(n + PARTIAL_SPARE, 0)
         self.capacity, self._start, self._n = capacity, 0, n
-        self._newest = int(arrays[0].max()) if n else -1  # top-K order puts the newest anywhere
-        for a, new in zip(self._arrays, arrays):
-            a[:, :n] = new
+        (positions, keys, values), (full_positions, full_keys, full_values) = self._arrays, full._arrays
+        for h, s in enumerate(slots):  # all in range: "clip" only skips the check and buffered write of "raise"
+            np.take(full_positions[h], s, out=positions[h, :n], mode="clip")
+            np.take(full_keys[h].T, s, axis=1, out=keys[h, :n].T, mode="clip")
+            np.take(full_values[h], s, axis=0, out=values[h, :n], mode="clip")
+        self._newest = int(positions[:, :n].max()) if n else -1  # top-K order puts the newest anywhere
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write one entry (all heads) at the window's end."""
@@ -215,31 +221,27 @@ class PartialCache(_Arena):
             self._n = self.capacity
 
 
-def init_partial(full: FullCache, scores_per_head: np.ndarray, k: int, into: PartialCache | None = None
-                 ) -> PartialCache:
-    """Fill a partial cache with the top-k scored positions of each kv-head.
+def init_partial(fulls: list[FullCache], scores: np.ndarray, k: int, into: list[PartialCache]) -> np.ndarray:
+    """Refill each layer's partial cache, into[i], with the top-k scored positions of each kv-head of fulls[i].
 
-    scores_per_head: (n_kv_heads, len(full)) selection scores (already
-    group-aggregated and pooled). Entries are written in eviction order:
-    score ascending, ties toward the lower position (one stable sort of
-    the k gathered scores, whose positions ascend); the scores themselves
-    are not kept. A refresh passes the layer's cache as `into` and it is
-    refilled in place (its arena grows only if k no longer fits it):
-    previous contents, appended entries included, survive only if the new
-    scores re-select them. Without `into` a new cache is built.
+    scores: (layers * n_kv_heads, m) selection scores (group-aggregated and
+    pooled), layer by layer. Every row is ranked at once, in eviction order;
+    each cache is refilled in place (its arena grows only if k no longer
+    fits): previous contents, appended entries included, survive only if the
+    new scores re-select them. Returns the held entries' scores, (layers *
+    n_kv_heads, k), in the order the caches hold them.
     """
-    scores_per_head = np.asarray(scores_per_head, dtype=np.float64)
-    n = len(full)
-    if scores_per_head.shape[1] != n:
-        raise ContractViolation(f"score length {scores_per_head.shape[1]} != full-cache length {n}")
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[1]
+    if any(len(full) != n for full in fulls):
+        raise ContractViolation(f"score length {n} != full-cache lengths {[len(full) for full in fulls]}")
     if k < 1 or k > n:
         raise ConfigurationError(f"partial-cache budget must satisfy 1 <= k <= {n}, got {k}")
 
-    heads = np.arange(scores_per_head.shape[0])[:, None]
-    idx = top_k_indices(scores_per_head, k)  # (n_kv_heads, k), positions ascending
-    order = np.argsort(scores_per_head[heads, idx], axis=1, kind="stable")
-    entries = full.gather(idx[heads, order])
-    if into is None:
-        return PartialCache(k, *entries)
-    into.refill(k, *entries)
-    return into
+    idx = top_k_indices(scores, k)  # positions ascending, so a stable sort ranks ties toward the lower one
+    held = np.take(scores, idx + np.arange(0, scores.size, n)[:, None])
+    order = np.argsort(held, axis=1, kind="stable") + np.arange(0, idx.size, k)[:, None]  # flat, as below
+    slots, held, n_kv = np.take(idx, order), np.take(held, order), scores.shape[0] // len(fulls)
+    for i, (full, cp) in enumerate(zip(fulls, into)):
+        cp.refill(full, k, slots[i * n_kv : (i + 1) * n_kv])
+    return held

@@ -39,16 +39,18 @@ model.attention_rows as one (n_kv_heads, group_size, m) array.
 
 Selection scores are per kv-head: the elementwise max of its query
 group's probability rows over the cache, max-pooled over neighboring
-positions, and top-K runs independently per kv-head. A refresh works on
-whole (n_kv_heads, ...) arrays: one aggregation, pooling and top-K over
-every head, then an in-place refill of the layer's partial-cache arena,
-whose positions index the selection row for the retained mass in O(K).
+positions, and top-K runs independently per kv-head. One routine,
+refresh_layers, runs every refresh: after the forward for every layer whose
+full step refreshes, and mid-forward for one refreshkv_no_full layer. It
+works on whole (layers * n_kv_heads, ...) arrays: one aggregation, pooling,
+top-K and rank sort, whose held scores give the retained mass, then an
+in-place refill of each layer's partial-cache arena from its full cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -138,18 +140,21 @@ def aggregate_group_scores(per_query_head_rows: np.ndarray) -> np.ndarray:
     return rows.max(axis=-2)
 
 
-def selection_scores(rows_per_head: np.ndarray, config: PolicyConfig) -> np.ndarray:
+def selection_scores(rows_per_head: Sequence[np.ndarray], config: PolicyConfig) -> np.ndarray:
     """Selection scores per kv-head: group-aggregate, then max-pool.
 
-    rows_per_head: (n_kv_heads, group_size, m), or a sequence of per
-    kv-head (group_size, m) arrays: the probability rows observed at a
-    full-attention (or prefill) step. Every head is aggregated and pooled
-    by the same whole-array calls. Returns (n_kv_heads, m).
+    rows_per_head: (n, group_size, m), or a sequence of n (group_size, m)
+    arrays: the probability rows each kv head of one or more layers observed
+    at a full-attention (or prefill) step. Each head's group maximum is
+    written into one (n, m) array, which is pooled at once. Returns (n, m).
     """
-    rows = np.asarray(rows_per_head, dtype=np.float64)
-    if rows.ndim != 3 or rows.shape[0] == 0:
-        raise ContractViolation(f"expected (n_kv_heads, group, positions) attention rows, got shape {rows.shape}")
-    return max_pool_1d(aggregate_group_scores(rows), config.kernel_size)
+    shapes = {np.shape(rows) for rows in rows_per_head}
+    if len(shapes) != 1 or len(shape := next(iter(shapes))) != 2 or shape[0] == 0:
+        raise ContractViolation(f"expected kv-head (group, positions) rows of one shape, got {sorted(shapes)}")
+    aggregated = np.empty((len(rows_per_head), shape[1]))
+    for rows, out in zip(rows_per_head, aggregated):
+        np.maximum.reduce(rows, axis=0, out=out)
+    return max_pool_1d(aggregated, config.kernel_size)
 
 
 # ------------------------------------------------------------ policy objects
@@ -293,18 +298,21 @@ class TopK(LayerPolicy):
     evict_on_append resolves true, evict from its start: the lowest
     score, or the oldest entry appended since the last refresh. At
     the steps the schedule marks full, `output_full` attends the whole
-    cache and, if `refresh`, rebuilds the partial cache from the observed
-    rows; without output_full the step scores the whole cache, rebuilds
-    the partial cache and attends that.
+    cache and, if `refresh`, notes itself in the session's `due` list, so
+    that the session rebuilds every due layer's partial cache at once from
+    the observed rows after the forward pass; without output_full the step
+    scores the whole cache, rebuilds the partial cache and attends that.
     """
 
     def __init__(self, session, layer, out, schedule: ScheduleConfig, refresh: bool, output_full: bool,
                  appends_full: bool = True):
         super().__init__(session, layer, out)
         self.schedule, self.refresh, self.output_full = schedule, refresh, output_full
-        self.appends_full = appends_full
+        self.appends_full, self.due = appends_full, session.due
         self.evict = self.config.resolved_evict_on_append()
-        self.partial = init_partial(self.full, selection_scores(out.attn_rows[layer], self.config), self.k_sel)
+        full = self.full  # the partial cache starts empty, and init_partial fills it
+        self.partial = PartialCache(self.k_sel, full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
+        init_partial([full], selection_scores(out.attn_rows[layer], self.config), self.k_sel, [self.partial])
         self.reference_query = mean_query(out.queries[layer])  # from the layer's most recent full step
 
     def view(self, step, position, q, k_new, v_new):
@@ -312,13 +320,14 @@ class TopK(LayerPolicy):
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
             self._sim = cosine_similarity(mean_query(q), self.reference_query)
         self._full_step = should_full(step, self._sim, self.schedule)
-        self._refreshed = None
         if not self._full_step:
             return super().view(step, position, q, k_new, v_new)
         self.reference_query = mean_query(q)
         if self.output_full:
+            if self.refresh:
+                self.due.append(self)
             return self.full
-        self._refreshed = self._refresh(step, attention_rows(q, self.full.keys, self.model.group_size))
+        refresh_layers([self], step, [attention_rows(q, self.full.keys, self.model.group_size)])
         return self.partial
 
     def update(self, step, rows):
@@ -331,37 +340,39 @@ class TopK(LayerPolicy):
         if not self.refresh:
             return LayerStep(True, overhead, self._sim)
         m = len(self.full)
-        if self._refreshed is None:
-            if rows.shape[-1] != m:
-                raise ContractViolation(f"full-step rows over {rows.shape[-1]} positions, the full cache holds {m}")
-            self._refreshed = self._refresh(step, rows)
-        else:
+        if not self.output_full:  # the view scored the whole cache itself
             overhead += score_pass_flops(m, self.model)
         overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
         return LayerStep(True, overhead, self._sim, self._refreshed)
 
-    def _refresh(self, step: int, rows: np.ndarray) -> list[float]:
-        """Refill the partial cache in place with the full cache's top-K under `rows`.
 
-        Returns the retained mass per kv-head: the selection row, normalised
-        by its total, summed over the K positions held after the refill, in
-        the order the cache holds them. The refresh event also reports it
-        for the positions held before.
-        """
-        sel = selection_scores(rows, self.config)
-        norm = sel.sum(axis=1, keepdims=True)
-        norm[norm == 0] = 1.0
-        pre = self.partial.positions.copy() if self.recorder is not None else None  # the refill overwrites them
-        self.partial = init_partial(self.full, sel, self.k_sel, self.partial)
-        # full-cache positions run from 0, so a position indexes its selection column
-        post_retained = (np.take_along_axis(sel, self.partial.positions, axis=1) / norm).sum(axis=1).tolist()
-        if self.recorder is not None:
-            pre_retained = (np.take_along_axis(sel, pre, axis=1) / norm).sum(axis=1).tolist()
-            self.recorder({"kind": "refresh", "step": step, "layer": self.layer, "rows": [r.copy() for r in rows],
-                           "selection": sel.copy(), "k": self.k_sel, "pre_positions": pre,
-                           "post_positions": self.partial.positions.copy(), "pre_retained": pre_retained,
-                           "post_retained": post_retained})
-        return post_retained
+def refresh_layers(policies: list[TopK], step: int, rows: list[np.ndarray]) -> None:
+    """Refill each TopK layer's partial cache in place with its full cache's top-K under its (n_kv_heads,
+    group, m) rows, selecting and ranking every layer's kv heads at once, and set its `_refreshed` to the
+    retained mass per kv-head: the selection row, normalised by its total, summed over the K positions
+    held after the refill, in the order the cache holds them (the held scores the ranking returns). Each
+    layer's refresh event also reports the mass for the positions held before.
+    """
+    first, n = policies[0], len(policies)
+    for policy, r in zip(policies, rows):
+        if (m := r.shape[-1]) != len(policy.full):
+            raise ContractViolation(f"full-step rows over {m} positions, the full cache holds {len(policy.full)}")
+    sel = selection_scores([head for r in rows for head in r], first.config)
+    norm = sel.sum(axis=1, keepdims=True)
+    norm[norm == 0] = 1.0
+    pre = [p.partial.positions.copy() for p in policies] if first.recorder is not None else None  # before the refill
+    held = init_partial([p.full for p in policies], sel, first.k_sel, [p.partial for p in policies])
+    retained = (held / norm).sum(axis=1).reshape(n, -1).tolist()
+    layers = zip(policies, rows, sel.reshape(n, -1, sel.shape[1]), norm.reshape(n, -1, 1), retained)
+    for i, (policy, own_rows, own, own_norm, mass) in enumerate(layers):
+        policy._refreshed = mass
+        if first.recorder is not None:
+            # full-cache positions run from 0, so a position indexes its selection column
+            pre_retained = (np.take_along_axis(own, pre[i], axis=1) / own_norm).sum(axis=1).tolist()
+            first.recorder({"kind": "refresh", "step": step, "layer": policy.layer,
+                            "rows": [r.copy() for r in own_rows], "selection": own.copy(), "k": first.k_sel,
+                            "pre_positions": pre[i], "post_positions": policy.partial.positions.copy(),
+                            "pre_retained": pre_retained, "post_retained": mass})
 
 
 def make_policy(session: DecodeSession, layer: int, out: StepOutput) -> LayerPolicy:

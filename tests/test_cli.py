@@ -204,8 +204,11 @@ class TestCompare:
             ([], [*CHAIN, "--n-generate", "2"], "task, task_params"),
             ([*CHAIN, "--n-generate", "2"], [*CHAIN, "--n-generate", "3"], "n_generate"),
             ([], ["--n-generate", "3"], None),  # lm runs decode their tail, whatever n_generate says
+            ([], ["--task-params.n-keys", "4"], None),  # a chainkey field, which lm runs never read
+            ([*CHAIN, "--n-generate", "2"], [*CHAIN, "--n-generate", "2", "--task-params.tail", "3"], None),
         ],
-        ids=["model", "task_params", "seed", "task", "n_generate", "lm-n_generate"],
+        ids=["model", "task_params", "seed", "task", "n_generate", "lm-n_generate", "lm-unread-task-param",
+             "chainkey-unread-task-param"],
     )
     def test_runs_over_other_models_or_inputs_exit_config(self, first, second, differ, tmp_path, capsys):
         runs = finished_runs(tmp_path, ("vanilla", first), ("snapkv", second))

@@ -1,5 +1,8 @@
 """Session-level behavior: policy equivalences, cache dynamics, oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -527,6 +530,20 @@ class TestSessionContracts:
         assert len(trace) == 15
         assert all(rec.nll is not None for rec in trace)
         assert all(n > 0 for n in nlls)
+
+    def test_a_session_after_a_refresh_step_is_freed_without_the_cycle_collector(self, desk_weights, rng):
+        # the top-K layers share the session's `due` list; left filled, it would hold them in a reference cycle
+        session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=4), ScheduleConfig(mode="fixed", stride=2))
+        session.prefill(toks(rng, desk_weights.config, 12))
+        for token in toks(rng, desk_weights.config, 4):  # the last step refreshes
+            session.step(token)
+        layer = weakref.ref(session.layer_policies[0])
+        gc.disable()
+        try:
+            del session
+            assert layer() is None
+        finally:
+            gc.enable()
 
 
 # -------------------------------------------------------------------- arenas

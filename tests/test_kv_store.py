@@ -19,6 +19,14 @@ def brute_force_top_k(scores, k):
     return sorted(ranked[:k])
 
 
+def topk_cache(full, scores, k, into=None):
+    """One layer through init_partial: `into`, or a new cache, refilled with each head's top-k under the scores."""
+    if into is None:
+        into = PartialCache(k, full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
+    init_partial([full], scores, k, [into])
+    return into
+
+
 def make_full(n, rng):
     return FullCache(np.arange(n), rng.normal(size=(N_KV, n, DIM)), rng.normal(size=(N_KV, n, DIM)))
 
@@ -92,7 +100,7 @@ class TestInitPartial:
     def test_full_selection_is_whole_cache(self, rng):
         full = make_full(6, rng)
         scores = np.tile(np.linspace(1, 6, 6), (N_KV, 1))
-        cp = init_partial(full, scores, 6)
+        cp = topk_cache(full, scores, 6)
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], np.arange(6))
             np.testing.assert_array_equal(cp.keys[h], full.keys[h])
@@ -101,30 +109,30 @@ class TestInitPartial:
     def test_tie_pattern_selects_lowest_positions(self, rng):
         full = make_full(6, rng)
         scores = np.tile([0.9, 0.9, 0.9, 0.1, 0.1, 0.1], (N_KV, 1))
-        cp = init_partial(full, scores, 2)
+        cp = topk_cache(full, scores, 2)
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], [0, 1])
 
     def test_eighth_fraction_size(self, rng):
         full = make_full(128, rng)
         scores = np.tile(rng.uniform(size=128), (N_KV, 1))
-        cp = init_partial(full, scores, 128 // 8)
+        cp = topk_cache(full, scores, 128 // 8)
         assert cp.sizes() == [16, 16]
 
     def test_budget_above_length_rejected(self, rng):
         full = make_full(4, rng)
         with pytest.raises(ConfigurationError):
-            init_partial(full, np.ones((N_KV, 4)), 5)
+            topk_cache(full, np.ones((N_KV, 4)), 5)
 
     def test_score_length_mismatch_rejected(self, rng):
         full = make_full(4, rng)
         with pytest.raises(ContractViolation):
-            init_partial(full, np.ones((N_KV, 3)), 2)
+            topk_cache(full, np.ones((N_KV, 3)), 2)
 
     def test_per_head_independent_selection(self, rng):
         full = make_full(5, rng)
         scores = np.array([[5.0, 4, 3, 2, 1], [1.0, 2, 3, 4, 5]])
-        cp = init_partial(full, scores, 2)
+        cp = topk_cache(full, scores, 2)
         np.testing.assert_array_equal(cp.positions[0], [1, 0])  # eviction order: the lower score first
         np.testing.assert_array_equal(cp.positions[1], [3, 4])
 
@@ -134,7 +142,7 @@ class TestInitPartial:
             n = int(rng.integers(1, 30))
             full = make_full(n, rng)
             scores = rng.integers(0, 4, size=(N_KV, n)).astype(float)
-            cp = init_partial(full, scores, int(rng.integers(1, n + 1)))
+            cp = topk_cache(full, scores, int(rng.integers(1, n + 1)))
             assert_eviction_order(cp, scores)
             for h in range(N_KV):
                 np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
@@ -144,7 +152,7 @@ class TestInitPartial:
 class TestAppendAndEvict:
     def make_cp(self, rng, scores, capacity):
         full = make_full(len(scores), rng)
-        return init_partial(full, np.tile(scores, (N_KV, 1)), capacity)
+        return topk_cache(full, np.tile(scores, (N_KV, 1)), capacity)
 
     def test_under_capacity_is_pure_append(self, rng):
         cp = self.make_cp(rng, np.array([0.5, 0.2, 0.7]), 2)
@@ -237,11 +245,11 @@ class TestAppendAndEvict:
 
             shared = rng.uniform() < 0.3
             first = scores(n)
-            cp, ref = init_partial(full, first, k), ReferencePartial(first, k)
+            cp, ref = topk_cache(full, first, k), ReferencePartial(first, k)
             for _ in range(60):
                 if rng.uniform() < 0.1:
                     new = scores(len(full))
-                    init_partial(full, new, k, into=cp)
+                    topk_cache(full, new, k, into=cp)
                     ref.refill(new, k)
                 for _ in range(n_drop):
                     k_new, v_new = entry(rng)
@@ -295,9 +303,9 @@ class TestAppendAndEvict:
         scores = np.zeros((N_KV, 10))
         scores[0, [1, 2, 3]] = 1.0
         scores[1, [2, 5, 8]] = [3.0, 2.0, 1.0]  # head 1 holds the newest position, 8, at the front of its window
-        cp = init_partial(full, scores, 3)
+        cp = topk_cache(full, scores, 3)
         cp.append(9, *entry(rng))
-        init_partial(full, scores, 3, into=cp)
+        topk_cache(full, scores, 3, into=cp)
         np.testing.assert_array_equal(cp.positions, [[1, 2, 3], [8, 5, 2]])
         for position in (3, 7, 8):
             with pytest.raises(ContractViolation, match=f"{position} <= 8"):
@@ -370,15 +378,15 @@ class TestRefresh:
         full = make_full(10, rng)
         scores = np.zeros((N_KV, 10))
         scores[:, -3:] = 1.0
-        cp = init_partial(full, scores, 3)
+        cp = topk_cache(full, scores, 3)
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], [7, 8, 9])
 
     def test_idempotent_for_fixed_scores(self, rng):
         full = make_full(12, rng)
         scores = np.tile(rng.uniform(size=12), (N_KV, 1))
-        a = init_partial(full, scores, 5)
-        b = init_partial(full, scores, 5)
+        a = topk_cache(full, scores, 5)
+        b = topk_cache(full, scores, 5)
         for h in range(N_KV):
             np.testing.assert_array_equal(a.positions[h], b.positions[h])
             np.testing.assert_array_equal(a.keys[h], b.keys[h])
@@ -389,7 +397,7 @@ class TestRefresh:
             k = int(rng.integers(1, n + 1))
             full = make_full(n, rng)
             scores = rng.uniform(size=(N_KV, n))
-            cp = init_partial(full, scores, k)
+            cp = topk_cache(full, scores, k)
             assert_eviction_order(cp, scores)
             for h in range(N_KV):
                 np.testing.assert_array_equal(np.sort(cp.positions[h]), brute_force_top_k(scores[h], k))
@@ -397,41 +405,42 @@ class TestRefresh:
     def test_discards_new_entries_unless_reselected(self, rng):
         full = make_full(6, rng)
         scores = np.tile(np.linspace(6, 1, 6), (N_KV, 1))
-        cp = init_partial(full, scores, 3)
+        cp = topk_cache(full, scores, 3)
         k, v = entry(rng)
         append_and_evict(cp, 6, k, v, evict=False)
         assert cp.sizes() == [4, 4]
         full.append(6, k, v)
         new_scores = np.tile(np.linspace(7, 1, 7), (N_KV, 1))
-        cp2 = init_partial(full, new_scores, 3)
+        cp2 = topk_cache(full, new_scores, 3)
         assert cp2.sizes() == [3, 3]
         for h in range(N_KV):
             assert 6 not in cp2.positions[h]
 
     def test_refill_into_reuses_the_arena(self, rng):
         full = make_full(20, rng)
-        cp = init_partial(full, rng.uniform(size=(N_KV, 20)), 5)
+        cp = topk_cache(full, rng.uniform(size=(N_KV, 20)), 5)
         keys, positions = cp.keys, cp.positions
         k, v = entry(rng)
         append_and_evict(cp, 20, k, v, evict=False)
         full.append(20, k, v)
         scores = rng.uniform(size=(N_KV, 21))
-        assert init_partial(full, scores, 5, into=cp) is cp
+        held = init_partial([full], scores, 5, [cp])  # the held entries' scores, in the cache's order
+        np.testing.assert_array_equal(held, np.take_along_axis(scores, cp.positions, axis=1))
         assert np.shares_memory(cp.keys, keys) and np.shares_memory(cp.positions, positions)
         assert cp.sizes() == [5] * N_KV and cp.capacity == 5
-        fresh = init_partial(full, scores, 5)
+        fresh = topk_cache(full, scores, 5)
         for got, want in zip(windows(cp), windows(fresh), strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_key_arena_is_key_major_after_init_refill_and_doubling(self, rng):
         full = make_full(20, rng)
-        cp = init_partial(full, rng.uniform(size=(N_KV, 20)), 5)
+        cp = topk_cache(full, rng.uniform(size=(N_KV, 20)), 5)
         assert_key_major(cp._arrays[1])
         arena = cp._arrays[1]
-        init_partial(full, rng.uniform(size=(N_KV, 20)), 5, into=cp)  # refill in place
+        topk_cache(full, rng.uniform(size=(N_KV, 20)), 5, into=cp)  # refill in place
         assert cp._arrays[1] is arena
         assert_key_major(cp._arrays[1])
-        init_partial(full, rng.uniform(size=(N_KV, 20)), 12, into=cp)  # refill into a larger arena
+        topk_cache(full, rng.uniform(size=(N_KV, 20)), 12, into=cp)  # refill into a larger arena
         assert_key_major(cp._arrays[1])
         slots = cp._arrays[1].shape[1]
         for pos in range(20, 20 + slots - 12 + 1):  # one past the arena's end: the window moves to twice its size
@@ -443,9 +452,9 @@ class TestRefresh:
 
     def test_refill_grows_an_arena_too_small_for_k(self, rng):
         full = make_full(20, rng)
-        cp = init_partial(full, rng.uniform(size=(N_KV, 20)), 3)
+        cp = topk_cache(full, rng.uniform(size=(N_KV, 20)), 3)
         scores = rng.uniform(size=(N_KV, 20))
-        init_partial(full, scores, 12, into=cp)
+        topk_cache(full, scores, 12, into=cp)
         assert cp.sizes() == [12] * N_KV
         assert cp._arrays[0].shape[1] == 12 + kv_store.PARTIAL_SPARE
         assert_eviction_order(cp, scores)
@@ -462,7 +471,7 @@ class TestWindow:
         eviction; returns it, the arena at the refill, and the reference model it must match."""
         full = make_full(k, rng)
         scores = rng.uniform(size=(N_KV, k))
-        cp, ref = init_partial(full, scores, k), ReferencePartial(scores, k)
+        cp, ref = topk_cache(full, scores, k), ReferencePartial(scores, k)
         arena = cp._arrays[1]
         for pos in range(k, k + n_steps):
             k_new, v_new = entry(rng)

@@ -3,13 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kvrefresh import engine, model
+from kvrefresh import engine, model, policies
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.engine import DecodeSession, greedy_generate
-from kvrefresh.kv_store import FullCache, init_partial
-from kvrefresh.model import StepOutput, prefill
-from kvrefresh.numerics import max_pool_1d
-from kvrefresh.policies import H2OState, PolicyConfig, aggregate_group_scores, selection_scores
+from kvrefresh.kv_store import FullCache, PartialCache, init_partial
+from kvrefresh.model import ModelConfig, StepOutput, init_model, prefill
+from kvrefresh.numerics import max_pool_1d, top_k_indices
+from kvrefresh.policies import H2OState, PolicyConfig, aggregate_group_scores, refresh_layers, selection_scores
 from kvrefresh.scheduler import ScheduleConfig
 
 
@@ -88,7 +88,8 @@ class TestSelectionScores:
         session.prefill(prompt)
         caches, out = prefill(desk_weights, prompt)
         for layer, (full, rows) in enumerate(zip(caches, out.attn_rows)):
-            direct = init_partial(full, selection_scores(rows, PolicyConfig()), 8)
+            direct = PartialCache(8, full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
+            init_partial([full], selection_scores(rows, PolicyConfig()), 8, [direct])
             for h in range(2):
                 np.testing.assert_array_equal(session.partial[layer].positions[h], direct.positions[h])
 
@@ -172,6 +173,110 @@ class TestRefresh:
         session.prefill(rng.integers(0, desk_weights.config.vocab_size, size=20).tolist())
         with pytest.raises(ContractViolation, match="full-step rows over 20 positions, the full cache holds 21"):
             session.step(3)
+
+
+def per_layer_refresh(policy, rows):
+    """The per-layer refresh refresh_layers replaced: selection_scores -> top_k_indices -> stable argsort ->
+    FullCache.gather -> a cache holding the gathered entries. Returns the selection, that cache and the
+    retained mass per head (the selection at the held positions over its total, summed in cache order)."""
+    sel = selection_scores(rows, policy.config)
+    heads = np.arange(sel.shape[0])[:, None]
+    idx = top_k_indices(sel, policy.k_sel)
+    order = np.argsort(sel[heads, idx], axis=1, kind="stable")
+    held = PartialCache(policy.k_sel, *policy.full.gather(idx[heads, order]))
+    norm = sel.sum(axis=1, keepdims=True)
+    norm[norm == 0] = 1.0
+    return sel, held, (np.take_along_axis(sel, held.positions, axis=1) / norm).sum(axis=1).tolist()
+
+
+def assert_same_cache(got, want):
+    """The same positions in the same order, the same key and value bytes, and the same newest position."""
+    for a, b in [(got.positions, want.positions), (got.keys, want.keys), (got.values, want.values)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got._newest == want._newest
+
+
+def plateau_rows(rng, n_kv, group, m):
+    """Probability-like rows of a few levels, so max pooling leaves plateaus and ties sit at the top-K threshold;
+    one kv head's rows are all zero, whose selection total is 0."""
+    rows = rng.integers(0, 64, size=(n_kv, group, m)) // 6 / 16.0
+    rows[rng.integers(n_kv)] = 0.0
+    return rows
+
+
+class TestBatchedRefresh:
+    """refresh_layers ranks every layer's kv heads at once and refills each layer's arena straight from its
+    full cache; every output equals the per-layer reference bit for bit."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 5, 24])
+    def test_equals_the_per_layer_reference(self, rng, n_layers, k):
+        weights = init_model(ModelConfig(n_layers=n_layers, seed=7))
+        cfg, m = weights.config, 24
+        subsets = [list(range(n_layers))] + [[layer] for layer in range(n_layers)] + [[0, n_layers - 1]] * (n_layers > 2)
+        surplus = False
+        for layers in subsets:
+            events = []
+            session = DecodeSession(weights, PolicyConfig(kind="refreshkv", k=k), recorder=events.append)
+            session.prefill(rng.integers(0, cfg.vocab_size, m).tolist())  # full caches of m: k = 24 keeps them whole
+            due = [session.layer_policies[layer] for layer in layers]
+            rows = [plateau_rows(rng, cfg.n_kv_heads, cfg.group_size, m) for _ in layers]
+            pre = [p.partial.positions.copy() for p in due]
+            untouched = {layer: [a.copy() for a in (cp.positions, cp.keys, cp.values)]
+                         for layer, cp in enumerate(session.partial) if layer not in layers}
+            want = [per_layer_refresh(p, r) for p, r in zip(due, rows)]
+            for sel, _, _ in want:  # ties at the threshold: more than k entries reach the k-th largest score
+                surplus |= k < m and bool(((sel >= np.sort(sel, axis=1)[:, -k:][:, :1]).sum(axis=1) > k).any())
+            refresh_layers(due, 9, rows)
+            assert [(e["kind"], e["layer"]) for e in events] == [("refresh", layer) for layer in layers]
+            for policy, r, before, event, (sel, held, retained) in zip(due, rows, pre, events, want, strict=True):
+                assert_same_cache(policy.partial, held)
+                assert policy._refreshed == retained
+                assert event["step"] == 9 and event["k"] == k
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(event["rows"], r, strict=True))
+                assert event["selection"].tobytes() == sel.tobytes()
+                np.testing.assert_array_equal(event["pre_positions"], before)
+                np.testing.assert_array_equal(event["post_positions"], held.positions)
+                assert event["pre_retained"] == per_head_retained(sel, before)
+                assert event["post_retained"] == retained == per_head_retained(sel, held.positions)
+            for layer, arrays in untouched.items():
+                cp = session.partial[layer]
+                assert all(a.tobytes() == b.tobytes() for a, b in zip((cp.positions, cp.keys, cp.values), arrays))
+        assert surplus or k == m
+
+    def test_qc_refreshes_the_firing_layers_in_one_call_after_the_views(self, rng, monkeypatch):
+        weights = init_model(ModelConfig(n_layers=3, seed=7))
+        calls = []
+
+        def spy(due, step, rows):
+            calls.append((step, [p.layer for p in due]))
+            return policies.refresh_layers(due, step, rows)
+
+        monkeypatch.setattr(engine, "refresh_layers", spy)
+        events = []
+        schedule = ScheduleConfig(mode="qc", qc_stride=2, threshold=0.0)
+        session = DecodeSession(weights, PolicyConfig(kind="refreshkv", k=6), schedule, recorder=events.append)
+        tokens = rng.integers(0, weights.config.vocab_size, 24 + 40).tolist()
+        session.prefill(tokens[:24])
+        subsets = 0
+        for token in tokens[24:]:
+            events.clear()
+            _, rec = session.step(token)
+            fired = [layer for layer, mode in enumerate(rec.modes) if mode == "full"]
+            subsets += 0 < len(fired) < 3
+            assert [(e["kind"], e["layer"]) for e in events] == [("view", layer) for layer in range(3)] + [
+                ("refresh", layer) for layer in fired]
+            assert calls == ([(rec.step_index, fired)] if fired else [])  # a step with no refresh calls nothing
+            calls.clear()
+            refreshes = [e for e in events if e["kind"] == "refresh"]
+            for event in refreshes:
+                policy = session.layer_policies[event["layer"]]
+                sel, held, retained = per_layer_refresh(policy, np.stack(event["rows"]))
+                assert_same_cache(policy.partial, held)
+                assert event["post_retained"] == retained
+            post = [r for e in refreshes for r in e["post_retained"]]
+            assert rec.retained_mass == (float(np.mean(post)) if post else None)
+        assert subsets > 0  # steps where some layers refreshed and others did not
 
 
 def streaming_arena(weights, rng, prompt_length, budget, n_steps=0):
