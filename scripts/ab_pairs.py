@@ -1,6 +1,6 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs of runs.
+"""Compare two checkouts on benchmark workloads in alternating pairs of runs.
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
+For each workload named, in turn, each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once in PARENT and once in CHANGE, each in its own process from its own
 checkout; the side that runs first alternates from pair to pair, so a
 drift in the host's speed lands on both sides alike. For every end-to-end
@@ -12,13 +12,17 @@ parent's by more than the metric's `bound` is marked OVER BOUND. A metric
 whose parent runs spread wider than its bound, (q3 - q1) / median, is
 marked UNRESOLVED: its move cannot be told from the noise, unless every
 change run reads better than every parent run, which leaves it unmarked.
+The script prints one such block per workload, headed by its runs' JSON.
 
-Exit status: 0 when every run printed a result with "correct": true and
-0 failed operations; 1 otherwise.
+`--workload` takes one or more names, or `all`: every workload that
+CHANGE's BENCHMARK.json declares, in its order.
+
+Exit status: 0 when every run of every workload printed a result with
+"correct": true and 0 failed operations; 1 otherwise.
 
 Run from anywhere:
 
-    python scripts/ab_pairs.py --parent DIR --change DIR --workload W --pairs N --seconds S [--seed S]
+    python scripts/ab_pairs.py --parent DIR --change DIR --workload W [W ...] --pairs N --seconds S [--seed S]
 """
 
 from __future__ import annotations
@@ -95,25 +99,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True, help="workload names, or all")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if "all" in args.workload and len(args.workload) > 1:
+        parser.error("--workload all stands alone")
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]] if args.workload == ["all"] else args.workload
     checkouts = {"parent": args.parent, "change": args.change}
-    results: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            results[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print(f"# {args.workload} seed={args.seed} seconds={args.seconds} pairs={args.pairs}")
-    print(json.dumps(results), flush=True)
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    for line in summarise(end_to_end, results) + failures(results):
-        print(line)
-    return 1 if failures(results) else 0
+    failed = False
+    for workload in workloads:
+        results: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                results[side].append(run_once(checkouts[side], workload, args.seed, args.seconds))
+            print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+        print(f"# {workload} seed={args.seed} seconds={args.seconds} pairs={args.pairs}")
+        print(json.dumps(results), flush=True)
+        bad = failures(results)
+        for line in summarise(benchmark["end_to_end"], results) + bad:
+            print(line, flush=True)
+        failed |= bool(bad)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

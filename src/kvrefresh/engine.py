@@ -1,12 +1,13 @@
 """Decode sessions: one model + one cache policy + one schedule.
 
 A session owns the per-layer full caches and, once prefilled, one policy
-object per layer (see policies.make_policy). Step flow, per layer:
+object for every layer (see policies.make_policy), whose partial-cache
+arenas it lists as `partial`. Step flow, per layer up to step 4:
 
   1. the model computes the current token's queries and fresh key/value
      and asks `_provide_view(layer, q, k_new, v_new)` for the layer's view;
   2. the session writes the fresh key/value into the layer's full-cache
-     arena (every kind but snapkv) and asks the layer's policy for the
+     arena (every kind but snapkv) and asks the policy for the layer's
      view at the step's position: the layer's full or partial cache
      itself. The partial step every budgeted policy (streaming, h2o and
      the top-K kinds) shares writes it into the layer's partial-cache
@@ -18,14 +19,14 @@ object per layer (see policies.make_policy). Step flow, per layer:
      It already holds the current token, except at a refreshkv_no_full
      refresh step, whose refreshed top-K holds it only if the refresh
      selects it;
-  4. after the forward pass one `refresh_layers` call refreshes the
-     top-K layers whose views noted a refreshing full step in `due`; then
-     each policy updates its state from its layer's probability rows
-     (streaming and h2o drop one slot of the partial cache, moving the
-     shorter side of its window; evicting top-K kinds drop their overflow
-     from the start of their eviction-ordered window, which copies
-     nothing) and reports whether the layer's step was full; the session
-     builds an exact-cost StepRecord.
+  4. after the forward pass over all layers, the policy's `update` gets their
+     probability rows: top-K kinds refresh the layers whose step was a
+     refreshing full step in one `refresh_layers` call, streaming and
+     h2o drop one slot of each partial cache, moving the shorter side of
+     its window, and evicting top-K kinds drop their overflow from the
+     start of their eviction-ordered windows, which copies nothing. It
+     reports whether each layer's step was full; the session builds an
+     exact-cost StepRecord.
 
 Sessions are single-threaded; distinct sessions never share state and may
 run on distinct threads.
@@ -41,7 +42,7 @@ from .errors import ConfigurationError, ContractViolation
 from .kv_store import FullCache, PartialCache
 from .metrics import StepRecord, step_cost
 from .model import ModelWeights, StepOutput, decode_core, prefill as model_prefill
-from .policies import LayerPolicy, PolicyConfig, Recorder, TopK, make_policy, refresh_layers
+from .policies import CachePolicy, PolicyConfig, Recorder, make_policy
 from .scheduler import ScheduleConfig
 
 
@@ -68,15 +69,10 @@ class DecodeSession:
         self.k_sel = 0  # selection budget, clamped to the prompt length
 
         self.full: list[FullCache] = []
-        self.layer_policies: list[LayerPolicy] = []
+        self.cache_policy: CachePolicy | None = None
+        self.partial: list[PartialCache] = []  # the policy's partial-cache arenas, by layer (none for vanilla)
         self._view_lens: list[int] = []  # the current step's, by layer, noted as each view is provided
         self._attended: list[int] = []  # the current step's modeled attended sizes, by layer
-        self.due: list[TopK] = []  # the current step's layers whose full step refreshes after the forward
-
-    @property
-    def partial(self) -> list[PartialCache]:
-        """The budgeted policies' partial-cache arenas, by layer (empty for vanilla)."""
-        return [p.partial for p in self.layer_policies if p.partial is not None]
 
     def prefill(self, tokens: Sequence[int]) -> StepOutput:
         if self.input_length is not None:
@@ -86,7 +82,8 @@ class DecodeSession:
         self.input_length = L
         self.budget = self.policy.resolve_budget(L)
         self.k_sel = min(self.budget, L)
-        self.layer_policies = [make_policy(self, layer, out) for layer in range(self.cfg.n_layers)]
+        self.cache_policy = make_policy(self, out)
+        self.partial = self.cache_policy.partial
         return out
 
     def step(self, token: int) -> tuple[StepOutput, StepRecord]:
@@ -110,10 +107,10 @@ class DecodeSession:
     def _provide_view(
         self, layer: int, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray
     ) -> FullCache | PartialCache:
-        policy, position, full = self.layer_policies[layer], self._position(), self.full[layer]
+        policy, position, full = self.cache_policy, self._position(), self.full[layer]
         if policy.appends_full:
             full.append(position, k_new, v_new)
-        view = policy.view(self.step_index, position, q, k_new, v_new)
+        view = policy.view(layer, self.step_index, position, q, k_new, v_new)
         self._view_lens.append(len(view))  # now: update's evictions shrink the partial cache
         self._attended.append(self.input_length if view is full else self.k_sel)
         if self.recorder is not None:
@@ -122,10 +119,7 @@ class DecodeSession:
         return view
 
     def _record(self, out: StepOutput, token: int) -> StepRecord:
-        if self.due:
-            refresh_layers(self.due, self.step_index, [out.attn_rows[p.layer] for p in self.due])
-            self.due.clear()  # its policies hold it: left filled, it keeps them in a reference cycle
-        layers = [policy.update(self.step_index, rows) for policy, rows in zip(self.layer_policies, out.attn_rows)]
+        layers = self.cache_policy.update(self.step_index, out.attn_rows)
         flops, nbytes = step_cost(self._attended, self.cfg)
         retained = [r for s in layers for r in s.retained]
         return StepRecord(

@@ -1,17 +1,18 @@
 """Per-layer key/value stores for the decoding engine.
 
 Two stores per layer: the full cache (every token seen so far, never
-evicted) and, for every budgeted policy, the partial cache (a
-fixed-budget subset, held per kv-head). Both are a window of one layout
-of head-major arenas (`_Arena`): positions (n_kv_heads, slots), keys and
-values (n_kv_heads, slots, head_dim). Attention reads one head's m
-entries as a slice of the slot axis, without a copy. The full cache's
+evicted), in the session's `full` list, and, for every budgeted policy,
+the partial cache (a fixed-budget subset, held per kv-head), in the
+session's one policy object's `partial` list. Both are a window of one
+layout of head-major arenas (`_Arena`): positions (n_kv_heads, slots),
+keys and values (n_kv_heads, slots, head_dim). Attention reads one head's
+m entries as a slice of the slot axis, without a copy. The full cache's
 window is its arenas' filled prefix, which doubles when full; the partial
 cache's moves (see below). A layer's view at a decode step is one of its
-two caches itself, as its policy returns it to the session's provider;
-attention reads the window. The session writes each fresh key/value
-into its store before the layer attends, so a view holds the current
-token, except at a refreshkv_no_full refresh step (see policies).
+two caches itself, as the policy's `view(layer, ...)` returns it. The
+session writes each fresh key/value into its store before the layer
+attends, so a view holds the current token, except at a
+refreshkv_no_full refresh step (see policies).
 
 Key arenas are key-major: the array keeps its (n_kv_heads, slots,
 head_dim) shape, but each head's keys are stored as one C-contiguous
@@ -31,7 +32,8 @@ is a window of its arena:
 
 - top-K arenas (snapkv and the refresh family) are in eviction order.
   `init_partial` ranks the selected entries of every layer it is given
-  by (score ascending, position ascending); appends go to the end. Slot 0
+  (all at the prefill, the refreshing ones at a step) by (score
+  ascending, position ascending); appends go to the end. Slot 0
   is therefore always the entry an eviction takes: the lowest score, ties
   toward the lower position, or, once no refilled entry is left, the
   oldest appended one. Evicting is dropping slot 0.

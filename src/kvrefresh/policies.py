@@ -1,5 +1,5 @@
-"""Cache policies: configuration, the selection operations, and the
-per-layer policy objects a DecodeSession drives.
+"""Cache policies: configuration, the selection operations, and the one
+policy object a DecodeSession drives for all its layers.
 
 make_policy maps each of the seven kinds onto one of four classes:
 
@@ -15,36 +15,39 @@ make_policy maps each of the seven kinds onto one of four classes:
   refreshkv_no_full     TopK           scheduled steps that rebuild the
                                        top-K and attend it, not the full cache
 
-After the prefill the session builds one policy object per layer. At each
-step the session writes the fresh key/value into the layer's full cache
-(unless appends_full is False: snapkv keeps only its prompt there) and
-asks `view(step, position, ...)`, with the position it computed, for the
-cache the layer attends: the policy returns `self.full` or `self.partial`
-itself, and attention reads its window. After the forward pass `update`
-gets the rows the model returns for every layer, maintains the policy's
-state and reports the layer's step as a LayerStep: whether it was full,
-and its overhead. The partial step every budgeted policy shares
-(LayerPolicy.view) appends the current entry to the layer's partial cache
-and returns that cache (see kv_store for the entry order of each kind).
-So every view holds the current token, except at a refreshkv_no_full
-refresh step: it attends the refreshed top-K of the full cache, which
-holds the current position only if the refresh selects it.
-Streaming and h2o build that arena at the prefill by gathering their
-starting set from the full cache, in ascending position order, then drop
-one slot per step: streaming the oldest entry after the sinks, h2o the
-lightest heavy-hitter candidate. Top-K kinds keep theirs in eviction
-order, so their evictions drop slot 0. The rows `update` gets, and the
-rows refreshkv_no_full scores over the full cache, come from
-model.attention_rows as one (n_kv_heads, group_size, m) array.
+After the prefill the session builds one policy object, which owns the
+layer axis: `full` is the session's list of full caches and `partial` the
+list of partial-cache arenas, one per layer (empty for vanilla). At each
+step, layer by layer, the session writes the fresh key/value into the
+layer's full cache (unless appends_full is False: snapkv keeps only its
+prompt there) and asks `view(layer, step, position, ...)` for the cache
+the layer attends: `self.full[layer]` or `self.partial[layer]` itself,
+whose window attention reads. After the forward pass one `update(step,
+rows)` gets every layer's rows, maintains the policy's state and returns
+one LayerStep per layer: whether its step was full, and its overhead.
+The partial step every budgeted policy shares (CachePolicy.view) appends
+the current entry to the layer's partial cache and returns that cache
+(see kv_store for the entry order of each kind). So every view holds the
+current token, except at a refreshkv_no_full refresh step: it attends
+the refreshed top-K of the full cache, which holds the current position
+only if the refresh selects it.
+Streaming and h2o build their arenas at the prefill by gathering each
+layer's starting set from its full cache, in ascending position order,
+then drop one slot per step: streaming the oldest entry after the sinks,
+h2o the lightest heavy-hitter candidate. Top-K kinds keep theirs in
+eviction order, so their evictions drop slot 0. The rows `update` gets,
+and the rows refreshkv_no_full scores over the full cache, come from
+model.attention_rows as one (n_kv_heads, group_size, m) array per layer.
 
 Selection scores are per kv-head: the elementwise max of its query
 group's probability rows over the cache, max-pooled over neighboring
 positions, and top-K runs independently per kv-head. One routine,
-refresh_layers, runs every refresh: after the forward for every layer whose
+refresh_layers, runs every refresh: in TopK.update for the layers whose
 full step refreshes, and mid-forward for one refreshkv_no_full layer. It
 works on whole (layers * n_kv_heads, ...) arrays: one aggregation, pooling,
 top-K and rank sort, whose held scores give the retained mass, then an
 in-place refill of each layer's partial-cache arena from its full cache.
+The prefill's selection is the same ranking and refill, for every layer.
 """
 
 from __future__ import annotations
@@ -170,98 +173,97 @@ class LayerStep:
     retained: list[float] = field(default_factory=list)  # post-refresh coverage per kv-head
 
 
-class LayerPolicy:
-    """One layer's cache policy, built from its session right after the prefill.
+class CachePolicy:
+    """A session's cache policy over every layer, built from the session right after the prefill.
 
-    view(step, position, q, k_new, v_new) runs mid-forward with the layer's
-    rotated (n_query_heads, head_dim) queries and returns the cache to
-    attend, `self.full` or `self.partial` (the base view is the budgeted
-    policies' partial step), and update(step, rows) -> LayerStep gets the
-    (n_kv, group, m) rows over that view.
+    view(layer, step, position, q, k_new, v_new) runs mid-forward with the layer's rotated (n_query_heads,
+    head_dim) queries and returns the cache to attend, `self.full[layer]` or `self.partial[layer]` (the base
+    view is the budgeted policies' partial step); update(step, rows) gets every layer's (n_kv, group, m)
+    rows over its view and returns one LayerStep per layer.
     """
 
-    appends_full = True  # the session writes each fresh key/value into the full cache
-    partial: PartialCache | None = None
+    appends_full = True  # the session writes each fresh key/value into the full caches
 
-    def __init__(self, session: DecodeSession, layer: int, out: StepOutput):
+    def __init__(self, session: DecodeSession, out: StepOutput):
         self.config, self.model, self.recorder = session.policy, session.cfg, session.recorder
-        self.layer = layer
-        self.full = session.full[layer]
+        self.full, self.partial = session.full, []
         self.input_length, self.budget, self.k_sel = session.input_length, session.budget, session.k_sel
 
-    def view(self, step, position, q, k_new, v_new) -> FullCache | PartialCache:
-        """The partial step: append the current entry to the partial-cache arena and attend it."""
-        self.partial.append(position, k_new, v_new)
-        return self.partial
+    def view(self, layer, step, position, q, k_new, v_new) -> FullCache | PartialCache:
+        """The partial step: append the current entry to the layer's partial-cache arena and attend it."""
+        cp = self.partial[layer]
+        cp.append(position, k_new, v_new)
+        return cp
 
 
-class FullAttention(LayerPolicy):
-    def view(self, step, position, q, k_new, v_new):
-        return self.full
+class FullAttention(CachePolicy):
+    def view(self, layer, step, position, q, k_new, v_new):
+        return self.full[layer]
 
     def update(self, step, rows):
-        return LayerStep(full=True)
+        return [LayerStep(full=True) for _ in rows]
 
 
-class Recency(LayerPolicy):
+class Recency(CachePolicy):
     """The first n_sink positions plus the newest, budget in all (everything while it fits):
     each step appends to the ascending arena and, once over budget, drops slot n_sink, which
     moves the sinks one slot when they are the shorter side of the window."""
 
-    def __init__(self, session, layer, out):
-        super().__init__(session, layer, out)
+    def __init__(self, session, out):
+        super().__init__(session, out)
         n_sink, L = self.config.n_sink, self.input_length
         if self.budget < n_sink:
             raise ConfigurationError(f"streaming budget {self.budget} smaller than n_sink {n_sink}")
         keep = np.arange(L)
         if L > self.budget:
             keep = np.concatenate([keep[:n_sink], keep[L - (self.budget - n_sink) :]])
-        positions, keys, values = self.full.gather(keep)
-        self.partial = PartialCache(self.budget, positions, keys, values)
+        self.partial = [PartialCache(self.budget, *full.gather(keep)) for full in self.full]
 
     def update(self, step, rows):
-        if self.partial.sizes()[0] > self.budget:
-            self.partial.drop(self.config.n_sink)
-        return LayerStep()
+        for cp in self.partial:
+            if len(cp) > self.budget:
+                cp.drop(self.config.n_sink)
+        return [LayerStep() for _ in rows]
 
 
-class H2OState(LayerPolicy):
+class H2OState(CachePolicy):
     """The heavy-hitter (h2o) policy.
 
-    Tracks the cumulative attention each held position received as the
-    partial cache's `scores`: one (1, n) row, moving with the window, that
-    every head shares. The arena stays in ascending position order, so
-    the recency half is its last entries and a drop moves the shorter side
+    Tracks the cumulative attention each held position received as each
+    layer's partial-cache `scores`: one (1, n) row, moving with the window,
+    that every head shares. The arenas stay in ascending position order, so
+    the recency half is their last entries and a drop moves the shorter side
     of the window. The budget splits into a recency half (the newest
     positions, kept unconditionally) and a heavy half (highest cumulative
     score among the rest, ties toward the lower position). Evicted
     positions are gone for good. Requires a score observation every step.
     """
 
-    def __init__(self, session, layer, out):
-        """Keep the prompt's heavy hitters under its last-token aggregated attention row."""
-        super().__init__(session, layer, out)
-        row = aggregate_group_scores(out.attn_rows[layer].reshape(-1, self.input_length))
+    def __init__(self, session, out):
+        """Keep each layer's prompt heavy hitters under its last-token aggregated attention row."""
+        super().__init__(session, out)
+        L = self.input_length
+        rows = aggregate_group_scores(np.stack(out.attn_rows).reshape(len(self.full), -1, L))
         self.heavy_n = self.budget // 2
         self.recent_n = self.budget - self.heavy_n
-        keep = np.arange(row.size)
-        if row.size > self.budget:
-            recent_start = row.size - self.recent_n
-            keep = keep[recent_start:]
-            if self.heavy_n:  # top heavy_n by (sum desc, position asc), returned in ascending order
-                keep = np.concatenate([top_k_indices(row[:recent_start], self.heavy_n), keep])
-        positions, keys, values = self.full.gather(keep)
-        self.partial = PartialCache(self.budget, positions, keys, values, row[None, keep])
+        keep = np.broadcast_to(np.arange(L), rows.shape)
+        if L > self.budget:
+            recent_start = L - self.recent_n
+            keep = keep[:, recent_start:]
+            if self.heavy_n:  # top heavy_n by (sum desc, position asc), in ascending order, every layer at once
+                keep = np.concatenate([top_k_indices(rows[:, :recent_start], self.heavy_n), keep], axis=1)
+        self.partial = [PartialCache(self.budget, *full.gather(kept), row[None, kept])
+                        for full, kept, row in zip(self.full, keep, rows)]
 
-    def keepset(self) -> np.ndarray:
-        """The positions held, ascending: a view of the arena, valid until its next write."""
-        return self.partial.positions[0]
+    def keepset(self, layer: int) -> np.ndarray:
+        """The positions the layer holds, ascending: a view of its arena, valid until its next write."""
+        return self.partial[layer].positions[0]
 
-    def step(self, attention_row: np.ndarray) -> None:
-        """Accumulate one step's row over the arena, whose last entry is the just-decoded
+    def step(self, layer: int, attention_row: np.ndarray) -> None:
+        """Accumulate one step's row over the layer's arena, whose last entry is the just-decoded
         position, then, once over budget, drop the lowest sum outside the recency half."""
-        row = np.asarray(attention_row, dtype=np.float64)
-        scores = self.partial.scores
+        row, cp = np.asarray(attention_row, dtype=np.float64), self.partial[layer]
+        scores = cp.scores
         if row.shape != scores.shape[1:]:
             raise ContractViolation(f"attention row of {row.size} entries over an arena of {scores.shape[1]}")
         scores[:, :-1] += row[:-1]
@@ -269,125 +271,127 @@ class H2OState(LayerPolicy):
         if (n := scores.shape[1]) > self.budget:
             heavy = scores[0, : n - self.recent_n]
             # argmin over the reversed candidates: ties leave from the higher position
-            self.partial.drop(heavy.size - 1 - int(heavy[::-1].argmin()))
+            cp.drop(heavy.size - 1 - int(heavy[::-1].argmin()))
 
     def update(self, step, rows):
-        row = aggregate_group_scores(rows.reshape(-1, rows.shape[-1]))
-        view_positions = self.keepset().copy() if self.recorder is not None else None
-        self.step(row)
-        if self.recorder is not None:
-            self.recorder(
-                {
-                    "kind": "h2o",
-                    "step": step,
-                    "layer": self.layer,
-                    "raw_rows": [r.copy() for r in rows],
-                    "row": row,
-                    "view_positions": view_positions,
-                    "keepset": self.keepset().copy(),
-                }
-            )
-        return LayerStep(overhead_flops=h2o_overhead_flops(row.size, self.model))
+        steps = []
+        for layer, layer_rows in enumerate(rows):
+            row = aggregate_group_scores(layer_rows.reshape(-1, layer_rows.shape[-1]))
+            view_positions = self.keepset(layer).copy() if self.recorder is not None else None
+            self.step(layer, row)
+            if self.recorder is not None:
+                self.recorder({"kind": "h2o", "step": step, "layer": layer, "raw_rows": [r.copy() for r in layer_rows],
+                               "row": row, "view_positions": view_positions, "keepset": self.keepset(layer).copy()})
+            steps.append(LayerStep(overhead_flops=h2o_overhead_flops(row.size, self.model)))
+        return steps
 
 
-class TopK(LayerPolicy):
-    """A top-K partial cache selected from the prompt's last-token scores.
+class TopK(CachePolicy):
+    """Top-K partial caches selected from the prompt's last-token scores.
 
-    The partial cache is in eviction order (see kv_store). Partial steps
+    Each partial cache is in eviction order (see kv_store). Partial steps
     write the fresh entry at its end, attend it, then, when
     evict_on_append resolves true, evict from its start: the lowest
-    score, or the oldest entry appended since the last refresh. At
-    the steps the schedule marks full, `output_full` attends the whole
-    cache and, if `refresh`, notes itself in the session's `due` list, so
-    that the session rebuilds every due layer's partial cache at once from
-    the observed rows after the forward pass; without output_full the step
-    scores the whole cache, rebuilds the partial cache and attends that.
+    score, or the oldest entry appended since the last refresh. At the
+    steps the schedule marks full, `output_full` attends the layer's whole
+    cache, and `update`, if `refresh`, rebuilds every such layer's partial
+    cache at once from the observed rows after the forward pass; without
+    output_full the view scores the whole cache, rebuilds the partial cache
+    and attends that. Per layer it keeps the step's full-step mask and qc
+    similarity, the mean query of the layer's most recent full step and the
+    retained mass of its latest refresh.
     """
 
-    def __init__(self, session, layer, out, schedule: ScheduleConfig, refresh: bool, output_full: bool,
+    def __init__(self, session, out, schedule: ScheduleConfig, refresh: bool, output_full: bool,
                  appends_full: bool = True):
-        super().__init__(session, layer, out)
+        super().__init__(session, out)
         self.schedule, self.refresh, self.output_full = schedule, refresh, output_full
-        self.appends_full, self.due = appends_full, session.due
-        self.evict = self.config.resolved_evict_on_append()
-        full = self.full  # the partial cache starts empty, and init_partial fills it
-        self.partial = PartialCache(self.k_sel, full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
-        init_partial([full], selection_scores(out.attn_rows[layer], self.config), self.k_sel, [self.partial])
-        self.reference_query = mean_query(out.queries[layer])  # from the layer's most recent full step
+        self.appends_full, self.evict = appends_full, self.config.resolved_evict_on_append()
+        n = len(self.full)
+        self._full_step, self._sim, self._refreshed = [False] * n, [None] * n, [None] * n
+        # the partial caches start empty, and one init_partial call fills them all
+        self.partial = [PartialCache(self.k_sel, f.positions[:, :0], f.keys[:, :0], f.values[:, :0]) for f in self.full]
+        rows = [head for layer_rows in out.attn_rows for head in layer_rows]
+        init_partial(self.full, selection_scores(rows, self.config), self.k_sel, self.partial)
+        self.reference_query = [mean_query(q) for q in out.queries]
 
-    def view(self, step, position, q, k_new, v_new):
-        self._sim = None
+    def view(self, layer, step, position, q, k_new, v_new):
+        sim = None
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
-            self._sim = cosine_similarity(mean_query(q), self.reference_query)
-        self._full_step = should_full(step, self._sim, self.schedule)
-        if not self._full_step:
-            return super().view(step, position, q, k_new, v_new)
-        self.reference_query = mean_query(q)
+            sim = cosine_similarity(mean_query(q), self.reference_query[layer])
+        self._sim[layer] = sim
+        self._full_step[layer] = full_step = should_full(step, sim, self.schedule)
+        if not full_step:
+            return super().view(layer, step, position, q, k_new, v_new)
+        self.reference_query[layer] = mean_query(q)
         if self.output_full:
-            if self.refresh:
-                self.due.append(self)
-            return self.full
-        refresh_layers([self], step, [attention_rows(q, self.full.keys, self.model.group_size)])
-        return self.partial
+            return self.full[layer]
+        refresh_layers(self, [layer], step, [attention_rows(q, self.full[layer].keys, self.model.group_size)])
+        return self.partial[layer]
 
     def update(self, step, rows):
-        overhead = qc_overhead_flops(self.model) if self._sim is not None else 0
-        if not self._full_step:
-            if self.evict:
-                self.partial.evict_overflow()
-            return LayerStep(False, overhead, self._sim)
+        if self.refresh and self.output_full and (due := [i for i, full in enumerate(self._full_step) if full]):
+            refresh_layers(self, due, step, [rows[layer] for layer in due])
+        steps = []
+        for layer, (cp, full_step, sim) in enumerate(zip(self.partial, self._full_step, self._sim)):
+            overhead = qc_overhead_flops(self.model) if sim is not None else 0
+            if not full_step:
+                if self.evict:
+                    cp.evict_overflow()
+                steps.append(LayerStep(False, overhead, sim))
+            elif not self.refresh:
+                steps.append(LayerStep(True, overhead, sim))
+            else:
+                m = len(self.full[layer])
+                if not self.output_full:  # the view scored the whole cache itself
+                    overhead += score_pass_flops(m, self.model)
+                overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
+                steps.append(LayerStep(True, overhead, sim, self._refreshed[layer]))
+        return steps
 
-        if not self.refresh:
-            return LayerStep(True, overhead, self._sim)
-        m = len(self.full)
-        if not self.output_full:  # the view scored the whole cache itself
-            overhead += score_pass_flops(m, self.model)
-        overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
-        return LayerStep(True, overhead, self._sim, self._refreshed)
 
-
-def refresh_layers(policies: list[TopK], step: int, rows: list[np.ndarray]) -> None:
-    """Refill each TopK layer's partial cache in place with its full cache's top-K under its (n_kv_heads,
-    group, m) rows, selecting and ranking every layer's kv heads at once, and set its `_refreshed` to the
-    retained mass per kv-head: the selection row, normalised by its total, summed over the K positions
-    held after the refill, in the order the cache holds them (the held scores the ranking returns). Each
-    layer's refresh event also reports the mass for the positions held before.
+def refresh_layers(policy: TopK, layers: list[int], step: int, rows: list[np.ndarray]) -> None:
+    """Refill each listed layer's partial cache in place with its full cache's top-K under its (n_kv_heads,
+    group, m) rows, selecting and ranking every such layer's kv heads at once, and set the layer's
+    `policy._refreshed` to the retained mass per kv-head: the selection row, normalised by its total, summed
+    over the K positions held after the refill, in the order the cache holds them (the held scores the
+    ranking returns). Each layer's refresh event also reports the mass for the positions held before.
     """
-    first, n = policies[0], len(policies)
-    for policy, r in zip(policies, rows):
-        if (m := r.shape[-1]) != len(policy.full):
-            raise ContractViolation(f"full-step rows over {m} positions, the full cache holds {len(policy.full)}")
-    sel = selection_scores([head for r in rows for head in r], first.config)
+    fulls, caches, n = [policy.full[i] for i in layers], [policy.partial[i] for i in layers], len(layers)
+    for full, r in zip(fulls, rows):
+        if (m := r.shape[-1]) != len(full):
+            raise ContractViolation(f"full-step rows over {m} positions, the full cache holds {len(full)}")
+    sel = selection_scores([head for r in rows for head in r], policy.config)
     norm = sel.sum(axis=1, keepdims=True)
     norm[norm == 0] = 1.0
-    pre = [p.partial.positions.copy() for p in policies] if first.recorder is not None else None  # before the refill
-    held = init_partial([p.full for p in policies], sel, first.k_sel, [p.partial for p in policies])
+    pre = [cp.positions.copy() for cp in caches] if policy.recorder is not None else None  # before the refill
+    held = init_partial(fulls, sel, policy.k_sel, caches)
     retained = (held / norm).sum(axis=1).reshape(n, -1).tolist()
-    layers = zip(policies, rows, sel.reshape(n, -1, sel.shape[1]), norm.reshape(n, -1, 1), retained)
-    for i, (policy, own_rows, own, own_norm, mass) in enumerate(layers):
-        policy._refreshed = mass
-        if first.recorder is not None:
+    per_layer = zip(layers, caches, rows, sel.reshape(n, -1, sel.shape[1]), norm.reshape(n, -1, 1), retained)
+    for i, (layer, cp, own_rows, own, own_norm, mass) in enumerate(per_layer):
+        policy._refreshed[layer] = mass
+        if policy.recorder is not None:
             # full-cache positions run from 0, so a position indexes its selection column
             pre_retained = (np.take_along_axis(own, pre[i], axis=1) / own_norm).sum(axis=1).tolist()
-            first.recorder({"kind": "refresh", "step": step, "layer": policy.layer,
-                            "rows": [r.copy() for r in own_rows], "selection": own.copy(), "k": first.k_sel,
-                            "pre_positions": pre[i], "post_positions": policy.partial.positions.copy(),
-                            "pre_retained": pre_retained, "post_retained": mass})
+            policy.recorder({"kind": "refresh", "step": step, "layer": layer,
+                             "rows": [r.copy() for r in own_rows], "selection": own.copy(), "k": policy.k_sel,
+                             "pre_positions": pre[i], "post_positions": cp.positions.copy(),
+                             "pre_retained": pre_retained, "post_retained": mass})
 
 
-def make_policy(session: DecodeSession, layer: int, out: StepOutput) -> LayerPolicy:
-    """The one place a policy kind turns into behaviour: one layer's policy object."""
+def make_policy(session: DecodeSession, out: StepOutput) -> CachePolicy:
+    """The one place a policy kind turns into behaviour: the session's policy object, for every layer."""
     kind = session.policy.kind
     if kind == "vanilla":
-        return FullAttention(session, layer, out)
+        return FullAttention(session, out)
     if kind == "streaming":
-        return Recency(session, layer, out)
+        return Recency(session, out)
     if kind == "h2o":
-        return H2OState(session, layer, out)
+        return H2OState(session, out)
     if kind == "snapkv":
         never = ScheduleConfig(mode="never_full")
-        return TopK(session, layer, out, never, refresh=False, output_full=True, appends_full=False)
+        return TopK(session, out, never, refresh=False, output_full=True, appends_full=False)
     if kind in REFRESH_FAMILY:
-        return TopK(session, layer, out, session.schedule, refresh=kind != "refreshkv_no_refresh",
+        return TopK(session, out, session.schedule, refresh=kind != "refreshkv_no_refresh",
                     output_full=kind != "refreshkv_no_full")
     raise ConfigurationError(f"unknown policy kind {kind!r}")

@@ -107,3 +107,43 @@ def test_incorrect_or_failed_runs_are_listed_and_fail_the_exit_status(ab_pairs, 
     canned["parent"][1] = canned["change"][1] = stdout({"decode_us_p50": 1.0})
     order.clear()
     assert ab_pairs.main(argv) == 0
+
+
+def test_several_workloads_or_all_get_one_block_each_and_any_bad_run_fails_the_exit_status(ab_pairs, monkeypatch,
+                                                                                          tmp_path, capsys):
+    workloads = [{"name": "decode-full", "why": ""}, {"name": "decode-policies", "why": ""}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": workloads, "end_to_end": SPEC[:1]}))
+    p50 = {("parent", "decode-full"): 100.0, ("change", "decode-full"): 90.0,
+           ("parent", "decode-policies"): 200.0, ("change", "decode-policies"): 300.0}
+    bad = set()  # the (side, workload) whose runs print "correct": false
+    seen = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == tmp_path / "p" else "change"
+        seen.append((workload, side))
+        return ab_pairs.result_of(stdout({"decode_us_p50": p50[side, workload]}, correct=(side, workload) not in bad))
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path), "--pairs", "2", "--seconds", "1",
+            "--workload"]
+    assert ab_pairs.main(argv + ["all"]) == 0
+    # every pair of the first workload, alternating sides, then the second's
+    assert seen == [("decode-full", "parent"), ("decode-full", "change"), ("decode-full", "change"),
+                    ("decode-full", "parent"), ("decode-policies", "parent"), ("decode-policies", "change"),
+                    ("decode-policies", "change"), ("decode-policies", "parent")]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("#")] == [
+        "# decode-full seed=1 seconds=1 pairs=2", "# decode-policies seed=1 seconds=1 pairs=2"]
+    full, policies = lines.index("# decode-full seed=1 seconds=1 pairs=2"), lines.index(
+        "# decode-policies seed=1 seconds=1 pairs=2")
+    assert lines[full + 2].endswith("-10.0%  change better in 2/2")
+    assert lines[policies + 2].endswith("+50.0%  change better in 0/2  OVER BOUND")
+    assert len(lines) == 6  # per workload: the header, the runs' JSON, one summary line
+    seen.clear()
+    bad.add(("change", "decode-full"))
+    assert ab_pairs.main(argv + ["decode-policies", "decode-full"]) == 1  # the named order, a bad run anywhere
+    assert [w for w, _ in seen[::4]] == ["decode-policies", "decode-full"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["change run 1: correct=False failed=0", "change run 2: correct=False failed=0"]
+    with pytest.raises(SystemExit):
+        ab_pairs.main(argv + ["all", "decode-full"])

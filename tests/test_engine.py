@@ -10,7 +10,7 @@ from kvrefresh import kv_store
 from kvrefresh.engine import DecodeSession, greedy_generate, teacher_forced_run
 from kvrefresh.errors import ContractViolation
 from kvrefresh.model import full_forward, init_model, prefill
-from kvrefresh.policies import PolicyConfig
+from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 
 
@@ -276,7 +276,7 @@ class TestH2OOracle:
         out = session.prefill(prompt)
         oracles = [H2OOracle(out.attn_rows[layer], 12) for layer in range(2)]
         for layer in range(2):
-            np.testing.assert_array_equal(session.layer_policies[layer].keepset(), oracles[layer].keep)
+            np.testing.assert_array_equal(session.cache_policy.keepset(layer), oracles[layer].keep)
 
         tok = int(np.argmax(out.logits))
         for step in range(1, 33):  # a 32-token run, checked at every step
@@ -291,7 +291,7 @@ class TestH2OOracle:
                 )
                 np.testing.assert_array_equal(event["keepset"], expected)
                 np.testing.assert_array_equal(
-                    session.layer_policies[event["layer"]].keepset(), expected
+                    session.cache_policy.keepset(event["layer"]), expected
                 )
 
 
@@ -495,15 +495,15 @@ class TestQCScheduling:
             ScheduleConfig(mode="fixed", stride=4),
         )
         out = session.prefill(prompt)
-        refs = [p.reference_query.copy() for p in session.layer_policies]
+        refs = [q.copy() for q in session.cache_policy.reference_query]
         tok = int(np.argmax(out.logits))
         for _ in range(12):
             out, rec = session.step(tok)
             tok = int(np.argmax(out.logits))
-            for layer, policy in enumerate(session.layer_policies):
-                changed = not np.array_equal(refs[layer], policy.reference_query)
+            for layer, reference_query in enumerate(session.cache_policy.reference_query):
+                changed = not np.array_equal(refs[layer], reference_query)
                 assert changed == (rec.modes[layer] == "full")
-                refs[layer] = policy.reference_query.copy()
+                refs[layer] = reference_query.copy()
 
 
 # ------------------------------------------------------------------- misc
@@ -531,19 +531,46 @@ class TestSessionContracts:
         assert all(rec.nll is not None for rec in trace)
         assert all(n > 0 for n in nlls)
 
-    def test_a_session_after_a_refresh_step_is_freed_without_the_cycle_collector(self, desk_weights, rng):
-        # the top-K layers share the session's `due` list; left filled, it would hold them in a reference cycle
-        session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=4), ScheduleConfig(mode="fixed", stride=2))
+    @pytest.mark.parametrize("schedule", [ScheduleConfig(mode="fixed", stride=2),
+                                          ScheduleConfig(mode="qc", qc_stride=2, threshold=1.0)], ids=["fixed", "qc"])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_a_session_after_a_refresh_step_is_freed_without_the_cycle_collector(self, desk_weights, rng, kind,
+                                                                               schedule):
+        # the session holds its policy and caches, and nothing of theirs may point back into a cycle
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=6), schedule)
         session.prefill(toks(rng, desk_weights.config, 12))
-        for token in toks(rng, desk_weights.config, 4):  # the last step refreshes
-            session.step(token)
-        layer = weakref.ref(session.layer_policies[0])
+        for token in toks(rng, desk_weights.config, 4):  # the last step is full for the scheduled kinds
+            _, rec = session.step(token)
+        assert ("full" in rec.modes) == (kind in REFRESH_FAMILY or kind == "vanilla")
+        policy = weakref.ref(session.cache_policy)
+        cache = weakref.ref(session.partial[0] if session.partial else session.full[0])
         gc.disable()
         try:
             del session
-            assert layer() is None
+            assert policy() is None and cache() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_the_policy_leaves_the_prefill_output_untouched(self, desk_weights, rng, kind):
+        # the policy reads the prefill's rows and queries, from its construction on; one prefill could then
+        # seed many sessions. A separate prefill of the same prompt gives the rows and queries as they came out.
+        prompt = toks(rng, desk_weights.config, 16)
+        _, fresh = prefill(desk_weights, prompt)
+        before = fresh.attn_rows + fresh.queries
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=6), ScheduleConfig(mode="fixed", stride=3))
+        out = session.prefill(prompt)
+
+        def assert_untouched():
+            arrays = out.attn_rows + out.queries
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(arrays, before, strict=True))
+            assert not any(np.shares_memory(arena, a) for cp in session.partial for arena in cp._arrays for a in arrays)
+
+        assert_untouched()
+        for token in toks(rng, desk_weights.config, 7):
+            session.step(token)
+            assert_untouched()
+        assert len(session.partial) == (0 if kind == "vanilla" else desk_weights.config.n_layers)
 
 
 # -------------------------------------------------------------------- arenas

@@ -175,7 +175,7 @@ class TestRefresh:
             session.step(3)
 
 
-def per_layer_refresh(policy, rows):
+def per_layer_refresh(policy, layer, rows):
     """The per-layer refresh refresh_layers replaced: selection_scores -> top_k_indices -> stable argsort ->
     FullCache.gather -> a cache holding the gathered entries. Returns the selection, that cache and the
     retained mass per head (the selection at the held positions over its total, summed in cache order)."""
@@ -183,7 +183,7 @@ def per_layer_refresh(policy, rows):
     heads = np.arange(sel.shape[0])[:, None]
     idx = top_k_indices(sel, policy.k_sel)
     order = np.argsort(sel[heads, idx], axis=1, kind="stable")
-    held = PartialCache(policy.k_sel, *policy.full.gather(idx[heads, order]))
+    held = PartialCache(policy.k_sel, *policy.full[layer].gather(idx[heads, order]))
     norm = sel.sum(axis=1, keepdims=True)
     norm[norm == 0] = 1.0
     return sel, held, (np.take_along_axis(sel, held.positions, axis=1) / norm).sum(axis=1).tolist()
@@ -219,19 +219,19 @@ class TestBatchedRefresh:
             events = []
             session = DecodeSession(weights, PolicyConfig(kind="refreshkv", k=k), recorder=events.append)
             session.prefill(rng.integers(0, cfg.vocab_size, m).tolist())  # full caches of m: k = 24 keeps them whole
-            due = [session.layer_policies[layer] for layer in layers]
+            policy = session.cache_policy
             rows = [plateau_rows(rng, cfg.n_kv_heads, cfg.group_size, m) for _ in layers]
-            pre = [p.partial.positions.copy() for p in due]
+            pre = [session.partial[layer].positions.copy() for layer in layers]
             untouched = {layer: [a.copy() for a in (cp.positions, cp.keys, cp.values)]
                          for layer, cp in enumerate(session.partial) if layer not in layers}
-            want = [per_layer_refresh(p, r) for p, r in zip(due, rows)]
+            want = [per_layer_refresh(policy, layer, r) for layer, r in zip(layers, rows)]
             for sel, _, _ in want:  # ties at the threshold: more than k entries reach the k-th largest score
                 surplus |= k < m and bool(((sel >= np.sort(sel, axis=1)[:, -k:][:, :1]).sum(axis=1) > k).any())
-            refresh_layers(due, 9, rows)
+            refresh_layers(policy, layers, 9, rows)
             assert [(e["kind"], e["layer"]) for e in events] == [("refresh", layer) for layer in layers]
-            for policy, r, before, event, (sel, held, retained) in zip(due, rows, pre, events, want, strict=True):
-                assert_same_cache(policy.partial, held)
-                assert policy._refreshed == retained
+            for layer, r, before, event, (sel, held, retained) in zip(layers, rows, pre, events, want, strict=True):
+                assert_same_cache(policy.partial[layer], held)
+                assert policy._refreshed[layer] == retained
                 assert event["step"] == 9 and event["k"] == k
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(event["rows"], r, strict=True))
                 assert event["selection"].tobytes() == sel.tobytes()
@@ -248,11 +248,11 @@ class TestBatchedRefresh:
         weights = init_model(ModelConfig(n_layers=3, seed=7))
         calls = []
 
-        def spy(due, step, rows):
-            calls.append((step, [p.layer for p in due]))
-            return policies.refresh_layers(due, step, rows)
+        def spy(policy, layers, step, rows, _original=policies.refresh_layers):
+            calls.append((step, list(layers)))
+            return _original(policy, layers, step, rows)
 
-        monkeypatch.setattr(engine, "refresh_layers", spy)
+        monkeypatch.setattr(policies, "refresh_layers", spy)
         events = []
         schedule = ScheduleConfig(mode="qc", qc_stride=2, threshold=0.0)
         session = DecodeSession(weights, PolicyConfig(kind="refreshkv", k=6), schedule, recorder=events.append)
@@ -270,9 +270,9 @@ class TestBatchedRefresh:
             calls.clear()
             refreshes = [e for e in events if e["kind"] == "refresh"]
             for event in refreshes:
-                policy = session.layer_policies[event["layer"]]
-                sel, held, retained = per_layer_refresh(policy, np.stack(event["rows"]))
-                assert_same_cache(policy.partial, held)
+                layer = event["layer"]
+                sel, held, retained = per_layer_refresh(session.cache_policy, layer, np.stack(event["rows"]))
+                assert_same_cache(session.partial[layer], held)
                 assert event["post_retained"] == retained
             post = [r for e in refreshes for r in e["post_retained"]]
             assert rec.retained_mass == (float(np.mean(post)) if post else None)
@@ -334,15 +334,15 @@ def h2o_state(last_token_row, budget):
     session = SimpleNamespace(policy=PolicyConfig(kind="h2o", k=budget), cfg=None, recorder=None, full=[full],
                               input_length=n, budget=budget, k_sel=min(budget, n))
     out = StepOutput(np.zeros(1), [], [np.asarray(last_token_row, dtype=float).reshape(1, 1, n)])
-    return H2OState(session, 0, out)
+    return H2OState(session, out)
 
 
 def h2o_step(state, row_for):
     """One decode step: append the next position to the arena, then observe row_for(view positions)."""
-    state.partial.append(int(state.keepset()[-1]) + 1, np.zeros((2, 4)), np.zeros((2, 4)))
-    view = state.keepset().copy()
-    state.step(row_for(view))
-    assert (state.partial.positions == state.keepset()).all()  # every head holds the same set
+    state.partial[0].append(int(state.keepset(0)[-1]) + 1, np.zeros((2, 4)), np.zeros((2, 4)))
+    view = state.keepset(0).copy()
+    state.step(0, row_for(view))
+    assert (state.partial[0].positions == state.keepset(0)).all()  # every head holds the same set
     return view
 
 
@@ -350,21 +350,21 @@ class TestH2O:
     def test_uniform_attention_keeps_earliest_heavy_half(self):
         # equal cumulative scores tie-break toward lower positions
         state = h2o_state(np.full(12, 1 / 12), budget=6)
-        np.testing.assert_array_equal(state.keepset()[:3], [0, 1, 2])
+        np.testing.assert_array_equal(state.keepset(0)[:3], [0, 1, 2])
         for _ in range(5):
             h2o_step(state, lambda view: np.full(view.size, 1.0 / view.size))
-            np.testing.assert_array_equal(state.keepset()[:3], [0, 1, 2])
+            np.testing.assert_array_equal(state.keepset(0)[:3], [0, 1, 2])
 
     def test_under_budget_evicts_nothing(self):
         state = h2o_state(np.full(4, 0.25), budget=16)
         h2o_step(state, lambda view: np.full(5, 0.2))
-        np.testing.assert_array_equal(state.keepset(), np.arange(5))
-        np.testing.assert_array_equal(state.partial.scores, [[0.45] * 4 + [0.2]])  # one row for every head
+        np.testing.assert_array_equal(state.keepset(0), np.arange(5))
+        np.testing.assert_array_equal(state.partial[0].scores, [[0.45] * 4 + [0.2]])  # one row for every head
 
     def test_dominant_position_never_evicted(self):
         state = h2o_state(np.full(10, 0.1), budget=6)
         winner = 1  # inside the surviving heavy half
-        assert winner in state.keepset()
+        assert winner in state.keepset(0)
 
         def row_for(view):
             row = np.full(view.size, 0.1 / (view.size - 1))
@@ -373,20 +373,20 @@ class TestH2O:
 
         for _ in range(20):
             h2o_step(state, row_for)
-            assert winner in state.keepset()
+            assert winner in state.keepset(0)
 
     def test_budget_split_sizes(self):
         state = h2o_state(np.linspace(1, 0, 20), budget=8)
-        keep = state.keepset()
+        keep = state.keepset(0)
         assert keep.size == 8
         # recent half: the 4 newest positions
         np.testing.assert_array_equal(keep[-4:], [16, 17, 18, 19])
 
     def test_mismatched_view_rejected(self):
         state = h2o_state(np.full(6, 1 / 6), budget=4)
-        state.partial.append(6, np.zeros((2, 4)), np.zeros((2, 4)))
+        state.partial[0].append(6, np.zeros((2, 4)), np.zeros((2, 4)))
         with pytest.raises(ContractViolation):
-            state.step(np.full(3, 0.3))
+            state.step(0, np.full(3, 0.3))
 
 
 class TestPolicyConfig:
