@@ -6,11 +6,11 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
 
   1. the model computes the current token's queries and fresh key/value
      and asks `_provide_view(layer, q, k_new, v_new)` for the layer's view;
-  2. the session writes the fresh key/value into the layer's full-cache
-     arena (every kind but snapkv) and asks the policy for the layer's
-     view at the step's position: the layer's full or partial cache
-     itself. The partial step every budgeted policy (streaming, h2o and
-     the top-K kinds) shares writes it into the layer's partial-cache
+  2. the session asks the policy for the layer's view at the step's
+     position: the layer's full or partial cache itself. The policy
+     writes the fresh key/value into the layer's full-cache arena (every
+     kind but snapkv) and, at the partial step every budgeted policy
+     (streaming, h2o and the top-K kinds) shares, into its partial-cache
      arena as well; a scheduled full step, and for refreshkv_no_full its
      refresh, happens there. The session notes the view's length and,
      from which cache it is, the layer's modeled attended size (metrics);
@@ -98,8 +98,8 @@ class DecodeSession:
             raise ContractViolation(f"aborted at step {self.step_index}: {exc}") from exc
 
     def finish(self) -> None:
-        """End the run. Nothing is left to flush: each step already wrote
-        its key/value into the full cache (snapkv keeps only the prompt)."""
+        """End the run. Nothing is left to flush: each step's policy view already
+        wrote its key/value into the caches (snapkv's full cache keeps only the prompt)."""
 
     def _position(self) -> int:
         return self.input_length + self.step_index - 1
@@ -107,12 +107,9 @@ class DecodeSession:
     def _provide_view(
         self, layer: int, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray
     ) -> FullCache | PartialCache:
-        policy, position, full = self.cache_policy, self._position(), self.full[layer]
-        if policy.appends_full:
-            full.append(position, k_new, v_new)
-        view = policy.view(layer, self.step_index, position, q, k_new, v_new)
+        view = self.cache_policy.view(layer, self.step_index, self._position(), q, k_new, v_new)
         self._view_lens.append(len(view))  # now: update's evictions shrink the partial cache
-        self._attended.append(self.input_length if view is full else self.k_sel)
+        self._attended.append(self.input_length if view is self.full[layer] else self.k_sel)
         if self.recorder is not None:
             self.recorder({"kind": "view", "step": self.step_index, "layer": layer,
                            "positions": view.positions.copy()})

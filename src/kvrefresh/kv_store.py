@@ -10,7 +10,7 @@ m entries as a slice of the slot axis, without a copy. The full cache's
 window is its arenas' filled prefix, which doubles when full; the partial
 cache's moves (see below). A layer's view at a decode step is one of its
 two caches itself, as the policy's `view(layer, ...)` returns it. The
-session writes each fresh key/value into its store before the layer
+view writes each fresh key/value into the caches before the layer
 attends, so a view holds the current token, except at a
 refreshkv_no_full refresh step (see policies).
 

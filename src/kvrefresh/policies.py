@@ -18,19 +18,21 @@ make_policy maps each of the seven kinds onto one of four classes:
 After the prefill the session builds one policy object, which owns the
 layer axis: `full` is the session's list of full caches and `partial` the
 list of partial-cache arenas, one per layer (empty for vanilla). At each
-step, layer by layer, the session writes the fresh key/value into the
-layer's full cache (unless appends_full is False: snapkv keeps only its
-prompt there) and asks `view(layer, step, position, ...)` for the cache
-the layer attends: `self.full[layer]` or `self.partial[layer]` itself,
-whose window attention reads. After the forward pass one `update(step,
-rows)` gets every layer's rows, maintains the policy's state and returns
-one LayerStep per layer: whether its step was full, and its overhead.
-The partial step every budgeted policy shares (CachePolicy.view) appends
-the current entry to the layer's partial cache and returns that cache
-(see kv_store for the entry order of each kind). So every view holds the
-current token, except at a refreshkv_no_full refresh step: it attends
-the refreshed top-K of the full cache, which holds the current position
-only if the refresh selects it.
+step, layer by layer, the session hands `view(layer, step, position, ...)`
+the fresh key/value; the view writes it into the layer's caches and
+returns the cache the layer attends: `self.full[layer]` or
+`self.partial[layer]` itself, whose window attention reads. After the
+forward pass one `update(step, rows)` gets every layer's rows, maintains
+the policy's state and returns one LayerStep per layer: whether its step
+was full, and its overhead. A full step writes the entry into the full
+cache and attends that. The partial step every budgeted policy shares
+(CachePolicy.view) writes it into the full cache (unless appends_full is
+False: snapkv keeps only its prompt there), then appends it to the
+layer's partial cache and returns that cache (see kv_store for the entry
+order of each kind). So every view holds the current token, except at a
+refreshkv_no_full refresh step: it attends the refreshed top-K of the
+full cache, which holds the current position only if the refresh
+selects it.
 Streaming and h2o build their arenas at the prefill by gathering each
 layer's starting set from its full cache, in ascending position order,
 then drop one slot per step: streaming the oldest entry after the sinks,
@@ -182,7 +184,7 @@ class CachePolicy:
     rows over its view and returns one LayerStep per layer.
     """
 
-    appends_full = True  # the session writes each fresh key/value into the full caches
+    appends_full = True  # the partial step writes each fresh key/value into the full cache too
 
     def __init__(self, session: DecodeSession, out: StepOutput):
         self.config, self.model, self.recorder = session.policy, session.cfg, session.recorder
@@ -190,7 +192,10 @@ class CachePolicy:
         self.input_length, self.budget, self.k_sel = session.input_length, session.budget, session.k_sel
 
     def view(self, layer, step, position, q, k_new, v_new) -> FullCache | PartialCache:
-        """The partial step: append the current entry to the layer's partial-cache arena and attend it."""
+        """The partial step: write the current entry into the layer's full cache (unless appends_full is
+        False) and its partial-cache arena, and attend the latter."""
+        if self.appends_full:
+            self.full[layer].append(position, k_new, v_new)
         cp = self.partial[layer]
         cp.append(position, k_new, v_new)
         return cp
@@ -198,7 +203,8 @@ class CachePolicy:
 
 class FullAttention(CachePolicy):
     def view(self, layer, step, position, q, k_new, v_new):
-        return self.full[layer]
+        (full := self.full[layer]).append(position, k_new, v_new)
+        return full
 
     def update(self, step, rows):
         return [LayerStep(full=True) for _ in rows]
@@ -324,9 +330,10 @@ class TopK(CachePolicy):
         if not full_step:
             return super().view(layer, step, position, q, k_new, v_new)
         self.reference_query[layer] = mean_query(q)
+        (full := self.full[layer]).append(position, k_new, v_new)
         if self.output_full:
-            return self.full[layer]
-        refresh_layers(self, [layer], step, [attention_rows(q, self.full[layer].keys, self.model.group_size)])
+            return full
+        refresh_layers(self, [layer], step, [attention_rows(q, full.keys, self.model.group_size)])
         return self.partial[layer]
 
     def update(self, step, rows):
