@@ -8,17 +8,14 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
      and asks `_provide_view(layer, q, k_new, v_new)` for the layer's view;
   2. the session asks the policy for the layer's view at the step's
      position: the layer's full or partial cache itself. The policy
-     writes the fresh key/value into the layer's full-cache arena (every
-     kind but snapkv) and, at the partial step every budgeted policy
-     (streaming, h2o and the top-K kinds) shares, into its partial-cache
-     arena as well; a scheduled full step, and for refreshkv_no_full its
-     refresh, happens there. The session notes the view's length and,
-     from which cache it is, the layer's modeled attended size (metrics);
-  3. attention runs over the cache's window exactly as given, as one
+     writes the fresh key/value into the view and, at a partial step,
+     into the full cache too (snapkv keeps only its prompt there); a
+     refreshkv_no_full refresh runs first. The session notes the view's
+     length and, from which cache it is, the layer's modeled attended
+     size (metrics);
+  3. attention runs over the view's window exactly as given, as one
      batched computation over the layer's kv heads, so nothing is copied.
-     It already holds the current token, except at a refreshkv_no_full
-     refresh step, whose refreshed top-K holds it only if the refresh
-     selects it;
+     Every view holds the current token;
   4. after the forward pass over all layers, the policy's `update` gets their
      probability rows: top-K kinds refresh the layers whose step was a
      refreshing full step in one `refresh_layers` call, streaming and

@@ -11,8 +11,7 @@ window is its arenas' filled prefix, which doubles when full; the partial
 cache's moves (see below). A layer's view at a decode step is one of its
 two caches itself, as the policy's `view(layer, ...)` returns it. The
 view writes each fresh key/value into the caches before the layer
-attends, so a view holds the current token, except at a
-refreshkv_no_full refresh step (see policies).
+attends, so every view holds the current token.
 
 Key arenas are key-major: the array keeps its (n_kv_heads, slots,
 head_dim) shape, but each head's keys are stored as one C-contiguous

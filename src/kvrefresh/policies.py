@@ -13,7 +13,7 @@ make_policy maps each of the seven kinds onto one of four classes:
                                        the top-K from their observed scores
   refreshkv_no_refresh  TopK           scheduled full steps, no rebuild
   refreshkv_no_full     TopK           scheduled steps that rebuild the
-                                       top-K and attend it, not the full cache
+                                       top-K, then take a partial step
 
 After the prefill the session builds one policy object, which owns the
 layer axis: `full` is the session's list of full caches and `partial` the
@@ -29,17 +29,15 @@ cache and attends that. The partial step every budgeted policy shares
 (CachePolicy.view) writes it into the full cache (unless appends_full is
 False: snapkv keeps only its prompt there), then appends it to the
 layer's partial cache and returns that cache (see kv_store for the entry
-order of each kind). So every view holds the current token, except at a
-refreshkv_no_full refresh step: it attends the refreshed top-K of the
-full cache, which holds the current position only if the refresh
-selects it.
+order of each kind). So every view holds the current token.
 Streaming and h2o build their arenas at the prefill by gathering each
 layer's starting set from its full cache, in ascending position order,
 then drop one slot per step: streaming the oldest entry after the sinks,
 h2o the lightest heavy-hitter candidate. Top-K kinds keep theirs in
 eviction order, so their evictions drop slot 0. The rows `update` gets,
-and the rows refreshkv_no_full scores over the full cache, come from
-model.attention_rows as one (n_kv_heads, group_size, m) array per layer.
+and the rows refreshkv_no_full scores over the full cache before the
+step's write, come from model.attention_rows as one (n_kv_heads,
+group_size, m) array per layer.
 
 Selection scores are per kv-head: the elementwise max of its query
 group's probability rows over the cache, max-pooled over neighboring
@@ -169,7 +167,7 @@ def selection_scores(rows_per_head: Sequence[np.ndarray], config: PolicyConfig) 
 class LayerStep:
     """One layer's share of a step record, as its policy reports it."""
 
-    full: bool = False  # a full step as the policy decided it; refreshkv_no_full's attends the partial cache
+    full: bool = False  # a full step as the policy decided it; refreshkv_no_full's attends its partial cache
     overhead_flops: int = 0
     similarity: float | None = None  # qc check, when one ran
     retained: list[float] = field(default_factory=list)  # post-refresh coverage per kv-head
@@ -302,8 +300,9 @@ class TopK(CachePolicy):
     steps the schedule marks full, `output_full` attends the layer's whole
     cache, and `update`, if `refresh`, rebuilds every such layer's partial
     cache at once from the observed rows after the forward pass; without
-    output_full the view scores the whole cache, rebuilds the partial cache
-    and attends that. Per layer it keeps the step's full-step mask and qc
+    output_full the view scores the full cache as it stands before the
+    step's write, rebuilds the partial cache from it, then takes the
+    partial step. Per layer it keeps the step's full-step mask and qc
     similarity, the mean query of the layer's most recent full step and the
     retained mass of its latest refresh.
     """
@@ -327,14 +326,13 @@ class TopK(CachePolicy):
             sim = cosine_similarity(mean_query(q), self.reference_query[layer])
         self._sim[layer] = sim
         self._full_step[layer] = full_step = should_full(step, sim, self.schedule)
-        if not full_step:
-            return super().view(layer, step, position, q, k_new, v_new)
-        self.reference_query[layer] = mean_query(q)
-        (full := self.full[layer]).append(position, k_new, v_new)
-        if self.output_full:
-            return full
-        refresh_layers(self, [layer], step, [attention_rows(q, full.keys, self.model.group_size)])
-        return self.partial[layer]
+        if full_step:
+            self.reference_query[layer] = mean_query(q)
+            if self.output_full:
+                (full := self.full[layer]).append(position, k_new, v_new)
+                return full
+            refresh_layers(self, [layer], step, [attention_rows(q, self.full[layer].keys, self.model.group_size)])
+        return super().view(layer, step, position, q, k_new, v_new)
 
     def update(self, step, rows):
         if self.refresh and self.output_full and (due := [i for i, full in enumerate(self._full_step) if full]):
@@ -342,15 +340,16 @@ class TopK(CachePolicy):
         steps = []
         for layer, (cp, full_step, sim) in enumerate(zip(self.partial, self._full_step, self._sim)):
             overhead = qc_overhead_flops(self.model) if sim is not None else 0
+            if self.evict and not (full_step and self.output_full):  # the layer attended its partial cache
+                cp.evict_overflow()
             if not full_step:
-                if self.evict:
-                    cp.evict_overflow()
                 steps.append(LayerStep(False, overhead, sim))
             elif not self.refresh:
                 steps.append(LayerStep(True, overhead, sim))
             else:
                 m = len(self.full[layer])
-                if not self.output_full:  # the view scored the whole cache itself
+                if not self.output_full:  # the view scored the full cache before this step's write
+                    m -= 1
                     overhead += score_pass_flops(m, self.model)
                 overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
                 steps.append(LayerStep(True, overhead, sim, self._refreshed[layer]))

@@ -10,7 +10,8 @@ from kvrefresh import kv_store
 from kvrefresh.engine import DecodeSession, greedy_generate, teacher_forced_run
 from kvrefresh.errors import ContractViolation
 from kvrefresh.model import full_forward, init_model, prefill
-from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig
+from kvrefresh.numerics import top_k_indices
+from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig, selection_scores
 from kvrefresh.scheduler import ScheduleConfig
 
 
@@ -377,23 +378,27 @@ class TestAblations:
                 out, rec = session.step(tok)
                 tok = int(np.argmax(out.logits))
             assert all(s == 8 for layer in session.partial for s in layer.sizes())
-        # the first layer sees identical inputs in both policies at that step,
-        # so its observation rows and its refreshed selection must coincide
+        # the first layer sees identical inputs in both policies at that step, so the ablation's observation
+        # rows are the full step's rows over the positions before the current one (it scores the full cache
+        # before the step's write), renormalised, and its refreshed selection is their top-K
         # (deeper layers legitimately diverge: their inputs already differ)
         ef = next(e for e in events_f if e["kind"] == "refresh" and e["layer"] == 0)
         en = next(e for e in events_n if e["kind"] == "refresh" and e["layer"] == 0)
+        before = [rows[:, :-1] / rows[:, :-1].sum(axis=1, keepdims=True) for rows in ef["rows"]]
+        expected = top_k_indices(selection_scores(before, PolicyConfig(kind="refreshkv_no_full", k=8)), 8)
         for h in range(2):
-            np.testing.assert_allclose(en["rows"][h], ef["rows"][h], rtol=1e-12)
-            np.testing.assert_array_equal(en["post_positions"][h], ef["post_positions"][h])
+            np.testing.assert_allclose(en["rows"][h], before[h], rtol=1e-12)
+            np.testing.assert_array_equal(np.sort(en["post_positions"][h]), expected[h])
 
     def test_no_full_refresh_view_is_the_refreshed_top_k(self, desk_weights, rng):
-        # the one view that need not hold the current token: at a refresh step refreshkv_no_full attends the
-        # refreshed top-K of the full cache, current entry included only if the refresh selects it
+        # at a refresh step refreshkv_no_full refreshes from the full cache as it stood before the step's write,
+        # over the positions before the current one, then appends the current entry as every partial step does:
+        # the view is the refreshed top-K followed by the current token, K+1 entries on every head
         events = []
         session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv_no_full", k=4),
                                 ScheduleConfig(mode="fixed", stride=2), recorder=events.append)
         session.prefill(toks(rng, desk_weights.config, 48))
-        missing = 0
+        refreshed = 0
         for token in toks(rng, desk_weights.config, 20):
             events.clear()
             _, rec = session.step(token)
@@ -401,11 +406,13 @@ class TestAblations:
             views = {e["layer"]: e["positions"] for e in events if e["kind"] == "view"}
             assert set(refreshes) == {layer for layer, mode in enumerate(rec.modes) if mode == "full"}
             for layer, event in refreshes.items():
-                np.testing.assert_array_equal(views[layer], event["post_positions"])
-                missing += int((views[layer] != session._position()).all(axis=1).sum())
-            for layer in set(views) - set(refreshes):  # partial steps append the current entry
+                assert event["selection"].shape[1] == session._position()  # scored positions 0 .. current - 1
+                np.testing.assert_array_equal(views[layer][:, :-1], event["post_positions"])
+                assert rec.view_lens[layer] == 5
+                refreshed += 1
+            for layer in views:  # every step appends the current entry
                 assert (views[layer][:, -1] == session._position()).all()
-        assert missing > 0
+        assert refreshed == 10 * desk_weights.config.n_layers
 
     def test_no_full_approaches_full_step_as_retained_mass_grows(self, desk_weights, rng):
         # limiting case, qualitative: the more of the full row the refreshed

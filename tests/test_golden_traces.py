@@ -42,8 +42,8 @@ GOLDEN = {
     ("lm", "refreshkv", "qc"): "b54daf3b8781001d2ffdc454ce9673be047c35caa00040f1524a72ad5ffd56b9",
     ("lm", "refreshkv_no_refresh", "fixed"): "3584c8c6163ef13dbdfb3b43e76369837c2cd07a9731bb78e5b7dce20f6e4d4e",
     ("lm", "refreshkv_no_refresh", "qc"): "c08828432ccf48bf8d3ef472b00237f326d8dba0c782cac3bd1de82a0ffe0aa2",
-    ("lm", "refreshkv_no_full", "fixed"): "cbd45fa354825ad35da68e72c2de7e9b17c27be14d685bfa0212c8fc2b36808e",
-    ("lm", "refreshkv_no_full", "qc"): "69661cfb59bb8cf67d8a9a38d6a7aaa0b8b58e8b56082640ec28d8a6c208d3a6",
+    ("lm", "refreshkv_no_full", "fixed"): "ea54d821a64641850d639a15b6d351e48799a4d5c800919fec603c28b2791496",
+    ("lm", "refreshkv_no_full", "qc"): "b5b405c2bf98a0ec9a3cf5fcd0c1bfc8c8ead502b52a5caeda96c7a49b2afd6d",
     ("lm", "refreshkv", "fixed-no-evict"): "749b28433e4a8d027b21826cf955bb0400db212f23c81546a0d50420270dced2",
     ("chainkey", "refreshkv", "default"): "cd531f983adb0d3b4e6d5e13da79705a79e28fee9b2f2e384ba467d0491394da",
 }

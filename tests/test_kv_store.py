@@ -523,7 +523,8 @@ SESSION_CASES = [(kind, name) for kind in REFRESH_FAMILY for name in TOPK_SCHEDU
 @pytest.mark.parametrize("kind, schedule", SESSION_CASES, ids=[f"{k}-{s}" for k, s in SESSION_CASES])
 def test_session_held_sets_follow_the_reference_every_step(desk_weights, rng, kind, schedule):
     # every K x eviction: each layer's partial cache holds, per head, the positions of
-    # ReferencePartial driven by the session's own refreshes, in its eviction order, after every step
+    # ReferencePartial driven by the session's own refreshes, in its eviction order, after every step;
+    # refreshkv_no_full refreshes before the step's write, then appends and evicts as at any partial step
     prompt_length, n_steps = 48, 100 if schedule == "fixed97" else 60
     stream = rng.integers(0, desk_weights.config.vocab_size, prompt_length + n_steps).tolist()
     for k, evict in itertools.product((1, 6, 40), (True, False)):
@@ -537,11 +538,14 @@ def test_session_held_sets_follow_the_reference_every_step(desk_weights, rng, ki
             _, rec = session.step(token)
             refreshed = {e["layer"]: e for e in events if e["kind"] == "refresh"}
             for layer, ref in enumerate(refs):
-                if rec.modes[layer] == "partial":
+                attends_partial = rec.modes[layer] == "partial" or kind == "refreshkv_no_full"
+                if layer in refreshed and attends_partial:
+                    ref.refill(refreshed[layer]["selection"], k)
+                if attends_partial:
                     ref.append(prompt_length + i)
                     if evict:
                         ref.evict_overflow()
-                if layer in refreshed:
+                if layer in refreshed and not attends_partial:
                     ref.refill(refreshed[layer]["selection"], k)
                 assert_holds(session.partial[layer], ref)
                 assert len(session.partial[layer]._arrays) == 3  # positions, keys, values: no score arena

@@ -627,7 +627,8 @@ class TestTraceSpans:
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_each_cache_append_is_one_span(self, desk_weights, rng, kind):
         # the benchmark times each cache's own append; a step appends once per layer to the full cache (snapkv
-        # keeps only its prompt there) and once per partial-mode layer to the partial cache
+        # keeps only its prompt there) and once per layer that attends its partial cache to that cache: every
+        # partial-mode layer, and every refreshkv_no_full layer, whose refresh step attends its partial cache too
         tracer = perfbench_tracer().Tracer()
         schedule = ScheduleConfig(mode="fixed", stride=3) if kind in REFRESH_FAMILY else None
         session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule)
@@ -640,6 +641,8 @@ class TestTraceSpans:
                 _, rec = session.step(token)
                 full_appends = 0 if kind == "snapkv" else desk_weights.config.n_layers
                 partial_appends = 0 if kind == "vanilla" else rec.modes.count("partial")
+                if kind == "refreshkv_no_full":
+                    partial_appends = desk_weights.config.n_layers
                 assert [tracer.calls(span) - n for span, n in zip(spans, before)] == [full_appends, partial_appends]
         finally:
             tracer.uninstall()
