@@ -4,9 +4,10 @@ OLD and NEW are two trace.jsonl files, or two directories of run outputs
 whose subdirectories (each holding a trace.jsonl) are matched by name.
 For every trace the script prints one line: its line count, then each
 field that moved with the largest relative difference |a - b| / max(|a|,
-|b|) over its float values, then the fields that are identical in every
-line. A field that differs anywhere but in a float value (an int, a
-string, a null, a list's length) is marked DIFFERS.
+|b|) over its float values and the step_index of the first line where it
+differs, then the fields that are identical in every line. A field that
+differs anywhere but in a float value (an int, a string, a null, a list's
+length) is marked DIFFERS.
 
 Exit status: 0 when every trace has the same line count and every
 non-float value matches (float values may move); 1 otherwise, when a
@@ -45,17 +46,21 @@ def _value_diff(a, b) -> float | str:
     return 0.0 if type(a) is type(b) and a == b else DIFFERS
 
 
-def compare(old: Path, new: Path) -> tuple[int, int, dict[str, float | str]]:
-    """Line counts of both traces and each field's status over the lines they share."""
+def compare(old: Path, new: Path) -> tuple[int, int, dict[str, float | str], dict[str, int]]:
+    """Line counts of both traces, each field's status over the lines they share, and the step_index of the
+    first shared line where each moved field differs."""
     old_lines = [json.loads(line) for line in old.read_text().splitlines()]
     new_lines = [json.loads(line) for line in new.read_text().splitlines()]
     status: dict[str, float | str] = {}
+    first: dict[str, int] = {}
     for a, b in zip(old_lines, new_lines):
         for name in sorted(a.keys() | b.keys()):
             d = _value_diff(a.get(name, _MISSING), b.get(name, _MISSING))
+            if d != 0.0:
+                first.setdefault(name, a.get("step_index"))
             prev = status.get(name, 0.0)
             status[name] = DIFFERS if DIFFERS in (d, prev) else max(d, prev)
-    return len(old_lines), len(new_lines), status
+    return len(old_lines), len(new_lines), status, first
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,10 +74,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name}: only in {'OLD' if name in old else 'NEW'}")
         ok = False
     for name in sorted(old.keys() & new.keys()):
-        n_old, n_new, status = compare(old[name], new[name])
+        n_old, n_new, status, first = compare(old[name], new[name])
         ok &= n_old == n_new and DIFFERS not in status.values()
         lines = f"{n_old} lines" if n_old == n_new else f"{n_old} vs {n_new} lines, {DIFFERS}"
-        moved = [f"{f} {s if s == DIFFERS else f'{s:.1e}'}" for f, s in status.items() if s != 0.0]
+        moved = [f"{f} {s if s == DIFFERS else f'{s:.1e}'} from step {first[f]}" for f, s in status.items() if s != 0.0]
         same = [f for f, s in status.items() if s == 0.0]
         print(f"{name or args.new} ({lines}): {'; '.join(moved + ['identical: ' + ', '.join(same)])}")
     return 0 if ok else 1

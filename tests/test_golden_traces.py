@@ -10,14 +10,26 @@ The runs happen in one child process with BLAS pinned to one thread, so a
 multi-threaded BLAS cannot split a matrix product differently and move the
 last bits of a float column (under the dense L x L prefill kernel, the
 chainkey trace differed between one and two threads). Running this file
-directly (`python tests/test_golden_traces.py`, no PYTHONPATH needed)
-prints the current digests as JSON; the test runs it that way.
+directly (`python tests/test_golden_traces.py [--out DIR]`, no PYTHONPATH
+needed) prints the current digests as JSON; with --out it also keeps each
+case's run in DIR/<task>-<kind>-<variant>/. The test runs it that way.
 
-A change that alters arithmetic on purpose (for example a new attention
-kernel that sums in a different order) changes these digests. Such a
-change must re-pin them and say why in CHANGES.md.
+A change that alters arithmetic or behaviour on purpose (for example a new
+attention kernel that sums in a different order) changes these digests.
+Such a change re-pins them:
+
+    git archive PARENT | tar -x -C OLD_CHECKOUT
+    python OLD_CHECKOUT/tests/test_golden_traces.py --out OLD   # the parent's runs
+    python tests/test_golden_traces.py --out NEW                # this tree's runs
+    python scripts/trace_diff.py OLD NEW
+
+then copies the moved digests from NEW's JSON into GOLDEN, and says in
+CHANGES.md why they moved, with the trace_diff output. (A parent whose
+copy of this file predates --out: copy this file into OLD_CHECKOUT/tests/
+first; run from there, it imports that checkout's src/.)
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -62,26 +74,30 @@ def config_for(task: str, kind: str, variant: str) -> dict:
     return {"task": task, "policy": policy, "schedule": schedule}
 
 
-def digests() -> dict[str, str]:
-    """Trace digest per case, computed in this process."""
+def digests(out: Path) -> dict[str, str]:
+    """Trace digest per case, computed in this process from the case's run in out/<task>-<kind>-<variant>/."""
     from kvrefresh.harness import RunConfig, run
 
-    out = {}
+    result = {}
     for case in sorted(GOLDEN):
-        with tempfile.TemporaryDirectory() as tmp:
-            run(RunConfig.from_dict(config_for(*case)), out_dir=tmp)
-            out["-".join(case)] = hashlib.sha256((Path(tmp) / "trace.jsonl").read_bytes()).hexdigest()
-    return out
+        run_dir = out / "-".join(case)
+        run(RunConfig.from_dict(config_for(*case)), out_dir=str(run_dir))
+        result[run_dir.name] = hashlib.sha256((run_dir / "trace.jsonl").read_bytes()).hexdigest()
+    return result
 
 
 @pytest.fixture(scope="module")
-def computed() -> dict[str, str]:
+def computed(tmp_path_factory) -> dict[str, str]:
     # the child runs this file as a script: its own __main__ path finds src/ and pins BLAS
     env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    out = tmp_path_factory.mktemp("golden")
     done = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300, check=True
+        [sys.executable, __file__, "--out", str(out)], env=env, capture_output=True, text=True, timeout=300,
+        check=True,
     )
-    return json.loads(done.stdout)
+    computed = json.loads(done.stdout)
+    assert sorted(path.name for path in out.iterdir()) == sorted(computed)  # one run directory per case
+    return computed
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
@@ -90,6 +106,10 @@ def test_trace_digest_is_pinned(case, computed):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the golden cases' trace digests as JSON.")
+    parser.add_argument("--out", type=Path, help="also keep each case's run in OUT/<task>-<kind>-<variant>/")
+    args = parser.parse_args()
     os.environ.update({var: "1" for var in BLAS_THREAD_VARS})  # before kvrefresh imports numpy
     sys.path.insert(0, str(SRC))
-    print(json.dumps(digests(), indent=2, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(digests(args.out or Path(tmp)), indent=2, sort_keys=True))

@@ -28,10 +28,14 @@ def two_runs(tmp_path):
     return tmp_path / "old", tmp_path / "new"
 
 
-def rewrite_first_line(trace: Path, **fields) -> None:
+def rewrite_line(trace: Path, index: int, **fields) -> None:
     lines = trace.read_text().splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), **fields}, sort_keys=True)
+    lines[index] = json.dumps({**json.loads(lines[index]), **fields}, sort_keys=True)
     trace.write_text("\n".join(lines) + "\n")
+
+
+def rewrite_first_line(trace: Path, **fields) -> None:
+    rewrite_line(trace, 0, **fields)
 
 
 def test_same_config_is_identical_in_every_field(trace_diff, two_runs, capsys):
@@ -55,3 +59,15 @@ def test_moved_float_is_reported_and_passes(trace_diff, two_runs, capsys):
     rewrite_first_line(trace, nll=nll * 1.001)
     assert trace_diff.main([str(old / "tiny" / "trace.jsonl"), str(trace)]) == 0
     assert "nll 1.0e-03" in capsys.readouterr().out
+
+
+def test_each_moved_field_names_its_first_differing_step(trace_diff, two_runs, capsys):
+    old, new = two_runs
+    trace = new / "tiny" / "trace.jsonl"
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    rewrite_line(trace, 1, nll=lines[1]["nll"] * 1.001)
+    rewrite_line(trace, 2, nll=lines[2]["nll"] * 1.002, token_id=lines[2]["token_id"] + 1)
+    assert trace_diff.main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out
+    assert f"nll 2.0e-03 from step {lines[1]['step_index']};" in out
+    assert f"token_id DIFFERS from step {lines[2]['step_index']};" in out
