@@ -323,11 +323,11 @@ class TopK(CachePolicy):
     def view(self, layer, step, position, q, k_new, v_new):
         sim = None
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
-            sim = cosine_similarity(mean_query(q), self.reference_query[layer])
+            sim = cosine_similarity(query := mean_query(q), self.reference_query[layer])
         self._sim[layer] = sim
         self._full_step[layer] = full_step = should_full(step, sim, self.schedule)
         if full_step:
-            self.reference_query[layer] = mean_query(q)
+            self.reference_query[layer] = query if sim is not None else mean_query(q)  # one mean per qc check
             if self.output_full:
                 (full := self.full[layer]).append(position, k_new, v_new)
                 return full

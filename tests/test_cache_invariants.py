@@ -4,7 +4,8 @@ After every decode step:
   - the full cache holds positions 0 .. L+i-1 (snapkv: the prompt, 0 .. L-1);
   - top-K policies that evict on append hold at most k_sel entries per head,
     and streaming and h2o hold at most the budget in their partial-cache arena;
-  - every position a view attends is a position already seen;
+  - every position a view attends is a position already seen, and every
+    view holds the current position on every head;
   - each row a view attends carries the key/value the full cache holds
     at that position, wherever the full cache holds it (snapkv's
     generated positions live only in its partial cache).
@@ -79,6 +80,7 @@ def test_invariants_hold_after_every_step(
             for positions in event["positions"]:
                 assert positions.size == np.unique(positions).size
                 assert positions.max() <= current
+                assert current in positions
         for layer, heads in attended:
             cf = session.full[layer]
             for h, (positions, keys, values) in enumerate(heads):
