@@ -9,6 +9,7 @@ import pytest
 from kvrefresh import kv_store
 from kvrefresh.engine import DecodeSession, greedy_generate, teacher_forced_run
 from kvrefresh.errors import ContractViolation
+from kvrefresh.metrics import score_pass_flops, selection_overhead_flops
 from kvrefresh.model import full_forward, init_model, prefill
 from kvrefresh.numerics import top_k_indices
 from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig, selection_scores
@@ -410,6 +411,9 @@ class TestAblations:
                 np.testing.assert_array_equal(views[layer][:, :-1], event["post_positions"])
                 assert rec.view_lens[layer] == 5
                 refreshed += 1
+            scored, cfg = session._position(), desk_weights.config  # charged at the length the refresh scored
+            cost = score_pass_flops(scored, cfg) + selection_overhead_flops(scored, cfg, 7)
+            assert rec.overhead_flops == len(refreshes) * cost
             for layer in views:  # every step appends the current entry
                 assert (views[layer][:, -1] == session._position()).all()
         assert refreshed == 10 * desk_weights.config.n_layers
