@@ -77,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
         n_old, n_new, status, first = compare(old[name], new[name])
         ok &= n_old == n_new and DIFFERS not in status.values()
         lines = f"{n_old} lines" if n_old == n_new else f"{n_old} vs {n_new} lines, {DIFFERS}"
-        moved = [f"{f} {s if s == DIFFERS else f'{s:.1e}'} from step {first[f]}" for f, s in status.items() if s != 0.0]
+        moved = [f"{f} {s if s == DIFFERS else f'{s:.1e}'} from step {first[f]}"
+                 for f, s in status.items() if s != 0.0]
         same = [f for f, s in status.items() if s == 0.0]
         print(f"{name or args.new} ({lines}): {'; '.join(moved + ['identical: ' + ', '.join(same)])}")
     return 0 if ok else 1

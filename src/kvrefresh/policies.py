@@ -177,9 +177,9 @@ class CachePolicy:
     """A session's cache policy over every layer, built from the session right after the prefill.
 
     view(layer, step, position, q, k_new, v_new) runs mid-forward with the layer's rotated (n_query_heads,
-    head_dim) queries and returns the cache to attend, `self.full[layer]` or `self.partial[layer]` (the base
-    view is the budgeted policies' partial step); update(step, rows) gets every layer's (n_kv, group, m)
-    rows over its view and returns one LayerStep per layer.
+    head_dim) queries, writes the fresh key/value into the layer's caches and returns the cache to attend,
+    `self.full[layer]` or `self.partial[layer]` (the base view is the budgeted policies' partial step);
+    update(step, rows) gets every layer's (n_kv, group, m) rows over its view and returns one LayerStep per layer.
     """
 
     appends_full = True  # the partial step writes each fresh key/value into the full cache too
