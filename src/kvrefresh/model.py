@@ -253,11 +253,11 @@ def _check_sequence(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
 
 
 def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> np.ndarray:
-    """One token's (n_kv_heads, group, m) attention probabilities: query head j of q
-    (n_kv_heads * group, head_dim) against kv head j // group's keys, times 1/sqrt(head_dim)."""
+    """One token's (n_kv_heads, group, m) attention probabilities: query head j of q (n_kv_heads * group, head_dim),
+    times 1/sqrt(head_dim) before the product (as in `causal_attention`), against kv head j // group's keys."""
     n_kv, _, d = keys.shape
-    logits = q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1)  # NN GEMM per head on key-major keys
-    logits *= 1.0 / math.sqrt(d)  # the same float as 1.0 / np.sqrt(d), without a numpy scalar
+    qs = q * (1.0 / math.sqrt(d))  # the same float as 1.0 / np.sqrt(d), without a numpy scalar
+    logits = qs.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1)  # NN GEMM per head on key-major keys
     return softmax_rows(logits, logits)  # in place; `out` positional, as TestTraceSpans' wrapper forwards only *args
 
 

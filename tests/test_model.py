@@ -425,10 +425,18 @@ class TestDecodeStep:
 
     @pytest.mark.parametrize("n_kv, group, m, d", [(2, 2, 1, 16), (2, 2, 37, 16), (1, 4, 129, 8), (4, 1, 5, 32)])
     def test_attention_rows_is_the_inline_expression_bitwise(self, rng, n_kv, group, m, d):
+        # the queries are scaled by 1/sqrt(d) before the logit product, as causal_attention scales them
         q = rng.standard_normal((n_kv * group, d))
         keys = rng.standard_normal((n_kv, 2 * m, d))[:, :m]  # an arena's filled prefix
-        expected = softmax_rows(q.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1) * (1.0 / np.sqrt(d)))
+        expected = softmax_rows((q * (1.0 / np.sqrt(d))).reshape(n_kv, group, d) @ keys.transpose(0, 2, 1))
         assert np.array_equal(model.attention_rows(q, keys, group), expected)
+
+    def test_attention_rows_at_head_dim_16_is_the_post_scaled_expression_bitwise(self, rng):
+        # 1/sqrt(16) = 0.25 is a power of two, so scaling before or after the product gives the same floats
+        q = rng.standard_normal((4, 16))
+        keys = rng.standard_normal((2, 74, 16))[:, :37]
+        expected = softmax_rows(q.reshape(2, 2, 16) @ keys.transpose(0, 2, 1) * (1.0 / np.sqrt(16)))
+        assert np.array_equal(model.attention_rows(q, keys, 2), expected)
 
 
 class TestFastPathsBitwise:
