@@ -9,13 +9,17 @@ differs, then the fields that are identical in every line. A field that
 differs anywhere but in a float value (an int, a string, a null, a list's
 length) is marked DIFFERS.
 
+With `--max-rel X`, a field whose float values moved by more than X
+relative is marked `OVER X`.
+
 Exit status: 0 when every trace has the same line count and every
-non-float value matches (float values may move); 1 otherwise, when a
-run directory is present on one side only, or when no trace matched.
+non-float value matches (float values may move, by at most X under
+`--max-rel X`); 1 otherwise, when a run directory is present on one side
+only, or when no trace matched.
 
 Run from the repository root:
 
-    python scripts/trace_diff.py OLD NEW
+    python scripts/trace_diff.py OLD NEW [--max-rel X]
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
+    parser.add_argument("--max-rel", type=float, metavar="X", help="fail when a float moved by more than X relative")
     args = parser.parse_args(argv)
+    limit = float("inf") if args.max_rel is None else args.max_rel
     old, new = _traces(args.old), _traces(args.new)
     ok = bool(old.keys() & new.keys())  # comparing no trace at all is no pass
     for name in sorted(old.keys() ^ new.keys()):
@@ -75,10 +81,11 @@ def main(argv: list[str] | None = None) -> int:
         ok = False
     for name in sorted(old.keys() & new.keys()):
         n_old, n_new, status, first = compare(old[name], new[name])
-        ok &= n_old == n_new and DIFFERS not in status.values()
+        over = {f for f, s in status.items() if s != DIFFERS and s > limit}
+        ok &= n_old == n_new and DIFFERS not in status.values() and not over
         lines = f"{n_old} lines" if n_old == n_new else f"{n_old} vs {n_new} lines, {DIFFERS}"
         moved = [f"{f} {s if s == DIFFERS else f'{s:.1e}'} from step {first[f]}"
-                 for f, s in status.items() if s != 0.0]
+                 + (f" OVER {args.max_rel:g}" if f in over else "") for f, s in status.items() if s != 0.0]
         same = [f for f, s in status.items() if s == 0.0]
         print(f"{name or args.new} ({lines}): {'; '.join(moved + ['identical: ' + ', '.join(same)])}")
     return 0 if ok else 1

@@ -71,3 +71,16 @@ def test_each_moved_field_names_its_first_differing_step(trace_diff, two_runs, c
     out = capsys.readouterr().out
     assert f"nll 2.0e-03 from step {lines[1]['step_index']};" in out
     assert f"token_id DIFFERS from step {lines[2]['step_index']};" in out
+
+
+def test_max_rel_fails_a_float_moved_beyond_it(trace_diff, two_runs, capsys):
+    old, new = two_runs
+    trace = new / "tiny" / "trace.jsonl"
+    line = json.loads(trace.read_text().splitlines()[0])
+    rewrite_first_line(trace, nll=line["nll"] * 1.001)
+    assert trace_diff.main([str(old), str(new)]) == 0
+    assert "OVER" not in capsys.readouterr().out
+    assert trace_diff.main([str(old), str(new), "--max-rel", "1e-12"]) == 1
+    assert f"nll 1.0e-03 from step {line['step_index']} OVER 1e-12;" in capsys.readouterr().out
+    assert trace_diff.main([str(old), str(new), "--max-rel", "1e-2"]) == 0
+    assert "OVER" not in capsys.readouterr().out
