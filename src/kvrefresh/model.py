@@ -5,9 +5,10 @@ throughout, greedy decoding. The decode path exposes per-layer rotated
 queries and per-head attention probability rows so cache policies and the
 scheduler can observe them. Weights are fully determined by the config
 seed; two initializations with an equal config are bitwise identical.
-Each layer projects q, k and v with one fused matrix, and the rotary
-cos/sin come from a per-model table built once at init, interleaved to
-the head vector's pair layout so `apply_rope` is two products and a sum.
+Each layer projects q, k and v with one fused matrix. RoPE is one complex
+multiply, as RoFormer (arXiv 2104.09864) defines it: each head vector's
+pairs (2i, 2i+1) are read as complex numbers and multiplied by e^{i a_i}
+from a per-model complex table built once at init.
 The RMS norms carry no gain (a gain of all ones would multiply by 1.0,
 exactly); a decode row divides by one Python float. Prefill and decode
 share one feed-forward helper, `_ffn`, and add both residuals in place.
@@ -133,8 +134,8 @@ class ModelWeights:
     embed: np.ndarray  # (vocab_size, model_dim)
     layers: list[LayerWeights]
     w_out: np.ndarray  # (model_dim, vocab_size)
-    # cos, signed sin: (max_position, head_dim), interleaved per rotary pair (see _rope_table)
-    rope: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # e^{i a}: complex (max_position, 1, head_dim // 2), one entry per rotary pair (see _rope_table)
+    rope: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.rope = _rope_table(np.arange(self.config.max_position), self.config.head_dim)
@@ -196,30 +197,27 @@ def _ffn(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     return h.dot(lw.w_down)
 
 
-def _rope_table(positions: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rotary table rows (..., head_dim) per position, interleaved to the pair layout:
-    cos(a_i) at 2i and 2i+1, and -sin(a_i) at 2i, +sin(a_i) at 2i+1, with a_i = pos / base^(2i/head_dim)."""
+def _rope_table(positions: np.ndarray, head_dim: int) -> np.ndarray:
+    """Complex rotary table rows (..., 1, head_dim // 2) per position, cos(a_i) + i sin(a_i) with
+    a_i = pos / base^(2i/head_dim); the unit axis broadcasts over heads."""
     inv_freq = ROPE_BASE ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
-    ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
-    sin = np.sin(ang)
-    return np.repeat(np.cos(ang), 2, axis=-1), np.stack([-sin, sin], axis=-1).reshape(ang.shape[:-1] + (head_dim,))
+    ang = np.asarray(positions, dtype=np.float64)[..., None, None] * inv_freq
+    table = np.empty(ang.shape, dtype=np.complex128)
+    table.real, table.imag = np.cos(ang), np.sin(ang)
+    return table
 
 
-def _swap_pairs(x: np.ndarray) -> np.ndarray:
-    """x with entries 2i and 2i+1 of its last axis exchanged."""
-    return x.reshape(x.shape[:-1] + (-1, 2))[..., ::-1].reshape(x.shape)
-
-
-def apply_rope(x: np.ndarray, positions: int | slice | np.ndarray, rope: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def apply_rope(x: np.ndarray, positions: int | slice | np.ndarray, rope: np.ndarray) -> np.ndarray:
     """Rotate head vectors by their absolute positions.
 
-    x: (..., n_heads, head_dim); positions: an index, slice or index array
-    into the model's interleaved table `rope`, broadcastable over the
-    leading axes. Pair (2i, 2i+1) becomes (x1 cos - x2 sin, x2 cos + x1 sin)
-    at angle pos / base^(2i/head_dim): x * cos + swap_pairs(x) * signed sin,
-    the same floats as the pairwise formula.
+    x: (..., n_heads, head_dim) with a contiguous last axis; positions: an
+    index, slice or index array into the model's complex table `rope`,
+    broadcastable over the leading axes. Pair (2i, 2i+1) is read as
+    x1 + i x2 and multiplied by e^{i a_i}, giving (x1 cos - x2 sin,
+    x1 sin + x2 cos) at angle a_i = pos / base^(2i/head_dim). Each row's
+    result depends on that row alone, so a chunk gives every row's bits.
     """
-    return x * rope[0][positions][..., None, :] + _swap_pairs(x) * rope[1][positions][..., None, :]
+    return (x.view(np.complex128) * rope[positions]).view(np.float64)
 
 
 # provide_view(layer_idx, q_heads, k_new, v_new) -> the layer's cache to attend (see `decode_core`)

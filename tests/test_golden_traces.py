@@ -46,18 +46,18 @@ FIXED = {"mode": "fixed", "stride": 10}
 QC = {"mode": "qc", "qc_stride": 10, "threshold": 0.0}
 
 GOLDEN = {
-    ("lm", "vanilla", "default"): "e95846ffe2c903bc53f8ef0a32f5541b63b18814392f267b0b8aa795e0dbefce",
-    ("lm", "streaming", "default"): "8c1bfced68279ba17985ea7dcabf360b14bc71ba2be94e81d2a1e2e2aa3c4984",
-    ("lm", "h2o", "default"): "c64afeea7261d63aaefe4e8414f73a63f2997dbbfd81bc6efba068a208b8d72b",
-    ("lm", "snapkv", "default"): "920e99085ef46a7e882f4cbe79be29b17817f4d401767b9e5175c47ef810a86a",
-    ("lm", "refreshkv", "fixed"): "6c3f98ae5495c7857d8bb107a34dae0f107c7c9ff499140b142da218152708d8",
-    ("lm", "refreshkv", "qc"): "b54daf3b8781001d2ffdc454ce9673be047c35caa00040f1524a72ad5ffd56b9",
-    ("lm", "refreshkv_no_refresh", "fixed"): "3584c8c6163ef13dbdfb3b43e76369837c2cd07a9731bb78e5b7dce20f6e4d4e",
-    ("lm", "refreshkv_no_refresh", "qc"): "c08828432ccf48bf8d3ef472b00237f326d8dba0c782cac3bd1de82a0ffe0aa2",
-    ("lm", "refreshkv_no_full", "fixed"): "ea54d821a64641850d639a15b6d351e48799a4d5c800919fec603c28b2791496",
-    ("lm", "refreshkv_no_full", "qc"): "b5b405c2bf98a0ec9a3cf5fcd0c1bfc8c8ead502b52a5caeda96c7a49b2afd6d",
-    ("lm", "refreshkv", "fixed-no-evict"): "749b28433e4a8d027b21826cf955bb0400db212f23c81546a0d50420270dced2",
-    ("chainkey", "refreshkv", "default"): "cd531f983adb0d3b4e6d5e13da79705a79e28fee9b2f2e384ba467d0491394da",
+    ("lm", "vanilla", "default"): "b5882d75e8afe2d28ce457000b23820ab7c4b14843ccee060db236fa5de3be79",
+    ("lm", "streaming", "default"): "83ece76fc0c8dab1b59be0edcef76ffe146837831ecd2311c2d5a67c4a8b58dc",
+    ("lm", "h2o", "default"): "05420181084943f4d68d1d0ec558ed8213831fa642494066d138d5d2d5d065fd",
+    ("lm", "snapkv", "default"): "a7ecae6b1c94cdeb831a07c102a4ebf35e0163db9e968a4a80840645fdf09419",
+    ("lm", "refreshkv", "fixed"): "700b71a919fcf4409641144353066ae93fb1b389ad3045a8c9436a0c593978ce",
+    ("lm", "refreshkv", "qc"): "1620eb030c6fa8a49a84e255c76a9cfc6e96ee67f04774f4df1ac6199e1bd31e",
+    ("lm", "refreshkv_no_refresh", "fixed"): "fe3d1e6d98659922acd5f01d94a1f6c7b37736ba7d9b953db82dce12bb29e144",
+    ("lm", "refreshkv_no_refresh", "qc"): "1fa78f13c72c1122aa057f0309903974e7bca2c7d4eb98caa8a48290b4b91ed6",
+    ("lm", "refreshkv_no_full", "fixed"): "7a482404fee76cd0abc0eaefef5e51caf5db8db0a31b868507a63e2983019923",
+    ("lm", "refreshkv_no_full", "qc"): "17e745f9f2952bf86dba60efb877eadda1b79ecfdf55865595b17c004e57efa5",
+    ("lm", "refreshkv", "fixed-no-evict"): "dd1ddad10e893ecc8d070ed9dcb240ff9d16fcf1ada5eae77139ea1eb5cb96c7",
+    ("chainkey", "refreshkv", "default"): "a7493e814b5de12fbd6c47bd2da3b106d3591a1a355490bf11d3f74605b8f0af",
 }
 
 

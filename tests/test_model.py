@@ -499,7 +499,7 @@ def rope_angles(positions, head_dim):
 
 
 def pairwise_rope(x, positions, head_dim):
-    """The pairwise rotation apply_rope replaced: (x1 cos - x2 sin, x1 sin + x2 cos) per pair (2i, 2i+1)."""
+    """The pairwise rotation (x1 cos - x2 sin, x1 sin + x2 cos) per pair (2i, 2i+1), in separate products and sums."""
     ang = rope_angles(positions, head_dim)
     cos, sin = np.cos(ang)[..., None, :], np.sin(ang)[..., None, :]
     x1, x2 = x[..., 0::2], x[..., 1::2]
@@ -509,29 +509,65 @@ def pairwise_rope(x, positions, head_dim):
     return out
 
 
+def complex_of(re, im):
+    """The complex array re + i im, each part copied bit for bit."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+ROPE_CASES = [
+    ((6, 16), 0), ((6, 16), 4095), ((6, 16), 8191),  # a decode step: one position for every head
+    ((40, 6, 16), slice(40)),  # the prefill: the table's first L rows
+    ((5, 3, 16), np.array([0, 1, 17, 4095, 8191])),
+]
+
+
+def rope_positions(shape, positions):
+    return np.arange(shape[0]) if isinstance(positions, slice) else positions
+
+
 class TestRopeTable:
     def test_table_is_the_angle_expression_bitwise(self, desk_weights):
-        # interleaved to the pair layout: cos(a_i) at 2i and 2i+1, -sin(a_i) at 2i and +sin(a_i) at 2i+1
+        # one complex entry e^{i a_j} per rotary pair: real part cos(a_j), imaginary part sin(a_j)
         cfg = desk_weights.config
-        cos, sin = desk_weights.rope
-        assert cos.shape == sin.shape == (cfg.max_position, cfg.head_dim)
+        table = desk_weights.rope
+        assert table.dtype == np.complex128 and table.shape == (cfg.max_position, 1, cfg.head_dim // 2)
         ang = rope_angles(np.arange(cfg.max_position), cfg.head_dim)
-        assert np.array_equal(cos[:, 0::2], np.cos(ang)) and np.array_equal(cos[:, 1::2], np.cos(ang))
-        assert np.array_equal(sin[:, 0::2], -np.sin(ang)) and np.array_equal(sin[:, 1::2], np.sin(ang))
+        assert np.array_equal(table[:, 0].real, np.cos(ang)) and np.array_equal(table[:, 0].imag, np.sin(ang))
         # and each row equals the table of its position computed alone, bit for bit
         for p in (0, 1, 17, 4095, cfg.max_position - 1):
-            one_cos, one_sin = model._rope_table(np.asarray([p]), cfg.head_dim)
-            assert np.array_equal(cos[p], one_cos[0]) and np.array_equal(sin[p], one_sin[0])
+            assert np.array_equal(table[p], model._rope_table(np.asarray([p]), cfg.head_dim)[0])
 
-    @pytest.mark.parametrize("shape, positions", [
-        ((6, 16), 0), ((6, 16), 4095), ((6, 16), 8191),  # a decode step: one position for every head
-        ((40, 6, 16), slice(40)),  # the prefill: the table's first L rows
-        ((5, 3, 16), np.array([0, 1, 17, 4095, 8191])),
-    ])
-    def test_apply_rope_is_the_pairwise_formula_bitwise(self, desk_weights, rng, shape, positions):
+    @pytest.mark.parametrize("shape, positions", ROPE_CASES)
+    def test_apply_rope_is_the_complex_product_bitwise(self, desk_weights, rng, shape, positions):
+        # pair (2j, 2j+1) read as x1 + i x2, times cos(a_j) + i sin(a_j), written back as (real, imag)
         x = rng.standard_normal(shape)
-        expected = pairwise_rope(x, np.arange(shape[0]) if isinstance(positions, slice) else positions, shape[-1])
+        ang = rope_angles(rope_positions(shape, positions), shape[-1])[..., None, :]
+        z = complex_of(x[..., 0::2], x[..., 1::2]) * complex_of(np.cos(ang), np.sin(ang))
+        expected = np.stack([z.real, z.imag], axis=-1).reshape(shape)
         assert np.array_equal(model.apply_rope(x, positions, desk_weights.rope), expected)
+
+    @pytest.mark.parametrize("shape, positions", ROPE_CASES)
+    def test_apply_rope_is_within_4_eps_of_the_pairwise_formula(self, desk_weights, rng, shape, positions):
+        # the complex multiply may fuse a product into its sum, so it can differ from the pairwise floats in the last bits
+        x = rng.standard_normal(shape)
+        expected = pairwise_rope(x, rope_positions(shape, positions), shape[-1])
+        got = model.apply_rope(x, positions, desk_weights.rope)
+        assert np.abs(got - expected).max() <= 4 * np.finfo(np.float64).eps * np.abs(x).max()
+
+    def test_a_row_rotated_alone_is_its_row_in_any_chunk_bitwise(self, desk_weights, rng):
+        # prefill's chunks rest on this: a decode row and any chunk of rows give each row the same bits
+        for _ in range(50):
+            length, n_heads = int(rng.integers(1, 300)), int(rng.integers(1, 7))
+            x = rng.standard_normal((length, n_heads + 2, 16))[:, :n_heads]  # a column slice, as prefill rotates
+            whole = model.apply_rope(x, slice(length), desk_weights.rope)
+            s = int(rng.integers(0, length))
+            e = int(rng.integers(s + 1, length + 1))
+            assert np.array_equal(model.apply_rope(x[s:e], slice(s, e), desk_weights.rope), whole[s:e])
+            for p in {0, s, length - 1}:
+                row = np.ascontiguousarray(x[p])  # a decode step's (n_heads, head_dim) queries and key
+                assert np.array_equal(model.apply_rope(row, p, desk_weights.rope), whole[p])
 
     def test_last_table_row_decodes_and_max_position_is_rejected(self, rng):
         weights = init_model(ModelConfig(max_position=32, seed=3))
