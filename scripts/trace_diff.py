@@ -73,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--max-rel", type=float, metavar="X", help="fail when a float moved by more than X relative")
     args = parser.parse_args(argv)
-    limit = float("inf") if args.max_rel is None else args.max_rel
     old, new = _traces(args.old), _traces(args.new)
     ok = bool(old.keys() & new.keys())  # comparing no trace at all is no pass
     for name in sorted(old.keys() ^ new.keys()):
@@ -81,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         ok = False
     for name in sorted(old.keys() & new.keys()):
         n_old, n_new, status, first = compare(old[name], new[name])
-        over = {f for f, s in status.items() if s != DIFFERS and s > limit}
+        over = {f for f, s in status.items() if args.max_rel is not None and s != DIFFERS and s > args.max_rel}
         ok &= n_old == n_new and DIFFERS not in status.values() and not over
         lines = f"{n_old} lines" if n_old == n_new else f"{n_old} vs {n_new} lines, {DIFFERS}"
         moved = [f"{f} {s if s == DIFFERS else f'{s:.1e}'} from step {first[f]}"
