@@ -7,12 +7,13 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
   1. the model computes the current token's queries and fresh key/value
      and asks `_provide_view(layer, q, k_new, v_new)` for the layer's view;
   2. the session asks the policy for the layer's view at the step's
-     position: the layer's full or partial cache itself. The policy
-     writes the fresh key/value into the view and, at a partial step,
-     into the full cache too (snapkv keeps only its prompt there); a
-     refreshkv_no_full refresh runs first. The session notes the view's
-     length and, from which cache it is, the layer's modeled attended
-     size (metrics);
+     position (set once per step): the layer's full or partial cache
+     itself. The policy writes the fresh key/value into the view and, at
+     a partial step, into the full cache too (snapkv keeps only its
+     prompt there), whose slots are its positions, so the write is at
+     slot len(cache); a refreshkv_no_full refresh runs first. The session
+     notes the view's length and, from which cache it is, the layer's
+     modeled attended size (metrics): L or k_sel;
   3. attention runs over the view's window exactly as given, as one
      batched computation over the layer's kv heads, so nothing is copied.
      Every view holds the current token;
@@ -22,8 +23,9 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
      h2o drop one slot of each partial cache, moving the shorter side of
      its window, and evicting top-K kinds drop their overflow from the
      start of their eviction-ordered windows, which copies nothing. It
-     reports whether each layer's step was full; the session builds an
-     exact-cost StepRecord.
+     reports whether each layer's step was full (plain steps share one
+     immutable LayerStep); the session builds an exact-cost StepRecord
+     from per-layer costs of L and k_sel it computed at the prefill.
 
 Sessions are single-threaded; distinct sessions never share state and may
 run on distinct threads.
@@ -74,11 +76,12 @@ class DecodeSession:
     def prefill(self, tokens: Sequence[int]) -> StepOutput:
         if self.input_length is not None:
             raise ContractViolation("session already prefilled")
-        self.full, out = model_prefill(self.weights, tokens)
         L = len(tokens)
-        self.input_length = L
-        self.budget = self.policy.resolve_budget(L)
-        self.k_sel = min(self.budget, L)
+        budget = self.policy.resolve_budget(L)  # before the model runs: a bad budget leaves the session unprefilled
+        self.full, out = model_prefill(self.weights, tokens)
+        self.input_length, self.budget, self.k_sel = L, budget, min(budget, L)
+        n = self.cfg.n_layers  # a step's (flops, bytes) by its number of full layers: only L and k_sel are attended
+        self._costs = [step_cost([L] * i + [self.k_sel] * (n - i), self.cfg) for i in range(n + 1)]
         self.cache_policy = make_policy(self, out)
         self.partial = self.cache_policy.partial
         return out
@@ -87,9 +90,10 @@ class DecodeSession:
         if self.input_length is None:
             raise ContractViolation("prefill the session before stepping")
         self.step_index += 1
+        self._position = self.input_length + self.step_index - 1
         self._view_lens, self._attended = [], []
         try:
-            out = decode_core(self.weights, token, self._position(), self._provide_view)
+            out = decode_core(self.weights, token, self._position, self._provide_view)
             return out, self._record(out, token)
         except ContractViolation as exc:
             raise ContractViolation(f"aborted at step {self.step_index}: {exc}") from exc
@@ -98,13 +102,10 @@ class DecodeSession:
         """End the run. Nothing is left to flush: each step's policy view already
         wrote its key/value into the caches (snapkv's full cache keeps only the prompt)."""
 
-    def _position(self) -> int:
-        return self.input_length + self.step_index - 1
-
     def _provide_view(
         self, layer: int, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray
     ) -> FullCache | PartialCache:
-        view = self.cache_policy.view(layer, self.step_index, self._position(), q, k_new, v_new)
+        view = self.cache_policy.view(layer, self.step_index, self._position, q, k_new, v_new)
         self._view_lens.append(len(view))  # now: update's evictions shrink the partial cache
         self._attended.append(self.input_length if view is self.full[layer] else self.k_sel)
         if self.recorder is not None:
@@ -114,7 +115,7 @@ class DecodeSession:
 
     def _record(self, out: StepOutput, token: int) -> StepRecord:
         layers = self.cache_policy.update(self.step_index, out.attn_rows)
-        flops, nbytes = step_cost(self._attended, self.cfg)
+        flops, nbytes = self._costs[self._attended.count(self.input_length)]
         retained = [r for s in layers for r in s.retained]
         return StepRecord(
             step_index=self.step_index,

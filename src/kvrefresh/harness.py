@@ -109,8 +109,7 @@ class RunConfig:
                 raise ConfigurationError(f"chainkey prompt byte {max(prompt)} outside vocab_size {self.model.vocab_size}")
             prompt_length = len(prompt)
             last = prompt_length + self.n_generate - 1
-        if self.policy.kind == "streaming" and (budget := self.policy.resolve_budget(prompt_length)) < self.policy.n_sink:
-            raise ConfigurationError(f"streaming budget {budget} smaller than n_sink {self.policy.n_sink}")
+        self.policy.resolve_budget(prompt_length)  # a streaming budget below n_sink raises
         if last >= self.model.max_position:
             raise ConfigurationError(
                 f"the {self.task} run decodes up to position {last}, max_position {self.model.max_position} "

@@ -4,11 +4,12 @@ Two stores per layer: the full cache (every token seen so far, never
 evicted), in the session's `full` list, and, for every budgeted policy,
 the partial cache (a fixed-budget subset, held per kv-head), in the
 session's one policy object's `partial` list. Both are a window of one
-layout of head-major arenas (`_Arena`): positions (n_kv_heads, slots),
-keys and values (n_kv_heads, slots, head_dim). Attention reads one head's
-m entries as a slice of the slot axis, without a copy. The full cache's
-window is its arenas' filled prefix, which doubles when full; the partial
-cache's moves (see below). A layer's view at a decode step is one of its
+layout of head-major arenas (`_Arena`): keys and values (n_kv_heads,
+slots, head_dim), and the partial cache's positions (n_kv_heads, slots).
+The full cache's positions are its slots, so it keeps none. Attention
+reads one head's m entries as a slice of the slot axis, without a copy.
+The full cache's window is its arenas' filled prefix, which doubles when
+full; the partial cache's moves (see below). A layer's view at a decode step is one of its
 two caches itself, as the policy's `view(layer, ...)` returns it. The
 view writes each fresh key/value into the caches before the layer
 attends, so every view holds the current token.
@@ -77,69 +78,50 @@ def _resized(a: np.ndarray, n: int, slots: int, key_major: bool = False) -> np.n
 
 class _Arena:
     """The window both caches keep: n entries of every kv head in the slots [start, start + n) of
-    head-major arenas, `_arrays`: positions (n_kv_heads, slots), key-major keys and values
-    (n_kv_heads, slots, head_dim), and any further arena that moves with the window.
-
-    An append must exceed `_newest`, the newest position written, a Python int kept for the check.
-    An append that finds the window at the arena's end first moves it to slot 0: in place when it
-    fills at most half of the arena, so each move frees at least as many slots as it copies, else
-    into arenas twice its size. Each cache defines its own `append` on `_append`, so a profiler that
-    wraps one class's method times that cache's appends alone.
+    head-major arenas, `_arrays`: key-major keys and values (n_kv_heads, slots, head_dim), then any
+    further arena that moves with the window (the partial cache's positions and h2o's scores).
     """
 
     _start = 0
-    positions = property(lambda self: self._arrays[0][:, self._start : self._start + self._n])
-    keys = property(lambda self: self._arrays[1][:, self._start : self._start + self._n])
-    values = property(lambda self: self._arrays[2][:, self._start : self._start + self._n])
+    keys = property(lambda self: self._arrays[0][:, self._start : self._start + self._n])
+    values = property(lambda self: self._arrays[1][:, self._start : self._start + self._n])
 
     def __len__(self) -> int:
         return self._n
 
-    def _append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        n, start = self._n, self._start
-        if position <= self._newest:
-            raise ContractViolation(f"{self._name} append out of order: {position} <= {self._newest}")
-        if start + n == (slots := self._arrays[0].shape[1]):
-            if slots and 2 * n <= slots:
-                for a in self._arrays:
-                    a[:, :n] = a[:, start : start + n]
-                self._start = 0
-            else:
-                self._resize(max(1, 2 * n), n)
-        end = self._start + n
-        positions, keys, values = self._arrays[:3]
-        positions[:, end], keys[:, end], values[:, end] = position, k, v
-        self._n, self._newest = n + 1, position
-
     def _resize(self, slots: int, n: int) -> None:
         """Move the window's first n entries to slot 0 of new arenas with `slots` slots, keys key-major."""
         start = self._start
-        self._arrays = [_resized(a[:, start:], n, slots, key_major=i == 1) for i, a in enumerate(self._arrays)]
+        self._arrays = [_resized(a[:, start:], n, slots, key_major=i == 0) for i, a in enumerate(self._arrays)]
         self._start = 0
 
 
 class FullCache(_Arena):
     """Append-only store of every position's key/value, all kv-heads.
 
-    `positions` ((n_kv_heads, n), strictly increasing and equal on every
-    head), `keys` and `values` ((n_kv_heads, n, head_dim), keys rotated)
-    are the window at slot 0 of its arenas, so an append writes one slot
-    per head and copies the store only when it doubles. `_forward` hands
-    the prefill's keys over key-major and every doubling keeps it.
+    Slot i holds position i on every head, so `positions` is a read-only
+    (n_kv_heads, n) broadcast of arange(n) and an append must be at position
+    len(cache). `keys` and `values` ((n_kv_heads, n, head_dim), keys rotated)
+    are the window at slot 0 of its two arenas: an append writes one slot per
+    head and copies only when they double. `_forward` hands the prefill's
+    keys over key-major and every doubling keeps it.
     """
 
-    _name = "full-cache"
+    positions = property(lambda self: np.broadcast_to(np.arange(self._n), (len(self._heads), self._n)))
 
-    def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray):
-        positions = np.asarray(positions, dtype=np.int64)
-        # a read-only broadcast of the positions: the arenas are full, so the first append copies them
-        self._arrays = [np.broadcast_to(positions, keys.shape[:2]), keys, values]
-        self._n, self._newest = positions.size, int(positions[-1]) if positions.size else -1
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self._arrays, self._n = [keys, values], keys.shape[1]
         self._heads = np.arange(keys.shape[0])[:, None]
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Write one position's (n_kv_heads, head_dim) key and value in place."""
-        self._append(position, k, v)
+        """Write position len(cache)'s (n_kv_heads, head_dim) key and value in place."""
+        if position != (n := self._n):
+            raise ContractViolation(f"full-cache append at {position}, the cache holds positions 0 .. {n - 1}")
+        if n == self._arrays[0].shape[1]:
+            self._resize(max(1, 2 * n), n)
+        keys, values = self._arrays
+        keys[:, n], values[:, n] = k, v
+        self._n = n + 1
 
     def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions (n_kv_heads, m), keys and values (n_kv_heads, m, head_dim) at the
@@ -152,23 +134,24 @@ class PartialCache(_Arena):
     """Fixed-budget per-kv-head subset of the cache.
 
     Every head holds the same number n of entries, in the order the module
-    docstring gives for the cache's policy, in the window of its arenas. A
-    refill writes from slot 0, into the same arenas when n + PARTIAL_SPARE
-    slots fit, so a cache at its budget can append and evict PARTIAL_SPARE
-    times before an append finds the window at the arena's end. Built from
-    positions, keys, values and a (1, n) score row, the cache keeps the row
-    as a fourth arena that moves with the window, `scores` (h2o's
-    cumulative attention, which every head shares); an append leaves the
-    new entry's score for its owner to write.
+    docstring gives for the cache's policy, in the window of its arenas:
+    keys, values and positions. A refill writes from slot 0, into the same
+    arenas when n + PARTIAL_SPARE slots fit. An append must exceed `_newest`
+    (a Python int); one that finds the window at the arena's end first moves
+    it to slot 0, in place when it fills at most half of the arena (so each
+    move frees at least as many slots as it copies), else into arenas twice
+    its size. Built with a (1, n) score row too, the cache keeps it as a
+    fourth arena, `scores` (h2o's cumulative attention, which every head
+    shares); an append leaves the new entry's score for its owner to write.
     """
 
-    _name = "partial-cache"
+    positions = property(lambda self: self._arrays[2][:, self._start : self._start + self._n])
     scores = property(lambda self: self._arrays[3][:, self._start : self._start + self._n])
 
-    def __init__(self, capacity: int, *arrays: np.ndarray):
-        n = arrays[0].shape[1]
-        self._arrays = [_resized(a, n, n + PARTIAL_SPARE, key_major=i == 1) for i, a in enumerate(arrays)]
-        self.capacity, self._n, self._newest = capacity, n, int(arrays[0].max()) if n else -1
+    def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray, *score):
+        n, arrays = positions.shape[1], (keys, values, positions, *score)
+        self._arrays = [_resized(a, n, n + PARTIAL_SPARE, key_major=i == 0) for i, a in enumerate(arrays)]
+        self.capacity, self._n, self._newest = capacity, n, int(positions.max()) if n else -1
 
     def sizes(self) -> list[int]:
         return [self._n] * self._arrays[0].shape[0]
@@ -176,21 +159,35 @@ class PartialCache(_Arena):
     def refill(self, full: FullCache, capacity: int, slots: np.ndarray) -> None:
         """Replace every entry with the full cache's entries at `slots` ((n_kv_heads, n), in the order
         to hold them), from slot 0 of the arena: per head, np.take reads the full cache's key-major
-        (head_dim, slots) block and row-major values straight into this cache's, with no copy between."""
+        (head_dim, slots) block and row-major values straight into this cache's, with no copy between;
+        the slots are the positions."""
         n = slots.shape[1]
         if n + PARTIAL_SPARE > self._arrays[0].shape[1]:
             self._resize(n + PARTIAL_SPARE, 0)
         self.capacity, self._start, self._n = capacity, 0, n
-        (positions, keys, values), (full_positions, full_keys, full_values) = self._arrays, full._arrays
+        (keys, values, positions), (full_keys, full_values) = self._arrays, full._arrays
         for h, s in enumerate(slots):  # all in range: "clip" only skips the check and buffered write of "raise"
-            np.take(full_positions[h], s, out=positions[h, :n], mode="clip")
             np.take(full_keys[h].T, s, axis=1, out=keys[h, :n].T, mode="clip")
             np.take(full_values[h], s, axis=0, out=values[h, :n], mode="clip")
-        self._newest = int(positions[:, :n].max()) if n else -1  # top-K order puts the newest anywhere
+        positions[:, :n] = slots
+        self._newest = int(slots.max()) if n else -1  # top-K order puts the newest anywhere
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write one entry (all heads) at the window's end."""
-        self._append(position, k, v)
+        n, start = self._n, self._start
+        if position <= self._newest:
+            raise ContractViolation(f"partial-cache append out of order: {position} <= {self._newest}")
+        if start + n == (slots := self._arrays[0].shape[1]):
+            if slots and 2 * n <= slots:
+                for a in self._arrays:
+                    a[:, :n] = a[:, start : start + n]
+                self._start = 0
+            else:
+                self._resize(max(1, 2 * n), n)
+        end = self._start + n
+        keys, values, positions = self._arrays[:3]
+        keys[:, end], values[:, end], positions[:, end] = k, v, position
+        self._n, self._newest = n + 1, position
 
     def drop(self, slot: int) -> None:
         """Remove the entry at `slot` of the window on every head, keeping the others' order.

@@ -368,7 +368,7 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
     the all-rows pass (see `_forward`).
     """
     x, layers = _forward(weights, tokens, last_rows_only=True)
-    caches = [FullCache(np.arange(k.shape[1]), k, v) for k, v, _, _ in layers]
+    caches = [FullCache(k, v) for k, v, _, _ in layers]
     rows = [last_rows for *_, last_rows in layers]
     logits = _rms_norm(x[-1]) @ weights.w_out
     return caches, StepOutput(logits, [q for _, _, q, _ in layers], rows)

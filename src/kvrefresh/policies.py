@@ -52,7 +52,7 @@ The prefill's selection is the same ranking and refill, for every layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -122,11 +122,12 @@ class PolicyConfig:
         Fractional budgets resolve to floor(fraction * L). Policies that
         select from the prefilled cache additionally clamp to L; recency
         policies use the budget as-is so oversized budgets degenerate to
-        vanilla attention.
+        vanilla attention. A streaming budget must hold its n_sink sinks.
         """
-        if self.k is not None:
-            return self.k
-        return max(1, int(self.k_fraction * input_length))
+        budget = self.k if self.k is not None else max(1, int(self.k_fraction * input_length))
+        if self.kind == "streaming" and budget < self.n_sink:
+            raise ConfigurationError(f"streaming budget {budget} smaller than n_sink {self.n_sink}")
+        return budget
 
     def resolved_evict_on_append(self) -> bool:
         if self.evict_on_append is not None:
@@ -163,14 +164,17 @@ def selection_scores(rows_per_head: Sequence[np.ndarray], config: PolicyConfig) 
 # ------------------------------------------------------------ policy objects
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerStep:
-    """One layer's share of a step record, as its policy reports it."""
+    """One layer's share of a step record, as its policy reports it; immutable, so plain steps share one."""
 
     full: bool = False  # a full step as the policy decided it; refreshkv_no_full's attends its partial cache
     overhead_flops: int = 0
     similarity: float | None = None  # qc check, when one ran
-    retained: list[float] = field(default_factory=list)  # post-refresh coverage per kv-head
+    retained: Sequence[float] = ()  # post-refresh coverage per kv-head
+
+
+PARTIAL_STEP, FULL_STEP = LayerStep(), LayerStep(full=True)  # every plain step's, shared
 
 
 class CachePolicy:
@@ -205,7 +209,7 @@ class FullAttention(CachePolicy):
         return full
 
     def update(self, step, rows):
-        return [LayerStep(full=True) for _ in rows]
+        return [FULL_STEP] * len(rows)
 
 
 class Recency(CachePolicy):
@@ -216,8 +220,6 @@ class Recency(CachePolicy):
     def __init__(self, session, out):
         super().__init__(session, out)
         n_sink, L = self.config.n_sink, self.input_length
-        if self.budget < n_sink:
-            raise ConfigurationError(f"streaming budget {self.budget} smaller than n_sink {n_sink}")
         keep = np.arange(L)
         if L > self.budget:
             keep = np.concatenate([keep[:n_sink], keep[L - (self.budget - n_sink) :]])
@@ -227,7 +229,7 @@ class Recency(CachePolicy):
         for cp in self.partial:
             if len(cp) > self.budget:
                 cp.drop(self.config.n_sink)
-        return [LayerStep() for _ in rows]
+        return [PARTIAL_STEP] * len(rows)
 
 
 class H2OState(CachePolicy):
@@ -335,6 +337,11 @@ class TopK(CachePolicy):
         return super().view(layer, step, position, q, k_new, v_new)
 
     def update(self, step, rows):
+        if not any(self._full_step) and self._sim.count(None) == len(rows):  # a plain partial step on every layer
+            if self.evict:
+                for cp in self.partial:
+                    cp.evict_overflow()
+            return [PARTIAL_STEP] * len(rows)
         if self.refresh and self.output_full and (due := [i for i, full in enumerate(self._full_step) if full]):
             refresh_layers(self, due, step, [rows[layer] for layer in due])
         steps = []

@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from kvrefresh import kv_store
+from kvrefresh import engine, kv_store
 from kvrefresh.engine import DecodeSession, greedy_generate, teacher_forced_run
-from kvrefresh.errors import ContractViolation
+from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.metrics import score_pass_flops, selection_overhead_flops
 from kvrefresh.model import full_forward, init_model, prefill
 from kvrefresh.numerics import top_k_indices
@@ -405,17 +405,18 @@ class TestAblations:
             _, rec = session.step(token)
             refreshes = {e["layer"]: e for e in events if e["kind"] == "refresh"}
             views = {e["layer"]: e["positions"] for e in events if e["kind"] == "view"}
+            position = 48 + rec.step_index - 1  # the step's position, after the 48-token prompt
             assert set(refreshes) == {layer for layer, mode in enumerate(rec.modes) if mode == "full"}
             for layer, event in refreshes.items():
-                assert event["selection"].shape[1] == session._position()  # scored positions 0 .. current - 1
+                assert event["selection"].shape[1] == position  # scored positions 0 .. current - 1
                 np.testing.assert_array_equal(views[layer][:, :-1], event["post_positions"])
                 assert rec.view_lens[layer] == 5
                 refreshed += 1
-            scored, cfg = session._position(), desk_weights.config  # charged at the length the refresh scored
+            scored, cfg = position, desk_weights.config  # charged at the length the refresh scored
             cost = score_pass_flops(scored, cfg) + selection_overhead_flops(scored, cfg, 7)
             assert rec.overhead_flops == len(refreshes) * cost
             for layer in views:  # every step appends the current entry
-                assert (views[layer][:, -1] == session._position()).all()
+                assert (views[layer][:, -1] == position).all()
         assert refreshed == 10 * desk_weights.config.n_layers
 
     def test_no_full_approaches_full_step_as_retained_mass_grows(self, desk_weights, rng):
@@ -532,6 +533,27 @@ class TestSessionContracts:
         with pytest.raises(ContractViolation):
             session.prefill([1, 2])
 
+    @pytest.mark.parametrize("policy", [PolicyConfig(kind="streaming", k=3, n_sink=4),
+                                        PolicyConfig(kind="streaming", k_fraction=0.125, n_sink=4)],
+                             ids=["k", "fraction"])
+    def test_streaming_budget_below_n_sink_is_rejected_before_the_model_runs(self, desk_weights, rng, monkeypatch,
+                                                                              policy):
+        # a budget of 3 (k, or floor(0.125 * 24)) is below n_sink = 4: nothing runs, and the session stays unprefilled
+        ran = []
+        monkeypatch.setattr(engine, "model_prefill", lambda *args: ran.append(args) or prefill(*args))
+        session = DecodeSession(desk_weights, policy)
+        for _ in range(2):  # a retry meets the same check, not "session already prefilled"
+            with pytest.raises(ConfigurationError, match="streaming budget 3 smaller than n_sink 4"):
+                session.prefill(toks(rng, desk_weights.config, 24))
+        assert not ran and session.input_length is None and session.cache_policy is None
+        with pytest.raises(ContractViolation, match="prefill the session before stepping"):
+            session.step(0)
+        if policy.k is None:  # a prompt whose budget holds the sinks prefills the same session
+            session.prefill(toks(rng, desk_weights.config, 32))
+            assert len(ran) == 1 and session.budget == 4
+            _, rec = session.step(0)
+            assert rec.view_lens == [4 + 1] * desk_weights.config.n_layers  # the budget and the current token
+
     def test_teacher_forced_run_shapes(self, desk_weights, rng):
         stream = toks(rng, desk_weights.config, 64)
         nlls, trace = teacher_forced_run(
@@ -643,20 +665,20 @@ class TestArena:
             seen.clear()
             session.step(tok)
             for layer, _, (keys, _, _) in seen:
-                assert_key_major(session.full[layer]._arrays[1])
+                assert_key_major(session.full[layer]._arrays[0])
                 if session.partial:
-                    assert_key_major(session.partial[layer]._arrays[1])
+                    assert_key_major(session.partial[layer]._arrays[0])
                 for h in range(desk_weights.config.n_kv_heads):
                     assert keys[h].T.strides[1] == keys.itemsize  # a row-major prefix of the arena
         if kind != "snapkv":  # snapkv keeps only its prompt in the full cache
-            assert all(cache._arrays[1].shape[1] == 40 for cache in session.full)  # the arena doubled
+            assert all(cache._arrays[0].shape[1] == 40 for cache in session.full)  # the arena doubled
 
     def test_full_cache_growth_past_two_doublings_matches_full_forward(self, desk_weights, rng):
         stream = toks(rng, desk_weights.config, 33 + 40)
         session = DecodeSession(desk_weights, PolicyConfig(kind="vanilla"))
         logits = [session.prefill(stream[:33]).logits]
         logits += [session.step(tok)[0].logits for tok in stream[33:-1]]
-        assert session.full[0]._arrays[1].shape[1] == 4 * 33  # 33 -> 66 -> 132 slots
+        assert session.full[0]._arrays[0].shape[1] == 4 * 33  # 33 -> 66 -> 132 slots
         ref = full_forward(desk_weights, stream[:-1])[32:]
         assert np.max(np.abs(np.array(logits) - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -28,7 +28,8 @@ def topk_cache(full, scores, k, into=None):
 
 
 def make_full(n, rng):
-    return FullCache(np.arange(n), rng.normal(size=(N_KV, n, DIM)), rng.normal(size=(N_KV, n, DIM)))
+    """A full cache over the prompt positions 0 .. n-1, its slots."""
+    return FullCache(rng.normal(size=(N_KV, n, DIM)), rng.normal(size=(N_KV, n, DIM)))
 
 
 def append_and_evict(cp, position, k, v, evict):
@@ -147,6 +148,23 @@ class TestInitPartial:
             for h in range(N_KV):
                 np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
                 np.testing.assert_array_equal(cp.values[h], full.values[h][cp.positions[h]])
+
+
+    def test_refill_positions_are_the_selected_slots(self, rng):
+        full = make_full(5, rng)
+        for pos in range(5, 12):  # past a doubling: 5 -> 10 -> 20 slots
+            full.append(pos, *entry(rng))
+        cp = topk_cache(full, rng.uniform(size=(N_KV, 12)), 3)
+        for _ in range(20):
+            n = int(rng.integers(1, 13))
+            slots = np.stack([rng.permutation(12)[:n] for _ in range(N_KV)])  # any order, distinct per head
+            cp.refill(full, n, slots)
+            np.testing.assert_array_equal(cp.positions, slots)
+            for h in range(N_KV):
+                np.testing.assert_array_equal(cp.keys[h], full.keys[h][slots[h]])
+                np.testing.assert_array_equal(cp.values[h], full.values[h][slots[h]])
+            with pytest.raises(ContractViolation, match=f"{slots.max()} <= {slots.max()}"):
+                cp.append(int(slots.max()), *entry(rng))
 
 
 class TestAppendAndEvict:
@@ -275,7 +293,7 @@ class TestAppendAndEvict:
         assert cp.sizes() == [n - 1] * N_KV
         for got, want in zip(windows(cp), expected, strict=True):
             np.testing.assert_array_equal(got, want)
-        assert_key_major(cp._arrays[1])
+        assert_key_major(cp._arrays[0])
 
     def test_drop_of_every_slot_matches_np_delete(self, rng):
         # both sides of the window, for odd and even lengths, without and with an h2o score row
@@ -335,13 +353,39 @@ class TestFullCacheAppend:
         prompt_keys = full.keys.copy()
         k, v = entry(rng)
         full.append(4, k, v)
-        assert full._arrays[1].shape[1] == 8
-        assert_key_major(full._arrays[1])
+        assert full._arrays[0].shape[1] == 8
+        assert_key_major(full._arrays[0])
         np.testing.assert_array_equal(full.keys, np.concatenate([prompt_keys, k[:, None]], axis=1))
-        arena = full._arrays[1]
+        arena = full._arrays[0]
         full.append(5, *entry(rng))  # a write inside the arena keeps it, and its order
         assert np.shares_memory(full.keys, arena)
-        assert_key_major(full._arrays[1])
+        assert_key_major(full._arrays[0])
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_positions_are_the_slots_on_every_head_across_two_doublings(self, rng, n):
+        full = make_full(n, rng)
+        slots = full._arrays[0].shape[1]
+        for pos in range(n, 4 * n + 1):  # n -> 2n -> 4n slots, then one more doubling at 4n
+            full.append(pos, *entry(rng))
+            np.testing.assert_array_equal(full.positions, [np.arange(pos + 1)] * N_KV)
+            assert full.positions.shape == (N_KV, pos + 1) and not full.positions.flags.writeable
+            slots, grown = full._arrays[0].shape[1], slots != full._arrays[0].shape[1]
+            assert not grown or slots == 2 * pos  # a doubling when the arena was full
+        assert slots == 8 * n
+        np.testing.assert_array_equal(full.gather(np.array([[0, 2], [4 * n, 1]]))[0], [[0, 2], [4 * n, 1]])
+
+    @pytest.mark.parametrize("position", [-1, 0, 3, 4, 6, 100])
+    def test_append_anywhere_but_its_length_is_rejected(self, rng, position):
+        full = make_full(4, rng)
+        full.append(4, *entry(rng))  # now 5 positions, in an arena of 8 slots
+        before = [full.keys.copy(), full.values.copy()]
+        with pytest.raises(ContractViolation, match=f"append at {position}, the cache holds positions 0 .. 4"):
+            full.append(position, *entry(rng))
+        assert len(full) == 5
+        for got, want in zip([full.keys, full.values], before, strict=True):
+            np.testing.assert_array_equal(got, want)
+        full.append(5, *entry(rng))
+        np.testing.assert_array_equal(full.positions, [np.arange(6)] * N_KV)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_doubling_a_tiny_arena_is_key_major(self, rng, n):
@@ -350,7 +394,7 @@ class TestFullCacheAppend:
         for pos in range(n, 4 * n + 1):
             full.append(pos, *entry(rng))
             if len(full) > 1:
-                assert_key_major(full._arrays[1])
+                assert_key_major(full._arrays[0])
 
 
 class TestPendingAndMerge:
@@ -435,18 +479,18 @@ class TestRefresh:
     def test_key_arena_is_key_major_after_init_refill_and_doubling(self, rng):
         full = make_full(20, rng)
         cp = topk_cache(full, rng.uniform(size=(N_KV, 20)), 5)
-        assert_key_major(cp._arrays[1])
-        arena = cp._arrays[1]
+        assert_key_major(cp._arrays[0])
+        arena = cp._arrays[0]
         topk_cache(full, rng.uniform(size=(N_KV, 20)), 5, into=cp)  # refill in place
-        assert cp._arrays[1] is arena
-        assert_key_major(cp._arrays[1])
+        assert cp._arrays[0] is arena
+        assert_key_major(cp._arrays[0])
         topk_cache(full, rng.uniform(size=(N_KV, 20)), 12, into=cp)  # refill into a larger arena
-        assert_key_major(cp._arrays[1])
-        slots = cp._arrays[1].shape[1]
+        assert_key_major(cp._arrays[0])
+        slots = cp._arrays[0].shape[1]
         for pos in range(20, 20 + slots - 12 + 1):  # one past the arena's end: the window moves to twice its size
             append_and_evict(cp, pos, *entry(rng), evict=False)
-        assert cp._arrays[1].shape[1] == 2 * slots
-        assert_key_major(cp._arrays[1])
+        assert cp._arrays[0].shape[1] == 2 * slots
+        assert_key_major(cp._arrays[0])
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.keys[h, :12], full.keys[h][cp.positions[h, :12]])
 
@@ -472,7 +516,7 @@ class TestWindow:
         full = make_full(k, rng)
         scores = rng.uniform(size=(N_KV, k))
         cp, ref = topk_cache(full, scores, k), ReferencePartial(scores, k)
-        arena = cp._arrays[1]
+        arena = cp._arrays[0]
         for pos in range(k, k + n_steps):
             k_new, v_new = entry(rng)
             full.append(pos, k_new, v_new)
@@ -489,24 +533,24 @@ class TestWindow:
     def test_a_window_at_most_half_the_arena_moves_in_place(self, rng, n_steps):
         # K=8 in 8 + 33 slots: the 34th append finds the window at the end and moves it to slot 0
         cp, arena = self.evicting(rng, 8, n_steps)
-        assert cp._arrays[1] is arena
-        assert_key_major(cp._arrays[1])
+        assert cp._arrays[0] is arena
+        assert_key_major(cp._arrays[0])
 
     @pytest.mark.parametrize("n_steps", [kv_store.PARTIAL_SPARE, kv_store.PARTIAL_SPARE + 1, 200])
     def test_a_window_over_half_the_arena_moves_into_arenas_twice_its_size(self, rng, n_steps):
         # K=40 in 40 + 33 slots: the 34th append moves the 40 entries into 80 slots; later moves are in place
         cp, arena = self.evicting(rng, 40, n_steps)
         grown = n_steps > kv_store.PARTIAL_SPARE
-        assert (cp._arrays[1] is arena) is not grown
+        assert (cp._arrays[0] is arena) is not grown
         assert cp._arrays[0].shape[1] == (80 if grown else 73)
-        assert_key_major(cp._arrays[1])
+        assert_key_major(cp._arrays[0])
 
     def test_the_drift_allowance_holds_no_move(self, rng):
         # 33 appends and evictions fit the arena a refill leaves: the window ends at its last slot
         cp, arena = self.evicting(rng, 8, kv_store.PARTIAL_SPARE)
-        assert cp._arrays[1] is arena and cp._start + 8 == arena.shape[1]
+        assert cp._arrays[0] is arena and cp._start + 8 == arena.shape[1]
         append_and_evict(cp, 8 + kv_store.PARTIAL_SPARE, *entry(rng), evict=True)
-        assert cp._arrays[1] is arena and cp._start == 1  # moved to slot 0, then evicted from it
+        assert cp._arrays[0] is arena and cp._start == 1  # moved to slot 0, then evicted from it
 
 
 

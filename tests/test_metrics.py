@@ -16,7 +16,7 @@ from kvrefresh.metrics import (
 )
 from kvrefresh.model import ModelConfig, full_forward, init_model
 from kvrefresh.numerics import max_pool_1d, top_k_indices
-from kvrefresh.policies import PolicyConfig
+from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 
 
@@ -58,15 +58,18 @@ class TestAttentionCost:
         assert totals["kv_bytes_moved"] == n_full * full_b + (N - n_full) * part_b
         assert totals["attention_flops"] == n_full * full_f + (N - n_full) * part_f
 
-    def test_costs_rederivable_from_records(self, desk_weights, rng):
+    @pytest.mark.parametrize("schedule", [ScheduleConfig(mode="fixed", stride=4),
+                                          ScheduleConfig(mode="qc", qc_stride=3, threshold=1.0)], ids=["fixed", "qc"])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_costs_rederivable_from_records(self, desk_weights, rng, kind, schedule):
+        # the session prices a step from costs it computed at the prefill; they must be step_cost's
         prompt = rng.integers(0, 256, size=40).tolist()
-        _, trace, _ = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="fixed", stride=4), prompt, 20,
-        )
+        _, trace, _ = greedy_generate(desk_weights, PolicyConfig(kind=kind, k=8), schedule, prompt, 20)
         for rec in trace:
             f, b = step_cost(rec.attended, desk_weights.config)
             assert (f, b) == (rec.attention_flops, rec.kv_bytes_moved)
+            assert rec.attended == [40 if mode == "full" and kind != "refreshkv_no_full" else 8 for mode in rec.modes]
+        assert {"full", "partial"} <= {mode for rec in trace for mode in rec.modes} or kind not in REFRESH_FAMILY
 
     def test_pooling_is_charged_at_the_width_that_runs(self, desk_weights, rng):
         # max_pool_1d pools with at most 2*m - 1 over m positions, so a wider kernel does the same work

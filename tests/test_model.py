@@ -101,7 +101,7 @@ def whole_prompt_forward(weights, tokens):
     return x, layers
 
 
-def decode_step(weights, token, views, position):
+def decode_step(weights, token, views, position, row_major_keys=False):
     """Decode one token over fixed per-layer views of past cache entries.
 
     Each view is (keys, values, positions) with keys/values shaped
@@ -109,16 +109,21 @@ def decode_step(weights, token, views, position):
     any order, carrying their original absolute positions (keys already
     rotated). The provider appends the current token's key/value to every
     head before handing the view over, as a session's store would. The
-    view is a FullCache adopting the extended arrays, which keep the keys'
-    memory order (np.concatenate follows its inputs'); decode reads only
-    its keys and values, so a subset in any order stands in.
+    view is a PartialCache over the extended arrays, which holds any
+    positions in any order, its keys key-major like every cache's; with
+    row_major_keys its key arena is swapped for a row-major copy of the
+    extended keys (np.concatenate follows its inputs' memory order).
     """
 
     def provider(layer_idx, q, k_new, v_new):
         keys, values, positions = views[layer_idx]
         keys = np.concatenate([keys, k_new[:, None]], axis=1)
         values = np.concatenate([values, v_new[:, None]], axis=1)
-        return FullCache(np.append(positions[0], position), keys, values)
+        positions = np.append(positions, np.full((len(positions), 1), position), axis=1)
+        view = PartialCache(positions.shape[1], positions, keys, values)
+        if row_major_keys:
+            view._arrays[0] = keys  # the window is slots [0, m + 1) of every arena
+        return view
 
     return decode_core(weights, token, position, provider)
 
@@ -380,14 +385,18 @@ class TestDecodeStep:
         assert np.array_equal(a.logits, b.logits)
 
     @pytest.mark.parametrize("n", [16, 37])
-    def test_row_major_keys_agree_to_rounding(self, desk_weights, rng, n):
+    def test_row_major_keys_agree_to_rounding(self, desk_weights, rng, n, monkeypatch):
         # the same keys in row-major memory take BLAS's transposed-B path: equal up to summation order
         toks = random_tokens(rng, desk_weights.config, n)
         caches, _ = prefill(desk_weights, toks)
         a = decode_step(desk_weights, 3, cache_views(caches), position=n)
         views = [(np.ascontiguousarray(c.keys), c.values, c.positions) for c in caches]
         assert not views[0][0][0].T.flags.c_contiguous
-        b = decode_step(desk_weights, 3, views, position=n)
+        seen, rows = [], model.attention_rows
+        monkeypatch.setattr(model, "attention_rows", lambda q, keys, g: seen.append(keys) or rows(q, keys, g))
+        b = decode_step(desk_weights, 3, views, position=n, row_major_keys=True)
+        assert len(seen) == desk_weights.config.n_layers  # decode attended the row-major keys
+        assert not any(keys[0].T.flags.c_contiguous for keys in seen)
         assert_normwise_close(b.logits, a.logits, rtol=1e-12)
 
     def test_position_bound_checked(self, desk_weights, rng):

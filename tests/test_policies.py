@@ -330,7 +330,7 @@ def h2o_state(last_token_row, budget):
     which the group aggregation passes through as the prompt's scores.
     """
     n = len(last_token_row)
-    full = FullCache(np.arange(n), np.zeros((2, n, 4)), np.zeros((2, n, 4)))
+    full = FullCache(np.zeros((2, n, 4)), np.zeros((2, n, 4)))
     session = SimpleNamespace(policy=PolicyConfig(kind="h2o", k=budget), cfg=None, recorder=None, full=[full],
                               input_length=n, budget=budget, k_sel=min(budget, n))
     out = StepOutput(np.zeros(1), [], [np.asarray(last_token_row, dtype=float).reshape(1, 1, n)])
