@@ -12,6 +12,14 @@ goes first. The script prints, per L, the median over rounds of each
 session's median step time, and the median, lowest and highest per-round
 refresh/vanilla ratio.
 
+With at least two distinct lengths it also fits the fixed-cost model of a step,
+a + b·m µs for m attended positions, to the vanilla medians by least
+squares. A vanilla step attends L + i positions at step i, so m is each
+L's mean, L + (steps + 1) / 2. A refreshkv partial step attends K + 1
+(K = min(`--k`, L)). Per L it prints the modeled partial/vanilla ratio
+(a + b·(K + 1)) / (a + b·m) beside K/L and the measured ratio, the median
+over rounds of each round's partial/vanilla.
+
 With `--json PATH` the numbers are written to PATH as well; with
 `--label NAME` too, they go under the key NAME of the JSON object already
 in PATH (created if missing), so runs of two checkouts can share one file.
@@ -83,6 +91,15 @@ def measure(length: int, k: int, steps: int, seed: int, first: int) -> dict:
     }
 
 
+def fit_fixed_cost(records: list[dict], k: int) -> dict:
+    """Least-squares a and b of a step's a + b·m µs over the vanilla medians at their mean attended lengths,
+    and each record's modeled partial/vanilla, (a + b·(K + 1)) / (a + b·m), written into the record."""
+    b, a = np.polyfit([r["mean_attended"] for r in records], [r["vanilla_us"] for r in records], 1)
+    for r in records:
+        r["modeled_partial_over_vanilla"] = float((a + b * (min(k, r["L"]) + 1)) / (a + b * r["mean_attended"]))
+    return {"a_us": float(a), "b_us_per_position": float(b)}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--lengths", type=int, nargs="+", default=[1024, 2048, 4096, 8000])
@@ -105,7 +122,7 @@ def main() -> None:
     bad = [length for length in args.lengths if not 1 <= length <= longest]
     if bad:
         parser.error(f"--lengths must each be in [1, {longest}] with --steps {args.steps}, got {bad}")
-    records = []
+    records, rounds_by_length = [], []
     print(f"{'L':>6} {'refreshes':>9} " + " ".join(f"{key + '_us':>12}" for key in COLUMNS)
           + f" {'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")
     for length in args.lengths:
@@ -113,13 +130,22 @@ def main() -> None:
         med = {key: float(np.median([r[key] for r in rounds])) for key in COLUMNS}
         ratios = [r["refresh"] / r["vanilla"] for r in rounds]
         rec = {"L": length, "n_refresh": rounds[0]["n_refresh"], **{f"{key}_us": med[key] for key in COLUMNS},
-               "refresh_over_vanilla": float(np.median(ratios)), "ratio_min": min(ratios), "ratio_max": max(ratios)}
+               "refresh_over_vanilla": float(np.median(ratios)), "ratio_min": min(ratios), "ratio_max": max(ratios),
+               "mean_attended": length + (args.steps + 1) / 2, "k_over_l": min(args.k, length) / length,
+               "partial_over_vanilla": float(np.median([r["partial"] / r["vanilla"] for r in rounds]))}
         records.append(rec)
         print(f"{length:>6} {rec['n_refresh']:>9} " + " ".join(f"{med[key]:>12.0f}" for key in COLUMNS)
               + f" {rec['refresh_over_vanilla']:>15.2f} {rec['ratio_min']:>9.2f} {rec['ratio_max']:>9.2f}")
+    fit = fit_fixed_cost(records, args.k) if len({r['L'] for r in records}) >= 2 else None
+    if fit:
+        print(f"vanilla step = a + b*m: a = {fit['a_us']:.1f} us, b = {fit['b_us_per_position']:.4f} us per position")
+        print(f"{'L':>6} {'K/L':>7} {'partial/vanilla':>15} {'modeled':>8}")
+        for rec in records:
+            print(f"{rec['L']:>6} {rec['k_over_l']:>7.3f} {rec['partial_over_vanilla']:>15.2f}"
+                  f" {rec['modeled_partial_over_vanilla']:>8.2f}")
     if args.json:
         result = {"rounds": args.rounds, "steps": args.steps, "seed": args.seed, "k": args.k, "stride": STRIDE,
-                  "blas_threads": 1, "lengths": records}
+                  "blas_threads": 1, "fit": fit, "lengths": records}
         if args.label:
             result = {**(json.loads(args.json.read_text()) if args.json.exists() else {}), args.label: result}
         args.json.write_text(json.dumps(result, indent=2) + "\n")

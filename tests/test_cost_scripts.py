@@ -20,6 +20,10 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
+RECORD_KEYS = {"L", "n_refresh", "vanilla_us", "refresh_us", "partial_us", "snapkv_us", "streaming_us", "h2o_us",
+               "refresh_over_vanilla", "ratio_min", "ratio_max", "mean_attended", "k_over_l", "partial_over_vanilla"}
+
+
 def assert_finite(record: dict) -> None:
     for key, value in record.items():
         assert isinstance(value, (int, float)) and math.isfinite(value), key
@@ -30,13 +34,33 @@ def test_refresh_cost_json(tmp_path):
     done = run_script("refresh_cost.py", "--lengths", "256", "--steps", "20", "--rounds", "1", "--json", str(out))
     assert done.returncode == 0, done.stderr
     result = json.loads(out.read_text())
-    assert set(result) == {"rounds", "steps", "seed", "k", "stride", "blas_threads", "lengths"}
+    assert set(result) == {"rounds", "steps", "seed", "k", "stride", "blas_threads", "fit", "lengths"}
+    assert result["fit"] is None  # one length: nothing to fit a + b·m to
     (record,) = result["lengths"]
-    assert set(record) == {"L", "n_refresh", "vanilla_us", "refresh_us", "partial_us", "snapkv_us", "streaming_us",
-                           "h2o_us", "refresh_over_vanilla", "ratio_min", "ratio_max"}
+    assert set(record) == RECORD_KEYS
     assert (record["L"], record["n_refresh"]) == (256, 2)
     assert result["k"] == 128
+    assert (record["mean_attended"], record["k_over_l"]) == (256 + 21 / 2, 128 / 256)
     assert_finite(record)
+
+
+def test_refresh_cost_fits_the_fixed_cost_over_two_lengths(tmp_path):
+    out = tmp_path / "refresh.json"
+    done = run_script("refresh_cost.py", "--lengths", "32", "64", "--k", "16", "--steps", "10", "--rounds", "1",
+                      "--json", str(out))
+    assert done.returncode == 0, done.stderr
+    assert "vanilla step = a + b*m: a = " in done.stdout
+    result = json.loads(out.read_text())
+    fit = result["fit"]
+    assert set(fit) == {"a_us", "b_us_per_position"}
+    assert_finite(fit)
+    for record, length in zip(result["lengths"], (32, 64), strict=True):
+        assert set(record) == RECORD_KEYS | {"modeled_partial_over_vanilla"}
+        assert_finite(record)
+        assert (record["L"], record["mean_attended"], record["k_over_l"]) == (length, length + 5.5, 16 / length)
+        a, b = fit["a_us"], fit["b_us_per_position"]
+        modeled = (a + b * 17) / (a + b * record["mean_attended"])
+        assert math.isclose(record["modeled_partial_over_vanilla"], modeled, rel_tol=1e-12)
 
 
 def test_refresh_cost_budget_option(tmp_path):
