@@ -53,7 +53,7 @@ The prefill's selection is the same ranking and refill, for every layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,8 +164,7 @@ def selection_scores(rows_per_head: Sequence[np.ndarray], config: PolicyConfig) 
 # ------------------------------------------------------------ policy objects
 
 
-@dataclass(frozen=True)
-class LayerStep:
+class LayerStep(NamedTuple):
     """One layer's share of a step record, as its policy reports it; immutable, so plain steps share one."""
 
     full: bool = False  # a full step as the policy decided it; refreshkv_no_full's attends its partial cache
