@@ -9,10 +9,10 @@ slots, head_dim), and the partial cache's positions (n_kv_heads, slots).
 The full cache's positions are its slots, so it keeps none. Attention
 reads one head's m entries as a slice of the slot axis, without a copy.
 The full cache's window is its arenas' filled prefix, which doubles when
-full; the partial cache's moves (see below). A layer's view at a decode step is one of its
-two caches itself, as the policy's `view(layer, ...)` returns it. The
-view writes each fresh key/value into the caches before the layer
-attends, so every view holds the current token.
+full; the partial cache's moves (see below). A layer's view at a decode
+step is one of its two caches itself, as the policy's `view(layer, ...)`
+returns it. The view writes each fresh key/value into the caches before
+the layer attends, so every view holds the current token.
 
 Key arenas are key-major: the array keeps its (n_kv_heads, slots,
 head_dim) shape, but each head's keys are stored as one C-contiguous

@@ -149,7 +149,6 @@ class TestInitPartial:
                 np.testing.assert_array_equal(cp.keys[h], full.keys[h][cp.positions[h]])
                 np.testing.assert_array_equal(cp.values[h], full.values[h][cp.positions[h]])
 
-
     def test_refill_positions_are_the_selected_slots(self, rng):
         full = make_full(5, rng)
         for pos in range(5, 12):  # past a doubling: 5 -> 10 -> 20 slots
@@ -365,7 +364,7 @@ class TestFullCacheAppend:
     def test_positions_are_the_slots_on_every_head_across_two_doublings(self, rng, n):
         full = make_full(n, rng)
         slots = full._arrays[0].shape[1]
-        for pos in range(n, 4 * n + 1):  # n -> 2n -> 4n slots, then one more doubling at 4n
+        for pos in range(n, 4 * n + 1):  # n -> 2n -> 4n -> 8n slots
             full.append(pos, *entry(rng))
             np.testing.assert_array_equal(full.positions, [np.arange(pos + 1)] * N_KV)
             assert full.positions.shape == (N_KV, pos + 1) and not full.positions.flags.writeable

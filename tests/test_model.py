@@ -11,7 +11,7 @@ import pytest
 from kvrefresh import model
 from kvrefresh.engine import DecodeSession
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.kv_store import FullCache, PartialCache
+from kvrefresh.kv_store import PartialCache
 from kvrefresh.model import (
     ATTN_BLOCK,
     PREFILL_CHUNK,
