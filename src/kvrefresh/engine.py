@@ -27,8 +27,9 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
      immutable LayerStep); the session builds an exact-cost StepRecord
      from per-layer costs of L and k_sel it computed at the prefill.
 
-Sessions are single-threaded; distinct sessions never share state and may
-run on distinct threads.
+Sessions are single-threaded. Distinct sessions share only the weights,
+whose rotary table grows by rebinding a complete table, so they may run
+on distinct threads.
 """
 
 from __future__ import annotations

@@ -88,9 +88,6 @@ class RunConfig:
             )
         if not isinstance(self.out_dir, str):
             raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
-        # decode_core needs every fed position below max_position: lm feeds
-        # positions 0 .. stream_length - 2 (the last token is only a target),
-        # chainkey feeds 0 .. prompt + n_generate - 1.
         tp = self.task_params
         if self.task == "lm":
             if not 1 <= tp.tail < tp.stream_length:
@@ -98,7 +95,7 @@ class RunConfig:
                     f"need 1 <= tail < stream_length, got tail={tp.tail} stream_length={tp.stream_length}"
                 )
             check_stream_structure(tp.structure, tp.motif_period)
-            prompt_length, last = tp.stream_length - tp.tail, tp.stream_length - 2
+            prompt_length = tp.stream_length - tp.tail
         else:
             if self.n_generate < 1:
                 raise ConfigurationError(f"n_generate must be positive, got {self.n_generate}")
@@ -108,13 +105,7 @@ class RunConfig:
             if max(prompt) >= self.model.vocab_size:
                 raise ConfigurationError(f"chainkey prompt byte {max(prompt)} outside vocab_size {self.model.vocab_size}")
             prompt_length = len(prompt)
-            last = prompt_length + self.n_generate - 1
         self.policy.resolve_budget(prompt_length)  # a streaming budget below n_sink raises
-        if last >= self.model.max_position:
-            raise ConfigurationError(
-                f"the {self.task} run decodes up to position {last}, max_position {self.model.max_position} "
-                "allows positions below it"
-            )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
@@ -147,14 +138,17 @@ def run(config: RunConfig, out_dir: str | None = None) -> dict:
     """Execute one run and write trace.jsonl plus summary.json."""
     config.validate()
     target = Path(out_dir if out_dir is not None else config.out_dir)
-    weights = init_model(config.model)
     tp = config.task_params
+    try:  # numpy refuses an array too large for memory (MemoryError) or for its index type (ValueError)
+        weights = init_model(config.model)
+        if config.task == "lm":
+            stream = synthetic_lm_stream(tp.stream_length, config.model.vocab_size, config.seed, tp.structure,
+                                         tp.motif_period)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigurationError(f"the config's model or stream cannot be allocated: {exc}") from exc
 
     started = time.perf_counter()
     if config.task == "lm":
-        stream = synthetic_lm_stream(
-            tp.stream_length, config.model.vocab_size, config.seed, tp.structure, tp.motif_period
-        )
         nlls, trace = teacher_forced_run(
             weights, config.policy, config.schedule, stream.tolist(), tp.tail
         )
@@ -334,8 +328,8 @@ def self_check(seed: int = 0) -> list[tuple[str, bool, str]]:
         results.append((name, same and close, f"tokens {'match' if same else 'differ'}"))
 
     vanilla = greedy_generate(weights, PolicyConfig(kind="vanilla"), None, prompt, N)
-    rung("refreshkv(k=L, always_full) == vanilla", PolicyConfig(kind="refreshkv", k=L),
-         ScheduleConfig(mode="always_full"), vanilla)
+    rung("refreshkv(k=L, fixed stride 1) == vanilla", PolicyConfig(kind="refreshkv", k=L),
+         ScheduleConfig(mode="fixed", stride=1), vanilla)
     snapkv = greedy_generate(weights, PolicyConfig(kind="snapkv", k=12), None, prompt, N)
     rung("refreshkv(never_full, no evict) == snapkv", PolicyConfig(kind="refreshkv", k=12, evict_on_append=False),
          ScheduleConfig(mode="never_full"), snapkv)

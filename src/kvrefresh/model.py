@@ -8,7 +8,7 @@ seed; two initializations with an equal config are bitwise identical.
 Each layer projects q, k and v with one fused matrix. RoPE is one complex
 multiply, as RoFormer (arXiv 2104.09864) defines it: each head vector's
 pairs (2i, 2i+1) are read as complex numbers and multiplied by e^{i a_i}
-from a per-model complex table built once at init.
+from the model's complex table, grown to the positions a run reaches.
 The RMS norms carry no gain (a gain of all ones would multiply by 1.0,
 exactly); a decode row divides by one Python float. Prefill and decode
 share one feed-forward helper, `_ffn`, and add both residuals in place.
@@ -64,7 +64,6 @@ RMS_EPS = 1e-6
 ROPE_BASE = 10000.0
 ATTN_BLOCK = 32  # query rows per causal_attention block
 PREFILL_CHUNK = 256  # prompt rows per _forward chunk, a multiple of ATTN_BLOCK
-MAX_POSITIONS = 1 << 16  # max_position ceiling; init_model builds one rotary table row per position
 _DIAGONAL_MASK = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf), k=1)[:, None, :]
 
 
@@ -76,7 +75,6 @@ class ModelConfig:
     head_dim: int = 16
     ffn_mult: float = 4.0
     vocab_size: int = 256
-    max_position: int = 8192
     seed: int = 0
 
     @property
@@ -93,7 +91,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         require(int, n_layers=self.n_layers, n_query_heads=self.n_query_heads, n_kv_heads=self.n_kv_heads,
-                head_dim=self.head_dim, vocab_size=self.vocab_size, max_position=self.max_position, seed=self.seed)
+                head_dim=self.head_dim, vocab_size=self.vocab_size, seed=self.seed)
         require(float, ffn_mult=self.ffn_mult)
         if min(self.n_layers, self.n_query_heads, self.n_kv_heads, self.head_dim) < 1:
             raise ConfigurationError("layer/head/dim counts must be positive")
@@ -103,20 +101,18 @@ class ModelConfig:
             raise ConfigurationError(
                 f"n_query_heads={self.n_query_heads} not divisible by n_kv_heads={self.n_kv_heads}"
             )
-        if not 0 < self.ffn_mult < float("inf"):
-            raise ConfigurationError(f"ffn_mult must be positive and finite, got {self.ffn_mult}")
-        for name, low in (("vocab_size", 2), ("max_position", 1), ("seed", 0)):
+        if not 0 < self.ffn_mult * self.model_dim < float("inf"):  # ffn_dim is int() of the product
+            raise ConfigurationError(f"ffn_mult must be positive with ffn_mult * model_dim finite, got {self.ffn_mult}")
+        for name, low in (("vocab_size", 2), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.ffn_dim < 1:
             raise ConfigurationError(f"ffn_mult={self.ffn_mult} gives ffn_dim {self.ffn_dim}: no feed-forward unit")
-        if self.max_position > MAX_POSITIONS:
-            raise ConfigurationError(f"max_position {self.max_position} exceeds {MAX_POSITIONS}")
 
 
-def canonical_config(seed: int = 0, max_position: int = 8192) -> ModelConfig:
+def canonical_config(seed: int = 0) -> ModelConfig:
     """The fixed desk-scale test configuration: ModelConfig's defaults."""
-    return ModelConfig(max_position=max_position, seed=seed)
+    return ModelConfig(seed=seed)
 
 
 @dataclass
@@ -134,11 +130,19 @@ class ModelWeights:
     embed: np.ndarray  # (vocab_size, model_dim)
     layers: list[LayerWeights]
     w_out: np.ndarray  # (model_dim, vocab_size)
-    # e^{i a}: complex (max_position, 1, head_dim // 2), one entry per rotary pair (see _rope_table)
+    # e^{i a}: complex (n, 1, head_dim // 2) for positions below n, one entry per rotary pair; see rope_upto
     rope: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.rope = _rope_table(np.arange(self.config.max_position), self.config.head_dim)
+        self.rope = _rope_table(np.arange(0), self.config.head_dim)
+
+    def rope_upto(self, end: int) -> np.ndarray:
+        """The rotary table, grown to cover positions below `end` by rebinding a whole new table of the next power
+        of two >= end rows: callers use the table returned, so sessions sharing these weights see no half-built one."""
+        rope = self.rope
+        if end > len(rope):
+            rope = self.rope = _rope_table(np.arange(1 << (end - 1).bit_length()), self.config.head_dim)
+        return rope
 
 
 def init_model(config: ModelConfig) -> ModelWeights:
@@ -243,8 +247,6 @@ def _check_sequence(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
     toks = np.asarray(tokens, dtype=np.int64)
     if toks.ndim != 1 or toks.size == 0:
         raise ContractViolation("token sequence must be non-empty and 1-D")
-    if toks.size > config.max_position:
-        raise ContractViolation(f"sequence length {toks.size} exceeds max_position {config.max_position}")
     if toks.min() < 0 or toks.max() >= config.vocab_size:
         raise ContractViolation("token id outside vocabulary")
     return toks
@@ -331,6 +333,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
     L = toks.size
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[toks]  # (L, D)
+    rope = weights.rope_upto(L)
     first = 0
     layers = []
     for i, lw in enumerate(weights.layers):
@@ -341,7 +344,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
         for s, e in _row_chunks(L, first):
             xs, queried = x[s:e], e > first  # nothing reads the queries of rows below `first`
             qkv = (_rms_norm(xs) @ lw.wqkv[:, 0 if queried else n_q * d :]).reshape(e - s, -1, d)
-            qk = apply_rope(qkv[:, :-n_kv], slice(s, e), weights.rope)
+            qk = apply_rope(qkv[:, :-n_kv], slice(s, e), rope)
             k[:, s:e] = qk[:, -n_kv:].transpose(1, 0, 2)
             v[:, s:e] = qkv[:, -n_kv:].transpose(1, 0, 2)
             if queried:
@@ -394,8 +397,9 @@ def decode_core(
     """
     cfg = weights.config
     _check_token(cfg, token)
-    if not 0 <= position < cfg.max_position:
-        raise ContractViolation(f"position {position} outside [0, {cfg.max_position})")
+    if position < 0:  # a negative row index would wrap to the table's end
+        raise ContractViolation(f"position {position} is negative")
+    rope = weights.rope_upto(position + 1)
 
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[int(token)].copy()
@@ -406,7 +410,7 @@ def decode_core(
     for layer_idx, lw in enumerate(weights.layers):
         # ndarray.dot on a vector is the same BLAS gemv as @, without matmul's dispatch
         qkv = _rms_norm(x).dot(lw.wqkv).reshape(n_q + 2 * n_kv, d)
-        qk = apply_rope(qkv[: n_q + n_kv], position, weights.rope)
+        qk = apply_rope(qkv[: n_q + n_kv], position, rope)
         q, k_new, v_new = qk[:n_q], qk[n_q:], qkv[n_q + n_kv :]
 
         view = provide_view(layer_idx, q, k_new, v_new)

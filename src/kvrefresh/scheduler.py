@@ -1,16 +1,16 @@
 """Per-layer scheduling of full-attention steps.
 
-Two real modes plus two diagnostic constants:
+Two real modes plus one diagnostic constant:
 
   fixed       full attention every stride-th generated step, all layers
   qc          at every qc_stride-th step, compare the layer's mean query
               (`mean_query`) against the one from its most recent full step;
               run full attention only when the cosine similarity falls below
               the threshold
-  always_full / never_full   constants, used by equivalence checks
+  never_full  the partial cache throughout, for equivalence checks;
+              fixed stride 1 is full attention at every step
 
-The qc threshold lies in [-1, 1], the range of cosine similarity; the
-always_full / never_full constants are the diagnostic modes.
+The qc threshold lies in [-1, 1], the range of cosine similarity.
 
 Step indices start at 1 for the first generated token, so fixed stride S
 fires first at step S. The prefill counts as the initial full-attention
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, require
 
-SCHEDULE_MODES = ("fixed", "qc", "always_full", "never_full")
+SCHEDULE_MODES = ("fixed", "qc", "never_full")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class ScheduleConfig:
             raise ConfigurationError(f"qc_stride must be positive, got {self.qc_stride}")
         # cosine similarity lies in [-1, 1], so a threshold outside it adds no
         # behaviour (above 1 fires at every boundary, below -1 never fires);
-        # always_full / never_full cover those uses. NaN fails the range test.
+        # fixed stride qc_stride and never_full cover those uses. NaN fails the range test.
         require(float, threshold=self.threshold)
         if not -1.0 <= self.threshold <= 1.0:
             raise ConfigurationError(f"threshold must lie in [-1, 1], got {self.threshold!r}")
@@ -62,8 +62,6 @@ def should_full(step_index: int, similarity: float | None, config: ScheduleConfi
     computes it; elsewhere it may be None. Pure function of its arguments;
     replaying a trace reproduces the same decisions bit for bit.
     """
-    if config.mode == "always_full":
-        return True
     if config.mode == "never_full":
         return False
     if config.mode == "fixed":

@@ -27,7 +27,7 @@ schedules = st.one_of(
         qc_stride=st.integers(1, 4),
         threshold=st.sampled_from([-1.0, 0.0, 0.5, 0.9, 1.0]),
     ),
-    st.builds(ScheduleConfig, mode=st.sampled_from(["always_full", "never_full"])),
+    st.sampled_from([ScheduleConfig(mode="fixed", stride=1), ScheduleConfig(mode="never_full")]),
 )
 
 

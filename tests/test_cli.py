@@ -51,14 +51,16 @@ class TestRunExitCodes:
             ["--model.ffn-mult", "0.001"],
             ["--task-params.tail", "4.0"],
             ["--n-generate", '"8"'],
-            # lm feeds positions 0..98; the first past 63 would be step 25
-            ["--model.max-position", "64", "--task-params.stream-length", "100", "--task-params.tail", "60"],
-            # a 1,627-token prompt plus 200 steps; position 1700 would be step 74
-            ["--task", "chainkey", "--model.max-position", "1700", "--n-generate", "200"],
+            # the model section has no max_position: the rotary table grows to the positions a run reaches
+            ["--model.max-position", "64"],
+            # a schedule mode that fixed stride 1 replaced, decision for decision
+            ["--schedule.mode", "always_full"],
+            # 64 * ffn_mult overflows to inf, which ffn_dim's int() cannot take
+            ["--model.ffn-mult", "1e308"],
             # only the refresh family follows a schedule
             ["--policy.kind", "h2o", "--schedule.mode", "qc"],
             ["--policy.kind", "vanilla", "--schedule.stride", "5"],
-            ["--policy.kind", "streaming", "--policy.k", "8", "--schedule.mode", "always_full"],
+            ["--policy.kind", "streaming", "--policy.k", "8", "--schedule.mode", "fixed", "--schedule.stride", "1"],
             ["--policy.kind", "snapkv", "--schedule.threshold", "0.5"],
             ["--task-params.structure", "zigzag"],
             ["--task-params.motif-period", "0"],
@@ -105,10 +107,21 @@ class TestRunExitCodes:
         assert summary["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
         assert "THREADS" not in (tmp_path / "trace.jsonl").read_text()
 
-    def test_last_fed_position_may_reach_max_position_minus_one(self, tmp_path, capsys):
-        # stream of 65 tokens feeds positions 0..63
-        flags = ["--model.max-position", "64", "--task-params.stream-length", "65", "--task-params.tail", "60"]
-        assert main(["run", "--out", str(tmp_path), *flags]) == EXIT_OK
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # 64 * 1e20 feed-forward units: past numpy's largest dimension
+            ["--model.ffn-mult", "1e20"],
+            # 30 TiB per feed-forward matrix
+            ["--model.ffn-mult", "1e9"],
+            # an 8 TB stream, which no max_position bounds any more
+            ["--task-params.stream-length", "1000000000000"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_config_too_large_to_allocate_exits_config(self, flags, tmp_path, capsys):
+        err = assert_config_error(main(["run", "--out", str(tmp_path), *flags]), capsys)
+        assert "cannot be allocated" in err
 
 
 def test_subcommands_are_run_compare_and_self_check(capsys):
@@ -122,13 +135,11 @@ def test_run_has_no_self_check_flag(tmp_path, capsys):
     assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, "--self-check"]), capsys)
 
 
-@pytest.mark.parametrize("field, value", [("seed", "-1"), ("vocab-size", "1"), ("max-position", "0"),
-                                          ("ffn-mult", "-1.0")])
+@pytest.mark.parametrize("field, value", [("seed", "-1"), ("vocab-size", "1"), ("ffn-mult", "-1.0")])
 def test_out_of_range_model_field_is_named(field, value, tmp_path, capsys):
     err = assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, f"--model.{field}", value]), capsys)
     name = field.replace("-", "_")
-    assert f"{name} must be" in err and all(other not in err for other in {"seed", "vocab_size", "max_position",
-                                                                              "ffn_mult"} - {name})
+    assert f"{name} must be" in err and all(other not in err for other in {"seed", "vocab_size", "ffn_mult"} - {name})
 
 
 def test_self_check_names_the_out_of_range_seed(capsys):

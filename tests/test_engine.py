@@ -1,6 +1,7 @@
 """Session-level behavior: policy equivalences, cache dynamics, oracles."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -72,7 +73,7 @@ class TestEquivalenceLadder:
         ids, _, logits = greedy_generate(
             desk_weights,
             PolicyConfig(kind="refreshkv", k=self.L),
-            ScheduleConfig(mode="always_full"),
+            ScheduleConfig(mode="fixed", stride=1),
             prompt,
             self.N,
         )
@@ -703,3 +704,45 @@ class TestArena:
         assert np.array_equal(logits, roomy_logits)
         for a, b in zip(grown.partial, roomy.partial):
             assert np.array_equal(a.keys, b.keys) and np.array_equal(a.positions, b.positions)
+
+
+class TestGrowingRopeTable:
+    def test_decoding_across_two_growths_matches_full_forward(self, desk_config, rng):
+        weights = init_model(desk_config)
+        stream = toks(rng, desk_config, 20 + 50)
+        session = DecodeSession(weights, PolicyConfig(kind="vanilla"))
+        logits, rows = [session.prefill(stream[:20]).logits], [len(weights.rope)]
+        for tok in stream[20:]:
+            logits.append(session.step(tok)[0].logits)
+            rows.append(len(weights.rope))
+        assert sorted(set(rows)) == [32, 64, 128]  # positions 32 and 64 each grew the table
+        ref = full_forward(init_model(desk_config), stream)[19:]
+        assert np.max(np.abs(np.array(logits) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_sessions_sharing_weights_step_alternately_as_each_alone(self, desk_config, rng):
+        stream = toks(rng, desk_config, 160)
+        # (policy, schedule, prompt length, steps): the first feeds positions up to 49, the second up to 159
+        runs = [(PolicyConfig(kind="refreshkv", k=8), ScheduleConfig(mode="fixed", stride=4), 20, 30),
+                (PolicyConfig(kind="streaming", k=16), None, 100, 60)]
+
+        def outputs(weights, policy, schedule, length, n_steps):
+            """The prefill's logits, then each step's logits and trace line, one item per call."""
+            session = DecodeSession(weights, policy, schedule)
+            yield session.prefill(stream[:length]).logits, None
+            for tok in stream[length : length + n_steps]:
+                out, rec = session.step(tok)
+                yield out.logits, rec.to_json()
+
+        alone = [list(outputs(init_model(desk_config), *run)) for run in runs]
+        shared = init_model(desk_config)
+        together, rows = [[] for _ in runs], []
+        for items in itertools.zip_longest(*(outputs(shared, *run) for run in runs)):
+            for got, item in zip(together, items):
+                if item is not None:
+                    got.append(item)
+            rows.append(len(shared.rope))
+        # the second session's step 29 (position 128) grew the table, between the first one's steps 29 and 30
+        assert rows[28:30] == [128, 256] and len(together[0]) == 31
+        for got, ref in zip(together, alone, strict=True):
+            assert [rec for _, rec in got] == [rec for _, rec in ref]
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, ref, strict=True))

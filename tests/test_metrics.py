@@ -124,7 +124,7 @@ class TestPerplexity:
         same, _ = teacher_forced_run(
             desk_weights,
             PolicyConfig(kind="refreshkv", k=36),
-            ScheduleConfig(mode="always_full"),
+            ScheduleConfig(mode="fixed", stride=1),
             stream,
             12,
         )

@@ -91,7 +91,7 @@ def whole_prompt_forward(weights, tokens):
     layers = []
     for lw in weights.layers:
         qkv = (model._rms_norm(x) @ lw.wqkv).reshape(L, n_q + 2 * n_kv, cfg.head_dim)
-        qk = model.apply_rope(qkv[:, : n_q + n_kv], slice(L), weights.rope)
+        qk = model.apply_rope(qkv[:, : n_q + n_kv], slice(L), weights.rope_upto(L))
         k = key_major(qk[:, n_q:].transpose(1, 0, 2))
         v = qkv[:, n_q + n_kv :].transpose(1, 0, 2).copy()
         ctx, last_rows = causal_attention(qk[:, :n_q], k, v, cfg.group_size)
@@ -158,10 +158,9 @@ class TestInit:
             dict(head_dim=0),
             dict(ffn_mult=0.0),
             dict(vocab_size=1),
-            dict(max_position=0),
-            dict(max_position=model.MAX_POSITIONS + 1),  # rejected before its rotary table is built
             dict(seed=-1),
             dict(ffn_mult=0.001),  # ffn_dim int(0.001 * 64) = 0
+            dict(ffn_mult=1e308),  # finite, but 64 * ffn_mult is not
             dict(head_dim=3),  # RoPE rotates pairs
             dict(head_dim=1),
         ],
@@ -260,11 +259,6 @@ class TestPrefill:
         query_rows.clear()
         full_forward(desk_weights, toks)
         assert query_rows == [length] * n_layers
-
-    def test_overlength_rejected(self, desk_weights):
-        max_pos = desk_weights.config.max_position
-        with pytest.raises(ContractViolation):
-            prefill(desk_weights, [0] * (max_pos + 1))
 
     def test_empty_rejected(self, desk_weights):
         with pytest.raises(ContractViolation):
@@ -402,10 +396,8 @@ class TestDecodeStep:
     def test_position_bound_checked(self, desk_weights, rng):
         toks = random_tokens(rng, desk_weights.config, 4)
         caches, _ = prefill(desk_weights, toks)
-        with pytest.raises(ContractViolation):
-            decode_step(
-                desk_weights, 1, cache_views(caches), position=desk_weights.config.max_position
-            )
+        with pytest.raises(ContractViolation, match="position -1 is negative"):  # it would read the table's last row
+            decode_step(desk_weights, 1, cache_views(caches), position=-1)
 
     def test_empty_view_rejected(self, desk_weights):
         # a view that leaves out the current token and holds no past entry
@@ -537,16 +529,24 @@ def rope_positions(shape, positions):
 
 
 class TestRopeTable:
-    def test_table_is_the_angle_expression_bitwise(self, desk_weights):
+    def test_grown_table_is_the_angle_expression_bitwise(self, desk_config):
+        weights = init_model(desk_config)
+        assert len(weights.rope) == 0  # nothing is built before a sequence needs it
+        tables = [weights.rope_upto(end) for end in (1, 3, 17, 17, 4095, 4097, 4097, 8191, 5)]
+        assert [len(t) for t in tables] == [1, 4, 32, 32, 4096, 8192, 8192, 8192, 8192]  # powers of two >= end
+        assert tables[-1] is tables[5] is weights.rope  # no call shrinks or rebuilds a table that covers it
+        assert tables[4] is not tables[5]  # growing rebinds a new table and leaves the old one whole (checked below)
         # one complex entry e^{i a_j} per rotary pair: real part cos(a_j), imaginary part sin(a_j)
-        cfg = desk_weights.config
-        table = desk_weights.rope
-        assert table.dtype == np.complex128 and table.shape == (cfg.max_position, 1, cfg.head_dim // 2)
-        ang = rope_angles(np.arange(cfg.max_position), cfg.head_dim)
+        table, n = weights.rope, 8192
+        assert table.dtype == np.complex128 and table.shape == (n, 1, desk_config.head_dim // 2)
+        ang = rope_angles(np.arange(n), desk_config.head_dim)
         assert np.array_equal(table[:, 0].real, np.cos(ang)) and np.array_equal(table[:, 0].imag, np.sin(ang))
-        # and each row equals the table of its position computed alone, bit for bit
-        for p in (0, 1, 17, 4095, cfg.max_position - 1):
-            assert np.array_equal(table[p], model._rope_table(np.asarray([p]), cfg.head_dim)[0])
+        # the table grown through several calls is the one built at once, and each row that of its position alone
+        assert np.array_equal(table, model._rope_table(np.arange(n), desk_config.head_dim))
+        for t in tables:
+            assert np.array_equal(t, table[: len(t)])
+        for p in (0, 1, 17, 4095, 4096, n - 1):
+            assert np.array_equal(table[p], model._rope_table(np.asarray([p]), desk_config.head_dim)[0])
 
     @pytest.mark.parametrize("shape, positions", ROPE_CASES)
     def test_apply_rope_is_the_complex_product_bitwise(self, desk_weights, rng, shape, positions):
@@ -555,37 +555,29 @@ class TestRopeTable:
         ang = rope_angles(rope_positions(shape, positions), shape[-1])[..., None, :]
         z = complex_of(x[..., 0::2], x[..., 1::2]) * complex_of(np.cos(ang), np.sin(ang))
         expected = np.stack([z.real, z.imag], axis=-1).reshape(shape)
-        assert np.array_equal(model.apply_rope(x, positions, desk_weights.rope), expected)
+        assert np.array_equal(model.apply_rope(x, positions, desk_weights.rope_upto(8192)), expected)
 
     @pytest.mark.parametrize("shape, positions", ROPE_CASES)
     def test_apply_rope_is_within_4_eps_of_the_pairwise_formula(self, desk_weights, rng, shape, positions):
         # the complex multiply may fuse a product into its sum, so it can differ from the pairwise floats in the last bits
         x = rng.standard_normal(shape)
         expected = pairwise_rope(x, rope_positions(shape, positions), shape[-1])
-        got = model.apply_rope(x, positions, desk_weights.rope)
+        got = model.apply_rope(x, positions, desk_weights.rope_upto(8192))
         assert np.abs(got - expected).max() <= 4 * np.finfo(np.float64).eps * np.abs(x).max()
 
     def test_a_row_rotated_alone_is_its_row_in_any_chunk_bitwise(self, desk_weights, rng):
         # prefill's chunks rest on this: a decode row and any chunk of rows give each row the same bits
+        rope = desk_weights.rope_upto(300)
         for _ in range(50):
             length, n_heads = int(rng.integers(1, 300)), int(rng.integers(1, 7))
             x = rng.standard_normal((length, n_heads + 2, 16))[:, :n_heads]  # a column slice, as prefill rotates
-            whole = model.apply_rope(x, slice(length), desk_weights.rope)
+            whole = model.apply_rope(x, slice(length), rope)
             s = int(rng.integers(0, length))
             e = int(rng.integers(s + 1, length + 1))
-            assert np.array_equal(model.apply_rope(x[s:e], slice(s, e), desk_weights.rope), whole[s:e])
+            assert np.array_equal(model.apply_rope(x[s:e], slice(s, e), rope), whole[s:e])
             for p in {0, s, length - 1}:
                 row = np.ascontiguousarray(x[p])  # a decode step's (n_heads, head_dim) queries and key
-                assert np.array_equal(model.apply_rope(row, p, desk_weights.rope), whole[p])
-
-    def test_last_table_row_decodes_and_max_position_is_rejected(self, rng):
-        weights = init_model(ModelConfig(max_position=32, seed=3))
-        toks = random_tokens(rng, weights.config, 4)
-        caches, _ = prefill(weights, toks)
-        out = decode_step(weights, 1, cache_views(caches), position=31)
-        assert np.isfinite(out.logits).all()
-        with pytest.raises(ContractViolation):
-            decode_step(weights, 1, cache_views(caches), position=32)
+                assert np.array_equal(model.apply_rope(row, p, rope), whole[p])
 
 
 def perfbench_tracer():

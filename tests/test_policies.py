@@ -169,7 +169,7 @@ class TestRefresh:
             return out
 
         monkeypatch.setattr(engine, "decode_core", rows_one_short)
-        session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8), ScheduleConfig(mode="always_full"))
+        session = DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8), ScheduleConfig(mode="fixed", stride=1))
         session.prefill(rng.integers(0, desk_weights.config.vocab_size, size=20).tolist())
         with pytest.raises(ContractViolation, match="full-step rows over 20 positions, the full cache holds 21"):
             session.step(3)

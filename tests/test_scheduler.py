@@ -25,7 +25,7 @@ class TestShouldFull:
         assert fired == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 
     def test_always_and_never(self):
-        assert all(should_full(i, None, ScheduleConfig(mode="always_full")) for i in range(1, 20))
+        assert all(should_full(i, None, ScheduleConfig(mode="fixed", stride=1)) for i in range(1, 20))
         assert not any(should_full(i, None, ScheduleConfig(mode="never_full")) for i in range(1, 20))
 
     def test_qc_threshold_above_one_fires_every_boundary(self, rng):
