@@ -21,13 +21,22 @@ L's mean, L + (steps + 1) / 2. A refreshkv partial step attends K + 1
 (a + b·(K + 1)) / (a + b·m) beside K/L and the measured ratio, the median
 over rounds of each round's partial/vanilla.
 
+The model's shape comes from `--n-layers`, `--n-query-heads`,
+`--n-kv-heads`, `--head-dim` and `--ffn-mult` (see shape_flags.py), the
+default shape when none is given; a shape `ModelConfig.validate` rejects
+exits with status 2 before anything runs. The JSON records the shape with
+W, the weight bytes a step reads, and κ, the KV bytes per cached token,
+and the fit line prints a/b beside W/κ: on a shape whose step is bound by
+the bytes it reads, a ≈ W/BW and b ≈ κ/BW, so the two ratios agree.
+
 With `--json PATH` the numbers are written to PATH as well; with
 `--label NAME` too, they go under the key NAME of the JSON object already
 in PATH (created if missing), so runs of two checkouts can share one file.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/refresh_cost.py [--lengths 1024 4096] [--k 128] [--steps 400] [--rounds 3] [--json PATH [--label NAME]]
+    PYTHONPATH=src python scripts/refresh_cost.py [--lengths 1024 4096] [--k 128] [--steps 400] [--rounds 3]
+        [--n-query-heads 8 --n-kv-heads 4 --head-dim 32] [--json PATH [--label NAME]]
 """
 
 from __future__ import annotations
@@ -45,10 +54,11 @@ from pathlib import Path
 import numpy as np
 
 from kvrefresh.engine import DecodeSession
-from kvrefresh.model import canonical_config, init_model
+from kvrefresh.model import ModelConfig, init_model
 from kvrefresh.policies import PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 from kvrefresh.tasks import synthetic_lm_stream
+from shape_flags import add_shape_flags, shape_config, shape_record
 
 STRIDE = 10  # refreshkv's fixed refresh stride
 COLUMNS = ("vanilla", "refresh", "partial", "snapkv", "streaming", "h2o")  # median step µs, by kind of step
@@ -66,10 +76,10 @@ def _step_times(session: DecodeSession, tokens: list[int]) -> tuple[list[int], l
     return ns, full
 
 
-def measure(length: int, k: int, steps: int, seed: int, first: int) -> dict:
-    """Median µs of a vanilla, refresh, refreshkv partial, snapkv, streaming and h2o step, from one
-    fresh set of sessions with partial-cache budget k, run in turn starting with session `first`."""
-    weights = init_model(canonical_config(seed=0))
+def measure(length: int, k: int, steps: int, seed: int, first: int, config: ModelConfig) -> dict:
+    """Median µs of a vanilla, refresh, refreshkv partial, snapkv, streaming and h2o step, from one fresh set of
+    sessions of the model `config` with partial-cache budget k, run in turn starting with session `first`."""
+    weights = init_model(config)
     weights.rope_upto(length + steps)  # grown before timing, so that no timed step builds the rotary table
     stream = synthetic_lm_stream(length + steps, 256, seed, "repeated_motif", 64).tolist()
     sessions = [
@@ -111,6 +121,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", type=Path, help="also write the numbers to this file")
     parser.add_argument("--label", help="with --json: store the numbers under this key of the file's object")
+    add_shape_flags(parser)
     args = parser.parse_args()
     if args.steps < STRIDE:
         parser.error(f"--steps must be at least the refresh stride {STRIDE}, or no step refreshes")
@@ -123,11 +134,13 @@ def main() -> None:
     bad = [length for length in args.lengths if length < 1]
     if bad:
         parser.error(f"--lengths must each be at least 1, got {bad}")
-    records, rounds_by_length = [], []
+    config = shape_config(args, parser)
+    shape = shape_record(config)
+    records = []
     print(f"{'L':>6} {'refreshes':>9} " + " ".join(f"{key + '_us':>12}" for key in COLUMNS)
           + f" {'refresh/vanilla':>15} {'ratio_min':>9} {'ratio_max':>9}")
     for length in args.lengths:
-        rounds = [measure(length, args.k, args.steps, args.seed, r % N_SESSIONS) for r in range(args.rounds)]
+        rounds = [measure(length, args.k, args.steps, args.seed, r % N_SESSIONS, config) for r in range(args.rounds)]
         med = {key: float(np.median([r[key] for r in rounds])) for key in COLUMNS}
         ratios = [r["refresh"] / r["vanilla"] for r in rounds]
         rec = {"L": length, "n_refresh": rounds[0]["n_refresh"], **{f"{key}_us": med[key] for key in COLUMNS},
@@ -139,14 +152,16 @@ def main() -> None:
               + f" {rec['refresh_over_vanilla']:>15.2f} {rec['ratio_min']:>9.2f} {rec['ratio_max']:>9.2f}")
     fit = fit_fixed_cost(records, args.k) if len({r['L'] for r in records}) >= 2 else None
     if fit:
-        print(f"vanilla step = a + b*m: a = {fit['a_us']:.1f} us, b = {fit['b_us_per_position']:.4f} us per position")
+        a, b = fit["a_us"], fit["b_us_per_position"]
+        print(f"vanilla step = a + b*m: a = {a:.1f} us, b = {b:.4f} us per position; a/b = {a / b:.0f} positions"
+              f" beside W/kappa = {shape['weight_bytes'] / shape['kv_bytes_per_token']:.0f}")
         print(f"{'L':>6} {'K/L':>7} {'partial/vanilla':>15} {'modeled':>8}")
         for rec in records:
             print(f"{rec['L']:>6} {rec['k_over_l']:>7.3f} {rec['partial_over_vanilla']:>15.2f}"
                   f" {rec['modeled_partial_over_vanilla']:>8.2f}")
     if args.json:
         result = {"rounds": args.rounds, "steps": args.steps, "seed": args.seed, "k": args.k, "stride": STRIDE,
-                  "blas_threads": 1, "fit": fit, "lengths": records}
+                  "blas_threads": 1, "shape": shape, "fit": fit, "lengths": records}
         if args.label:
             result = {**(json.loads(args.json.read_text()) if args.json.exists() else {}), args.label: result}
         args.json.write_text(json.dumps(result, indent=2) + "\n")

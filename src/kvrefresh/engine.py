@@ -14,18 +14,19 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
      slot len(cache); a refreshkv_no_full refresh runs first. The session
      notes the view's length and, from which cache it is, the layer's
      modeled attended size (metrics): L or k_sel;
-  3. attention runs over the view's window exactly as given, as one
-     batched computation over the layer's kv heads, so nothing is copied.
-     Every view holds the current token;
+  3. attention runs over the view's window exactly as given, as one batched
+     computation over the layer's kv heads, so nothing is copied; the row
+     sums divide the context, not the rows. Every view holds the current token;
   4. after the forward pass over all layers, the policy's `update` gets their
-     probability rows: top-K kinds refresh the layers whose step was a
-     refreshing full step in one `refresh_layers` call, streaming and
-     h2o drop one slot of each partial cache, moving the shorter side of
-     its window, and evicting top-K kinds drop their overflow from the
-     start of their eviction-ordered windows, which copies nothing. It
-     reports whether each layer's step was full (plain steps share one
-     immutable LayerStep); the session builds an exact-cost StepRecord
-     from per-layer costs of L and k_sel it computed at the prefill.
+     probability rows, each divided out on its first read (only h2o and a
+     refreshing layer read any): top-K kinds refresh the layers whose step
+     was a refreshing full step in one `refresh_layers` call, streaming and
+     h2o drop one slot of each partial cache, moving the shorter side of its
+     window, and evicting top-K kinds drop their overflow from the start of
+     their eviction-ordered windows, which copies nothing. It reports whether
+     each layer's step was full (plain steps share one immutable LayerStep);
+     the session builds an exact-cost StepRecord from per-layer costs of L
+     and k_sel it computed at the prefill.
 
 Sessions are single-threaded. Distinct sessions share only the weights,
 whose rotary table grows by rebinding a complete table, so they may run

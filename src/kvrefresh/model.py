@@ -39,10 +39,11 @@ only for its final 2 to ATTN_BLOCK + 1 rows, from a block boundary
 
 `decode_core` runs each layer as one batched computation over all kv
 heads: the view is the layer's full or partial cache itself, and
-`attention_rows` (one matmul, one `softmax_rows` call) gives every kv
-head's query group its rows over its own (m, head_dim) keys in the
-cache's head-major window; every layer's rows are returned.
-Its softmax runs in place on the fresh logits.
+`attention_rows` (one matmul, one in-place `softmax_rows` call) gives
+every kv head's query group its exponentials over its own (m, head_dim)
+keys in the cache's head-major window, and their row sums. As in the
+prefill, the sums divide the context after the value product, and a
+layer's probability rows are divided only when read (`AttentionRows`).
 
 Keys are stored key-major (see `kv_store`), so the logit products of
 `attention_rows` and `causal_attention` run as NN GEMMs.
@@ -228,33 +229,39 @@ def apply_rope(x: np.ndarray, positions: int | slice | np.ndarray, rope: np.ndar
 ViewProvider = Callable[[int, np.ndarray, np.ndarray, np.ndarray], FullCache | PartialCache]
 
 
+class AttentionRows:
+    """A decode step's per-layer rows (see StepOutput), held as `attention_rows`' exponentials and row sums; a
+    layer's are divided in place on its first read, by the divide softmax_rows ran before (the same bits)."""
+
+    def __init__(self, parts: list[tuple[np.ndarray, np.ndarray | None]]):
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, layer: int) -> np.ndarray:
+        exps, sums = self._parts[layer]
+        if sums is not None:
+            exps /= sums
+            self._parts[layer] = exps, None
+        return exps
+
+
 @dataclass
 class StepOutput:
     logits: np.ndarray  # (vocab_size,)
     queries: list[np.ndarray]  # per layer: (n_query_heads, head_dim), rotated, at the last position
-    attn_rows: list[np.ndarray] = field(default_factory=list)
+    attn_rows: list[np.ndarray] | AttentionRows = field(default_factory=list)
     # per layer: (n_kv_heads, group_size, m) probability rows over the attended
     # view (row order matches the view); iterating yields each kv head's
-    # (group_size, m) rows.
+    # (group_size, m) rows. A decode step's are normalised on read (AttentionRows):
+    # only h2o (every step) and a refreshing top-K layer (at its refresh) read them.
 
 
-def _check_token(config: ModelConfig, token: int) -> None:
-    if not 0 <= int(token) < config.vocab_size:
-        raise ContractViolation(f"token id {token} outside vocab of size {config.vocab_size}")
-
-
-def _check_sequence(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.ndim != 1 or toks.size == 0:
-        raise ContractViolation("token sequence must be non-empty and 1-D")
-    if toks.min() < 0 or toks.max() >= config.vocab_size:
-        raise ContractViolation("token id outside vocabulary")
-    return toks
-
-
-def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> np.ndarray:
-    """One token's (n_kv_heads, group, m) attention probabilities: query head j of q (n_kv_heads * group, head_dim),
-    times 1/sqrt(head_dim) before the product (as in `causal_attention`), against kv head j // group's keys."""
+def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
+    """One token's (n_kv_heads, group, m) attention rows as `softmax_rows`' (exps, sums): query head j of q
+    (n_kv_heads * group, head_dim), times 1/sqrt(head_dim) before the product (as in `causal_attention`), against
+    kv head j // group's keys."""
     n_kv, _, d = keys.shape
     qs = q * (1.0 / math.sqrt(d))  # the same float as 1.0 / np.sqrt(d), without a numpy scalar
     logits = qs.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1)  # NN GEMM per head on key-major keys
@@ -275,8 +282,8 @@ def causal_attention(
     diagonal tile needs the causal mask. Each row sees its whole prefix, so its softmax is exact
     with no running rescale: the logits are shifted by their row max and
     exponentiated in place, and the row sums divide the (rows, head_dim)
-    context after the value product instead of the (rows, L) block. Memory
-    peaks at one block's (ATTN_BLOCK * group, L) exponentials. Returns the
+    context after the value product instead of the (rows, L) block. Every
+    block's logits go into one reused (ATTN_BLOCK * group, L) buffer. Returns the
     context (n, n_query_heads, head_dim) and the last position's
     (n_kv_heads, group, L) probability rows.
     """
@@ -287,11 +294,13 @@ def causal_attention(
     qs = (q * (1.0 / np.sqrt(d))).reshape(n, n_kv, group, d).transpose(1, 0, 2, 3).copy()
     ctx = np.empty((n_kv, n, group, d))
     last_rows = np.empty((n_kv, group, L))
+    buf = np.empty(min(n, ATTN_BLOCK) * group * L)  # every block's logits, one (rows * group, end) prefix at a time
     for start in range(first, L, ATTN_BLOCK):
         end = min(start + ATTN_BLOCK, L)
         rows = end - start
         for h in range(n_kv):
-            logits = (qs[h, start - first : end - first].reshape(-1, d) @ k[h, :end].T).reshape(rows, group, end)
+            logits = np.matmul(qs[h, start - first : end - first].reshape(-1, d), k[h, :end].T,
+                               out=buf[: rows * group * end].reshape(-1, end)).reshape(rows, group, end)
             logits[:, :, start:] += _DIAGONAL_MASK[:rows, :, :rows]
             logits -= logits.max(axis=-1, keepdims=True)
             np.exp(logits, out=logits)  # unnormalised probabilities, in place
@@ -329,7 +338,11 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
     causal_attention's last-position rows.
     """
     cfg = weights.config
-    toks = _check_sequence(cfg, tokens)
+    toks = np.asarray(tokens, dtype=np.int64)
+    if toks.ndim != 1 or toks.size == 0:
+        raise ContractViolation("token sequence must be non-empty and 1-D")
+    if toks.min() < 0 or toks.max() >= cfg.vocab_size:
+        raise ContractViolation("token id outside vocabulary")
     L = toks.size
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[toks]  # (L, D)
@@ -396,7 +409,8 @@ def decode_core(
     query group against its own keys, and one softmax over every head's rows.
     """
     cfg = weights.config
-    _check_token(cfg, token)
+    if not 0 <= int(token) < cfg.vocab_size:
+        raise ContractViolation(f"token id {token} outside vocab of size {cfg.vocab_size}")
     if position < 0:  # a negative row index would wrap to the table's end
         raise ContractViolation(f"position {position} is negative")
     rope = weights.rope_upto(position + 1)
@@ -404,8 +418,7 @@ def decode_core(
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[int(token)].copy()
 
-    queries: list[np.ndarray] = []
-    rows_per_layer: list[np.ndarray] = []
+    queries, parts = [], []  # per layer: the rotated queries, and attention_rows' (exps, sums)
 
     for layer_idx, lw in enumerate(weights.layers):
         # ndarray.dot on a vector is the same BLAS gemv as @, without matmul's dispatch
@@ -417,12 +430,12 @@ def decode_core(
 
         if len(view) == 0:
             raise ContractViolation(f"layer {layer_idx}: empty attention view")
-        probs = attention_rows(q, view.keys, cfg.group_size)
-        x += (probs @ view.values).reshape(-1).dot(lw.wo)
+        exps, sums = attention_rows(q, view.keys, cfg.group_size)
+        x += ((exps @ view.values) / sums).reshape(-1).dot(lw.wo)  # the context normalised, not the rows
         x += _ffn(x, lw)
 
         queries.append(q)
-        rows_per_layer.append(probs)
+        parts.append((exps, sums))
 
     logits = _rms_norm(x).dot(weights.w_out)
-    return StepOutput(logits, queries, rows_per_layer)
+    return StepOutput(logits, queries, AttentionRows(parts))

@@ -12,14 +12,14 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 
 
-def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Stable softmax along the last axis, written into `out` when given (which may be
-    `logits` itself); without it the input is left unchanged."""
+def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Stable softmax along the last axis, left unnormalised: the exponentials of the logits less their row
+    maximum, written into `out` when given (which may be `logits` itself), and their row sums, keepdims. The
+    probabilities are exps / sums; a caller divides only what it reads. Without `out` the input is unchanged."""
     x = np.asarray(logits, dtype=np.float64)
     z = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
+    return z, np.add.reduce(z, axis=-1, keepdims=True)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -35,9 +35,9 @@ layer's starting set from its full cache, in ascending position order,
 then drop one slot per step: streaming the oldest entry after the sinks,
 h2o the lightest heavy-hitter candidate. Top-K kinds keep theirs in
 eviction order, so their evictions drop slot 0. The rows `update` gets,
-and the rows refreshkv_no_full scores over the full cache before the
-step's write, come from model.attention_rows as one (n_kv_heads,
-group_size, m) array per layer.
+and those refreshkv_no_full scores over the full cache before the step's
+write, come from model.attention_rows as one (n_kv_heads, group_size, m)
+array per layer; only h2o (every step) and a refreshing layer read them.
 
 Selection scores are per kv-head: the elementwise max of its query
 group's probability rows over the cache, max-pooled over neighboring
@@ -281,7 +281,7 @@ class H2OState(CachePolicy):
     def update(self, step, rows):
         steps = []
         for layer, layer_rows in enumerate(rows):
-            row = aggregate_group_scores(layer_rows.reshape(-1, layer_rows.shape[-1]))
+            row = np.maximum.reduce(layer_rows, axis=(0, 1))  # aggregate_group_scores over every query head
             view_positions = self.keepset(layer).copy() if self.recorder is not None else None
             self.step(layer, row)
             if self.recorder is not None:
@@ -332,7 +332,8 @@ class TopK(CachePolicy):
             if self.output_full:
                 (full := self.full[layer]).append(position, k_new, v_new)
                 return full
-            refresh_layers(self, [layer], step, [attention_rows(q, self.full[layer].keys, self.model.group_size)])
+            rows = np.divide(*attention_rows(q, self.full[layer].keys, self.model.group_size))
+            refresh_layers(self, [layer], step, [rows])
         return super().view(layer, step, position, q, k_new, v_new)
 
     def update(self, step, rows):

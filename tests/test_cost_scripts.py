@@ -18,6 +18,14 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
+# the default shape, ModelConfig's defaults: W and κ as ROADMAP's shape list gives them (1.1 MB, 1,024 B)
+S0_SHAPE = {"n_layers": 2, "n_query_heads": 4, "n_kv_heads": 2, "head_dim": 16, "ffn_mult": 4.0,
+            "weight_bytes": 1_114_112, "kv_bytes_per_token": 1_024}
+# a tiny other shape: model_dim 16, ffn_dim 32; W = 8 * (16 * 4 * 8 + 16 * 16 + 3 * 16 * 32 + 16 * 256), κ = 8 * 2 * 8
+TINY_FLAGS = ["--n-layers", "1", "--n-query-heads", "2", "--n-kv-heads", "1", "--head-dim", "8", "--ffn-mult", "2"]
+TINY_SHAPE = {"n_layers": 1, "n_query_heads": 2, "n_kv_heads": 1, "head_dim": 8, "ffn_mult": 2.0,
+              "weight_bytes": 51_200, "kv_bytes_per_token": 128}
+
 RECORD_KEYS = {"L", "n_refresh", "vanilla_us", "refresh_us", "partial_us", "snapkv_us", "streaming_us", "h2o_us",
                "refresh_over_vanilla", "ratio_min", "ratio_max", "mean_attended", "k_over_l", "partial_over_vanilla"}
 
@@ -32,7 +40,8 @@ def test_refresh_cost_json(tmp_path):
     done = run_script("refresh_cost.py", "--lengths", "256", "--steps", "20", "--rounds", "1", "--json", str(out))
     assert done.returncode == 0, done.stderr
     result = json.loads(out.read_text())
-    assert set(result) == {"rounds", "steps", "seed", "k", "stride", "blas_threads", "fit", "lengths"}
+    assert set(result) == {"rounds", "steps", "seed", "k", "stride", "blas_threads", "shape", "fit", "lengths"}
+    assert result["shape"] == S0_SHAPE
     assert result["fit"] is None  # one length: nothing to fit a + b·m to
     (record,) = result["lengths"]
     assert set(record) == RECORD_KEYS
@@ -48,6 +57,7 @@ def test_refresh_cost_fits_the_fixed_cost_over_two_lengths(tmp_path):
                       "--json", str(out))
     assert done.returncode == 0, done.stderr
     assert "vanilla step = a + b*m: a = " in done.stdout
+    assert "positions beside W/kappa = 1088" in done.stdout  # 1,114,112 / 1,024
     result = json.loads(out.read_text())
     fit = result["fit"]
     assert set(fit) == {"a_us", "b_us_per_position"}
@@ -78,11 +88,39 @@ def test_prefill_cost_json(tmp_path):
     done = run_script("prefill_cost.py", "--lengths", "64", "128", "--rounds", "1", "--json", str(out))
     assert done.returncode == 0, done.stderr
     result = json.loads(out.read_text())
-    assert set(result) == {"rounds", "seed", "blas_threads", "lengths"}
+    assert set(result) == {"rounds", "seed", "blas_threads", "shape", "lengths"}
+    assert result["shape"] == S0_SHAPE
     assert [record["L"] for record in result["lengths"]] == [64, 128]
     for record in result["lengths"]:
         assert set(record) == {"L", "prefill_ms", "min_ms", "max_ms", "peak_alloc_mib"}
         assert_finite(record)
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("refresh_cost.py", ["--lengths", "32", "--k", "8", "--steps", "10", "--rounds", "1"]),
+     ("prefill_cost.py", ["--lengths", "32", "--rounds", "1"])],
+    ids=["refresh", "prefill"],
+)
+def test_a_shape_given_by_flags_round_trips_into_the_json(script, args, tmp_path):
+    out = tmp_path / "out.json"
+    done = run_script(script, *args, *TINY_FLAGS, "--json", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["shape"] == TINY_SHAPE
+
+
+@pytest.mark.parametrize("script", ["refresh_cost.py", "prefill_cost.py"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--n-query-heads", "3"], ["--head-dim", "7"], ["--n-layers", "0"], ["--n-kv-heads", "0"],
+     ["--ffn-mult", "0.001"], ["--ffn-mult", "nan"]],
+    ids=["heads-not-divisible", "odd-head-dim", "no-layers", "no-kv-heads", "no-ffn-unit", "nan-ffn-mult"],
+)
+def test_a_shape_the_model_rejects_exits_before_measuring(script, flags, tmp_path):
+    out = tmp_path / "out.json"
+    done = run_script(script, "--lengths", "64", *flags, "--json", str(out))
+    assert done.returncode == 2 and "error: model shape: " in done.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -46,18 +46,18 @@ FIXED = {"mode": "fixed", "stride": 10}
 QC = {"mode": "qc", "qc_stride": 10, "threshold": 0.0}
 
 GOLDEN = {
-    ("lm", "vanilla", "default"): "b5882d75e8afe2d28ce457000b23820ab7c4b14843ccee060db236fa5de3be79",
-    ("lm", "streaming", "default"): "83ece76fc0c8dab1b59be0edcef76ffe146837831ecd2311c2d5a67c4a8b58dc",
-    ("lm", "h2o", "default"): "05420181084943f4d68d1d0ec558ed8213831fa642494066d138d5d2d5d065fd",
-    ("lm", "snapkv", "default"): "a7ecae6b1c94cdeb831a07c102a4ebf35e0163db9e968a4a80840645fdf09419",
-    ("lm", "refreshkv", "fixed"): "700b71a919fcf4409641144353066ae93fb1b389ad3045a8c9436a0c593978ce",
-    ("lm", "refreshkv", "qc"): "1620eb030c6fa8a49a84e255c76a9cfc6e96ee67f04774f4df1ac6199e1bd31e",
-    ("lm", "refreshkv_no_refresh", "fixed"): "fe3d1e6d98659922acd5f01d94a1f6c7b37736ba7d9b953db82dce12bb29e144",
-    ("lm", "refreshkv_no_refresh", "qc"): "1fa78f13c72c1122aa057f0309903974e7bca2c7d4eb98caa8a48290b4b91ed6",
-    ("lm", "refreshkv_no_full", "fixed"): "7a482404fee76cd0abc0eaefef5e51caf5db8db0a31b868507a63e2983019923",
-    ("lm", "refreshkv_no_full", "qc"): "17e745f9f2952bf86dba60efb877eadda1b79ecfdf55865595b17c004e57efa5",
-    ("lm", "refreshkv", "fixed-no-evict"): "dd1ddad10e893ecc8d070ed9dcb240ff9d16fcf1ada5eae77139ea1eb5cb96c7",
-    ("chainkey", "refreshkv", "default"): "a7493e814b5de12fbd6c47bd2da3b106d3591a1a355490bf11d3f74605b8f0af",
+    ("lm", "vanilla", "default"): "43dbdf6c061e97bfbbfa109b78627b202121564db067a8ffe7e28f6c3ab77623",
+    ("lm", "streaming", "default"): "e22eb410590490cd13a1a11ccd010af478f7773f309b2352306c364e53dab363",
+    ("lm", "h2o", "default"): "0ef60d1037be3f69f562f8893107faececc1c165677676ca0631d0d88c58a6e0",
+    ("lm", "snapkv", "default"): "03ff0f7ae22d0da4e3a72e3f788553c88906813dff2a00c83537d80cfcc6fcce",
+    ("lm", "refreshkv", "fixed"): "450c7e6dc7d9af547f111482231e8dc73a1999e3d28ce66960cced836d588fed",
+    ("lm", "refreshkv", "qc"): "a3dd17ab387c56a7d8d3498d113f2ac9a95aa198b57b56e6ed36c3d1e1ebbc1d",
+    ("lm", "refreshkv_no_refresh", "fixed"): "34e883969f708b5fc3ea30d5f4ec737105d487a4e660f4b25d4da39d1ddd882d",
+    ("lm", "refreshkv_no_refresh", "qc"): "a976aa68a059642782e02979cd3c082fabd09422c82d36e73c4b2eef5f416a87",
+    ("lm", "refreshkv_no_full", "fixed"): "0659faa1228e188fbdebdf8cd4ea48c4a4993c917e56fac8e1b05687a385f79c",
+    ("lm", "refreshkv_no_full", "qc"): "45be2959f509d21a74d77ef1e26b0b1ab54290fb92a9499001c2333710cd1879",
+    ("lm", "refreshkv", "fixed-no-evict"): "cf4decaeed8c8ad2d1c0e164a91658597a051d42e8d110b3444a064edfc60eaa",
+    ("chainkey", "refreshkv", "default"): "9a8d9e530fc945e5797c63d0ca3361dbb7a8052faa2182ba631ae91733d7df7a",
 }
 
 

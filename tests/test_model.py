@@ -69,11 +69,34 @@ def dense_attention(q, k, v, group):
     for h in range(k.shape[0]):
         rows = np.empty((group, L))
         for g in range(group):
-            probs = softmax_rows(q[:, h * group + g] @ k[h].T * (1.0 / np.sqrt(d)) + mask)
+            probs = np.divide(*softmax_rows(q[:, h * group + g] @ k[h].T * (1.0 / np.sqrt(d)) + mask))
             ctx[:, h * group + g] = probs @ v[h]
             rows[g] = probs[-1]
         last_rows.append(rows)
     return ctx, last_rows
+
+
+def block_allocating_attention(q, k, v, group):
+    """causal_attention as it was before its blocks shared one logits buffer: each block's logits product
+    allocates a fresh array. Kept as the bitwise reference of the buffered kernel."""
+    (n, n_q, d), (n_kv, L) = q.shape, k.shape[:2]
+    first = L - n
+    qs = (q * (1.0 / np.sqrt(d))).reshape(n, n_kv, group, d).transpose(1, 0, 2, 3).copy()
+    ctx = np.empty((n_kv, n, group, d))
+    last_rows = np.empty((n_kv, group, L))
+    for start in range(first, L, ATTN_BLOCK):
+        end = min(start + ATTN_BLOCK, L)
+        rows = end - start
+        for h in range(n_kv):
+            logits = (qs[h, start - first : end - first].reshape(-1, d) @ k[h, :end].T).reshape(rows, group, end)
+            logits[:, :, start:] += model._DIAGONAL_MASK[:rows, :, :rows]
+            logits -= logits.max(axis=-1, keepdims=True)
+            np.exp(logits, out=logits)
+            total = logits.sum(axis=-1, keepdims=True)
+            ctx[h, start - first : end - first] = (logits.reshape(-1, end) @ v[h, :end]).reshape(rows, group, d) / total
+            if end == L:
+                last_rows[h] = logits[-1] / total[-1]
+    return ctx.transpose(1, 0, 2, 3).reshape(n, n_q, d), last_rows
 
 
 def whole_prompt_forward(weights, tokens):
@@ -292,6 +315,31 @@ class TestCausalAttention:
             for r, r_ref in zip(tail_rows, ref_rows):
                 assert_normwise_close(r, r_ref)
 
+    @pytest.mark.parametrize("n_kv", [1, 2])
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 257, 300])
+    def test_shared_logits_buffer_is_the_block_allocating_kernel_bitwise(self, length, n_kv, rng):
+        # every block's logits go into one buffer; the last position's rows are their own array, not a view of it
+        q = rng.standard_normal((length, 4, 16))
+        k = key_major(rng.standard_normal((n_kv, length, 16)))
+        v = rng.standard_normal((n_kv, length, 16))
+        for first in range(0, length, ATTN_BLOCK):
+            ctx, rows = causal_attention(q[first:], k, v, 4 // n_kv)
+            ref_ctx, ref_rows = block_allocating_attention(q[first:], k, v, 4 // n_kv)
+            assert np.array_equal(ctx, ref_ctx) and np.array_equal(rows, ref_rows)
+            assert rows.base is None
+
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 257, 300])
+    def test_prefill_with_the_shared_buffer_is_the_block_allocating_prefill_bitwise(self, desk_weights, rng, length,
+                                                                                     monkeypatch):
+        toks = random_tokens(rng, desk_weights.config, length)
+        caches, out = prefill(desk_weights, toks)
+        monkeypatch.setattr(model, "causal_attention", block_allocating_attention)
+        ref_caches, ref_out = prefill(desk_weights, toks)
+        assert np.array_equal(out.logits, ref_out.logits)
+        for rows, ref_rows, c, ref_c in zip(out.attn_rows, ref_out.attn_rows, caches, ref_caches, strict=True):
+            assert np.array_equal(rows, ref_rows)
+            assert np.array_equal(c.keys, ref_c.keys) and np.array_equal(c.values, ref_c.values)
+
     @pytest.mark.parametrize("n_queries", [0, 1, ATTN_BLOCK + 1, 2 * ATTN_BLOCK + 1])
     def test_queries_off_a_block_boundary_are_rejected(self, n_queries, rng):
         q = rng.standard_normal((n_queries, 4, 16))
@@ -430,14 +478,133 @@ class TestDecodeStep:
         q = rng.standard_normal((n_kv * group, d))
         keys = rng.standard_normal((n_kv, 2 * m, d))[:, :m]  # an arena's filled prefix
         expected = softmax_rows((q * (1.0 / np.sqrt(d))).reshape(n_kv, group, d) @ keys.transpose(0, 2, 1))
-        assert np.array_equal(model.attention_rows(q, keys, group), expected)
+        got = model.attention_rows(q, keys, group)
+        assert len(got) == 2 and all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_attention_rows_at_head_dim_16_is_the_post_scaled_expression_bitwise(self, rng):
         # 1/sqrt(16) = 0.25 is a power of two, so scaling before or after the product gives the same floats
         q = rng.standard_normal((4, 16))
         keys = rng.standard_normal((2, 74, 16))[:, :37]
         expected = softmax_rows(q.reshape(2, 2, 16) @ keys.transpose(0, 2, 1) * (1.0 / np.sqrt(16)))
-        assert np.array_equal(model.attention_rows(q, keys, 2), expected)
+        got = model.attention_rows(q, keys, 2)
+        assert len(got) == 2 and all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def eager_softmax(logits):
+    """softmax_rows as it was before it left the divide to its callers: every row normalised at once. A decode
+    step's rows were these."""
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
+def spy_softmax(monkeypatch):
+    """Record a copy of the logits of every softmax_rows call through the model's global, in call order."""
+    seen = []
+
+    def spy(*args, _softmax=model.softmax_rows):
+        seen.append(args[0].copy())
+        return _softmax(*args)
+
+    monkeypatch.setattr(model, "softmax_rows", spy)
+    return seen
+
+
+def left_unnormalised(rows):
+    """Per layer, whether a decode step's rows still wait for their divide."""
+    return [sums is not None for _, sums in rows._parts]
+
+
+class TestRowsNormalisedOnRead:
+    """decode_core normalises each layer's context after the value product and leaves its probability rows to
+    be divided on first read: only h2o (every step) and a refreshing layer (at its refresh) read them."""
+
+    SCHEDULE = ScheduleConfig(mode="fixed", stride=3)
+
+    def session(self, weights, rng, kind, recorder=None):
+        session = DecodeSession(weights, PolicyConfig(kind=kind, k=8), self.SCHEDULE, recorder)
+        session.prefill(random_tokens(rng, weights.config, 20))
+        return session
+
+    @pytest.mark.parametrize("kind", [kind for kind in POLICY_KINDS if kind != "refreshkv_no_full"])
+    def test_rows_read_are_the_eager_softmax_of_the_step_logits_bitwise(self, desk_weights, rng, monkeypatch, kind):
+        # refreshkv_no_full also scores its full cache at a refresh; that call is checked below
+        logits = spy_softmax(monkeypatch)
+        session = self.session(desk_weights, rng, kind)
+        for token in random_tokens(rng, desk_weights.config, 7):
+            logits.clear()
+            out, _ = session.step(token)
+            assert len(logits) == len(out.attn_rows) == desk_weights.config.n_layers
+            for layer, x in enumerate(logits):
+                assert np.array_equal(out.attn_rows[layer], eager_softmax(x))
+                assert np.array_equal(out.attn_rows[layer], np.divide(*softmax_rows(x)))
+                assert out.attn_rows[layer] is out.attn_rows[layer]  # divided once, then kept
+
+    @pytest.mark.parametrize(
+        "kind, reads",
+        [("vanilla", "none"), ("streaming", "none"), ("snapkv", "none"), ("refreshkv_no_refresh", "none"),
+         ("refreshkv_no_full", "none"), ("refreshkv", "full steps"), ("h2o", "every step")],
+    )
+    def test_only_a_policy_that_reads_rows_divides_them(self, desk_weights, rng, monkeypatch, kind, reads):
+        read = []
+
+        def spy(rows, layer, _original=model.AttentionRows.__getitem__):
+            got = _original(rows, layer)  # iteration ends on the IndexError of the index past the last layer
+            read.append(layer)
+            return got
+
+        monkeypatch.setattr(model.AttentionRows, "__getitem__", spy)
+        session = self.session(desk_weights, rng, kind)
+        n_layers, modes = desk_weights.config.n_layers, set()
+        for token in random_tokens(rng, desk_weights.config, 7):
+            read.clear()
+            out, rec = session.step(token)
+            modes.update(rec.modes)
+            divided = reads == "every step" or (reads == "full steps" and rec.modes == ["full"] * n_layers)
+            assert read == (list(range(n_layers)) if divided else [])
+            assert left_unnormalised(out.attn_rows) == [not divided] * n_layers
+        if kind in REFRESH_FAMILY:
+            assert modes == {"full", "partial"}  # plain partial steps and full steps both ran
+
+    @pytest.mark.parametrize("kind", ["h2o", "refreshkv", "refreshkv_no_full"])
+    def test_rows_a_policy_reads_are_the_eager_softmax_bitwise(self, desk_weights, rng, monkeypatch, kind):
+        logits, events = spy_softmax(monkeypatch), []
+        session = self.session(desk_weights, rng, kind, events.append)
+        n_layers, checked = desk_weights.config.n_layers, 0
+        for token in random_tokens(rng, desk_weights.config, 7):
+            logits.clear()
+            events.clear()
+            _, rec = session.step(token)
+            for event in (e for e in events if e["kind"] in ("h2o", "refresh")):
+                layer = event["layer"]
+                if event["kind"] == "h2o":
+                    read, x = event["raw_rows"], logits[layer]
+                elif kind == "refreshkv":
+                    read, x = event["rows"], logits[layer]
+                else:  # each refreshing layer scores its full cache, then attends its partial cache
+                    assert len(logits) == 2 * n_layers and rec.modes == ["full"] * n_layers
+                    read, x = event["rows"], logits[2 * layer]
+                assert np.array_equal(np.stack(read), eager_softmax(x))
+                checked += 1
+        assert checked >= n_layers
+
+    def test_decode_logits_match_the_teacher_forced_pass(self, desk_weights, rng):
+        cfg = desk_weights.config
+        toks = random_tokens(rng, cfg, 60)
+        ff = full_forward(desk_weights, toks)
+        session = DecodeSession(desk_weights, PolicyConfig(kind="vanilla"))
+        session.prefill(toks[:20])
+        for i in range(20, 60):
+            out, _ = session.step(toks[i])
+            assert_normwise_close(out.logits, ff[i], rtol=1e-12)
+
+    @pytest.mark.parametrize("n_kv, group, m, d", [(2, 2, 1, 16), (2, 2, 129, 16), (4, 2, 4096, 32), (1, 4, 37, 8)])
+    def test_context_normalised_after_the_value_product_matches_the_row_normalised_one(self, rng, n_kv, group, m, d):
+        logits = 8.0 * rng.standard_normal((n_kv, group, m))
+        values = rng.standard_normal((n_kv, m, d))
+        exps, sums = softmax_rows(logits)
+        assert_normwise_close((exps @ values) / sums, eager_softmax(logits) @ values, rtol=1e-12)
 
 
 class TestFastPathsBitwise:
@@ -471,8 +638,8 @@ class TestFastPathsBitwise:
         expected = softmax_rows(x)
         assert np.array_equal(x, before)  # without out, the input is unchanged
         got = softmax_rows(x, x)
-        assert got is x
-        assert np.array_equal(got, expected)
+        assert got[0] is x
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
 
     def test_silu_is_the_division_expression(self, rng):
         x = np.concatenate([rng.standard_normal(200) * 10, [-1000.0, -745.0, -710.5, -709.0, 0.0, 710.0, 1e300]])

@@ -24,27 +24,41 @@ def shifted_loop_max_pool(x, kernel):
     return out
 
 
+def probabilities(x):
+    """softmax_rows' exponentials divided by their sums: the softmax."""
+    return np.divide(*softmax_rows(x))
+
+
 def plateau_rows(rng, n_rows, n):
     """Pooled rows full of plateaus: few distinct values, each spread over a kernel-7 window."""
     return max_pool_1d(rng.integers(0, 40, size=(n_rows, n)).astype(float), 7)
 
 
 class TestSoftmax:
+    def test_returns_the_exponentials_and_their_row_sums(self, rng):
+        x = 30.0 * rng.standard_normal((3, 2, 17))
+        before = x.copy()
+        exps, sums = softmax_rows(x)
+        assert np.array_equal(x, before)  # without out, the input is unchanged
+        assert np.array_equal(exps, np.exp(x - x.max(axis=-1, keepdims=True)))
+        assert sums.shape == (3, 2, 1) and np.array_equal(sums, exps.sum(axis=-1, keepdims=True))
+        assert (exps.max(axis=-1) == 1.0).all()  # each row's maximum is exp(0)
+
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5])
+        np.testing.assert_allclose(probabilities(np.array([0.0, 0.0])), [0.5, 0.5])
 
     @pytest.mark.parametrize("x", [0.0, -3.5, 1e6, -1e6])
     def test_single_element(self, x):
-        np.testing.assert_allclose(softmax_rows(np.array([x])), [1.0])
+        np.testing.assert_allclose(probabilities(np.array([x])), [1.0])
 
     def test_reference_values(self):
         # frozen from a 50-digit arbitrary-precision evaluation of exp(x)/sum
         expected = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
-        np.testing.assert_allclose(softmax_rows(np.array([1.0, 2.0, 3.0])), expected, atol=1e-4)
+        np.testing.assert_allclose(probabilities(np.array([1.0, 2.0, 3.0])), expected, atol=1e-4)
 
     def test_order_preserving(self, rng):
         x = rng.normal(size=64)
-        out = softmax_rows(x)
+        out = probabilities(x)
         for i in range(64):
             for j in range(64):
                 if x[i] > x[j]:
@@ -56,12 +70,12 @@ class TestSoftmax:
             n = int(rng.integers(1, 40))
             scale = 10.0 ** rng.integers(-3, 4)
             x = rng.normal(size=n) * scale
-            out = softmax_rows(x)
+            out = probabilities(x)
             assert abs(out.sum() - 1.0) < 1e-6
             assert (out >= 0).all()
 
     def test_large_logits_stable(self):
-        out = softmax_rows(np.array([1e300, 1e300]))
+        out = probabilities(np.array([1e300, 1e300]))
         np.testing.assert_allclose(out, [0.5, 0.5])
 
 

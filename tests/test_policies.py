@@ -165,7 +165,7 @@ class TestRefresh:
     def test_misaligned_full_step_rows_rejected(self, desk_weights, rng, monkeypatch):
         def rows_one_short(*args):
             out = model.decode_core(*args)
-            out.attn_rows[1] = out.attn_rows[1][..., 1:]
+            out.attn_rows = [out.attn_rows[0], out.attn_rows[1][..., 1:]]
             return out
 
         monkeypatch.setattr(engine, "decode_core", rows_one_short)
