@@ -9,11 +9,10 @@ length runs under `tracemalloc` for the peak of numpy's allocations (time
 under tracemalloc is not reported). The script prints, per L, the median, lowest and
 highest prefill time over the rounds and the traced peak.
 
-The model's shape comes from `--n-layers`, `--n-query-heads`,
-`--n-kv-heads`, `--head-dim` and `--ffn-mult` (see shape_flags.py), the
-default shape when none is given; a shape `ModelConfig.validate` rejects
-exits with status 2 before anything runs. The JSON records the shape with
-W, the weight bytes, and κ, the KV bytes per cached token.
+The model's shape comes from `--n-query-heads`, `--n-kv-heads` and
+`--head-dim` (see shape_flags.py), the default shape when none is given;
+a shape `ModelConfig.validate` rejects exits with status 2 before
+anything runs. The JSON records the shape with W, the weight bytes, and κ, the KV bytes per cached token.
 
 With `--json PATH` the numbers are written to PATH as well; with
 `--label NAME` too, they go under the key NAME of the JSON object already

@@ -21,11 +21,10 @@ L's mean, L + (steps + 1) / 2. A refreshkv partial step attends K + 1
 (a + b·(K + 1)) / (a + b·m) beside K/L and the measured ratio, the median
 over rounds of each round's partial/vanilla.
 
-The model's shape comes from `--n-layers`, `--n-query-heads`,
-`--n-kv-heads`, `--head-dim` and `--ffn-mult` (see shape_flags.py), the
-default shape when none is given; a shape `ModelConfig.validate` rejects
-exits with status 2 before anything runs. The JSON records the shape with
-W, the weight bytes a step reads, and κ, the KV bytes per cached token,
+The model's shape comes from `--n-query-heads`, `--n-kv-heads` and
+`--head-dim` (see shape_flags.py), the default shape when none is given;
+a shape `ModelConfig.validate` rejects exits with status 2 before
+anything runs. The JSON records the shape with W, the weight bytes a step reads, and κ, the KV bytes per cached token,
 and the fit line prints a/b beside W/κ: on a shape whose step is bound by
 the bytes it reads, a ≈ W/BW and b ≈ κ/BW, so the two ratios agree.
 

@@ -1,13 +1,15 @@
 """The model-shape flags `refresh_cost.py` and `prefill_cost.py` share.
 
-`add_shape_flags` adds `--n-layers`, `--n-query-heads`, `--n-kv-heads`,
-`--head-dim` and `--ffn-mult`, each defaulting to `ModelConfig`'s own
-value (the default shape). `shape_config` builds the `ModelConfig` they
-name, exiting through `parser.error` when `ModelConfig.validate` rejects
-it. `shape_record` is the shape as the scripts' JSON records it, with W,
-the bytes of weights a decode step reads (every layer's matrices and
-`w_out`; one embedding row is left out), and κ, the bytes of keys and
-values one cached token adds over all layers.
+`add_shape_flags` adds `--n-query-heads`, `--n-kv-heads` and `--head-dim`,
+each defaulting to `ModelConfig`'s own value (the default shape); every
+shape ROADMAP names differs from the default only in these, so the layer
+count and ffn multiplier stay at `ModelConfig`'s. `shape_config` builds
+the `ModelConfig` they name, exiting through `parser.error` when
+`ModelConfig.validate` rejects it. `shape_record` is the shape as the
+scripts' JSON records it, with W, the bytes of weights a decode step
+reads (every layer's matrices and `w_out`; one embedding row is left
+out), and κ, the bytes of keys and values one cached token adds over all
+layers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import fields
 from kvrefresh.errors import ConfigurationError
 from kvrefresh.model import ModelConfig, init_model
 
-SHAPE_FIELDS = ("n_layers", "n_query_heads", "n_kv_heads", "head_dim", "ffn_mult")
+SHAPE_FIELDS = ("n_query_heads", "n_kv_heads", "head_dim")
 
 
 def add_shape_flags(parser: argparse.ArgumentParser) -> None:

@@ -258,6 +258,20 @@ class StepOutput:
     # only h2o (every step) and a refreshing top-K layer (at its refresh) read them.
 
 
+def _check_token(config: ModelConfig, token: int) -> None:
+    if not 0 <= int(token) < config.vocab_size:
+        raise ContractViolation(f"token id {token} outside vocab of size {config.vocab_size}")
+
+
+def _check_sequence(config: ModelConfig, tokens: Sequence[int]) -> np.ndarray:
+    toks = np.asarray(tokens, dtype=np.int64)
+    if toks.ndim != 1 or toks.size == 0:
+        raise ContractViolation("token sequence must be non-empty and 1-D")
+    if toks.min() < 0 or toks.max() >= config.vocab_size:
+        raise ContractViolation("token id outside vocabulary")
+    return toks
+
+
 def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
     """One token's (n_kv_heads, group, m) attention rows as `softmax_rows`' (exps, sums): query head j of q
     (n_kv_heads * group, head_dim), times 1/sqrt(head_dim) before the product (as in `causal_attention`), against
@@ -280,8 +294,8 @@ def causal_attention(
     A block of queries ending at block_end attends keys [0, block_end) with
     one matmul per kv head (all `group` query heads at once); only the
     diagonal tile needs the causal mask. Each row sees its whole prefix, so its softmax is exact
-    with no running rescale: the logits are shifted by their row max and
-    exponentiated in place, and the row sums divide the (rows, head_dim)
+    with no running rescale: `softmax_rows` shifts the logits by their row max
+    and exponentiates them in place, and the row sums divide the (rows, head_dim)
     context after the value product instead of the (rows, L) block. Every
     block's logits go into one reused (ATTN_BLOCK * group, L) buffer. Returns the
     context (n, n_query_heads, head_dim) and the last position's
@@ -302,9 +316,7 @@ def causal_attention(
             logits = np.matmul(qs[h, start - first : end - first].reshape(-1, d), k[h, :end].T,
                                out=buf[: rows * group * end].reshape(-1, end)).reshape(rows, group, end)
             logits[:, :, start:] += _DIAGONAL_MASK[:rows, :, :rows]
-            logits -= logits.max(axis=-1, keepdims=True)
-            np.exp(logits, out=logits)  # unnormalised probabilities, in place
-            total = logits.sum(axis=-1, keepdims=True)
+            logits, total = softmax_rows(logits, logits)  # unnormalised probabilities in place, and their row sums
             ctx[h, start - first : end - first] = (logits.reshape(-1, end) @ v[h, :end]).reshape(rows, group, d) / total
             if end == L:
                 last_rows[h] = logits[-1] / total[-1]
@@ -338,11 +350,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
     causal_attention's last-position rows.
     """
     cfg = weights.config
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.ndim != 1 or toks.size == 0:
-        raise ContractViolation("token sequence must be non-empty and 1-D")
-    if toks.min() < 0 or toks.max() >= cfg.vocab_size:
-        raise ContractViolation("token id outside vocabulary")
+    toks = _check_sequence(cfg, tokens)
     L = toks.size
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[toks]  # (L, D)
@@ -409,8 +417,7 @@ def decode_core(
     query group against its own keys, and one softmax over every head's rows.
     """
     cfg = weights.config
-    if not 0 <= int(token) < cfg.vocab_size:
-        raise ContractViolation(f"token id {token} outside vocab of size {cfg.vocab_size}")
+    _check_token(cfg, token)
     if position < 0:  # a negative row index would wrap to the table's end
         raise ContractViolation(f"position {position} is negative")
     rope = weights.rope_upto(position + 1)
@@ -418,7 +425,8 @@ def decode_core(
     n_q, n_kv, d = cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim
     x = weights.embed[int(token)].copy()
 
-    queries, parts = [], []  # per layer: the rotated queries, and attention_rows' (exps, sums)
+    queries: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, np.ndarray]] = []  # per layer: attention_rows' (exps, sums)
 
     for layer_idx, lw in enumerate(weights.layers):
         # ndarray.dot on a vector is the same BLAS gemv as @, without matmul's dispatch
