@@ -19,14 +19,14 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
      sums divide the context, not the rows. Every view holds the current token;
   4. after the forward pass over all layers, the policy's `update` gets their
      probability rows, each divided out on its first read (only h2o and a
-     refreshing layer read any): top-K kinds refresh the layers whose step
-     was a refreshing full step in one `refresh_layers` call, streaming and
-     h2o drop one slot of each partial cache, moving the shorter side of its
-     window, and evicting top-K kinds drop their overflow from the start of
-     their eviction-ordered windows, which copies nothing. It reports whether
-     each layer's step was full (plain steps share one immutable LayerStep);
-     the session builds an exact-cost StepRecord from per-layer costs of L
-     and k_sel it computed at the prefill.
+     refreshing layer read any): refreshkv refreshes the layers whose view
+     took a full step in one `refresh_layers` call, streaming and h2o drop one
+     slot of each partial cache, moving the shorter side of its window, and
+     evicting top-K kinds drop each partial-attending layer's overflow from
+     the start of its eviction-ordered window, which copies nothing. It
+     returns each layer's LayerStep, which a top-K view decided (plain steps
+     share one immutable LayerStep); the session builds an exact-cost
+     StepRecord from per-layer costs of L and k_sel it computed at the prefill.
 
 Sessions are single-threaded. Distinct sessions share only the weights,
 whose rotary table grows by rebinding a complete table, so they may run

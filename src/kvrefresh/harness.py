@@ -29,7 +29,7 @@ from .engine import greedy_generate, teacher_forced_run
 from .errors import ConfigurationError, require
 from .metrics import StepRecord, nll_to_perplexity, per_layer_effective_strides, trace_totals
 from .model import ModelConfig, canonical_config, init_model
-from .policies import REFRESH_FAMILY, PolicyConfig
+from .policies import REFRESH_FAMILY, TOP_K_KINDS, PolicyConfig
 from .scheduler import ScheduleConfig
 from .tasks import (
     ChainKeyInstance,
@@ -82,10 +82,12 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
-        if self.policy.kind not in REFRESH_FAMILY and self.schedule != ScheduleConfig():
+        policy, kind = self.policy, self.policy.kind
+        if kind not in REFRESH_FAMILY and self.schedule != ScheduleConfig():
+            raise ConfigurationError(f"policy kind {kind!r} follows no schedule; leave schedule at its defaults")
+        if kind not in TOP_K_KINDS and (policy.evict_on_append, policy.kernel_size) != (None, PolicyConfig.kernel_size):
             raise ConfigurationError(
-                f"policy kind {self.policy.kind!r} follows no schedule; leave schedule at its defaults"
-            )
+                f"policy kind {kind!r} keeps no top-K; leave evict_on_append and kernel_size at their defaults")
         if not isinstance(self.out_dir, str):
             raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
         tp = self.task_params
@@ -105,7 +107,7 @@ class RunConfig:
             if max(prompt) >= self.model.vocab_size:
                 raise ConfigurationError(f"chainkey prompt byte {max(prompt)} outside vocab_size {self.model.vocab_size}")
             prompt_length = len(prompt)
-        self.policy.resolve_budget(prompt_length)  # a streaming budget below n_sink raises
+        policy.resolve_budget(prompt_length)  # a streaming budget below n_sink raises
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":

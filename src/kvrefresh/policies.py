@@ -1,7 +1,7 @@
 """Cache policies: configuration, the selection operations, and the one
 policy object a DecodeSession drives for all its layers.
 
-make_policy maps each of the seven kinds onto one of four classes:
+make_policy's table maps each of the seven kinds onto one of four classes:
 
   vanilla               FullAttention  the complete cache every step
   streaming             Recency        sink tokens plus a recency window
@@ -42,12 +42,12 @@ array per layer; only h2o (every step) and a refreshing layer read them.
 Selection scores are per kv-head: the elementwise max of its query
 group's probability rows over the cache, max-pooled over neighboring
 positions, and top-K runs independently per kv-head. One routine,
-refresh_layers, runs every refresh: in TopK.update for the layers whose
-full step refreshes, and mid-forward for one refreshkv_no_full layer. It
-works on whole (layers * n_kv_heads, ...) arrays: one aggregation, pooling,
-top-K and rank sort, whose held scores give the retained mass, then an
-in-place refill of each layer's partial-cache arena from its full cache.
-The prefill's selection is the same ranking and refill, for every layer.
+refresh_layers, runs every refresh: in TopK.update for a refreshkv full
+step's layers, and in a refreshkv_no_full layer's view. It works on whole
+(layers * n_kv_heads, ...) arrays: one aggregation, pooling, top-K and
+rank sort, whose held scores give the retained mass it returns by layer,
+then an in-place refill of each layer's partial-cache arena from its full
+cache. The prefill's selection is the same ranking and refill, all layers.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ POLICY_KINDS = (
     "refreshkv_no_full",
 )
 REFRESH_FAMILY = ("refreshkv", "refreshkv_no_refresh", "refreshkv_no_full")
+TOP_K_KINDS = ("snapkv", *REFRESH_FAMILY)
 
 Recorder = Callable[[dict], None]
 
@@ -292,29 +293,28 @@ class H2OState(CachePolicy):
 
 
 class TopK(CachePolicy):
-    """Top-K partial caches selected from the prompt's last-token scores.
+    """Top-K partial caches selected from the prompt's last-token scores: snapkv and the refresh family.
 
     Each partial cache is in eviction order (see kv_store). Partial steps
     write the fresh entry at its end, attend it, then, when
     evict_on_append resolves true, evict from its start: the lowest
-    score, or the oldest entry appended since the last refresh. At the
-    steps the schedule marks full, `output_full` attends the layer's whole
-    cache, and `update`, if `refresh`, rebuilds every such layer's partial
-    cache at once from the observed rows after the forward pass; without
-    output_full the view scores the full cache as it stands before the
-    step's write, rebuilds the partial cache from it, then takes the
-    partial step. Per layer it keeps the step's full-step mask and qc
-    similarity, the mean query of the layer's most recent full step and the
-    retained mass of its latest refresh.
+    score, or the oldest entry appended since the last refresh. The view
+    decides each layer's step and keeps its LayerStep in `steps`. At the
+    steps the schedule marks full (snapkv has none), refreshkv and
+    refreshkv_no_refresh attend the layer's whole cache, and refreshkv's
+    `update` rebuilds all such layers' partial caches at once from the
+    observed rows; refreshkv_no_full's view scores the full cache before
+    the step's write, rebuilds the partial cache from it, then takes the
+    partial step. Per layer it also keeps the mean query of the layer's
+    most recent full step.
     """
 
-    def __init__(self, session, out, schedule: ScheduleConfig, refresh: bool, output_full: bool,
-                 appends_full: bool = True):
+    def __init__(self, session, out):
         super().__init__(session, out)
-        self.schedule, self.refresh, self.output_full = schedule, refresh, output_full
-        self.appends_full, self.evict = appends_full, self.config.resolved_evict_on_append()
-        n = len(self.full)
-        self._full_step, self._sim, self._refreshed = [False] * n, [None] * n, [None] * n
+        self.kind, self.evict = self.config.kind, self.config.resolved_evict_on_append()
+        self.schedule = ScheduleConfig(mode="never_full") if self.kind == "snapkv" else session.schedule
+        self.appends_full = self.kind != "snapkv"
+        self.steps = [PARTIAL_STEP] * len(self.full)
         # the partial caches start empty, and one init_partial call fills them all
         self.partial = [PartialCache(self.k_sel, f.positions[:, :0], f.keys[:, :0], f.values[:, :0]) for f in self.full]
         rows = [head for layer_rows in out.attn_rows for head in layer_rows]
@@ -325,50 +325,41 @@ class TopK(CachePolicy):
         sim = None
         if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
             sim = cosine_similarity(query := mean_query(q), self.reference_query[layer])
-        self._sim[layer] = sim
-        self._full_step[layer] = full_step = should_full(step, sim, self.schedule)
-        if full_step:
-            self.reference_query[layer] = query if sim is not None else mean_query(q)  # one mean per qc check
-            if self.output_full:
-                (full := self.full[layer]).append(position, k_new, v_new)
-                return full
-            rows = np.divide(*attention_rows(q, self.full[layer].keys, self.model.group_size))
-            refresh_layers(self, [layer], step, [rows])
-        return super().view(layer, step, position, q, k_new, v_new)
+        overhead = qc_overhead_flops(self.model) if sim is not None else 0
+        if not should_full(step, sim, self.schedule):
+            self.steps[layer] = PARTIAL_STEP if sim is None else LayerStep(False, overhead, sim)
+            return super().view(layer, step, position, q, k_new, v_new)
+        self.reference_query[layer] = query if sim is not None else mean_query(q)  # one mean per qc check
+        full, kernel = self.full[layer], self.config.kernel_size
+        if self.kind == "refreshkv_no_full":  # score the full cache before this step's write
+            m, rows = len(full), np.divide(*attention_rows(q, full.keys, self.model.group_size))
+            overhead += score_pass_flops(m, self.model) + selection_overhead_flops(m, self.model, kernel)
+            self.steps[layer] = LayerStep(True, overhead, sim, refresh_layers(self, [layer], step, [rows])[0])
+            return super().view(layer, step, position, q, k_new, v_new)
+        full.append(position, k_new, v_new)
+        if self.kind == "refreshkv":  # update rebuilds the partial cache from the rows over all len(full) positions
+            overhead += selection_overhead_flops(len(full), self.model, kernel)
+        self.steps[layer] = LayerStep(True, overhead, sim)
+        return full
 
     def update(self, step, rows):
-        if not any(self._full_step) and self._sim.count(None) == len(rows):  # a plain partial step on every layer
-            if self.evict:
-                for cp in self.partial:
+        steps = self.steps
+        if self.kind == "refreshkv" and (due := [layer for layer, s in enumerate(steps) if s.full]):
+            for layer, mass in zip(due, refresh_layers(self, due, step, [rows[layer] for layer in due])):
+                steps[layer] = steps[layer]._replace(retained=mass)
+        if self.evict:
+            for cp, s in zip(self.partial, steps):
+                if not s.full or self.kind == "refreshkv_no_full":  # the layer attended its partial cache
                     cp.evict_overflow()
-            return [PARTIAL_STEP] * len(rows)
-        if self.refresh and self.output_full and (due := [i for i, full in enumerate(self._full_step) if full]):
-            refresh_layers(self, due, step, [rows[layer] for layer in due])
-        steps = []
-        for layer, (cp, full_step, sim) in enumerate(zip(self.partial, self._full_step, self._sim)):
-            overhead = qc_overhead_flops(self.model) if sim is not None else 0
-            if self.evict and not (full_step and self.output_full):  # the layer attended its partial cache
-                cp.evict_overflow()
-            if not full_step:
-                steps.append(LayerStep(False, overhead, sim))
-            elif not self.refresh:
-                steps.append(LayerStep(True, overhead, sim))
-            else:
-                m = len(self.full[layer])
-                if not self.output_full:  # the view scored the full cache before this step's write
-                    m -= 1
-                    overhead += score_pass_flops(m, self.model)
-                overhead += selection_overhead_flops(m, self.model, self.config.kernel_size)
-                steps.append(LayerStep(True, overhead, sim, self._refreshed[layer]))
-        return steps
+        return steps.copy()
 
 
-def refresh_layers(policy: TopK, layers: list[int], step: int, rows: list[np.ndarray]) -> None:
+def refresh_layers(policy: TopK, layers: list[int], step: int, rows: list[np.ndarray]) -> list[list[float]]:
     """Refill each listed layer's partial cache in place with its full cache's top-K under its (n_kv_heads,
-    group, m) rows, selecting and ranking every such layer's kv heads at once, and set the layer's
-    `policy._refreshed` to the retained mass per kv-head: the selection row, normalised by its total, summed
-    over the K positions held after the refill, in the order the cache holds them (the held scores the
-    ranking returns). Each layer's refresh event also reports the mass for the positions held before.
+    group, m) rows, selecting and ranking every such layer's kv heads at once, and return each layer's
+    retained mass per kv-head: the selection row, normalised by its total, summed over the K positions held
+    after the refill, in the order the cache holds them (the held scores the ranking returns). With a
+    recorder set, each layer's refresh event also reports the mass for the positions held before.
     """
     fulls, caches, n = [policy.full[i] for i in layers], [policy.partial[i] for i in layers], len(layers)
     for full, r in zip(fulls, rows):
@@ -380,31 +371,23 @@ def refresh_layers(policy: TopK, layers: list[int], step: int, rows: list[np.nda
     pre = [cp.positions.copy() for cp in caches] if policy.recorder is not None else None  # before the refill
     held = init_partial(fulls, sel, policy.k_sel, caches)
     retained = (held / norm).sum(axis=1).reshape(n, -1).tolist()
-    per_layer = zip(layers, caches, rows, sel.reshape(n, -1, sel.shape[1]), norm.reshape(n, -1, 1), retained)
-    for i, (layer, cp, own_rows, own, own_norm, mass) in enumerate(per_layer):
-        policy._refreshed[layer] = mass
-        if policy.recorder is not None:
+    if policy.recorder is not None:
+        per_layer = zip(layers, caches, rows, sel.reshape(n, -1, sel.shape[1]), norm.reshape(n, -1, 1), retained)
+        for i, (layer, cp, own_rows, own, own_norm, mass) in enumerate(per_layer):
             # full-cache positions run from 0, so a position indexes its selection column
             pre_retained = (np.take_along_axis(own, pre[i], axis=1) / own_norm).sum(axis=1).tolist()
             policy.recorder({"kind": "refresh", "step": step, "layer": layer,
                              "rows": [r.copy() for r in own_rows], "selection": own.copy(), "k": policy.k_sel,
                              "pre_positions": pre[i], "post_positions": cp.positions.copy(),
                              "pre_retained": pre_retained, "post_retained": mass})
+    return retained
+
+
+POLICY_CLASSES = {"vanilla": FullAttention, "streaming": Recency, "h2o": H2OState} | dict.fromkeys(TOP_K_KINDS, TopK)
 
 
 def make_policy(session: DecodeSession, out: StepOutput) -> CachePolicy:
     """The one place a policy kind turns into behaviour: the session's policy object, for every layer."""
-    kind = session.policy.kind
-    if kind == "vanilla":
-        return FullAttention(session, out)
-    if kind == "streaming":
-        return Recency(session, out)
-    if kind == "h2o":
-        return H2OState(session, out)
-    if kind == "snapkv":
-        never = ScheduleConfig(mode="never_full")
-        return TopK(session, out, never, refresh=False, output_full=True, appends_full=False)
-    if kind in REFRESH_FAMILY:
-        return TopK(session, out, session.schedule, refresh=kind != "refreshkv_no_refresh",
-                    output_full=kind != "refreshkv_no_full")
-    raise ConfigurationError(f"unknown policy kind {kind!r}")
+    if (kind := session.policy.kind) not in POLICY_CLASSES:
+        raise ConfigurationError(f"unknown policy kind {kind!r}")
+    return POLICY_CLASSES[kind](session, out)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvrefresh.engine import DecodeSession
-from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, PolicyConfig
+from kvrefresh.policies import POLICY_KINDS, TOP_K_KINDS, PolicyConfig
 from kvrefresh.scheduler import ScheduleConfig
 
 schedules = st.one_of(
@@ -59,7 +59,7 @@ def test_invariants_hold_after_every_step(
     tokens = np.random.default_rng(seed).integers(0, desk_weights.config.vocab_size, prompt_length + n_steps)
     session.prefill(tokens[:prompt_length].tolist())
     L = prompt_length
-    evicting = kind in ("snapkv", *REFRESH_FAMILY) and policy.resolved_evict_on_append()
+    evicting = kind in TOP_K_KINDS and policy.resolved_evict_on_append()
 
     for i in range(1, n_steps + 1):
         views.clear()

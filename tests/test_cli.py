@@ -62,6 +62,14 @@ class TestRunExitCodes:
             ["--policy.kind", "vanilla", "--schedule.stride", "5"],
             ["--policy.kind", "streaming", "--policy.k", "8", "--schedule.mode", "fixed", "--schedule.stride", "1"],
             ["--policy.kind", "snapkv", "--schedule.threshold", "0.5"],
+            # only the top-K kinds read evict_on_append and kernel_size
+            ["--policy.kind", "h2o", "--policy.evict-on-append", "false", "--policy.kernel-size", "3"],
+            ["--policy.kind", "h2o", "--policy.evict-on-append", "false"],
+            ["--policy.kind", "vanilla", "--policy.evict-on-append", "true"],
+            ["--policy.kind", "streaming", "--policy.k", "8", "--policy.evict-on-append", "true"],
+            ["--policy.kind", "h2o", "--policy.kernel-size", "3"],
+            ["--policy.kind", "vanilla", "--policy.kernel-size", "5"],
+            ["--policy.kind", "streaming", "--policy.k", "8", "--policy.kernel-size", "1"],
             ["--task-params.structure", "zigzag"],
             ["--task-params.motif-period", "0"],
             # streaming keeps n_sink=4 sinks; SHORT_LM prefills L=12, so the default k_fraction gives budget 1

@@ -2,15 +2,16 @@
 
 Hypothesis draws `RunConfig.from_dict` documents around the edges that the
 config checks guard: budgets near a streaming policy's n_sink and near the
-prompt length L, schedules a policy kind does not follow, and ffn_mult up
-to 1e308; each other field is out of range one time in ten. No model
-setting bounds the positions a run feeds, so the strategy bounds
-stream_length and n_generate itself. Each document goes through
-`harness.run`, which either raises ConfigurationError or writes a trace
-whose every partial step of an evicting policy attended at most
-budget + 1 entries, and then through `kvrefresh run --config`, which
-exits 0 or 1 to match, with no traceback. The explicit examples pin a
-streaming budget below n_sink and an ffn_mult whose ffn_dim overflows.
+prompt length L, schedules a policy kind does not follow, evict_on_append
+on a kind that keeps no top-K, and ffn_mult up to 1e308; each other field
+is out of range one time in ten. No model setting bounds the positions a
+run feeds, so the strategy bounds stream_length and n_generate itself.
+Each document goes through `harness.run`, which either raises
+ConfigurationError or writes a trace whose every partial step of an
+evicting policy attended at most budget + 1 entries, and then through
+`kvrefresh run --config`, which exits 0 or 1 to match, with no traceback.
+The explicit examples pin a streaming budget below n_sink and an ffn_mult
+whose ffn_dim overflows.
 """
 
 import io
@@ -25,7 +26,7 @@ from kvrefresh import harness
 from kvrefresh.cli import EXIT_CONFIG, EXIT_OK, main
 from kvrefresh.errors import ConfigurationError
 from kvrefresh.harness import RunConfig
-from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY
+from kvrefresh.policies import POLICY_KINDS, REFRESH_FAMILY, TOP_K_KINDS
 from kvrefresh.scheduler import SCHEDULE_MODES
 from kvrefresh.tasks import encode_text, generate_chain_instance
 
@@ -62,7 +63,7 @@ def documents(draw) -> dict:
         policy["k_fraction"] = mostly(draw, st.sampled_from([0.01, 0.125, 0.5, 1.0]), 0.0, 1.5)
     else:
         policy["k"] = (n_sink if near == "n_sink" else prompt_length) + draw(st.integers(-2, 2))
-    if draw(st.booleans()):
+    if draw(st.booleans()) if kind in TOP_K_KINDS else not draw(st.integers(0, 9)):  # other kinds keep no top-K
         policy["evict_on_append"] = draw(st.booleans())
     doc["policy"] = policy
     if draw(st.booleans()) if kind in REFRESH_FAMILY else not draw(st.integers(0, 9)):  # other kinds follow none
@@ -99,7 +100,7 @@ def test_a_document_is_rejected_or_runs_within_its_budget(doc):
             expected = EXIT_OK
             policy = config.policy
             event(f"ran {config.task} {policy.kind}")
-            if policy.kind in ("streaming", "h2o") or (policy.kind in ("snapkv", *REFRESH_FAMILY)
+            if policy.kind in ("streaming", "h2o") or (policy.kind in TOP_K_KINDS
                                                        and policy.resolved_evict_on_append()):
                 budget = policy.resolve_budget(prompt_length(config))
                 for rec in harness.load_trace(f"{tmp}/run"):

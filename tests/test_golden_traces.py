@@ -57,6 +57,7 @@ GOLDEN = {
     ("lm", "refreshkv_no_full", "fixed"): "0659faa1228e188fbdebdf8cd4ea48c4a4993c917e56fac8e1b05687a385f79c",
     ("lm", "refreshkv_no_full", "qc"): "45be2959f509d21a74d77ef1e26b0b1ab54290fb92a9499001c2333710cd1879",
     ("lm", "refreshkv", "fixed-no-evict"): "cf4decaeed8c8ad2d1c0e164a91658597a051d42e8d110b3444a064edfc60eaa",
+    ("lm", "snapkv", "evict"): "2c9dd3bc77c79cc5dac18fbe9413f606d519efd910666a6ab9d8289e7100641f",
     ("chainkey", "refreshkv", "default"): "9a8d9e530fc945e5797c63d0ca3361dbb7a8052faa2182ba631ae91733d7df7a",
 }
 
@@ -71,6 +72,8 @@ def config_for(task: str, kind: str, variant: str) -> dict:
     elif variant == "fixed-no-evict":
         schedule = FIXED
         policy.update(evict_on_append=False)
+    elif variant == "evict":
+        policy.update(evict_on_append=True)
     return {"task": task, "policy": policy, "schedule": schedule}
 
 

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,17 @@ from kvrefresh.engine import DecodeSession, greedy_generate
 from kvrefresh.kv_store import FullCache, PartialCache, init_partial
 from kvrefresh.model import ModelConfig, StepOutput, init_model, prefill
 from kvrefresh.numerics import max_pool_1d, top_k_indices
-from kvrefresh.policies import H2OState, PolicyConfig, aggregate_group_scores, refresh_layers, selection_scores
+from kvrefresh.policies import (
+    FULL_STEP,
+    PARTIAL_STEP,
+    POLICY_KINDS,
+    H2OState,
+    PolicyConfig,
+    aggregate_group_scores,
+    make_policy,
+    refresh_layers,
+    selection_scores,
+)
 from kvrefresh.scheduler import ScheduleConfig
 
 
@@ -227,11 +238,12 @@ class TestBatchedRefresh:
             want = [per_layer_refresh(policy, layer, r) for layer, r in zip(layers, rows)]
             for sel, _, _ in want:  # ties at the threshold: more than k entries reach the k-th largest score
                 surplus |= k < m and bool(((sel >= np.sort(sel, axis=1)[:, -k:][:, :1]).sum(axis=1) > k).any())
-            refresh_layers(policy, layers, 9, rows)
+            masses = refresh_layers(policy, layers, 9, rows)
             assert [(e["kind"], e["layer"]) for e in events] == [("refresh", layer) for layer in layers]
-            for layer, r, before, event, (sel, held, retained) in zip(layers, rows, pre, events, want, strict=True):
+            for layer, r, before, event, mass, (sel, held, retained) in zip(layers, rows, pre, events, masses, want,
+                                                                           strict=True):
                 assert_same_cache(policy.partial[layer], held)
-                assert policy._refreshed[layer] == retained
+                assert mass == retained
                 assert event["step"] == 9 and event["k"] == k
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(event["rows"], r, strict=True))
                 assert event["selection"].tobytes() == sel.tobytes()
@@ -387,6 +399,50 @@ class TestH2O:
         state.partial[0].append(6, np.zeros((2, 4)), np.zeros((2, 4)))
         with pytest.raises(ContractViolation):
             state.step(0, np.full(3, 0.3))
+
+
+class TestPolicyObjects:
+    def test_each_kind_builds_the_class_the_docstring_table_names(self, desk_weights, rng):
+        table = dict(re.findall(r"^  (\w+) +(\w+)  ", policies.__doc__, re.MULTILINE))
+        assert sorted(table) == sorted(POLICY_KINDS)
+        prompt = rng.integers(0, desk_weights.config.vocab_size, 24).tolist()
+        for kind, class_name in table.items():
+            session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8))
+            out = session.prefill(prompt)
+            assert type(make_policy(session, out)).__name__ == type(session.cache_policy).__name__ == class_name
+        with pytest.raises(ConfigurationError, match="unknown policy kind 'bogus'"):
+            make_policy(SimpleNamespace(policy=SimpleNamespace(kind="bogus")), out)
+
+    @pytest.mark.parametrize(
+        "kind, schedule, shared",
+        [
+            ("vanilla", None, FULL_STEP),
+            ("streaming", None, PARTIAL_STEP),
+            ("snapkv", None, PARTIAL_STEP),
+            *[(kind, schedule, PARTIAL_STEP) for kind in ("refreshkv", "refreshkv_no_refresh", "refreshkv_no_full")
+              for schedule in (ScheduleConfig(mode="fixed", stride=4), ScheduleConfig(mode="qc", qc_stride=4))],
+        ],
+    )
+    def test_plain_steps_share_one_layer_step(self, desk_weights, rng, monkeypatch, kind, schedule, shared):
+        """Every layer of a step that neither takes a full step nor runs a qc check reports the one shared
+        LayerStep; vanilla's every step is such a full step."""
+        session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule)
+        tokens = rng.integers(0, desk_weights.config.vocab_size, 24 + 5).tolist()
+        session.prefill(tokens[:24])
+        reported = []
+
+        def spy(step, rows, _update=session.cache_policy.update):
+            reported.append(_update(step, rows))
+            return reported[-1]
+
+        monkeypatch.setattr(session.cache_policy, "update", spy)
+        for token in tokens[24:]:
+            session.step(token)
+        plain = [steps for step, steps in enumerate(reported, 1) if schedule is None or step % 4]
+        assert len(plain) == (5 if schedule is None else 4)
+        assert all(s is shared for steps in plain for s in steps)
+        if schedule is not None:  # step 4 fires a full step or a qc check on every layer
+            assert all(s is not shared for s in reported[3])
 
 
 class TestPolicyConfig:
