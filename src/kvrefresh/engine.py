@@ -22,11 +22,11 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
      refreshing layer read any): refreshkv refreshes the layers whose view
      took a full step in one `refresh_layers` call, streaming and h2o drop one
      slot of each partial cache, moving the shorter side of its window, and
-     evicting top-K kinds drop each partial-attending layer's overflow from
-     the start of its eviction-ordered window, which copies nothing. It
-     returns each layer's LayerStep, which a top-K view decided (plain steps
-     share one immutable LayerStep); the session builds an exact-cost
-     StepRecord from per-layer costs of L and k_sel it computed at the prefill.
+     evicting top-K kinds drop every partial cache's overflow past k_sel (a
+     full-attending layer has none) from the start of its eviction-ordered
+     window, copying nothing. It returns each layer's LayerStep, as a top-K
+     view took it from scheduler.decide (plain steps share one); the session
+     builds an exact-cost StepRecord from L and k_sel's costs, set at prefill.
 
 Sessions are single-threaded. Distinct sessions share only the weights,
 whose rotary table grows by rebinding a complete table, so they may run

@@ -42,8 +42,13 @@ from .tasks import (
 )
 
 TASKS = ("lm", "chainkey")
-TASK_FIELDS = {"lm": ("stream_length", "tail", "structure", "motif_period"),  # the task_params each task reads
+# the fields a run reads: its task's task_params (chainkey's n_generate too), its policy kind's fields and, under the
+# refresh family only, the schedule; RunConfig.validate refuses any other of those fields off its default
+TASK_FIELDS = {"lm": ("stream_length", "tail", "structure", "motif_period"),
                "chainkey": ("n_keys", "chain_length", "words_per_key")}
+KIND_FIELDS = {"vanilla": ("kind",), "streaming": ("kind", "k", "k_fraction", "n_sink"),
+               "h2o": ("kind", "k", "k_fraction"),
+               **dict.fromkeys(TOP_K_KINDS, ("kind", "k", "k_fraction", "kernel_size", "evict_on_append"))}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -82,12 +87,16 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
-        policy, kind = self.policy, self.policy.kind
-        if kind not in REFRESH_FAMILY and self.schedule != ScheduleConfig():
-            raise ConfigurationError(f"policy kind {kind!r} follows no schedule; leave schedule at its defaults")
-        if kind not in TOP_K_KINDS and (policy.evict_on_append, policy.kernel_size) != (None, PolicyConfig.kernel_size):
-            raise ConfigurationError(
-                f"policy kind {kind!r} keeps no top-K; leave evict_on_append and kernel_size at their defaults")
+        kind, default = self.policy.kind, RunConfig()
+        reads = {"policy": KIND_FIELDS[kind], "task_params": TASK_FIELDS[self.task],
+                 "schedule": [f.name for f in fields(ScheduleConfig)] if kind in REFRESH_FAMILY else ()}
+        for section, read in reads.items():
+            for name in (f.name for f in fields(getattr(self, section)) if f.name not in read):
+                if getattr(getattr(self, section), name) != getattr(getattr(default, section), name):
+                    raise ConfigurationError(f"this {self.task} run of policy kind {kind!r} never reads "
+                                             f"{section}.{name}; leave it at its default")
+        if self.task == "lm" and self.n_generate != default.n_generate:
+            raise ConfigurationError("an lm run decodes its tail and never reads n_generate; leave it at its default")
         if not isinstance(self.out_dir, str):
             raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
         tp = self.task_params
@@ -107,7 +116,7 @@ class RunConfig:
             if max(prompt) >= self.model.vocab_size:
                 raise ConfigurationError(f"chainkey prompt byte {max(prompt)} outside vocab_size {self.model.vocab_size}")
             prompt_length = len(prompt)
-        policy.resolve_budget(prompt_length)  # a streaming budget below n_sink raises
+        self.policy.resolve_budget(prompt_length)  # a streaming budget below n_sink raises
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":

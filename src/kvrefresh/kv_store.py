@@ -2,14 +2,15 @@
 
 Two stores per layer: the full cache (every token seen so far, never
 evicted), in the session's `full` list, and, for every budgeted policy,
-the partial cache (a fixed-budget subset, held per kv-head), in the
-session's one policy object's `partial` list. Both are a window of one
-layout of head-major arenas (`_Arena`): keys and values (n_kv_heads,
-slots, head_dim), and the partial cache's positions (n_kv_heads, slots).
-The full cache's positions are its slots, so it keeps none. Attention
-reads one head's m entries as a slice of the slot axis, without a copy.
-The full cache's window is its arenas' filled prefix, which doubles when
-full; the partial cache's moves (see below). A layer's view at a decode
+the partial cache (a subset, held per kv-head, which keeps no budget:
+its policy holds it to one), in the session's one policy object's
+`partial` list. Both are a window of one layout of head-major arenas
+(`_Arena`): keys and values (n_kv_heads, slots, head_dim), and the
+partial cache's positions (n_kv_heads, slots). The full cache's
+positions are its slots, so it keeps none. Attention reads one head's m
+entries as a slice of the slot axis, without a copy. Either window grows
+into arenas of max(1, 2n) slots when an append finds it at its arena's
+end; the partial cache's also moves (see below). A layer's view at a decode
 step is one of its two caches itself, as the policy's `view(layer, ...)`
 returns it. The view writes each fresh key/value into the caches before
 the layer attends, so every view holds the current token.
@@ -131,32 +132,31 @@ class FullCache(_Arena):
 
 
 class PartialCache(_Arena):
-    """Fixed-budget per-kv-head subset of the cache.
+    """Per-kv-head subset of the cache; it keeps no budget (evict_overflow takes its caller's).
 
     Every head holds the same number n of entries, in the order the module
     docstring gives for the cache's policy, in the window of its arenas:
     keys, values and positions. A refill writes from slot 0, into the same
     arenas when n + PARTIAL_SPARE slots fit. An append must exceed `_newest`
     (a Python int); one that finds the window at the arena's end first moves
-    it to slot 0, in place when it fills at most half of the arena (so each
-    move frees at least as many slots as it copies), else into arenas twice
-    its size. Built with a (1, n) score row too, the cache keeps it as a
-    fourth arena, `scores` (h2o's cumulative attention, which every head
-    shares); an append leaves the new entry's score for its owner to write.
+    it to slot 0 of new arenas of max(1, 2n) slots, so the next move is at
+    least n appends away. Built with a (1, n) score row too, the cache keeps
+    it as a fourth arena, `scores` (h2o's cumulative attention, which every
+    head shares); an append leaves the new entry's score for its owner to write.
     """
 
     positions = property(lambda self: self._arrays[2][:, self._start : self._start + self._n])
     scores = property(lambda self: self._arrays[3][:, self._start : self._start + self._n])
 
-    def __init__(self, capacity: int, positions: np.ndarray, keys: np.ndarray, values: np.ndarray, *score):
+    def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray, *score):
         n, arrays = positions.shape[1], (keys, values, positions, *score)
         self._arrays = [_resized(a, n, n + PARTIAL_SPARE, key_major=i == 0) for i, a in enumerate(arrays)]
-        self.capacity, self._n, self._newest = capacity, n, int(positions.max()) if n else -1
+        self._n, self._newest = n, int(positions.max()) if n else -1
 
     def sizes(self) -> list[int]:
         return [self._n] * self._arrays[0].shape[0]
 
-    def refill(self, full: FullCache, capacity: int, slots: np.ndarray) -> None:
+    def refill(self, full: FullCache, slots: np.ndarray) -> None:
         """Replace every entry with the full cache's entries at `slots` ((n_kv_heads, n), in the order
         to hold them), from slot 0 of the arena: per head, np.take reads the full cache's key-major
         (head_dim, slots) block and row-major values straight into this cache's, with no copy between;
@@ -164,7 +164,7 @@ class PartialCache(_Arena):
         n = slots.shape[1]
         if n + PARTIAL_SPARE > self._arrays[0].shape[1]:
             self._resize(n + PARTIAL_SPARE, 0)
-        self.capacity, self._start, self._n = capacity, 0, n
+        self._start, self._n = 0, n
         (keys, values, positions), (full_keys, full_values) = self._arrays, full._arrays
         for h, s in enumerate(slots):  # all in range: "clip" only skips the check and buffered write of "raise"
             np.take(full_keys[h].T, s, axis=1, out=keys[h, :n].T, mode="clip")
@@ -174,16 +174,11 @@ class PartialCache(_Arena):
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write one entry (all heads) at the window's end."""
-        n, start = self._n, self._start
+        n = self._n
         if position <= self._newest:
             raise ContractViolation(f"partial-cache append out of order: {position} <= {self._newest}")
-        if start + n == (slots := self._arrays[0].shape[1]):
-            if slots and 2 * n <= slots:
-                for a in self._arrays:
-                    a[:, :n] = a[:, start : start + n]
-                self._start = 0
-            else:
-                self._resize(max(1, 2 * n), n)
+        if self._start + n == self._arrays[0].shape[1]:
+            self._resize(max(1, 2 * n), n)
         end = self._start + n
         keys, values, positions = self._arrays[:3]
         keys[:, end], values[:, end], positions[:, end] = k, v, position
@@ -210,13 +205,13 @@ class PartialCache(_Arena):
                 a[:, i : start + n - 1] = a[:, i + 1 : start + n]
         self._n = n - 1
 
-    def evict_overflow(self) -> None:
-        """Evict until the cache is back at capacity, in a top-K arena's eviction order: each
+    def evict_overflow(self, capacity: int) -> None:
+        """Evict until the cache holds at most `capacity` entries, in a top-K arena's eviction order: each
         eviction drops slot 0 (the lowest score, ties toward the lower position, or the oldest
         appended entry once no refilled one is left), so the window's start moves on and nothing is copied."""
-        if (excess := self._n - self.capacity) > 0:
+        if (excess := self._n - capacity) > 0:
             self._start += excess
-            self._n = self.capacity
+            self._n = capacity
 
 
 def init_partial(fulls: list[FullCache], scores: np.ndarray, k: int, into: list[PartialCache]) -> np.ndarray:
@@ -241,5 +236,5 @@ def init_partial(fulls: list[FullCache], scores: np.ndarray, k: int, into: list[
     order = np.argsort(held, axis=1, kind="stable") + np.arange(0, idx.size, k)[:, None]  # flat, as below
     slots, held, n_kv = np.take(idx, order), np.take(held, order), scores.shape[0] // len(fulls)
     for i, (full, cp) in enumerate(zip(fulls, into)):
-        cp.refill(full, k, slots[i * n_kv : (i + 1) * n_kv])
+        cp.refill(full, slots[i * n_kv : (i + 1) * n_kv])
     return held

@@ -24,12 +24,12 @@ returns the cache the layer attends: `self.full[layer]` or
 `self.partial[layer]` itself, whose window attention reads. After the
 forward pass one `update(step, rows)` gets every layer's rows, maintains
 the policy's state and returns one LayerStep per layer: whether its step
-was full, and its overhead. A full step writes the entry into the full
-cache and attends that. The partial step every budgeted policy shares
-(CachePolicy.view) writes it into the full cache (unless appends_full is
-False: snapkv keeps only its prompt there), then appends it to the
-layer's partial cache and returns that cache (see kv_store for the entry
-order of each kind). So every view holds the current token.
+was full (a top-K view asks scheduler.decide), and its overhead. A full
+step writes the entry into the full cache and attends that. The partial
+step every budgeted policy shares (CachePolicy.view) writes it into the
+full cache (unless appends_full is False: snapkv keeps only its prompt
+there), appends it to the layer's partial cache and returns that cache
+(see kv_store for each kind's order), so every view holds the current token.
 Streaming and h2o build their arenas at the prefill by gathering each
 layer's starting set from its full cache, in ascending position order,
 then drop one slot per step: streaming the oldest entry after the sinks,
@@ -66,8 +66,8 @@ from .metrics import (
     selection_overhead_flops,
 )
 from .model import StepOutput, attention_rows
-from .numerics import cosine_similarity, max_pool_1d, top_k_indices
-from .scheduler import ScheduleConfig, mean_query, should_full
+from .numerics import max_pool_1d, top_k_indices
+from .scheduler import ScheduleConfig, decide, mean_query
 
 if TYPE_CHECKING:
     from .engine import DecodeSession
@@ -223,7 +223,7 @@ class Recency(CachePolicy):
         keep = np.arange(L)
         if L > self.budget:
             keep = np.concatenate([keep[:n_sink], keep[L - (self.budget - n_sink) :]])
-        self.partial = [PartialCache(self.budget, *full.gather(keep)) for full in self.full]
+        self.partial = [PartialCache(*full.gather(keep)) for full in self.full]
 
     def update(self, step, rows):
         for cp in self.partial:
@@ -258,7 +258,7 @@ class H2OState(CachePolicy):
             keep = keep[:, recent_start:]
             if self.heavy_n:  # top heavy_n by (sum desc, position asc), in ascending order, every layer at once
                 keep = np.concatenate([top_k_indices(rows[:, :recent_start], self.heavy_n), keep], axis=1)
-        self.partial = [PartialCache(self.budget, *full.gather(kept), row[None, kept])
+        self.partial = [PartialCache(*full.gather(kept), row[None, kept])
                         for full, kept, row in zip(self.full, keep, rows)]
 
     def keepset(self, layer: int) -> np.ndarray:
@@ -296,17 +296,17 @@ class TopK(CachePolicy):
     """Top-K partial caches selected from the prompt's last-token scores: snapkv and the refresh family.
 
     Each partial cache is in eviction order (see kv_store). Partial steps
-    write the fresh entry at its end, attend it, then, when
-    evict_on_append resolves true, evict from its start: the lowest
-    score, or the oldest entry appended since the last refresh. The view
-    decides each layer's step and keeps its LayerStep in `steps`. At the
-    steps the schedule marks full (snapkv has none), refreshkv and
-    refreshkv_no_refresh attend the layer's whole cache, and refreshkv's
-    `update` rebuilds all such layers' partial caches at once from the
-    observed rows; refreshkv_no_full's view scores the full cache before
-    the step's write, rebuilds the partial cache from it, then takes the
-    partial step. Per layer it also keeps the mean query of the layer's
-    most recent full step.
+    write the fresh entry at its end and attend it; when evict_on_append
+    resolves true, `update` evicts every cache back to k_sel from its start
+    (the lowest score, or the oldest entry appended since the last refresh;
+    a layer that attended its full cache is at k_sel already). The view
+    takes each layer's step from `scheduler.decide`, with the reference
+    query it keeps per layer, and keeps its LayerStep in `steps`. At full
+    steps (snapkv has none), refreshkv and refreshkv_no_refresh attend the
+    layer's whole cache, and refreshkv's `update` rebuilds all such layers'
+    partial caches at once from the observed rows; refreshkv_no_full's view
+    scores the full cache before the step's write, rebuilds the partial
+    cache from it, then takes the partial step.
     """
 
     def __init__(self, session, out):
@@ -316,20 +316,17 @@ class TopK(CachePolicy):
         self.appends_full = self.kind != "snapkv"
         self.steps = [PARTIAL_STEP] * len(self.full)
         # the partial caches start empty, and one init_partial call fills them all
-        self.partial = [PartialCache(self.k_sel, f.positions[:, :0], f.keys[:, :0], f.values[:, :0]) for f in self.full]
+        self.partial = [PartialCache(f.positions[:, :0], f.keys[:, :0], f.values[:, :0]) for f in self.full]
         rows = [head for layer_rows in out.attn_rows for head in layer_rows]
         init_partial(self.full, selection_scores(rows, self.config), self.k_sel, self.partial)
         self.reference_query = [mean_query(q) for q in out.queries]
 
     def view(self, layer, step, position, q, k_new, v_new):
-        sim = None
-        if self.schedule.mode == "qc" and step % self.schedule.qc_stride == 0:
-            sim = cosine_similarity(query := mean_query(q), self.reference_query[layer])
+        full_step, sim, self.reference_query[layer] = decide(self.schedule, step, q, self.reference_query[layer])
         overhead = qc_overhead_flops(self.model) if sim is not None else 0
-        if not should_full(step, sim, self.schedule):
+        if not full_step:
             self.steps[layer] = PARTIAL_STEP if sim is None else LayerStep(False, overhead, sim)
             return super().view(layer, step, position, q, k_new, v_new)
-        self.reference_query[layer] = query if sim is not None else mean_query(q)  # one mean per qc check
         full, kernel = self.full[layer], self.config.kernel_size
         if self.kind == "refreshkv_no_full":  # score the full cache before this step's write
             m, rows = len(full), np.divide(*attention_rows(q, full.keys, self.model.group_size))
@@ -347,10 +344,9 @@ class TopK(CachePolicy):
         if self.kind == "refreshkv" and (due := [layer for layer, s in enumerate(steps) if s.full]):
             for layer, mass in zip(due, refresh_layers(self, due, step, [rows[layer] for layer in due])):
                 steps[layer] = steps[layer]._replace(retained=mass)
-        if self.evict:
-            for cp, s in zip(self.partial, steps):
-                if not s.full or self.kind == "refreshkv_no_full":  # the layer attended its partial cache
-                    cp.evict_overflow()
+        if self.evict:  # a layer that attended its full cache appended nothing: its cache holds k_sel already
+            for cp in self.partial:
+                cp.evict_overflow(self.k_sel)
         return steps.copy()
 
 
@@ -387,7 +383,5 @@ POLICY_CLASSES = {"vanilla": FullAttention, "streaming": Recency, "h2o": H2OStat
 
 
 def make_policy(session: DecodeSession, out: StepOutput) -> CachePolicy:
-    """The one place a policy kind turns into behaviour: the session's policy object, for every layer."""
-    if (kind := session.policy.kind) not in POLICY_CLASSES:
-        raise ConfigurationError(f"unknown policy kind {kind!r}")
-    return POLICY_CLASSES[kind](session, out)
+    """The one place a (validated) policy kind turns into behaviour: the session's policy object, for every layer."""
+    return POLICY_CLASSES[session.policy.kind](session, out)

@@ -1,4 +1,4 @@
-"""Per-layer scheduling of full-attention steps.
+"""Per-layer scheduling of full-attention steps: `decide`, the one place a step is chosen full.
 
 Two real modes plus one diagnostic constant:
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, require
+from .numerics import cosine_similarity
 
 SCHEDULE_MODES = ("fixed", "qc", "never_full")
 
@@ -53,24 +54,22 @@ class ScheduleConfig:
             raise ConfigurationError(f"threshold must lie in [-1, 1], got {self.threshold!r}")
 
 
-def should_full(step_index: int, similarity: float | None, config: ScheduleConfig) -> bool:
-    """Decide whether this layer runs full attention at this generated step.
+def decide(config: ScheduleConfig, step_index: int, q: np.ndarray | None,
+           reference: np.ndarray | None) -> tuple[bool, float | None, np.ndarray | None]:
+    """Whether the layer's step is full, the similarity it read (None but at qc boundaries), and the reference to keep.
 
-    similarity is the cosine of the layer's mean query against the one
-    from its most recent full step (initially the prefill). The
-    qc mode reads it at its stride boundaries only, where the caller
-    computes it; elsewhere it may be None. Pure function of its arguments;
-    replaying a trace reproduces the same decisions bit for bit.
+    Only qc reads q, the layer's (n_query_heads, head_dim) queries, and reference, the mean query of its most recent
+    full step (initially the prefill), at its stride boundaries; a full qc step returns its mean query as the new
+    reference. Pure function of its arguments; replaying a trace reproduces the same decisions bit for bit.
     """
-    if config.mode == "never_full":
-        return False
     if config.mode == "fixed":
-        return step_index % config.stride == 0
-    # qc: only evaluated on the stride boundary, strict "<" so a tie keeps
-    # the partial cache.
-    if step_index % config.qc_stride != 0:
-        return False
-    return similarity < config.threshold
+        return step_index % config.stride == 0, None, reference
+    if config.mode == "never_full" or step_index % config.qc_stride:
+        return False, None, reference
+    similarity = cosine_similarity(query := mean_query(q), reference)
+    if similarity < config.threshold:
+        return True, similarity, query
+    return False, similarity, reference
 
 
 def mean_query(q: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 After every decode step:
   - the full cache holds positions 0 .. L+i-1 (snapkv: the prompt, 0 .. L-1);
-  - top-K policies that evict on append hold at most k_sel entries per head,
-    and streaming and h2o hold at most the budget in their partial-cache arena;
+  - top-K policies that evict on append hold exactly k_sel entries per head
+    (so the eviction after a full step, which appended nothing, has nothing
+    to drop), and streaming and h2o hold at most the budget in their
+    partial-cache arena;
   - every position a view attends is a position already seen, and every
     view holds the current position on every head;
   - each row a view attends carries the key/value the full cache holds
@@ -69,7 +71,7 @@ def test_invariants_hold_after_every_step(
         for cf in session.full:
             np.testing.assert_array_equal(cf.positions, [np.arange(held)] * len(cf.keys))  # on every head
         if evicting:
-            assert all(size <= session.k_sel for cp in session.partial for size in cp.sizes())
+            assert all(size == session.k_sel for cp in session.partial for size in cp.sizes())
         if kind in ("streaming", "h2o"):
             assert len(session.partial) == desk_weights.config.n_layers
             assert all(size <= session.budget for cp in session.partial for size in cp.sizes())

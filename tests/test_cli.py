@@ -14,12 +14,36 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SHORT_LM = ["--task", "lm", "--task-params.stream-length", "16", "--task-params.tail", "4"]
 
 
+def short(flags: list[str]) -> list[str]:
+    """The flags after SHORT_LM, or alone for a chainkey run, which never reads the lm fields SHORT_LM sets."""
+    return flags if "chainkey" in flags else [*SHORT_LM, *flags]
+
+
 def assert_config_error(code, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
     return err
+
+
+# flags a run never reads, each set off its default, and the first such field the refusal names
+UNREAD = [
+    (["--policy.kind", "vanilla", "--policy.k", "5", "--policy.k-fraction", "0.5"], "policy.k"),
+    (["--policy.kind", "vanilla", "--policy.k-fraction", "0.5"], "policy.k_fraction"),
+    (["--policy.kind", "refreshkv", "--policy.n-sink", "0"], "policy.n_sink"),
+    (["--policy.kind", "snapkv", "--policy.n-sink", "5"], "policy.n_sink"),
+    (["--policy.kind", "h2o", "--policy.n-sink", "2"], "policy.n_sink"),
+    (["--task-params.n-keys", "3", "--task-params.chain-length", "99", "--n-generate", "7"], "task_params.n_keys"),
+    (["--task-params.words-per-key", "3"], "task_params.words_per_key"),
+    (["--n-generate", "7"], "n_generate"),
+    (["--task", "chainkey", "--task-params.structure", "uniform", "--task-params.stream-length", "5"],
+     "task_params.stream_length"),
+    (["--task", "chainkey", "--task-params.motif-period", "8"], "task_params.motif_period"),
+    (["--policy.kind", "snapkv", "--schedule.qc-stride", "3"], "schedule.qc_stride"),
+    (["--policy.kind", "vanilla", "--policy.evict-on-append", "false"], "policy.evict_on_append"),
+]
+UNREAD_FIELDS = [flags for flags, _ in UNREAD]
 
 
 class TestRunExitCodes:
@@ -70,6 +94,8 @@ class TestRunExitCodes:
             ["--policy.kind", "h2o", "--policy.kernel-size", "3"],
             ["--policy.kind", "vanilla", "--policy.kernel-size", "5"],
             ["--policy.kind", "streaming", "--policy.k", "8", "--policy.kernel-size", "1"],
+            # no kind but streaming reads n_sink, vanilla reads no budget, and each task reads only its own fields
+            *UNREAD_FIELDS,
             ["--task-params.structure", "zigzag"],
             ["--task-params.motif-period", "0"],
             # streaming keeps n_sink=4 sinks; SHORT_LM prefills L=12, so the default k_fraction gives budget 1
@@ -94,7 +120,12 @@ class TestRunExitCodes:
             raise AssertionError("the model was built before the config was rejected")
 
         monkeypatch.setattr(harness, "init_model", no_compute)
-        assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, *flags]), capsys)
+        assert_config_error(main(["run", "--out", str(tmp_path), *short(flags)]), capsys)
+
+    @pytest.mark.parametrize("flags, field", UNREAD, ids=lambda arg: " ".join(arg) if isinstance(arg, list) else arg)
+    def test_a_field_the_run_never_reads_is_named(self, flags, field, tmp_path, capsys):
+        err = assert_config_error(main(["run", "--out", str(tmp_path), *short(flags)]), capsys)
+        assert f"never reads {field}; leave it at its default" in err
 
     @pytest.mark.parametrize(
         "document, flags",
@@ -169,7 +200,7 @@ def finished_runs(tmp_path, *runs: tuple[str, list[str]]) -> list[str]:
     dirs = []
     for kind, flags in runs:
         dirs.append(str(tmp_path / f"{kind}-{len(dirs)}"))
-        assert main(["run", "--out", dirs[-1], *SHORT_LM, "--policy.kind", kind, *flags]) == EXIT_OK
+        assert main(["run", "--out", dirs[-1], *short(flags), "--policy.kind", kind]) == EXIT_OK
     return dirs
 
 
@@ -215,22 +246,29 @@ class TestCompare:
     CHAIN = ["--task", "chainkey", "--task-params.n-keys", "4", "--task-params.chain-length", "2"]
 
     @pytest.mark.parametrize(
-        "first, second, differ",
+        "first, second, unread, differ",
         [
-            ([], ["--model.seed", "3"], "model"),
-            ([], ["--task-params.stream-length", "20"], "task_params"),
-            ([], ["--seed", "1"], "seed"),
-            ([], [*CHAIN, "--n-generate", "2"], "task, task_params"),
-            ([*CHAIN, "--n-generate", "2"], [*CHAIN, "--n-generate", "3"], "n_generate"),
-            ([], ["--n-generate", "3"], None),  # lm runs decode their tail, whatever n_generate says
-            ([], ["--task-params.n-keys", "4"], None),  # a chainkey field, which lm runs never read
-            ([*CHAIN, "--n-generate", "2"], [*CHAIN, "--n-generate", "2", "--task-params.tail", "3"], None),
+            ([], ["--model.seed", "3"], {}, "model"),
+            ([], ["--task-params.stream-length", "20"], {}, "task_params"),
+            ([], ["--seed", "1"], {}, "seed"),
+            ([], [*CHAIN, "--n-generate", "2"], {}, "task, task_params"),
+            ([*CHAIN, "--n-generate", "2"], [*CHAIN, "--n-generate", "3"], {}, "n_generate"),
+            # `run` refuses a field its run never reads, but a summary written before it did may hold one,
+            # which compare ignores too: lm runs decode their tail, whatever n_generate says
+            ([], [], {"n_generate": 3}, None),
+            ([], [], {"task_params": {"n_keys": 4}}, None),  # a chainkey field, which lm runs never read
+            ([*CHAIN, "--n-generate", "2"], [*CHAIN, "--n-generate", "2"], {"task_params": {"tail": 3}}, None),
         ],
         ids=["model", "task_params", "seed", "task", "n_generate", "lm-n_generate", "lm-unread-task-param",
              "chainkey-unread-task-param"],
     )
-    def test_runs_over_other_models_or_inputs_exit_config(self, first, second, differ, tmp_path, capsys):
+    def test_runs_over_other_models_or_inputs_exit_config(self, first, second, unread, differ, tmp_path, capsys):
         runs = finished_runs(tmp_path, ("vanilla", first), ("snapkv", second))
+        summary_path = Path(runs[1]) / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        for key, value in unread.items():
+            summary["config"][key] = {**summary["config"][key], **value} if isinstance(value, dict) else value
+        summary_path.write_text(json.dumps(summary))
         capsys.readouterr()
         if differ is None:
             assert main(["compare", *runs]) == EXIT_OK

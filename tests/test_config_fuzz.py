@@ -2,9 +2,11 @@
 
 Hypothesis draws `RunConfig.from_dict` documents around the edges that the
 config checks guard: budgets near a streaming policy's n_sink and near the
-prompt length L, schedules a policy kind does not follow, evict_on_append
-on a kind that keeps no top-K, and ffn_mult up to 1e308; each other field
-is out of range one time in ten. No model setting bounds the positions a
+prompt length L, and ffn_mult up to 1e308. A field the run never reads
+(a schedule a policy kind does not follow, evict_on_append on a kind that
+keeps no top-K, n_sink off streaming, a budget on vanilla, the other task's
+fields) is drawn one time in thirty, which keeps about 40% of documents
+valid; each other field is out of range one time in ten. No model setting bounds the positions a
 run feeds, so the strategy bounds stream_length and n_generate itself.
 Each document goes through `harness.run`, which either raises
 ConfigurationError or writes a trace whose every partial step of an
@@ -38,6 +40,9 @@ def mostly(draw, valid, *edges):
 
 @st.composite
 def documents(draw) -> dict:
+    def rarely() -> bool:  # a field the run never reads, one time in thirty
+        return not draw(st.integers(0, 29))
+
     doc: dict = {"seed": mostly(draw, st.integers(0, 2), -1)}
     if draw(st.integers(0, 3)):  # lm three times in four: a chainkey prompt holds about 800 tokens
         length = draw(st.integers(2, 64))
@@ -45,9 +50,13 @@ def documents(draw) -> dict:
                               "structure": draw(st.sampled_from(["uniform", "repeated_motif"])),
                               "motif_period": mostly(draw, st.integers(1, 8), 0)}
         prompt_length = length - doc["task_params"]["tail"]
+        if rarely():
+            doc.update(draw(st.sampled_from([{"n_generate": 7}, {"task_params": {**doc["task_params"], "n_keys": 3}}])))
     else:
         params = {"n_keys": mostly(draw, st.integers(2, 3), 1), "chain_length": draw(st.integers(1, 2)),
                   "words_per_key": mostly(draw, st.integers(2, 3), 1)}
+        if rarely():
+            params.update(draw(st.sampled_from([{"stream_length": 20}, {"tail": 3}, {"structure": "uniform"}])))
         doc.update(task="chainkey", task_params=params, n_generate=mostly(draw, st.integers(1, 8), 0, -1))
         try:
             instance = generate_chain_instance(params["n_keys"], params["words_per_key"], params["chain_length"],
@@ -57,16 +66,17 @@ def documents(draw) -> dict:
             prompt_length = 800
     n_sink = mostly(draw, st.integers(0, 6), -1)
     kind = draw(st.sampled_from([*POLICY_KINDS, "streaming", "streaming"]))  # streaming's budget must hold its sinks
-    policy = {"kind": kind, "n_sink": n_sink}
+    policy = {"kind": kind, "n_sink": n_sink} if kind == "streaming" or rarely() else {"kind": kind}
     near = draw(st.sampled_from(["n_sink", "L", "fraction"]))
-    if near == "fraction":
-        policy["k_fraction"] = mostly(draw, st.sampled_from([0.01, 0.125, 0.5, 1.0]), 0.0, 1.5)
-    else:
-        policy["k"] = (n_sink if near == "n_sink" else prompt_length) + draw(st.integers(-2, 2))
-    if draw(st.booleans()) if kind in TOP_K_KINDS else not draw(st.integers(0, 9)):  # other kinds keep no top-K
+    if kind != "vanilla" or rarely():  # vanilla reads no budget
+        if near == "fraction":
+            policy["k_fraction"] = mostly(draw, st.sampled_from([0.01, 0.125, 0.5, 1.0]), 0.0, 1.5)
+        else:
+            policy["k"] = (n_sink if near == "n_sink" else prompt_length) + draw(st.integers(-2, 2))
+    if draw(st.booleans()) if kind in TOP_K_KINDS else rarely():  # other kinds keep no top-K
         policy["evict_on_append"] = draw(st.booleans())
     doc["policy"] = policy
-    if draw(st.booleans()) if kind in REFRESH_FAMILY else not draw(st.integers(0, 9)):  # other kinds follow none
+    if draw(st.booleans()) if kind in REFRESH_FAMILY else rarely():  # other kinds follow none
         doc["schedule"] = {"mode": mostly(draw, st.sampled_from(SCHEDULE_MODES), "always_full"),
                            "stride": mostly(draw, st.integers(1, 4), 0), "qc_stride": draw(st.integers(1, 4)),
                            "threshold": mostly(draw, st.sampled_from([-1.0, 0.0, 0.9, 1.0]), 1.5, float("nan"))}

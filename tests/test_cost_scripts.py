@@ -1,4 +1,5 @@
-"""scripts/refresh_cost.py and scripts/prefill_cost.py at tiny sizes: the JSON they write, no speed."""
+"""scripts/refresh_cost.py, scripts/prefill_cost.py and scripts/step_ab.py at tiny sizes: the JSON they write,
+no speed."""
 
 import json
 import math
@@ -140,3 +141,41 @@ def test_argument_that_leaves_nothing_to_measure_is_rejected(script, args, tmp_p
     done = run_script(script, "--lengths", "64", *args, "--json", str(out))
     assert done.returncode == 2 and "error: --" in done.stderr
     assert not out.exists()
+
+
+STEP_AB_TINY = ["--length", "32", "--k", "8", "--steps", "20", "--chunk", "5", "--reps", "2"]
+
+
+def test_step_ab_with_one_tree_on_both_sides(tmp_path):
+    out = tmp_path / "ab.json"
+    src = str(ROOT / "src")
+    done = run_script("step_ab.py", src, src, *STEP_AB_TINY, "--json", str(out))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(out.read_text())
+    assert (result["length"], result["k"], result["steps"], result["chunk"], result["reps"]) == (32, 8, 20, 5, 2)
+    sessions = result["sessions"]
+    assert list(sessions) == ["vanilla", "streaming", "h2o", "snapkv", "refreshkv", "refreshkv-qc",
+                              "refreshkv_no_refresh", "refreshkv_no_full"]
+    for label, record in sessions.items():
+        assert record["n_plain"] + record["n_full"] == 20
+        assert {"plain", "full"} & set(record) == {name for name in ("plain", "full") if record[f"n_{name}"]}
+        for name in {"plain", "full"} & set(record):
+            assert set(record[name]) == {"move", "move_min", "move_max", "parent_us", "change_us"}
+            assert_finite(record[name])
+            assert record[name]["move_min"] <= record[name]["move"] <= record[name]["move_max"]
+    assert sessions["vanilla"]["n_full"] == 20 and sessions["snapkv"]["n_full"] == 0
+    assert sessions["refreshkv"]["n_full"] == sessions["refreshkv_no_full"]["n_full"] == 2  # steps 10 and 20
+    assert "refreshkv_no_full" in done.stdout and "move" in done.stdout
+
+
+@pytest.mark.parametrize("args", [["--reps", "0"], ["--chunk", "0"], ["--seed", "-1"], ["--k", "0"]],
+                         ids=lambda args: " ".join(args))
+def test_step_ab_rejects_arguments_that_leave_nothing_to_measure(args, tmp_path):
+    src = str(ROOT / "src")
+    done = run_script("step_ab.py", src, src, *STEP_AB_TINY, *args)
+    assert done.returncode == 2 and "error: --" in done.stderr
+
+
+def test_step_ab_rejects_a_directory_without_the_package(tmp_path):
+    done = run_script("step_ab.py", str(ROOT / "src"), str(tmp_path), *STEP_AB_TINY)
+    assert done.returncode == 2 and f"no kvrefresh package under {tmp_path}" in done.stderr

@@ -502,21 +502,25 @@ class TestQCScheduling:
         assert sorted(modes) == ["full", "partial"]
 
     def test_reference_query_changes_exactly_at_full_steps(self, desk_weights, rng):
+        # qc, the one schedule that reads the reference: threshold 0.5 mixes full and partial boundaries
         prompt = toks(rng, desk_weights.config, 40)
         session = DecodeSession(
             desk_weights, PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="fixed", stride=4),
+            ScheduleConfig(mode="qc", qc_stride=2, threshold=0.5),
         )
         out = session.prefill(prompt)
         refs = [q.copy() for q in session.cache_policy.reference_query]
         tok = int(np.argmax(out.logits))
-        for _ in range(12):
+        seen = set()
+        for _ in range(16):
             out, rec = session.step(tok)
             tok = int(np.argmax(out.logits))
             for layer, reference_query in enumerate(session.cache_policy.reference_query):
                 changed = not np.array_equal(refs[layer], reference_query)
                 assert changed == (rec.modes[layer] == "full")
+                seen.add((rec.modes[layer], rec.similarities[layer] is not None))
                 refs[layer] = reference_query.copy()
+        assert seen == {("full", True), ("partial", True), ("partial", False)}
 
 
 # ------------------------------------------------------------------- misc

@@ -22,7 +22,7 @@ def brute_force_top_k(scores, k):
 def topk_cache(full, scores, k, into=None):
     """One layer through init_partial: `into`, or a new cache, refilled with each head's top-k under the scores."""
     if into is None:
-        into = PartialCache(k, full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
+        into = PartialCache(full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
     init_partial([full], scores, k, [into])
     return into
 
@@ -32,11 +32,11 @@ def make_full(n, rng):
     return FullCache(rng.normal(size=(N_KV, n, DIM)), rng.normal(size=(N_KV, n, DIM)))
 
 
-def append_and_evict(cp, position, k, v, evict):
-    """The partial-step update: append, then evict if asked."""
+def append_and_evict(cp, position, k, v, capacity=None):
+    """The partial-step update: append, then, given a capacity, evict back to it."""
     cp.append(position, k, v)
-    if evict:
-        cp.evict_overflow()
+    if capacity is not None:
+        cp.evict_overflow(capacity)
 
 
 def entry(rng):
@@ -157,7 +157,7 @@ class TestInitPartial:
         for _ in range(20):
             n = int(rng.integers(1, 13))
             slots = np.stack([rng.permutation(12)[:n] for _ in range(N_KV)])  # any order, distinct per head
-            cp.refill(full, n, slots)
+            cp.refill(full, slots)
             np.testing.assert_array_equal(cp.positions, slots)
             for h in range(N_KV):
                 np.testing.assert_array_equal(cp.keys[h], full.keys[h][slots[h]])
@@ -173,9 +173,8 @@ class TestAppendAndEvict:
 
     def test_under_capacity_is_pure_append(self, rng):
         cp = self.make_cp(rng, np.array([0.5, 0.2, 0.7]), 2)
-        cp.capacity = 5
         k, v = entry(rng)
-        append_and_evict(cp, 10, k, v, evict=True)
+        append_and_evict(cp, 10, k, v, capacity=5)
         assert cp.sizes() == [3, 3]
         for h in range(N_KV):
             assert cp.positions[h][-1] == 10
@@ -185,13 +184,12 @@ class TestAppendAndEvict:
     def test_evicts_minimum_finite_score(self, rng):
         # scores [0.5, 0.2] rank as [0.2, 0.5]; at capacity 3 the second append evicts the 0.2 entry
         cp = self.make_cp(rng, np.array([0.5, 0.2]), 2)
-        cp.capacity = 3
         k2, v2 = entry(rng)
-        append_and_evict(cp, 2, k2, v2, evict=True)  # fills to capacity, no eviction
+        append_and_evict(cp, 2, k2, v2, capacity=3)  # fills to capacity, no eviction
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], [1, 0, 2])
         keys, values = cp.keys[:, 1:].copy(), cp.values[:, 1:].copy()
-        append_and_evict(cp, 3, *entry(rng), evict=True)
+        append_and_evict(cp, 3, *entry(rng), capacity=3)
         for h in range(N_KV):
             np.testing.assert_array_equal(cp.positions[h], [0, 2, 3])  # position 1, scored 0.2, is gone
             np.testing.assert_array_equal(cp.keys[h, :2], keys[h])
@@ -201,7 +199,7 @@ class TestAppendAndEvict:
         cp = self.make_cp(rng, np.array([0.5, 0.2, 0.9]), 3)
         for i, pos in enumerate([5, 6, 7]):
             k, v = entry(rng)
-            append_and_evict(cp, pos, k, v, evict=False)
+            append_and_evict(cp, pos, k, v)
             assert cp.sizes() == [4 + i] * N_KV
 
     def test_all_new_evicts_oldest(self, rng):
@@ -209,9 +207,9 @@ class TestAppendAndEvict:
         cp = self.make_cp(rng, np.array([0.5, 0.2]), 2)
         appended = {pos: entry(rng) for pos in (9, 10, 11)}
         for pos in (9, 10):
-            append_and_evict(cp, pos, *appended[pos], evict=True)
+            append_and_evict(cp, pos, *appended[pos], capacity=2)
         np.testing.assert_array_equal(cp.positions, [[9, 10]] * N_KV)
-        append_and_evict(cp, 11, *appended[11], evict=True)
+        append_and_evict(cp, 11, *appended[11], capacity=2)
         np.testing.assert_array_equal(cp.positions, [[10, 11]] * N_KV)
         for slot, pos in enumerate((10, 11)):
             np.testing.assert_array_equal(cp.keys[:, slot], appended[pos][0])
@@ -221,13 +219,13 @@ class TestAppendAndEvict:
         cp = self.make_cp(rng, np.array([0.5, 0.2, 0.9]), 3)
         k, v = entry(rng)
         with pytest.raises(ContractViolation):
-            append_and_evict(cp, 1, k, v, evict=True)
+            append_and_evict(cp, 1, k, v, capacity=3)
 
     def test_size_never_exceeds_capacity_with_evict(self, rng):
         scores = rng.uniform(size=8)
         cp = self.make_cp(rng, scores, 8)
         for pos in range(8, 60):  # past the drift allowance: the window moves back to slot 0 on the way
-            append_and_evict(cp, pos, *entry(rng), evict=True)
+            append_and_evict(cp, pos, *entry(rng), capacity=8)
             assert all(s <= 8 for s in cp.sizes())
             assert_eviction_order(cp, np.tile(scores, (N_KV, 1)))
             for h in range(N_KV):
@@ -243,7 +241,7 @@ class TestAppendAndEvict:
                 n = int(rng.integers(1, 12))
                 cp = self.make_cp(rng, rng.integers(0, 3, size=n).astype(float), n)
                 for pos in range(n, n + int(rng.integers(0, 40))):
-                    append_and_evict(cp, pos, *entry(rng), evict=True)
+                    append_and_evict(cp, pos, *entry(rng), capacity=n)
                 slot = int(rng.integers(0, n))
                 expected = np_delete(cp, slot)
                 cp.drop(slot)
@@ -273,7 +271,7 @@ class TestAppendAndEvict:
                     full.append(len(full), k_new, v_new)
                     cp.append(len(full) - 1, k_new, v_new)
                     ref.append(len(full) - 1)
-                cp.evict_overflow()
+                cp.evict_overflow(k)
                 ref.evict_overflow()
                 assert_holds(cp, ref)
                 for h in range(N_KV):
@@ -285,7 +283,7 @@ class TestAppendAndEvict:
         n = 9
         cp = self.make_cp(rng, rng.uniform(size=n), n)
         for pos in range(n, n + 3):  # the window no longer starts at slot 0
-            append_and_evict(cp, pos, *entry(rng), evict=True)
+            append_and_evict(cp, pos, *entry(rng), capacity=n)
         slot = {"first": 0, "middle": n // 2, "last": n - 1}[where]
         expected = np_delete(cp, slot)
         cp.drop(slot)
@@ -300,7 +298,7 @@ class TestAppendAndEvict:
             for slot, scored in itertools.product(range(n), (False, True)):
                 cp = self.make_cp(rng, rng.uniform(size=n), n)
                 if scored:
-                    cp = PartialCache(n, cp.positions, cp.keys, cp.values, rng.uniform(size=(1, n)))
+                    cp = PartialCache(cp.positions, cp.keys, cp.values, rng.uniform(size=(1, n)))
                 expected = np_delete(cp, slot)
                 cp.drop(slot)
                 for got, want in zip(windows(cp), expected, strict=True):
@@ -450,7 +448,7 @@ class TestRefresh:
         scores = np.tile(np.linspace(6, 1, 6), (N_KV, 1))
         cp = topk_cache(full, scores, 3)
         k, v = entry(rng)
-        append_and_evict(cp, 6, k, v, evict=False)
+        append_and_evict(cp, 6, k, v)
         assert cp.sizes() == [4, 4]
         full.append(6, k, v)
         new_scores = np.tile(np.linspace(7, 1, 7), (N_KV, 1))
@@ -464,13 +462,13 @@ class TestRefresh:
         cp = topk_cache(full, rng.uniform(size=(N_KV, 20)), 5)
         keys, positions = cp.keys, cp.positions
         k, v = entry(rng)
-        append_and_evict(cp, 20, k, v, evict=False)
+        append_and_evict(cp, 20, k, v)
         full.append(20, k, v)
         scores = rng.uniform(size=(N_KV, 21))
         held = init_partial([full], scores, 5, [cp])  # the held entries' scores, in the cache's order
         np.testing.assert_array_equal(held, np.take_along_axis(scores, cp.positions, axis=1))
         assert np.shares_memory(cp.keys, keys) and np.shares_memory(cp.positions, positions)
-        assert cp.sizes() == [5] * N_KV and cp.capacity == 5
+        assert cp.sizes() == [5] * N_KV
         fresh = topk_cache(full, scores, 5)
         for got, want in zip(windows(cp), windows(fresh), strict=True):
             np.testing.assert_array_equal(got, want)
@@ -487,7 +485,7 @@ class TestRefresh:
         assert_key_major(cp._arrays[0])
         slots = cp._arrays[0].shape[1]
         for pos in range(20, 20 + slots - 12 + 1):  # one past the arena's end: the window moves to twice its size
-            append_and_evict(cp, pos, *entry(rng), evict=False)
+            append_and_evict(cp, pos, *entry(rng))
         assert cp._arrays[0].shape[1] == 2 * slots
         assert_key_major(cp._arrays[0])
         for h in range(N_KV):
@@ -507,7 +505,7 @@ class TestRefresh:
 
 
 class TestWindow:
-    """The window [start, start + n) an append finds at the arena's end moves back to slot 0."""
+    """The window [start, start + n) an append finds at the arena's end moves into arenas of max(1, 2n) slots."""
 
     def evicting(self, rng, k, n_steps):
         """A K=k cache refilled from a k-position prompt, then n_steps appends each followed by an
@@ -519,7 +517,7 @@ class TestWindow:
         for pos in range(k, k + n_steps):
             k_new, v_new = entry(rng)
             full.append(pos, k_new, v_new)
-            append_and_evict(cp, pos, k_new, v_new, evict=True)
+            append_and_evict(cp, pos, k_new, v_new, capacity=k)
             ref.append(pos)
             ref.evict_overflow()
         for h in range(N_KV):
@@ -528,29 +526,39 @@ class TestWindow:
         assert_holds(cp, ref)
         return cp, arena
 
-    @pytest.mark.parametrize("n_steps", [kv_store.PARTIAL_SPARE, kv_store.PARTIAL_SPARE + 1, 200])
-    def test_a_window_at_most_half_the_arena_moves_in_place(self, rng, n_steps):
-        # K=8 in 8 + 33 slots: the 34th append finds the window at the end and moves it to slot 0
-        cp, arena = self.evicting(rng, 8, n_steps)
-        assert cp._arrays[0] is arena
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 8 + kv_store.PARTIAL_SPARE])
+    def test_a_window_of_any_length_at_the_arenas_end_moves_into_twice_its_length(self, rng, n):
+        # a K=8 refill leaves 8 + 33 slots; 33 appends fill them (grow-only, as snapkv's), and evicting
+        # down to n leaves the window's last n entries at the arena's end (n = 41: the whole arena)
+        cp = topk_cache(make_full(8, rng), rng.uniform(size=(N_KV, 8)), 8)
+        for pos in range(8, 8 + kv_store.PARTIAL_SPARE):
+            cp.append(pos, *entry(rng))
+        cp.evict_overflow(n)
+        assert cp._start + len(cp) == cp._arrays[0].shape[1]
+        before = [w.copy() for w in windows(cp)]
+        k, v = entry(rng)
+        cp.append(100, k, v)
+        assert [a.shape[1] for a in cp._arrays] == [max(1, 2 * n)] * 3 and cp._start == 0
         assert_key_major(cp._arrays[0])
+        for got, want in zip(windows(cp), before, strict=True):
+            np.testing.assert_array_equal(got[:, :n], want)
+        np.testing.assert_array_equal(cp.positions[:, n], [100] * N_KV)
+        np.testing.assert_array_equal(cp.keys[:, n], k)
+        np.testing.assert_array_equal(cp.values[:, n], v)
 
-    @pytest.mark.parametrize("n_steps", [kv_store.PARTIAL_SPARE, kv_store.PARTIAL_SPARE + 1, 200])
-    def test_a_window_over_half_the_arena_moves_into_arenas_twice_its_size(self, rng, n_steps):
-        # K=40 in 40 + 33 slots: the 34th append moves the 40 entries into 80 slots; later moves are in place
-        cp, arena = self.evicting(rng, 40, n_steps)
-        grown = n_steps > kv_store.PARTIAL_SPARE
-        assert (cp._arrays[0] is arena) is not grown
-        assert cp._arrays[0].shape[1] == (80 if grown else 73)
+    @pytest.mark.parametrize("k", [1, 8, 40])
+    def test_evicting_windows_follow_the_reference_across_moves(self, rng, k):
+        # 200 appends and evictions: the 34th moves the k entries into 2k slots, and so does every k-th after
+        cp, arena = self.evicting(rng, k, 200)
+        assert cp._arrays[0] is not arena and cp._arrays[0].shape[1] == 2 * k
         assert_key_major(cp._arrays[0])
 
     def test_the_drift_allowance_holds_no_move(self, rng):
         # 33 appends and evictions fit the arena a refill leaves: the window ends at its last slot
         cp, arena = self.evicting(rng, 8, kv_store.PARTIAL_SPARE)
         assert cp._arrays[0] is arena and cp._start + 8 == arena.shape[1]
-        append_and_evict(cp, 8 + kv_store.PARTIAL_SPARE, *entry(rng), evict=True)
-        assert cp._arrays[0] is arena and cp._start == 1  # moved to slot 0, then evicted from it
-
+        append_and_evict(cp, 8 + kv_store.PARTIAL_SPARE, *entry(rng), capacity=8)
+        assert cp._arrays[0].shape[1] == 16 and cp._start == 1  # moved to slot 0 of 16 slots, then evicted from it
 
 
 # ------------------------------------------- sessions against the reference model

@@ -143,7 +143,7 @@ def decode_step(weights, token, views, position, row_major_keys=False):
         keys = np.concatenate([keys, k_new[:, None]], axis=1)
         values = np.concatenate([values, v_new[:, None]], axis=1)
         positions = np.append(positions, np.full((len(positions), 1), position), axis=1)
-        view = PartialCache(positions.shape[1], positions, keys, values)
+        view = PartialCache(positions, keys, values)
         if row_major_keys:
             view._arrays[0] = keys  # the window is slots [0, m + 1) of every arena
         return view
@@ -454,7 +454,7 @@ class TestDecodeStep:
 
         def empty(layer_idx, q, k_new, v_new):
             c = caches[layer_idx]
-            return PartialCache(1, c.positions[:, :0], c.keys[:, :0], c.values[:, :0])
+            return PartialCache(c.positions[:, :0], c.keys[:, :0], c.values[:, :0])
 
         with pytest.raises(ContractViolation):
             decode_core(desk_weights, 1, 2, empty)

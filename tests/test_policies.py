@@ -99,7 +99,7 @@ class TestSelectionScores:
         session.prefill(prompt)
         caches, out = prefill(desk_weights, prompt)
         for layer, (full, rows) in enumerate(zip(caches, out.attn_rows)):
-            direct = PartialCache(8, full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
+            direct = PartialCache(full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
             init_partial([full], selection_scores(rows, PolicyConfig()), 8, [direct])
             for h in range(2):
                 np.testing.assert_array_equal(session.partial[layer].positions[h], direct.positions[h])
@@ -194,7 +194,7 @@ def per_layer_refresh(policy, layer, rows):
     heads = np.arange(sel.shape[0])[:, None]
     idx = top_k_indices(sel, policy.k_sel)
     order = np.argsort(sel[heads, idx], axis=1, kind="stable")
-    held = PartialCache(policy.k_sel, *policy.full[layer].gather(idx[heads, order]))
+    held = PartialCache(*policy.full[layer].gather(idx[heads, order]))
     norm = sel.sum(axis=1, keepdims=True)
     norm[norm == 0] = 1.0
     return sel, held, (np.take_along_axis(sel, held.positions, axis=1) / norm).sum(axis=1).tolist()
@@ -410,8 +410,8 @@ class TestPolicyObjects:
             session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8))
             out = session.prefill(prompt)
             assert type(make_policy(session, out)).__name__ == type(session.cache_policy).__name__ == class_name
-        with pytest.raises(ConfigurationError, match="unknown policy kind 'bogus'"):
-            make_policy(SimpleNamespace(policy=SimpleNamespace(kind="bogus")), out)
+        with pytest.raises(ConfigurationError, match="unknown policy kind 'bogus'"):  # before any policy is made
+            DecodeSession(desk_weights, PolicyConfig(kind="bogus", k=8))
 
     @pytest.mark.parametrize(
         "kind, schedule, shared",
