@@ -6,7 +6,7 @@ step on one interpreter, one heap and one BLAS, and a move of a few percent
 is not lost in the spread between processes. For each session below, one
 session of each tree is prefilled with the same L-token stream (an `lm`
 repeated-motif stream) and stepped over the same teacher-forced tokens,
-alternating between the trees in chunks of `--chunk` steps: which tree
+alternating between the trees in chunks of 10 steps: which tree
 goes first alternates from chunk to chunk, and from repetition to
 repetition. The rotary tables are grown before any step is timed, and
 garbage collection is off while steps are timed. Each `DecodeSession.step`
@@ -29,8 +29,8 @@ but vanilla at budget K = `--k`. The model is the default shape (S0).
 With `--json PATH` the numbers are written to PATH as well. Run from the
 repository root (BLAS runs on one thread):
 
-    python scripts/step_ab.py PARENT_SRC CHANGE_SRC [--length 1024] [--k 128] [--steps 300] [--chunk 10]
-        [--reps 12] [--seed 1] [--json PATH]
+    python scripts/step_ab.py PARENT_SRC CHANGE_SRC [--length 1024] [--k 128] [--steps 300] [--reps 12]
+        [--json PATH]
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from types import ModuleType
 import numpy as np
 
 SIDES = ("parent", "change")
+CHUNK = 10  # steps a tree takes before the other takes its turn
+SEED = 1  # of the token stream
 FIXED = {"mode": "fixed", "stride": 10}
 SESSIONS = (  # label, policy kind, schedule (None: the kind follows none)
     ("vanilla", "vanilla", None),
@@ -86,7 +88,7 @@ def build(tree: ModuleType, kind: str, schedule: dict | None, k: int, weights, p
     return session
 
 
-def measure(trees, weights, kind: str, schedule: dict | None, k: int, stream: list[int], length: int, chunk: int,
+def measure(trees, weights, kind: str, schedule: dict | None, k: int, stream: list[int], length: int,
             first: int) -> list[tuple[list[int], list[bool]]]:
     """Each tree's step times (ns) and full flags over the stream's tail, stepped in alternating chunks; tree
     `first` opens the first chunk. Exits with status 1 at the first step whose modes differ between the trees."""
@@ -97,10 +99,10 @@ def measure(trees, weights, kind: str, schedule: dict | None, k: int, stream: li
     gc.collect()
     gc.disable()
     try:
-        for c, start in enumerate(range(0, len(tokens), chunk)):
+        for c, start in enumerate(range(0, len(tokens), CHUNK)):
             for side in ((first + c) % 2, (first + c + 1) % 2):
                 session, ns, seen = sessions[side], times[side], modes[side]
-                for token in tokens[start : start + chunk]:
+                for token in tokens[start : start + CHUNK]:
                     t0 = time.perf_counter_ns()
                     _, rec = session.step(token)
                     ns.append(time.perf_counter_ns() - t0)
@@ -143,16 +145,12 @@ def main() -> None:
     parser.add_argument("--length", type=int, default=1024, help="prompt length L")
     parser.add_argument("--k", type=int, default=128, help="partial-cache budget of every session but vanilla")
     parser.add_argument("--steps", type=int, default=300, help="decode steps per session")
-    parser.add_argument("--chunk", type=int, default=10, help="steps a tree takes before the other takes its turn")
     parser.add_argument("--reps", type=int, default=12, help="repetitions, each with fresh sessions")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", type=Path, help="also write the numbers to this file")
     args = parser.parse_args()
-    for name in ("length", "k", "steps", "chunk", "reps"):
+    for name in ("length", "k", "steps", "reps"):
         if getattr(args, name) < 1:
             parser.error(f"--{name} must be at least 1, got {getattr(args, name)}")
-    if args.seed < 0:
-        parser.error(f"--seed must be non-negative, got {args.seed}")
     for src in (args.parent_src, args.change_src):
         if not (src / "kvrefresh" / "__init__.py").is_file():
             parser.error(f"no kvrefresh package under {src}")
@@ -162,7 +160,7 @@ def main() -> None:
     for w in weights:  # grown before timing, so that no timed step builds the rotary table
         w.rope_upto(args.length + args.steps)
     vocab = weights[0].config.vocab_size
-    stream = trees[1].tasks.synthetic_lm_stream(args.length + args.steps, vocab, args.seed, "repeated_motif",
+    stream = trees[1].tasks.synthetic_lm_stream(args.length + args.steps, vocab, SEED, "repeated_motif",
                                                 64).tolist()
 
     results = {}
@@ -170,7 +168,7 @@ def main() -> None:
     for label, kind, schedule in SESSIONS:
         rounds = []
         for rep in range(args.reps):
-            timed = measure(trees, weights, kind, schedule, args.k, stream, args.length, args.chunk, rep % 2)
+            timed = measure(trees, weights, kind, schedule, args.k, stream, args.length, rep % 2)
             rounds.append([split_p50(ns, full) for ns, full in timed])
         n_full = sum(timed[0][1])
         results[label] = {**summarise(rounds), "n_plain": args.steps - n_full, "n_full": n_full}
@@ -181,7 +179,7 @@ def main() -> None:
                       f"{r['move']:>+7.1%} [{r['move_min']:+.1%}, {r['move_max']:+.1%}]")
     if args.json:
         record = {"parent_src": str(args.parent_src), "change_src": str(args.change_src), "length": args.length,
-                  "k": args.k, "steps": args.steps, "chunk": args.chunk, "reps": args.reps, "seed": args.seed,
+                  "k": args.k, "steps": args.steps, "chunk": CHUNK, "reps": args.reps, "seed": SEED,
                   "blas_threads": 1, "sessions": results}
         args.json.write_text(json.dumps(record, indent=2) + "\n")
 

@@ -42,10 +42,11 @@ from .tasks import (
 )
 
 TASKS = ("lm", "chainkey")
-# the fields a run reads: its task's task_params (chainkey's n_generate too), its policy kind's fields and, under the
-# refresh family only, the schedule; RunConfig.validate refuses any other of those fields off its default
-TASK_FIELDS = {"lm": ("stream_length", "tail", "structure", "motif_period"),
-               "chainkey": ("n_keys", "chain_length", "words_per_key")}
+# the fields a run reads of those it may leave unread (`_optional_fields`): its task's fields, its policy kind's and,
+# under the refresh family only, the schedule; RunConfig.validate refuses any other of them off its default
+TASK_FIELDS = {"lm": ("task_params.stream_length", "task_params.tail", "task_params.structure",
+                      "task_params.motif_period"),
+               "chainkey": ("task_params.n_keys", "task_params.chain_length", "task_params.words_per_key", "n_generate")}
 KIND_FIELDS = {"vanilla": ("kind",), "streaming": ("kind", "k", "k_fraction", "n_sink"),
                "h2o": ("kind", "k", "k_fraction"),
                **dict.fromkeys(TOP_K_KINDS, ("kind", "k", "k_fraction", "kernel_size", "evict_on_append"))}
@@ -87,16 +88,13 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
-        kind, default = self.policy.kind, RunConfig()
-        reads = {"policy": KIND_FIELDS[kind], "task_params": TASK_FIELDS[self.task],
-                 "schedule": [f.name for f in fields(ScheduleConfig)] if kind in REFRESH_FAMILY else ()}
-        for section, read in reads.items():
-            for name in (f.name for f in fields(getattr(self, section)) if f.name not in read):
-                if getattr(getattr(self, section), name) != getattr(getattr(default, section), name):
-                    raise ConfigurationError(f"this {self.task} run of policy kind {kind!r} never reads "
-                                             f"{section}.{name}; leave it at its default")
-        if self.task == "lm" and self.n_generate != default.n_generate:
-            raise ConfigurationError("an lm run decodes its tail and never reads n_generate; leave it at its default")
+        kind, default = self.policy.kind, _optional_fields(RunConfig())
+        read = {*(f"policy.{name}" for name in KIND_FIELDS[kind]), *TASK_FIELDS[self.task],
+                *(f"schedule.{f.name}" for f in fields(ScheduleConfig) if kind in REFRESH_FAMILY)}
+        for name, value in _optional_fields(self).items():
+            if name not in read and value != default[name]:
+                raise ConfigurationError(f"this {self.task} run of policy kind {kind!r} never reads {name}; "
+                                         "leave it at its default")
         if not isinstance(self.out_dir, str):
             raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
         tp = self.task_params
@@ -129,6 +127,13 @@ class RunConfig:
                 _reject_unknown(kwargs[name], section, name)
                 kwargs[name] = section(**kwargs[name])
         return cls(**kwargs)
+
+
+def _optional_fields(config: RunConfig) -> dict:
+    """Each policy, task and schedule field, and n_generate, by its dotted name: the fields a run may never read."""
+    sections = {s: getattr(config, s) for s in ("policy", "task_params", "schedule")}
+    return {**{f"{s}.{f.name}": getattr(c, f.name) for s, c in sections.items() for f in fields(c)},
+            "n_generate": config.n_generate}
 
 
 def _reject_unknown(obj, config_class, where: str) -> None:
@@ -218,8 +223,8 @@ def load_trace(run_dir: str | Path) -> list[StepRecord]:
 
 
 def _compare_row(run_dir: str | Path) -> tuple[dict, dict]:
-    """What compared runs must share (task, task seed, model, the task_params its task reads, chainkey's n_generate)
-    and the run's comparison row, from its summary.json; a summary lacking them is a configuration error naming it."""
+    """What compared runs must share (task, task seed, model, task_params, n_generate) and the run's comparison row,
+    from its summary.json; a summary lacking them is a configuration error naming it."""
     path = Path(run_dir) / "summary.json"
     with open(path, encoding="utf-8") as f:
         try:
@@ -235,10 +240,7 @@ def _compare_row(run_dir: str | Path) -> tuple[dict, dict]:
                 **{key: totals[key] for key in ("attention_flops", "kv_bytes_moved", "overhead_flops")},
                 "effective_stride_mean": s["effective_stride_mean"],
             }
-            params = {key: c["task_params"][key] for key in TASK_FIELDS[s["task"]]}
-            shared = {"task": s["task"], "seed": c["seed"], "model": c["model"], "task_params": params}
-            if s["task"] == "chainkey":
-                shared["n_generate"] = c["n_generate"]
+            shared = {"task": s["task"], **{key: c[key] for key in ("seed", "model", "task_params", "n_generate")}}
             return shared, row
         except (ValueError, LookupError, TypeError) as exc:
             raise ConfigurationError(f"{path}: {type(exc).__name__}: {exc}") from exc
