@@ -8,7 +8,8 @@ session of each tree is prefilled with the same L-token stream (an `lm`
 repeated-motif stream) and stepped over the same teacher-forced tokens,
 alternating between the trees in chunks of 10 steps: which tree
 goes first alternates from chunk to chunk, and from repetition to
-repetition. The rotary tables are grown before any step is timed, and
+repetition, where the tree that opens the first chunk is also built
+first. The rotary tables are grown before any step is timed, and
 garbage collection is off while steps are timed. Each `DecodeSession.step`
 is timed with `time.perf_counter_ns` and counted as a full step when any
 layer's mode is "full" (a scheduled full step, or a refreshkv_no_full
@@ -91,8 +92,11 @@ def build(tree: ModuleType, kind: str, schedule: dict | None, k: int, weights, p
 def measure(trees, weights, kind: str, schedule: dict | None, k: int, stream: list[int], length: int,
             first: int) -> list[tuple[list[int], list[bool]]]:
     """Each tree's step times (ns) and full flags over the stream's tail, stepped in alternating chunks; tree
-    `first` opens the first chunk. Exits with status 1 at the first step whose modes differ between the trees."""
-    sessions = [build(tree, kind, schedule, k, w, stream[:length]) for tree, w in zip(trees, weights)]
+    `first` is built first and opens the first chunk. Exits with status 1 at the first step whose modes differ
+    between the trees."""
+    sessions = [None, None]
+    for side in (first, 1 - first):  # the side built first allocates its arrays first: it alternates too
+        sessions[side] = build(trees[side], kind, schedule, k, weights[side], stream[:length])
     tokens = stream[length:]
     times: list[list[int]] = [[], []]
     modes: list[list[list[str]]] = [[], []]

@@ -21,7 +21,7 @@ arenas it lists as `partial`. Step flow, per layer up to step 4:
      probability rows, each divided out on its first read (only h2o and a
      refreshing layer read any): refreshkv refreshes the layers whose view
      took a full step in one `refresh_layers` call, streaming and h2o drop one
-     slot of each partial cache, moving the shorter side of its window, and
+     slot of each partial cache, moving the entries before it one slot on, and
      evicting top-K kinds drop every partial cache's overflow past k_sel (a
      full-attending layer has none) from the start of its eviction-ordered
      window, copying nothing. It returns each layer's LayerStep, as a top-K

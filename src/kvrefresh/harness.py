@@ -42,14 +42,16 @@ from .tasks import (
 )
 
 TASKS = ("lm", "chainkey")
-# the fields a run reads of those it may leave unread (`_optional_fields`): its task's fields, its policy kind's and,
-# under the refresh family only, the schedule; RunConfig.validate refuses any other of them off its default
+# the fields a run reads of those it may leave unread (`_optional_fields`): its task's fields, its policy kind's (but
+# k_fraction beside a set k) and, under the refresh family only, its schedule mode's; RunConfig.validate refuses any
+# other of them off its default
 TASK_FIELDS = {"lm": ("task_params.stream_length", "task_params.tail", "task_params.structure",
                       "task_params.motif_period"),
                "chainkey": ("task_params.n_keys", "task_params.chain_length", "task_params.words_per_key", "n_generate")}
 KIND_FIELDS = {"vanilla": ("kind",), "streaming": ("kind", "k", "k_fraction", "n_sink"),
                "h2o": ("kind", "k", "k_fraction"),
                **dict.fromkeys(TOP_K_KINDS, ("kind", "k", "k_fraction", "kernel_size", "evict_on_append"))}
+MODE_FIELDS = {"fixed": ("mode", "stride"), "qc": ("mode", "qc_stride", "threshold"), "never_full": ("mode",)}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -88,13 +90,13 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
-        kind, default = self.policy.kind, _optional_fields(RunConfig())
-        read = {*(f"policy.{name}" for name in KIND_FIELDS[kind]), *TASK_FIELDS[self.task],
-                *(f"schedule.{f.name}" for f in fields(ScheduleConfig) if kind in REFRESH_FAMILY)}
+        kind, mode, default = self.policy.kind, self.schedule.mode, _optional_fields(RunConfig())
+        read = {*(f"policy.{name}" for name in KIND_FIELDS[kind] if name != "k_fraction" or self.policy.k is None),
+                *TASK_FIELDS[self.task], *(f"schedule.{name}" for name in MODE_FIELDS[mode] if kind in REFRESH_FAMILY)}
         for name, value in _optional_fields(self).items():
             if name not in read and value != default[name]:
-                raise ConfigurationError(f"this {self.task} run of policy kind {kind!r} never reads {name}; "
-                                         "leave it at its default")
+                raise ConfigurationError(f"this {self.task} run of policy kind {kind!r}, budget k={self.policy.k}, "
+                                         f"schedule mode {mode!r} never reads {name}; leave it at its default")
         if not isinstance(self.out_dir, str):
             raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
         tp = self.task_params

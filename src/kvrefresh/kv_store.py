@@ -8,9 +8,11 @@ its policy holds it to one), in the session's one policy object's
 (`_Arena`): keys and values (n_kv_heads, slots, head_dim), and the
 partial cache's positions (n_kv_heads, slots). The full cache's
 positions are its slots, so it keeps none. Attention reads one head's m
-entries as a slice of the slot axis, without a copy. Either window grows
-into arenas of max(1, 2n) slots when an append finds it at its arena's
-end; the partial cache's also moves (see below). A layer's view at a decode
+entries as a slice of the slot axis, without a copy. Every arena made for
+n entries has max(1, 2n) slots: a partial cache's when it is built or
+refilled beyond its arena, and either window's when an append finds it at
+its arena's end. A removal only ever moves a partial cache's window toward
+that end (see below). A layer's view at a decode
 step is one of its two caches itself, as the policy's `view(layer, ...)`
 returns it. The view writes each fresh key/value into the caches before
 the layer attends, so every view holds the current token.
@@ -40,8 +42,8 @@ is a window of its arena:
   oldest appended one. Evicting is dropping slot 0.
 - streaming and h2o arenas are in ascending position order.
 - A partial cache's view is the window [start, start + n) of its arena:
-  dropping slot 0 moves `start` on and copies nothing, and any other drop
-  moves the shorter side of the window by one slot.
+  a drop moves the entries before the dropped one one slot on and `start`
+  with them, so dropping slot 0 copies nothing.
 
 Attention sums over a view in the order it holds, so top-K results differ
 from those over an ascending view only by rounding.
@@ -57,11 +59,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .numerics import top_k_indices
-
-# spare partial-cache slots at a refill: one append past the budget, then 32 evictions that move the
-# window on before an append finds it at the arena's end; a fixed allowance, so a refill's arena stays
-# close to its budget
-PARTIAL_SPARE = 33
 
 
 def _resized(a: np.ndarray, n: int, slots: int, key_major: bool = False) -> np.ndarray:
@@ -90,10 +87,10 @@ class _Arena:
     def __len__(self) -> int:
         return self._n
 
-    def _resize(self, slots: int, n: int) -> None:
-        """Move the window's first n entries to slot 0 of new arenas with `slots` slots, keys key-major."""
-        start = self._start
-        self._arrays = [_resized(a[:, start:], n, slots, key_major=i == 0) for i, a in enumerate(self._arrays)]
+    def _resize(self, n: int, keep: int) -> None:
+        """Move the window's first `keep` entries to slot 0 of new arenas of max(1, 2n) slots, keys key-major."""
+        start, slots = self._start, max(1, 2 * n)
+        self._arrays = [_resized(a[:, start:], keep, slots, key_major=i == 0) for i, a in enumerate(self._arrays)]
         self._start = 0
 
 
@@ -119,7 +116,7 @@ class FullCache(_Arena):
         if position != (n := self._n):
             raise ContractViolation(f"full-cache append at {position}, the cache holds positions 0 .. {n - 1}")
         if n == self._arrays[0].shape[1]:
-            self._resize(max(1, 2 * n), n)
+            self._resize(n, n)
         keys, values = self._arrays
         keys[:, n], values[:, n] = k, v
         self._n = n + 1
@@ -136,11 +133,11 @@ class PartialCache(_Arena):
 
     Every head holds the same number n of entries, in the order the module
     docstring gives for the cache's policy, in the window of its arenas:
-    keys, values and positions. A refill writes from slot 0, into the same
-    arenas when n + PARTIAL_SPARE slots fit. An append must exceed `_newest`
-    (a Python int); one that finds the window at the arena's end first moves
-    it to slot 0 of new arenas of max(1, 2n) slots, so the next move is at
-    least n appends away. Built with a (1, n) score row too, the cache keeps
+    keys, values and positions. Built or refilled beyond its arena, or
+    appended to at the arena's end, it moves to slot 0 of new arenas of
+    max(1, 2n) slots; a refill that fits writes from slot 0 of the same
+    arenas. An append must exceed `_newest` (a Python int). Removals move the
+    window toward the arena's end. Built with a (1, n) score row too, the cache keeps
     it as a fourth arena, `scores` (h2o's cumulative attention, which every
     head shares); an append leaves the new entry's score for its owner to write.
     """
@@ -149,8 +146,8 @@ class PartialCache(_Arena):
     scores = property(lambda self: self._arrays[3][:, self._start : self._start + self._n])
 
     def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray, *score):
-        n, arrays = positions.shape[1], (keys, values, positions, *score)
-        self._arrays = [_resized(a, n, n + PARTIAL_SPARE, key_major=i == 0) for i, a in enumerate(arrays)]
+        self._arrays, n = [keys, values, positions, *score], positions.shape[1]
+        self._resize(n, n)
         self._n, self._newest = n, int(positions.max()) if n else -1
 
     def sizes(self) -> list[int]:
@@ -162,8 +159,8 @@ class PartialCache(_Arena):
         (head_dim, slots) block and row-major values straight into this cache's, with no copy between;
         the slots are the positions."""
         n = slots.shape[1]
-        if n + PARTIAL_SPARE > self._arrays[0].shape[1]:
-            self._resize(n + PARTIAL_SPARE, 0)
+        if n > self._arrays[0].shape[1]:
+            self._resize(n, 0)
         self._start, self._n = 0, n
         (keys, values, positions), (full_keys, full_values) = self._arrays, full._arrays
         for h, s in enumerate(slots):  # all in range: "clip" only skips the check and buffered write of "raise"
@@ -178,32 +175,22 @@ class PartialCache(_Arena):
         if position <= self._newest:
             raise ContractViolation(f"partial-cache append out of order: {position} <= {self._newest}")
         if self._start + n == self._arrays[0].shape[1]:
-            self._resize(max(1, 2 * n), n)
+            self._resize(n, n)
         end = self._start + n
         keys, values, positions = self._arrays[:3]
         keys[:, end], values[:, end], positions[:, end] = k, v, position
         self._n, self._newest = n + 1, position
 
     def drop(self, slot: int) -> None:
-        """Remove the entry at `slot` of the window on every head, keeping the others' order.
-
-        The shorter side moves one slot: the entries before it move right and
-        the window starts one slot later, or the entries after it move left.
-        Dropping slot 0 moves nothing.
-        """
+        """Remove the entry at `slot` of the window on every head, keeping the others' order: the entries
+        before it move one slot on and the window starts one slot later, so dropping slot 0 copies nothing."""
         n, start = self._n, self._start
         if not 0 <= slot < n:
             raise ContractViolation(f"partial-cache drop of slot {slot} outside [0, {n})")
-        i = start + slot
-        if slot <= n - 1 - slot:
-            if slot:
-                for a in self._arrays:
-                    a[:, start + 1 : i + 1] = a[:, start:i]
-            self._start = start + 1
-        else:
+        if slot:
             for a in self._arrays:
-                a[:, i : start + n - 1] = a[:, i + 1 : start + n]
-        self._n = n - 1
+                a[:, start + 1 : start + slot + 1] = a[:, start : start + slot]
+        self._start, self._n = start + 1, n - 1
 
     def evict_overflow(self, capacity: int) -> None:
         """Evict until the cache holds at most `capacity` entries, in a top-K arena's eviction order: each

@@ -215,7 +215,7 @@ class FullAttention(CachePolicy):
 class Recency(CachePolicy):
     """The first n_sink positions plus the newest, budget in all (everything while it fits):
     each step appends to the ascending arena and, once over budget, drops slot n_sink, which
-    moves the sinks one slot when they are the shorter side of the window."""
+    moves the sinks one slot on."""
 
     def __init__(self, session, out):
         super().__init__(session, out)
@@ -238,8 +238,8 @@ class H2OState(CachePolicy):
     Tracks the cumulative attention each held position received as each
     layer's partial-cache `scores`: one (1, n) row, moving with the window,
     that every head shares. The arenas stay in ascending position order, so
-    the recency half is their last entries and a drop moves the shorter side
-    of the window. The budget splits into a recency half (the newest
+    the recency half is their last entries and a drop moves the entries
+    before it one slot on. The budget splits into a recency half (the newest
     positions, kept unconditionally) and a heavy half (highest cumulative
     score among the rest, ties toward the lower position). Evicted
     positions are gone for good. Requires a score observation every step.

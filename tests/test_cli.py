@@ -1,14 +1,21 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kvrefresh import harness
 from kvrefresh.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from kvrefresh.engine import teacher_forced_run
+from kvrefresh.errors import ConfigurationError
+from kvrefresh.policies import POLICY_KINDS, PolicyConfig
+from kvrefresh.scheduler import SCHEDULE_MODES, ScheduleConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHORT_LM = ["--task", "lm", "--task-params.stream-length", "16", "--task-params.tail", "4"]
@@ -42,6 +49,13 @@ UNREAD = [
     (["--task", "chainkey", "--task-params.motif-period", "8"], "task_params.motif_period"),
     (["--policy.kind", "snapkv", "--schedule.qc-stride", "3"], "schedule.qc_stride"),
     (["--policy.kind", "vanilla", "--policy.evict-on-append", "false"], "policy.evict_on_append"),
+    (["--schedule.mode", "fixed", "--schedule.threshold", "0.5", "--schedule.qc-stride", "3"], "schedule.qc_stride"),
+    (["--schedule.mode", "fixed", "--schedule.threshold", "0.5"], "schedule.threshold"),
+    (["--schedule.mode", "qc", "--schedule.stride", "3"], "schedule.stride"),
+    (["--schedule.mode", "never_full", "--schedule.stride", "3"], "schedule.stride"),
+    (["--schedule.mode", "never_full", "--schedule.threshold", "0.5"], "schedule.threshold"),
+    (["--policy.k", "8", "--policy.k-fraction", "0.5"], "policy.k_fraction"),
+    (["--policy.kind", "streaming", "--policy.k", "8", "--policy.k-fraction", "0.5"], "policy.k_fraction"),
 ]
 UNREAD_FIELDS = [flags for flags, _ in UNREAD]
 
@@ -128,6 +142,21 @@ class TestRunExitCodes:
         assert f"never reads {field}; leave it at its default" in err
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--schedule.mode", "fixed", "--schedule.stride", "3"],
+            ["--schedule.mode", "qc", "--schedule.qc-stride", "3", "--schedule.threshold", "0.5"],
+            ["--schedule.mode", "never_full"],
+            ["--policy.k", "8"],
+            ["--policy.k-fraction", "0.5"],
+            ["--policy.k", "8", "--policy.k-fraction", "0.125"],  # the default k_fraction beside a set k
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_the_fields_a_run_reads_are_accepted(self, flags, tmp_path):
+        assert main(["run", "--out", str(tmp_path), *SHORT_LM, *flags]) == EXIT_OK
+
+    @pytest.mark.parametrize(
         "document, flags",
         [("{\"policy\": {\"kind\": ", []), ("[1, 2]", ["--policy.k", "8"]), (b"\xff\xfe{}", [])],
         ids=["malformed", "list-with-override", "not-utf8"],
@@ -161,6 +190,42 @@ class TestRunExitCodes:
     def test_config_too_large_to_allocate_exits_config(self, flags, tmp_path, capsys):
         err = assert_config_error(main(["run", "--out", str(tmp_path), *flags]), capsys)
         assert "cannot be allocated" in err
+
+
+# a non-default value of each policy and schedule field, for `test_a_refused_field_changes_no_step_record`
+OFF_DEFAULT = {"policy.k": [5], "policy.k_fraction": [0.5], "policy.kernel_size": [3], "policy.n_sink": [2],
+               "policy.evict_on_append": [True, False], "schedule.mode": ["qc", "never_full"],
+               "schedule.stride": [3], "schedule.qc_stride": [3], "schedule.threshold": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_a_refused_field_changes_no_step_record(kind, desk_weights):
+    # every field RunConfig.validate refuses as unread, set off its default and run without validation, leaves
+    # every StepRecord as the run that leaves it at its default: the table never refuses a field a run reads
+    tokens = np.random.default_rng(0).integers(0, desk_weights.config.vocab_size, 56).tolist()  # L=32, 23 steps
+    refused = set()
+    for mode, k in itertools.product(SCHEDULE_MODES, (None, 4)):
+        base = harness.RunConfig(policy=PolicyConfig(kind=kind, k=k), schedule=ScheduleConfig(mode=mode),
+                                 task_params=harness.TaskConfig(stream_length=56, tail=24))
+        try:
+            base.validate()
+        except ConfigurationError:
+            continue  # a mode or k the kind never reads: the schedule.mode and policy.k variants cover it
+        records = None
+        for name, values in OFF_DEFAULT.items():
+            section, field = name.split(".")
+            for value in values:
+                config = replace(base, **{section: replace(getattr(base, section), **{field: value})})
+                try:
+                    config.validate()
+                except ConfigurationError as exc:
+                    if f"never reads {name};" in str(exc):
+                        refused.add(name)
+                        records = records or teacher_forced_run(desk_weights, base.policy, base.schedule, tokens, 24)[1]
+                        got = teacher_forced_run(desk_weights, config.policy, config.schedule, tokens, 24)[1]
+                        assert got == records, (name, value, mode, k)
+    if kind == "vanilla":
+        assert refused == set(OFF_DEFAULT)
 
 
 def test_subcommands_are_run_compare_and_self_check(capsys):

@@ -3,8 +3,9 @@
 Hypothesis draws `RunConfig.from_dict` documents around the edges that the
 config checks guard: budgets near a streaming policy's n_sink and near the
 prompt length L, and ffn_mult up to 1e308. A field the run never reads
-(a schedule a policy kind does not follow, evict_on_append on a kind that
-keeps no top-K, n_sink off streaming, a budget on vanilla, the other task's
+(a schedule a policy kind does not follow, a schedule field its mode does
+not follow, evict_on_append on a kind that keeps no top-K, n_sink off
+streaming, a budget on vanilla, k_fraction beside a set k, the other task's
 fields) is drawn one time in thirty, which keeps about 40% of documents
 valid; each other field is out of range one time in ten. No model setting bounds the positions a
 run feeds, so the strategy bounds stream_length and n_generate itself.
@@ -73,13 +74,19 @@ def documents(draw) -> dict:
             policy["k_fraction"] = mostly(draw, st.sampled_from([0.01, 0.125, 0.5, 1.0]), 0.0, 1.5)
         else:
             policy["k"] = (n_sink if near == "n_sink" else prompt_length) + draw(st.integers(-2, 2))
+            if rarely():  # a set k wins over k_fraction
+                policy["k_fraction"] = 0.5
     if draw(st.booleans()) if kind in TOP_K_KINDS else rarely():  # other kinds keep no top-K
         policy["evict_on_append"] = draw(st.booleans())
     doc["policy"] = policy
     if draw(st.booleans()) if kind in REFRESH_FAMILY else rarely():  # other kinds follow none
-        doc["schedule"] = {"mode": mostly(draw, st.sampled_from(SCHEDULE_MODES), "always_full"),
-                           "stride": mostly(draw, st.integers(1, 4), 0), "qc_stride": draw(st.integers(1, 4)),
-                           "threshold": mostly(draw, st.sampled_from([-1.0, 0.0, 0.9, 1.0]), 1.5, float("nan"))}
+        mode = mostly(draw, st.sampled_from(SCHEDULE_MODES), "always_full")
+        reads = {"fixed": ("stride",), "qc": ("qc_stride", "threshold")}.get(mode, ())
+        doc["schedule"] = {"mode": mode}
+        for name, value in (("stride", mostly(draw, st.integers(1, 4), 0)), ("qc_stride", draw(st.integers(1, 4))),
+                            ("threshold", mostly(draw, st.sampled_from([-1.0, 0.0, 0.9, 1.0]), 1.5, float("nan")))):
+            if name in reads or rarely():  # a field its mode never reads, one time in thirty
+                doc["schedule"][name] = value
     if not draw(st.integers(0, 2)):
         # no ffn_mult between 4 and 1e9: its weights would be allocated for real
         doc["model"] = {"ffn_mult": mostly(draw, st.sampled_from([1.0, 2.0, 4.0]), 0.001, 1e12, 1e20, 1e300, 1e308,

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from kvrefresh import engine, kv_store
+from kvrefresh import engine
 from kvrefresh.engine import DecodeSession, greedy_generate, teacher_forced_run
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.metrics import score_pass_flops, selection_overhead_flops
@@ -687,24 +687,26 @@ class TestArena:
         ref = full_forward(desk_weights, stream[:-1])[32:]
         assert np.max(np.abs(np.array(logits) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_grow_only_partial_cache_outgrowing_its_slack_changes_nothing(self, desk_weights, rng, monkeypatch):
-        n_steps = 40  # past the K + PARTIAL_SPARE = 41 slots a refill leaves a K=8 cache
+    def test_grow_only_partial_cache_outgrowing_its_arena_changes_nothing(self, desk_weights, rng):
+        n_steps = 40  # a K=8 cache starts in 16 slots: the 9th append moves it into 32, the 25th into 64
         stream = toks(rng, desk_weights.config, 20 + n_steps)
 
-        def run():
+        def run(roomy):
             session = DecodeSession(desk_weights, PolicyConfig(kind="snapkv", k=8))
             logits = [session.prefill(stream[:20]).logits]
+            if roomy:  # room for every step from the start: arenas of 2 * (8 + n_steps) slots
+                for cp in session.partial:
+                    cp._resize(8 + n_steps, 8)
             logits += [session.step(tok)[0].logits for tok in stream[20:]]
             return session, logits
 
-        grown, logits = run()
+        grown, logits = run(False)
         for cp in grown.partial:
             assert cp.sizes() == [8 + n_steps] * desk_weights.config.n_kv_heads
-            assert cp._arrays[0].shape[1] == 2 * 41  # the full window moved into arenas twice its size
+            assert cp._arrays[0].shape[1] == 64  # the full window moved into arenas twice its size, twice
             assert (cp.positions[:, 8:] == np.arange(20, 20 + n_steps)).all()
-        monkeypatch.setattr(kv_store, "PARTIAL_SPARE", n_steps + 1)  # room for every step from the start
-        roomy, roomy_logits = run()
-        assert all(cp._arrays[0].shape[1] == 8 + n_steps + 1 for cp in roomy.partial)
+        roomy, roomy_logits = run(True)
+        assert all(cp._arrays[0].shape[1] == 2 * (8 + n_steps) for cp in roomy.partial)
         assert np.array_equal(logits, roomy_logits)
         for a, b in zip(grown.partial, roomy.partial):
             assert np.array_equal(a.keys, b.keys) and np.array_equal(a.positions, b.positions)

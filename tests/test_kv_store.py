@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from kvrefresh import kv_store
 from kvrefresh.engine import DecodeSession
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.kv_store import FullCache, PartialCache, init_partial
@@ -224,7 +223,7 @@ class TestAppendAndEvict:
     def test_size_never_exceeds_capacity_with_evict(self, rng):
         scores = rng.uniform(size=8)
         cp = self.make_cp(rng, scores, 8)
-        for pos in range(8, 60):  # past the drift allowance: the window moves back to slot 0 on the way
+        for pos in range(8, 60):  # past the arena's end, six times: the window moves back to slot 0 on the way
             append_and_evict(cp, pos, *entry(rng), capacity=8)
             assert all(s <= 8 for s in cp.sizes())
             assert_eviction_order(cp, np.tile(scores, (N_KV, 1)))
@@ -279,7 +278,7 @@ class TestAppendAndEvict:
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_equal_slot_drop_matches_np_delete_per_head(self, rng, where):
-        # a drop takes the same slot on every head and moves the shorter side (streaming, h2o)
+        # a drop takes the same slot on every head and moves the entries before it on (streaming, h2o)
         n = 9
         cp = self.make_cp(rng, rng.uniform(size=n), n)
         for pos in range(n, n + 3):  # the window no longer starts at slot 0
@@ -293,7 +292,7 @@ class TestAppendAndEvict:
         assert_key_major(cp._arrays[0])
 
     def test_drop_of_every_slot_matches_np_delete(self, rng):
-        # both sides of the window, for odd and even lengths, without and with an h2o score row
+        # every slot, for odd and even lengths, without and with an h2o score row
         for n in (1, 2, 5, 6):
             for slot, scored in itertools.product(range(n), (False, True)):
                 cp = self.make_cp(rng, rng.uniform(size=n), n)
@@ -497,7 +496,7 @@ class TestRefresh:
         scores = rng.uniform(size=(N_KV, 20))
         topk_cache(full, scores, 12, into=cp)
         assert cp.sizes() == [12] * N_KV
-        assert cp._arrays[0].shape[1] == 12 + kv_store.PARTIAL_SPARE
+        assert cp._arrays[0].shape[1] == 2 * 12
         assert_eviction_order(cp, scores)
         for h in range(N_KV):
             np.testing.assert_array_equal(np.sort(cp.positions[h]), brute_force_top_k(scores[h], 12))
@@ -526,12 +525,12 @@ class TestWindow:
         assert_holds(cp, ref)
         return cp, arena
 
-    @pytest.mark.parametrize("n", [0, 1, 5, 8, 8 + kv_store.PARTIAL_SPARE])
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 16])
     def test_a_window_of_any_length_at_the_arenas_end_moves_into_twice_its_length(self, rng, n):
-        # a K=8 refill leaves 8 + 33 slots; 33 appends fill them (grow-only, as snapkv's), and evicting
-        # down to n leaves the window's last n entries at the arena's end (n = 41: the whole arena)
+        # a K=8 cache starts in 16 slots; 8 appends fill them (grow-only, as snapkv's), and evicting
+        # down to n leaves the window's last n entries at the arena's end (n = 16: the whole arena)
         cp = topk_cache(make_full(8, rng), rng.uniform(size=(N_KV, 8)), 8)
-        for pos in range(8, 8 + kv_store.PARTIAL_SPARE):
+        for pos in range(8, 16):
             cp.append(pos, *entry(rng))
         cp.evict_overflow(n)
         assert cp._start + len(cp) == cp._arrays[0].shape[1]
@@ -548,16 +547,16 @@ class TestWindow:
 
     @pytest.mark.parametrize("k", [1, 8, 40])
     def test_evicting_windows_follow_the_reference_across_moves(self, rng, k):
-        # 200 appends and evictions: the 34th moves the k entries into 2k slots, and so does every k-th after
+        # 200 appends and evictions: the (k+1)-th moves the k entries into 2k new slots, and so does every k-th after
         cp, arena = self.evicting(rng, k, 200)
         assert cp._arrays[0] is not arena and cp._arrays[0].shape[1] == 2 * k
         assert_key_major(cp._arrays[0])
 
-    def test_the_drift_allowance_holds_no_move(self, rng):
-        # 33 appends and evictions fit the arena a refill leaves: the window ends at its last slot
-        cp, arena = self.evicting(rng, 8, kv_store.PARTIAL_SPARE)
-        assert cp._arrays[0] is arena and cp._start + 8 == arena.shape[1]
-        append_and_evict(cp, 8 + kv_store.PARTIAL_SPARE, *entry(rng), capacity=8)
+    def test_k_appends_and_evictions_fit_the_arena_a_cache_starts_in(self, rng):
+        # a K=8 cache starts in 16 slots: after 8 appends and evictions the window ends at its last slot
+        cp, arena = self.evicting(rng, 8, 8)
+        assert cp._arrays[0] is arena and cp._start + 8 == arena.shape[1] == 16
+        append_and_evict(cp, 16, *entry(rng), capacity=8)
         assert cp._arrays[0].shape[1] == 16 and cp._start == 1  # moved to slot 0 of 16 slots, then evicted from it
 
 
@@ -604,25 +603,25 @@ def test_session_held_sets_follow_the_reference_every_step(desk_weights, rng, ki
 
 @pytest.mark.parametrize("kind", ["streaming", "h2o"])
 def test_streaming_and_h2o_drops_match_np_delete_bitwise(desk_weights, rng, monkeypatch, kind):
-    # their arenas stay ascending: every drop leaves exactly np.delete's arrays, whichever side it moves
-    drop, sides = PartialCache.drop, set()
+    # their arenas stay ascending: every drop leaves exactly np.delete's arrays, and moves the window
+    # one slot toward its arena's end, in the same arenas
+    drop = PartialCache.drop
 
     def checked(self, slot):
-        expected = np_delete(self, slot)
-        sides.add(slot <= self.sizes()[0] - 1 - slot)
+        expected, arrays, start = np_delete(self, slot), list(self._arrays), self._start
         drop(self, slot)
         assert len(self._arrays) == (4 if kind == "h2o" else 3)  # only h2o keeps a score arena
+        assert all(a is b for a, b in zip(self._arrays, arrays, strict=True)) and self._start == start + 1
         for got, want in zip(windows(self), expected, strict=True):
             np.testing.assert_array_equal(got, want)
         assert (np.diff(self.positions, axis=1) > 0).all()
 
     monkeypatch.setattr(PartialCache, "drop", checked)
     stream = rng.integers(0, desk_weights.config.vocab_size, 48 + 80).tolist()
-    for budget in (4, 6, 40):  # 40: the window outgrows its drift allowance and moves into a larger arena
+    # streaming drops slot n_sink: behind the sinks at budget 40, past the middle at budgets 4 and 6; h2o's
+    # candidates are the heavy half, left of the middle; at every budget the window moves into new arenas
+    for budget in (4, 6, 40):
         session = DecodeSession(desk_weights, PolicyConfig(kind=kind, k=budget, n_sink=4))
         session.prefill(stream[:48])
         for token in stream[48:]:
             session.step(token)
-    # streaming drops slot n_sink: behind the sinks at budget 40, past the middle at budgets 4 and 6;
-    # h2o's candidates are the heavy half, left of the middle
-    assert sides == ({True, False} if kind == "streaming" else {True})
