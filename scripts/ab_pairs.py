@@ -12,6 +12,10 @@ parent's by more than the metric's `bound` is marked OVER BOUND. A metric
 whose parent runs spread wider than its bound, (q3 - q1) / median, is
 marked UNRESOLVED: its move cannot be told from the noise, unless every
 change run reads better than every parent run, which leaves it unmarked.
+A metric on which the change won at least nine tenths of ten or more
+pairs, with its median better than the parent's by more than the parent's
+quartile distance (q3 - q1), is marked GAIN: the rule a claimed gain must
+meet.
 The script prints one such block per workload, headed by its runs' JSON.
 
 `--workload` takes one or more names, or `all`: every workload that
@@ -83,6 +87,8 @@ def summarise(end_to_end: list[dict], results: dict[str, list[dict]]) -> list[st
         spread = (p3 - p1) / parent if parent else 0.0
         if spread > spec["bound"] and min(sign * c for c in change_values) <= max(sign * p for p in parent_values):
             marks += f"  UNRESOLVED (parent spread {spread:.1%})"
+        if len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and sign * (change - parent) > p3 - p1:
+            marks += "  GAIN"
         lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
                      f"parent {parent:.4g} [{p1:.4g}, {p3:.4g}]  change {change:.4g} [{c1:.4g}, {c3:.4g}]  "
                      f"{move:+.1%}  change better in {wins}/{len(pairs)}{marks}")

@@ -22,6 +22,13 @@ beside each tree's median p50 in µs. The two trees must take the same
 steps: a step whose modes differ between them would compare different
 work, so the script stops there with exit status 1.
 
+An in-process move can read the opposite sign from the end-to-end one
+when a change moves when, or how large, an array is allocated: both trees
+share one heap here, where each end-to-end run starts from a fresh one.
+Giving the prompt's full cache its doubled arena at the prefill read the
+mean step -8.8% in one process (whole sessions alternating), and
+chainkey-4k `decode_tok_per_s` -3.0% end to end (better in 0 of 8 pairs).
+
 Sessions: vanilla, streaming, h2o, snapkv, refreshkv (fixed stride 10),
 refreshkv-qc (qc_stride 10, threshold 0.95, so boundaries go full),
 refreshkv_no_refresh and refreshkv_no_full (fixed stride 10); every one

@@ -1,21 +1,27 @@
 """Per-layer key/value stores for the decoding engine.
 
-Two stores per layer: the full cache (every token seen so far, never
-evicted), in the session's `full` list, and, for every budgeted policy,
-the partial cache (a subset, held per kv-head, which keeps no budget:
-its policy holds it to one), in the session's one policy object's
-`partial` list. Both are a window of one layout of head-major arenas
-(`_Arena`): keys and values (n_kv_heads, slots, head_dim), and the
-partial cache's positions (n_kv_heads, slots). The full cache's
-positions are its slots, so it keeps none. Attention reads one head's m
-entries as a slice of the slot axis, without a copy. Every arena made for
-n entries has max(1, 2n) slots: a partial cache's when it is built or
+Two stores per layer, both allocated only here: the full cache (every token
+seen so far, never evicted, made from its shape), in the session's `full`
+list, and, for every budgeted policy, the partial cache (a subset of the
+full cache's entries, taken with `full.gather`, held per kv-head; it keeps
+no budget: its policy holds it to one), in the session's one policy
+object's `partial` list. Both are a window of one layout of head-major
+arenas (`_Arena`): keys and values (n_kv_heads, slots, head_dim), and the
+partial cache's positions (n_kv_heads, slots). The full cache's positions
+are its slots, so it keeps none. Attention reads one head's m entries as a
+slice of the slot axis, without a copy. A layer's view at a decode step is
+one of its two caches itself, as the policy's `view(layer, ...)` returns
+it. The view writes each fresh key/value into the caches before the layer
+attends, so every view holds the current token.
+
+The prompt's full cache is made with exactly L slots, which the prefill
+writes, and doubles at its first append. Every other arena made for n
+entries has max(1, 2n) slots: a partial cache's when it is built or
 refilled beyond its arena, and either window's when an append finds it at
-its arena's end. A removal only ever moves a partial cache's window toward
-that end (see below). A layer's view at a decode
-step is one of its two caches itself, as the policy's `view(layer, ...)`
-returns it. The view writes each fresh key/value into the caches before
-the layer attends, so every view holds the current token.
+its arena's end. Giving the prompt's cache max(1, 2L) slots at the prefill
+read chainkey-4k decode_tok_per_s -3.0% and peak_rss_mb +6.4% end to end
+(better in 0 of 8 pairs), though one process read its mean step -8.8%. A
+removal only moves a partial cache's window toward that end (see below).
 
 Key arenas are key-major: the array keeps its (n_kv_heads, slots,
 head_dim) shape, but each head's keys are stored as one C-contiguous
@@ -61,17 +67,12 @@ from .errors import ConfigurationError, ContractViolation
 from .numerics import top_k_indices
 
 
-def _resized(a: np.ndarray, n: int, slots: int, key_major: bool = False) -> np.ndarray:
-    """A copy of a's first n slots (axis 1) in an array with `slots` of them. With key_major, a is an
-    (n_kv_heads, slots, head_dim) key arena and the copy stores each head as one C-contiguous (head_dim,
-    slots) block; the flag is explicit because an arena with 0 or 1 slots has strides that fit either layout."""
-    shape = (a.shape[0], slots) + a.shape[2:]
+def _empty(shape: tuple, dtype=np.float64, key_major: bool = False) -> np.ndarray:
+    """An uninitialised arena of `shape`; key_major stores each head of an (n_kv_heads, slots, head_dim) shape as one
+    C-contiguous (head_dim, slots) block (explicit: an arena of 0 or 1 slots has strides that fit either layout)."""
     if key_major:  # memory (n_kv_heads, head_dim, slots), seen as (n_kv_heads, slots, head_dim)
-        out = np.empty((shape[0], shape[2], shape[1]), a.dtype).transpose(0, 2, 1)
-    else:
-        out = np.empty(shape, a.dtype)
-    out[:, :n] = a[:, :n]
-    return out
+        return np.empty((shape[0], shape[2], shape[1]), dtype).transpose(0, 2, 1)
+    return np.empty(shape, dtype)
 
 
 class _Arena:
@@ -89,9 +90,11 @@ class _Arena:
 
     def _resize(self, n: int, keep: int) -> None:
         """Move the window's first `keep` entries to slot 0 of new arenas of max(1, 2n) slots, keys key-major."""
-        start, slots = self._start, max(1, 2 * n)
-        self._arrays = [_resized(a[:, start:], keep, slots, key_major=i == 0) for i, a in enumerate(self._arrays)]
-        self._start = 0
+        start, slots, arrays = self._start, max(1, 2 * n), []
+        for i, a in enumerate(self._arrays):
+            arrays.append(out := _empty((a.shape[0], slots) + a.shape[2:], a.dtype, key_major=i == 0))
+            out[:, :keep] = a[:, start : start + keep]
+        self._arrays, self._start = arrays, 0
 
 
 class FullCache(_Arena):
@@ -101,15 +104,15 @@ class FullCache(_Arena):
     (n_kv_heads, n) broadcast of arange(n) and an append must be at position
     len(cache). `keys` and `values` ((n_kv_heads, n, head_dim), keys rotated)
     are the window at slot 0 of its two arenas: an append writes one slot per
-    head and copies only when they double. `_forward` hands the prefill's
-    keys over key-major and every doubling keeps it.
+    head and copies only when they double. Built for n positions, it holds
+    them in exactly n slots, which its builder writes through the windows.
     """
 
     positions = property(lambda self: np.broadcast_to(np.arange(self._n), (len(self._heads), self._n)))
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray):
-        self._arrays, self._n = [keys, values], keys.shape[1]
-        self._heads = np.arange(keys.shape[0])[:, None]
+    def __init__(self, n_kv_heads: int, n: int, head_dim: int):
+        self._arrays = [_empty((n_kv_heads, n, head_dim), key_major=True), _empty((n_kv_heads, n, head_dim))]
+        self._n, self._heads = n, np.arange(n_kv_heads)[:, None]
 
     def append(self, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write position len(cache)'s (n_kv_heads, head_dim) key and value in place."""
@@ -133,7 +136,8 @@ class PartialCache(_Arena):
 
     Every head holds the same number n of entries, in the order the module
     docstring gives for the cache's policy, in the window of its arenas:
-    keys, values and positions. Built or refilled beyond its arena, or
+    keys, values and positions, built as `full.gather(slots)` (empty for a
+    cache `init_partial` fills). Built or refilled beyond its arena, or
     appended to at the arena's end, it moves to slot 0 of new arenas of
     max(1, 2n) slots; a refill that fits writes from slot 0 of the same
     arenas. An append must exceed `_newest` (a Python int). Removals move the
@@ -145,7 +149,8 @@ class PartialCache(_Arena):
     positions = property(lambda self: self._arrays[2][:, self._start : self._start + self._n])
     scores = property(lambda self: self._arrays[3][:, self._start : self._start + self._n])
 
-    def __init__(self, positions: np.ndarray, keys: np.ndarray, values: np.ndarray, *score):
+    def __init__(self, full: FullCache, slots: np.ndarray, *score):
+        positions, keys, values = full.gather(slots)
         self._arrays, n = [keys, values, positions, *score], positions.shape[1]
         self._resize(n, n)
         self._n, self._newest = n, int(positions.max()) if n else -1

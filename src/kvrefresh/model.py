@@ -44,9 +44,6 @@ every kv head's query group its exponentials over its own (m, head_dim)
 keys in the cache's head-major window, and their row sums. As in the
 prefill, the sums divide the context after the value product, and a
 layer's probability rows are divided only when read (`AttentionRows`).
-
-Keys are stored key-major (see `kv_store`), so the logit products of
-`attention_rows` and `causal_attention` run as NN GEMMs.
 """
 
 from __future__ import annotations
@@ -278,7 +275,7 @@ def attention_rows(q: np.ndarray, keys: np.ndarray, group: int) -> tuple[np.ndar
     kv head j // group's keys."""
     n_kv, _, d = keys.shape
     qs = q * (1.0 / math.sqrt(d))  # the same float as 1.0 / np.sqrt(d), without a numpy scalar
-    logits = qs.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1)  # NN GEMM per head on key-major keys
+    logits = qs.reshape(n_kv, group, d) @ keys.transpose(0, 2, 1)  # one GEMM per kv head (layout: see kv_store)
     return softmax_rows(logits, logits)  # in place; `out` positional, as TestTraceSpans' wrapper forwards only *args
 
 
@@ -336,7 +333,8 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
     """The layer pass `full_forward` and `prefill` share, PREFILL_CHUNK rows at a time.
 
     Each chunk of a layer runs the norm, the `wqkv` projection and RoPE on its
-    rows, writes its keys and values into the layer's whole-prompt arrays,
+    rows, writes its keys and values into the layer's `FullCache` (built
+    for all L positions) through its `keys` and `values` windows,
     attends its queries over the keys up to its last row, and adds `wo` and
     `_ffn` to its rows in place. Every stage is exact per row, and every
     chunk starts at a block boundary and has at least two rows (see
@@ -344,10 +342,9 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
     `last_rows_only` the last layer runs attention, `wo` and `_ffn` only for
     rows `first` = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK on, and its
     chunks below `first` project and rotate only keys and values.
-    Returns the final hidden states of the rows kept and per layer the rotated
-    keys and the values, head-major (n_kv_heads, L, head_dim) in the cache's
-    layout (see `kv_store`), the last position's rotated queries and
-    causal_attention's last-position rows.
+    Returns the final hidden states of the rows kept and per layer its cache,
+    the last position's rotated queries and causal_attention's last-position
+    rows.
     """
     cfg = weights.config
     toks = _check_sequence(cfg, tokens)
@@ -360,8 +357,8 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
     for i, lw in enumerate(weights.layers):
         if last_rows_only and i == cfg.n_layers - 1:
             first = max(L - 2, 0) // ATTN_BLOCK * ATTN_BLOCK
-        k = np.empty((n_kv, d, L)).transpose(0, 2, 1)  # key-major
-        v = np.empty((n_kv, L, d))
+        cache = FullCache(n_kv, L, d)
+        k, v = cache.keys, cache.values
         for s, e in _row_chunks(L, first):
             xs, queried = x[s:e], e > first  # nothing reads the queries of rows below `first`
             qkv = (_rms_norm(xs) @ lw.wqkv[:, 0 if queried else n_q * d :]).reshape(e - s, -1, d)
@@ -372,7 +369,7 @@ def _forward(weights: ModelWeights, tokens: Sequence[int], last_rows_only: bool)
                 ctx, last_rows = causal_attention(qk[:, :n_q], k[:, :e], v[:, :e], cfg.group_size)
                 xs += ctx.reshape(e - s, -1) @ lw.wo
                 xs += _ffn(xs, lw)
-        layers.append((k, v, qk[-1, :n_q].copy(), last_rows))  # a copy: a view would keep the chunk alive
+        layers.append((cache, qk[-1, :n_q].copy(), last_rows))  # a copy: a view would keep the chunk alive
     return x[first:], layers
 
 
@@ -392,10 +389,8 @@ def prefill(weights: ModelWeights, tokens: Sequence[int]) -> tuple[list[FullCach
     the all-rows pass (see `_forward`).
     """
     x, layers = _forward(weights, tokens, last_rows_only=True)
-    caches = [FullCache(k, v) for k, v, _, _ in layers]
-    rows = [last_rows for *_, last_rows in layers]
-    logits = _rms_norm(x[-1]) @ weights.w_out
-    return caches, StepOutput(logits, [q for _, _, q, _ in layers], rows)
+    caches, queries, rows = (list(column) for column in zip(*layers))
+    return caches, StepOutput(_rms_norm(x[-1]) @ weights.w_out, queries, rows)
 
 
 def decode_core(

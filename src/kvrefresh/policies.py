@@ -223,7 +223,7 @@ class Recency(CachePolicy):
         keep = np.arange(L)
         if L > self.budget:
             keep = np.concatenate([keep[:n_sink], keep[L - (self.budget - n_sink) :]])
-        self.partial = [PartialCache(*full.gather(keep)) for full in self.full]
+        self.partial = [PartialCache(full, keep) for full in self.full]
 
     def update(self, step, rows):
         for cp in self.partial:
@@ -258,8 +258,7 @@ class H2OState(CachePolicy):
             keep = keep[:, recent_start:]
             if self.heavy_n:  # top heavy_n by (sum desc, position asc), in ascending order, every layer at once
                 keep = np.concatenate([top_k_indices(rows[:, :recent_start], self.heavy_n), keep], axis=1)
-        self.partial = [PartialCache(*full.gather(kept), row[None, kept])
-                        for full, kept, row in zip(self.full, keep, rows)]
+        self.partial = [PartialCache(full, kept, row[None, kept]) for full, kept, row in zip(self.full, keep, rows)]
 
     def keepset(self, layer: int) -> np.ndarray:
         """The positions the layer holds, ascending: a view of its arena, valid until its next write."""
@@ -316,7 +315,7 @@ class TopK(CachePolicy):
         self.appends_full = self.kind != "snapkv"
         self.steps = [PARTIAL_STEP] * len(self.full)
         # the partial caches start empty, and one init_partial call fills them all
-        self.partial = [PartialCache(f.positions[:, :0], f.keys[:, :0], f.values[:, :0]) for f in self.full]
+        self.partial = [PartialCache(full, np.arange(0)) for full in self.full]
         rows = [head for layer_rows in out.attn_rows for head in layer_rows]
         init_partial(self.full, selection_scores(rows, self.config), self.k_sel, self.partial)
         self.reference_query = [mean_query(q) for q in out.queries]

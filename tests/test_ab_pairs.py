@@ -81,6 +81,27 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(ab_pairs):
     assert ab_pairs.summarise(SPEC, results)[0].endswith("UNRESOLVED (parent spread 30.0%)")
 
 
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parents_quartiles(ab_pairs):
+    # parent p50 quartiles 99.25 and 100.75 around 100; tok/s ties on every pair, so it is never a gain
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    results = {"parent": runs(ab_pairs, parent, [10] * 10), "change": runs(ab_pairs, [90] * 9 + [105], [10] * 10)}
+    p50, tok = ab_pairs.summarise(SPEC, results)
+    assert p50.endswith("-10.0%  change better in 9/10  GAIN")
+    assert tok.endswith("change better in 0/10")
+    results["change"] = runs(ab_pairs, [90] * 9 + [100], [10] * 10)  # a tie counts for neither side
+    assert ab_pairs.summarise(SPEC, results)[0].endswith("change better in 9/10  GAIN")
+    results["change"] = runs(ab_pairs, [90] * 8 + [105, 105], [10] * 10)  # 8 of 10 wins
+    assert ab_pairs.summarise(SPEC, results)[0].endswith("-10.0%  change better in 8/10")
+    results = {side: side_runs[:9] for side, side_runs in results.items()}
+    results["change"][8] = results["change"][0]  # 9 of 9 wins, but fewer than ten pairs
+    assert ab_pairs.summarise(SPEC, results)[0].endswith("change better in 9/9")
+    # parent quartiles 92.5 and 107.5: 9 of 10 wins by 5 each, a gap inside the parent's quartile distance of 15
+    parent = [100, 110, 90, 100, 110, 90, 100, 110, 90, 100]
+    change = [p - 5 for p in parent[:9]] + [parent[9] + 5]
+    results = {"parent": runs(ab_pairs, parent, [10] * 10), "change": runs(ab_pairs, change, [10] * 10)}
+    assert ab_pairs.summarise(SPEC, results)[0].endswith("-5.0%  change better in 9/10")
+
+
 def test_a_metric_no_pair_reports_is_named(ab_pairs):
     results = {"parent": [ab_pairs.result_of(stdout({}))], "change": [ab_pairs.result_of(stdout({}))]}
     assert ab_pairs.summarise(SPEC[:1], results) == ["decode_us_p50: no pair reports it"]

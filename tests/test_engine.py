@@ -665,7 +665,7 @@ class TestArena:
         stream = toks(rng, desk_weights.config, 20 + 16)  # 20 -> 40 slots at the first decode step
         session.prefill(stream[:20])
         for cache in session.full:
-            assert_key_major(cache.keys)  # the prefill's keys, handed over without a copy: the whole arena
+            assert_key_major(cache.keys)  # the prefill wrote its keys into the whole arena
         for tok in stream[20:]:
             seen.clear()
             session.step(tok)

@@ -21,14 +21,16 @@ def brute_force_top_k(scores, k):
 def topk_cache(full, scores, k, into=None):
     """One layer through init_partial: `into`, or a new cache, refilled with each head's top-k under the scores."""
     if into is None:
-        into = PartialCache(full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
+        into = PartialCache(full, np.arange(0))
     init_partial([full], scores, k, [into])
     return into
 
 
 def make_full(n, rng):
-    """A full cache over the prompt positions 0 .. n-1, its slots."""
-    return FullCache(rng.normal(size=(N_KV, n, DIM)), rng.normal(size=(N_KV, n, DIM)))
+    """A full cache over the prompt positions 0 .. n-1, its slots, written through its windows as the prefill writes it."""
+    full = FullCache(N_KV, n, DIM)
+    full.keys[:], full.values[:] = rng.normal(size=(N_KV, n, DIM)), rng.normal(size=(N_KV, n, DIM))
+    return full
 
 
 def append_and_evict(cp, position, k, v, capacity=None):
@@ -295,9 +297,10 @@ class TestAppendAndEvict:
         # every slot, for odd and even lengths, without and with an h2o score row
         for n in (1, 2, 5, 6):
             for slot, scored in itertools.product(range(n), (False, True)):
-                cp = self.make_cp(rng, rng.uniform(size=n), n)
+                scores, full = rng.uniform(size=n), make_full(n, rng)
+                cp = topk_cache(full, np.tile(scores, (N_KV, 1)), n)
                 if scored:
-                    cp = PartialCache(cp.positions, cp.keys, cp.values, rng.uniform(size=(1, n)))
+                    cp = PartialCache(full, cp.positions, rng.uniform(size=(1, n)))
                 expected = np_delete(cp, slot)
                 cp.drop(slot)
                 for got, want in zip(windows(cp), expected, strict=True):
@@ -345,7 +348,9 @@ class TestFullCacheAppend:
         np.testing.assert_array_equal(full.keys[:, :4], prompt_keys)
 
     def test_doubling_makes_the_key_arena_key_major(self, rng):
-        full = make_full(4, rng)  # row-major prompt keys
+        full = make_full(4, rng)
+        assert full._arrays[0].shape[1] == 4  # the prompt's arenas hold exactly its positions
+        assert_key_major(full._arrays[0])
         prompt_keys = full.keys.copy()
         k, v = entry(rng)
         full.append(4, k, v)
@@ -391,6 +396,19 @@ class TestFullCacheAppend:
             full.append(pos, *entry(rng))
             if len(full) > 1:
                 assert_key_major(full._arrays[0])
+
+
+def test_a_partial_cache_holds_only_entries_its_full_cache_holds(rng):
+    full = make_full(4, rng)
+    full.append(4, *entry(rng))  # 5 positions in an arena of 8 slots
+    slots = np.array([[4, 0], [2, 3]])
+    cp = PartialCache(full, slots)
+    np.testing.assert_array_equal(cp.positions, slots)
+    for h in range(N_KV):
+        np.testing.assert_array_equal(cp.keys[h], full.keys[h][slots[h]])
+        np.testing.assert_array_equal(cp.values[h], full.values[h][slots[h]])
+    with pytest.raises(IndexError):
+        PartialCache(full, np.array([5]))  # a slot of the arena that holds no position yet
 
 
 class TestPendingAndMerge:

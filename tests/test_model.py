@@ -38,10 +38,6 @@ def random_tokens(rng, cfg, n):
     return rng.integers(0, cfg.vocab_size, size=n).tolist()
 
 
-def cache_views(caches):
-    return [(c.keys, c.values, c.positions) for c in caches]
-
-
 def assert_normwise_close(a, b, rtol=1e-12):
     """max |a - b| <= rtol * max |b|; entries near zero do not void the bound."""
     a, b = np.asarray(a), np.asarray(b)
@@ -124,28 +120,23 @@ def whole_prompt_forward(weights, tokens):
     return x, layers
 
 
-def decode_step(weights, token, views, position, row_major_keys=False):
-    """Decode one token over fixed per-layer views of past cache entries.
+def decode_step(weights, token, caches, position, slots=None, row_major_keys=False):
+    """Decode one token at `position` over fixed per-layer views of each layer's cache, which it leaves as it is.
 
-    Each view is (keys, values, positions) with keys/values shaped
-    (n_kv_heads, m, head_dim) and positions (n_kv_heads, m); entries may be any subset of past tokens in
-    any order, carrying their original absolute positions (keys already
-    rotated). The provider appends the current token's key/value to every
-    head before handing the view over, as a session's store would. The
-    view is a PartialCache over the extended arrays, which holds any
-    positions in any order, its keys key-major like every cache's; with
-    row_major_keys its key arena is swapped for a row-major copy of the
-    extended keys (np.concatenate follows its inputs' memory order).
+    Each layer's view is a PartialCache of its cache's entries at `slots`
+    (every entry in slot order by default; (n_kv_heads, m) per head, or (m,)
+    that every head shares, any subset in any order), keys key-major like
+    every cache's, with the current token's key/value appended, as a
+    session's store would. With row_major_keys its key arena is swapped for
+    a row-major copy.
     """
 
     def provider(layer_idx, q, k_new, v_new):
-        keys, values, positions = views[layer_idx]
-        keys = np.concatenate([keys, k_new[:, None]], axis=1)
-        values = np.concatenate([values, v_new[:, None]], axis=1)
-        positions = np.append(positions, np.full((len(positions), 1), position), axis=1)
-        view = PartialCache(positions, keys, values)
+        cache = caches[layer_idx]
+        view = PartialCache(cache, np.arange(len(cache)) if slots is None else slots)
+        view.append(position, k_new, v_new)
         if row_major_keys:
-            view._arrays[0] = keys  # the window is slots [0, m + 1) of every arena
+            view._arrays[0] = np.ascontiguousarray(view._arrays[0])  # the window stays where it was
         return view
 
     return decode_core(weights, token, position, provider)
@@ -213,7 +204,7 @@ class TestPrefill:
         toks = random_tokens(rng, desk_weights.config, 20)
         caches, out = prefill(desk_weights, toks)
         nxt = int(np.argmax(out.logits))
-        step_out = decode_step(desk_weights, nxt, cache_views(caches), position=len(toks))
+        step_out = decode_step(desk_weights, nxt, caches, position=len(toks))
         _, re_out = prefill(desk_weights, toks + [nxt])
         rel_close(step_out.logits, re_out.logits)
 
@@ -230,9 +221,9 @@ class TestPrefill:
         assert x.shape[0] == length  # the pass full_forward runs keeps every row
         assert np.array_equal(out.logits, model._rms_norm(x[-1]) @ weights.w_out)
         assert len(out.attn_rows) == len(out.queries) == len(caches) == len(layers) == n_layers
-        for rows, q, cache, (k, v, ref_q, ref_rows) in zip(out.attn_rows, out.queries, caches, layers):
+        for rows, q, cache, (ref, ref_q, ref_rows) in zip(out.attn_rows, out.queries, caches, layers):
             assert np.array_equal(rows, ref_rows) and np.array_equal(q, ref_q)
-            assert np.array_equal(cache.keys, k) and np.array_equal(cache.values, v)
+            assert np.array_equal(cache.keys, ref.keys) and np.array_equal(cache.values, ref.values)
             assert np.array_equal(cache.positions, np.broadcast_to(np.arange(length), (n_kv, length)))
 
     @pytest.mark.parametrize("length", [1, 2, 255, 256, 257, 258, 296, 513, 1000])
@@ -401,29 +392,30 @@ class TestDecodeStep:
     def test_full_view_matches_from_scratch(self, desk_weights, rng):
         toks = random_tokens(rng, desk_weights.config, 24)
         caches, _ = prefill(desk_weights, toks[:-1])
-        out = decode_step(desk_weights, toks[-1], cache_views(caches), position=len(toks) - 1)
+        out = decode_step(desk_weights, toks[-1], caches, position=len(toks) - 1)
         ff = full_forward(desk_weights, toks)
         rel_close(out.logits, ff[-1])
 
     def test_permutation_invariance(self, desk_weights, rng):
         toks = random_tokens(rng, desk_weights.config, 30)
         caches, _ = prefill(desk_weights, toks)
-        base = decode_step(desk_weights, 5, cache_views(caches), position=len(toks))
-        perm = rng.permutation(len(toks))
-        shuffled = [(c.keys[:, perm], c.values[:, perm], c.positions[:, perm]) for c in caches]
-        out = decode_step(desk_weights, 5, shuffled, position=len(toks))
+        base = decode_step(desk_weights, 5, caches, position=len(toks))
+        out = decode_step(desk_weights, 5, caches, position=len(toks), slots=rng.permutation(len(toks)))
         rel_close(out.logits, base.logits)
 
     def test_full_selection_is_bitwise_stable(self, desk_weights, rng):
-        # a "partial" view listing every entry in cache order, in the cache's
-        # own (key-major) memory order, is the same arrays in the same
-        # order, so logits agree bit for bit
-        toks = random_tokens(rng, desk_weights.config, 16)
+        # a partial cache of every entry in slot order holds the full cache's arrays in the same order and
+        # memory order, in as many slots, so its logits agree bit for bit with the full cache's own
+        n = 16
+        toks = random_tokens(rng, desk_weights.config, n)
         caches, _ = prefill(desk_weights, toks)
-        a = decode_step(desk_weights, 3, cache_views(caches), position=len(toks))
-        idx = np.arange(len(toks))
-        views = [(key_major(c.keys[:, idx]), c.values[:, idx], c.positions[:, idx]) for c in caches]
-        b = decode_step(desk_weights, 3, views, position=len(toks))
+        b = decode_step(desk_weights, 3, caches, position=n)
+
+        def full_view(layer_idx, q, k_new, v_new):
+            caches[layer_idx].append(n, k_new, v_new)
+            return caches[layer_idx]
+
+        a = decode_core(desk_weights, 3, n, full_view)
         assert np.array_equal(a.logits, b.logits)
 
     @pytest.mark.parametrize("n", [16, 37])
@@ -431,12 +423,10 @@ class TestDecodeStep:
         # the same keys in row-major memory take BLAS's transposed-B path: equal up to summation order
         toks = random_tokens(rng, desk_weights.config, n)
         caches, _ = prefill(desk_weights, toks)
-        a = decode_step(desk_weights, 3, cache_views(caches), position=n)
-        views = [(np.ascontiguousarray(c.keys), c.values, c.positions) for c in caches]
-        assert not views[0][0][0].T.flags.c_contiguous
+        a = decode_step(desk_weights, 3, caches, position=n)
         seen, rows = [], model.attention_rows
         monkeypatch.setattr(model, "attention_rows", lambda q, keys, g: seen.append(keys) or rows(q, keys, g))
-        b = decode_step(desk_weights, 3, views, position=n, row_major_keys=True)
+        b = decode_step(desk_weights, 3, caches, position=n, row_major_keys=True)
         assert len(seen) == desk_weights.config.n_layers  # decode attended the row-major keys
         assert not any(keys[0].T.flags.c_contiguous for keys in seen)
         assert_normwise_close(b.logits, a.logits, rtol=1e-12)
@@ -445,7 +435,7 @@ class TestDecodeStep:
         toks = random_tokens(rng, desk_weights.config, 4)
         caches, _ = prefill(desk_weights, toks)
         with pytest.raises(ContractViolation, match="position -1 is negative"):  # it would read the table's last row
-            decode_step(desk_weights, 1, cache_views(caches), position=-1)
+            decode_step(desk_weights, 1, caches, position=-1)
 
     def test_empty_view_rejected(self, desk_weights):
         # a view that leaves out the current token and holds no past entry
@@ -453,8 +443,7 @@ class TestDecodeStep:
         caches, _ = prefill(desk_weights, [1, 2])
 
         def empty(layer_idx, q, k_new, v_new):
-            c = caches[layer_idx]
-            return PartialCache(c.positions[:, :0], c.keys[:, :0], c.values[:, :0])
+            return PartialCache(caches[layer_idx], np.arange(0))
 
         with pytest.raises(ContractViolation):
             decode_core(desk_weights, 1, 2, empty)
@@ -869,7 +858,7 @@ class TestIncrementalConsistency:
         caches, out = prefill(desk_weights, toks[:1])
         rel_close(out.logits, ff[0])
         for i in range(1, len(toks)):
-            step = decode_step(desk_weights, toks[i], cache_views(caches), position=i)
+            step = decode_step(desk_weights, toks[i], caches, position=i)
             rel_close(step.logits, ff[i])
             caches, _ = prefill(desk_weights, toks[: i + 1])
 

@@ -99,7 +99,7 @@ class TestSelectionScores:
         session.prefill(prompt)
         caches, out = prefill(desk_weights, prompt)
         for layer, (full, rows) in enumerate(zip(caches, out.attn_rows)):
-            direct = PartialCache(full.positions[:, :0], full.keys[:, :0], full.values[:, :0])
+            direct = PartialCache(full, np.arange(0))
             init_partial([full], selection_scores(rows, PolicyConfig()), 8, [direct])
             for h in range(2):
                 np.testing.assert_array_equal(session.partial[layer].positions[h], direct.positions[h])
@@ -194,7 +194,7 @@ def per_layer_refresh(policy, layer, rows):
     heads = np.arange(sel.shape[0])[:, None]
     idx = top_k_indices(sel, policy.k_sel)
     order = np.argsort(sel[heads, idx], axis=1, kind="stable")
-    held = PartialCache(*policy.full[layer].gather(idx[heads, order]))
+    held = PartialCache(policy.full[layer], idx[heads, order])
     norm = sel.sum(axis=1, keepdims=True)
     norm[norm == 0] = 1.0
     return sel, held, (np.take_along_axis(sel, held.positions, axis=1) / norm).sum(axis=1).tolist()
@@ -342,7 +342,8 @@ def h2o_state(last_token_row, budget):
     which the group aggregation passes through as the prompt's scores.
     """
     n = len(last_token_row)
-    full = FullCache(np.zeros((2, n, 4)), np.zeros((2, n, 4)))
+    full = FullCache(2, n, 4)
+    full.keys[:], full.values[:] = 0.0, 0.0
     session = SimpleNamespace(policy=PolicyConfig(kind="h2o", k=budget), cfg=None, recorder=None, full=[full],
                               input_length=n, budget=budget, k_sel=min(budget, n))
     out = StepOutput(np.zeros(1), [], [np.asarray(last_token_row, dtype=float).reshape(1, 1, n)])
