@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .kv_store import FullCache, PartialCache
 from .metrics import StepRecord, step_cost
 from .model import ModelWeights, StepOutput, decode_core, prefill as model_prefill
@@ -133,73 +133,28 @@ class DecodeSession:
         )
 
 
-# --------------------------------------------------------------------- loops
+# -------------------------------------------------------------- the decode loop
 
 
-def greedy_generate(
-    weights: ModelWeights,
-    policy: PolicyConfig,
-    schedule: ScheduleConfig | None,
-    prompt: Sequence[int],
-    n_steps: int,
-    recorder: Recorder | None = None,
+def decode(
+    session: DecodeSession, prompt: Sequence[int], n_steps: int, forced: Sequence[int] | None = None
 ) -> tuple[list[int], list[StepRecord], list[np.ndarray]]:
-    """Prefill then greedily decode for n_steps.
+    """The one decode loop: prefill `session` with `prompt`, take n_steps steps, finish.
 
-    Returns (generated token ids, trace, per-step logits). The first token
-    comes from the prefill logits; logits[0] is the prefill output and
-    logits[i] the output of step i, so len(logits) == n_steps + 1.
+    Step i feeds forced[i], or without `forced` the argmax of the previous
+    logits (greedy decoding). Returns (tokens fed, step records, logits):
+    logits[0] is the prefill's and logits[i] step i's, so
+    len(logits) == n_steps + 1.
     """
-    session = DecodeSession(weights, policy, schedule, recorder)
     out = session.prefill(prompt)
-    all_logits = [out.logits.copy()]
-    next_token = int(np.argmax(out.logits))
-    generated: list[int] = []
+    fed: list[int] = []
     trace: list[StepRecord] = []
-    for _ in range(n_steps):
-        generated.append(next_token)
-        out, rec = session.step(next_token)
+    logits = [out.logits.copy()]
+    for i in range(n_steps):
+        token = int(np.argmax(out.logits) if forced is None else forced[i])
+        out, rec = session.step(token)
+        fed.append(token)
         trace.append(rec)
-        all_logits.append(out.logits.copy())
-        next_token = int(np.argmax(out.logits))
+        logits.append(out.logits.copy())
     session.finish()
-    return generated, trace, all_logits
-
-
-def teacher_forced_run(
-    weights: ModelWeights,
-    policy: PolicyConfig,
-    schedule: ScheduleConfig | None,
-    tokens: Sequence[int],
-    tail: int,
-    recorder: Recorder | None = None,
-) -> tuple[list[float], list[StepRecord]]:
-    """Score the last `tail` tokens of a stream under a policy's cache.
-
-    The head of the stream is prefilled; every tail token is then predicted
-    and fed back teacher-forced. Returns per-token negative log-likelihoods
-    (length tail) and the step trace (length tail - 1).
-    """
-    if tail < 1 or tail >= len(tokens):
-        raise ConfigurationError(f"tail must satisfy 1 <= tail < {len(tokens)}, got {tail}")
-    prefix = list(tokens[: len(tokens) - tail])
-    evaluated = list(tokens[len(tokens) - tail :])
-
-    session = DecodeSession(weights, policy, schedule, recorder)
-    out = session.prefill(prefix)
-    nlls = [nll_from_logits(out.logits, evaluated[0])]
-    trace: list[StepRecord] = []
-    for i in range(tail - 1):
-        out, rec = session.step(evaluated[i])
-        nll = nll_from_logits(out.logits, evaluated[i + 1])
-        rec.nll = nll
-        nlls.append(nll)
-        trace.append(rec)
-    session.finish()
-    return nlls, trace
-
-
-def nll_from_logits(logits: np.ndarray, target: int) -> float:
-    """Stable negative log-likelihood of one target token."""
-    z = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(z))) - z[int(target)])
+    return fed, trace, logits

@@ -1,7 +1,10 @@
 """Experiment runner: bind a model, a policy, a schedule, and a task.
 
 A run is fully described by its RunConfig and reproducible from it alone:
-the same config and build produce byte-identical trace files. Artifacts
+the same config and build produce byte-identical trace files. Every run,
+and every rung of self_check, goes through engine.decode, the one decode
+loop: an lm run feeds its scored tail teacher-forced and takes each
+token's NLL from decode's logits; a chainkey run decodes greedily. Artifacts
 per run: trace.jsonl (one StepRecord per generated step) and summary.json
 (config echo, result metric, exact cost totals, per-layer effective
 strides, the BLAS thread settings; wall-clock is reported for orientation
@@ -25,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import greedy_generate, teacher_forced_run
+from .engine import DecodeSession, decode
 from .errors import ConfigurationError, require
-from .metrics import StepRecord, nll_to_perplexity, per_layer_effective_strides, trace_totals
+from .metrics import StepRecord, nll_from_logits, nll_to_perplexity, per_layer_effective_strides, trace_totals
 from .model import ModelConfig, canonical_config, init_model
 from .policies import REFRESH_FAMILY, TOP_K_KINDS, PolicyConfig
 from .scheduler import ScheduleConfig
@@ -42,9 +45,9 @@ from .tasks import (
 )
 
 TASKS = ("lm", "chainkey")
-# the fields a run reads of those it may leave unread (`_optional_fields`): its task's fields, its policy kind's (but
-# k_fraction beside a set k) and, under the refresh family only, its schedule mode's; RunConfig.validate refuses any
-# other of them off its default
+# the fields a run reads of those it may leave unread (`_optional_fields`): its task's fields (but motif_period beside a
+# uniform stream), its policy kind's (but k_fraction beside a set k) and, under the refresh family only, its schedule
+# mode's; RunConfig.validate refuses any other of them off its default (an unknown structure is named later)
 TASK_FIELDS = {"lm": ("task_params.stream_length", "task_params.tail", "task_params.structure",
                       "task_params.motif_period"),
                "chainkey": ("task_params.n_keys", "task_params.chain_length", "task_params.words_per_key", "n_generate")}
@@ -90,16 +93,17 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
-        kind, mode, default = self.policy.kind, self.schedule.mode, _optional_fields(RunConfig())
+        kind, mode, default, tp = self.policy.kind, self.schedule.mode, _optional_fields(RunConfig()), self.task_params
         read = {*(f"policy.{name}" for name in KIND_FIELDS[kind] if name != "k_fraction" or self.policy.k is None),
-                *TASK_FIELDS[self.task], *(f"schedule.{name}" for name in MODE_FIELDS[mode] if kind in REFRESH_FAMILY)}
+                *(name for name in TASK_FIELDS[self.task]
+                  if name != "task_params.motif_period" or tp.structure != "uniform"),
+                *(f"schedule.{name}" for name in MODE_FIELDS[mode] if kind in REFRESH_FAMILY)}
         for name, value in _optional_fields(self).items():
             if name not in read and value != default[name]:
                 raise ConfigurationError(f"this {self.task} run of policy kind {kind!r}, budget k={self.policy.k}, "
                                          f"schedule mode {mode!r} never reads {name}; leave it at its default")
         if not isinstance(self.out_dir, str):
             raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
-        tp = self.task_params
         if self.task == "lm":
             if not 1 <= tp.tail < tp.stream_length:
                 raise ConfigurationError(
@@ -166,16 +170,18 @@ def run(config: RunConfig, out_dir: str | None = None) -> dict:
         raise ConfigurationError(f"the config's model or stream cannot be allocated: {exc}") from exc
 
     started = time.perf_counter()
+    session = DecodeSession(weights, config.policy, config.schedule)
     if config.task == "lm":
-        nlls, trace = teacher_forced_run(
-            weights, config.policy, config.schedule, stream.tolist(), tp.tail
-        )
+        # the head is prefilled; each tail token is predicted, then fed: step i's record scores tail[i]
+        head, tail = stream[: -tp.tail].tolist(), stream[-tp.tail :].tolist()
+        _, trace, logits = decode(session, head, tp.tail - 1, forced=tail)
+        nlls = [nll_from_logits(z, token) for z, token in zip(logits, tail)]
+        for rec, nll in zip(trace, nlls[1:]):
+            rec.nll = nll
         result = {"perplexity": nll_to_perplexity(nlls), "scored_tokens": len(nlls)}
     else:
         instance = chain_instance(config)
-        generated, trace, _ = greedy_generate(
-            weights, config.policy, config.schedule, encode_text(instance.prompt), config.n_generate
-        )
+        generated, trace, _ = decode(session, encode_text(instance.prompt), config.n_generate)
         output_text = decode_tokens(generated)
         chain_score = evaluate_chain(instance, output_text)
         result = {
@@ -326,8 +332,6 @@ def self_check(seed: int = 0) -> list[tuple[str, bool, str]]:
     Uses a small prompt so the whole check stays fast; returns one
     (name, passed, detail) row per check.
     """
-    from .engine import DecodeSession  # local import to keep module load light
-
     cfg = canonical_config(seed=seed)
     weights = init_model(cfg)
     rng = np.random.default_rng(seed)
@@ -337,29 +341,22 @@ def self_check(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     def rung(name: str, policy: PolicyConfig, schedule: ScheduleConfig | None, ref: tuple) -> None:
         """One ladder row: greedy decoding under `policy` reproduces the reference run's tokens and logits."""
-        ids, _, logits = greedy_generate(weights, policy, schedule, prompt, N)
+        ids, _, logits = decode(DecodeSession(weights, policy, schedule), prompt, N)
         same = ids == ref[0]
         close = all(np.allclose(x, y, rtol=1e-9, atol=0.0) for x, y in zip(logits, ref[2]))
         results.append((name, same and close, f"tokens {'match' if same else 'differ'}"))
 
-    vanilla = greedy_generate(weights, PolicyConfig(kind="vanilla"), None, prompt, N)
+    vanilla = decode(DecodeSession(weights, PolicyConfig(kind="vanilla")), prompt, N)
     rung("refreshkv(k=L, fixed stride 1) == vanilla", PolicyConfig(kind="refreshkv", k=L),
          ScheduleConfig(mode="fixed", stride=1), vanilla)
-    snapkv = greedy_generate(weights, PolicyConfig(kind="snapkv", k=12), None, prompt, N)
+    snapkv = decode(DecodeSession(weights, PolicyConfig(kind="snapkv", k=12)), prompt, N)
     rung("refreshkv(never_full, no evict) == snapkv", PolicyConfig(kind="refreshkv", k=12, evict_on_append=False),
          ScheduleConfig(mode="never_full"), snapkv)
     for kind in ("streaming", "h2o"):
         rung(f"{kind}(k >= L+N) == vanilla", PolicyConfig(kind=kind, k=L + N), None, vanilla)
 
-    session = DecodeSession(
-        weights, PolicyConfig(kind="refreshkv", k=12), ScheduleConfig(mode="fixed", stride=5)
-    )
-    out = session.prefill(prompt)
-    token = int(np.argmax(out.logits))
-    for _ in range(N):
-        out, _ = session.step(token)
-        token = int(np.argmax(out.logits))
-    session.finish()
+    session = DecodeSession(weights, PolicyConfig(kind="refreshkv", k=12), ScheduleConfig(mode="fixed", stride=5))
+    decode(session, prompt, N)
     cf_ok = all(len(session.full[layer]) == L + N for layer in range(cfg.n_layers))
     cp_ok = all(
         size == session.k_sel for layer in range(cfg.n_layers) for size in session.partial[layer].sizes()

@@ -112,6 +112,12 @@ def per_layer_effective_strides(trace: Sequence[StepRecord], n_layers: int) -> l
     return strides
 
 
+def nll_from_logits(logits: np.ndarray, target: int) -> float:
+    """Stable negative log-likelihood of one target token."""
+    z = logits - np.max(logits)
+    return float(np.log(np.sum(np.exp(z))) - z[int(target)])
+
+
 def nll_to_perplexity(nlls: Sequence[float]) -> float:
     if len(nlls) == 0:
         raise ContractViolation("perplexity needs at least one scored token")

@@ -12,7 +12,7 @@ import pytest
 
 from kvrefresh import harness
 from kvrefresh.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from kvrefresh.engine import teacher_forced_run
+from kvrefresh.engine import DecodeSession, decode
 from kvrefresh.errors import ConfigurationError
 from kvrefresh.policies import POLICY_KINDS, PolicyConfig
 from kvrefresh.scheduler import SCHEDULE_MODES, ScheduleConfig
@@ -47,6 +47,7 @@ UNREAD = [
     (["--task", "chainkey", "--task-params.structure", "uniform", "--task-params.stream-length", "5"],
      "task_params.stream_length"),
     (["--task", "chainkey", "--task-params.motif-period", "8"], "task_params.motif_period"),
+    (["--task-params.structure", "uniform", "--task-params.motif-period", "7"], "task_params.motif_period"),
     (["--policy.kind", "snapkv", "--schedule.qc-stride", "3"], "schedule.qc_stride"),
     (["--policy.kind", "vanilla", "--policy.evict-on-append", "false"], "policy.evict_on_append"),
     (["--schedule.mode", "fixed", "--schedule.threshold", "0.5", "--schedule.qc-stride", "3"], "schedule.qc_stride"),
@@ -112,6 +113,9 @@ class TestRunExitCodes:
             *UNREAD_FIELDS,
             ["--task-params.structure", "zigzag"],
             ["--task-params.motif-period", "0"],
+            # the scored tail needs one token and leaves a prompt: 1 <= tail < stream_length (SHORT_LM's 16)
+            ["--task-params.tail", "0"],
+            ["--task-params.tail", "16"],
             # streaming keeps n_sink=4 sinks; SHORT_LM prefills L=12, so the default k_fraction gives budget 1
             ["--policy.kind", "streaming", "--policy.k", "2"],
             ["--policy.kind", "streaming"],
@@ -150,6 +154,8 @@ class TestRunExitCodes:
             ["--policy.k", "8"],
             ["--policy.k-fraction", "0.5"],
             ["--policy.k", "8", "--policy.k-fraction", "0.125"],  # the default k_fraction beside a set k
+            ["--task-params.structure", "uniform"],  # beside the default motif_period
+            ["--task-params.structure", "repeated_motif", "--task-params.motif-period", "7"],
         ],
         ids=lambda flags: " ".join(flags),
     )
@@ -203,6 +209,12 @@ def test_a_refused_field_changes_no_step_record(kind, desk_weights):
     # every field RunConfig.validate refuses as unread, set off its default and run without validation, leaves
     # every StepRecord as the run that leaves it at its default: the table never refuses a field a run reads
     tokens = np.random.default_rng(0).integers(0, desk_weights.config.vocab_size, 56).tolist()  # L=32, 23 steps
+
+    def records(config):  # each step's record and logits, the stream's last 24 tokens fed teacher-forced
+        _, trace, logits = decode(DecodeSession(desk_weights, config.policy, config.schedule), tokens[:32], 23,
+                                  forced=tokens[32:])
+        return trace, [z.tobytes() for z in logits]
+
     refused = set()
     for mode, k in itertools.product(SCHEDULE_MODES, (None, 4)):
         base = harness.RunConfig(policy=PolicyConfig(kind=kind, k=k), schedule=ScheduleConfig(mode=mode),
@@ -211,7 +223,7 @@ def test_a_refused_field_changes_no_step_record(kind, desk_weights):
             base.validate()
         except ConfigurationError:
             continue  # a mode or k the kind never reads: the schedule.mode and policy.k variants cover it
-        records = None
+        expected = None
         for name, values in OFF_DEFAULT.items():
             section, field = name.split(".")
             for value in values:
@@ -221,11 +233,16 @@ def test_a_refused_field_changes_no_step_record(kind, desk_weights):
                 except ConfigurationError as exc:
                     if f"never reads {name};" in str(exc):
                         refused.add(name)
-                        records = records or teacher_forced_run(desk_weights, base.policy, base.schedule, tokens, 24)[1]
-                        got = teacher_forced_run(desk_weights, config.policy, config.schedule, tokens, 24)[1]
-                        assert got == records, (name, value, mode, k)
+                        expected = expected or records(base)
+                        assert records(config) == expected, (name, value, mode, k)
     if kind == "vanilla":
         assert refused == set(OFF_DEFAULT)
+
+
+def test_an_unknown_structure_is_named_before_an_unread_motif_period(tmp_path, capsys):
+    flags = ["--task-params.structure", "zigzag", "--task-params.motif-period", "7"]
+    err = assert_config_error(main(["run", "--out", str(tmp_path), *SHORT_LM, *flags]), capsys)
+    assert "unknown stream structure 'zigzag'" in err and "never reads" not in err
 
 
 def test_subcommands_are_run_compare_and_self_check(capsys):

@@ -6,9 +6,10 @@ prompt length L, and ffn_mult up to 1e308. A field the run never reads
 (a schedule a policy kind does not follow, a schedule field its mode does
 not follow, evict_on_append on a kind that keeps no top-K, n_sink off
 streaming, a budget on vanilla, k_fraction beside a set k, the other task's
-fields) is drawn one time in thirty, which keeps about 40% of documents
-valid; each other field is out of range one time in ten. No model setting bounds the positions a
-run feeds, so the strategy bounds stream_length and n_generate itself.
+fields, motif_period beside a uniform stream) is drawn one time in thirty,
+which keeps about 40% of documents valid; each other field is out of range
+one time in ten. No model setting bounds the positions a run feeds, so the
+strategy bounds stream_length and n_generate itself.
 Each document goes through `harness.run`, which either raises
 ConfigurationError or writes a trace whose every partial step of an
 evicting policy attended at most budget + 1 entries, and then through
@@ -47,9 +48,11 @@ def documents(draw) -> dict:
     doc: dict = {"seed": mostly(draw, st.integers(0, 2), -1)}
     if draw(st.integers(0, 3)):  # lm three times in four: a chainkey prompt holds about 800 tokens
         length = draw(st.integers(2, 64))
+        structure = draw(st.sampled_from(["uniform", "repeated_motif"]))
         doc["task_params"] = {"stream_length": length, "tail": mostly(draw, st.integers(1, length - 1), 0, length),
-                              "structure": draw(st.sampled_from(["uniform", "repeated_motif"])),
-                              "motif_period": mostly(draw, st.integers(1, 8), 0)}
+                              "structure": structure}
+        if structure == "repeated_motif" or rarely():  # a uniform stream never reads motif_period
+            doc["task_params"]["motif_period"] = mostly(draw, st.integers(1, 8), 0)
         prompt_length = length - doc["task_params"]["tail"]
         if rarely():
             doc.update(draw(st.sampled_from([{"n_generate": 7}, {"task_params": {**doc["task_params"], "n_keys": 3}}])))

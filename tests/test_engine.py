@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kvrefresh import engine
-from kvrefresh.engine import DecodeSession, greedy_generate, teacher_forced_run
+from kvrefresh.engine import DecodeSession, decode
 from kvrefresh.errors import ConfigurationError, ContractViolation
 from kvrefresh.metrics import score_pass_flops, selection_overhead_flops
 from kvrefresh.model import full_forward, init_model, prefill
@@ -66,30 +66,26 @@ class TestEquivalenceLadder:
 
     @pytest.fixture()
     def vanilla_run(self, desk_weights, prompt):
-        return greedy_generate(desk_weights, PolicyConfig(kind="vanilla"), None, prompt, self.N)
+        return decode(DecodeSession(desk_weights, PolicyConfig(kind="vanilla")), prompt, self.N)
 
     def test_refreshkv_full_budget_always_full(self, desk_weights, prompt, vanilla_run):
         ids_v, _, logits_v = vanilla_run
-        ids, _, logits = greedy_generate(
-            desk_weights,
-            PolicyConfig(kind="refreshkv", k=self.L),
-            ScheduleConfig(mode="fixed", stride=1),
-            prompt,
-            self.N,
+        ids, _, logits = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=self.L),
+                          ScheduleConfig(mode="fixed", stride=1)),
+            prompt, self.N,
         )
         assert ids == ids_v
         assert_logits_match(logits, logits_v)
 
     def test_refreshkv_never_full_equals_snapkv(self, desk_weights, prompt):
-        ids_s, trace_s, logits_s = greedy_generate(
-            desk_weights, PolicyConfig(kind="snapkv", k=12), None, prompt, self.N
+        ids_s, trace_s, logits_s = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="snapkv", k=12)), prompt, self.N,
         )
-        ids_r, trace_r, logits_r = greedy_generate(
-            desk_weights,
-            PolicyConfig(kind="refreshkv", k=12, evict_on_append=False),
-            ScheduleConfig(mode="never_full"),
-            prompt,
-            self.N,
+        ids_r, trace_r, logits_r = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=12, evict_on_append=False),
+                          ScheduleConfig(mode="never_full")),
+            prompt, self.N,
         )
         assert ids_r == ids_s
         assert_logits_match(logits_r, logits_s)
@@ -100,17 +96,15 @@ class TestEquivalenceLadder:
     @pytest.mark.parametrize("kind", ["streaming", "h2o"])
     def test_oversized_recency_policies_equal_vanilla(self, desk_weights, prompt, vanilla_run, kind):
         ids_v, _, logits_v = vanilla_run
-        ids, _, logits = greedy_generate(
-            desk_weights, PolicyConfig(kind=kind, k=self.L + self.N), None, prompt, self.N
+        ids, _, logits = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind=kind, k=self.L + self.N)), prompt, self.N,
         )
         assert ids == ids_v
         assert_logits_match(logits, logits_v)
 
     def test_snapkv_full_budget_equals_vanilla(self, desk_weights, prompt, vanilla_run):
         ids_v, _, logits_v = vanilla_run
-        ids, _, logits = greedy_generate(
-            desk_weights, PolicyConfig(kind="snapkv", k=self.L), None, prompt, self.N
-        )
+        ids, _, logits = decode(DecodeSession(desk_weights, PolicyConfig(kind="snapkv", k=self.L)), prompt, self.N)
         # identical until eviction-free caches diverge... they never do: the
         # prompt-time selection keeps all L entries and the cache only grows
         assert ids == ids_v
@@ -134,9 +128,7 @@ class TestRefreshDynamics:
         tok = int(np.argmax(out0.logits))
         out, rec = session.step(tok)
 
-        ids_v, _, logits_v = greedy_generate(
-            desk_weights, PolicyConfig(kind="vanilla"), None, prompt, 1
-        )
+        ids_v, _, logits_v = decode(DecodeSession(desk_weights, PolicyConfig(kind="vanilla")), prompt, 1)
         np.testing.assert_allclose(out.logits, logits_v[1], rtol=1e-9, atol=0.0)
         assert rec.modes == ["full", "full"]
 
@@ -183,9 +175,8 @@ class TestRefreshDynamics:
         events = []
         prompt = toks(rng, desk_weights.config, 64)
         policy = PolicyConfig(kind="refreshkv", k=8)
-        greedy_generate(
-            desk_weights, policy, ScheduleConfig(mode="fixed", stride=4), prompt, 40,
-            recorder=events.append,
+        decode(
+            DecodeSession(desk_weights, policy, ScheduleConfig(mode="fixed", stride=4), events.append), prompt, 40,
         )
         refreshes = [e for e in events if e["kind"] == "refresh"]
         assert len(refreshes) == 10 * desk_weights.config.n_layers
@@ -199,13 +190,10 @@ class TestRefreshDynamics:
     def test_refresh_never_reduces_selection_row_coverage(self, desk_weights, rng):
         events = []
         prompt = toks(rng, desk_weights.config, 64)
-        greedy_generate(
-            desk_weights,
-            PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="fixed", stride=6),
-            prompt,
-            36,
-            recorder=events.append,
+        decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8), ScheduleConfig(mode="fixed", stride=6),
+                          events.append),
+            prompt, 36,
         )
         refreshes = [e for e in events if e["kind"] == "refresh"]
         assert refreshes
@@ -224,10 +212,7 @@ class TestRefreshDynamics:
             ("refreshkv_no_full", ScheduleConfig(mode="fixed", stride=3)),
         ]:
             events = []
-            greedy_generate(
-                desk_weights, PolicyConfig(kind=kind, k=8), schedule, prompt, 12,
-                recorder=events.append,
-            )
+            decode(DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule, events.append), prompt, 12)
             for event in (e for e in events if e["kind"] == "view"):
                 seen_until = 32 + event["step"] - 1
                 for positions in event["positions"]:
@@ -326,15 +311,11 @@ class TestAblations:
 
     def test_no_refresh_with_never_full_degenerates_to_snapkv(self, desk_weights, rng):
         prompt = toks(rng, desk_weights.config, 40)
-        ids_s, _, logits_s = greedy_generate(
-            desk_weights, PolicyConfig(kind="snapkv", k=10), None, prompt, 16
-        )
-        ids_a, _, logits_a = greedy_generate(
-            desk_weights,
-            PolicyConfig(kind="refreshkv_no_refresh", k=10, evict_on_append=False),
-            ScheduleConfig(mode="never_full"),
-            prompt,
-            16,
+        ids_s, _, logits_s = decode(DecodeSession(desk_weights, PolicyConfig(kind="snapkv", k=10)), prompt, 16)
+        ids_a, _, logits_a = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv_no_refresh", k=10, evict_on_append=False),
+                          ScheduleConfig(mode="never_full")),
+            prompt, 16,
         )
         assert ids_a == ids_s
         assert_logits_match(logits_a, logits_s)
@@ -345,13 +326,15 @@ class TestAblations:
         prompt = toks(rng, desk_weights.config, 64)
         events_r, events_a = [], []
         stride = 5
-        greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="fixed", stride=stride), prompt, 20, recorder=events_r.append,
+        decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8),
+                          ScheduleConfig(mode="fixed", stride=stride), events_r.append),
+            prompt, 20,
         )
-        greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv_no_refresh", k=8),
-            ScheduleConfig(mode="fixed", stride=stride), prompt, 20, recorder=events_a.append,
+        decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv_no_refresh", k=8),
+                          ScheduleConfig(mode="fixed", stride=stride), events_a.append),
+            prompt, 20,
         )
 
         def views_by_step(events):
@@ -455,13 +438,15 @@ class TestAblations:
 
     def test_no_full_differs_from_no_refresh_when_selection_changes(self, desk_weights, rng):
         prompt = toks(rng, desk_weights.config, 64)
-        _, _, logits_n = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv_no_full", k=6),
-            ScheduleConfig(mode="fixed", stride=4), prompt, 16,
+        _, _, logits_n = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv_no_full", k=6),
+                          ScheduleConfig(mode="fixed", stride=4)),
+            prompt, 16,
         )
-        _, _, logits_r = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv_no_refresh", k=6),
-            ScheduleConfig(mode="fixed", stride=4), prompt, 16,
+        _, _, logits_r = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv_no_refresh", k=6),
+                          ScheduleConfig(mode="fixed", stride=4)),
+            prompt, 16,
         )
         assert any(not np.allclose(a, b, rtol=1e-9) for a, b in zip(logits_n, logits_r))
 
@@ -472,9 +457,10 @@ class TestAblations:
 class TestQCScheduling:
     def test_full_steps_only_on_qc_boundaries(self, desk_weights, rng):
         prompt = toks(rng, desk_weights.config, 48)
-        _, trace, _ = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="qc", qc_stride=5, threshold=0.999), prompt, 30,
+        _, trace, _ = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8),
+                          ScheduleConfig(mode="qc", qc_stride=5, threshold=0.999)),
+            prompt, 30,
         )
         for rec in trace:
             if rec.step_index % 5 != 0:
@@ -487,16 +473,18 @@ class TestQCScheduling:
         prompt = toks(rng, desk_weights.config, 48)
         # probe the similarities at the first boundary, then split them; no
         # full step precedes step 4, so they do not depend on the threshold
-        _, probe, _ = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="qc", qc_stride=4, threshold=0.5), prompt, 4,
+        _, probe, _ = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8),
+                          ScheduleConfig(mode="qc", qc_stride=4, threshold=0.5)),
+            prompt, 4,
         )
         sims = probe[-1].similarities
         assert sims[0] != sims[1]
         split = float(np.mean(sims))
-        _, trace, _ = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="qc", qc_stride=4, threshold=split), prompt, 4,
+        _, trace, _ = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8),
+                          ScheduleConfig(mode="qc", qc_stride=4, threshold=split)),
+            prompt, 4,
         )
         modes = trace[-1].modes
         assert sorted(modes) == ["full", "partial"]
@@ -559,15 +547,28 @@ class TestSessionContracts:
             _, rec = session.step(0)
             assert rec.view_lens == [4 + 1] * desk_weights.config.n_layers  # the budget and the current token
 
-    def test_teacher_forced_run_shapes(self, desk_weights, rng):
+    def test_forced_decode_feeds_the_forced_tokens(self, desk_weights, rng):
         stream = toks(rng, desk_weights.config, 64)
-        nlls, trace = teacher_forced_run(
-            desk_weights, PolicyConfig(kind="vanilla"), None, stream, tail=16
-        )
-        assert len(nlls) == 16
-        assert len(trace) == 15
-        assert all(rec.nll is not None for rec in trace)
-        assert all(n > 0 for n in nlls)
+        fed, trace, logits = decode(DecodeSession(desk_weights, PolicyConfig(kind="vanilla")), stream[:48], 15,
+                                    forced=stream[48:])
+        assert fed == [rec.token_id for rec in trace] == stream[48:63]
+        assert [rec.step_index for rec in trace] == list(range(1, 16))
+        assert len(logits) == 16 and all(z.shape == (desk_weights.config.vocab_size,) for z in logits)
+
+    @pytest.mark.parametrize("policy, schedule", [(PolicyConfig(kind="vanilla"), None),
+                                                  (PolicyConfig(kind="h2o", k=8), None),
+                                                  (PolicyConfig(kind="refreshkv", k=8),
+                                                   ScheduleConfig(mode="qc", qc_stride=2, threshold=0.5))],
+                             ids=["vanilla", "h2o", "refreshkv-qc"])
+    def test_forcing_a_greedy_decode_s_tokens_replays_it_bitwise(self, desk_weights, rng, policy, schedule):
+        # decode's one branch: feeding the argmax and feeding the same tokens as `forced` are the same run
+        prompt = toks(rng, desk_weights.config, 40)
+        fed, trace, logits = decode(DecodeSession(desk_weights, policy, schedule), prompt, 20)
+        again, trace_again, logits_again = decode(DecodeSession(desk_weights, policy, schedule), prompt, 20, forced=fed)
+        assert again == fed and trace_again == trace
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(logits_again, logits, strict=True))
+        if schedule is not None:  # threshold 0.5 mixes full and partial qc boundaries
+            assert {mode for rec in trace for mode in rec.modes} == {"full", "partial"}
 
     @pytest.mark.parametrize("schedule", [ScheduleConfig(mode="fixed", stride=2),
                                           ScheduleConfig(mode="qc", qc_stride=2, threshold=1.0)], ids=["fixed", "qc"])

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kvrefresh.engine import greedy_generate, teacher_forced_run
-from kvrefresh.errors import ConfigurationError, ContractViolation
+from kvrefresh.engine import DecodeSession, decode
+from kvrefresh.errors import ContractViolation
 from kvrefresh.metrics import (
     StepRecord,
     layer_attention_cost,
+    nll_from_logits,
     nll_to_perplexity,
     per_layer_effective_strides,
     selection_overhead_flops,
@@ -47,9 +48,9 @@ class TestAttentionCost:
         cfg = desk_weights.config
         prompt = rng.integers(0, cfg.vocab_size, size=64).tolist()
         L, N, S = 64, 100, 10
-        _, trace, _ = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv", k=8),
-            ScheduleConfig(mode="fixed", stride=S), prompt, N,
+        _, trace, _ = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8), ScheduleConfig(mode="fixed", stride=S)),
+            prompt, N,
         )
         totals = trace_totals(trace)
         full_f, full_b = step_cost([L] * cfg.n_layers, cfg)
@@ -64,7 +65,7 @@ class TestAttentionCost:
     def test_costs_rederivable_from_records(self, desk_weights, rng, kind, schedule):
         # the session prices a step from costs it computed at the prefill; they must be step_cost's
         prompt = rng.integers(0, 256, size=40).tolist()
-        _, trace, _ = greedy_generate(desk_weights, PolicyConfig(kind=kind, k=8), schedule, prompt, 20)
+        _, trace, _ = decode(DecodeSession(desk_weights, PolicyConfig(kind=kind, k=8), schedule), prompt, 20)
         for rec in trace:
             f, b = step_cost(rec.attended, desk_weights.config)
             assert (f, b) == (rec.attention_flops, rec.kv_bytes_moved)
@@ -81,19 +82,27 @@ class TestAttentionCost:
         assert selection_overhead_flops(m, cfg, 2 * m - 3) == at_width - 2 * cfg.n_kv_heads * m
         # full steps at m = 42 and 44: a kernel of 2 * 44 - 1 spans both rows, like 10**9 + 1
         prompt = rng.integers(0, cfg.vocab_size, size=40).tolist()
-        traces = [greedy_generate(desk_weights, PolicyConfig(kind="refreshkv", k=8, kernel_size=kernel),
-                                  ScheduleConfig(mode="fixed", stride=2), prompt, 4)[:2] for kernel in (87, 10**9 + 1)]
+        traces = [decode(DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=8, kernel_size=kernel),
+                                       ScheduleConfig(mode="fixed", stride=2)), prompt, 4)[:2]
+                  for kernel in (87, 10**9 + 1)]
         assert traces[0] == traces[1]
 
     def test_full_step_count_is_floor_n_over_s(self, desk_weights, rng):
         prompt = rng.integers(0, 256, size=32).tolist()
         for N, S in [(100, 10), (47, 5), (30, 7)]:
-            _, trace, _ = greedy_generate(
-                desk_weights, PolicyConfig(kind="refreshkv", k=6),
-                ScheduleConfig(mode="fixed", stride=S), prompt, N,
+            _, trace, _ = decode(
+                DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=6),
+                              ScheduleConfig(mode="fixed", stride=S)),
+                prompt, N,
             )
             for layer in range(desk_weights.config.n_layers):
                 assert sum(1 for r in trace if r.modes[layer] == "full") == N // S
+
+
+def tail_nlls(weights, policy, schedule, stream, tail):
+    """The NLL of each of the stream's last `tail` tokens, predicted under `policy` as each is fed in turn."""
+    _, _, logits = decode(DecodeSession(weights, policy, schedule), stream[:-tail], tail - 1, forced=stream[-tail:])
+    return [nll_from_logits(z, token) for z, token in zip(logits, stream[-tail:], strict=True)]
 
 
 class TestPerplexity:
@@ -101,15 +110,13 @@ class TestPerplexity:
         weights = init_model(desk_config)
         weights.w_out = np.zeros_like(weights.w_out)  # all-zero logits: uniform
         stream = rng.integers(0, desk_config.vocab_size, size=48).tolist()
-        ppl = nll_to_perplexity(teacher_forced_run(weights, PolicyConfig(kind="vanilla"), None, stream, 16)[0])
+        ppl = nll_to_perplexity(tail_nlls(weights, PolicyConfig(kind="vanilla"), None, stream, 16))
         assert ppl == pytest.approx(desk_config.vocab_size, rel=1e-12)
 
     def test_vanilla_matches_from_scratch_tail(self, desk_weights, rng):
         stream = rng.integers(0, 256, size=56).tolist()
         tail = 12
-        nlls, _ = teacher_forced_run(
-            desk_weights, PolicyConfig(kind="vanilla"), None, stream, tail
-        )
+        nlls = tail_nlls(desk_weights, PolicyConfig(kind="vanilla"), None, stream, tail)
         logits = full_forward(desk_weights, stream)
         expected = []
         for i in range(len(stream) - tail, len(stream)):
@@ -120,19 +127,10 @@ class TestPerplexity:
 
     def test_equivalence_ladder_preserves_perplexity(self, desk_weights, rng):
         stream = rng.integers(0, 256, size=48).tolist()
-        base, _ = teacher_forced_run(desk_weights, PolicyConfig(kind="vanilla"), None, stream, 12)
-        same, _ = teacher_forced_run(
-            desk_weights,
-            PolicyConfig(kind="refreshkv", k=36),
-            ScheduleConfig(mode="fixed", stride=1),
-            stream,
-            12,
-        )
+        base = tail_nlls(desk_weights, PolicyConfig(kind="vanilla"), None, stream, 12)
+        same = tail_nlls(desk_weights, PolicyConfig(kind="refreshkv", k=36), ScheduleConfig(mode="fixed", stride=1),
+                         stream, 12)
         assert nll_to_perplexity(same) == pytest.approx(nll_to_perplexity(base), rel=1e-9)
-
-    def test_tail_bounds_checked(self, desk_weights):
-        with pytest.raises(ConfigurationError):
-            teacher_forced_run(desk_weights, PolicyConfig(kind="vanilla"), None, [1, 2, 3], 3)
 
     def test_nll_to_perplexity(self):
         assert nll_to_perplexity([0.0, 0.0]) == 1.0
@@ -174,8 +172,8 @@ class TestStepRecord:
 
     def test_effective_strides_from_trace(self, desk_weights, rng):
         prompt = rng.integers(0, 256, size=32).tolist()
-        _, trace, _ = greedy_generate(
-            desk_weights, PolicyConfig(kind="refreshkv", k=6),
-            ScheduleConfig(mode="fixed", stride=10), prompt, 100,
+        _, trace, _ = decode(
+            DecodeSession(desk_weights, PolicyConfig(kind="refreshkv", k=6), ScheduleConfig(mode="fixed", stride=10)),
+            prompt, 100,
         )
         assert per_layer_effective_strides(trace, 2) == [10.0, 10.0]

@@ -6,7 +6,7 @@ import pytest
 
 from kvrefresh import engine, model, policies
 from kvrefresh.errors import ConfigurationError, ContractViolation
-from kvrefresh.engine import DecodeSession, greedy_generate
+from kvrefresh.engine import DecodeSession, decode
 from kvrefresh.kv_store import FullCache, PartialCache, init_partial
 from kvrefresh.model import ModelConfig, StepOutput, init_model, prefill
 from kvrefresh.numerics import max_pool_1d, top_k_indices
@@ -123,8 +123,9 @@ class TestRefresh:
         events = []
         prompt = rng.integers(0, desk_weights.config.vocab_size, size=48).tolist()
         policy = PolicyConfig(kind=kind, k=8)
-        _, trace, _ = greedy_generate(desk_weights, policy, ScheduleConfig(mode="fixed", stride=4), prompt, 16,
-                                      recorder=events.append)
+        _, trace, _ = decode(
+            DecodeSession(desk_weights, policy, ScheduleConfig(mode="fixed", stride=4), events.append), prompt, 16,
+        )
         refreshes = [e for e in events if e["kind"] == "refresh"]
         assert len(refreshes) == 4 * desk_weights.config.n_layers
         for event in refreshes:

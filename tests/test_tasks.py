@@ -120,3 +120,8 @@ class TestSyntheticLmStream:
         assert np.array_equal(a, synthetic_lm_stream(500, 50, seed=1))
         assert not np.array_equal(a, synthetic_lm_stream(500, 50, seed=2))
         assert 0 <= a.min() and a.max() < 50
+
+    def test_uniform_stream_never_reads_motif_period(self):
+        # why RunConfig.validate refuses motif_period off its default under structure uniform
+        a = synthetic_lm_stream(200, 256, seed=0, structure="uniform")
+        assert np.array_equal(a, synthetic_lm_stream(200, 256, seed=0, structure="uniform", motif_period=7))
